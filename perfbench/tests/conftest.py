@@ -1,0 +1,8 @@
+"""Make the benchmark's modules importable the way ``perfbench/run.py`` imports them."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+if str(PERFBENCH) not in sys.path:
+    sys.path.insert(0, str(PERFBENCH))
