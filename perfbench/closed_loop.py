@@ -1,18 +1,23 @@
 """One fresh interpreter running a closed-loop workload for a time budget.
 
-``run.py`` starts this file as a child process per set-up sample.  It prints
-``READY`` once the imports are done and the empty record store is open, runs
+``run.py`` starts this file as a child process.  It prints ``READY`` once the
+imports are done and the empty record store is open.  With ``--setup-only``
+it stops there: the process is one set-up sample.  Otherwise it runs
 iterations of its workload (one caller, serial, each iteration the calls one
-CLI invocation makes) until the budget is spent, checks every record, and
-prints one JSON line with its measurements.
+CLI invocation makes) until the budget is spent, timing the reference loop of
+``calibration.py`` between iterations.  Each iteration's records are checked
+and hashed right after it, outside the timed window, and then dropped, so the
+heap does not grow with the run.  The last line printed is
+one JSON object with the measurements of every iteration.
 
-    python3 perfbench/closed_loop.py --workload figure-sweep --seed 1 --child 0 \
-        --budget 6 --workdir .perfbench/work/x [--trace-out trace.json]
+    python3 perfbench/closed_loop.py --workload figure-sweep --seed 1 \
+        --budget 30 --workdir .perfbench/work/x [--trace-out trace.json]
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import resource
@@ -21,6 +26,7 @@ import time
 import traceback
 from pathlib import Path
 
+import calibration
 import checks
 import workloads
 from tracing import (
@@ -39,11 +45,16 @@ from tracing import (
     traced_run_cache,
 )
 
-#: Records per child re-executed from scratch after the timed window.
-RECOMPUTE_PER_CHILD = 2
-#: Distinct scenarios per traced child whose build is redone step by step.
+#: Records re-executed from scratch after the timed window, one from each of
+#: the first iterations.
+RECOMPUTE_RECORDS = 6
+#: Leading iterations whose records make up ``records_sha256``.  Every run
+#: finishes them, so two commits can be compared on one seed whatever their speed.
+DIGEST_ITERATIONS = 2
+#: Distinct scenarios whose build a traced run redoes step by step.
 DECOMPOSED_SCENARIOS = 12
 SWEEP_SCHEMES = ("SR", "AR")
+LIFETIME_SCHEMES = ("SR", "SR-energy", "AR", "AR-energy")
 FIGURE_FILES = (
     ("figure6_processes_and_success", "fig6_processes_success.csv"),
     ("figure7_node_movements", "fig7_node_movements.csv"),
@@ -116,10 +127,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=("figure-sweep", "lifetime"), required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--child", type=int, required=True)
-    parser.add_argument("--budget", type=float, required=True)
+    parser.add_argument("--budget", type=float, default=0.0)
     parser.add_argument("--workdir", type=Path, required=True)
     parser.add_argument("--trace-out", type=Path, default=None)
+    parser.add_argument("--setup-only", action="store_true")
     args = parser.parse_args()
 
     from repro.experiments import figures
@@ -130,9 +141,7 @@ def main() -> int:
     sweep = args.workload == "figure-sweep"
     tracer = Tracer() if args.trace_out is not None else None
     if tracer is not None:
-        trace_schemes(
-            tracer, SWEEP_SCHEMES if sweep else ("SR", "SR-energy", "AR", "AR-energy")
-        )
+        trace_schemes(tracer, SWEEP_SCHEMES if sweep else LIFETIME_SCHEMES)
     BenchExecutor = make_executor_class()
 
     def open_store(iteration: int):
@@ -143,21 +152,22 @@ def main() -> int:
 
     store = open_store(0) if sweep else None
     print("READY", flush=True)
+    if args.setup_only:
+        return 0
 
-    seeds = workloads.sweep_seeds(args.seed, args.child) if sweep else workloads.lifetime_seeds(
-        args.seed, args.child
-    )
+    seeds = workloads.sweep_seeds(args.seed) if sweep else workloads.lifetime_seeds(args.seed)
     planned = (
         len(figures.PAPER_SPARE_VALUES) * workloads.SWEEP_TRIALS * len(SWEEP_SCHEMES)
         if sweep
-        else workloads.LIFETIME_TRIALS * 4
+        else workloads.LIFETIME_TRIALS * len(LIFETIME_SCHEMES)
     )
-    records, novel_s, repeat_s, problems = [], [], [], []
-    iteration_sizes, iteration_wall_s = [], []
-    attempted = failed = iterations = 0
-    wall = 0.0
+    iterations, problems, recompute, summaries, configs = [], [], [], [], {}
+    sampler = random.Random(f"recompute:{args.workload}:{args.seed}")
+    digest = hashlib.sha256()
+    attempted = failed = 0
     state_lookups = state_hits = state_evictions = store_lookups = store_hits = 0
     deadline = time.perf_counter() + args.budget
+    reference = calibration.reference_loop()
     while True:
         iteration_seed = next(seeds)
         state_cache = _fresh_state_cache()
@@ -167,7 +177,7 @@ def main() -> int:
         try:
             if sweep:
                 if store is None:
-                    store = open_store(iterations)
+                    store = open_store(len(iterations))
                 experiment = figures.run_section5_experiment(
                     spare_values=figures.PAPER_SPARE_VALUES,
                     config=ScenarioConfig(seed=iteration_seed),
@@ -175,7 +185,7 @@ def main() -> int:
                     executor=executor,
                     cache=store,
                 )
-                csv_dir = args.workdir / f"csv-{iterations}"
+                csv_dir = args.workdir / f"csv-{len(iterations)}"
                 for function, filename in FIGURE_FILES:
                     if tracer is None:
                         getattr(figures, function)(experiment).to_csv(csv_dir / filename)
@@ -191,15 +201,41 @@ def main() -> int:
         except Exception:  # noqa: BLE001 - a failed iteration is counted, not fatal
             failed += planned
             problems.append(traceback.format_exc(limit=3))
-            executor.records = []
+            iterations.append(None)
         else:
-            iteration_wall_s.append(time.perf_counter() - start)
-            wall += iteration_wall_s[-1]
-            iteration_sizes.append(len(executor.records))
-            records.extend(executor.records)
-            novel_s.extend(executor.novel_s)
-            repeat_s.extend(executor.repeat_s)
-        iterations += 1
+            wall_s = time.perf_counter() - start
+            before, reference = reference, calibration.reference_loop()
+            # Outside the timed window: check, hash and drop this iteration's records.
+            dicts = [record_to_dict(record) for record in executor.records]
+            for record in dicts:
+                violations = checks.record_violations(record)
+                if violations:
+                    failed += 1
+                    problems.extend(violations[:2])
+            if len(iterations) < DIGEST_ITERATIONS:
+                for record in dicts:
+                    digest.update(checks.canonical(record).encode("utf-8") + b"\n")
+            if len(recompute) < RECOMPUTE_RECORDS and dicts:
+                recompute.append(dicts[sampler.randrange(len(dicts))])
+            if tracer is not None:
+                summaries.extend(
+                    {"metrics": r["metrics"], "rounds_executed": r["rounds_executed"]}
+                    for r in dicts
+                )
+                for record in executor.records:
+                    if len(configs) < DECOMPOSED_SCENARIOS:
+                        configs.setdefault(record.spec.scenario, None)
+            iterations.append(
+                {
+                    "wall_s": wall_s,
+                    "scale": calibration.scale((before + reference) / 2),
+                    "specs": len(dicts),
+                    "rounds": sum(record["rounds_executed"] for record in dicts),
+                    "novel_s": executor.novel_s,
+                    "repeat_s": executor.repeat_s,
+                    "sha256": checks.records_sha256(dicts),
+                }
+            )
         if state_cache is not None:
             stats = state_cache.stats()
             state_lookups += stats.hits + stats.misses
@@ -212,61 +248,40 @@ def main() -> int:
             store = None
         # Start another iteration only if at least half of a typical one fits,
         # so a run measures about its budget rather than up to one more iteration.
-        typical = wall / max(1, len(iteration_wall_s))
+        done = [iteration["wall_s"] for iteration in iterations if iteration]
+        typical = sum(done) / max(1, len(done))
         if deadline - time.perf_counter() < typical / 2:
             break
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    dicts = [record_to_dict(record) for record in records]
-    wrong = set()
-    for index, record in enumerate(dicts):
-        violations = checks.record_violations(record)
-        if violations:
-            wrong.add(index)
-            problems.extend(violations[:2])
-    sampler = random.Random(f"recompute:{args.workload}:{args.seed}:{args.child}")
-    for index in sampler.sample(range(len(records)), min(RECOMPUTE_PER_CHILD, len(records))):
-        if checks.recompute_differs(dicts[index]):
-            wrong.add(index)
-            problems.append(f"record {index} differs when recomputed from scratch")
-    failed += len(wrong)
+    for record in recompute:
+        if checks.recompute_differs(record):
+            failed += 1
+            problems.append("a record differs when recomputed from scratch")
 
     result = {
-        "iterations": iterations,
         "attempted": attempted,
         "failed": failed,
         "problems": problems[:5],
-        "specs": len(records),
-        "wall_s": wall,
-        "rounds": sum(record["rounds_executed"] for record in dicts),
-        "novel_s": novel_s,
-        "repeat_s": repeat_s,
+        "iterations": iterations,
         "peak_rss_mb": peak_rss_mb,
-        "records_sha256": checks.records_sha256(dicts),
-        "iteration_sha256": [],
-        "iteration_wall_s": iteration_wall_s,
+        "records_sha256": digest.hexdigest(),
     }
-    offset = 0
-    for size in iteration_sizes:
-        result["iteration_sha256"].append(checks.records_sha256(dicts[offset : offset + size]))
-        offset += size
     if tracer is not None:
-        decompositions = []
-        for config in list(dict.fromkeys(record.spec.scenario for record in records))[
-            :DECOMPOSED_SCENARIOS
-        ]:
-            entry = decompose_build(config)
-            if entry is not None:
-                decompositions.append(entry)
+        decompositions = [
+            entry for entry in (decompose_build(config) for config in configs) if entry is not None
+        ]
         if not all(entry["identical"] for entry in decompositions):
             result["failed"] += 1
             result["problems"].append("step-by-step build differs from build_scenario_state")
+        wall = sum(iteration["wall_s"] for iteration in iterations if iteration)
+        specs = sum(iteration["specs"] for iteration in iterations if iteration)
         layers = {
             **span_layers(tracer),
-            **record_layers(dicts),
+            **record_layers(summaries),
             **scenario_layer(
                 decompositions,
-                state_lookups - state_hits if state_cache is not None else len(records),
+                state_lookups - state_hits if state_cache is not None else specs,
             ),
             **state_cache_layer(state_lookups, state_hits, state_evictions),
             **persistence_counts(store_lookups, store_hits),

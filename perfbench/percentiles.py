@@ -12,6 +12,13 @@ from typing import List, Sequence
 
 MIN_BEYOND = 10
 
+#: The end-to-end latency metrics: the class of operation each is taken from
+#: (``repeat`` or ``novel``) and its percentile.
+LATENCY_METRICS = {
+    "repeat_p50_s": ("repeat", 50),
+    "novel_p50_s": ("novel", 50),
+}
+
 
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank ``q``-th percentile (``0 < q <= 100``) of a non-empty sample."""

@@ -6,9 +6,10 @@
 Run it from the repository root.  With ``--trace 0`` it measures the
 end-to-end metrics with tracing off; with ``--trace 1`` it reports the
 per-layer metrics of a traced run beside an untraced run of the same inputs.
-The last line of standard output is the JSON result; the line before it is a
-report with provenance, sample counts, record digests and any problems found.
-See ``perfbench/README.md``.
+Timings are scaled to a nominal host speed (``calibration.py``).  The last
+line of standard output is the JSON result; the line before it is a report
+with provenance, the unscaled wall-clock metrics, sample counts, record
+digests and any problems found.  See ``perfbench/README.md``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -29,8 +31,9 @@ from typing import Dict
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
+import calibration  # noqa: E402
 import workloads  # noqa: E402
-from percentiles import beyond, MIN_BEYOND, percentile  # noqa: E402
+from percentiles import LATENCY_METRICS, MIN_BEYOND, beyond, percentile  # noqa: E402
 
 #: The end-to-end metrics every workload reports, with their units.
 END_TO_END = (
@@ -40,21 +43,13 @@ END_TO_END = (
     ("specs_per_s", "specs/s"),
     ("rounds_per_s", "rounds/s"),
     ("repeat_p50_s", "s"),
-    ("repeat_p75_s", "s"),
     ("novel_p50_s", "s"),
-    ("novel_p90_s", "s"),
 )
-#: The percentile metrics: which sample each is taken from, and at what level.
-PERCENTILES = {
-    "repeat_p50_s": ("repeat", 50),
-    "repeat_p75_s": ("repeat", 75),
-    "novel_p50_s": ("novel", 50),
-    "novel_p90_s": ("novel", 90),
-}
-#: Fresh interpreters per untraced closed-loop run; ``setup_s`` is their median.
-CLOSED_LOOP_CHILDREN = 5
+#: Set-up-only interpreters per closed-loop run; ``setup_s`` is the median
+#: over them and the measuring interpreter.
+SETUP_PROBES = 5
 #: Seconds a child may take beyond its budget (start-up, last iteration, checks).
-CHILD_GRACE_S = 60.0
+CHILD_GRACE_S = 90.0
 
 
 def _provenance(root: Path, args: argparse.Namespace, started_load: float) -> Dict[str, object]:
@@ -89,13 +84,13 @@ def _provenance(root: Path, args: argparse.Namespace, started_load: float) -> Di
             warmup_novel=workloads.WARMUP_NOVEL,
             repeat_min_age=workloads.REPEAT_MIN_AGE,
             scenario_seeds=workloads.SERVE_SCENARIO_SEEDS,
-            lossy_share=workloads.SERVE_LOSSY_SHARE,
+            lossy_every=workloads.SERVE_LOSSY_EVERY,
             max_rounds=workloads.SERVE_MAX_ROUNDS,
         )
     elif args.workload == "figure-sweep":
-        parameters.update(trials=workloads.SWEEP_TRIALS, children=CLOSED_LOOP_CHILDREN)
+        parameters.update(trials=workloads.SWEEP_TRIALS, setup_probes=SETUP_PROBES)
     else:
-        parameters.update(trials=workloads.LIFETIME_TRIALS, children=CLOSED_LOOP_CHILDREN)
+        parameters.update(trials=workloads.LIFETIME_TRIALS, setup_probes=SETUP_PROBES)
     return {
         "nproc": len(os.sched_getaffinity(0)),
         "cpu_model": cpu_model,
@@ -113,21 +108,27 @@ def _provenance(root: Path, args: argparse.Namespace, started_load: float) -> Di
 
 # ------------------------------------------------------------ closed loops
 def _run_child(
-    root: Path, env, workload: str, seed: int, child: int, budget: float, workdir: Path, trace: bool
+    root: Path, env, args, workdir: Path, budget: float = 0.0, trace: bool = False
 ) -> Dict[str, object]:
-    """One fresh interpreter running ``workload``; returns its result plus its set-up time."""
+    """One fresh interpreter running the workload; returns its result plus its set-up time.
+
+    With ``budget`` 0 the interpreter only sets up.  The set-up time is
+    scaled by reference loops timed just before the start and after the end.
+    """
     workdir.mkdir(parents=True)
     argv = [
         sys.executable,
         str(HERE / "closed_loop.py"),
-        "--workload", workload,
-        "--seed", str(seed),
-        "--child", str(child),
+        "--workload", args.workload,
+        "--seed", str(args.seed),
         "--budget", str(budget),
         "--workdir", str(workdir),
     ]
+    if not budget:
+        argv.append("--setup-only")
     if trace:
         argv += ["--trace-out", str(workdir / "trace.json")]
+    before = calibration.reference()
     with open(workdir / "child.log", "wb") as log:
         started = time.perf_counter()
         process = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=log, env=env, cwd=root)
@@ -141,65 +142,90 @@ def _run_child(
             process.wait()
     if ready.strip() != b"READY" or process.returncode != 0:
         detail = (workdir / "child.log").read_text(errors="replace")[-2000:]
-        raise RuntimeError(f"{workload} child {child} failed (exit {process.returncode}): {detail}")
-    result = json.loads(output.decode("utf-8").strip().splitlines()[-1])
+        raise RuntimeError(f"{args.workload} child failed (exit {process.returncode}): {detail}")
+    result = json.loads(output.decode("utf-8").strip().splitlines()[-1]) if budget else {}
     result["setup_s"] = setup_s
+    result["setup_scale"] = calibration.scale((before + calibration.reference()) / 2)
     return result
+
+
+def closed_loop_metrics(iterations, scaled: bool = True) -> Dict[str, float]:
+    """Throughputs and per-spec latency percentiles over a run's finished iterations.
+
+    Each iteration's times are multiplied by its calibration scale, or
+    taken as measured when ``scaled`` is false.
+    """
+    done = [iteration for iteration in iterations if iteration]
+
+    def factor(iteration) -> float:
+        return iteration["scale"] if scaled else 1.0
+
+    wall = sum(iteration["wall_s"] * factor(iteration) for iteration in done)
+    samples = {
+        kind: [value * factor(iteration) for iteration in done for value in iteration[kind]]
+        for kind in ("novel_s", "repeat_s")
+    }
+    metrics = {
+        "specs_per_s": sum(iteration["specs"] for iteration in done) / wall,
+        "rounds_per_s": sum(iteration["rounds"] for iteration in done) / wall,
+    }
+    for name, (sample, q) in LATENCY_METRICS.items():
+        metrics[name] = percentile(samples[f"{sample}_s"], q)
+    return metrics
 
 
 def _closed_loop(root: Path, env, args, workdir: Path) -> Dict[str, object]:
     if args.trace:
         half = args.seconds / 2
-        untraced = _run_child(
-            root, env, args.workload, args.seed, 0, half, workdir / "untraced", False
-        )
-        traced = _run_child(root, env, args.workload, args.seed, 0, half, workdir / "traced", True)
+        untraced = _run_child(root, env, args, workdir / "untraced", half)
+        traced = _run_child(root, env, args, workdir / "traced", half, trace=True)
         children = [untraced, traced]
         # Both children draw the same iteration inputs, so the iterations both
         # finished compare the same work with tracing off and on.
-        common = min(len(untraced["iteration_sha256"]), len(traced["iteration_sha256"]))
+        pairs = [
+            (plain, timed)
+            for plain, timed in zip(untraced["iterations"], traced["iterations"])
+            if plain and timed
+        ]
         layers = traced["layers"]
         layers["trace.overhead_frac"]["value"] = (
-            sum(traced["iteration_wall_s"][:common]) / sum(untraced["iteration_wall_s"][:common])
+            sum(timed["wall_s"] * timed["scale"] for _, timed in pairs)
+            / sum(plain["wall_s"] * plain["scale"] for plain, _ in pairs)
             - 1.0
         )
         report = {"layers": layers}
-        if untraced["iteration_sha256"][:common] != traced["iteration_sha256"][:common]:
+        if any(plain["sha256"] != timed["sha256"] for plain, timed in pairs):
             untraced["failed"] += 1
             untraced["problems"].append("traced records differ from untraced records")
     else:
-        budget = args.seconds / CLOSED_LOOP_CHILDREN
-        children = [
-            _run_child(
-                root, env, args.workload, args.seed, child, budget, workdir / f"child-{child}", False
-            )
-            for child in range(CLOSED_LOOP_CHILDREN)
+        probes = [
+            _run_child(root, env, args, workdir / f"probe-{probe}") for probe in range(SETUP_PROBES)
         ]
-        wall = sum(child["wall_s"] for child in children)
-        novel = [value for child in children for value in child["novel_s"]]
-        repeat = [value for child in children for value in child["repeat_s"]]
+        measured = _run_child(root, env, args, workdir / "measured", args.seconds)
+        children = [measured]
+        setups = [child["setup_s"] * child["setup_scale"] for child in probes + [measured]]
         report = {
             "metrics": {
-                "setup_s": percentile([child["setup_s"] for child in children], 50),
-                "peak_rss_mb": percentile([child["peak_rss_mb"] for child in children], 50),
-                "specs_per_s": sum(child["specs"] for child in children) / wall,
-                "rounds_per_s": sum(child["rounds"] for child in children) / wall,
-                "repeat_p50_s": percentile(repeat, 50),
-                "repeat_p75_s": percentile(repeat, 75),
-                "novel_p50_s": percentile(novel, 50),
-                "novel_p90_s": percentile(novel, 90),
+                "setup_s": statistics.median(setups),
+                "peak_rss_mb": measured["peak_rss_mb"],
+                **closed_loop_metrics(measured["iterations"]),
             },
-            "samples": {"repeat": len(repeat), "novel": len(novel)},
+            "wall_clock_metrics": {
+                "setup_s": statistics.median(child["setup_s"] for child in probes + [measured]),
+                **closed_loop_metrics(measured["iterations"], scaled=False),
+            },
+            "samples": {
+                "repeat": sum(len(i["repeat_s"]) for i in measured["iterations"] if i),
+                "novel": sum(len(i["novel_s"]) for i in measured["iterations"] if i),
+            },
+            "host_scale": statistics.median(i["scale"] for i in measured["iterations"] if i),
         }
-    digest = hashlib.sha256()
-    for child in children[:1] if args.trace else children:
-        digest.update(child["records_sha256"].encode("utf-8"))
     report.update(
         attempted=sum(child["attempted"] for child in children),
         failed=sum(child["failed"] for child in children),
         problems=[problem for child in children for problem in child["problems"]][:5],
-        records_sha256=digest.hexdigest(),
-        iterations=[child["iterations"] for child in children],
+        records_sha256=children[0]["records_sha256"],
+        iterations=[len(child["iterations"]) for child in children],
         late=False,
     )
     return report
@@ -257,7 +283,7 @@ def main() -> int:
         metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END}
         report["percentiles_short_of_samples"] = [
             name
-            for name, (sample, q) in PERCENTILES.items()
+            for name, (sample, q) in LATENCY_METRICS.items()
             if beyond(report["samples"][sample], q) < MIN_BEYOND
         ]
     report["provenance"] = _provenance(root, args, started_load)

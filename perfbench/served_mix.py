@@ -5,7 +5,10 @@ whatever the server does, over at most ``nproc`` connections in flight.  Each
 request is timed from its due time, so a stall also delays the requests
 queued behind it.  The generator's own lateness (hand-off time minus due
 time) is reported separately: a run whose generator fell behind is invalid,
-not slow.
+not slow.  The generator times the reference loop of ``calibration.py``
+whenever no request is outstanding; latencies are scaled by the square root
+of the median of those references (:data:`SERVED_ELASTICITY`), and each
+server start-up by references timed just before and after it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import os
 import queue
 import random
 import select
+import statistics
 import subprocess
 import sys
 import threading
@@ -25,9 +29,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import urlparse
 
+import calibration
 import checks
 import workloads
-from percentiles import finite, p50_or_zero, percentile
+from percentiles import LATENCY_METRICS, finite, p50_or_zero, percentile
 from tracing import (
     complete,
     decompose_build,
@@ -41,13 +46,23 @@ from tracing import (
 #: Seconds to wait for a server to print its address and answer ``/health``.
 START_TIMEOUT = 60.0
 #: Servers started per run; the median start-up time is ``setup_s``.
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 #: Novel records re-executed from scratch after the timed window.
 RECOMPUTE_SAMPLE = 6
 #: Distinct scenarios whose build is redone step by step in a traced run.
 DECOMPOSED_SCENARIOS = 12
 #: A generator whose 90th-percentile lateness exceeds this fell behind its schedule.
 LATE_P90_LIMIT_S = 0.025
+#: Seconds the next request must be away for the generator to time a reference loop.
+REFERENCE_ROOM_S = 0.03
+#: Power of the calibration scale applied to served latencies.  They follow
+#: the host at about half the reference loop's rate: over twenty 30-second
+#: runs the fitted elasticity of the run's median latency to its median
+#: reference was 0.41 for repeats and 0.79 for novel requests (sockets,
+#: sqlite and JSON slow less than pure Python does).  Full scaling
+#: overcorrected (repeat median spread 0.23 against 0.13 raw over ten seeds);
+#: the square root kept both medians below 0.13 on two sets of ten.
+SERVED_ELASTICITY = 0.5
 
 
 def connections() -> int:
@@ -195,10 +210,24 @@ def _send(host: str, port: int, request: Dict[str, object], due: float) -> Dict[
 
 
 def run_traffic(url: str, requests: Sequence[Dict[str, object]]) -> Dict[str, object]:
-    """Send ``requests`` open loop; returns per-request outcomes and the generator's lateness."""
+    """Send ``requests`` open loop; returns per-request outcomes and the generator's lateness.
+
+    While no request is outstanding and the next is not due for
+    :data:`REFERENCE_ROOM_S`, the generator times the reference loop: the
+    server is idle then and the client threads are parked, so the loop
+    measures the host, not the benchmark's own load.
+
+    The first request, an untimed warm-up one, is answered before the
+    schedule starts.  Its write creates the server's sqlite store, and the
+    program's ``SqliteBackend`` fails a lookup that connects while that write
+    creates the database (``PRAGMA journal_mode=WAL``: "database is locked");
+    a served-mix run at 5 requests/s met that race once in ten.
+    """
     host, port = _address(url)
     outcomes: List[Optional[Dict[str, object]]] = [None] * len(requests)
     work: "queue.Queue" = queue.Queue()
+    outstanding = [0]
+    settled = threading.Condition()
 
     def worker() -> None:
         while True:
@@ -207,28 +236,49 @@ def run_traffic(url: str, requests: Sequence[Dict[str, object]]) -> Dict[str, ob
                 return
             index, due = item
             outcomes[index] = _send(host, port, requests[index], due)
+            with settled:
+                outstanding[0] -= 1
+                settled.notify()
 
     threads = [threading.Thread(target=worker, daemon=True) for _ in range(connections())]
     for thread in threads:
         thread.start()
     lateness: List[float] = []
+    references: List[Tuple[float, float]] = []
     interval = 1.0 / workloads.SERVE_RATE
-    start = time.perf_counter() + interval
-    for index in range(len(requests)):
+    outcomes[0] = _send(host, port, requests[0], time.perf_counter())
+    start = time.perf_counter()
+    for index in range(1, len(requests)):
         due = start + index * interval
+        with settled:
+            idle = settled.wait_for(
+                lambda: outstanding[0] == 0,
+                timeout=max(0.0, due - REFERENCE_ROOM_S - time.perf_counter()),
+            )
+        began = time.perf_counter()
+        if idle and due - began > REFERENCE_ROOM_S:
+            reference = calibration.reference_loop()
+            references.append((began + reference / 2, reference))
         delay = due - time.perf_counter()
         if delay > 0:
             time.sleep(delay)
         lateness.append(time.perf_counter() - due)
+        with settled:
+            outstanding[0] += 1
         work.put((index, due))
     for _ in threads:
         work.put(None)
     for thread in threads:
         thread.join(timeout=600)
+    window_s = time.perf_counter() - (start + workloads.WARMUP_NOVEL * interval)
+    if not references:  # the server never went idle; time the host after the traffic
+        references.append((time.perf_counter(), calibration.reference()))
     return {
         "outcomes": outcomes,
         "lateness": lateness,
-        "window_s": time.perf_counter() - (start + workloads.WARMUP_NOVEL * interval),
+        "references": len(references),
+        "scale": calibration.scale(statistics.median(ref for _, ref in references)),
+        "window_s": window_s,
     }
 
 
@@ -262,20 +312,28 @@ def check_outcomes(
     return wrong, problems
 
 
+def _start(argv, env, log_path: Path) -> Server:
+    """Start a server; its ``setup_scale`` comes from reference loops around the start."""
+    before = calibration.reference()
+    server = Server(argv, env, log_path)
+    server.setup_scale = calibration.scale((before + calibration.reference()) / 2)
+    return server
+
+
 def _pass(workdir: Path, requests, env, argv_for, setup_samples: int) -> Dict[str, object]:
     """Start servers, send the mix to the last one, stop it; everything one pass measures."""
     setups = []
     for sample in range(setup_samples - 1):
         probe_dir = workdir / f"probe-{sample}"
         probe_dir.mkdir(parents=True)
-        probe = Server(argv_for(probe_dir, None), env, workdir / "server.log")
-        setups.append(probe.setup_s)
+        probe = _start(argv_for(probe_dir, None), env, workdir / "server.log")
+        setups.append((probe.setup_s, probe.setup_scale))
         probe.stop()
     store_dir = workdir / "store"
     store_dir.mkdir(parents=True)
     trace_path = workdir / "server-trace.json"
-    server = Server(argv_for(store_dir, trace_path), env, workdir / "server.log")
-    setups.append(server.setup_s)
+    server = _start(argv_for(store_dir, trace_path), env, workdir / "server.log")
+    setups.append((server.setup_s, server.setup_scale))
     try:
         before = server.stats()
         traffic = run_traffic(server.url, requests)
@@ -284,11 +342,51 @@ def _pass(workdir: Path, requests, env, argv_for, setup_samples: int) -> Dict[st
     finally:
         server.stop()
     traffic.update(
-        setups=setups, peak_rss_mb=peak_rss_mb, cpu_s=cpu_s, stats_before=before, stats_after=after
+        setups=setups,
+        peak_rss_mb=peak_rss_mb,
+        cpu_s=cpu_s,
+        stats_before=before,
+        stats_after=after,
     )
     if trace_path.exists():
         traffic["server_trace"] = json.loads(trace_path.read_text())
     return traffic
+
+
+def served_metrics(requests, traffic, scaled: bool = True) -> Dict[str, float]:
+    """The end-to-end metrics of one untraced pass.
+
+    Latencies are scaled by the median reference the generator timed, to
+    the power :data:`SERVED_ELASTICITY`, or taken as measured when
+    ``scaled`` is false.  A novel request's latency
+    runs to its complete record, streamed or not.  The throughputs are the
+    delivered rates of an open loop and are never scaled.
+    """
+    outcomes = traffic["outcomes"]
+    timed = [i for i, request in enumerate(requests) if request["timed"]]
+    factor = traffic["scale"] ** SERVED_ELASTICITY if scaled else 1.0
+
+    def latencies(sample: str) -> List[float]:
+        return [
+            (outcomes[i] or {}).get("latency_s", math.inf) * factor
+            for i in timed
+            if (requests[i]["kind"] == "hit") == (sample == "repeat")
+        ]
+
+    answered = [i for i in timed if outcomes[i] and "error" not in outcomes[i]]
+    rounds = sum(
+        outcomes[i]["record"]["rounds_executed"] for i in answered if requests[i]["kind"] != "hit"
+    )
+    metrics = {
+        "setup_s": statistics.median(
+            setup * (scale if scaled else 1.0) for setup, scale in traffic["setups"]
+        ),
+        "specs_per_s": len(answered) / traffic["window_s"],
+        "rounds_per_s": rounds / traffic["window_s"],
+    }
+    for name, (sample, q) in LATENCY_METRICS.items():
+        metrics[name] = percentile(latencies(sample), q)
+    return metrics
 
 
 def run(root: Path, seed: int, seconds: float, trace: bool, workdir: Path, env) -> Dict[str, object]:
@@ -319,24 +417,11 @@ def run(root: Path, seed: int, seconds: float, trace: bool, workdir: Path, env) 
     measured = passes[-1]
     outcomes = measured["outcomes"]
     timed = [i for i, request in enumerate(requests) if request["timed"]]
-
-    def latencies(kind: str, field: str = "latency_s") -> List[float]:
-        return [
-            (outcomes[i] or {}).get(field, math.inf) for i in timed if requests[i]["kind"] == kind
-        ]
-
     novel_records = [
         outcomes[i]["record"]
         for i, request in enumerate(requests)
         if request["kind"] != "hit" and outcomes[i] and "record" in outcomes[i]
     ]
-    timed_novel_rounds = sum(
-        outcomes[i]["record"]["rounds_executed"]
-        for i in timed
-        if requests[i]["kind"] != "hit" and outcomes[i] and "record" in outcomes[i]
-    )
-    answered = sum(1 for i in timed if outcomes[i] and "error" not in outcomes[i])
-    window = measured["window_s"]
     report = {
         "attempted": len(requests) * len(passes),
         "failed": len(failed),
@@ -346,22 +431,18 @@ def run(root: Path, seed: int, seconds: float, trace: bool, workdir: Path, env) 
         "generator_late_max_s": max(measured["lateness"]),
         "records_sha256": checks.records_sha256(novel_records),
         "samples": {
-            "repeat": len(latencies("hit")),
-            "novel": len(latencies("miss")),
-            "stream": len(latencies("stream")),
+            "repeat": sum(1 for i in timed if requests[i]["kind"] == "hit"),
+            "novel": sum(1 for i in timed if requests[i]["kind"] != "hit"),
         },
     }
     if not trace:
         report["metrics"] = {
-            "setup_s": percentile(untraced["setups"], 50),
+            **served_metrics(requests, untraced),
             "peak_rss_mb": untraced["peak_rss_mb"],
-            "specs_per_s": answered / window,
-            "rounds_per_s": timed_novel_rounds / window,
-            "repeat_p50_s": percentile(latencies("hit"), 50),
-            "repeat_p75_s": percentile(latencies("hit"), 75),
-            "novel_p50_s": percentile(latencies("miss"), 50),
-            "novel_p90_s": percentile(latencies("miss"), 90),
         }
+        report["wall_clock_metrics"] = served_metrics(requests, untraced, scaled=False)
+        report["host_scale"] = untraced["scale"]
+        report["samples"]["references"] = untraced["references"]
         return report
     report["layers"] = complete(
         _served_layers(requests, measured, untraced, novel_records)
@@ -415,6 +496,13 @@ def _served_layers(requests, traced, untraced, novel_records) -> Dict[str, float
         server.get("load_hit_s", [])
     )
     layers["serve.hit_p90_s"] = p90_or_zero(hits)
+    layers["serve.novel_p90_s"] = p90_or_zero(
+        [
+            (outcomes[i] or {}).get("latency_s", math.inf)
+            for i in timed
+            if requests[i]["kind"] != "hit"
+        ]
+    )
     layers["serve.generator_late_p90_s"] = percentile(traced["lateness"], 90)
     layers["serve.stream_first_round_p50_s"] = percentile(
         [

@@ -15,10 +15,9 @@ def _take(stream, count):
 
 
 @pytest.mark.parametrize("generator", [workloads.sweep_seeds, workloads.lifetime_seeds])
-def test_closed_loop_seed_streams_are_pure_in_seed_and_child(generator):
-    assert _take(generator(5, 0), 8) == _take(generator(5, 0), 8)
-    assert _take(generator(5, 0), 8) != _take(generator(6, 0), 8)
-    assert _take(generator(5, 0), 8) != _take(generator(5, 1), 8)
+def test_closed_loop_seed_streams_are_pure_in_seed(generator):
+    assert _take(generator(5), 8) == _take(generator(5), 8)
+    assert _take(generator(5), 8) != _take(generator(6), 8)
 
 
 def test_sweep_and_lifetime_streams_differ():
@@ -83,10 +82,40 @@ def test_served_mix_novel_specs_are_distinct_and_paper_tier():
     scenarios = {
         (payload["scenario"]["spare_surplus"], payload["scenario"]["seed"]) for payload in novel
     }
-    assert len({seed for _, seed in scenarios}) <= workloads.SERVE_SCENARIO_SEEDS
+    assert {seed for _, seed in scenarios} == set(workloads.SERVE_SCENARIO_SEEDS)
     for payload in novel:
         assert payload["scenario"]["columns"] == 16
         assert payload["scenario"]["deployed_count"] == 5000
         assert payload["scenario"]["spare_surplus"] in SPARES
         assert payload["scheme"] in workloads.SERVE_SCHEMES
         assert payload["max_rounds"] == workloads.SERVE_MAX_ROUNDS
+
+
+def _spread(counter, items):
+    counts = [counter[item] for item in items]
+    return max(counts) - min(counts)
+
+
+@pytest.mark.parametrize("seed", [12, 13])
+def test_served_mix_novel_specs_are_balanced_in_warm_up_and_timed_window(seed):
+    requests = workloads.served_mix(seed, 150, SPARES)
+    for timed in (False, True):
+        novel = [r["payload"] for r in requests if r["kind"] != "hit" and r["timed"] == timed]
+        spares = Counter(payload["scenario"]["spare_surplus"] for payload in novel)
+        assert _spread(spares, SPARES) <= 1
+        schemes = Counter(payload["scheme"] for payload in novel)
+        assert _spread(schemes, workloads.SERVE_SCHEMES) <= 1
+        lossy = sum(payload.get("channel") == workloads.SERVE_LOSSY_CHANNEL for payload in novel)
+        assert abs(lossy - len(novel) / workloads.SERVE_LOSSY_EVERY) <= 1
+
+
+def test_served_mix_timed_spare_counts_are_the_same_on_every_seed():
+    def spare_counts(seed):
+        requests = workloads.served_mix(seed, 140, SPARES)  # whole blocks: same novel count
+        return Counter(
+            r["payload"]["scenario"]["spare_surplus"]
+            for r in requests
+            if r["kind"] != "hit" and r["timed"]
+        )
+
+    assert spare_counts(1) == spare_counts(2) == spare_counts(3)

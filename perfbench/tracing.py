@@ -67,6 +67,7 @@ PER_LAYER: Tuple[Tuple[str, str], ...] = (
     ("serve.http_errors", "count"),
     ("serve.hit_overhead_p50_s", "s"),
     ("serve.hit_p90_s", "s"),
+    ("serve.novel_p90_s", "s"),
     ("serve.generator_late_p90_s", "s"),
     ("serve.stream_first_round_p50_s", "s"),
     ("trace.wall_s", "s"),
