@@ -28,12 +28,21 @@ as measured wall clock and as the modeled critical path
 with at least ``shards`` cores would realise, which a core-starved CI runner
 cannot (``cores_available`` records what this host had).
 
+The ``scenario_build`` section times the paper's own scenario build
+(16x16 cells, 5000 sensors, thinned to ``m*n + N`` enabled for every ``N``
+of ``PAPER_SPARE_VALUES``) step by step — deploy, index + elect, thin — and
+compares the bulk ``WsnState.disable_nodes(victims)`` that thinning makes
+against a loop of one-element ``disable_node`` calls over the same victims,
+requiring byte-identical states.
+
 The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
-the 256x256 tier, sharded/sequential byte-identity (unconditional), and the
-4-way modeled-speedup floor (enforced only on hosts with >= 4 cores) — and
-exits non-zero when any guard trips, so an accidental O(m*n) scan, a
+the 256x256 tier, bulk-vs-loop thinning identity (unconditional) and speed
+(bulk at least ``BULK_DISABLE_SPEEDUP_FLOOR`` times faster),
+sharded/sequential byte-identity (unconditional), and the 4-way
+modeled-speedup floor (enforced only on hosts with >= 4 cores) — and exits
+non-zero when any guard trips, so an accidental O(m*n) scan, a
 de-vectorized hot loop, or a shard-protocol divergence fails CI long before
 it would be felt on the 512x512 workload.
 """
@@ -55,15 +64,18 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
 
 import numpy as np
 
+from repro.experiments.figures import PAPER_SPARE_VALUES
 from repro.experiments.registry import make_controller
 from repro.network.adjacency import adjacency_lists, adjacency_offsets, build_edges
 from repro.network.channel import DEFAULT_CHANNEL
-from repro.network.deployment import deploy_per_cell
+from repro.network.deployment import deploy_per_cell, deploy_uniform
+from repro.network.failures import ThinningToEnabledCount
 from repro.network.node_arrays import ENABLED_CODE
 from repro.network.radio import UnitDiskRadio
 from repro.network.state import WsnState
 from repro.sim.engine import RoundBasedEngine
 from repro.sim.rng import derive_rng
+from repro.sim.scenario import ScenarioConfig
 from repro.sim.sharded import ShardedEngine
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 
@@ -120,6 +132,10 @@ SHARD_HOLES_PER_ROUND = 512
 #: hosts with >= 4 cores — below that the per-phase timings that feed the
 #: model share one oversubscribed core and the floor would guard noise.
 SHARD_SPEEDUP_LIMIT_4WAY = 2.0
+#: Smoke-mode guard: floor on how much faster one bulk ``disable_nodes``
+#: call thins a paper-tier scenario than a loop of one-element calls over the
+#: same victims, measured in one process.
+BULK_DISABLE_SPEEDUP_FLOOR = 10.0
 
 
 def build_base_state(columns: int, rows: int, seed: int) -> WsnState:
@@ -144,9 +160,9 @@ def bench_deploy(columns: int, rows: int, seed: int) -> dict:
 def punch_holes(state: WsnState, hole_count: int, rng: random.Random) -> None:
     """Disable every node of ``hole_count`` randomly chosen cells."""
     cells = rng.sample(list(state.grid.all_coords()), hole_count)
-    for coord in cells:
-        for node in list(state.members_of(coord)):
-            state.disable_node(node.node_id)
+    state.disable_nodes(
+        [node.node_id for coord in cells for node in state.members_of(coord)]
+    )
 
 
 class ScheduledCellKill:
@@ -166,24 +182,12 @@ class ScheduledCellKill:
         self._id_array = np.asarray(self.node_ids, dtype=np.int64)
 
     def apply(self, state, rng):
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            # One vectorized pass: keeps the ids that are still enabled in
-            # this state (masked/disabled rows have a different state code).
-            rows = arrays.rows_of(self._id_array)
-            victims = self._id_array[
-                arrays.state[rows] == ENABLED_CODE
-            ].tolist()
-        else:
-            masked = getattr(state, "is_masked", None)
-            victims = [
-                node_id
-                for node_id in self.node_ids
-                if not (masked is not None and masked(node_id))
-                and state.node(node_id).is_enabled
-            ]
-        for node_id in victims:
-            state.disable_node(node_id)
+        # One vectorized pass keeps the ids that are still enabled in this
+        # state (masked/disabled rows have a different state code).
+        arrays = state.arrays
+        rows = arrays.rows_of(self._id_array)
+        victims = self._id_array[arrays.state[rows] == ENABLED_CODE].tolist()
+        state.disable_nodes(victims)
         return victims
 
 
@@ -395,6 +399,80 @@ def bench_incremental_adjacency(state: WsnState, updates: int = INCREMENTAL_UPDA
         "per_update_seconds": round(per_update, 9),
         "updates": updates,
         "updates_per_rebuild": round(full_build / per_update, 1) if per_update else 0.0,
+    }
+
+
+def bench_scenario_build(seeds) -> dict:
+    """Paper-tier scenario builds step by step, and bulk vs one-at-a-time thinning.
+
+    Every ``(seed, N)`` over ``PAPER_SPARE_VALUES`` is built the way
+    ``build_scenario_state`` builds it: deploy, index + elect (``WsnState``),
+    thin (``ThinningToEnabledCount.apply``, one bulk ``disable_nodes`` call).
+    The thinning victims are then disabled again, on two copies of the
+    unthinned state, by one ``disable_nodes(victims)`` call and by a loop of
+    one-element ``disable_node`` calls; all three states must be
+    byte-identical.  Times are per-build medians.
+    """
+    steps = {
+        name: [] for name in ("deploy", "index_elect", "thin", "build", "bulk", "loop")
+    }
+    identical = True
+    victim_counts = []
+    for seed in seeds:
+        for spare_surplus in PAPER_SPARE_VALUES:
+            config = ScenarioConfig(seed=seed, spare_surplus=spare_surplus)
+            started = time.perf_counter()
+            grid = config.make_grid()
+            arrays = deploy_uniform(
+                grid,
+                config.deployed_count,
+                derive_rng(seed, "deployment"),
+                as_arrays=True,
+            )
+            deployed = time.perf_counter()
+            state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
+            indexed = time.perf_counter()
+            unthinned = state.clone()
+            thin_started = time.perf_counter()
+            victims = ThinningToEnabledCount(config.target_enabled).apply(
+                state, derive_rng(seed, "thinning")
+            )
+            thinned = time.perf_counter()
+            bulk = unthinned.clone()
+            bulk_started = time.perf_counter()
+            bulk.disable_nodes(victims)
+            bulk_seconds = time.perf_counter() - bulk_started
+            looped = unthinned.clone()
+            loop_started = time.perf_counter()
+            for node_id in victims:
+                looped.disable_node(node_id)
+            loop_seconds = time.perf_counter() - loop_started
+            snapshot = state.to_bytes()
+            identical = identical and snapshot == bulk.to_bytes() == looped.to_bytes()
+            victim_counts.append(len(victims))
+            steps["deploy"].append(deployed - started)
+            steps["index_elect"].append(indexed - deployed)
+            steps["thin"].append(thinned - thin_started)
+            steps["build"].append(indexed - started + thinned - thin_started)
+            steps["bulk"].append(bulk_seconds)
+            steps["loop"].append(loop_seconds)
+    p50 = {name: statistics.median(samples) for name, samples in steps.items()}
+    paper = ScenarioConfig()
+    return {
+        "grid": f"{paper.columns}x{paper.rows}",
+        "deployed_nodes": paper.deployed_count,
+        "spare_values": list(PAPER_SPARE_VALUES),
+        "seeds": list(seeds),
+        "builds": len(victim_counts),
+        "victims_p50": int(statistics.median(victim_counts)),
+        "deploy_seconds_p50": round(p50["deploy"], 6),
+        "index_elect_seconds_p50": round(p50["index_elect"], 6),
+        "thin_seconds_p50": round(p50["thin"], 6),
+        "build_seconds_p50": round(p50["build"], 6),
+        "bulk_disable_seconds_p50": round(p50["bulk"], 6),
+        "loop_disable_seconds_p50": round(p50["loop"], 6),
+        "bulk_vs_loop_speedup": round(p50["loop"] / p50["bulk"], 1),
+        "identical": identical,
     }
 
 
@@ -624,6 +702,29 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
             "messaging subsystem grew a per-round cost not explained by traffic"
         )
 
+    build = bench_scenario_build(seeds=(seed,))
+    print(
+        f"scenario build guard: paper tier p50 deploy "
+        f"{build['deploy_seconds_p50'] * 1e3:.2f} ms, index+elect "
+        f"{build['index_elect_seconds_p50'] * 1e3:.2f} ms, thin "
+        f"{build['thin_seconds_p50'] * 1e3:.2f} ms; bulk disable "
+        f"{build['bulk_disable_seconds_p50'] * 1e3:.2f} ms vs one-at-a-time "
+        f"{build['loop_disable_seconds_p50'] * 1e3:.2f} ms -> "
+        f"{build['bulk_vs_loop_speedup']}x (floor {BULK_DISABLE_SPEEDUP_FLOOR}x), "
+        f"identical {build['identical']}"
+    )
+    if not build["identical"]:
+        failures.append(
+            "bulk disable_nodes left a different state than the one-at-a-time "
+            "loop over the same victims"
+        )
+    if build["bulk_vs_loop_speedup"] < BULK_DISABLE_SPEEDUP_FLOOR:
+        failures.append(
+            f"bulk thinning is only {build['bulk_vs_loop_speedup']}x faster than "
+            f"one-at-a-time disables (floor {BULK_DISABLE_SPEEDUP_FLOOR}x) — the "
+            "bulk path lost its single pass"
+        )
+
     shard = bench_shard_speedup(seed, 3, counts=(1, 4))
     four_way = next(entry for entry in shard["counts"] if entry["shards"] == 4)
     if not four_way["identical"]:
@@ -675,9 +776,21 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
     channel = bench_channel_overhead(
         build_base_state(*GRID_SHAPES[0], seed), holes, seed, repeats
     )
+    build = bench_scenario_build(seeds=range(1, 4))
+    print(
+        f"\npaper-tier scenario build p50: "
+        f"{build['build_seconds_p50'] * 1e3:.2f} ms (thin "
+        f"{build['thin_seconds_p50'] * 1e3:.2f} ms); bulk disable "
+        f"{build['bulk_vs_loop_speedup']}x one-at-a-time, identical {build['identical']}"
+    )
     print("\nshard speedup (sequential wall vs modeled critical path):")
     shard = bench_shard_speedup(seed, min(repeats, 5))
     failures = []
+    if not build["identical"]:
+        failures.append(
+            "bulk disable_nodes left a different state than the one-at-a-time "
+            "loop over the same victims"
+        )
     if not all(entry["identical"] for entry in shard["counts"]):
         failures.append(
             "a sharded run diverged from the sequential engine — the "
@@ -707,10 +820,15 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "channel adds no meaningful per-round cost on the default perfect "
             "model, the per-tier deploy/adjacency columns track the "
             "vectorized struct-of-arrays paths (per-edge seconds are the "
-            "throughput of the batch adjacency build), and shard_speedup "
+            "throughput of the batch adjacency build), scenario_build times "
+            "the paper-tier build (16x16, 5000 deployed, thinned over "
+            "PAPER_SPARE_VALUES) step by step and one bulk disable_nodes call "
+            "against a loop of one-element disable_node calls over the same "
+            "victims (byte-identity required), and shard_speedup "
             "compares ShardedEngine against the sequential engine on the "
             "128x128 tier (byte-identity checked on every run)"
         ),
+        "cores_available": os.cpu_count(),
         "scheme": "SR",
         "nodes_per_cell": NODES_PER_CELL,
         "communication_range": COMMUNICATION_RANGE,
@@ -722,6 +840,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             largest["query_seconds"] / smallest["query_seconds"], 3
         ),
         "channel_overhead": channel,
+        "scenario_build": build,
         "shard_speedup": shard,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")

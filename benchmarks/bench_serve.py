@@ -14,13 +14,16 @@ Two further sections profile the cold path itself, off the HTTP socket —
 the exact code broker workers run per cold spec:
 
 * a **cold-path breakdown** — seconds spent building the initial scenario
-  state versus simulating from it, per scheme;
+  state versus simulating from it, per scheme (best of
+  ``COLD_PATH_REPEATS`` each).  The build's share of a cold spec must stay
+  at or below ``MAX_STATE_BUILD_FRACTION``: since thinning disables its
+  victims in one bulk pass, the build is a small part of a cold spec;
 * a **sweep-shaped cold workload** — every scheme crossed with several
   trial seeds over a handful of shared scenarios (the shape every sweep
   and figure driver emits), executed once per spec with the initial-state
   cache off and again with it on.  Records from the two passes must be
-  byte-identical, and the cached pass must clear
-  ``MIN_STATE_CACHE_SPEEDUP``.
+  byte-identical; the cache-off pass is the cold throughput a spec gets
+  without any build reuse.
 
 Usage::
 
@@ -37,8 +40,9 @@ requests, "p99" is just the max wearing a statistics costume).  The guards
 * the herd performs exactly one simulation (in-flight dedup works);
 * warm p50 latency under a generous quarter-second ceiling (a cache hit
   must never cost simulation time);
-* the sweep-shaped cold workload runs at least 2x faster with the
-  initial-state cache on, with byte-identical records.
+* the state build is at most ``MAX_STATE_BUILD_FRACTION`` of a cold spec;
+* the sweep-shaped cold workload gives byte-identical records with the
+  initial-state cache off and on.
 """
 
 from __future__ import annotations
@@ -84,7 +88,10 @@ SWEEP_TRIALS = 4
 #: Guards (see module docstring).
 MIN_WARM_SPEEDUP = 10.0
 MAX_WARM_P50_SECONDS = 0.25
-MIN_STATE_CACHE_SPEEDUP = 2.0
+MAX_STATE_BUILD_FRACTION = 0.4
+#: Cold-path breakdown: each half of a cold spec is timed this many times and
+#: the fastest run is reported, so a one-off stall cannot tip the build share.
+COLD_PATH_REPEATS = 3
 
 
 def spec_payload(scheme: str, seed: int) -> dict:
@@ -178,26 +185,37 @@ def _sweep_scenario(seed: int) -> ScenarioConfig:
     return ScenarioConfig(**SCENARIO, seed=seed)
 
 
+def _best_of(repeats: int, call) -> tuple:
+    """``(fastest wall seconds, last result)`` over ``repeats`` calls."""
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = call()
+        best = min(best, time.perf_counter() - started)
+    return best, result
+
+
 def cold_path_breakdown() -> dict:
     """Seconds per cold spec split into state build vs simulation, per scheme.
 
     This times the two halves of ``execute_run`` directly (no HTTP, no
     state cache), so the split is exactly what a broker worker pays on a
-    novel spec.
+    novel spec.  Each half is the best of ``COLD_PATH_REPEATS`` runs.
     """
     config = _sweep_scenario(seed=1)
-    started = time.perf_counter()
-    state = build_initial_state(
-        RunSpec(scenario=config, scheme=SCHEMES[0], seed=1, max_rounds=MAX_ROUNDS),
-        state_cache=None,
+    build_spec = RunSpec(
+        scenario=config, scheme=SCHEMES[0], seed=1, max_rounds=MAX_ROUNDS
     )
-    build_seconds = time.perf_counter() - started
+    build_seconds, state = _best_of(
+        COLD_PATH_REPEATS, lambda: build_initial_state(build_spec, state_cache=None)
+    )
     simulate = {}
     for scheme in SCHEMES:
         spec = RunSpec(scenario=config, scheme=scheme, seed=2, max_rounds=MAX_ROUNDS)
-        started = time.perf_counter()
-        simulate_from(state.clone(), spec)
-        simulate[scheme] = round(time.perf_counter() - started, 4)
+        seconds, _ = _best_of(
+            COLD_PATH_REPEATS, lambda: simulate_from(state.clone(), spec)
+        )
+        simulate[scheme] = round(seconds, 4)
     typical_simulate = statistics.median(simulate.values())
     return {
         "state_build_seconds": round(build_seconds, 4),
@@ -289,8 +307,10 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             "workload run with the initial-state cache off and on "
             "(byte-identical records required); p99 latency is reported only "
             "for passes with >= 100 requests, smaller passes carry p50/max "
-            "only; guards: warm_vs_cold_speedup >= 10x, "
-            "cold_path.sweep.state_cache_speedup >= 2x"
+            f"only; the breakdown times each half best of {COLD_PATH_REPEATS}; "
+            f"guards: warm_vs_cold_speedup >= {MIN_WARM_SPEEDUP:.0f}x, "
+            "cold_path.breakdown.state_build_fraction_of_cold_spec <= "
+            f"{MAX_STATE_BUILD_FRACTION}, cold_path.sweep.records_identical"
         ),
         "scenario": SCENARIO,
         "schemes": list(SCHEMES),
@@ -339,11 +359,12 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         failures.append(
             "state-cached sweep records differ from the cache-off baseline"
         )
-    if sweep["state_cache_speedup"] < MIN_STATE_CACHE_SPEEDUP:
+    build_fraction = breakdown["state_build_fraction_of_cold_spec"]
+    if build_fraction > MAX_STATE_BUILD_FRACTION:
         failures.append(
-            f"sweep-shaped cold workload is only "
-            f"{sweep['state_cache_speedup']:.2f}x faster with the state "
-            f"cache (guard: >= {MIN_STATE_CACHE_SPEEDUP:.0f}x)"
+            f"the state build is {build_fraction:.0%} of a cold spec "
+            f"(guard: <= {MAX_STATE_BUILD_FRACTION:.0%}); thinning lost its "
+            "bulk pass or another build step grew"
         )
     return report, failures
 
@@ -378,6 +399,7 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"bench_serve FAILED: {failure}", file=sys.stderr)
         return 1
+    breakdown = report["cold_path"]["breakdown"]
     sweep = report["cold_path"]["sweep"]
     print(
         f"bench_serve OK: cold {report['cold']['specs_per_second']} specs/s, "
@@ -385,9 +407,9 @@ def main(argv=None) -> int:
         f"({report['warm_vs_cold_speedup']}x), herd of "
         f"{report['herd']['concurrent_requests']} -> "
         f"{report['herd']['simulations_performed']} simulation, "
-        f"state-cached sweep {sweep['state_cache_speedup']}x "
-        f"({sweep['baseline_specs_per_second']} -> "
-        f"{sweep['cached_specs_per_second']} specs/s, identical records)"
+        f"state build {breakdown['state_build_fraction_of_cold_spec']:.0%} of a "
+        f"cold spec, sweep {sweep['baseline_specs_per_second']} specs/s cache "
+        f"off vs {sweep['cached_specs_per_second']} on (identical records)"
     )
     if not args.smoke:
         args.output.write_text(json.dumps(report, indent=2) + "\n")

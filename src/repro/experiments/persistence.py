@@ -395,45 +395,61 @@ class SqliteBackend(CacheBackend):
         self._initialised = False
         self._init_lock = threading.Lock()
 
-    def _connect(self) -> sqlite3.Connection:
-        """A fresh connection with WAL journaling and a generous busy timeout."""
-        connection = sqlite3.connect(str(self.path), timeout=30.0)
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute("PRAGMA synchronous=NORMAL")
-        connection.execute("PRAGMA busy_timeout=30000")
-        return connection
-
-    def _ensure_schema(self, connection: sqlite3.Connection) -> None:
-        """Create (or validate) the table; reject incompatible schema versions."""
+    def _schema_ready(self, connection: sqlite3.Connection) -> bool:
+        """Whether the table exists; reject incompatible schema versions."""
         version = connection.execute("PRAGMA user_version").fetchone()[0]
-        if version == 0:
-            connection.execute(
-                "CREATE TABLE IF NOT EXISTS run_records ("
-                "run_key TEXT PRIMARY KEY, document TEXT NOT NULL)"
-            )
-            connection.execute(f"PRAGMA user_version = {SQLITE_SCHEMA_VERSION}")
-            connection.commit()
-        elif version != SQLITE_SCHEMA_VERSION:
+        if version not in (0, SQLITE_SCHEMA_VERSION):
             raise ValueError(
                 f"cache database {self.path} has schema version {version}, "
                 f"this build expects {SQLITE_SCHEMA_VERSION}"
             )
+        return version != 0
+
+    def _ensure_schema(self, connection: sqlite3.Connection) -> None:
+        """Create the table and switch the file to WAL, once per database.
+
+        WAL is a property of the database file, so no later connection sets
+        it again; in particular a lookup never asks for the exclusive lock a
+        journal-mode change takes, which a concurrent first write holds.
+        """
+        if self._schema_ready(connection):
+            return
+        connection.execute("PRAGMA journal_mode=WAL")
+        connection.execute(
+            "CREATE TABLE IF NOT EXISTS run_records ("
+            "run_key TEXT PRIMARY KEY, document TEXT NOT NULL)"
+        )
+        connection.execute(f"PRAGMA user_version = {SQLITE_SCHEMA_VERSION}")
+        connection.commit()
 
     @contextlib.contextmanager
-    def _session(self, write: bool = False) -> Iterator[sqlite3.Connection]:
-        """Per-operation connection, creating the database on first write."""
+    def _session(self, write: bool = False) -> Iterator[Optional[sqlite3.Connection]]:
+        """Per-operation connection; ``None`` when there is nothing to read.
+
+        Only a write creates the database.  A read of a database that does
+        not exist yet, or whose first write is still creating it, gets
+        ``None`` (a miss) instead of contending for the creator's locks.
+        The connect ``timeout`` is the busy timeout that absorbs write
+        contention.
+        """
         if write:
             self.path.parent.mkdir(parents=True, exist_ok=True)
         elif not self.path.exists():
-            # No database yet: nothing to read and nothing to create.
             yield None
             return
-        connection = self._connect()
+        connection = sqlite3.connect(str(self.path), timeout=30.0)
         try:
-            if not self._initialised:
-                with self._init_lock:
-                    self._ensure_schema(connection)
-                    self._initialised = True
+            if write:
+                connection.execute("PRAGMA synchronous=NORMAL")
+                if not self._initialised:
+                    with self._init_lock:
+                        self._ensure_schema(connection)
+                        self._initialised = True
+            elif not self._initialised:
+                if not self._schema_ready(connection):
+                    yield None
+                    return
+                self._initialised = True
             yield connection
         finally:
             connection.close()

@@ -14,7 +14,7 @@ Two layers live here:
 * :class:`NeighborIndex` — the incremental path.  It stores the per-node
   neighbour sets (as small sorted numpy row arrays) plus the bucket
   membership, and updates only the edges incident to a touched node's 3x3
-  bucket neighbourhood on ``move_node`` / ``disable_node`` / ``enable_node``.
+  bucket neighbourhood on ``move_node`` / ``disable_nodes`` / ``enable_node``.
   :meth:`NeighborIndex.check_consistency` is the oracle: a from-scratch
   :func:`build_edges` rebuild must agree exactly.
 

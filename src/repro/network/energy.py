@@ -98,30 +98,19 @@ class EnergyModel:
         :attr:`~repro.network.node.NodeState.DEPLETED`.  Returns the ids of
         the disabled nodes, in ascending order, so callers can log them.
 
-        On an array-backed state the drain is one masked array operation;
-        the clamp (``max(0, e - cost)``) matches the node-level
-        ``consume_energy`` bit-for-bit.
+        The drain is one masked array operation; the clamp
+        (``max(0, e - cost)``) matches the node-level ``consume_energy``
+        bit-for-bit.
         """
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            mask = arrays.state == _ENABLED
-            if self.idle_cost_per_round:
-                arrays.energy[mask] = np.maximum(
-                    0.0, arrays.energy[mask] - self.idle_cost_per_round
-                )
-            depleted = arrays.node_ids[
-                mask & (arrays.energy <= self.depletion_threshold)
-            ].tolist()
-        else:
-            depleted = []
-            for node in state.enabled_nodes():
-                if self.idle_cost_per_round:
-                    node.consume_energy(self.idle_cost_per_round)
-                if node.energy <= self.depletion_threshold:
-                    depleted.append(node.node_id)
-        for node_id in depleted:
-            state.disable_node(node_id, reason=NodeState.DEPLETED)
-        return sorted(depleted)
+        arrays = state.arrays
+        mask = arrays.state == _ENABLED
+        if self.idle_cost_per_round:
+            arrays.energy[mask] = np.maximum(
+                0.0, arrays.energy[mask] - self.idle_cost_per_round
+            )
+        depleted = arrays.node_ids[mask & (arrays.energy <= self.depletion_threshold)]
+        state.disable_nodes(depleted, reason=NodeState.DEPLETED)
+        return sorted(depleted.tolist())
 
     def recovery_cost(self, total_distance: float, messages_sent: int = 0) -> float:
         """:func:`recovery_energy_cost` evaluated at this model's rates."""

@@ -33,14 +33,6 @@ from repro.grid.virtual_grid import GridCoord
 from repro.network.node import NodeState
 
 
-def _enabled_ids(state) -> List[int]:
-    """Enabled node ids in deployment order, without materialising handles."""
-    fast = getattr(state, "enabled_node_ids", None)
-    if fast is not None:
-        return fast()
-    return [node.node_id for node in state.enabled_nodes()]
-
-
 class FailureModel(abc.ABC):
     """A way of disabling nodes in a network state."""
 
@@ -81,14 +73,13 @@ class RandomFailure(FailureModel):
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable the sampled victims and return their ids."""
-        enabled_ids = _enabled_ids(state)
+        enabled_ids = state.enabled_node_ids()
         if self.probability is not None:
             victims = [node_id for node_id in enabled_ids if rng.random() < self.probability]
         else:
             count = min(self.count or 0, len(enabled_ids))
             victims = rng.sample(enabled_ids, count)
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -110,13 +101,12 @@ class ThinningToEnabledCount(FailureModel):
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable random nodes until only ``target_enabled`` remain enabled."""
-        enabled_ids = _enabled_ids(state)
+        enabled_ids = state.enabled_node_ids()
         excess = len(enabled_ids) - self.target_enabled
         if excess <= 0:
             return []
         victims = rng.sample(enabled_ids, excess)
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -152,51 +142,37 @@ class RegionJammingFailure(FailureModel):
         if self.radius is not None and self.radius < 0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
-    def _is_inside(self, position: Point) -> bool:
-        if self.box is not None:
-            return self.box.contains(position)
-        assert self.center is not None and self.radius is not None
-        return position.distance_to(self.center) <= self.radius
-
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable every enabled node whose position lies inside the region."""
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            mask = arrays.enabled_mask()
-            xs = arrays.positions[mask, 0]
-            ys = arrays.positions[mask, 1]
-            ids = arrays.node_ids[mask]
-            if self.box is not None:
-                inside = (
-                    (self.box.min_x <= xs)
-                    & (xs <= self.box.max_x)
-                    & (self.box.min_y <= ys)
-                    & (ys <= self.box.max_y)
-                )
-                victims = ids[inside].tolist()
-            else:
-                assert self.center is not None and self.radius is not None
-                dx = xs - self.center.x
-                dy = ys - self.center.y
-                # Bounding-square prefilter, then the exact math.hypot test the
-                # scalar Point.distance_to path uses, so the boundary cases
-                # resolve bit-identically to the object path.
-                near = (np.abs(dx) <= self.radius) & (np.abs(dy) <= self.radius)
-                victims = [
-                    int(node_id)
-                    for node_id, ddx, ddy in zip(
-                        ids[near].tolist(), dx[near].tolist(), dy[near].tolist()
-                    )
-                    if math.hypot(ddx, ddy) <= self.radius
-                ]
+        arrays = state.arrays
+        mask = arrays.enabled_mask()
+        xs = arrays.positions[mask, 0]
+        ys = arrays.positions[mask, 1]
+        ids = arrays.node_ids[mask]
+        if self.box is not None:
+            inside = (
+                (self.box.min_x <= xs)
+                & (xs <= self.box.max_x)
+                & (self.box.min_y <= ys)
+                & (ys <= self.box.max_y)
+            )
+            victims = ids[inside].tolist()
         else:
+            assert self.center is not None and self.radius is not None
+            dx = xs - self.center.x
+            dy = ys - self.center.y
+            # Bounding-square prefilter, then the exact math.hypot test
+            # Point.distance_to uses, so boundary cases resolve exactly as a
+            # per-node distance check would.
+            near = (np.abs(dx) <= self.radius) & (np.abs(dy) <= self.radius)
             victims = [
-                node.node_id
-                for node in state.enabled_nodes()
-                if self._is_inside(node.position)
+                node_id
+                for node_id, ddx, ddy in zip(
+                    ids[near].tolist(), dx[near].tolist(), dy[near].tolist()
+                )
+                if math.hypot(ddx, ddy) <= self.radius
             ]
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -218,24 +194,16 @@ class TargetedCellFailure(FailureModel):
         target_cells = set(self.cells)
         for coord in target_cells:
             state.grid.validate_coord(coord)
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            # The state maintains each node's flat cell index, so the victim
-            # scan is a single membership test over the enabled rows.
-            flats = np.array(
-                sorted(state.grid.flat_index(coord) for coord in target_cells),
-                dtype=arrays.cell.dtype,
-            )
-            mask = arrays.enabled_mask() & np.isin(arrays.cell, flats)
-            victims = arrays.node_ids[mask].tolist()
-        else:
-            victims = [
-                node.node_id
-                for node in state.enabled_nodes()
-                if state.grid.cell_of(node.position) in target_cells
-            ]
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        # The state maintains each node's flat cell index, so the victim scan
+        # is a single membership test over the enabled rows.
+        arrays = state.arrays
+        flats = np.array(
+            sorted(state.grid.flat_index(coord) for coord in target_cells),
+            dtype=arrays.cell.dtype,
+        )
+        mask = arrays.enabled_mask() & np.isin(arrays.cell, flats)
+        victims = arrays.node_ids[mask].tolist()
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 
@@ -255,18 +223,10 @@ class BatteryDepletionFailure(FailureModel):
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable every enabled node at or below the energy threshold."""
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            mask = arrays.enabled_mask() & (arrays.energy <= self.threshold)
-            victims = arrays.node_ids[mask].tolist()
-        else:
-            victims = [
-                node.node_id
-                for node in state.enabled_nodes()
-                if node.energy <= self.threshold
-            ]
-        for node_id in victims:
-            state.disable_node(node_id, reason=self.reason)
+        arrays = state.arrays
+        mask = arrays.enabled_mask() & (arrays.energy <= self.threshold)
+        victims = arrays.node_ids[mask].tolist()
+        state.disable_nodes(victims, reason=self.reason)
         return victims
 
 

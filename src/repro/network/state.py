@@ -20,7 +20,7 @@ seed-identity test).
 
 The per-round queries every controller depends on — holes, spares,
 occupancy — are served from *incremental indices* maintained by the three
-mutation paths (:meth:`WsnState.disable_node`, :meth:`WsnState.enable_node`,
+mutation paths (:meth:`WsnState.disable_nodes`, :meth:`WsnState.enable_node`,
 :meth:`WsnState.move_node`):
 
 * ``_cell_members`` — per-cell **sorted** lists of enabled node ids, so
@@ -58,11 +58,12 @@ from repro.grid.head_election import HeadElectionPolicy, elect_head, lowest_id_p
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.adjacency import NeighborIndex
 from repro.network.mobility import MovementModel, MoveRecord
-from repro.network.node import NodeRole, NodeState, SensorNode
+from repro.network.node import STATE_CODES, NodeRole, NodeState, SensorNode
 from repro.network.node_arrays import (
     ENABLED_CODE,
     HEAD_CODE,
     SPARE_CODE,
+    UNASSIGNED_CODE,
     NodeArrays,
 )
 
@@ -382,18 +383,84 @@ class WsnState:
     # ---------------------------------------------------------------- changes
     def disable_node(self, node_id: int, reason: NodeState = NodeState.FAILED) -> None:
         """Disable a node and repair the head assignment of its cell."""
-        node = self.node(node_id)
-        if not node.is_enabled:
+        self.disable_nodes((node_id,), reason)
+
+    def disable_nodes(
+        self, node_ids: Iterable[int], reason: NodeState = NodeState.FAILED
+    ) -> None:
+        """Disable a set of nodes in one pass and repair the heads of their cells.
+
+        The ``state`` and ``role`` columns are written once; each touched cell
+        drops its victims from its member list, so the cost is O(victims +
+        members of the touched cells) with no full index rebuild; and every
+        touched cell whose head was hit holds exactly one fresh election —
+        vectorized under the default lowest-id policy, through
+        :meth:`_elect_cell_head` (in row-major cell order) under any other.
+        Ids that are repeated or already disabled are skipped; an unknown id
+        raises :class:`KeyError` before anything changes.
+
+        Under any stateless policy the result equals disabling the nodes one
+        at a time, bit for bit: a policy picks the best candidate under a
+        fixed order, so the head a run of per-victim elections ends on is the
+        best survivor, which the single election picks too.  A stateful policy
+        is consulted once per hit cell that keeps a member, where the
+        one-at-a-time loop consulted it once per hit head.
+        """
+        if reason is NodeState.ENABLED:
+            raise ValueError("disable_nodes() requires a non-enabled reason state")
+        arrays = self.arrays
+        if not isinstance(node_ids, (list, tuple, np.ndarray)):
+            node_ids = list(node_ids)
+        ids = np.asarray(node_ids, dtype=np.int64)
+        if not len(ids):
             return
-        row = self.arrays.row_of(node_id)
-        coord = self.grid.coord_at(int(self.arrays.cell[row]))
-        node.disable(reason)
-        self._index_remove(coord, node_id)
-        if self._heads[coord] == node_id:
-            self._heads[coord] = None
-            self._elect_cell_head(coord)
+        rows = arrays.rows_of(ids)
+        unknown = (rows < 0) | (rows >= len(arrays))
+        if unknown.any():
+            raise KeyError(int(ids[np.argmax(unknown)]))
+        rows = rows[arrays.state[rows] == ENABLED_CODE]
+        if not len(rows):
+            return
+        arrays.state[rows] = STATE_CODES[reason]
+        arrays.role[rows] = UNASSIGNED_CODE
+
+        gone = set(arrays.node_ids[rows].tolist())
+        coords = self.grid.coord_list()
+        cell_members = self._cell_members
+        occupancy = self._occupancy
+        heads = self._heads
+        removed_total = 0
+        hit: List[GridCoord] = []
+        hit_members: List[int] = []
+        for flat in sorted(set(arrays.cell[rows].tolist())):
+            coord = coords[flat]
+            members = cell_members[coord]
+            kept = [node_id for node_id in members if node_id not in gone]
+            removed = len(members) - len(kept)
+            removed_total += removed
+            members[:] = kept
+            occupancy[coord] = len(kept)
+            if kept:
+                self._spare_total -= removed
+            else:
+                self._vacant.add(coord)
+                self._spare_total -= removed - 1
+            if heads[coord] in gone:
+                heads[coord] = None
+                hit.append(coord)
+                hit_members.extend(kept)
+        self._enabled_total -= removed_total
+        if hit:
+            if self._head_policy is lowest_id_policy:
+                self._elect_lowest_id(
+                    hit, arrays.rows_of(np.asarray(hit_members, dtype=np.int64))
+                )
+            else:
+                for coord in hit:
+                    self._elect_cell_head(coord)
         if self._neighbor_index is not None:
-            self._neighbor_index.on_disable(row)
+            for row in sorted(set(rows.tolist())):
+                self._neighbor_index.on_disable(row)
 
     def enable_node(self, node_id: int) -> None:
         """Re-admit a previously disabled node (extension; not used by the paper)."""
@@ -473,23 +540,27 @@ class WsnState:
             head.role = NodeRole.HEAD
         return head
 
-    def _elect_all_heads_lowest_id(self) -> None:
-        """Vectorized fresh election under the default lowest-id policy.
+    def _elect_lowest_id(self, coords: Iterable[GridCoord], member_rows) -> None:
+        """Vectorized fresh election of ``coords`` under the default lowest-id policy.
 
-        Equivalent to running :meth:`_elect_cell_head` over every cell with
-        empty ``_heads``: every member becomes a spare, the smallest member id
-        of each occupied cell becomes head, and disabled nodes keep their
-        roles (they are never members).
+        Equivalent to running :meth:`_elect_cell_head` on each of the cells
+        with its head cleared: every member (``member_rows`` indexes the
+        member rows of all ``coords``) becomes a spare, the smallest member
+        id of each occupied cell becomes head, an empty cell gets none, and
+        disabled nodes keep their roles (they are never members).
         """
         arrays = self.arrays
-        arrays.role[arrays.enabled_mask()] = SPARE_CODE
+        arrays.role[member_rows] = SPARE_CODE
         heads = self._heads
+        cell_members = self._cell_members
         head_ids: List[int] = []
-        for coord, members in self._cell_members.items():
+        for coord in coords:
+            members = cell_members[coord]
             if members:
-                head_id = members[0]
-                heads[coord] = head_id
-                head_ids.append(head_id)
+                heads[coord] = members[0]
+                head_ids.append(members[0])
+            else:
+                heads[coord] = None
         if head_ids:
             rows = arrays.rows_of(np.asarray(head_ids, dtype=np.int64))
             arrays.role[rows] = HEAD_CODE
@@ -500,7 +571,7 @@ class WsnState:
             self.grid.coord_list()
         )
         if self._head_policy is lowest_id_policy:
-            self._elect_all_heads_lowest_id()
+            self._elect_lowest_id(self.grid.coord_list(), self.arrays.enabled_mask())
         else:
             for coord in self.grid.all_coords():
                 self._elect_cell_head(coord)

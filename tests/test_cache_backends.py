@@ -15,6 +15,7 @@ The contracts exercised here:
 
 import json
 import sqlite3
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -143,6 +144,80 @@ def test_sqlite_default_filename_under_directory(tmp_path):
     backend = SqliteBackend(tmp_path)
     backend.store("k", "{}")
     assert (tmp_path / SQLITE_DEFAULT_FILENAME).exists()
+
+
+def test_sqlite_store_is_created_in_wal_mode(tmp_path):
+    backend = SqliteBackend(tmp_path)
+    backend.store("k", "{}")
+    with sqlite3.connect(backend.path) as conn:
+        assert conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+
+
+def _lookups_from_threads(backend, count: int = 8) -> list:
+    """``backend.load("k")`` from ``count`` threads at once; results or errors."""
+    results = []
+    barrier = threading.Barrier(count)
+
+    def lookup():
+        barrier.wait()
+        try:
+            results.append(backend.load("k"))
+        except sqlite3.Error as error:
+            results.append(error)
+
+    threads = [threading.Thread(target=lookup) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+def test_sqlite_lookup_while_the_first_store_creates_the_file_is_a_miss(tmp_path):
+    """Lookups racing the store's creation must miss, not fail with 'database is locked'.
+
+    The creator holds the write lock of the brand-new file, as the first
+    ``store()`` does while it creates the schema.
+    """
+    backend = SqliteBackend(tmp_path / "store")
+    backend.path.parent.mkdir(parents=True)
+    creator = sqlite3.connect(backend.path, isolation_level=None)
+    creator.execute("BEGIN IMMEDIATE")
+    try:
+        assert _lookups_from_threads(backend) == [None] * 8
+    finally:
+        creator.rollback()
+        creator.close()
+    backend.store("k", '{"v": 1}')
+    assert backend.load("k") == '{"v": 1}'
+
+
+def test_sqlite_concurrent_lookups_race_the_first_store(tmp_path):
+    """Fresh stores, eight lookup threads against one first store(): no errors."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads finely
+    try:
+        for trial in range(25):
+            backend = SqliteBackend(tmp_path / f"store-{trial}")
+            writer_errors = []
+
+            def first_store():
+                try:
+                    backend.store("k", "{}")
+                except sqlite3.Error as error:
+                    writer_errors.append(error)
+
+            writer = threading.Thread(target=first_store)
+            writer.start()
+            results = _lookups_from_threads(backend)
+            writer.join(timeout=30)
+            assert not writer.is_alive()
+            assert not writer_errors
+            assert all(result in (None, "{}") for result in results), results
+            assert backend.load("k") == "{}"
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # --------------------------------------------------------------- concurrency

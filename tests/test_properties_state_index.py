@@ -2,8 +2,9 @@
 
 The state keeps live indices (per-cell sorted membership, occupancy
 counters, the vacant-cell set, and running spare/enabled totals) that are
-updated by the three mutation paths — ``disable_node``, ``enable_node``, and
-``move_node``.  These tests drive long seeded sequences of random mutations
+updated by the three mutation paths — ``disable_nodes`` (and its one-element
+form ``disable_node``), ``enable_node``, and ``move_node``.  These tests drive
+long seeded sequences of random mutations
 and assert, via ``check_invariants`` (the contract's oracle, which rebuilds
 every index from scratch) and an explicit rebuilt ``WsnState``, that the
 incremental indices never drift from the ground truth.
@@ -32,12 +33,18 @@ def _random_state(rng: random.Random) -> WsnState:
 
 
 def _apply_random_operation(state: WsnState, rng: random.Random) -> None:
-    """One random disable / enable / move, skipping impossible choices."""
+    """One random disable / bulk disable / enable / move, skipping impossible choices."""
     operation = rng.random()
     enabled = state.enabled_nodes()
-    if operation < 0.35:
+    if operation < 0.25:
         if enabled:
             state.disable_node(rng.choice(enabled).node_id)
+    elif operation < 0.35:
+        # Any ids, enabled or not, with a repeat: the bulk path skips the
+        # already-disabled ones and the duplicate.
+        ids = state.arrays.node_ids.tolist()
+        victims = rng.sample(ids, rng.randint(1, min(len(ids), 8)))
+        state.disable_nodes(victims + victims[:1])
     elif operation < 0.55:
         disabled = state.disabled_nodes()
         if disabled:
