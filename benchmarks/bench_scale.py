@@ -19,14 +19,8 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # CI smoke: guards only
 
 The full run writes ``BENCH_scale.json`` at the repository root, seeding the
-repo's perf trajectory.  Since the sharded-execution PR it also benchmarks
-:class:`~repro.sim.sharded.ShardedEngine` against the sequential engine on
-the 128x128 tier (``shard_speedup``): every sharded run is checked
-byte-identical to the sequential reference, and the speedup is reported both
-as measured wall clock and as the modeled critical path
-(``sequential wall / sum of per-round critical paths``) — the figure a host
-with at least ``shards`` cores would realise, which a core-starved CI runner
-cannot (``cores_available`` records what this host had).
+repo's perf trajectory; ``cores_available`` records the recording host's
+core count.
 
 The ``scenario_build`` section times the paper's own scenario build
 (16x16 cells, 5000 sensors, thinned to ``m*n + N`` enabled for every ``N``
@@ -39,12 +33,10 @@ The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
 the 256x256 tier, bulk-vs-loop thinning identity (unconditional) and speed
-(bulk at least ``BULK_DISABLE_SPEEDUP_FLOOR`` times faster),
-sharded/sequential byte-identity (unconditional), and the 4-way
-modeled-speedup floor (enforced only on hosts with >= 4 cores) — and exits
-non-zero when any guard trips, so an accidental O(m*n) scan, a
-de-vectorized hot loop, or a shard-protocol divergence fails CI long before
-it would be felt on the 512x512 workload.
+(bulk at least ``BULK_DISABLE_SPEEDUP_FLOOR`` times faster) — and exits
+non-zero when any guard trips, so an accidental O(m*n) scan or a
+de-vectorized hot loop fails CI long before it would be felt on the 512x512
+workload.
 """
 
 from __future__ import annotations
@@ -76,7 +68,6 @@ from repro.network.state import WsnState
 from repro.sim.engine import RoundBasedEngine
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig
-from repro.sim.sharded import ShardedEngine
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 
 #: (columns, rows) of the benchmarked grids; 3 nodes per cell everywhere, so
@@ -119,19 +110,6 @@ INCREMENTAL_UPDATES = 200
 #: index materialises per-row neighbour arrays, which is not worth the build
 #: time on the top tiers.
 INCREMENTAL_MAX_NODES = 100_000
-#: The sharded-execution benchmark tier: big enough that per-round tile work
-#: dominates the driver's serial decide loop (49k nodes, ~6k holes).
-SHARD_GRID_SHAPE = (128, 128)
-#: Shard counts benchmarked by the full run (1 is the sequential baseline).
-SHARD_COUNTS = (1, 2, 4, 8)
-#: The shard workload drip-feeds this many rounds x holes-per-round of
-#: scheduled cell kills — a sustained recovery load, not a one-shot burst.
-SHARD_ROUNDS = 12
-SHARD_HOLES_PER_ROUND = 512
-#: Smoke-mode guard: floor on the 4-way modeled speedup.  Only enforced on
-#: hosts with >= 4 cores — below that the per-phase timings that feed the
-#: model share one oversubscribed core and the floor would guard noise.
-SHARD_SPEEDUP_LIMIT_4WAY = 2.0
 #: Smoke-mode guard: floor on how much faster one bulk ``disable_nodes``
 #: call thins a paper-tier scenario than a loop of one-element calls over the
 #: same victims, measured in one process.
@@ -170,12 +148,7 @@ class ScheduledCellKill:
 
     The victim cells are sampled *before* the engine is timed, so the drip
     feed itself adds no grid-size-dependent work to the measured rounds.
-    Victim selection is a pure function of the state (no rng), so the model
-    is shard-safe: every tile replica disables exactly the victims visible
-    inside its coverage (masked rows are skipped).
     """
-
-    shard_safe = True
 
     def __init__(self, node_ids):
         self.node_ids = list(node_ids)
@@ -183,7 +156,7 @@ class ScheduledCellKill:
 
     def apply(self, state, rng):
         # One vectorized pass keeps the ids that are still enabled in this
-        # state (masked/disabled rows have a different state code).
+        # state (disabled rows have a different state code).
         arrays = state.arrays
         rows = arrays.rows_of(self._id_array)
         victims = self._id_array[arrays.state[rows] == ENABLED_CODE].tolist()
@@ -476,131 +449,6 @@ def bench_scenario_build(seeds) -> dict:
     }
 
 
-def _run_shard_workload(
-    base: WsnState, schedule: dict, seed: int, shards: int
-) -> tuple:
-    """One timed recovery run of the shard workload; returns (result, wall, engine).
-
-    ``shards == 1`` runs the plain sequential engine — the baseline the
-    sharded runs are compared (and byte-checked) against.  Sharded runs use
-    the inline backend so the timing telemetry measures tile busy-seconds
-    without fork/pipe overhead; determinism is backend-independent.
-    """
-    state = base.clone()
-    controller = make_controller("SR", state)
-    rng = derive_rng(seed, "controller")
-    if shards == 1:
-        engine = RoundBasedEngine(
-            state,
-            controller,
-            rng,
-            failure_schedule=schedule,
-            channel=DEFAULT_CHANNEL,
-        )
-    else:
-        engine = ShardedEngine(
-            state,
-            controller,
-            rng,
-            shards=shards,
-            mode="inline",
-            failure_schedule=schedule,
-            channel=DEFAULT_CHANNEL,
-        )
-    start = time.perf_counter()
-    result = engine.run()
-    return result, time.perf_counter() - start, engine
-
-
-def bench_shard_speedup(seed: int, repeats: int, counts=SHARD_COUNTS) -> dict:
-    """Sharded vs sequential execution on the 128x128 tier: identity + speedup.
-
-    Every sharded run's :class:`~repro.sim.engine.SimulationResult` is
-    compared ``==`` against the sequential reference (metrics, series, move
-    records, message traffic — the byte-identity contract).  Speedup is
-    reported two ways: measured wall clock, which on a host with fewer cores
-    than shards mostly measures oversubscription, and the modeled critical
-    path — sequential wall divided by the sum of per-round critical paths
-    (``max tile scan + serial decide + max(bookkeeping, slowest tile
-    apply+scan)``) that the engine's timing telemetry accumulates.  The
-    sequential and sharded runs of each repeat execute back to back as a
-    pair with GC disabled, and the published figures are per-pair medians,
-    so machine drift cannot favour one side.
-    """
-    columns, rows = SHARD_GRID_SHAPE
-    base = build_base_state(columns, rows, seed)
-    schedule = build_failure_schedule(
-        base, SHARD_ROUNDS, SHARD_HOLES_PER_ROUND, derive_rng(seed, "holes")
-    )
-    reference, _, _ = _run_shard_workload(base, schedule, seed, 1)
-    sharded_counts = [count for count in counts if count > 1]
-    walls = {count: [] for count in counts}
-    walls.setdefault(1, [])
-    modeled = {count: [] for count in sharded_counts}
-    identical = {count: True for count in sharded_counts}
-    effective = {1: 1}
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for repeat in range(max(repeats, 3)):
-            gc.collect()
-            _, seq_wall, _ = _run_shard_workload(base, schedule, seed, 1)
-            walls[1].append(seq_wall)
-            for count in sharded_counts:
-                result, wall, engine = _run_shard_workload(
-                    base, schedule, seed, count
-                )
-                identical[count] = identical[count] and result == reference
-                effective[count] = engine.shards_effective
-                walls[count].append(wall)
-                critical = engine.timing["critical_seconds"]
-                modeled[count].append(seq_wall / critical if critical > 0 else 0.0)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    entries = []
-    for count in counts:
-        entry = {
-            "shards": count,
-            "shards_effective": effective[count],
-            "wall_seconds_median": round(statistics.median(walls[count]), 6),
-        }
-        if count == 1:
-            entry["identical"] = True
-            entry["modeled_speedup_median"] = 1.0
-            entry["modeled_speedup_max"] = 1.0
-        else:
-            entry["identical"] = identical[count]
-            entry["modeled_speedup_median"] = round(
-                statistics.median(modeled[count]), 3
-            )
-            entry["modeled_speedup_max"] = round(max(modeled[count]), 3)
-        entries.append(entry)
-        print(
-            f"shards {count}  (effective {entry['shards_effective']})  "
-            f"identical {entry['identical']!s:<5}  "
-            f"wall {entry['wall_seconds_median']:7.3f} s  "
-            f"modeled speedup {entry['modeled_speedup_median']:5.2f}x "
-            f"(max {entry['modeled_speedup_max']:5.2f}x)"
-        )
-    return {
-        "grid": f"{columns}x{rows}",
-        "deployed_nodes": base.node_count,
-        "failure_rounds": SHARD_ROUNDS,
-        "holes_per_round": SHARD_HOLES_PER_ROUND,
-        "rounds_executed": reference.rounds_executed,
-        "total_moves": reference.metrics.total_moves,
-        "mode": "inline",
-        "cores_available": os.cpu_count(),
-        "note": (
-            "wall_seconds on a host with fewer cores than shards measures "
-            "oversubscription, not the protocol; modeled_speedup is the "
-            "critical-path figure a host with >= shards cores would realise"
-        ),
-        "counts": entries,
-    }
-
-
 def run_grid(columns: int, rows: int, holes: int, seed: int, repeats: int) -> dict:
     base = build_base_state(columns, rows, seed)
     rounds = bench_recovery_rounds(base, holes, seed, repeats)
@@ -724,35 +572,6 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
             f"one-at-a-time disables (floor {BULK_DISABLE_SPEEDUP_FLOOR}x) — the "
             "bulk path lost its single pass"
         )
-
-    shard = bench_shard_speedup(seed, 3, counts=(1, 4))
-    four_way = next(entry for entry in shard["counts"] if entry["shards"] == 4)
-    if not four_way["identical"]:
-        failures.append(
-            "4-way sharded execution diverged from the sequential engine — the "
-            "byte-identity contract of ShardedEngine is broken"
-        )
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        print(
-            f"shard speedup guard: 4-way modeled "
-            f"{four_way['modeled_speedup_median']:.2f}x "
-            f"(limit {SHARD_SPEEDUP_LIMIT_4WAY}x, {cores} cores)"
-        )
-        if four_way["modeled_speedup_median"] < SHARD_SPEEDUP_LIMIT_4WAY:
-            failures.append(
-                f"4-way sharded modeled speedup is "
-                f"{four_way['modeled_speedup_median']:.2f}x "
-                f"(floor {SHARD_SPEEDUP_LIMIT_4WAY}x) — the critical path "
-                "re-absorbed tile-side work"
-            )
-    else:
-        print(
-            f"shard speedup guard: SKIPPED — host has {cores} core(s), the "
-            f"per-phase timings behind the model need >= 4 to be trustworthy "
-            f"(measured 4-way modeled "
-            f"{four_way['modeled_speedup_median']:.2f}x, identity still guarded)"
-        )
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -783,18 +602,11 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         f"{build['thin_seconds_p50'] * 1e3:.2f} ms); bulk disable "
         f"{build['bulk_vs_loop_speedup']}x one-at-a-time, identical {build['identical']}"
     )
-    print("\nshard speedup (sequential wall vs modeled critical path):")
-    shard = bench_shard_speedup(seed, min(repeats, 5))
     failures = []
     if not build["identical"]:
         failures.append(
             "bulk disable_nodes left a different state than the one-at-a-time "
             "loop over the same victims"
-        )
-    if not all(entry["identical"] for entry in shard["counts"]):
-        failures.append(
-            "a sharded run diverged from the sequential engine — the "
-            "byte-identity contract of ShardedEngine is broken"
         )
     if include_large:
         large = grids[-1]
@@ -824,9 +636,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "the paper-tier build (16x16, 5000 deployed, thinned over "
             "PAPER_SPARE_VALUES) step by step and one bulk disable_nodes call "
             "against a loop of one-element disable_node calls over the same "
-            "victims (byte-identity required), and shard_speedup "
-            "compares ShardedEngine against the sequential engine on the "
-            "128x128 tier (byte-identity checked on every run)"
+            "victims (byte-identity required)"
         ),
         "cores_available": os.cpu_count(),
         "scheme": "SR",
@@ -841,7 +651,6 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         ),
         "channel_overhead": channel,
         "scenario_build": build,
-        "shard_speedup": shard,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")
     largest_label = f"{shapes[-1][0]}x{shapes[-1][1]}"

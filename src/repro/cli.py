@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(available_schemes()),
         help="schemes to run",
     )
-    _add_shards_argument(compare)
     _add_execution_arguments(compare)
 
     lifetime = subparsers.add_parser(
@@ -243,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the CI smoke gate (fixed workload, determinism + physics checks) "
         "instead of the configured experiment",
     )
-    _add_shards_argument(lifetime)
     _add_execution_arguments(lifetime)
 
     scenario = subparsers.add_parser(
@@ -282,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--csv-dir", type=Path, default=None, help="also write the table as CSV here"
     )
     _add_channel_argument(run)
-    _add_shards_argument(run)
     _add_execution_arguments(run)
 
     sweep = scenario_sub.add_parser(
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--csv-dir", type=Path, default=None, help="also write the table as CSV here"
     )
-    _add_shards_argument(sweep)
     _add_execution_arguments(sweep)
 
     fuzz = scenario_sub.add_parser(
@@ -506,20 +502,6 @@ def _add_channel_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_shards_argument(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--shards`` knob of the simulation-running commands."""
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distribute each run over N column-band worker processes; "
-        "results are byte-identical to unsharded execution (same cache "
-        "entries), and runs the sharded fast path cannot reproduce fall "
-        "back to the sequential engine automatically",
-    )
-
-
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """Shared orchestration flags of the simulation-running commands."""
     parser.add_argument(
@@ -692,7 +674,6 @@ def _compare_command(args: argparse.Namespace) -> int:
             seed=args.seed,
             max_rounds=args.max_rounds,
             channel=args.channel,
-            shards=args.shards or 1,
         )
         for scheme in args.schemes
     ]
@@ -770,7 +751,6 @@ def _lifetime_command(args: argparse.Namespace) -> int:
             max_rounds=args.max_rounds,
             executor=executor,
             cache=cache,
-            shards=args.shards or 1,
         )
     except ValueError as error:
         print(f"lifetime: {error}", file=sys.stderr)
@@ -812,8 +792,6 @@ def _resolve_cli_scenario(args: argparse.Namespace) -> Scenario:
         scenario = dataclasses.replace(scenario, trials=args.trials)
     if getattr(args, "channel", None) is not None:
         scenario = dataclasses.replace(scenario, channel=args.channel)
-    if getattr(args, "shards", None) is not None:
-        scenario = dataclasses.replace(scenario, shards=args.shards)
     return scenario
 
 

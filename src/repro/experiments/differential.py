@@ -11,8 +11,7 @@ Oracles come in two severities:
   the simulator is wrong: Theorem-2 movement bounds
   (:func:`repro.core.analysis.expected_movements` context, hard per-process
   bound), energy debit reconciliation, message-ledger conservation
-  (``sent == delivered + dropped + in_flight``), sharded-vs-sequential
-  byte-identity, the shard degrade-instead-of-error guarantee, and
+  (``sent == delivered + dropped + in_flight``), and
   state-cached-vs-from-scratch byte-identity (the initial-state cache and
   its snapshot serialization must never change a record).  Bug violations
   fail the fuzzing session (exit 1).
@@ -90,16 +89,6 @@ class DifferentialContext:
         One record per ``(trial, scheme)`` in
         :meth:`~repro.experiments.scenario_files.Scenario.run_specs` order
         (trials outermost, schemes innermost).
-    sharded_pair:
-        ``(sequential, sharded)`` executions of the first trial's SR spec,
-        used by the byte-identity oracle; ``None`` when the sharded rerun
-        raised (see ``shard_error``).
-    shard_error:
-        The error message of a failed sharded rerun.  The degrade guarantee
-        says infeasible or ineligible shard requests must *fall back*, so any
-        value here is a bug-severity violation.
-    requested_shards:
-        The shard count the sharded rerun asked for.
     state_cache_trio:
         ``(baseline, miss, hit)`` executions of the same spec: from scratch
         with state caching disabled, then twice through a fresh bytes-mode
@@ -112,9 +101,6 @@ class DifferentialContext:
     scenario: Scenario
     schemes: Tuple[str, ...]
     records: Tuple[RunRecord, ...]
-    sharded_pair: Optional[Tuple[RunRecord, RunRecord]] = None
-    shard_error: Optional[str] = None
-    requested_shards: int = 1
     state_cache_trio: Optional[Tuple[RunRecord, RunRecord, RunRecord]] = None
 
     def by_trial(self) -> List[Dict[str, RunRecord]]:
@@ -283,57 +269,6 @@ def check_message_conservation(context: DifferentialContext) -> List[str]:
     return violations
 
 
-def check_sharded_identity(context: DifferentialContext) -> List[str]:
-    """Sharded execution must be byte-identical to sequential execution.
-
-    Compares the canonical persisted form
-    (:func:`~repro.experiments.persistence.record_to_dict`) of the
-    sequential and sharded executions of the same spec — covering metrics,
-    rounds, stall/exhaustion flags, and the energy series.  Ineligible or
-    infeasible shard requests fall back to the sequential engine, which
-    satisfies identity by construction; a mismatch therefore always means
-    the sharded fast path diverged.
-    """
-    if context.sharded_pair is None:
-        return []
-    sequential, sharded = context.sharded_pair
-    left = record_to_dict(dataclasses.replace(sequential, cached=False))
-    right = record_to_dict(dataclasses.replace(sharded, cached=False))
-    if left == right:
-        return []
-    differing = sorted(
-        key for key in left if left[key] != right.get(key)
-    )
-    metric_diff = ""
-    if "metrics" in differing:
-        fields = sorted(
-            name
-            for name in left["metrics"]
-            if left["metrics"][name] != right["metrics"].get(name)
-        )
-        metric_diff = f" (metrics fields: {', '.join(fields)})"
-    return [
-        f"sharded run (shards={context.requested_shards}) diverged from "
-        f"sequential in {', '.join(differing)}{metric_diff}"
-    ]
-
-
-def check_shard_fallback(context: DifferentialContext) -> List[str]:
-    """Infeasible/ineligible shard requests must degrade, never error.
-
-    ``feasible_shards`` clamps over-sharded grids and
-    :attr:`~repro.sim.sharded.ShardedEngine.ineligible_reason` routes
-    ineligible runs to the sequential loop — so a sharded rerun that raises
-    instead of falling back is a bug regardless of the requested count.
-    """
-    if context.shard_error is None:
-        return []
-    return [
-        f"sharded rerun (shards={context.requested_shards}) raised instead "
-        f"of falling back: {context.shard_error}"
-    ]
-
-
 def check_state_cache_identity(context: DifferentialContext) -> List[str]:
     """State-cached runs must be byte-identical to from-scratch runs.
 
@@ -369,8 +304,6 @@ ORACLES: Tuple[Oracle, ...] = (
     Oracle("theorem2-bound", "bug", check_theorem2_bound),
     Oracle("energy-reconciliation", "bug", check_energy_reconciliation),
     Oracle("message-conservation", "bug", check_message_conservation),
-    Oracle("sharded-identity", "bug", check_sharded_identity),
-    Oracle("shard-fallback", "bug", check_shard_fallback),
     Oracle("state-cache-identity", "bug", check_state_cache_identity),
 )
 
@@ -418,10 +351,9 @@ def run_differential(
     scheme sees the identical deployment; records flow through the broker
     layer (``broker`` when given, otherwise the one-shot
     :func:`~repro.experiments.broker.execute_batch` admission over
-    ``executor``/``cache``).  The sharded-identity rerun deliberately
-    bypasses broker and cache: specs are shard-agnostic by design, so a
-    cache hit would silently replace the sharded execution under test with
-    the sequential record.
+    ``executor``/``cache``).  The state-cache reruns deliberately bypass
+    broker and run cache: a cached record would silently replace the
+    execution under test.
     """
     schemes = available_schemes()
     harness_scenario = dataclasses.replace(scenario, schemes=schemes)
@@ -431,41 +363,23 @@ def run_differential(
     else:
         records = execute_batch(specs, executor=executor, cache=cache)
 
-    sharded_pair: Optional[Tuple[RunRecord, RunRecord]] = None
-    shard_error: Optional[str] = None
     state_cache_trio: Optional[Tuple[RunRecord, RunRecord, RunRecord]] = None
     sr_spec = next((spec for spec in specs if spec.scheme == "SR"), None)
-    requested = scenario.shards if scenario.shards > 1 else 2
     if sr_spec is not None:
-        # From-scratch ground truth for both identity oracles: no state
-        # cache, so nothing under test can leak into the reference.
-        sequential = execute_run(
-            dataclasses.replace(sr_spec, shards=1), state_cache=None
-        )
-        try:
-            sharded = execute_run(
-                dataclasses.replace(
-                    sr_spec, shards=requested, shard_mode="inline"
-                )
-            )
-            sharded_pair = (sequential, sharded)
-        except Exception as error:  # noqa: BLE001 - the oracle reports it
-            shard_error = f"{type(error).__name__}: {error}"
+        # From-scratch ground truth: no state cache, so nothing under test
+        # can leak into the reference.
+        baseline = execute_run(sr_spec, state_cache=None)
         # State-cache rerun: a private bytes-mode cache so the first run
         # exercises build+store and the second the from_bytes restore.
-        trio_spec = dataclasses.replace(sr_spec, shards=1)
         private_cache = StateCache(capacity=1, mode="bytes")
-        miss = execute_run(trio_spec, state_cache=private_cache)
-        hit = execute_run(trio_spec, state_cache=private_cache)
-        state_cache_trio = (sequential, miss, hit)
+        miss = execute_run(sr_spec, state_cache=private_cache)
+        hit = execute_run(sr_spec, state_cache=private_cache)
+        state_cache_trio = (baseline, miss, hit)
 
     context = DifferentialContext(
         scenario=harness_scenario,
         schemes=schemes,
         records=tuple(records),
-        sharded_pair=sharded_pair,
-        shard_error=shard_error,
-        requested_shards=requested,
         state_cache_trio=state_cache_trio,
     )
     outcomes = tuple(oracle.evaluate(context) for oracle in oracles)

@@ -2,7 +2,7 @@
 
 The 11 curated catalog scenarios cover a vanishing fraction of the space the
 declarative layer can describe — deployment x failure schedule x energy x
-channel x scheme x engine sharding.  This module samples that space
+channel x scheme.  This module samples that space
 *constraint-aware*: every document a :class:`ScenarioSampler` produces passes
 :func:`~repro.experiments.scenario_files.load_scenario` validation and
 round-trips byte-stably through
@@ -46,7 +46,6 @@ from repro.experiments.scenario_files import (
 from repro.network.channel import ChannelModel
 from repro.network.energy import EnergyModel
 from repro.network.failures import FailureEvent
-from repro.network.partition import feasible_shards
 from repro.sim.scenario import HEAD_POLICIES, ScenarioConfig
 
 __all__ = [
@@ -82,7 +81,7 @@ class FuzzValidationError(AssertionError):
 
 @dataclass(frozen=True)
 class FuzzSample:
-    """One sampled scenario plus the sampling decisions the oracles care about.
+    """One sampled scenario and where it came from.
 
     Attributes
     ----------
@@ -92,26 +91,11 @@ class FuzzSample:
         Session seed of the sampler that produced this sample.
     scenario:
         The sampled (and validity-gated) scenario document.
-    requested_shards:
-        The ``[engine] shards`` value the sampler chose, before feasibility.
-    feasible_shard_count:
-        :func:`~repro.network.partition.feasible_shards` evaluated on the
-        sampled grid — the largest shard count whose column bands are all
-        halo-wide.
-    expects_shard_fallback:
-        Whether the sharded execution path is expected to degrade (clamp to
-        fewer tiles, or run the sequential engine outright) rather than run
-        ``requested_shards`` tiles: the sampler *deliberately* emits such
-        combinations to exercise the degrade path, and the differential
-        harness asserts they fall back instead of erroring.
     """
 
     index: int
     seed: int
     scenario: Scenario
-    requested_shards: int
-    feasible_shard_count: int
-    expects_shard_fallback: bool
 
 
 class ScenarioSampler:
@@ -141,9 +125,6 @@ class ScenarioSampler:
         channel = self._sample_channel(rng, config, max_rounds)
         failures = self._sample_failures(rng, config, max_rounds)
         schemes = self._sample_schemes(rng)
-        shards, shard_mode, feasible, expects_fallback = self._sample_engine(
-            rng, config
-        )
         scenario = Scenario(
             name=f"fuzz-{self.seed}-{index}",
             scenario=config,
@@ -156,17 +137,8 @@ class ScenarioSampler:
             max_rounds=max_rounds,
             idle_round_limit=rng.randint(2, 6),
             run_to_exhaustion=run_to_exhaustion,
-            shards=shards,
-            shard_mode=shard_mode,
         )
-        return FuzzSample(
-            index=index,
-            seed=self.seed,
-            scenario=scenario,
-            requested_shards=shards,
-            feasible_shard_count=feasible,
-            expects_shard_fallback=expects_fallback,
-        )
+        return FuzzSample(index=index, seed=self.seed, scenario=scenario)
 
     def samples(self, count: int) -> List[FuzzSample]:
         """The first ``count`` samples of the session, in index order."""
@@ -322,28 +294,6 @@ class ScenarioSampler:
                 chosen.add(name)
         return tuple(name for name in names if name in chosen)
 
-    def _sample_engine(
-        self, rng: random.Random, config: ScenarioConfig
-    ) -> Tuple[int, str, int, bool]:
-        """Sample ``[engine]`` consulting :func:`feasible_shards` (satellite fix).
-
-        Roughly half the sharded samples request more tiles than the grid can
-        feasibly host (or pick a grid that is ineligible outright) — those
-        combinations are generated *on purpose* so the differential harness
-        exercises and asserts the degrade-to-fewer-tiles / sequential
-        fallback path instead of only ever seeing comfortable configurations.
-        """
-        feasible = feasible_shards(config.make_grid(), 16)
-        if rng.random() < 0.6:
-            return 1, "fork", feasible, False
-        if feasible > 1 and rng.random() < 0.5:
-            shards = rng.randint(2, feasible)
-        else:
-            # Deliberately infeasible: more tiles than halo-wide bands fit.
-            shards = feasible + rng.randint(1, 4)
-        expects_fallback = shards > feasible or feasible < 2
-        return shards, "inline", feasible, expects_fallback
-
 
 # ---------------------------------------------------------------- validation
 def validate_roundtrip(scenario: Scenario) -> Scenario:
@@ -384,8 +334,8 @@ def shrink_candidates(scenario: Scenario) -> Iterator[Scenario]:
 
     The order implements the shrink strategy: rounds and trials first (they
     only bound work), then the grid (with the deployment scaled to keep the
-    document valid), then structural deletions (failures, channel, energy,
-    sharding).  Variants that fail document validation are skipped — every
+    document valid), then structural deletions (failures, channel, energy).
+    Variants that fail document validation are skipped — every
     yielded candidate is a valid scenario.
     """
     candidates: List[Scenario] = []
@@ -434,8 +384,6 @@ def shrink_candidates(scenario: Scenario) -> Iterator[Scenario]:
         _try(energy=None, run_to_exhaustion=False)
     if scenario.run_to_exhaustion:
         _try(run_to_exhaustion=False)
-    if scenario.shards != 1:
-        _try(shards=1, shard_mode="fork")
     for candidate in candidates:
         yield candidate
 

@@ -98,7 +98,6 @@ def build_lifetime_specs(
     energy: EnergyModel = LIFETIME_ENERGY,
     trials: int = 1,
     max_rounds: int = 1500,
-    shards: int = 1,
 ) -> List[RunSpec]:
     """The lifetime sweep's run specs in deterministic (trial, scheme) order.
 
@@ -108,11 +107,6 @@ def build_lifetime_specs(
     each scheme keeps that network alive.  Schemes are innermost, so specs
     sharing a scenario are consecutive and the initial-state cache builds
     each trial's network exactly once for the whole scheme set.
-
-    ``shards`` is plumbed through for CLI uniformity; results are identical
-    at any value (it never enters the cache key).  Note that energy-model
-    runs are ineligible for the sharded fast path, so today's lifetime specs
-    execute sequentially regardless.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -146,7 +140,6 @@ def build_lifetime_specs(
                     max_rounds=max_rounds,
                     energy=energy,
                     run_to_exhaustion=True,
-                    shards=shards,
                 )
             )
     return specs
@@ -160,7 +153,6 @@ def run_lifetime_experiment(
     max_rounds: int = 1500,
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    shards: int = 1,
     broker: Optional[object] = None,
 ) -> ExperimentResult:
     """Run every scheme to network death and tabulate lifetimes.
@@ -185,7 +177,6 @@ def run_lifetime_experiment(
         energy=energy,
         trials=trials,
         max_rounds=max_rounds,
-        shards=shards,
     )
     records = execute_many(specs, executor=executor, cache=cache, broker=broker)
 

@@ -37,7 +37,6 @@ the records are byte-identical (the golden seed-identity suite and the
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
@@ -55,7 +54,6 @@ from repro.network.energy import EnergyModel
 from repro.network.failures import FailureEvent, compile_failure_schedule
 from repro.network.state import WsnState
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT, RoundBasedEngine
-from repro.sim.sharded import ShardedEngine
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
@@ -115,16 +113,6 @@ class RunSpec:
         one-round channel (the paper's assumption).  The channel's random
         stream is derived from ``seed`` with its own label, so loss patterns
         change per trial without perturbing the controller stream.
-    shards:
-        Number of worker tiles for sharded execution (``1``: the plain
-        sequential engine).  Sharded runs are byte-identical to sequential
-        ones, so this is an *execution* option, not part of the run's
-        identity: it is excluded from spec equality/hashing and therefore
-        from the run-cache key — a record cached at one shard count
-        satisfies every other.
-    shard_mode:
-        ``"fork"`` (worker processes) or ``"inline"`` (tiles stepped
-        in-process); execution-only, like ``shards``.
     """
 
     scenario: ScenarioConfig
@@ -136,8 +124,6 @@ class RunSpec:
     run_to_exhaustion: bool = False
     failures: Tuple[FailureEvent, ...] = ()
     channel: Optional[ChannelModel] = None
-    shards: int = dataclasses.field(default=1, compare=False)
-    shard_mode: str = dataclasses.field(default="fork", compare=False)
 
     def __post_init__(self) -> None:
         """Normalise an explicit default channel to ``None``.
@@ -205,7 +191,10 @@ def simulate_from(state: WsnState, spec: RunSpec) -> RunRecord:
     """
     controller = make_controller(spec.scheme, state)
     rng = derive_rng(spec.seed, spec.controller_rng_label())
-    engine_kwargs = dict(
+    engine = RoundBasedEngine(
+        state,
+        controller,
+        rng,
         max_rounds=spec.max_rounds,
         failure_schedule=compile_failure_schedule(spec.failures) or None,
         idle_round_limit=spec.idle_round_limit,
@@ -214,30 +203,6 @@ def simulate_from(state: WsnState, spec: RunSpec) -> RunRecord:
         channel=spec.channel if spec.channel is not None else DEFAULT_CHANNEL,
         channel_seed=spec.seed,
     )
-    if spec.shards > 1:
-        def _sequential_rerun() -> RoundBasedEngine:
-            # The abort fallback re-executes the spec from scratch: fresh
-            # deployment, fresh controller, fresh rng stream — exactly what
-            # a shards=1 execute_run would build.
-            fresh_state = build_scenario_state(spec.scenario)
-            return RoundBasedEngine(
-                fresh_state,
-                make_controller(spec.scheme, fresh_state),
-                derive_rng(spec.seed, spec.controller_rng_label()),
-                **engine_kwargs,
-            )
-
-        engine: RoundBasedEngine = ShardedEngine(
-            state,
-            controller,
-            rng,
-            shards=spec.shards,
-            mode=spec.shard_mode,
-            sequential_factory=_sequential_rerun,
-            **engine_kwargs,
-        )
-    else:
-        engine = RoundBasedEngine(state, controller, rng, **engine_kwargs)
     result = engine.run()
     return RunRecord(
         spec=spec,

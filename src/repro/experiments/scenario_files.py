@@ -38,10 +38,6 @@ The document format (TOML form; JSON mirrors the same structure)::
     ack_timeout = 3       # optional reliability-layer knobs
     max_retries = 8
 
-    [engine]              # optional execution options — never part of a
-    shards = 4            # run's identity: sharded runs are byte-identical
-    shard_mode = "fork"   # to unsharded ones and share their cache entries
-
     [run]
     schemes = ["SR", "AR"]
     trials = 1
@@ -153,12 +149,6 @@ class Scenario:
     run_to_exhaustion:
         Lifetime mode: keep draining until the network dies (requires an
         energy model with positive idle drain).
-    shards:
-        Column-band worker processes per run (``[engine] shards``).  Purely
-        an execution option: results and cache entries are byte-identical at
-        any value, and ineligible runs fall back to sequential execution.
-    shard_mode:
-        ``"fork"`` (worker processes) or ``"inline"`` (in-process tiles).
     """
 
     name: str
@@ -174,8 +164,6 @@ class Scenario:
     max_rounds: Optional[int] = None
     idle_round_limit: int = DEFAULT_IDLE_ROUND_LIMIT
     run_to_exhaustion: bool = False
-    shards: int = 1
-    shard_mode: str = "fork"
 
     def __post_init__(self) -> None:
         if not self.name or any(ch.isspace() for ch in self.name):
@@ -201,19 +189,6 @@ class Scenario:
         if self.idle_round_limit < 1:
             raise ScenarioValidationError(
                 "run.idle_round_limit", f"must be >= 1, got {self.idle_round_limit}"
-            )
-        if (
-            not isinstance(self.shards, int)
-            or isinstance(self.shards, bool)
-            or self.shards < 1
-        ):
-            raise ScenarioValidationError(
-                "engine.shards", f"must be an integer >= 1, got {self.shards!r}"
-            )
-        if self.shard_mode not in ("fork", "inline"):
-            raise ScenarioValidationError(
-                "engine.shard_mode",
-                f"must be 'fork' or 'inline', got {self.shard_mode!r}",
             )
         if self.run_to_exhaustion and (
             self.energy is None or self.energy.idle_cost_per_round <= 0
@@ -287,8 +262,6 @@ class Scenario:
                         run_to_exhaustion=self.run_to_exhaustion,
                         failures=self.failures,
                         channel=self.channel,
-                        shards=self.shards,
-                        shard_mode=self.shard_mode,
                     )
                 )
         return specs
@@ -350,13 +323,6 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, object]:
         payload["energy"] = dataclasses.asdict(scenario.energy)
     if scenario.channel is not None:
         payload["channel"] = channel_to_dict(scenario.channel)
-    engine: Dict[str, object] = {}
-    if scenario.shards != 1:
-        engine["shards"] = scenario.shards
-    if scenario.shard_mode != "fork":
-        engine["shard_mode"] = scenario.shard_mode
-    if engine:
-        payload["engine"] = engine
     run: Dict[str, object] = {
         "schemes": list(scenario.schemes),
         "trials": scenario.trials,
@@ -393,12 +359,10 @@ _TOP_LEVEL_KEYS = (
     "scenario",
     "energy",
     "channel",
-    "engine",
     "run",
     "failures",
 )
 _RUN_KEYS = ("schemes", "trials", "max_rounds", "idle_round_limit", "run_to_exhaustion")
-_ENGINE_KEYS = ("shards", "shard_mode")
 
 
 def scenario_from_dict(payload: Mapping[str, object]) -> Scenario:
@@ -429,7 +393,6 @@ def scenario_from_dict(payload: Mapping[str, object]) -> Scenario:
     config = _scenario_config_from(payload.get("scenario", {}))
     energy = _energy_from(payload.get("energy"))
     channel = _channel_from(payload.get("channel"))
-    shards, shard_mode = _engine_from(payload.get("engine"))
     run = payload.get("run", {})
     if not isinstance(run, Mapping):
         raise ScenarioValidationError("run", f"must be a table, got {type(run).__name__}")
@@ -464,8 +427,6 @@ def scenario_from_dict(payload: Mapping[str, object]) -> Scenario:
             max_rounds=_optional_int_field(run, "max_rounds"),
             idle_round_limit=_int_field(run, "idle_round_limit", DEFAULT_IDLE_ROUND_LIMIT),
             run_to_exhaustion=_bool_field(run, "run_to_exhaustion", False),
-            shards=shards,
-            shard_mode=shard_mode,
         )
     except ScenarioValidationError:
         raise
@@ -545,34 +506,6 @@ def _channel_from(table: object) -> Optional[ChannelModel]:
         return channel_from_dict(table)
     except (TypeError, ValueError) as error:
         raise ScenarioValidationError("channel", str(error)) from error
-
-
-def _engine_from(table: object) -> Tuple[int, str]:
-    """Validate the optional ``[engine]`` table; returns (shards, shard_mode).
-
-    Range checks (``shards >= 1``, mode in fork/inline) live in
-    :meth:`Scenario.__post_init__` so programmatic construction is validated
-    identically; this validator only guards the document-level types with
-    per-key locations.
-    """
-    if table is None:
-        return (1, "fork")
-    if not isinstance(table, Mapping):
-        raise ScenarioValidationError(
-            "engine", f"must be a table, got {type(table).__name__}"
-        )
-    _reject_unknown_keys(table, _ENGINE_KEYS, where="engine")
-    shards = table.get("shards", 1)
-    if not isinstance(shards, int) or isinstance(shards, bool):
-        raise ScenarioValidationError(
-            "engine.shards", f"must be an integer, got {shards!r}"
-        )
-    shard_mode = table.get("shard_mode", "fork")
-    if not isinstance(shard_mode, str):
-        raise ScenarioValidationError(
-            "engine.shard_mode", f"must be a string, got {shard_mode!r}"
-        )
-    return (shards, shard_mode)
 
 
 def _failures_from(entries: object) -> Tuple[FailureEvent, ...]:
@@ -690,7 +623,7 @@ def _toml_dumps(payload: Mapping[str, object]) -> str:
         if isinstance(value, Mapping) or key == "failures":
             continue
         lines.append(f"{key} = {_toml_value(value)}")
-    for key in ("scenario", "energy", "channel", "engine", "run"):
+    for key in ("scenario", "energy", "channel", "run"):
         table = payload.get(key)
         if not isinstance(table, Mapping):
             continue

@@ -35,9 +35,9 @@ class GridCoord(NamedTuple):
     """Address of a cell in the virtual grid: ``(x, y)`` as in the paper.
 
     A named tuple rather than a (frozen) dataclass: coordinates are the hot
-    dict/set key of every state index and of the sharded barrier protocol,
-    and the C-level tuple hash/equality is several times faster than the
-    generated dataclass ones.  Ordering, repr, and field access are
+    dict/set key of every state index and of the SR/AR controllers' per-cell
+    bookkeeping, and the C-level tuple hash/equality is several times faster
+    than the generated dataclass ones.  Ordering, repr, and field access are
     unchanged; iteration and ``(x, y)`` equality come with the tuple.
     """
 

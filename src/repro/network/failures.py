@@ -36,14 +36,6 @@ from repro.network.node import NodeState
 class FailureModel(abc.ABC):
     """A way of disabling nodes in a network state."""
 
-    #: Whether applying the model is a pure function of the state: it never
-    #: draws from the rng and selects victims only from node positions,
-    #: cells, or energy.  Shard-safe models can be applied independently in
-    #: every tile replica of a sharded run (each replica disables exactly the
-    #: victims it can see) and reproduce the sequential run bit for bit; the
-    #: sharded engine falls back to sequential execution for anything else.
-    shard_safe = False
-
     @abc.abstractmethod
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable nodes in ``state`` and return the ids of the disabled nodes."""
@@ -124,8 +116,6 @@ class RegionJammingFailure(FailureModel):
     radius: Optional[float] = None
     reason: NodeState = NodeState.FAILED
 
-    shard_safe = True
-
     def __post_init__(self) -> None:
         # A disk is all-or-nothing: a partial spec (center without radius or
         # vice versa) must never silently collapse to "no disk given".
@@ -187,8 +177,6 @@ class TargetedCellFailure(FailureModel):
     cells: Sequence[GridCoord]
     reason: NodeState = NodeState.MISBEHAVING
 
-    shard_safe = True
-
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable every enabled node located in one of the target cells."""
         target_cells = set(self.cells)
@@ -219,8 +207,6 @@ class BatteryDepletionFailure(FailureModel):
     threshold: float = 0.0
     reason: NodeState = NodeState.DEPLETED
 
-    shard_safe = True
-
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable every enabled node at or below the energy threshold."""
         arrays = state.arrays
@@ -235,11 +221,6 @@ class CompositeFailure(FailureModel):
     """Apply several failure models in sequence."""
 
     models: Sequence[FailureModel] = field(default_factory=list)
-
-    @property
-    def shard_safe(self) -> bool:
-        """Shard-safe iff every constituent model is."""
-        return all(model.shard_safe for model in self.models)
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Apply every constituent model in order; returns all victim ids."""

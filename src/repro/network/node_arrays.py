@@ -19,7 +19,7 @@ draws both depend on it).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -236,10 +236,6 @@ class NodeArrays:
     def enabled_mask(self) -> np.ndarray:
         """Boolean mask over rows: ``state == ENABLED`` (fresh array)."""
         return self.state == ENABLED_CODE
-
-    def iter_rows(self) -> Iterator[int]:
-        """Row indices in deployment order."""
-        return iter(range(len(self.node_ids)))
 
     # -------------------------------------------------------------- snapshots
     def to_bytes(self) -> bytes:

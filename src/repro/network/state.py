@@ -67,14 +67,6 @@ from repro.network.node_arrays import (
     NodeArrays,
 )
 
-#: State code of a node row that exists in a tile replica but lies outside the
-#: tile's column coverage.  Masked rows are invisible to every enabled-row scan
-#: (the code collides with no :data:`~repro.network.node.STATE_CODES` value)
-#: and are re-admitted by :meth:`WsnState.admit_node` when a barrier commit
-#: moves the node into coverage.  Only tile replicas built by
-#: :meth:`WsnState.extract_column_band` contain masked rows.
-MASKED_CODE = np.int8(-1)
-
 #: Version of the :meth:`WsnState.to_bytes` snapshot layout (grid header +
 #: :meth:`NodeArrays.to_bytes` buffer).  Bump on any header change.
 STATE_SNAPSHOT_VERSION = 1
@@ -721,217 +713,6 @@ class WsnState:
         ):
             heads[coord_at(flat)] = node_id
         self._heads = heads
-
-    # ------------------------------------------------------------ tile views
-    #
-    # The sharded engine (:mod:`repro.sim.sharded`) gives every worker a
-    # full-size replica of the state in which rows outside the worker's
-    # column coverage are *masked* — present (row indices and node ids line
-    # up across all replicas and the authoritative state) but invisible to
-    # every enabled-row scan.  These helpers build such replicas, maintain
-    # them across round barriers, and merge the owned bands back together.
-
-    def extract_column_band(self, halo_start: int, halo_stop: int) -> "WsnState":
-        """Tile replica covering grid columns ``[halo_start, halo_stop)``.
-
-        The replica is a full :meth:`clone` in which every enabled node whose
-        cell column lies outside the coverage is masked (state code
-        :data:`MASKED_CODE`).  Disabled rows are kept as-is — they never act,
-        and keeping them makes the replica's row data identical to the
-        source wherever it is visible.  Head assignment is inherited from
-        the source for covered cells and cleared elsewhere.
-        """
-        if not 0 <= halo_start < halo_stop <= self.grid.columns:
-            raise ValueError(
-                f"column band [{halo_start}, {halo_stop}) is not inside the "
-                f"{self.grid.columns}-column grid"
-            )
-        twin = self.clone()
-        arrays = twin.arrays
-        x = arrays.cell % self.grid.columns
-        outside = (x < halo_start) | (x >= halo_stop)
-        arrays.state[arrays.enabled_mask() & outside] = MASKED_CODE
-        twin._rebuild_indices_from_arrays()
-        twin._heads = {
-            coord: (head_id if halo_start <= coord.x < halo_stop else None)
-            for coord, head_id in self._heads.items()
-        }
-        return twin
-
-    def is_masked(self, node_id: int) -> bool:
-        """Whether the node's row is masked out of this (tile) replica."""
-        return self.arrays.state[self.arrays.row_of(node_id)] == MASKED_CODE
-
-    def admit_node(
-        self,
-        node_id: int,
-        cell: GridCoord,
-        position: Point,
-        energy: float,
-        moved_distance: float,
-        move_count: int,
-    ) -> None:
-        """Unmask a row whose node just moved into this replica's coverage.
-
-        The caller (the tile's barrier-apply step) supplies the node's exact
-        authoritative fields; the row becomes enabled in ``cell`` and the
-        cell's membership/head bookkeeping is repaired.
-        """
-        arrays = self.arrays
-        row = arrays.row_of(node_id)
-        if arrays.state[row] != MASKED_CODE:
-            raise RuntimeError(f"node {node_id} is not masked in this replica")
-        arrays.positions[row, 0] = position.x
-        arrays.positions[row, 1] = position.y
-        arrays.energy[row] = energy
-        arrays.moved_distance[row] = moved_distance
-        arrays.move_count[row] = move_count
-        arrays.state[row] = ENABLED_CODE
-        arrays.cell[row] = self.grid.flat_index(cell)
-        self._index_add(cell, node_id)
-        self._elect_cell_head(cell)
-
-    def set_node_floats(
-        self,
-        node_id: int,
-        position: Point,
-        energy: float,
-        moved_distance: float,
-    ) -> None:
-        """Overwrite a row's float fields with their authoritative values.
-
-        Barrier fix-up: a tile commits its own serves with placeholder
-        movement draws (the decision logic never reads the floats it
-        commits), then replaces them with the driver's exact values so the
-        replica's floats stay bit-identical to the sequential run.  The
-        position must lie in the cell the row is already indexed under.
-        """
-        arrays = self.arrays
-        row = arrays.row_of(node_id)
-        arrays.positions[row, 0] = position.x
-        arrays.positions[row, 1] = position.y
-        arrays.energy[row] = energy
-        arrays.moved_distance[row] = moved_distance
-
-    def band_hole_count(self, x_start: int, x_stop: int) -> int:
-        """Vacant cells whose column lies in ``[x_start, x_stop)`` (O(holes))."""
-        return sum(1 for coord in self._vacant if x_start <= coord.x < x_stop)
-
-    def band_enabled_count(self, x_start: int, x_stop: int) -> int:
-        """Enabled nodes currently located in the column band ``[x_start, x_stop)``."""
-        arrays = self.arrays
-        x = arrays.cell % self.grid.columns
-        in_band = arrays.enabled_mask() & (x >= x_start) & (x < x_stop)
-        return int(np.count_nonzero(in_band))
-
-    def band_spare_count(self, x_start: int, x_stop: int) -> int:
-        """Spare nodes currently located in the column band ``[x_start, x_stop)``."""
-        band_cells = (x_stop - x_start) * self.grid.rows
-        occupied_in_band = band_cells - self.band_hole_count(x_start, x_stop)
-        return self.band_enabled_count(x_start, x_stop) - occupied_in_band
-
-    def apply_authoritative_move(
-        self,
-        node_id: int,
-        target_cell: GridCoord,
-        position: Point,
-        energy: float,
-        moved_distance: float,
-        move_count: int,
-    ) -> GridCoord:
-        """Relocate a node into a *vacant* cell with its exact authoritative fields.
-
-        The lean counterpart of :meth:`move_node` for tile replicas replaying
-        barrier commits: no movement draw, no :class:`MoveRecord`, the float
-        columns are written verbatim, and — because the target is required to
-        be vacant — the arriving node becomes the cell's head directly, which
-        is exactly what a fresh election yields for a sole member.  Returns
-        the source cell so the caller can update its own band accounting.
-        """
-        arrays = self.arrays
-        row = arrays.row_of(node_id)
-        source_cell = self.grid.coord_at(int(arrays.cell[row]))
-        if self._occupancy[target_cell] != 0:
-            raise RuntimeError(
-                f"authoritative move of node {node_id} targets occupied cell "
-                f"{target_cell.as_tuple()}"
-            )
-        arrays.positions[row, 0] = position.x
-        arrays.positions[row, 1] = position.y
-        arrays.energy[row] = energy
-        arrays.moved_distance[row] = moved_distance
-        arrays.move_count[row] = move_count
-        arrays.cell[row] = self.grid.flat_index(target_cell)
-        self._index_remove(source_cell, node_id)
-        self._index_add(target_cell, node_id)
-        if self._heads[source_cell] == node_id:
-            self._heads[source_cell] = None
-            self._elect_cell_head(source_cell)
-        self._heads[target_cell] = node_id
-        arrays.role[row] = HEAD_CODE
-        return source_cell
-
-    def evict_node(self, node_id: int) -> GridCoord:
-        """Mask out a tracked row whose node just moved beyond this replica's coverage.
-
-        The inverse of :meth:`admit_node`: the row keeps its (now stale) data
-        but leaves every index, so the replica's invariant — unmasked exactly
-        when the current cell is covered — survives moves that exit the halo.
-        Returns the cell the node vacated.
-        """
-        arrays = self.arrays
-        row = arrays.row_of(node_id)
-        if arrays.state[row] != ENABLED_CODE:
-            raise RuntimeError(f"node {node_id} is not enabled in this replica")
-        coord = self.grid.coord_at(int(arrays.cell[row]))
-        arrays.state[row] = MASKED_CODE
-        self._index_remove(coord, node_id)
-        if self._heads[coord] == node_id:
-            self._heads[coord] = None
-            self._elect_cell_head(coord)
-        return coord
-
-    def export_band_rows(self, x_start: int, x_stop: int) -> Dict[str, np.ndarray]:
-        """Row data of every non-masked node whose cell column is in the band.
-
-        Each grid column is owned by exactly one tile, and a tile tracks
-        (non-masked) every node whose current cell it owns — nodes start
-        inside the coverage or are admitted when a barrier commit moves them
-        in — so exporting each tile's owned band partitions the rows exactly.
-        The payload is a picklable dict of ndarray slices consumed by
-        :meth:`apply_row_export` on the authoritative state.
-        """
-        arrays = self.arrays
-        x = arrays.cell % self.grid.columns
-        mask = (arrays.state != MASKED_CODE) & (x >= x_start) & (x < x_stop)
-        rows = np.flatnonzero(mask)
-        return {
-            "rows": rows,
-            "positions": arrays.positions[rows],
-            "energy": arrays.energy[rows],
-            "state": arrays.state[rows],
-            "role": arrays.role[rows],
-            "cell": arrays.cell[rows],
-            "moved_distance": arrays.moved_distance[rows],
-            "move_count": arrays.move_count[rows],
-        }
-
-    def apply_row_export(self, payload: Dict[str, np.ndarray]) -> None:
-        """Adopt a tile's :meth:`export_band_rows` payload into this state.
-
-        Only the array columns are written; the caller rebuilds the
-        incremental indices (:meth:`_rebuild_indices_from_arrays` +
-        :meth:`elect_all_heads`) once after adopting every tile.
-        """
-        arrays = self.arrays
-        rows = payload["rows"]
-        arrays.positions[rows] = payload["positions"]
-        arrays.energy[rows] = payload["energy"]
-        arrays.state[rows] = payload["state"]
-        arrays.role[rows] = payload["role"]
-        arrays.cell[rows] = payload["cell"]
-        arrays.moved_distance[rows] = payload["moved_distance"]
-        arrays.move_count[rows] = payload["move_count"]
 
     def check_invariants(self) -> None:
         """Raise :class:`AssertionError` if any index or grid-overlay invariant is violated.

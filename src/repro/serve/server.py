@@ -13,8 +13,9 @@ dependencies) whose handler threads share one
   through the broker and return its tabulated records.
 * ``GET  /figure/<fig6|fig7|fig8>[?quick=1&trials=k]`` — the Section-5
   figure series, cache-first.
-* ``POST /run`` — execute one spec (JSON body, see
-  :func:`spec_from_request`); answered from the cache when stored, admitted
+* ``POST /run`` — execute one spec (JSON body of at most
+  :data:`MAX_BODY_BYTES`, see :func:`spec_from_request`); answered from the
+  cache when stored, admitted
   through the broker otherwise (``?priority=batch`` yields to interactive
   traffic).  With ``?stream=1`` the response is newline-delimited JSON that
   carries the run's **live per-round series** — one ``round`` event per
@@ -73,6 +74,15 @@ DEFAULT_PORT = 8008
 
 #: The figure endpoints the server exposes (each maps to a driver function).
 FIGURE_ENDPOINTS = ("fig6", "fig7", "fig8")
+
+#: Largest ``POST /run`` body the server accepts (1 MiB).  A spec document is
+#: a few KB; a larger declared length is refused with 413 before any of the
+#: body is read.
+MAX_BODY_BYTES = 1 << 20
+
+
+class _BodyTooLarge(ValueError):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES` (HTTP 413)."""
 
 
 @dataclasses.dataclass
@@ -355,8 +365,19 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self._send_json(200, payload)
 
     def _read_body(self) -> object:
-        """Parse the request body as JSON (raises ``ValueError`` when invalid)."""
+        """Parse the request body as JSON (raises ``ValueError`` when invalid).
+
+        The declared length is checked before reading: a negative one would
+        make ``rfile.read`` block until the client closes the connection.
+        """
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:
+            raise ValueError(f"Content-Length must be >= 0, got {length}")
+        if length > MAX_BODY_BYTES:
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ValueError("empty request body")
@@ -369,6 +390,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         """``POST /run``: one spec, cache-first, optionally streamed."""
         try:
             spec = spec_from_request(self._read_body())
+        except _BodyTooLarge as error:
+            self._send_error_json(413, str(error))
+            return
         except ValueError as error:
             self._send_error_json(400, str(error))
             return

@@ -28,13 +28,7 @@ from repro.network.node import MESSAGE_COST
 from repro.network.state import WsnState
 from repro.sim.events import EventKind, EventLog
 from repro.sim.rng import derive_rng
-from repro.sim.metrics import (
-    InitialSnapshot,
-    RoundSeries,
-    RunMetrics,
-    collect_metrics,
-    snapshot_state,
-)
+from repro.sim.metrics import RoundSeries, RunMetrics, collect_metrics, snapshot_state
 
 #: Consecutive no-progress rounds after which the engine declares the run stalled.
 DEFAULT_IDLE_ROUND_LIMIT = 3
@@ -187,15 +181,12 @@ class RoundBasedEngine:
                 )
 
     # -------------------------------------------------------------------- run
-    #
-    # ``run()`` is a template over small per-phase hooks so an alternative
-    # driver (the sharded engine) can substitute *where* round work happens
-    # — worker tiles instead of ``self.state`` — while reusing this exact
-    # control flow: the round ordering, the series sampling, and the
-    # stop/stall/exhaustion verdicts are defined once, here.
     def run(self) -> SimulationResult:
         """Execute rounds until coverage is restored, the run stalls, or the bound hits."""
-        initial = self._begin_run()
+        state = self.state
+        controller = self.controller
+        channel = self.channel
+        initial = snapshot_state(state)
         self._emit(
             EventKind.HOLE_DETECTED,
             round_index=0,
@@ -211,10 +202,18 @@ class RoundBasedEngine:
         track_energy = self.energy_model is not None
 
         for round_index in range(self.max_rounds):
-            round_depletions = self._pre_round(round_index)
+            # Start-of-round physics: scheduled failures, then the energy model.
+            self._inject_failures(round_index)
+            round_depletions = self._apply_energy(round_index)
             sent_before, dropped_before = self._channel_counters()
-            self._deliver_messages(round_index)
-            outcome = self._controller_round(round_index)
+            if channel is not None:
+                # Control messages sent in earlier rounds arrive now, before
+                # any head acts — the paper's one-round-latency assumption,
+                # generalised to whatever the channel model dictates.
+                inbox = channel.deliver(round_index)
+                if inbox:
+                    controller.handle_messages(state, inbox, round_index)
+            outcome = controller.execute_round(state, self.rng, round_index)
             outcomes.append(outcome)
             rounds_executed = round_index + 1
             self._emit_outcome(outcome)
@@ -224,15 +223,15 @@ class RoundBasedEngine:
             # arbitrarily large grids.  The energy total is an O(enabled)
             # sweep, sampled only when an energy model is active.
             series.record(
-                holes=self._hole_count(),
+                holes=state.hole_count,
                 moves=outcome.move_count,
                 distance=outcome.total_distance,
-                spares=self._spare_count(),
-                energy=self._energy_remaining() if track_energy else None,
+                spares=state.spare_count,
+                energy=remaining_energy(state)[0] if track_energy else None,
                 depletions=round_depletions if track_energy else None,
                 messages=(
                     sent_after - sent_before
-                    if self.channel is not None
+                    if channel is not None
                     else outcome.messages_sent
                 ),
                 drops=dropped_after - dropped_before,
@@ -261,7 +260,7 @@ class RoundBasedEngine:
                 and not self._failures_pending(round_index)
                 and not self._messaging_pending()
             ):
-                if self._hole_count() > 0:
+                if state.hole_count > 0:
                     # Holes remain and nobody has acted on them for the whole
                     # idle window: the run is stuck, in every mode.
                     stalled = True
@@ -274,41 +273,48 @@ class RoundBasedEngine:
         else:
             exhausted = True
 
-        if exhausted and self._hole_count() > 0:
+        if exhausted and state.hole_count > 0:
             # The round bound hit with holes remaining: the run did not
             # converge and must not look like a clean finish.
             stalled = True
 
         final_round = rounds_executed
-        self._finish_run(final_round)
-        if self.channel is not None:
+        # Let the controller settle its bookkeeping after the last round.
+        finalize = getattr(controller, "finalize", None)
+        if callable(finalize):
+            finalize(state, final_round)
+        if channel is not None:
             # The channel is the authority on traffic: every actual
             # transmission (requests, retries, acknowledgements) counts.
-            messages_sent = self.channel.sent_count
-            messages_dropped = self.channel.dropped_count
-            mean_latency = self.channel.mean_delivery_latency
-            messages_delivered = self.channel.delivered_count
-            messages_in_flight = self.channel.pending_count
+            messages_sent = channel.sent_count
+            messages_dropped = channel.dropped_count
+            mean_latency = channel.mean_delivery_latency
+            messages_delivered = channel.delivered_count
+            messages_in_flight = channel.pending_count
         else:
             messages_sent = sum(outcome.messages_sent for outcome in outcomes)
             messages_dropped = 0
             mean_latency = 0.0
             messages_delivered = 0
             messages_in_flight = 0
-        metrics = self._collect(
+        metrics = collect_metrics(
+            controller,
+            state,
             initial,
             rounds_executed,
             messages_sent,
-            messages_dropped,
-            mean_latency,
-            track_energy,
-            messages_delivered,
-            messages_in_flight,
+            # The battery summary is an O(all nodes) sweep — worth it only
+            # when the run actually had energy physics to report on.
+            energy=energy_summary(state) if track_energy else None,
+            messages_dropped=messages_dropped,
+            mean_delivery_latency=mean_latency,
+            messages_delivered=messages_delivered,
+            messages_in_flight=messages_in_flight,
         )
         self._emit(
             EventKind.SIMULATION_FINISHED,
             round_index=final_round,
-            holes=self._hole_count(),
+            holes=state.hole_count,
             moves=metrics.total_moves,
             distance=round(metrics.total_distance, 3),
         )
@@ -321,82 +327,7 @@ class RoundBasedEngine:
             series=series,
             event_log=self.event_log,
             depleted_nodes=list(self.depleted_nodes),
-            channel_stats=self.channel.stats() if self.channel is not None else None,
-        )
-
-    # ----------------------------------------------------------- phase hooks
-    def _begin_run(self) -> InitialSnapshot:
-        """Snapshot the pre-run state the metrics are reported against."""
-        return snapshot_state(self.state)
-
-    def _pre_round(self, round_index: int) -> int:
-        """Start-of-round physics: scheduled failures, then the energy model.
-
-        Returns the number of nodes the energy model depleted this round.
-        """
-        self._inject_failures(round_index)
-        return self._apply_energy(round_index)
-
-    def _deliver_messages(self, round_index: int) -> None:
-        """Deliver the channel and hand arrivals to the controller.
-
-        Control messages sent in earlier rounds arrive now, before any head
-        acts — the paper's one-round-latency assumption, generalised to
-        whatever the channel model dictates.
-        """
-        if self.channel is None:
-            return
-        inbox = self.channel.deliver(round_index)
-        if inbox:
-            self.controller.handle_messages(self.state, inbox, round_index)
-
-    def _controller_round(self, round_index: int) -> RoundOutcome:
-        """Execute one controller round against the engine's state."""
-        return self.controller.execute_round(self.state, self.rng, round_index)
-
-    def _hole_count(self) -> int:
-        """Current number of uncovered cells."""
-        return self.state.hole_count
-
-    def _spare_count(self) -> int:
-        """Current number of spare nodes."""
-        return self.state.spare_count
-
-    def _energy_remaining(self) -> float:
-        """Total remaining energy of the enabled nodes (O(enabled) sweep)."""
-        return remaining_energy(self.state)[0]
-
-    def _finish_run(self, final_round: int) -> None:
-        """Let the controller settle its bookkeeping after the last round."""
-        finalize = getattr(self.controller, "finalize", None)
-        if callable(finalize):
-            finalize(self.state, final_round)
-
-    def _collect(
-        self,
-        initial: InitialSnapshot,
-        rounds_executed: int,
-        messages_sent: int,
-        messages_dropped: int,
-        mean_latency: float,
-        track_energy: bool,
-        messages_delivered: int = 0,
-        messages_in_flight: int = 0,
-    ) -> RunMetrics:
-        """Aggregate the run's metrics from the final state."""
-        return collect_metrics(
-            self.controller,
-            self.state,
-            initial,
-            rounds_executed,
-            messages_sent,
-            # The battery summary is an O(all nodes) sweep — worth it only
-            # when the run actually had energy physics to report on.
-            energy=energy_summary(self.state) if track_energy else None,
-            messages_dropped=messages_dropped,
-            mean_delivery_latency=mean_latency,
-            messages_delivered=messages_delivered,
-            messages_in_flight=messages_in_flight,
+            channel_stats=channel.stats() if channel is not None else None,
         )
 
     # --------------------------------------------------------------- internal
@@ -476,7 +407,7 @@ class RoundBasedEngine:
         return self._last_scheduled_round > round_index
 
     def _finished(self, round_index: int) -> bool:
-        if self._hole_count() > 0:
+        if self.state.hole_count > 0:
             return False
         if self._failures_pending(round_index):
             return False

@@ -101,21 +101,6 @@ class TestCompareCommand:
         output = capsys.readouterr().out
         assert "SR-energy" in output and "AR-energy" in output
 
-    def test_sharded_comparison_prints_identical_table(self, capsys):
-        workload = [
-            "compare",
-            "--columns", "8",
-            "--rows", "8",
-            "--deployed", "300",
-            "--spare-surplus", "30",
-            "--seed", "2",
-            "--schemes", "SR",
-        ]
-        assert main(workload) == 0
-        sequential = capsys.readouterr().out
-        assert main(workload + ["--shards", "2"]) == 0
-        assert capsys.readouterr().out == sequential
-
     def test_shortcut_scheme_available(self, capsys):
         code = main(
             [
@@ -188,18 +173,6 @@ class TestScenarioCommand:
         assert sweep.spares == [5, 10]
         assert parser.parse_args(["scenario", "docs"]).scenario_command == "docs"
 
-    def test_shards_flag_parses_on_every_runner(self):
-        parser = build_parser()
-        assert parser.parse_args(["compare", "--shards", "4"]).shards == 4
-        assert parser.parse_args(["lifetime", "--shards", "2"]).shards == 2
-        assert parser.parse_args(["scenario", "run", "paper-16x16", "--shards", "8"]).shards == 8
-        sharded_sweep = parser.parse_args(
-            ["scenario", "sweep", "edge-breach", "--spares", "5", "--shards", "2"]
-        )
-        assert sharded_sweep.shards == 2
-        # Default is None: leave whatever the scenario file configured alone.
-        assert parser.parse_args(["scenario", "run", "paper-16x16"]).shards is None
-
     def test_list_prints_every_catalog_entry(self, capsys):
         from repro.experiments.catalog import CATALOG_NAMES
 
@@ -237,12 +210,6 @@ class TestScenarioCommand:
         capsys.readouterr()
         assert main(["scenario", "run", str(path), "--cache-dir", str(cache_dir)]) == 0
         assert "[cache: 3 runs reused" in capsys.readouterr().out
-
-    def test_run_with_shards_override_matches_unsharded_output(self, capsys):
-        assert main(["scenario", "run", "corner-holes", "--smoke"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["scenario", "run", "corner-holes", "--smoke", "--shards", "4"]) == 0
-        assert capsys.readouterr().out == sequential
 
     def test_sweep_tabulates_per_spare_value(self, capsys):
         code = main(
@@ -302,10 +269,10 @@ class TestScenarioFuzzCommand:
         assert "--samples" in capsys.readouterr().err
 
     def test_fuzz_smoke_session_archives_deterministically(self, capsys, tmp_path):
-        # Seed 9 is the session's known discovery seed: sample 4 falsifies
-        # the claim-severity sr-ar-moves oracle (exit stays 0 — only
+        # Seed 22 is a known discovery seed: sample 2 falsifies the
+        # claim-severity sr-ar-moves oracle (exit stays 0 — only
         # bug-severity falsifiers fail the session).
-        args = ["scenario", "fuzz", "--samples", "5", "--seed", "9"]
+        args = ["scenario", "fuzz", "--samples", "5", "--seed", "22"]
         first_dir = tmp_path / "first"
         assert main(args + ["--archive-dir", str(first_dir)]) == 0
         output = capsys.readouterr().out
@@ -316,7 +283,7 @@ class TestScenarioFuzzCommand:
         capsys.readouterr()
         first_files = sorted(p.name for p in first_dir.iterdir())
         assert first_files == sorted(p.name for p in second_dir.iterdir())
-        assert first_files == ["falsified-sr-ar-moves-s9-i4.toml"]
+        assert first_files == ["falsified-sr-ar-moves-s22-i2.toml"]
         for name in first_files:
             assert (first_dir / name).read_bytes() == (second_dir / name).read_bytes()
 
@@ -329,11 +296,11 @@ class TestScenarioFuzzCommand:
     def test_replay_prints_a_per_oracle_verdict_table(self, capsys, tmp_path):
         archive = tmp_path / "archive"
         assert main(
-            ["scenario", "fuzz", "--samples", "5", "--seed", "9",
+            ["scenario", "fuzz", "--samples", "5", "--seed", "22",
              "--archive-dir", str(archive)]
         ) == 0
         capsys.readouterr()
-        falsifier = archive / "falsified-sr-ar-moves-s9-i4.toml"
+        falsifier = archive / "falsified-sr-ar-moves-s22-i2.toml"
         assert main(["scenario", "replay", str(falsifier)]) == 0
         output = capsys.readouterr().out
         assert "VIOLATED" in output and "PASS" in output

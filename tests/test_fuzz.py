@@ -5,9 +5,8 @@ must pass ``load_scenario`` validation, round-trip byte-stably, and compile
 to cache-key-stable ``RunSpec`` cells.  The suite proves that over hundreds
 of samples, pins the sampler's determinism (sample ``i`` is a pure function
 of ``(seed, i)``), shows the sampled space actually covers the declarative
-surface (all channel kinds, all failure kinds, both deployments, sharding
-classes), and exercises the shrink/minimize machinery the falsifier archive
-depends on.
+surface (all channel kinds, all failure kinds, both deployments), and
+exercises the shrink/minimize machinery the falsifier archive depends on.
 """
 
 import dataclasses
@@ -25,7 +24,6 @@ from repro.experiments.scenario_files import dumps_scenario, load_scenario
 from repro.network.channel import ChannelModel
 from repro.network.energy import EnergyModel
 from repro.network.failures import FailureEvent
-from repro.network.partition import feasible_shards
 from repro.sim.scenario import ScenarioConfig
 
 PROPERTY_SEED = 2026
@@ -119,34 +117,6 @@ class TestSampledSpaceCoverage:
             assert all(event.round < bound for event in sample.scenario.failures)
 
 
-class TestShardSampling:
-    """The sampler consults ``feasible_shards`` (the satellite eligibility fix)."""
-
-    def test_feasibility_is_computed_from_the_sampled_grid(self, property_samples):
-        for sample in property_samples[:100]:
-            grid = sample.scenario.scenario.make_grid()
-            assert sample.feasible_shard_count == feasible_shards(grid, 16)
-
-    def test_fallback_expectation_matches_the_feasibility_rule(self, property_samples):
-        for sample in property_samples:
-            if sample.requested_shards == 1:
-                assert not sample.expects_shard_fallback
-            else:
-                expected = (
-                    sample.requested_shards > sample.feasible_shard_count
-                    or sample.feasible_shard_count < 2
-                )
-                assert sample.expects_shard_fallback == expected
-
-    def test_both_sharded_classes_are_generated(self, property_samples):
-        # The sampler deliberately emits infeasible shard requests so the
-        # harness exercises the degrade path — both classes must occur.
-        sharded = [s for s in property_samples if s.requested_shards > 1]
-        assert any(s.expects_shard_fallback for s in sharded)
-        assert any(not s.expects_shard_fallback for s in sharded)
-        assert any(s.requested_shards == 1 for s in property_samples)
-
-
 def loaded_scenario():
     """A fully-loaded scenario every shrink axis can act on."""
     return validate_roundtrip(
@@ -166,8 +136,6 @@ def loaded_scenario():
             trials=2,
             max_rounds=80,
             run_to_exhaustion=True,
-            shards=2,
-            shard_mode="inline",
         )
     )
 
@@ -194,7 +162,6 @@ class TestShrinking:
         assert any(len(c.failures) == 1 for c in candidates)
         assert any(c.channel is None for c in candidates)
         assert any(c.energy is None for c in candidates)
-        assert any(c.shards == 1 for c in candidates)
 
     def test_minimize_shrinks_while_the_predicate_holds(self):
         scenario = loaded_scenario()

@@ -109,6 +109,10 @@ class TestValidation:
 
     def test_unknown_top_level_key(self):
         self.check({"name": "x", "bogus": 1}, "unknown key(s) ['bogus']")
+        self.check(
+            {"name": "x", "engine": {"shards": 4}},
+            "at <document>: unknown key(s) ['engine']",
+        )
 
     def test_unknown_scenario_key(self):
         self.check({"name": "x", "scenario": {"bogus": 1}}, "scenario: unknown key(s)")
@@ -222,57 +226,6 @@ class TestValidation:
 
     def test_name_is_required(self):
         self.check({}, "name")
-
-
-class TestEngineTable:
-    """The optional ``[engine]`` table: execution options outside run identity."""
-
-    def check(self, payload, fragment):
-        with pytest.raises(ScenarioValidationError) as excinfo:
-            scenario_from_dict(payload)
-        assert fragment in str(excinfo.value)
-
-    @pytest.mark.parametrize("format", ["toml", "json"])
-    def test_engine_table_round_trips_byte_stable(self, format):
-        scenario = sample_scenario(shards=4, shard_mode="inline")
-        text = dumps_scenario(scenario, format=format)
-        reloaded = loads_scenario(text, format=format)
-        assert reloaded == scenario
-        assert (reloaded.shards, reloaded.shard_mode) == (4, "inline")
-        assert dumps_scenario(reloaded, format=format) == text
-
-    def test_default_scenario_emits_no_engine_table(self):
-        text = dumps_scenario(sample_scenario())
-        assert "[engine]" not in text
-        assert "engine" not in scenario_to_dict(sample_scenario())
-
-    def test_non_default_scenario_emits_engine_table(self):
-        assert "[engine]" in dumps_scenario(sample_scenario(shards=2))
-
-    def test_engine_must_be_a_table(self):
-        self.check({"name": "x", "engine": 4}, "engine")
-
-    def test_unknown_engine_key(self):
-        self.check({"name": "x", "engine": {"bogus": 1}}, "engine: unknown key(s)")
-
-    def test_shards_type_and_range_checks(self):
-        self.check({"name": "x", "engine": {"shards": "4"}}, "engine.shards")
-        self.check({"name": "x", "engine": {"shards": True}}, "engine.shards")
-        self.check({"name": "x", "engine": {"shards": 0}}, "engine.shards")
-
-    def test_shard_mode_checks(self):
-        self.check({"name": "x", "engine": {"shard_mode": 7}}, "engine.shard_mode")
-        self.check({"name": "x", "engine": {"shard_mode": "threads"}}, "engine.shard_mode")
-
-    def test_run_specs_carry_shards_without_changing_identity(self):
-        sharded = sample_scenario(shards=4, shard_mode="inline")
-        specs = sharded.run_specs()
-        assert all(spec.shards == 4 and spec.shard_mode == "inline" for spec in specs)
-        # Execution options never enter spec identity: the sharded scenario's
-        # specs are equal to the unsharded ones and share cache keys.
-        plain = sample_scenario().run_specs()
-        assert specs == plain
-        assert [run_key(s) for s in specs] == [run_key(s) for s in plain]
 
 
 class TestCompilation:

@@ -9,9 +9,11 @@ The contracts exercised here:
 * ``/run?stream=1`` carries live per-round events and publishes the finished
   record so the next query is a hit;
 * error mapping: bad specs -> 400, unknown endpoints -> 404, a full broker
-  queue -> 503.
+  queue -> 503, a negative ``Content-Length`` -> 400 and one above
+  ``MAX_BODY_BYTES`` -> 413, both answered without reading a body.
 """
 
+import socket
 import threading
 from contextlib import contextmanager
 
@@ -22,6 +24,7 @@ from repro.experiments.orchestration import execute_run
 from repro.experiments.persistence import record_to_dict
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
 from repro.serve.client import ServeError
+from repro.serve.server import MAX_BODY_BYTES
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 
 
@@ -55,6 +58,16 @@ def running_server(broker=None, **config_kwargs):
         server.shutdown()
         thread.join(timeout=10)
         server.close()
+
+
+def wait_until(predicate, timeout: float = 5.0) -> None:
+    """Poll ``predicate`` every 10 ms; fail the test if it stays false."""
+    pause = threading.Event()
+    for _ in range(int(timeout / 0.01)):
+        if predicate():
+            return
+        pause.wait(0.01)
+    pytest.fail("the server never reached the expected state")
 
 
 # ------------------------------------------------------------ request parsing
@@ -181,14 +194,6 @@ def test_full_queue_maps_to_503():
         gate.wait(timeout=30)
         return execute_run(spec)
 
-    def wait_until(predicate, timeout: float = 5.0) -> None:
-        pause = threading.Event()
-        for _ in range(int(timeout / 0.01)):
-            if predicate():
-                return
-            pause.wait(0.01)
-        pytest.fail("broker never reached the expected state")
-
     broker = ExperimentBroker(workers=1, queue_limit=1, run_fn=gated_run)
     with running_server(broker=broker) as (server, client):
         background = []
@@ -210,3 +215,44 @@ def test_full_queue_maps_to_503():
         gate.set()
         for thread in background:
             thread.join(timeout=30)
+
+
+def raw_post_run(server, content_length: str) -> bytes:
+    """Send ``POST /run`` headers declaring ``content_length`` but no body.
+
+    Returns everything the server sends before closing the connection; a
+    server that waits for a body the client never sends makes this raise
+    ``socket.timeout`` after one second.
+    """
+    host, port = server.server_address[:2]
+    request = (
+        "POST /run HTTP/1.1\r\n"
+        f"Host: {host}:{port}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {content_length}\r\n\r\n"
+    )
+    with socket.create_connection((host, port), timeout=1.0) as sock:
+        sock.sendall(request.encode("ascii"))
+        reply = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                return reply
+            reply += chunk
+
+
+@pytest.mark.parametrize(
+    "content_length, status",
+    [("-1", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    ids=["negative", "over-limit"],
+)
+def test_bad_content_length_is_refused_without_reading(content_length, status):
+    with running_server() as (server, client):
+        before = set(threading.enumerate())
+        reply = raw_post_run(server, content_length)
+        status_line = reply.split(b"\r\n", 1)[0].decode("ascii")
+        assert status_line.split()[1] == str(status), status_line
+        assert b'"error"' in reply
+        # The handler thread finished instead of waiting on the socket.
+        wait_until(lambda: set(threading.enumerate()) <= before, timeout=1.0)
+        assert client.health()["status"] == "ok"
