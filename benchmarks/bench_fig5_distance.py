@@ -19,6 +19,7 @@ from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid, random_point_in_box
 from repro.network.mobility import MovementModel
 from repro.network.node import SensorNode
+from repro.network.state import WsnState
 
 from figutils import emit
 
@@ -52,11 +53,10 @@ def test_fig5_hop_distance_model(benchmark):
         total = 0.0
         for i in range(samples):
             start = random_point_in_box(grid.cell_bounds(source_cell), rng)
-            node = SensorNode(node_id=i, position=start)
-            record = model.execute_move(
-                node, source_cell, target_cell, rng, round_index=0
+            state = WsnState(
+                grid, [SensorNode(node_id=i, position=start)], movement_model=model
             )
-            total += record.distance
+            total += state.move_node(i, target_cell, rng, round_index=0).distance
         return total / samples
 
     average = benchmark(sample_moves)

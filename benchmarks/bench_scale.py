@@ -29,11 +29,20 @@ compares the bulk ``WsnState.disable_nodes(victims)`` that thinning makes
 against a loop of one-element ``disable_node`` calls over the same victims,
 requiring byte-identical states.
 
+The ``simulate_from`` section times the replacement hot path the way the
+Figures 6-8 sweep drives it: the sweep's SR and AR specs at the paper tier
+(16x16 cells, 5000 deployed, ``PAPER_SPARE_VALUES``, 2 trials) each run
+through ``simulate_from`` on a private copy of its prebuilt initial state.
+It reports the median over passes of the milliseconds per spec, the
+microseconds per node move, and a digest of the records.
+
 The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
 the 256x256 tier, bulk-vs-loop thinning identity (unconditional) and speed
-(bulk at least ``BULK_DISABLE_SPEEDUP_FLOOR`` times faster) — and exits
+(bulk at least ``BULK_DISABLE_SPEEDUP_FLOOR`` times faster), and the
+``simulate_from`` section on a small tier, whose records must equal
+``execute_run(spec, state_cache=None)`` — and exits
 non-zero when any guard trips, so an accidental O(m*n) scan or a
 de-vectorized hot loop fails CI long before it would be felt on the 512x512
 workload.
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import random
@@ -57,7 +67,10 @@ if __package__ in (None, ""):  # running as a script: make src/ importable
 import numpy as np
 
 from repro.experiments.figures import PAPER_SPARE_VALUES
+from repro.experiments.orchestration import build_initial_state, execute_run, simulate_from
+from repro.experiments.persistence import record_to_dict
 from repro.experiments.registry import make_controller
+from repro.experiments.sweep import build_comparison_specs
 from repro.network.adjacency import adjacency_lists, adjacency_offsets, build_edges
 from repro.network.channel import DEFAULT_CHANNEL
 from repro.network.deployment import deploy_per_cell, deploy_uniform
@@ -114,6 +127,13 @@ INCREMENTAL_MAX_NODES = 100_000
 #: call thins a paper-tier scenario than a loop of one-element calls over the
 #: same victims, measured in one process.
 BULK_DISABLE_SPEEDUP_FLOOR = 10.0
+#: Schemes, trials and timed passes of the ``simulate_from`` section.
+SIMULATE_SCHEMES = ("SR", "AR")
+SIMULATE_TRIALS = 2
+SIMULATE_PASSES = 5
+#: The ``simulate_from`` smoke tier: small enough for CI, with holes to repair.
+SMOKE_SIMULATE_CONFIG = ScenarioConfig(columns=8, rows=8, deployed_count=400, seed=3)
+SMOKE_SIMULATE_SPARES = (5, 40)
 
 
 def build_base_state(columns: int, rows: int, seed: int) -> WsnState:
@@ -449,6 +469,94 @@ def bench_scenario_build(seeds) -> dict:
     }
 
 
+def bench_simulate_from(specs, passes: int = SIMULATE_PASSES) -> tuple:
+    """``simulate_from`` per spec over ``specs``, plus the records of the first pass.
+
+    Each spec's initial state is built once, untimed; every pass then runs
+    every spec on a fresh clone of it (clones are byte-equivalent to a
+    rebuild).  ``ms_per_spec_p50`` and ``us_per_move_p50`` are medians over
+    the passes, and ``records_sha256`` digests the first pass's records,
+    which are returned (``record_to_dict`` form) for identity checks.
+    """
+    initial = [build_initial_state(spec, state_cache=None) for spec in specs]
+    pass_seconds = []
+    records = None
+    for _ in range(passes):
+        states = [state.clone() for state in initial]
+        gc.collect()
+        start = time.perf_counter()
+        run = [simulate_from(state, spec) for state, spec in zip(states, specs)]
+        pass_seconds.append(time.perf_counter() - start)
+        if records is None:
+            records = run
+    dicts = [record_to_dict(record) for record in records]
+    moves = sum(record.metrics.total_moves for record in records)
+    median = statistics.median(pass_seconds)
+    entry = {
+        "scheme": specs[0].scheme,
+        "specs": len(specs),
+        "passes": passes,
+        "moves": moves,
+        "ms_per_spec_p50": round(median / len(specs) * 1e3, 4),
+        "us_per_move_p50": round(median / moves * 1e6, 3) if moves else 0.0,
+        "records_sha256": hashlib.sha256(
+            json.dumps(dicts, sort_keys=True).encode()
+        ).hexdigest(),
+    }
+    return entry, dicts
+
+
+def simulate_from_section(seed: int) -> dict:
+    """The paper-tier ``simulate_from`` section, one entry per :data:`SIMULATE_SCHEMES`."""
+    config = ScenarioConfig(seed=seed)
+    schemes = {}
+    for scheme in SIMULATE_SCHEMES:
+        specs = build_comparison_specs(
+            config, PAPER_SPARE_VALUES, schemes=(scheme,), trials=SIMULATE_TRIALS
+        )
+        entry, _ = bench_simulate_from(specs)
+        schemes[scheme] = entry
+        print(
+            f"simulate_from {scheme}: {entry['specs']} specs, "
+            f"p50 {entry['ms_per_spec_p50']:.3f} ms/spec, "
+            f"{entry['us_per_move_p50']:.2f} us/move, records {entry['records_sha256'][:16]}"
+        )
+    return {
+        "grid": f"{config.columns}x{config.rows}",
+        "deployed_nodes": config.deployed_count,
+        "spare_values": list(PAPER_SPARE_VALUES),
+        "trials": SIMULATE_TRIALS,
+        "seed": seed,
+        "schemes": schemes,
+    }
+
+
+def smoke_simulate_from() -> list:
+    """Small-tier ``simulate_from`` section; returns its identity failures."""
+    failures = []
+    for scheme in SIMULATE_SCHEMES:
+        specs = build_comparison_specs(
+            SMOKE_SIMULATE_CONFIG, SMOKE_SIMULATE_SPARES, schemes=(scheme,), trials=1
+        )
+        entry, records = bench_simulate_from(specs, passes=1)
+        reference = [record_to_dict(execute_run(spec, state_cache=None)) for spec in specs]
+        identical = records == reference
+        print(
+            f"simulate_from guard: {scheme} on "
+            f"{SMOKE_SIMULATE_CONFIG.columns}x{SMOKE_SIMULATE_CONFIG.rows}, "
+            f"{entry['specs']} specs, {entry['moves']} moves, "
+            f"{entry['us_per_move_p50']:.2f} us/move, records equal execute_run: {identical}"
+        )
+        if not entry["moves"]:
+            failures.append(f"the simulate_from smoke tier made no {scheme} moves")
+        if not identical:
+            failures.append(
+                f"{scheme} records from prebuilt states through simulate_from differ "
+                "from execute_run(spec, state_cache=None)"
+            )
+    return failures
+
+
 def run_grid(columns: int, rows: int, holes: int, seed: int, repeats: int) -> dict:
     base = build_base_state(columns, rows, seed)
     rounds = bench_recovery_rounds(base, holes, seed, repeats)
@@ -572,6 +680,7 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
             f"one-at-a-time disables (floor {BULK_DISABLE_SPEEDUP_FLOOR}x) — the "
             "bulk path lost its single pass"
         )
+    failures.extend(smoke_simulate_from())
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)
     return 1 if failures else 0
@@ -596,6 +705,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         build_base_state(*GRID_SHAPES[0], seed), holes, seed, repeats
     )
     build = bench_scenario_build(seeds=range(1, 4))
+    simulate = simulate_from_section(seed)
     print(
         f"\npaper-tier scenario build p50: "
         f"{build['build_seconds_p50'] * 1e3:.2f} ms (thin "
@@ -636,7 +746,10 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "the paper-tier build (16x16, 5000 deployed, thinned over "
             "PAPER_SPARE_VALUES) step by step and one bulk disable_nodes call "
             "against a loop of one-element disable_node calls over the same "
-            "victims (byte-identity required)"
+            "victims (byte-identity required), simulate_from times the "
+            "Figures 6-8 sweep's SR and AR specs at the paper tier on prebuilt "
+            "initial states (median over passes of ms per spec and us per move, "
+            "plus a records digest)"
         ),
         "cores_available": os.cpu_count(),
         "scheme": "SR",
@@ -651,6 +764,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         ),
         "channel_overhead": channel,
         "scenario_build": build,
+        "simulate_from": simulate,
     }
     output.write_text(json.dumps(report, indent=2) + "\n")
     largest_label = f"{shapes[-1][0]}x{shapes[-1][1]}"

@@ -34,9 +34,13 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.protocol import MobilityController, ReplacementProcess, RoundOutcome
+from repro.core.protocol import (
+    MobilityController,
+    ReplacementProcess,
+    RoundOutcome,
+    select_spare,
+)
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
-from repro.network.node import SensorNode
 from repro.network.state import WsnState
 
 
@@ -100,6 +104,9 @@ class LocalizedReplacementController(MobilityController):
             )
         self.spare_selection = spare_selection
         self._cascades: Dict[int, _CascadeState] = {}
+        #: Ids of the cascades still active at the last look, in creation
+        #: order; pruned every round, so a round never rescans finished ones.
+        self._active: List[int] = []
         #: Original holes that already triggered their burst of processes.
         self._announced_holes: Set[GridCoord] = set()
         #: Vacancies created by cascading moves (owned by exactly one process).
@@ -120,7 +127,8 @@ class LocalizedReplacementController(MobilityController):
         self._announce_new_holes(state, vacant_snapshot, round_index, outcome)
 
         acted_heads: Set[GridCoord] = set()
-        active_ids = [pid for pid in sorted(self._cascades) if self._processes[pid].is_active]
+        self._active = [pid for pid in self._active if self._processes[pid].is_active]
+        active_ids = list(self._active)
         rng.shuffle(active_ids)
         for process_id in active_ids:
             self._advance_process(
@@ -143,7 +151,7 @@ class LocalizedReplacementController(MobilityController):
         outcome: RoundOutcome,
     ) -> None:
         """Every occupied neighbour of a fresh hole starts its own process."""
-        for hole in sorted(vacant_snapshot, key=lambda c: c.as_tuple()):
+        for hole in sorted(vacant_snapshot):
             if (
                 hole in self._announced_holes
                 or hole in self._cascade_vacancies
@@ -167,6 +175,7 @@ class LocalizedReplacementController(MobilityController):
                 self._cascades[process.process_id] = _CascadeState(
                     target=hole, supplier=neighbour
                 )
+                self._active.append(process.process_id)
                 outcome.processes_started.append(process.process_id)
 
     # -------------------------------------------------------------- cascading
@@ -211,9 +220,8 @@ class LocalizedReplacementController(MobilityController):
                 self._fail(process, cascade, round_index, outcome)
             return
 
-        head = state.head_of(supplier)
-        assert head is not None
-        if head.is_battery_depleted:
+        head_id = state.head_id_of(supplier)
+        if state.energy_of(head_id) <= 0.0:
             # A dead-battery head can neither move nor message; with 1-hop
             # knowledge the process can only wait (and eventually starve) —
             # under the energy model the head is disabled next round and a
@@ -223,10 +231,10 @@ class LocalizedReplacementController(MobilityController):
                 self._fail(process, cascade, round_index, outcome)
             return
         acted_heads.add(supplier)
-        spare = self._select_spare(state, supplier, target)
-        if spare is not None:
+        spare_id = select_spare(state, supplier, target, self.spare_selection)
+        if spare_id is not None:
             record = state.move_node(
-                spare.node_id, target, rng, round_index, process_id=process_id
+                spare_id, target, rng, round_index, process_id=process_id
             )
             process.record_move(record)
             outcome.moves.append(record)
@@ -242,7 +250,7 @@ class LocalizedReplacementController(MobilityController):
         process.notifications_sent += 1
         outcome.messages_sent += 1
         record = state.move_node(
-            head.node_id, target, rng, round_index, process_id=process_id
+            head_id, target, rng, round_index, process_id=process_id
         )
         process.record_move(record)
         outcome.moves.append(record)
@@ -254,7 +262,8 @@ class LocalizedReplacementController(MobilityController):
             # it left behind, but the process is over, so the notification is
             # advisory (never retried, delivery gates nothing).
             self._post_replacement_request(
-                sender=head,
+                state,
+                head_id,
                 source_cell=target,
                 target_cell=supplier,
                 vacancy=supplier,
@@ -273,7 +282,8 @@ class LocalizedReplacementController(MobilityController):
         if next_supplier is None:
             # Dead end: every usable neighbour is vacant or would backtrack.
             self._post_replacement_request(
-                sender=head,
+                state,
+                head_id,
                 source_cell=target,
                 target_cell=supplier,
                 vacancy=supplier,
@@ -287,7 +297,8 @@ class LocalizedReplacementController(MobilityController):
         cascade.direction = direction
         cascade.stalls = 0
         if self._post_replacement_request(
-            sender=head,
+            state,
+            head_id,
             source_cell=target,
             target_cell=next_supplier,
             vacancy=supplier,
@@ -325,29 +336,6 @@ class LocalizedReplacementController(MobilityController):
             chosen = candidates[rng.randrange(len(candidates))]
         new_direction = (vacated.x - chosen.x, vacated.y - chosen.y)
         return chosen, new_direction
-
-    def _select_spare(
-        self, state: WsnState, cell: GridCoord, target: GridCoord
-    ) -> Optional[SensorNode]:
-        spares = [
-            node for node in state.spares_of(cell) if not node.is_battery_depleted
-        ]
-        if not spares:
-            return None
-        target_center = state.grid.cell_center(target)
-        if self.spare_selection == "max_energy":
-            return max(
-                spares,
-                key=lambda node: (
-                    node.energy,
-                    -node.position.distance_to(target_center),
-                    -node.node_id,
-                ),
-            )
-        return min(
-            spares,
-            key=lambda node: (node.position.distance_to(target_center), node.node_id),
-        )
 
     # -------------------------------------------------------------- messaging
     def _reset_messaging_state(self) -> None:

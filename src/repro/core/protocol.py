@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import abc
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -22,7 +23,7 @@ from repro.grid.virtual_grid import GridCoord
 from repro.network.channel import ChannelState
 from repro.network.messages import Message, MessageKind
 from repro.network.mobility import MoveRecord
-from repro.network.node import SensorNode
+from repro.network.node import MESSAGE_COST
 from repro.network.state import WsnState
 
 
@@ -145,6 +146,58 @@ class RoundOutcome:
         )
 
 
+def usable_spares(state: WsnState, cell: GridCoord) -> List[int]:
+    """Ids of the spares of ``cell`` that still have the battery to move, in id order."""
+    energy = state.arrays.energy
+    row_of = state.arrays.row_of
+    return [
+        node_id for node_id in state.spare_ids_of(cell) if energy[row_of(node_id)] > 0.0
+    ]
+
+
+def select_spare(
+    state: WsnState,
+    cell: GridCoord,
+    target: GridCoord,
+    selection: str,
+    rng: Optional[random.Random] = None,
+) -> Optional[int]:
+    """The usable spare of ``cell`` (an id) sent into ``target``; ``None`` if it has none.
+
+    ``"nearest"`` picks the spare closest to the target cell's centre (ties
+    by id), ``"max_energy"`` the fullest battery (ties by distance, then id),
+    and ``"random"`` draws uniformly from ``rng``, the only selection that
+    needs one.
+    """
+    spares = usable_spares(state, cell)
+    if not spares:
+        return None
+    if selection == "random":
+        return spares[rng.randrange(len(spares))]
+    if len(spares) == 1:
+        return spares[0]
+    center_x = state.grid.column_spans[target.x].center
+    center_y = state.grid.row_spans[target.y].center
+    arrays = state.arrays
+    row_of = arrays.row_of
+
+    def distance(node_id: int) -> float:
+        """Distance from the node to the target cell's centre."""
+        x, y = arrays.positions[row_of(node_id)].tolist()
+        return math.hypot(x - center_x, y - center_y)
+
+    if selection == "max_energy":
+        return max(
+            spares,
+            key=lambda node_id: (
+                float(arrays.energy[row_of(node_id)]),
+                -distance(node_id),
+                -node_id,
+            ),
+        )
+    return min(spares, key=lambda node_id: (distance(node_id), node_id))
+
+
 class MobilityController(abc.ABC):
     """A distributed hole-recovery scheme driven by the round-based engine.
 
@@ -198,6 +251,7 @@ class MobilityController(abc.ABC):
         addressed to a cell that currently has no head is not acknowledged,
         so the sender's retry keeps the cascade alive until a head exists.
         """
+        acknowledge = self.channel is not None and self.channel.requires_ack
         for cell, messages in inbox.items():
             for message in messages:
                 if message.kind is MessageKind.REPLACEMENT_ACK:
@@ -208,19 +262,15 @@ class MobilityController(abc.ABC):
                         del self._awaiting_ack[pending.key]
                     continue
                 self._on_request_delivered(state, message, round_index)
-                if (
-                    self.channel is not None
-                    and self.channel.requires_ack
-                    and (message.payload or {}).get("ack", True)
-                ):
-                    head = state.head_of(cell) if not state.is_vacant(cell) else None
-                    if head is not None and not head.is_battery_depleted:
+                if acknowledge and (message.payload or {}).get("ack", True):
+                    head_id = state.head_id_of(cell)
+                    if head_id is not None and state.energy_of(head_id) > 0.0:
                         self.channel.send(
                             MessageKind.REPLACEMENT_ACK,
                             source_cell=cell,
                             target_cell=message.source_cell,
                             round_index=round_index,
-                            sender_id=head.node_id,
+                            sender_id=head_id,
                             process_id=message.process_id,
                             payload=dict(message.payload or {}),
                         )
@@ -252,7 +302,8 @@ class MobilityController(abc.ABC):
 
     def _post_replacement_request(
         self,
-        sender: SensorNode,
+        state: WsnState,
+        sender_id: int,
         source_cell: GridCoord,
         target_cell: GridCoord,
         vacancy: GridCoord,
@@ -270,7 +321,7 @@ class MobilityController(abc.ABC):
         neither acknowledged nor retried, and delivery gates nothing.
         """
         if self.channel is None:
-            sender.charge_message_cost()
+            state.debit_energy(sender_id, MESSAGE_COST)
             return False
         payload = {"vacancy": vacancy.as_tuple()}
         if not reliable:
@@ -283,7 +334,7 @@ class MobilityController(abc.ABC):
             source_cell=source_cell,
             target_cell=target_cell,
             round_index=round_index,
-            sender_id=sender.node_id,
+            sender_id=sender_id,
             process_id=process_id,
             payload=payload,
         )
@@ -292,7 +343,7 @@ class MobilityController(abc.ABC):
             self._awaiting_ack[key] = _PendingRequest(
                 key=key,
                 target_cell=target_cell,
-                sender_id=sender.node_id,
+                sender_id=sender_id,
                 last_sent_round=round_index,
                 nonce=self._request_nonce,
             )
@@ -318,18 +369,22 @@ class MobilityController(abc.ABC):
                 continue
             if round_index - pending.last_sent_round < self.channel.model.ack_timeout:
                 continue
-            sender = state.node(pending.sender_id)
+            sender_id = pending.sender_id
             exhausted = pending.retries >= self.channel.model.max_retries
-            if exhausted or not sender.is_enabled or sender.is_battery_depleted:
+            if (
+                exhausted
+                or not state.is_node_enabled(sender_id)
+                or state.energy_of(sender_id) <= 0.0
+            ):
                 del self._awaiting_ack[key]
                 self._on_request_abandoned(state, key, round_index, outcome)
                 continue
             self.channel.send(
                 MessageKind.REPLACEMENT_REQUEST,
-                source_cell=state.grid.cell_of(sender.position),
+                source_cell=state.cell_of_node(sender_id),
                 target_cell=pending.target_cell,
                 round_index=round_index,
-                sender_id=sender.node_id,
+                sender_id=sender_id,
                 process_id=key[0],
                 payload={"vacancy": key[1], "req": pending.nonce},
             )

@@ -24,10 +24,14 @@ import random
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.hamilton import HamiltonCycle
-from repro.core.protocol import MobilityController, ReplacementProcess, RoundOutcome
+from repro.core.protocol import (
+    MobilityController,
+    ReplacementProcess,
+    RoundOutcome,
+    select_spare,
+)
 from repro.grid.virtual_grid import GridCoord
 from repro.network.messages import Message
-from repro.network.node import SensorNode
 from repro.network.state import WsnState
 
 
@@ -127,7 +131,8 @@ class HamiltonReplacementController(MobilityController):
             )
             if initiator is None:
                 continue
-            if initiator in acted_heads or state.is_vacant(initiator):
+            head_id = state.head_id_of(initiator)
+            if initiator in acted_heads or head_id is None:
                 # The responsible head is busy this round or does not exist
                 # yet (its own cell is also vacant); retry next round.
                 continue
@@ -137,9 +142,7 @@ class HamiltonReplacementController(MobilityController):
             ):
                 # Asynchronous relaxation: this head did not wake up this round.
                 continue
-            head = state.head_of(initiator)
-            assert head is not None
-            if head.is_battery_depleted:
+            if state.energy_of(head_id) <= 0.0:
                 # A dead-battery head can neither move nor message; the
                 # vacancy waits until the energy model disables the head and
                 # a charged successor is elected.
@@ -153,7 +156,7 @@ class HamiltonReplacementController(MobilityController):
                 outcome.processes_started.append(process.process_id)
 
             self._serve_vacancy(
-                state, rng, round_index, vacant, initiator, head, process, outcome
+                state, rng, round_index, vacant, initiator, head_id, process, outcome
             )
             acted_heads.add(initiator)
         return outcome
@@ -166,16 +169,16 @@ class HamiltonReplacementController(MobilityController):
         round_index: int,
         vacant: GridCoord,
         initiator: GridCoord,
-        head: SensorNode,
+        head_id: int,
         process: ReplacementProcess,
         outcome: RoundOutcome,
     ) -> None:
-        """One hop of Algorithm 1 for a single vacancy."""
-        spare = self._select_spare(state, initiator, vacant, rng)
-        if spare is not None:
+        """One hop of Algorithm 1 for one vacancy; ``head_id`` heads ``initiator``."""
+        spare_id = select_spare(state, initiator, vacant, self.spare_selection, rng)
+        if spare_id is not None:
             # Step 2: a spare exists — it fills the hole and the process converges.
             record = state.move_node(
-                spare.node_id, vacant, rng, round_index, process_id=process.process_id
+                spare_id, vacant, rng, round_index, process_id=process.process_id
             )
             process.record_move(record)
             outcome.moves.append(record)
@@ -192,7 +195,7 @@ class HamiltonReplacementController(MobilityController):
         process.notifications_sent += 1
         outcome.messages_sent += 1
         record = state.move_node(
-            head.node_id, vacant, rng, round_index, process_id=process.process_id
+            head_id, vacant, rng, round_index, process_id=process.process_id
         )
         notify_target = (
             self.cycle.initiator_for(
@@ -205,7 +208,8 @@ class HamiltonReplacementController(MobilityController):
         # to acknowledge or retry.
         final_hop = process.move_count + 1 >= self.max_hops
         gated = self._post_replacement_request(
-            sender=head,
+            state,
+            head_id,
             source_cell=vacant,
             target_cell=notify_target,
             vacancy=initiator,
@@ -228,40 +232,6 @@ class HamiltonReplacementController(MobilityController):
         if gated:
             self._undelivered.add(initiator)
 
-    @staticmethod
-    def _usable_spares(state: WsnState, cell: GridCoord) -> List[SensorNode]:
-        """Spares of ``cell`` that still have the battery to move."""
-        return [
-            node for node in state.spares_of(cell) if not node.is_battery_depleted
-        ]
-
-    def _select_spare(
-        self,
-        state: WsnState,
-        cell: GridCoord,
-        vacant: GridCoord,
-        rng: random.Random,
-    ) -> Optional[SensorNode]:
-        spares = self._usable_spares(state, cell)
-        if not spares:
-            return None
-        if self.spare_selection == "random":
-            return spares[rng.randrange(len(spares))]
-        target_center = state.grid.cell_center(vacant)
-        if self.spare_selection == "max_energy":
-            return max(
-                spares,
-                key=lambda node: (
-                    node.energy,
-                    -node.position.distance_to(target_center),
-                    -node.node_id,
-                ),
-            )
-        return min(
-            spares,
-            key=lambda node: (node.position.distance_to(target_center), node.node_id),
-        )
-
     # -------------------------------------------------------------- messaging
     def _reset_messaging_state(self) -> None:
         """Drop delivery gates from a previous run's channel (rebind hook)."""
@@ -277,13 +247,13 @@ class HamiltonReplacementController(MobilityController):
         same (since refilled and re-vacated) cell must not unlock a later
         process's still-undelivered notification.
         """
-        payload = message.payload or {}
-        vacancy = payload.get("vacancy")
+        vacancy = (message.payload or {}).get("vacancy")
         if vacancy is None:
             return
-        cell = GridCoord(*vacancy)
-        if self._vacancy_process.get(cell) == message.process_id:
-            self._undelivered.discard(cell)
+        # The payload carries the cell as an (x, y) tuple, which hashes and
+        # compares equal to the GridCoord keys of both tables.
+        if self._vacancy_process.get(vacancy) == message.process_id:
+            self._undelivered.discard(vacancy)
 
     def _on_request_abandoned(
         self,

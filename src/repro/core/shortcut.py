@@ -26,10 +26,14 @@ import random
 from typing import List, Optional
 
 from repro.core.hamilton import HamiltonCycle
-from repro.core.protocol import ReplacementProcess, RoundOutcome
+from repro.core.protocol import (
+    ReplacementProcess,
+    RoundOutcome,
+    select_spare,
+    usable_spares,
+)
 from repro.core.replacement import HamiltonReplacementController
 from repro.grid.virtual_grid import GridCoord
-from repro.network.node import SensorNode
 from repro.network.state import WsnState
 
 
@@ -86,7 +90,7 @@ class ShortcutReplacementController(HamiltonReplacementController):
         candidates = [
             cell
             for cell in self._shortcut_cells(state, vacant)
-            if cell.is_neighbour_of(vacant) and self._usable_spares(state, cell)
+            if cell.is_neighbour_of(vacant) and usable_spares(state, cell)
         ]
         if not candidates:
             return None
@@ -94,7 +98,7 @@ class ShortcutReplacementController(HamiltonReplacementController):
         # broken by coordinates, so repeated runs stay reproducible.
         return max(
             candidates,
-            key=lambda cell: (len(self._usable_spares(state, cell)), (-cell.x, -cell.y)),
+            key=lambda cell: (len(usable_spares(state, cell)), (-cell.x, -cell.y)),
         )
 
     def _serve_vacancy(
@@ -104,23 +108,23 @@ class ShortcutReplacementController(HamiltonReplacementController):
         round_index: int,
         vacant: GridCoord,
         initiator: GridCoord,
-        head: SensorNode,
+        head_id: int,
         process: ReplacementProcess,
         outcome: RoundOutcome,
     ) -> None:
         # Step 2 of Algorithm 1 is unchanged: a usable (non-depleted) spare in
         # the initiator cell always wins (it is also a 1-hop move and needs no
         # extra messages).
-        if self._usable_spares(state, initiator):
+        if usable_spares(state, initiator):
             super()._serve_vacancy(
-                state, rng, round_index, vacant, initiator, head, process, outcome
+                state, rng, round_index, vacant, initiator, head_id, process, outcome
             )
             return
 
         shortcut_cell = self._find_shortcut_supplier(state, vacant)
         if shortcut_cell is None or shortcut_cell == initiator:
             super()._serve_vacancy(
-                state, rng, round_index, vacant, initiator, head, process, outcome
+                state, rng, round_index, vacant, initiator, head_id, process, outcome
             )
             return
 
@@ -129,12 +133,13 @@ class ShortcutReplacementController(HamiltonReplacementController):
         # one-process-per-hole property is preserved.  The notification is
         # advisory — the spare dispatch itself carries the command — so it is
         # fire-and-forget on every channel and never gates the move.
-        spare = self._select_spare(state, shortcut_cell, vacant, rng)
-        assert spare is not None
+        spare_id = select_spare(state, shortcut_cell, vacant, self.spare_selection, rng)
+        assert spare_id is not None
         process.notifications_sent += 1
         outcome.messages_sent += 1
         self._post_replacement_request(
-            sender=head,
+            state,
+            head_id,
             source_cell=initiator,
             target_cell=shortcut_cell,
             vacancy=vacant,
@@ -143,7 +148,7 @@ class ShortcutReplacementController(HamiltonReplacementController):
             reliable=False,
         )
         record = state.move_node(
-            spare.node_id, vacant, rng, round_index, process_id=process.process_id
+            spare_id, vacant, rng, round_index, process_id=process.process_id
         )
         process.record_move(record)
         outcome.moves.append(record)

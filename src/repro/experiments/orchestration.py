@@ -41,7 +41,7 @@ import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.experiments.registry import (
     BUILTIN_FACTORIES,
@@ -180,14 +180,22 @@ def build_initial_state(
     return cache.state_for(spec.scenario)
 
 
-def simulate_from(state: WsnState, spec: RunSpec) -> RunRecord:
+def simulate_from(
+    state: WsnState,
+    spec: RunSpec,
+    *,
+    round_observer: Optional[Callable[[int, Dict[str, float]], None]] = None,
+) -> RunRecord:
     """Run ``spec``'s scheme on an already-built initial state.
 
     The second half of :func:`execute_run`: controller construction, RNG
     derivation, and the engine run.  ``state`` must be a private copy of
     ``spec.scenario``'s initial state (it is mutated in place); every
     stochastic draw from here on comes from streams derived off ``spec.seed``,
-    which is what makes the build/simulate split well-defined.
+    which is what makes the build/simulate split well-defined.  This is the
+    one place a run's engine is set up.  ``round_observer`` becomes the
+    engine's per-round hook (see ``RoundBasedEngine.round_observer``); it
+    only watches, so the record is the same with or without it.
     """
     controller = make_controller(spec.scheme, state)
     rng = derive_rng(spec.seed, spec.controller_rng_label())
@@ -203,6 +211,7 @@ def simulate_from(state: WsnState, spec: RunSpec) -> RunRecord:
         channel=spec.channel if spec.channel is not None else DEFAULT_CHANNEL,
         channel_seed=spec.seed,
     )
+    engine.round_observer = round_observer
     result = engine.run()
     return RunRecord(
         spec=spec,

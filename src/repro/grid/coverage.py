@@ -130,13 +130,9 @@ def coverage_report(
     vacant = state.hole_count
     area_coverage = None
     if sensing_range is not None:
-        arrays = getattr(state, "arrays", None)
-        if arrays is not None:
-            positions = arrays.positions[arrays.enabled_mask()]
-        else:
-            positions = [node.position for node in state.enabled_nodes()]
+        arrays = state.arrays
         area_coverage = sampled_area_coverage(
-            positions,
+            arrays.positions[arrays.enabled_mask()],
             state.grid,
             sensing_range,
             samples_per_cell_side=samples_per_cell_side,

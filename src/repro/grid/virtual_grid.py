@@ -73,6 +73,37 @@ class GridCoord(NamedTuple):
         return (self.x, self.y)
 
 
+class AxisSpan(NamedTuple):
+    """Geometry of one grid column (along X) or row (along Y), in metres.
+
+    ``low``/``high`` bound the cells of the column or row, ``center`` is
+    their centre line, and ``central_low``/``central_high`` bound the central
+    ``r/2`` band that replacement moves target.
+    """
+
+    low: float
+    high: float
+    center: float
+    central_low: float
+    central_high: float
+
+
+def _axis_spans(origin: float, count: int, cell_size: float) -> Tuple[AxisSpan, ...]:
+    """Spans of ``count`` consecutive cells starting at ``origin``.
+
+    The expressions are the ones the per-cell box construction used
+    (``BoundingBox.center``, ``BoundingBox.shrunk``), so every float is
+    identical to what computing a box per call gave.
+    """
+    margin = cell_size / 4.0
+    spans = []
+    for index in range(count):
+        low = origin + index * cell_size
+        high = low + cell_size
+        spans.append(AxisSpan(low, high, (low + high) / 2.0, low + margin, high - margin))
+    return tuple(spans)
+
+
 def cell_side_for_range(communication_range: float) -> float:
     """Cell side ``r`` for a given communication range ``R`` (``r = R / sqrt(5)``).
 
@@ -122,6 +153,8 @@ class VirtualGrid:
         self._cell_size = float(cell_size)
         self._origin = origin
         self._coord_cache: Optional[List[GridCoord]] = None
+        self._column_spans = _axis_spans(origin.x, self._columns, self._cell_size)
+        self._row_spans = _axis_spans(origin.y, self._rows, self._cell_size)
 
     # ------------------------------------------------------------------ shape
     @property
@@ -143,6 +176,16 @@ class VirtualGrid:
     def origin(self) -> Point:
         """Lower-left corner of the grid area (metres)."""
         return self._origin
+
+    @property
+    def column_spans(self) -> Tuple[AxisSpan, ...]:
+        """Per-column X geometry, indexed by ``GridCoord.x`` (no range check)."""
+        return self._column_spans
+
+    @property
+    def row_spans(self) -> Tuple[AxisSpan, ...]:
+        """Per-row Y geometry, indexed by ``GridCoord.y`` (no range check)."""
+        return self._row_spans
 
     @property
     def cell_count(self) -> int:
@@ -256,9 +299,17 @@ class VirtualGrid:
         Order is north, south, east, west (matching the paper's enumeration);
         edge cells simply have fewer neighbours.
         """
-        self.validate_coord(coord)
-        candidates = (coord.north(), coord.south(), coord.east(), coord.west())
-        return [c for c in candidates if self.contains_coord(c)]
+        x, y = self.validate_coord(coord)
+        result = []
+        if y + 1 < self._rows:
+            result.append(GridCoord(x, y + 1))
+        if y > 0:
+            result.append(GridCoord(x, y - 1))
+        if x + 1 < self._columns:
+            result.append(GridCoord(x + 1, y))
+        if x > 0:
+            result.append(GridCoord(x - 1, y))
+        return result
 
     def diagonal_neighbours(self, coord: GridCoord) -> List[GridCoord]:
         """The up-to-four diagonal neighbours (not used for monitoring by the paper)."""
@@ -290,13 +341,14 @@ class VirtualGrid:
     def cell_bounds(self, coord: GridCoord) -> BoundingBox:
         """World-coordinate bounding box of cell ``coord``."""
         self.validate_coord(coord)
-        min_x = self._origin.x + coord.x * self._cell_size
-        min_y = self._origin.y + coord.y * self._cell_size
-        return BoundingBox(min_x, min_y, min_x + self._cell_size, min_y + self._cell_size)
+        xs = self._column_spans[coord.x]
+        ys = self._row_spans[coord.y]
+        return BoundingBox(xs.low, ys.low, xs.high, ys.high)
 
     def cell_center(self, coord: GridCoord) -> Point:
         """World-coordinate centre of cell ``coord``."""
-        return self.cell_bounds(coord).center
+        self.validate_coord(coord)
+        return Point(self._column_spans[coord.x].center, self._row_spans[coord.y].center)
 
     def central_area(self, coord: GridCoord) -> BoundingBox:
         """The central ``r/2 x r/2`` area of the cell.
@@ -306,7 +358,12 @@ class VirtualGrid:
         ``r/4``, at most ``sqrt(58)/4 * r`` and roughly ``1.08 * r`` on
         average.
         """
-        return self.cell_bounds(coord).shrunk(self._cell_size / 4.0)
+        self.validate_coord(coord)
+        xs = self._column_spans[coord.x]
+        ys = self._row_spans[coord.y]
+        return BoundingBox(
+            xs.central_low, ys.central_low, xs.central_high, ys.central_high
+        )
 
     def center_distance(self, a: GridCoord, b: GridCoord) -> float:
         """Euclidean distance between the centres of two cells."""

@@ -239,7 +239,7 @@ class ChannelState:
         return False
 
     def _is_lost(self, message: Message) -> bool:
-        if self._is_jammed(message):
+        if self.jam_region is not None and self._is_jammed(message):
             return True
         return self.drop_probability > 0 and self.rng.random() < self.drop_probability
 
@@ -259,15 +259,17 @@ class ChannelState:
         the sender is logged for the engine's energy debit even when the
         message is dropped.
         """
+        # Positional in field order: keyword arguments double the cost of
+        # building the tuple, and every replacement hop sends a message.
         message = Message(
-            kind=kind,
-            source_cell=source_cell,
-            target_cell=target_cell,
-            sent_round=round_index,
-            process_id=process_id,
-            payload=payload,
-            sender_id=sender_id,
-            message_id=self.mailbox.stamp_id(),
+            kind,
+            source_cell,
+            target_cell,
+            round_index,
+            process_id,
+            payload,
+            sender_id,
+            self.mailbox.stamp_id(),
         )
         self._sent_total += 1
         if self.debit_hook is not None:

@@ -149,8 +149,13 @@ class EnergySummary:
         return self.max_energy - self.min_energy
 
 
-def _energy_summary_arrays(arrays) -> EnergySummary:
-    """Array-backed :func:`energy_summary` (totals summed left-to-right)."""
+def energy_summary(state) -> EnergySummary:
+    """Summarise the battery state of ``state`` (see :class:`EnergySummary`).
+
+    Totals are summed left-to-right over the node arrays, so they equal a
+    sequential ``sum()`` over the nodes in deployment order.
+    """
+    arrays = state.arrays
     initial = arrays.initial_energy
     energy = arrays.energy
     enabled = arrays.state == _ENABLED
@@ -182,57 +187,11 @@ def _energy_summary_arrays(arrays) -> EnergySummary:
     )
 
 
-def energy_summary(state) -> EnergySummary:
-    """Summarise the battery state of ``state`` (see :class:`EnergySummary`)."""
-    arrays = getattr(state, "arrays", None)
-    if arrays is not None:
-        return _energy_summary_arrays(arrays)
-    initial_total = 0.0
-    consumed = 0.0
-    depleted = 0
-    energies: List[float] = []
-    heads: List[float] = []
-    spares: List[float] = []
-    for node in state.nodes():
-        initial_total += node.initial_energy or 0.0
-        consumed += node.consumed_energy
-        if node.state is NodeState.DEPLETED or (
-            node.is_enabled and node.is_battery_depleted
-        ):
-            depleted += 1
-        if not node.is_enabled:
-            continue
-        energies.append(node.energy)
-        if node.role is NodeRole.HEAD:
-            heads.append(node.energy)
-        elif node.role is NodeRole.SPARE:
-            spares.append(node.energy)
-    return EnergySummary(
-        enabled_nodes=len(energies),
-        total_energy=sum(energies),
-        mean_energy=sum(energies) / len(energies) if energies else 0.0,
-        min_energy=min(energies) if energies else 0.0,
-        max_energy=max(energies) if energies else 0.0,
-        depleted_nodes=depleted,
-        head_mean_energy=sum(heads) / len(heads) if heads else 0.0,
-        spare_mean_energy=sum(spares) / len(spares) if spares else 0.0,
-        initial_energy_total=initial_total,
-        total_consumed=consumed,
-    )
-
-
 def remaining_energy(state) -> Tuple[float, int]:
     """``(total remaining joules, count)`` over the enabled nodes of ``state``."""
-    arrays = getattr(state, "arrays", None)
-    if arrays is not None:
-        enabled_energy = arrays.energy[arrays.state == _ENABLED]
-        return _sequential_sum(enabled_energy), len(enabled_energy)
-    total = 0.0
-    count = 0
-    for node in state.enabled_nodes():
-        total += node.energy
-        count += 1
-    return total, count
+    arrays = state.arrays
+    enabled_energy = arrays.energy[arrays.state == _ENABLED]
+    return _sequential_sum(enabled_energy), len(enabled_energy)
 
 
 def recovery_energy_cost(

@@ -19,8 +19,7 @@ workers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.grid.virtual_grid import GridCoord
 
@@ -36,14 +35,18 @@ class MessageKind(enum.Enum):
     REPLACEMENT_ACK = "replacement_ack"
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """A control message addressed to the head of a destination cell.
 
     ``message_id`` is ``None`` until a :class:`Mailbox` stamps the message
     (see :meth:`Mailbox.post`); stamped ids are unique and sequential within
     one mailbox.  ``sender_id`` names the node that transmitted the message,
     so the engine can debit the transmission energy from the right battery.
+
+    A named tuple rather than a frozen dataclass, like
+    :class:`~repro.grid.virtual_grid.GridCoord`: every replacement hop sends
+    one, and building a tuple costs a fraction of the frozen dataclass's
+    per-field ``object.__setattr__`` calls.  Messages stay immutable.
     """
 
     kind: MessageKind
@@ -115,12 +118,13 @@ class Mailbox:
         """
         ready: Dict[GridCoord, List[Message]] = {}
         still_in_flight: List[Message] = []
+        last_sent_round = current_round - self.latency
         for message in self._in_flight:
-            if current_round >= message.sent_round + self.latency:
+            if message.sent_round <= last_sent_round:
                 ready.setdefault(message.target_cell, []).append(message)
-                self._delivered_count += 1
             else:
                 still_in_flight.append(message)
+        self._delivered_count += len(self._in_flight) - len(still_in_flight)
         self._in_flight = still_in_flight
         return ready
 

@@ -20,9 +20,8 @@ from repro.grid.virtual_grid import (
     GridCoord,
     VirtualGrid,
     move_distance_bounds,
-    random_point_in_box,
 )
-from repro.network.node import MOVE_COST_PER_METER, SensorNode
+from repro.network.node import MOVE_COST_PER_METER
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,11 @@ class MoveRecord:
 
 
 class MovementModel:
-    """Chooses target positions and executes replacement moves."""
+    """Chooses the target positions of replacement moves and prices them.
+
+    The move itself — position, accounting, and energy written by row — is
+    :meth:`repro.network.state.WsnState.move_node`.
+    """
 
     def __init__(
         self,
@@ -96,41 +99,22 @@ class MovementModel:
         select the destination location in the central area of the target
         grid" (Section 5).
         """
-        if self._target_central_area:
-            box = self._grid.central_area(target_cell)
-        else:
-            box = self._grid.cell_bounds(target_cell)
-        return random_point_in_box(box, rng)
+        return self._draw_target(self._grid.validate_coord(target_cell), rng)
 
-    def execute_move(
-        self,
-        node: SensorNode,
-        source_cell: GridCoord,
-        target_cell: GridCoord,
-        rng: random.Random,
-        round_index: int,
-        process_id: Optional[int] = None,
-        target_position: Optional[Point] = None,
-    ) -> MoveRecord:
-        """Move ``node`` from ``source_cell`` into ``target_cell``.
+    def _draw_target(self, target_cell: GridCoord, rng: random.Random) -> Point:
+        """:meth:`choose_target_position` for a cell known to be on the grid.
 
-        The caller is responsible for keeping the cell-membership index of the
-        network state consistent (see :meth:`repro.network.state.WsnState.move_node`,
-        which wraps this method).
+        Draws x, then y, from ``rng``, uniformly over the target box — the
+        draw order and float expressions every recorded run depends on.
         """
-        self._grid.validate_coord(source_cell)
-        self._grid.validate_coord(target_cell)
-        source_position = node.position
-        if target_position is None:
-            target_position = self.choose_target_position(target_cell, rng)
-        distance = node.relocate(target_position, cost_per_meter=self._move_cost_per_meter)
-        return MoveRecord(
-            node_id=node.node_id,
-            source_cell=source_cell,
-            target_cell=target_cell,
-            source_position=source_position,
-            target_position=target_position,
-            distance=distance,
-            round_index=round_index,
-            process_id=process_id,
+        xs = self._grid.column_spans[target_cell.x]
+        ys = self._grid.row_spans[target_cell.y]
+        if self._target_central_area:
+            return Point(
+                xs.central_low + rng.random() * (xs.central_high - xs.central_low),
+                ys.central_low + rng.random() * (ys.central_high - ys.central_low),
+            )
+        return Point(
+            xs.low + rng.random() * (xs.high - xs.low),
+            ys.low + rng.random() * (ys.high - ys.low),
         )

@@ -9,10 +9,11 @@ elected *grid head* and the others are *spare* nodes.
 Since the struct-of-arrays refactor, :class:`SensorNode` is a thin *handle*:
 a node can be **unbound** (a standalone object holding its own fields, as
 before) or **bound** to a row of a :class:`~repro.network.node_arrays.NodeArrays`
-store, in which case energy/state/role/move accounting reads and writes go
-straight to the backing numpy arrays.  The public API is identical in both
-modes, so controllers, the engine, and metrics never need to know which kind
-of node they hold.
+store, in which case every field read and write goes straight to the backing
+numpy arrays — a bound handle caches nothing, so it always reports what the
+arrays hold.  The public API is identical in both modes.  The replacement
+hot path (``WsnState.move_node``, elections, the SR/AR controllers) works on
+node ids and array rows and creates no handles at all.
 """
 
 from __future__ import annotations
@@ -82,6 +83,39 @@ MESSAGE_COST = 0.01
 POSITION_HISTORY_LIMIT = 64
 
 
+class _Field:
+    """A :class:`SensorNode` field: a ``NodeArrays`` column when bound, a slot otherwise.
+
+    ``decode`` turns a stored array value into the field's Python value and
+    ``encode`` does the reverse (enum fields store int8 codes).  Reads and
+    writes of a bound node go straight to its row, so a handle is a pure
+    view: anything written to the arrays is what it reports next.
+    """
+
+    def __init__(self, column: str, decode, encode=None, doc: str = "") -> None:
+        self._column = column
+        self._decode = decode
+        self._encode = encode
+        self.__doc__ = doc
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = "_" + name
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        if node._arrays is None:
+            return getattr(node, self._slot)
+        return self._decode(getattr(node._arrays, self._column)[node._row])
+
+    def __set__(self, node, value) -> None:
+        if node._arrays is None:
+            setattr(node, self._slot, value)
+        else:
+            stored = value if self._encode is None else self._encode(value)
+            getattr(node._arrays, self._column)[node._row] = stored
+
+
 class SensorNode:
     """A single sensor device (possibly a view onto a ``NodeArrays`` row).
 
@@ -124,6 +158,29 @@ class SensorNode:
         "_history",
     )
 
+    state = _Field(
+        "state",
+        STATE_BY_CODE.__getitem__,
+        STATE_CODES.__getitem__,
+        "Whether the node is enabled or disabled (failed / misbehaving).",
+    )
+    role = _Field(
+        "role",
+        ROLE_BY_CODE.__getitem__,
+        ROLE_CODES.__getitem__,
+        "Head / spare role within the node's current cell.",
+    )
+    energy = _Field("energy", float, doc="Remaining battery energy in joules.")
+    initial_energy = _Field(
+        "initial_energy", float, doc="Battery capacity the node started with."
+    )
+    moved_distance = _Field(
+        "moved_distance", float, doc="Total distance moved so far, in metres."
+    )
+    move_count = _Field(
+        "move_count", int, doc="Number of relocation moves performed so far."
+    )
+
     def __init__(
         self,
         node_id: int,
@@ -164,18 +221,8 @@ class SensorNode:
         """Create a handle reading/writing row ``row`` of ``arrays``."""
         node = cls.__new__(cls)
         node.node_id = int(arrays.node_ids[row])
-        node._arrays = arrays
-        node._row = row
-        node._position = Point(
-            float(arrays.positions[row, 0]), float(arrays.positions[row, 1])
-        )
-        node._state = None
-        node._role = None
-        node._energy = 0.0
-        node._initial_energy = 0.0
-        node._moved_distance = 0.0
-        node._move_count = 0
         node._history = None
+        node._bind(arrays, row)
         return node
 
     def _bind(self, arrays, row: int) -> None:
@@ -183,109 +230,27 @@ class SensorNode:
         self._arrays = arrays
         self._row = row
 
+    @property
+    def is_bound(self) -> bool:
+        """Whether the node is a view onto a ``NodeArrays`` row."""
+        return self._arrays is not None
+
     # --------------------------------------------------------------- accessors
     @property
     def position(self) -> Point:
         """Current location in the surveillance plane (metres)."""
-        return self._position
+        if self._arrays is None:
+            return self._position
+        x, y = self._arrays.positions[self._row].tolist()
+        return Point(x, y)
 
     @position.setter
     def position(self, value: Point) -> None:
-        """Set the location, writing through to the backing arrays when bound."""
-        self._position = value
-        if self._arrays is not None:
-            self._arrays.positions[self._row, 0] = value.x
-            self._arrays.positions[self._row, 1] = value.y
-
-    @property
-    def state(self) -> NodeState:
-        """Whether the node is enabled or disabled (failed / misbehaving)."""
-        if self._arrays is not None:
-            return STATE_BY_CODE[self._arrays.state[self._row]]
-        return self._state
-
-    @state.setter
-    def state(self, value: NodeState) -> None:
-        """Set the working status (array-backed when bound)."""
-        if self._arrays is not None:
-            self._arrays.state[self._row] = STATE_CODES[value]
+        """Set the location (array-backed when bound)."""
+        if self._arrays is None:
+            self._position = value
         else:
-            self._state = value
-
-    @property
-    def role(self) -> NodeRole:
-        """Head / spare role within the node's current cell."""
-        if self._arrays is not None:
-            return ROLE_BY_CODE[self._arrays.role[self._row]]
-        return self._role
-
-    @role.setter
-    def role(self, value: NodeRole) -> None:
-        """Set the cell role (array-backed when bound)."""
-        if self._arrays is not None:
-            self._arrays.role[self._row] = ROLE_CODES[value]
-        else:
-            self._role = value
-
-    @property
-    def energy(self) -> float:
-        """Remaining battery energy in joules."""
-        if self._arrays is not None:
-            return float(self._arrays.energy[self._row])
-        return self._energy
-
-    @energy.setter
-    def energy(self, value: float) -> None:
-        """Set the remaining battery energy (array-backed when bound)."""
-        if self._arrays is not None:
-            self._arrays.energy[self._row] = value
-        else:
-            self._energy = value
-
-    @property
-    def initial_energy(self) -> float:
-        """Battery capacity the node started with."""
-        if self._arrays is not None:
-            return float(self._arrays.initial_energy[self._row])
-        return self._initial_energy
-
-    @initial_energy.setter
-    def initial_energy(self, value: float) -> None:
-        """Set the starting battery capacity (array-backed when bound)."""
-        if self._arrays is not None:
-            self._arrays.initial_energy[self._row] = value
-        else:
-            self._initial_energy = value
-
-    @property
-    def moved_distance(self) -> float:
-        """Total distance moved so far, in metres."""
-        if self._arrays is not None:
-            return float(self._arrays.moved_distance[self._row])
-        return self._moved_distance
-
-    @moved_distance.setter
-    def moved_distance(self, value: float) -> None:
-        """Set the cumulative moved distance (array-backed when bound)."""
-        if self._arrays is not None:
-            self._arrays.moved_distance[self._row] = value
-        else:
-            self._moved_distance = value
-
-    @property
-    def move_count(self) -> int:
-        """Number of relocation moves performed so far."""
-        if self._arrays is not None:
-            return int(self._arrays.move_count[self._row])
-        return self._move_count
-
-    @move_count.setter
-    def move_count(self, value: int) -> None:
-        """Set the cumulative move count (array-backed when bound)."""
-        if self._arrays is not None:
-            self._arrays.move_count[self._row] = value
-        else:
-            self._move_count = value
+            self._arrays.positions[self._row] = (value.x, value.y)
 
     @property
     def position_history(self) -> List[Point]:
@@ -346,11 +311,12 @@ class SensorNode:
             raise RuntimeError(
                 f"node {self.node_id} has a depleted battery and cannot move"
             )
-        distance = self._position.distance_to(target)
+        source = self.position
+        distance = source.distance_to(target)
         if record_history:
             if self._history is None:
                 self._history = []
-            self._history.append(self._position)
+            self._history.append(source)
             if len(self._history) > POSITION_HISTORY_LIMIT:
                 del self._history[: len(self._history) - POSITION_HISTORY_LIMIT]
         self.position = target

@@ -12,11 +12,13 @@ enforces the virtual-grid invariants of Section 2:
 Node storage is struct-of-arrays: every per-node field lives in a
 :class:`~repro.network.node_arrays.NodeArrays` column (``self.arrays``), and
 :class:`~repro.network.node.SensorNode` objects handed out by :meth:`node`,
-:meth:`members_of`, etc. are cached *handles* bound to array rows.  The
-vectorized hot paths — adjacency construction, deployment, the per-round
-energy sweep, coverage — read the arrays directly and stay bit-for-bit
-equivalent to the former array-of-objects implementation (see the golden
-seed-identity test).
+:meth:`members_of`, etc. are cached *handles*: pure views of array rows.
+The vectorized paths — adjacency construction, deployment, the per-round
+energy sweep, coverage — read the arrays directly, and the replacement hot
+path (:meth:`move_node`, head elections, the id-level reads such as
+:meth:`head_id_of`) works on node ids and rows without creating handles.
+All of them stay bit-for-bit equivalent to the former array-of-objects
+implementation (see the golden seed-identity test).
 
 The per-round queries every controller depends on — holes, spares,
 occupancy — are served from *incremental indices* maintained by the three
@@ -46,6 +48,7 @@ index) agree (see DESIGN.md, "The state-index contract").
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from bisect import bisect_left, insort
@@ -58,7 +61,7 @@ from repro.grid.head_election import HeadElectionPolicy, elect_head, lowest_id_p
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.adjacency import NeighborIndex
 from repro.network.mobility import MovementModel, MoveRecord
-from repro.network.node import STATE_CODES, NodeRole, NodeState, SensorNode
+from repro.network.node import ROLE_BY_CODE, STATE_CODES, NodeState, SensorNode
 from repro.network.node_arrays import (
     ENABLED_CODE,
     HEAD_CODE,
@@ -123,9 +126,10 @@ class WsnState:
         The virtual grid partition of the surveillance area.
     nodes:
         All deployed nodes (enabled and disabled) — either an iterable of
-        :class:`SensorNode` objects (which become bound handles onto the
-        state's arrays) or a ready-made :class:`NodeArrays` store.  Node ids
-        must be unique.
+        :class:`SensorNode` objects (unbound ones become bound handles onto
+        the state's arrays; a node bound to another state is copied and
+        stays bound there) or a ready-made :class:`NodeArrays` store.  Node
+        ids must be unique.
     head_policy:
         Election policy used whenever a cell needs a (new) head.
     movement_model:
@@ -152,11 +156,14 @@ class WsnState:
         _validate_population(grid, arrays)
         self.arrays = arrays
         if not isinstance(nodes, NodeArrays):
-            # Existing node objects become bound handles so caller-held
-            # references keep observing (and mutating) the live state.
+            # Unbound node objects become bound handles so caller-held
+            # references keep observing (and mutating) the live state.  A
+            # node already bound to another state was read as data above and
+            # stays bound to its own arrays.
             for row, node in enumerate(node_list):
-                node._bind(arrays, row)
-                self._handles[node.node_id] = node
+                if not node.is_bound:
+                    node._bind(arrays, row)
+                    self._handles[node.node_id] = node
         arrays.cell[:] = grid.cell_indices(
             arrays.positions[:, 0], arrays.positions[:, 1]
         )
@@ -286,9 +293,16 @@ class WsnState:
         return [self.node(node_id) for node_id in self._cell_members[coord]]
 
     def member_count(self, coord: GridCoord) -> int:
-        """Number of enabled nodes in ``coord`` (an O(1) read of the occupancy index)."""
-        self.grid.validate_coord(coord)
-        return self._occupancy[coord]
+        """Number of enabled nodes in ``coord`` (an O(1) read of the occupancy index).
+
+        The index holds every cell of the grid, so the lookup is the range
+        check: only a miss pays for :meth:`VirtualGrid.validate_coord`, which
+        raises its usual error.
+        """
+        count = self._occupancy.get(coord)
+        if count is None:
+            self.grid.validate_coord(coord)
+        return count
 
     def head_of(self, coord: GridCoord) -> Optional[SensorNode]:
         """The grid head of ``coord``, or ``None`` when the cell is vacant."""
@@ -309,10 +323,37 @@ class WsnState:
         """Whether ``coord`` holds at least one spare beyond its head (O(1))."""
         return self.member_count(coord) > 1
 
+    # ---------------------------------------------------------- id-level reads
+    # The replacement hot path reads heads, spares and batteries by id and
+    # row, creating no handles.  Its cells come from the state's own indices
+    # or the Hamilton cycle's tables, so these reads skip the separate range
+    # check: a cell off the grid misses the index and raises KeyError.
+    def head_id_of(self, coord: GridCoord) -> Optional[int]:
+        """Id of the grid head of ``coord``, or ``None`` when the cell is vacant."""
+        return self._heads[coord]
+
+    def spare_ids_of(self, coord: GridCoord) -> List[int]:
+        """Ids of the enabled non-head nodes in ``coord``, in id order."""
+        head_id = self._heads[coord]
+        return [node_id for node_id in self._cell_members[coord] if node_id != head_id]
+
+    def is_node_enabled(self, node_id: int) -> bool:
+        """Whether a node is enabled (:class:`KeyError` if unknown)."""
+        return bool(self.arrays.state[self.arrays.row_of(node_id)] == ENABLED_CODE)
+
+    def energy_of(self, node_id: int) -> float:
+        """Remaining battery energy of a node, in joules."""
+        return float(self.arrays.energy[self.arrays.row_of(node_id)])
+
+    def debit_energy(self, node_id: int, joules: float) -> None:
+        """Take ``joules`` from a node's battery, clamping at zero."""
+        energy = self.arrays.energy
+        row = self.arrays.row_of(node_id)
+        energy[row] = max(0.0, float(energy[row]) - joules)
+
     def is_vacant(self, coord: GridCoord) -> bool:
         """Whether ``coord`` has no enabled node (a hole in the coverage)."""
-        self.grid.validate_coord(coord)
-        return coord in self._vacant
+        return self.member_count(coord) == 0
 
     def vacant_cells(self) -> List[GridCoord]:
         """All holes, in row-major order.  Costs O(holes log holes), not O(m*n)."""
@@ -456,12 +497,13 @@ class WsnState:
 
     def enable_node(self, node_id: int) -> None:
         """Re-admit a previously disabled node (extension; not used by the paper)."""
-        node = self.node(node_id)
-        if node.is_enabled:
+        arrays = self.arrays
+        row = arrays.row_of(node_id)
+        if arrays.state[row] == ENABLED_CODE:
             return
-        node.enable()
-        row = self.arrays.row_of(node_id)
-        coord = self.grid.coord_at(int(self.arrays.cell[row]))
+        arrays.state[row] = ENABLED_CODE
+        arrays.role[row] = UNASSIGNED_CODE
+        coord = self.grid.coord_at(int(arrays.cell[row]))
         self._index_add(coord, node_id)
         self._elect_cell_head(coord)
         if self._neighbor_index is not None:
@@ -481,56 +523,92 @@ class WsnState:
 
         Replacement moves in the paper always go to a neighbouring cell; pass
         ``enforce_adjacent=False`` for extension algorithms (e.g. virtual
-        force) that relocate nodes over longer distances.
+        force) that relocate nodes over longer distances.  Without an explicit
+        ``target_position`` the movement model draws one (x, then y) from
+        ``rng``.  The move is written by row: position, ``moved_distance``,
+        ``move_count``, the energy debit (``max(0, e - distance * rate)``),
+        and the cell column.  A disabled node raises :class:`RuntimeError`,
+        and so does one whose battery is depleted (no motor power left).
         """
-        node = self.node(node_id)
-        if not node.is_enabled:
+        arrays = self.arrays
+        row = arrays.row_of(node_id)
+        if arrays.state[row] != ENABLED_CODE:
             raise RuntimeError(f"cannot move disabled node {node_id}")
-        row = self.arrays.row_of(node_id)
-        source_cell = self.grid.coord_at(int(self.arrays.cell[row]))
-        self.grid.validate_coord(target_cell)
+        grid = self.grid
+        source_cell = grid.coord_at(int(arrays.cell[row]))
+        grid.validate_coord(target_cell)
         if enforce_adjacent and not source_cell.is_neighbour_of(target_cell):
             raise ValueError(
                 f"move from {source_cell.as_tuple()} to {target_cell.as_tuple()} is not "
                 "a neighbouring-cell move"
             )
-        record = self.movement_model.execute_move(
-            node,
-            source_cell,
-            target_cell,
-            rng,
-            round_index=round_index,
-            process_id=process_id,
-            target_position=target_position,
-        )
-        self.arrays.cell[row] = self.grid.flat_index(target_cell)
+        model = self.movement_model
+        if target_position is None:
+            target_position = model._draw_target(target_cell, rng)
+        energy = float(arrays.energy[row])
+        if energy <= 0.0:
+            raise RuntimeError(f"node {node_id} has a depleted battery and cannot move")
+        positions = arrays.positions
+        source_x, source_y = positions[row].tolist()
+        distance = math.hypot(source_x - target_position.x, source_y - target_position.y)
+        positions[row, 0] = target_position.x
+        positions[row, 1] = target_position.y
+        arrays.moved_distance[row] += distance
+        arrays.move_count[row] += 1
+        arrays.energy[row] = max(0.0, energy - distance * model.move_cost_per_meter)
+        arrays.cell[row] = grid.flat_index(target_cell)
         self._index_remove(source_cell, node_id)
         self._index_add(target_cell, node_id)
         if self._heads[source_cell] == node_id:
             self._heads[source_cell] = None
             self._elect_cell_head(source_cell)
-        node.role = NodeRole.UNASSIGNED
+        arrays.role[row] = UNASSIGNED_CODE
         self._elect_cell_head(target_cell)
         if self._neighbor_index is not None:
             self._neighbor_index.on_move(row)
-        return record
+        return MoveRecord(
+            node_id=node_id,
+            source_cell=source_cell,
+            target_cell=target_cell,
+            source_position=Point(source_x, source_y),
+            target_position=target_position,
+            distance=distance,
+            round_index=round_index,
+            process_id=process_id,
+        )
 
     # ----------------------------------------------------------------- heads
-    def _elect_cell_head(self, coord: GridCoord) -> Optional[SensorNode]:
-        members = self.members_of(coord)
-        current_head_id = self._heads[coord]
-        if current_head_id is not None and any(
-            node.node_id == current_head_id for node in members
-        ):
-            head = self.node(current_head_id)
-        else:
-            head = elect_head(members, self.grid.cell_center(coord), self._head_policy)
-            self._heads[coord] = None if head is None else head.node_id
-        for node in members:
-            node.role = NodeRole.SPARE
-        if head is not None:
-            head.role = NodeRole.HEAD
-        return head
+    def _elect_cell_head(self, coord: GridCoord) -> Optional[int]:
+        """Keep or elect the head of ``coord``; returns its id (``None`` if vacant).
+
+        A head that is still a member keeps the role; otherwise a fresh
+        election runs.  Under the default lowest-id policy the winner is
+        ``members[0]`` (member lists are sorted); any other policy is called
+        on handles of the members, once per fresh election.  Every member is
+        then a spare except the head, written by row.
+        """
+        members = self._cell_members[coord]
+        head_id = self._heads[coord]
+        if head_id is None or head_id not in members:
+            if not members:
+                head_id = None
+            elif self._head_policy is lowest_id_policy:
+                head_id = members[0]
+            else:
+                center = Point(
+                    self.grid.column_spans[coord.x].center,
+                    self.grid.row_spans[coord.y].center,
+                )
+                head = elect_head(
+                    [self.node(node_id) for node_id in members], center, self._head_policy
+                )
+                head_id = head.node_id
+            self._heads[coord] = head_id
+        role = self.arrays.role
+        row_of = self.arrays.row_of
+        for node_id in members:
+            role[row_of(node_id)] = HEAD_CODE if node_id == head_id else SPARE_CODE
+        return head_id
 
     def _elect_lowest_id(self, coords: Iterable[GridCoord], member_rows) -> None:
         """Vectorized fresh election of ``coords`` under the default lowest-id policy.
@@ -572,7 +650,8 @@ class WsnState:
         """Force a fresh election in ``coord`` (head-rotation extension)."""
         self.grid.validate_coord(coord)
         self._heads[coord] = None
-        return self._elect_cell_head(coord)
+        head_id = self._elect_cell_head(coord)
+        return None if head_id is None else self.node(head_id)
 
     def heads(self) -> Dict[GridCoord, Optional[int]]:
         """Copy of the head assignment (cell -> head node id or ``None``)."""
@@ -776,6 +855,19 @@ class WsnState:
         )
         assert self._spare_total == spare_total, (
             f"spare total {self._spare_total} != rebuilt {spare_total}"
+        )
+        # The role rule: an enabled node is HEAD if it heads its cell, SPARE
+        # otherwise.  Disabled nodes keep whatever role they were left with.
+        head_ids = [head_id for head_id in self._heads.values() if head_id is not None]
+        expected_roles = np.full(len(arrays), SPARE_CODE, dtype=np.int8)
+        expected_roles[arrays.rows_of(np.asarray(head_ids, dtype=np.int64))] = HEAD_CODE
+        wrong = np.flatnonzero(
+            (arrays.state == ENABLED_CODE) & (arrays.role != expected_roles)
+        )
+        assert not len(wrong), (
+            f"enabled node {int(arrays.node_ids[wrong[0]])} has role "
+            f"{ROLE_BY_CODE[arrays.role[wrong[0]]].value}, the role rule says "
+            f"{ROLE_BY_CODE[expected_roles[wrong[0]]].value}"
         )
         if self._neighbor_index is not None:
             self._neighbor_index.check_consistency()

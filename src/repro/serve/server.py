@@ -53,7 +53,7 @@ from repro.experiments.figures import (
     figure8_total_distance,
     run_section5_experiment,
 )
-from repro.experiments.orchestration import RunRecord, RunSpec, build_initial_state
+from repro.experiments.orchestration import RunSpec, build_initial_state, simulate_from
 from repro.experiments.persistence import (
     RunCache,
     make_cache,
@@ -61,13 +61,11 @@ from repro.experiments.persistence import (
     run_key,
     spec_from_dict,
 )
-from repro.experiments.registry import available_schemes, make_controller
+from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scenario_files import tabulate_records
-from repro.network.channel import DEFAULT_CHANNEL, channel_to_dict, parse_channel_spec
-from repro.network.failures import compile_failure_schedule
-from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT, RoundBasedEngine
-from repro.sim.rng import derive_rng
+from repro.network.channel import channel_to_dict, parse_channel_spec
+from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
@@ -161,43 +159,6 @@ def _result_payload(result: ExperimentResult) -> Dict[str, object]:
         "columns": result.columns,
         "rows": result.rows,
     }
-
-
-def execute_run_streaming(spec: RunSpec, emit) -> RunRecord:
-    """Execute ``spec`` sequentially, calling ``emit(round, sample)`` per round.
-
-    This mirrors :func:`~repro.experiments.orchestration.execute_run` on its
-    sequential path (the engine's ``round_observer`` hook carries the live
-    series out), so the returned record is byte-identical to what the broker
-    would produce for the same spec and can be published to the shared cache.
-    The initial state comes through :func:`build_initial_state`, so streamed
-    runs share the process-wide state cache with the broker workers.
-    """
-    state = build_initial_state(spec)
-    controller = make_controller(spec.scheme, state)
-    rng = derive_rng(spec.seed, spec.controller_rng_label())
-    engine = RoundBasedEngine(
-        state,
-        controller,
-        rng,
-        max_rounds=spec.max_rounds,
-        failure_schedule=compile_failure_schedule(spec.failures) or None,
-        idle_round_limit=spec.idle_round_limit,
-        energy_model=spec.energy,
-        run_to_exhaustion=spec.run_to_exhaustion,
-        channel=spec.channel if spec.channel is not None else DEFAULT_CHANNEL,
-        channel_seed=spec.seed,
-    )
-    engine.round_observer = emit
-    result = engine.run()
-    return RunRecord(
-        spec=spec,
-        metrics=result.metrics,
-        rounds_executed=result.rounds_executed,
-        stalled=result.stalled,
-        exhausted=result.exhausted,
-        energy_series=tuple(result.series.energy),
-    )
 
 
 class ExperimentServer(ThreadingHTTPServer):
@@ -459,7 +420,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
             """The engine's per-round hook: forward the sample to the socket."""
             emit_line({"event": "round", "round": round_index, **sample})
 
-        record = execute_run_streaming(spec, observe)
+        # Streamed runs take the broker's path to a record (the same initial
+        # state cache, the same engine set-up), so the record they publish is
+        # byte-identical to a brokered one.
+        record = simulate_from(build_initial_state(spec), spec, round_observer=observe)
         if cache is not None:
             cache.put(record)
         emit_line({"event": "done", "key": key, "record": record_to_dict(record)})

@@ -345,7 +345,7 @@ class RoundBasedEngine:
         node that fired the radio, whether or not the channel lost the
         message in transit.
         """
-        self.state.node(sender_id).charge_message_cost(cost=self._message_cost)
+        self.state.debit_energy(sender_id, self._message_cost)
 
     def _messaging_pending(self) -> bool:
         """Whether control traffic is still in flight or awaiting retries.

@@ -499,7 +499,8 @@ class TestMessagingStateHygiene:
         head = state.head_of(GridCoord(1, 1))
         for _ in range(2):  # same (process, vacancy) tracked twice: nonces 0, 1
             controller._post_replacement_request(
-                sender=head,
+                state,
+                head.node_id,
                 source_cell=GridCoord(1, 1),
                 target_cell=GridCoord(1, 0),
                 vacancy=GridCoord(2, 2),

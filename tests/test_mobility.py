@@ -8,7 +8,8 @@ import pytest
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.mobility import MovementModel, MoveRecord
-from repro.network.node import SensorNode
+from repro.network.node import DEFAULT_BATTERY_CAPACITY, SensorNode
+from repro.network.state import WsnState
 
 
 @pytest.fixture
@@ -45,12 +46,19 @@ class TestTargetSelection:
         assert high == pytest.approx(math.sqrt(58) / 4 * 10.0)
 
 
+def _one_node_state(grid, model, position, node_id=1):
+    """A state holding a single node, moved by ``model``."""
+    return WsnState(
+        grid, [SensorNode(node_id=node_id, position=position)], movement_model=model
+    )
+
+
 class TestExecuteMove:
-    def test_move_record_fields(self, model, rng):
-        node = SensorNode(node_id=7, position=Point(15.0, 15.0))
-        record = model.execute_move(
-            node, GridCoord(1, 1), GridCoord(2, 1), rng, round_index=4, process_id=9
-        )
+    """Replacement moves as ``WsnState.move_node`` executes them, row by row."""
+
+    def test_move_record_fields(self, grid, model, rng):
+        state = _one_node_state(grid, model, Point(15.0, 15.0), node_id=7)
+        record = state.move_node(7, GridCoord(2, 1), rng, round_index=4, process_id=9)
         assert isinstance(record, MoveRecord)
         assert record.node_id == 7
         assert record.source_cell == GridCoord(1, 1)
@@ -63,29 +71,33 @@ class TestExecuteMove:
             record.source_position.distance_to(record.target_position)
         )
 
-    def test_move_updates_node(self, model, rng):
+    def test_move_updates_node(self, grid, model, rng):
         node = SensorNode(node_id=1, position=Point(5.0, 5.0))
-        record = model.execute_move(node, GridCoord(0, 0), GridCoord(1, 0), rng, round_index=0)
+        state = WsnState(grid, [node], movement_model=model)
+        record = state.move_node(1, GridCoord(1, 0), rng, round_index=0)
         assert node.position == record.target_position
         assert node.move_count == 1
+        assert node.moved_distance == record.distance
+        assert node.energy == DEFAULT_BATTERY_CAPACITY - record.distance
+        assert state.cell_of_node(1) == GridCoord(1, 0)
 
-    def test_explicit_target_position(self, model, rng):
-        node = SensorNode(node_id=1, position=Point(5.0, 5.0))
+    def test_explicit_target_position(self, grid, model, rng):
+        state = _one_node_state(grid, model, Point(5.0, 5.0))
         target = Point(15.0, 5.0)
-        record = model.execute_move(
-            node, GridCoord(0, 0), GridCoord(1, 0), rng, round_index=0, target_position=target
+        record = state.move_node(
+            1, GridCoord(1, 0), rng, round_index=0, target_position=target
         )
         assert record.target_position == target
         assert record.distance == pytest.approx(10.0)
 
-    def test_rejects_cells_outside_grid(self, model, rng):
-        node = SensorNode(node_id=1, position=Point(5.0, 5.0))
-        with pytest.raises(ValueError):
-            model.execute_move(node, GridCoord(0, 0), GridCoord(9, 0), rng, round_index=0)
+    def test_rejects_cells_outside_grid(self, grid, model, rng):
+        state = _one_node_state(grid, model, Point(5.0, 5.0))
+        with pytest.raises(ValueError, match="outside 4x4 grid"):
+            state.move_node(1, GridCoord(9, 0), rng, round_index=0)
 
-    def test_non_cascading_record(self, model, rng):
-        node = SensorNode(node_id=1, position=Point(5.0, 5.0))
-        record = model.execute_move(node, GridCoord(0, 0), GridCoord(0, 1), rng, round_index=0)
+    def test_non_cascading_record(self, grid, model, rng):
+        state = _one_node_state(grid, model, Point(5.0, 5.0))
+        record = state.move_node(1, GridCoord(0, 1), rng, round_index=0)
         assert not record.is_cascading
 
 
@@ -101,8 +113,8 @@ class TestDistanceStatistics:
                 grid.cell_bounds(start_cell).min_x + rng.random() * grid.cell_size,
                 grid.cell_bounds(start_cell).min_y + rng.random() * grid.cell_size,
             )
-            node = SensorNode(node_id=0, position=start)
-            record = model.execute_move(node, start_cell, target_cell, rng, round_index=0)
+            state = _one_node_state(grid, model, start, node_id=0)
+            record = state.move_node(0, target_cell, rng, round_index=0)
             assert low - 1e-9 <= record.distance <= high + 1e-9
 
     def test_average_close_to_1_08_r(self, grid, model):
@@ -117,8 +129,8 @@ class TestDistanceStatistics:
                 bounds.min_x + rng.random() * grid.cell_size,
                 bounds.min_y + rng.random() * grid.cell_size,
             )
-            node = SensorNode(node_id=0, position=start)
-            total += model.execute_move(node, start_cell, target_cell, rng, 0).distance
+            state = _one_node_state(grid, model, start, node_id=0)
+            total += state.move_node(0, target_cell, rng, 0).distance
         average = total / samples
         # The paper's 1.08*r is an estimate; the sampled mean lands nearby.
         assert 0.85 * model.average_hop_distance <= average <= 1.15 * model.average_hop_distance

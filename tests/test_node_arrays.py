@@ -130,9 +130,9 @@ class TestBoundHandles:
         store.state[0] = 3
         assert node.energy == 2.0
         assert node.state is NodeState.DEPLETED
-        # Positions are the one dual-stored field: handles cache the Point
-        # (reads stay allocation-free) and write through on assignment, so
-        # direct column writes are not reflected by existing handles.
+        # Positions too: a handle caches nothing, so row writes show at once.
+        store.positions[0] = (4.0, 5.0)
+        assert node.position == Point(4.0, 5.0)
         node.position = Point(9.0, 8.0)
         assert store.positions[0].tolist() == [9.0, 8.0]
 

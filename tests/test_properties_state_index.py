@@ -1,13 +1,14 @@
 """Property tests for the incremental state indices of :class:`WsnState`.
 
 The state keeps live indices (per-cell sorted membership, occupancy
-counters, the vacant-cell set, and running spare/enabled totals) that are
-updated by the three mutation paths — ``disable_nodes`` (and its one-element
-form ``disable_node``), ``enable_node``, and ``move_node``.  These tests drive
-long seeded sequences of random mutations
-and assert, via ``check_invariants`` (the contract's oracle, which rebuilds
-every index from scratch) and an explicit rebuilt ``WsnState``, that the
-incremental indices never drift from the ground truth.
+counters, the vacant-cell set, running spare/enabled totals, and the role
+column of the enabled nodes) that are updated by the mutation paths —
+``disable_nodes`` (and its one-element form ``disable_node``),
+``enable_node``, ``move_node``, and ``rotate_head``.  These tests drive long
+seeded sequences of random mutations and assert, via ``check_invariants``
+(the contract's oracle, which rebuilds every index from scratch) and an
+explicit rebuilt ``WsnState``, that the incremental indices never drift from
+the ground truth.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+from repro.grid.head_election import highest_energy_policy, lowest_id_policy
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.deployment import deploy_uniform
 from repro.network.state import WsnState
@@ -26,10 +28,13 @@ SEQUENCE_COUNT = 220
 OPERATIONS_PER_SEQUENCE = 30
 
 
-def _random_state(rng: random.Random) -> WsnState:
+def _random_state(rng: random.Random, head_policy=None) -> WsnState:
     grid = VirtualGrid(columns=4, rows=4, cell_size=1.0)
     nodes = deploy_uniform(grid, rng.randint(10, 36), rng)
-    return WsnState(grid, nodes)
+    if head_policy is highest_energy_policy:
+        for node in nodes:
+            node.reset_energy(rng.uniform(1.0, 100.0))
+    return WsnState(grid, nodes, head_policy=head_policy)
 
 
 def _apply_random_operation(state: WsnState, rng: random.Random) -> None:
@@ -60,6 +65,29 @@ def _apply_random_operation(state: WsnState, rng: random.Random) -> None:
                 rng.randrange(state.grid.columns), rng.randrange(state.grid.rows)
             )
             state.move_node(node.node_id, target, rng, enforce_adjacent=False)
+
+
+@pytest.mark.parametrize("policy", [lowest_id_policy, highest_energy_policy])
+@pytest.mark.parametrize("seed", range(0, SEQUENCE_COUNT, 5))
+def test_roles_follow_heads_under_every_mutation(seed, policy):
+    """Move, disable, enable and rotate each leave the role column consistent.
+
+    ``check_invariants`` holds the role rule: an enabled node is HEAD when it
+    heads its cell and SPARE otherwise.  Moves write roles by row, so the
+    rule is checked after every single operation, under the default policy
+    and under one that elects through node handles.
+    """
+    rng = random.Random(seed)
+    state = _random_state(rng, head_policy=policy)
+    state.check_invariants()
+    for _ in range(OPERATIONS_PER_SEQUENCE):
+        if rng.random() < 0.2:
+            state.rotate_head(
+                GridCoord(rng.randrange(state.grid.columns), rng.randrange(state.grid.rows))
+            )
+        else:
+            _apply_random_operation(state, rng)
+        state.check_invariants()
 
 
 @pytest.mark.parametrize("seed", range(SEQUENCE_COUNT))

@@ -145,6 +145,28 @@ def test_streamed_run_emits_live_rounds_then_caches():
         assert replay[0]["record"] == events[-1]["record"]
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"scheme": "SR"},
+        {"scheme": "AR", "channel": "lossy:0.2"},
+        {
+            "scheme": "SR-energy",
+            "energy": {"idle_cost_per_round": 0.5},
+            "run_to_exhaustion": True,
+        },
+    ],
+)
+def test_streamed_record_matches_local_execution(overrides):
+    """A streamed run publishes the record a plain ``execute_run`` computes."""
+    payload = spec_payload(seed=13, **overrides)
+    with running_server() as (server, client):
+        events = list(client.run_stream(payload))
+    assert events[-1]["event"] == "done"
+    local = record_to_dict(execute_run(spec_from_request(payload)))
+    assert events[-1]["record"] == local
+
+
 def test_concurrent_identical_queries_share_one_simulation():
     """Acceptance: a thundering herd of one spec costs one simulation."""
     with running_server() as (server, client):

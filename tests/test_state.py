@@ -52,6 +52,77 @@ class TestConstruction:
             assert head.energy == max(m.energy for m in members)
 
 
+class TestHandles:
+    def test_nodes_bound_to_another_state_stay_bound_to_it(self, dense_state):
+        """Building a state from another state's handles copies them as data."""
+        node_id = dense_state.members_of(GridCoord(1, 1))[0].node_id
+        twin = WsnState(dense_state.grid, list(dense_state.nodes()))
+        twin.node(node_id).energy = 1.0
+        assert twin.arrays.energy[twin.arrays.row_of(node_id)] == 1.0
+        assert dense_state.node(node_id).energy == 100.0
+        assert dense_state.arrays.energy[dense_state.arrays.row_of(node_id)] == 100.0
+
+    def test_unbound_nodes_become_handles(self, small_grid):
+        node = SensorNode(node_id=0, position=Point(0.5, 0.5))
+        state = WsnState(small_grid, [node])
+        assert node.is_bound
+        assert state.node(0) is node
+        state.arrays.energy[0] = 7.0
+        assert node.energy == 7.0
+
+    def test_handle_taken_before_a_move_reports_the_new_position(self, dense_state, rng):
+        spare = dense_state.spares_of(GridCoord(2, 2))[0]
+        before = spare.position
+        record = dense_state.move_node(spare.node_id, GridCoord(2, 3), rng)
+        assert record.source_position == before
+        assert spare.position == record.target_position
+        assert spare.move_count == 1
+        assert spare.moved_distance == record.distance
+
+
+class TestIdLevelReads:
+    def test_head_and_spare_ids_match_handles(self, dense_state):
+        for coord in dense_state.grid.all_coords():
+            assert dense_state.head_id_of(coord) == dense_state.head_of(coord).node_id
+            assert dense_state.spare_ids_of(coord) == [
+                node.node_id for node in dense_state.spares_of(coord)
+            ]
+
+    def test_vacant_cell_has_no_head_id(self, sparse_state):
+        coord = GridCoord(0, 0)
+        make_hole(sparse_state, coord)
+        assert sparse_state.head_id_of(coord) is None
+        assert sparse_state.spare_ids_of(coord) == []
+
+    def test_off_grid_cell_misses_the_index(self, dense_state):
+        with pytest.raises(KeyError):
+            dense_state.head_id_of(GridCoord(9, 9))
+        with pytest.raises(KeyError):
+            dense_state.spare_ids_of(GridCoord(-1, 0))
+
+    def test_energy_reads_and_debits(self, dense_state):
+        node_id = dense_state.head_id_of(GridCoord(0, 0))
+        assert dense_state.is_node_enabled(node_id)
+        dense_state.debit_energy(node_id, 30.0)
+        assert dense_state.energy_of(node_id) == 70.0
+        dense_state.debit_energy(node_id, 500.0)
+        assert dense_state.energy_of(node_id) == 0.0
+        dense_state.disable_node(node_id)
+        assert not dense_state.is_node_enabled(node_id)
+
+    def test_public_queries_keep_their_range_check(self, dense_state):
+        for query in (
+            dense_state.is_vacant,
+            dense_state.member_count,
+            dense_state.has_spare,
+            dense_state.head_of,
+            dense_state.members_of,
+            dense_state.spares_of,
+        ):
+            with pytest.raises(ValueError, match=r"cell \(4, 0\) outside 4x5 grid"):
+                query(GridCoord(4, 0))
+
+
 class TestQueries:
     def test_members_and_spares(self, dense_state):
         coord = GridCoord(1, 1)
@@ -231,3 +302,20 @@ class TestInvariantsChecker:
         state._heads[GridCoord(1, 1)] = nodes[0].node_id
         with pytest.raises(AssertionError):
             state.check_invariants()
+
+    def test_detects_a_spare_marked_head(self, dense_state):
+        spare = dense_state.spares_of(GridCoord(1, 1))[0]
+        spare.role = NodeRole.HEAD
+        with pytest.raises(AssertionError, match="role rule"):
+            dense_state.check_invariants()
+
+    def test_detects_a_head_marked_spare(self, dense_state):
+        dense_state.head_of(GridCoord(2, 3)).role = NodeRole.SPARE
+        with pytest.raises(AssertionError, match="role rule"):
+            dense_state.check_invariants()
+
+    def test_disabled_nodes_are_outside_the_role_rule(self, dense_state):
+        head = dense_state.head_of(GridCoord(0, 0))
+        dense_state.disable_node(head.node_id)
+        head.role = NodeRole.HEAD
+        dense_state.check_invariants()

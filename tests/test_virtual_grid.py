@@ -182,6 +182,39 @@ class TestCoordinateMapping:
         }
 
 
+class TestGeometryTables:
+    """Per-column and per-row tables give the floats per-cell boxes gave."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            VirtualGrid(16, 16, cell_size=cell_side_for_range(10.0)),
+            VirtualGrid(7, 3, cell_size=0.3, origin=Point(-2.5, 11.125)),
+        ],
+    )
+    def test_boxes_and_centres_match_the_per_cell_expressions(self, grid):
+        r = grid.cell_size
+        for coord in grid.all_coords():
+            min_x = grid.origin.x + coord.x * r
+            min_y = grid.origin.y + coord.y * r
+            box = BoundingBox(min_x, min_y, min_x + r, min_y + r)
+            assert grid.cell_bounds(coord) == box
+            assert grid.cell_center(coord) == box.center
+            assert grid.central_area(coord) == box.shrunk(r / 4.0)
+
+    def test_tables_hold_one_span_per_column_and_row(self, small_grid):
+        assert len(small_grid.column_spans) == small_grid.columns
+        assert len(small_grid.row_spans) == small_grid.rows
+        span = small_grid.column_spans[2]
+        assert (span.low, span.high, span.center) == (2.0, 3.0, 2.5)
+        assert (span.central_low, span.central_high) == (2.25, 2.75)
+
+    def test_public_geometry_keeps_its_range_check(self, small_grid):
+        for query in (small_grid.cell_bounds, small_grid.cell_center, small_grid.central_area):
+            with pytest.raises(ValueError, match="outside 4x5 grid"):
+                query(GridCoord(-1, 0))
+
+
 class TestMoveDistanceModel:
     def test_bounds_match_paper(self):
         low, high = move_distance_bounds(10.0)
