@@ -22,10 +22,12 @@ The full run writes ``BENCH_scale.json`` at the repository root, seeding the
 repo's perf trajectory; ``cores_available`` records the recording host's
 core count.
 
-The ``scenario_build`` section times the paper's own scenario build
-(16x16 cells, 5000 sensors, thinned to ``m*n + N`` enabled for every ``N``
-of ``PAPER_SPARE_VALUES``) step by step — deploy, index + elect, thin — and
-compares the bulk ``WsnState.disable_nodes(victims)`` that thinning makes
+The ``scenario_build`` section times ``build_scenario_state`` at the
+paper's own tier (16x16 cells, 5000 sensors, thinned to ``m*n + N`` enabled
+for every ``N`` of ``PAPER_SPARE_VALUES``), which thins before it indexes,
+and requires its state byte-identical to the public three-step composition
+(deploy, index + elect, ``ThinningToEnabledCount.apply``).  It also compares
+the bulk ``WsnState.disable_nodes(victims)`` that runtime thinning makes
 against a loop of one-element ``disable_node`` calls over the same victims,
 requiring byte-identical states.
 
@@ -39,8 +41,9 @@ microseconds per node move, and a digest of the records.
 The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
-the 256x256 tier, bulk-vs-loop thinning identity (unconditional) and speed
-(bulk at least ``BULK_DISABLE_SPEEDUP_FLOOR`` times faster), and the
+the 256x256 tier, build-vs-composition identity, bulk-vs-loop thinning
+identity (unconditional) and speed (bulk at least
+``BULK_DISABLE_SPEEDUP_FLOOR`` times faster), and the
 ``simulate_from`` section on a small tier, whose records must equal
 ``execute_run(spec, state_cache=None)`` — and exits
 non-zero when any guard trips, so an accidental O(m*n) scan or a
@@ -80,7 +83,7 @@ from repro.network.radio import UnitDiskRadio
 from repro.network.state import WsnState
 from repro.sim.engine import RoundBasedEngine
 from repro.sim.rng import derive_rng
-from repro.sim.scenario import ScenarioConfig
+from repro.sim.scenario import ScenarioConfig, build_scenario_state
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 
 #: (columns, rows) of the benchmarked grids; 3 nodes per cell everywhere, so
@@ -396,25 +399,27 @@ def bench_incremental_adjacency(state: WsnState, updates: int = INCREMENTAL_UPDA
 
 
 def bench_scenario_build(seeds) -> dict:
-    """Paper-tier scenario builds step by step, and bulk vs one-at-a-time thinning.
+    """Paper-tier ``build_scenario_state`` timings, and bulk vs one-at-a-time thinning.
 
-    Every ``(seed, N)`` over ``PAPER_SPARE_VALUES`` is built the way
-    ``build_scenario_state`` builds it: deploy, index + elect (``WsnState``),
-    thin (``ThinningToEnabledCount.apply``, one bulk ``disable_nodes`` call).
+    Every ``(seed, N)`` over ``PAPER_SPARE_VALUES`` is built by
+    ``build_scenario_state`` (timed) and again by the public three-step
+    composition it must equal byte for byte: deploy (``deploy_uniform``),
+    index + elect (``WsnState``), thin (``ThinningToEnabledCount.apply``).
     The thinning victims are then disabled again, on two copies of the
     unthinned state, by one ``disable_nodes(victims)`` call and by a loop of
-    one-element ``disable_node`` calls; all three states must be
-    byte-identical.  Times are per-build medians.
+    one-element ``disable_node`` calls; both must equal the composition.
+    Times are per-build medians.
     """
-    steps = {
-        name: [] for name in ("deploy", "index_elect", "thin", "build", "bulk", "loop")
-    }
-    identical = True
+    steps = {name: [] for name in ("build", "bulk", "loop")}
+    build_identical = True
+    bulk_identical = True
     victim_counts = []
     for seed in seeds:
         for spare_surplus in PAPER_SPARE_VALUES:
             config = ScenarioConfig(seed=seed, spare_surplus=spare_surplus)
             started = time.perf_counter()
+            built = build_scenario_state(config)
+            steps["build"].append(time.perf_counter() - started)
             grid = config.make_grid()
             arrays = deploy_uniform(
                 grid,
@@ -422,33 +427,25 @@ def bench_scenario_build(seeds) -> dict:
                 derive_rng(seed, "deployment"),
                 as_arrays=True,
             )
-            deployed = time.perf_counter()
-            state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
-            indexed = time.perf_counter()
-            unthinned = state.clone()
-            thin_started = time.perf_counter()
+            composed = WsnState(grid, arrays, head_policy=config.head_policy_fn)
+            bulk = composed.clone()
+            looped = composed.clone()
             victims = ThinningToEnabledCount(config.target_enabled).apply(
-                state, derive_rng(seed, "thinning")
+                composed, derive_rng(seed, "thinning")
             )
-            thinned = time.perf_counter()
-            bulk = unthinned.clone()
             bulk_started = time.perf_counter()
             bulk.disable_nodes(victims)
-            bulk_seconds = time.perf_counter() - bulk_started
-            looped = unthinned.clone()
+            steps["bulk"].append(time.perf_counter() - bulk_started)
             loop_started = time.perf_counter()
             for node_id in victims:
                 looped.disable_node(node_id)
-            loop_seconds = time.perf_counter() - loop_started
-            snapshot = state.to_bytes()
-            identical = identical and snapshot == bulk.to_bytes() == looped.to_bytes()
+            steps["loop"].append(time.perf_counter() - loop_started)
+            snapshot = composed.to_bytes()
+            build_identical = build_identical and built.to_bytes() == snapshot
+            bulk_identical = (
+                bulk_identical and snapshot == bulk.to_bytes() == looped.to_bytes()
+            )
             victim_counts.append(len(victims))
-            steps["deploy"].append(deployed - started)
-            steps["index_elect"].append(indexed - deployed)
-            steps["thin"].append(thinned - thin_started)
-            steps["build"].append(indexed - started + thinned - thin_started)
-            steps["bulk"].append(bulk_seconds)
-            steps["loop"].append(loop_seconds)
     p50 = {name: statistics.median(samples) for name, samples in steps.items()}
     paper = ScenarioConfig()
     return {
@@ -458,15 +455,29 @@ def bench_scenario_build(seeds) -> dict:
         "seeds": list(seeds),
         "builds": len(victim_counts),
         "victims_p50": int(statistics.median(victim_counts)),
-        "deploy_seconds_p50": round(p50["deploy"], 6),
-        "index_elect_seconds_p50": round(p50["index_elect"], 6),
-        "thin_seconds_p50": round(p50["thin"], 6),
         "build_seconds_p50": round(p50["build"], 6),
+        "build_equals_composition": build_identical,
         "bulk_disable_seconds_p50": round(p50["bulk"], 6),
         "loop_disable_seconds_p50": round(p50["loop"], 6),
         "bulk_vs_loop_speedup": round(p50["loop"] / p50["bulk"], 1),
-        "identical": identical,
+        "bulk_equals_loop": bulk_identical,
     }
+
+
+def build_failures(build: dict) -> list:
+    """Identity failures of a ``bench_scenario_build`` report (none when both hold)."""
+    failures = []
+    if not build["build_equals_composition"]:
+        failures.append(
+            "build_scenario_state left a different state than deploy, index and "
+            "ThinningToEnabledCount.apply"
+        )
+    if not build["bulk_equals_loop"]:
+        failures.append(
+            "bulk disable_nodes left a different state than the one-at-a-time "
+            "loop over the same victims"
+        )
+    return failures
 
 
 def bench_simulate_from(specs, passes: int = SIMULATE_PASSES) -> tuple:
@@ -660,20 +671,15 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
 
     build = bench_scenario_build(seeds=(seed,))
     print(
-        f"scenario build guard: paper tier p50 deploy "
-        f"{build['deploy_seconds_p50'] * 1e3:.2f} ms, index+elect "
-        f"{build['index_elect_seconds_p50'] * 1e3:.2f} ms, thin "
-        f"{build['thin_seconds_p50'] * 1e3:.2f} ms; bulk disable "
+        f"scenario build guard: paper tier build_scenario_state p50 "
+        f"{build['build_seconds_p50'] * 1e3:.2f} ms, equals the composition "
+        f"{build['build_equals_composition']}; bulk disable "
         f"{build['bulk_disable_seconds_p50'] * 1e3:.2f} ms vs one-at-a-time "
         f"{build['loop_disable_seconds_p50'] * 1e3:.2f} ms -> "
         f"{build['bulk_vs_loop_speedup']}x (floor {BULK_DISABLE_SPEEDUP_FLOOR}x), "
-        f"identical {build['identical']}"
+        f"identical {build['bulk_equals_loop']}"
     )
-    if not build["identical"]:
-        failures.append(
-            "bulk disable_nodes left a different state than the one-at-a-time "
-            "loop over the same victims"
-        )
+    failures.extend(build_failures(build))
     if build["bulk_vs_loop_speedup"] < BULK_DISABLE_SPEEDUP_FLOOR:
         failures.append(
             f"bulk thinning is only {build['bulk_vs_loop_speedup']}x faster than "
@@ -707,17 +713,13 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
     build = bench_scenario_build(seeds=range(1, 4))
     simulate = simulate_from_section(seed)
     print(
-        f"\npaper-tier scenario build p50: "
-        f"{build['build_seconds_p50'] * 1e3:.2f} ms (thin "
-        f"{build['thin_seconds_p50'] * 1e3:.2f} ms); bulk disable "
-        f"{build['bulk_vs_loop_speedup']}x one-at-a-time, identical {build['identical']}"
+        f"\npaper-tier build_scenario_state p50: "
+        f"{build['build_seconds_p50'] * 1e3:.2f} ms, equals the composition "
+        f"{build['build_equals_composition']}; bulk disable "
+        f"{build['bulk_vs_loop_speedup']}x one-at-a-time, identical "
+        f"{build['bulk_equals_loop']}"
     )
-    failures = []
-    if not build["identical"]:
-        failures.append(
-            "bulk disable_nodes left a different state than the one-at-a-time "
-            "loop over the same victims"
-        )
+    failures = build_failures(build)
     if include_large:
         large = grids[-1]
         if large["deploy"]["seconds"] > DEPLOY_SECONDS_LIMIT_786K:
@@ -743,10 +745,12 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "model, the per-tier deploy/adjacency columns track the "
             "vectorized struct-of-arrays paths (per-edge seconds are the "
             "throughput of the batch adjacency build), scenario_build times "
-            "the paper-tier build (16x16, 5000 deployed, thinned over "
-            "PAPER_SPARE_VALUES) step by step and one bulk disable_nodes call "
-            "against a loop of one-element disable_node calls over the same "
-            "victims (byte-identity required), simulate_from times the "
+            "build_scenario_state at the paper tier (16x16, 5000 deployed, "
+            "thinned over PAPER_SPARE_VALUES), requires it byte-identical to "
+            "deploy + WsnState + ThinningToEnabledCount.apply, and times one "
+            "bulk disable_nodes call against a loop of one-element "
+            "disable_node calls over the same victims (byte-identity "
+            "required), simulate_from times the "
             "Figures 6-8 sweep's SR and AR specs at the paper tier on prebuilt "
             "initial states (median over passes of ms per spec and us per move, "
             "plus a records digest)"

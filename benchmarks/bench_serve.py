@@ -7,6 +7,9 @@ drives it with the workload shape the broker exists for:
   the broker (per-request latency = queueing + simulation + persistence);
 * a **warm pass** — the identical specs again, now answered from the cache
   (per-request latency = one HTTP round-trip + one backend lookup);
+* a **health pass** — as many ``GET /health`` requests against the same
+  server (per-request latency = one HTTP round-trip and nothing else), the
+  yardstick the warm pass is bounded by;
 * a **herd pass** — many concurrent requests for one novel spec, which the
   broker's in-flight dedup must collapse onto a single simulation.
 
@@ -35,8 +38,12 @@ only when a pass has at least ``P99_MIN_SAMPLES`` requests (over a dozen
 requests, "p99" is just the max wearing a statistics costume).  The guards
 — enforced in ``--smoke`` and on the full run alike — are:
 
-* warm-cache throughput at least 10x cold throughput (the service exists to
-  make repeated queries cheap);
+* warm p50 latency at most ``MAX_WARM_VS_HEALTH_P50`` times the health
+  p50 of the same server run, and every warm request answered cached (a
+  cached answer costs a lookup and a serialization over the bare HTTP
+  round-trip; one that simulates or rebuilds a state costs milliseconds
+  more and trips this).  The bound reads the warm path alone, so a faster
+  cold path cannot move it;
 * the herd performs exactly one simulation (in-flight dedup works);
 * warm p50 latency under a generous quarter-second ceiling (a cache hit
   must never cost simulation time);
@@ -85,8 +92,12 @@ P99_MIN_SAMPLES = 100
 #: ``SWEEP_TRIALS`` controller seeds (the scenario — deployment, thinning —
 #: is shared; only the controller randomness differs).
 SWEEP_TRIALS = 4
-#: Guards (see module docstring).
-MIN_WARM_SPEEDUP = 10.0
+#: Guards (see module docstring).  ``MAX_WARM_VS_HEALTH_P50`` doubles the
+#: warm/health p50 ratio read on a 2-core host (2.3-3.0x, warm ~2 ms against
+#: ~0.7 ms), leaving room for the host's 2x speed swings; a warm answer that
+#: rebuilt the paper-tier state (~4.5 ms) would read about 9x, and one that
+#: simulated over 25x.
+MAX_WARM_VS_HEALTH_P50 = 6.0
 MAX_WARM_P50_SECONDS = 0.25
 MAX_STATE_BUILD_FRACTION = 0.4
 #: Cold-path breakdown: each half of a cold spec is timed this many times and
@@ -143,6 +154,16 @@ def timed_pass(client: ServeClient, payloads: list) -> dict:
         "specs_per_second": round(len(payloads) / wall, 2),
         **latency_summary(latencies),
     }
+
+
+def health_pass(client: ServeClient, requests: int) -> dict:
+    """Issue ``requests`` sequential ``GET /health`` calls and summarize latency."""
+    latencies = []
+    for _ in range(requests):
+        t0 = time.perf_counter()
+        client.health()
+        latencies.append(time.perf_counter() - t0)
+    return {"requests": requests, **latency_summary(latencies)}
 
 
 def herd_pass(server, client: ServeClient, payload: dict) -> dict:
@@ -285,6 +306,7 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         workload = build_workload(seeds)
         cold = timed_pass(client, workload)
         warm = timed_pass(client, workload * WARM_REPEATS)
+        health = health_pass(client, warm["requests"])
         herd = herd_pass(server, client, spec_payload("SR", seed=10_000))
         stats = client.stats()
     finally:
@@ -296,19 +318,22 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
     sweep = sweep_cold_pass(scenarios=sweep_scenarios)
 
     speedup = warm["specs_per_second"] / cold["specs_per_second"]
+    warm_vs_health = warm["latency_p50_seconds"] / health["latency_p50_seconds"]
     report = {
         "benchmark": "bench_serve",
         "description": (
             "HTTP experiment-service load benchmark: cold pass (every spec "
             "simulated through the broker) vs warm pass (identical specs "
-            "answered from the cache) vs a concurrent herd of one novel spec "
+            "answered from the cache) vs GET /health on the same server (the "
+            "bare HTTP round-trip) vs a concurrent herd of one novel spec "
             "(in-flight dedup), plus the off-socket cold path itself: the "
             "state-build/simulate split per cold spec and a sweep-shaped "
             "workload run with the initial-state cache off and on "
             "(byte-identical records required); p99 latency is reported only "
             "for passes with >= 100 requests, smaller passes carry p50/max "
             f"only; the breakdown times each half best of {COLD_PATH_REPEATS}; "
-            f"guards: warm_vs_cold_speedup >= {MIN_WARM_SPEEDUP:.0f}x, "
+            f"guards: warm_vs_health_p50 <= {MAX_WARM_VS_HEALTH_P50:.0f}x with "
+            "every warm request answered cached, "
             "cold_path.breakdown.state_build_fraction_of_cold_spec <= "
             f"{MAX_STATE_BUILD_FRACTION}, cold_path.sweep.records_identical"
         ),
@@ -319,7 +344,9 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         "broker_workers": workers,
         "cold": cold,
         "warm": warm,
+        "health": health,
         "warm_vs_cold_speedup": round(speedup, 1),
+        "warm_vs_health_p50": round(warm_vs_health, 2),
         "herd": herd,
         "cold_path": {
             "breakdown": breakdown,
@@ -336,10 +363,11 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             f"warm pass missed the cache ({warm['cached_answers']} of "
             f"{warm['requests']} answered cached)"
         )
-    if speedup < MIN_WARM_SPEEDUP:
+    if warm_vs_health > MAX_WARM_VS_HEALTH_P50:
         failures.append(
-            f"warm-cache throughput is only {speedup:.1f}x cold "
-            f"(guard: >= {MIN_WARM_SPEEDUP:.0f}x)"
+            f"warm p50 latency is {warm_vs_health:.1f}x the /health p50 of the "
+            f"same server (guard: <= {MAX_WARM_VS_HEALTH_P50:.0f}x); a cached "
+            "answer costs more than a lookup"
         )
     if warm["latency_p50_seconds"] > MAX_WARM_P50_SECONDS:
         failures.append(
@@ -404,7 +432,8 @@ def main(argv=None) -> int:
     print(
         f"bench_serve OK: cold {report['cold']['specs_per_second']} specs/s, "
         f"warm {report['warm']['specs_per_second']} specs/s "
-        f"({report['warm_vs_cold_speedup']}x), herd of "
+        f"({report['warm_vs_cold_speedup']}x), warm p50 "
+        f"{report['warm_vs_health_p50']}x the /health p50, herd of "
         f"{report['herd']['concurrent_requests']} -> "
         f"{report['herd']['simulations_performed']} simulation, "
         f"state build {breakdown['state_build_fraction_of_cold_spec']:.0%} of a "

@@ -27,6 +27,7 @@ special cases of Algorithm 2 for the dual-path construction.
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
@@ -38,6 +39,11 @@ class HamiltonConstructionError(ValueError):
 
 #: Predicate telling whether a cell currently holds at least one spare node.
 SpareLookup = Callable[[GridCoord], bool]
+
+#: How many grids' structures :func:`build_hamilton_cycle` keeps.  A sweep,
+#: a lifetime run or a server works on one or two grids; the bound keeps a
+#: process that visits many large grids from holding all their structures.
+HAMILTON_CACHE_SIZE = 8
 
 
 class HamiltonCycle(abc.ABC):
@@ -379,6 +385,7 @@ class DualPathHamiltonCycle(HamiltonCycle):
         return self.chain_predecessor(vacant)
 
 
+@functools.lru_cache(maxsize=HAMILTON_CACHE_SIZE)
 def build_hamilton_cycle(grid: VirtualGrid) -> HamiltonCycle:
     """Build the appropriate directed Hamilton structure for ``grid``.
 
@@ -386,6 +393,11 @@ def build_hamilton_cycle(grid: VirtualGrid) -> HamiltonCycle:
     grids get the dual-path construction.  Degenerate one-row or one-column
     grids have no Hamilton cycle and raise
     :class:`HamiltonConstructionError`.
+
+    The structure is a pure function of the grid and is never changed after
+    construction (its list accessors return copies), so it is built once per
+    grid: calls with equal grids return the same object while the grid is
+    among the last :data:`HAMILTON_CACHE_SIZE` seen.
     """
     n, m = grid.columns, grid.rows
     if n < 2 or m < 2:

@@ -8,8 +8,9 @@ baselines: exact per-cell deployment, head-only deployment, and clustered
 (hot-spot) deployment.
 
 The two hot generators (:func:`deploy_uniform`, :func:`deploy_per_cell`) are
-batched: the RNG draws happen in one tight loop (in exactly the historical
-per-node order, so seeds reproduce bit-for-bit) and the affine transform to
+batched: the RNG draws happen in one :func:`~repro.sim.rng.draw_uniforms`
+call (in exactly the historical per-node order, so seeds reproduce
+bit-for-bit) and the affine transform to
 world coordinates is a vectorized numpy expression.  Pass ``as_arrays=True``
 to get a :class:`~repro.network.node_arrays.NodeArrays` store directly —
 the path large benchmarks and scenarios use to skip per-node object
@@ -35,8 +36,11 @@ def _next_id(start_id: int, offset: int) -> int:
 
 def _draw_unit_pairs(count: int, rng: random.Random) -> np.ndarray:
     """``count`` (x, y) unit draws, in the historical per-node draw order."""
-    draws = [rng.random() for _ in range(2 * count)]
-    return np.asarray(draws, dtype=np.float64).reshape(-1, 2)
+    # Imported at call time: the ``repro.sim`` package imports the scenario
+    # builder, which imports this module.
+    from repro.sim.rng import draw_uniforms
+
+    return draw_uniforms(rng, 2 * count).reshape(-1, 2)
 
 
 def _materialize(

@@ -67,7 +67,14 @@ class RandomFailure(FailureModel):
         """Disable the sampled victims and return their ids."""
         enabled_ids = state.enabled_node_ids()
         if self.probability is not None:
-            victims = [node_id for node_id in enabled_ids if rng.random() < self.probability]
+            # Imported at call time: the ``repro.sim`` package imports the
+            # scenario builder, which imports this module.
+            from repro.sim.rng import draw_uniforms
+
+            # One draw per enabled node in deployment order, as a per-node
+            # ``rng.random() < probability`` loop makes them.
+            hit = draw_uniforms(rng, len(enabled_ids)) < self.probability
+            victims = np.asarray(enabled_ids, dtype=np.int64)[hit].tolist()
         else:
             count = min(self.count or 0, len(enabled_ids))
             victims = rng.sample(enabled_ids, count)
@@ -91,13 +98,21 @@ class ThinningToEnabledCount(FailureModel):
         if self.target_enabled < 0:
             raise ValueError(f"target_enabled must be non-negative, got {self.target_enabled}")
 
-    def apply(self, state, rng: random.Random) -> List[int]:
-        """Disable random nodes until only ``target_enabled`` remain enabled."""
-        enabled_ids = state.enabled_node_ids()
+    def draw_victims(self, enabled_ids: List[int], rng: random.Random) -> List[int]:
+        """The nodes to disable among ``enabled_ids`` (deployment order), in draw order.
+
+        One ``rng.sample`` of the excess over ``target_enabled``; no draw
+        when there is no excess.  :meth:`apply` disables these on a live
+        state, and the scenario build marks them failed before it indexes.
+        """
         excess = len(enabled_ids) - self.target_enabled
         if excess <= 0:
             return []
-        victims = rng.sample(enabled_ids, excess)
+        return rng.sample(enabled_ids, excess)
+
+    def apply(self, state, rng: random.Random) -> List[int]:
+        """Disable random nodes until only ``target_enabled`` remain enabled."""
+        victims = self.draw_victims(state.enabled_node_ids(), rng)
         state.disable_nodes(victims, reason=self.reason)
         return victims
 

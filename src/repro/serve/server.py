@@ -78,6 +78,16 @@ FIGURE_ENDPOINTS = ("fig6", "fig7", "fig8")
 #: body is read.
 MAX_BODY_BYTES = 1 << 20
 
+#: Admission limits on a ``POST /run`` spec, checked by
+#: :func:`spec_from_request` before anything is built; a spec above one is
+#: refused with 400.  They admit the paper's Section-5 tier (16x16 cells,
+#: 5000 sensors) and the largest ``bench_scale`` tier (256x256 cells, ~197k
+#: sensors, a build of about 0.3 s) and refuse specs whose build alone would
+#: hold a handler thread: a 1000x1000 grid with 1000 sensors takes seconds.
+MAX_GRID_CELLS = 256 * 256
+MAX_DEPLOYED_COUNT = 200_000
+MAX_ROUNDS = 100_000
+
 
 class _BodyTooLarge(ValueError):
     """A request declared a body longer than :data:`MAX_BODY_BYTES` (HTTP 413)."""
@@ -123,8 +133,9 @@ def spec_from_request(payload: object) -> RunSpec:
     The body is the ``spec_to_dict`` form with every field beyond
     ``scenario`` and ``scheme`` optional; ``seed`` defaults to the scenario
     seed, and ``channel`` additionally accepts the CLI's compact string form
-    (``"lossy:0.2"``).  Raises ``ValueError`` on anything malformed — the
-    handler maps that to HTTP 400.
+    (``"lossy:0.2"``).  Raises ``ValueError`` on anything malformed or above
+    an admission limit (:data:`MAX_GRID_CELLS`, :data:`MAX_DEPLOYED_COUNT`,
+    :data:`MAX_ROUNDS`) — the handler maps that to HTTP 400.
     """
     if not isinstance(payload, dict):
         raise ValueError("request body must be a JSON object")
@@ -146,9 +157,18 @@ def spec_from_request(payload: object) -> RunSpec:
     body.setdefault("failures", [])
     body.setdefault("channel", None)
     try:
-        return spec_from_dict(body)
+        spec = spec_from_dict(body)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"malformed run spec: {error}") from error
+    scenario = spec.scenario
+    for name, value, limit in (
+        ("columns*rows", scenario.cell_count, MAX_GRID_CELLS),
+        ("deployed_count", scenario.deployed_count, MAX_DEPLOYED_COUNT),
+        ("max_rounds", spec.max_rounds or 0, MAX_ROUNDS),
+    ):
+        if value > limit:
+            raise ValueError(f"{name} = {value} exceeds the admission limit of {limit}")
+    return spec
 
 
 def _result_payload(result: ExperimentResult) -> Dict[str, object]:

@@ -28,8 +28,9 @@ from repro.grid.head_election import (
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 from repro.network.deployment import deploy_per_cell, deploy_uniform
 from repro.network.failures import ThinningToEnabledCount
+from repro.network.node import STATE_CODES
 from repro.network.state import WsnState
-from repro.sim.rng import derive_rng
+from repro.sim.rng import derive_rng, draw_uniforms
 
 #: Named head-election policies selectable from a scenario config.
 HEAD_POLICIES = {
@@ -165,6 +166,13 @@ def build_scenario_state(config: ScenarioConfig) -> WsnState:
     The returned :class:`~repro.network.state.WsnState` is ready for a
     controller: nodes are deployed, the requested number of nodes has been
     disabled, and heads are elected in every non-vacant cell.
+
+    The thinning victims are drawn from the deployment order and written as
+    failed before the state exists, so indexing and head election run once,
+    over the survivors.  The result is byte-identical to indexing every
+    deployed node and then disabling the victims: every named head policy is
+    stateless, so a cell's head is its best survivor either way, and a
+    victim ends with the unassigned role either way.
     """
     grid = config.make_grid()
     deploy_rng = derive_rng(config.seed, "deployment")
@@ -176,21 +184,21 @@ def build_scenario_state(config: ScenarioConfig) -> WsnState:
         arrays = deploy_per_cell(
             grid, config.deployed_count // config.cell_count, deploy_rng, as_arrays=True
         )
-    state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
     if config.target_enabled is not None:
         thinning = ThinningToEnabledCount(target_enabled=config.target_enabled)
-        thinning.apply(state, derive_rng(config.seed, "thinning"))
+        victims = thinning.draw_victims(
+            arrays.node_ids.tolist(), derive_rng(config.seed, "thinning")
+        )
+        rows = arrays.rows_of(np.asarray(victims, dtype=np.int64))
+        arrays.state[rows] = STATE_CODES[thinning.reason]
+    state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
     if config.initial_energy is not None:
         # Batched battery install: the per-node jitter draws happen in the
         # historical node order, the affine transform is vectorized, and the
         # result is written straight into the energy columns (matching the
         # per-node ``reset_energy`` calls bit-for-bit).
-        energy_rng = derive_rng(config.seed, "energy")
-        arrays = state.arrays
         if config.initial_energy_jitter:
-            draws = np.asarray(
-                [energy_rng.random() for _ in range(len(arrays))], dtype=np.float64
-            )
+            draws = draw_uniforms(derive_rng(config.seed, "energy"), len(arrays))
             capacities = config.initial_energy * (
                 1.0 - config.initial_energy_jitter * draws
             )

@@ -53,6 +53,18 @@ class TestRandomFailure:
         victims = RandomFailure(probability=0.5).apply(state, random.Random(0))
         assert 0.25 * state.node_count < len(victims) < 0.75 * state.node_count
 
+    @pytest.mark.parametrize("probability", [0.1, 0.5, 0.9])
+    def test_probability_mode_equals_the_per_node_loop(self, state, probability):
+        expected_rng = random.Random(4)
+        expected = [
+            node_id
+            for node_id in state.enabled_node_ids()
+            if expected_rng.random() < probability
+        ]
+        rng = random.Random(4)
+        assert RandomFailure(probability=probability).apply(state, rng) == expected
+        assert rng.getstate() == expected_rng.getstate()
+
     def test_probability_zero_and_one(self, state, rng):
         assert RandomFailure(probability=0.0).apply(state, rng) == []
         RandomFailure(probability=1.0).apply(state, rng)
@@ -72,6 +84,15 @@ class TestThinning:
         victims = ThinningToEnabledCount(target_enabled=10_000).apply(state, rng)
         assert victims == []
         assert state.enabled_count == state.node_count
+
+    def test_draw_victims_is_one_sample_of_the_excess(self):
+        ids = list(range(10, 40))
+        rng = random.Random(3)
+        victims = ThinningToEnabledCount(target_enabled=25).draw_victims(ids, rng)
+        assert victims == random.Random(3).sample(ids, 5)
+        before = rng.getstate()
+        assert ThinningToEnabledCount(target_enabled=30).draw_victims(ids, rng) == []
+        assert rng.getstate() == before
 
     def test_rejects_negative_target(self):
         with pytest.raises(ValueError):

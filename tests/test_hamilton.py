@@ -8,7 +8,10 @@ from repro.core.hamilton import (
     SerpentineHamiltonCycle,
     build_hamilton_cycle,
 )
+from repro.experiments.registry import make_controller
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
+from repro.network.deployment import deploy_grid_heads
+from repro.network.state import WsnState
 
 
 def grid(columns, rows):
@@ -30,6 +33,22 @@ class TestFactory:
     def test_degenerate_grids_rejected(self, columns, rows):
         with pytest.raises(HamiltonConstructionError):
             build_hamilton_cycle(grid(columns, rows))
+
+    @pytest.mark.parametrize("columns,rows", [(6, 4), (5, 5)])
+    def test_sr_controllers_on_equal_grids_share_one_structure(self, columns, rows):
+        controllers = [
+            make_controller(
+                scheme, WsnState(grid(columns, rows), deploy_grid_heads(grid(columns, rows)))
+            )
+            for scheme in ("SR", "SR-shortcut", "SR-energy")
+        ]
+        cycle = controllers[0].cycle
+        assert all(controller.cycle is cycle for controller in controllers)
+        # Sharing is safe because callers only ever get copies.
+        order = cycle.order()
+        assert order is not cycle.order()
+        order.clear()
+        assert len(cycle.order()) == columns * rows
 
 
 class TestSerpentine:

@@ -1,12 +1,16 @@
 """Unit tests for run metrics, the event log, and the seeded RNG helpers."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.protocol import MobilityController, RoundOutcome
 from repro.grid.virtual_grid import GridCoord
 from repro.sim.events import Event, EventKind, EventLog
 from repro.sim.metrics import RoundSeries, RunMetrics, collect_metrics, snapshot_state
-from repro.sim.rng import derive_rng, spawn_seeds
+from repro.sim.rng import derive_rng, draw_uniforms, spawn_seeds
 
 from helpers import make_hole
 
@@ -147,3 +151,18 @@ class TestRng:
     def test_spawn_seeds_invalid_count(self):
         with pytest.raises(ValueError):
             spawn_seeds(7, -1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        count=st.one_of(
+            st.sampled_from([0, 1, 623, 624, 625, 1247, 1248, 1249, 10_000]),
+            st.integers(min_value=0, max_value=10_000),
+        ),
+    )
+    def test_draw_uniforms_equals_the_per_draw_loop(self, seed, count):
+        bulk, looped = random.Random(seed), random.Random(seed)
+        draws = draw_uniforms(bulk, count)
+        assert draws.dtype.name == "float64" and draws.shape == (count,)
+        assert draws.tolist() == [looped.random() for _ in range(count)]
+        assert bulk.getstate() == looped.getstate()

@@ -1,7 +1,13 @@
 """Unit tests for the Section-5 scenario configuration and builder."""
 
+import itertools
+
 import pytest
 
+from repro.network.deployment import deploy_per_cell, deploy_uniform
+from repro.network.failures import ThinningToEnabledCount
+from repro.network.state import WsnState
+from repro.sim.rng import derive_rng
 from repro.sim.scenario import HEAD_POLICIES, ScenarioConfig, build_scenario_state
 
 
@@ -111,3 +117,83 @@ class TestPerCellDeploymentValidation:
         state = build_scenario_state(config)
         assert state.node_count == 48
         assert all(count == 3 for count in state.occupancy().values())
+
+
+def build_by_composition(config: ScenarioConfig) -> WsnState:
+    """The build spelled out through public calls: deploy, index, thin, batteries."""
+    grid = config.make_grid()
+    deploy_rng = derive_rng(config.seed, "deployment")
+    if config.deployment == "uniform":
+        arrays = deploy_uniform(grid, config.deployed_count, deploy_rng, as_arrays=True)
+    else:
+        arrays = deploy_per_cell(
+            grid, config.deployed_count // config.cell_count, deploy_rng, as_arrays=True
+        )
+    state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
+    if config.target_enabled is not None:
+        ThinningToEnabledCount(config.target_enabled).apply(
+            state, derive_rng(config.seed, "thinning")
+        )
+    if config.initial_energy is not None:
+        energy_rng = derive_rng(config.seed, "energy")
+        for node in state.nodes():
+            capacity = config.initial_energy
+            if config.initial_energy_jitter:
+                capacity *= 1.0 - config.initial_energy_jitter * energy_rng.random()
+            node.reset_energy(capacity)
+    return state
+
+
+#: 6x5 grid, 240 nodes: thinning off, thinning to 30 + 12 enabled, and a
+#: target above the deployment (no excess, so no victims).
+_SPARE_SURPLUSES = (None, 12, 500)
+#: Batteries: node default, a flat install, and a jittered install.
+_ENERGIES = ((None, 0.0), (3.0, 0.0), (3.0, 0.25))
+
+
+class TestBuildEqualsComposition:
+    """``build_scenario_state`` thins before it indexes; the result must not show it."""
+
+    @pytest.mark.parametrize(
+        "head_policy, deployment, spare_surplus, energy",
+        list(
+            itertools.product(
+                sorted(HEAD_POLICIES), ("uniform", "per_cell"), _SPARE_SURPLUSES, _ENERGIES
+            )
+        ),
+    )
+    def test_build_equals_deploy_index_thin_install(
+        self, head_policy, deployment, spare_surplus, energy
+    ):
+        initial_energy, jitter = energy
+        config = ScenarioConfig(
+            columns=6,
+            rows=5,
+            deployed_count=240,
+            spare_surplus=spare_surplus,
+            seed=17,
+            initial_energy=initial_energy,
+            initial_energy_jitter=jitter,
+            head_policy=head_policy,
+            deployment=deployment,
+        )
+        built = build_scenario_state(config)
+        reference = build_by_composition(config)
+        built.check_invariants()
+        assert built.to_bytes() == reference.to_bytes()
+        assert built.heads() == reference.heads()
+        assert built.occupancy() == reference.occupancy()
+        assert built.vacant_cells() == reference.vacant_cells()
+        assert built.spare_count == reference.spare_count
+        for coord in built.grid.all_coords():
+            assert [node.node_id for node in built.members_of(coord)] == [
+                node.node_id for node in reference.members_of(coord)
+            ]
+
+    def test_empty_deployment_equals_composition(self):
+        config = ScenarioConfig(columns=4, rows=4, deployed_count=0, spare_surplus=3)
+        built = build_scenario_state(config)
+        built.check_invariants()
+        assert built.to_bytes() == build_by_composition(config).to_bytes()
+        assert built.hole_count == 16
+        assert set(built.heads().values()) == {None}

@@ -10,9 +10,12 @@ The contracts exercised here:
   record so the next query is a hit;
 * error mapping: bad specs -> 400, unknown endpoints -> 404, a full broker
   queue -> 503, a negative ``Content-Length`` -> 400 and one above
-  ``MAX_BODY_BYTES`` -> 413, both answered without reading a body.
+  ``MAX_BODY_BYTES`` -> 413, both answered without reading a body, and a
+  spec above an admission limit (grid cells, deployed nodes, round bound)
+  -> 400 before anything is built.
 """
 
+import json
 import socket
 import threading
 from contextlib import contextmanager
@@ -24,7 +27,12 @@ from repro.experiments.orchestration import execute_run
 from repro.experiments.persistence import record_to_dict
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
 from repro.serve.client import ServeError
-from repro.serve.server import MAX_BODY_BYTES
+from repro.serve.server import (
+    MAX_BODY_BYTES,
+    MAX_DEPLOYED_COUNT,
+    MAX_GRID_CELLS,
+    MAX_ROUNDS,
+)
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 
 
@@ -239,12 +247,12 @@ def test_full_queue_maps_to_503():
             thread.join(timeout=30)
 
 
-def raw_post_run(server, content_length: str) -> bytes:
-    """Send ``POST /run`` headers declaring ``content_length`` but no body.
+def raw_post_run(server, content_length: str, body: bytes = b"") -> bytes:
+    """Send ``POST /run`` headers declaring ``content_length``, then ``body``.
 
     Returns everything the server sends before closing the connection; a
-    server that waits for a body the client never sends makes this raise
-    ``socket.timeout`` after one second.
+    server that waits for a body the client never sends, or works on the
+    request for more than a second, makes this raise ``socket.timeout``.
     """
     host, port = server.server_address[:2]
     request = (
@@ -254,7 +262,7 @@ def raw_post_run(server, content_length: str) -> bytes:
         f"Content-Length: {content_length}\r\n\r\n"
     )
     with socket.create_connection((host, port), timeout=1.0) as sock:
-        sock.sendall(request.encode("ascii"))
+        sock.sendall(request.encode("ascii") + body)
         reply = b""
         while True:
             chunk = sock.recv(4096)
@@ -278,3 +286,57 @@ def test_bad_content_length_is_refused_without_reading(content_length, status):
         # The handler thread finished instead of waiting on the socket.
         wait_until(lambda: set(threading.enumerate()) <= before, timeout=1.0)
         assert client.health()["status"] == "ok"
+
+
+def _over_limit(field: str) -> dict:
+    """A small spec with ``field`` one past its admission limit."""
+    payload = spec_payload()
+    if field == "columns*rows":
+        payload["scenario"].update(columns=MAX_GRID_CELLS + 1, rows=1)
+    elif field == "deployed_count":
+        payload["scenario"]["deployed_count"] = MAX_DEPLOYED_COUNT + 1
+    else:
+        payload["max_rounds"] = MAX_ROUNDS + 1
+    return payload
+
+
+@pytest.mark.parametrize(
+    "field, limit",
+    [
+        ("columns*rows", MAX_GRID_CELLS),
+        ("deployed_count", MAX_DEPLOYED_COUNT),
+        ("max_rounds", MAX_ROUNDS),
+    ],
+)
+def test_spec_over_an_admission_limit_is_refused_before_any_build(field, limit):
+    with running_server() as (server, client):
+        before = set(threading.enumerate())
+        body = json.dumps(_over_limit(field)).encode("utf-8")
+        reply = raw_post_run(server, str(len(body)), body)
+        status_line = reply.split(b"\r\n", 1)[0].decode("ascii")
+        assert status_line.split()[1] == "400", status_line
+        message = json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"]
+        assert field in message and str(limit) in message
+        # Refused at parsing: the broker never saw it.
+        assert server.broker.stats().submitted == 0
+        wait_until(lambda: set(threading.enumerate()) <= before, timeout=1.0)
+        assert client.health()["status"] == "ok"
+
+
+def test_admission_limits_admit_the_paper_tier_and_the_limits_themselves():
+    paper = spec_from_request(
+        {
+            "scenario": {"columns": 16, "rows": 16, "deployed_count": 5000, "spare_surplus": 55},
+            "scheme": "AR",
+            "max_rounds": 60,
+            "channel": "lossy:0.2",
+        }
+    )
+    assert paper.scenario.cell_count == 256
+    at_limits = spec_payload(max_rounds=MAX_ROUNDS)
+    at_limits["scenario"].update(
+        columns=MAX_GRID_CELLS // 256, rows=256, deployed_count=MAX_DEPLOYED_COUNT
+    )
+    spec = spec_from_request(at_limits)
+    assert spec.scenario.cell_count == MAX_GRID_CELLS
+    assert spec.max_rounds == MAX_ROUNDS
