@@ -38,10 +38,16 @@ through ``simulate_from`` on a private copy of its prebuilt initial state.
 It reports the median over passes of the milliseconds per spec, the
 microseconds per node move, and a digest of the records.
 
+The ``channel_overhead`` section prices the control-message channel: SR
+recovery rounds run back to back with the default perfect channel and with
+``channel=None`` (identical physical work), and the difference, divided by
+the messages the perfect run sent, is the channel's cost per message.
+
 The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
 batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
-the 256x256 tier, build-vs-composition identity, bulk-vs-loop thinning
+the 256x256 tier, the channel's microseconds per message (at most
+``CHANNEL_US_PER_MESSAGE_LIMIT``), build-vs-composition identity, bulk-vs-loop thinning
 identity (unconditional) and speed (bulk at least
 ``BULK_DISABLE_SPEEDUP_FLOOR`` times faster), and the
 ``simulate_from`` section on a small tier, whose records must equal
@@ -104,10 +110,15 @@ HOLES_PER_ROUND = 8
 SMOKE_QUERY_RATIO_LIMIT = 5.0
 #: Smoke-mode guard: generous absolute per-round budget on the 16x16 grid.
 SMOKE_ROUND_SECONDS_LIMIT = 0.05
-#: Guard on the messaging subsystem: per-round cost of SR under the default
-#: perfect channel must stay within this factor of the channel-less legacy
-#: path (the PR-2 per-round cost), measured back to back on the same machine.
-CHANNEL_OVERHEAD_LIMIT = 1.2
+#: Guard on the messaging subsystem: microseconds the default perfect
+#: channel adds per message sent (perfect-channel rounds minus the same
+#: rounds with ``channel=None``, over the messages sent).  An absolute
+#: per-unit bound, so it does not move when only the controllers or the
+#: engine get faster, as the former perfect/None ratio did.  Set from ten
+#: readings of 2.5-8.4 us on a 2-core host before the flat-cell-id hot
+#: path, the worst doubled for the host's ~2x speed swings; an O(cells)
+#: search per delivered message reads 78-91 us.
+CHANNEL_US_PER_MESSAGE_LIMIT = 17.0
 #: Guard on the vectorized batch-adjacency path: wall-clock ceiling for the
 #: full adjacency build at 49k nodes (the 128x128 tier).  The pre-refactor
 #: per-node implementation measured ~2.3 s here; the vectorized path is well
@@ -217,6 +228,7 @@ def bench_recovery_rounds(
     rounds_scheduled = max(1, hole_count // HOLES_PER_ROUND)
     total_seconds = 0.0
     total_rounds = 0
+    total_messages = 0
     per_round_samples = []
     for repeat in range(repeats):
         state = base.clone()
@@ -241,11 +253,13 @@ def bench_recovery_rounds(
             )
         total_seconds += elapsed
         total_rounds += result.rounds_executed
+        total_messages += result.metrics.messages_sent
         per_round_samples.append(elapsed / result.rounds_executed)
     return {
         "repeats": repeats,
         "holes_per_round": HOLES_PER_ROUND,
         "rounds_total": total_rounds,
+        "messages_total": total_messages,
         "seconds_total": round(total_seconds, 6),
         "per_round_seconds": round(total_seconds / total_rounds, 8),
         "per_round_seconds_median": round(statistics.median(per_round_samples), 8),
@@ -256,19 +270,19 @@ def bench_recovery_rounds(
 def bench_channel_overhead(
     base: WsnState, hole_count: int, seed: int, repeats: int
 ) -> dict:
-    """Per-round cost of the default perfect channel vs the channel-less path.
+    """Cost of the default perfect channel per message sent.
 
     Both configurations run the identical workload back to back on the same
-    machine, so the ratio isolates the cost of the messaging subsystem
-    (mailbox delivery, send bookkeeping, energy debits) from hardware noise.
-    The two runs are also required to do identical physical work — the
-    perfect channel is a semantic no-op — so the comparison is apples to
-    apples by construction.  To keep the ratio robust against scheduler
-    noise the two configurations are warmed up once and then measured as
-    *adjacent pairs* (legacy immediately followed by perfect, per repeat);
-    the reported overhead is the median of the per-pair ratios, so slow
-    drift affects both sides of every pair equally and a single noisy
-    sample cannot move the estimate.
+    machine — the perfect channel is a semantic no-op, so they make the same
+    moves over the same rounds — and the difference in wall time is the
+    messaging subsystem's work (message construction, mailbox delivery,
+    delivery handling, the sender's energy debit through the engine hook).
+    Divided by the messages the perfect run sent, it is an absolute
+    per-unit cost that does not scale with anything else the round does.
+    The configurations are warmed up once and then measured as *adjacent
+    pairs* (alternating which runs first); the reported cost is the median
+    of the per-pair figures, so slow drift affects both sides of every pair
+    equally and a single noisy sample cannot move the estimate.
     """
     configs = (("legacy", None), ("perfect", DEFAULT_CHANNEL))
     # A longer drip feed than the scaling benchmark uses: more rounds per
@@ -276,8 +290,9 @@ def bench_channel_overhead(
     overhead_holes = hole_count * 4
     for _, channel in configs:  # warm caches and code paths
         bench_recovery_rounds(base, overhead_holes, seed, 1, channel=channel)
-    pair_ratios = []
+    pair_us_per_message = []
     samples = {label: [] for label, _ in configs}
+    messages = []
     # Garbage collection is disabled during the timed pairs (as
     # pytest-benchmark does): the channel side allocates more, so GC pauses
     # would otherwise land on one side of the comparison systematically.
@@ -291,25 +306,27 @@ def bench_channel_overhead(
             # effects tied to position inside a pair cancel across repeats.
             ordered = configs if repeat % 2 == 0 else tuple(reversed(configs))
             for label, channel in ordered:
-                result = bench_recovery_rounds(
+                pair[label] = bench_recovery_rounds(
                     base, overhead_holes, seed + repeat, 1, channel=channel
                 )
-                pair[label] = result["per_round_seconds_min"]
-                samples[label].append(pair[label])
-            if pair["legacy"] > 0:
-                pair_ratios.append(pair["perfect"] / pair["legacy"])
+                samples[label].append(pair[label]["per_round_seconds_min"])
+            sent = pair["perfect"]["messages_total"]
+            messages.append(sent)
+            if sent:
+                extra = pair["perfect"]["seconds_total"] - pair["legacy"]["seconds_total"]
+                pair_us_per_message.append(extra / sent * 1e6)
     finally:
         if gc_was_enabled:
             gc.enable()
-    ratio = statistics.median(pair_ratios) if pair_ratios else float("inf")
-    # The published per-side figures are medians so the record is
-    # self-consistent: their quotient tracks the guarded pair-median ratio,
-    # which a single minimum on either side would not.
+    us_per_message = (
+        statistics.median(pair_us_per_message) if pair_us_per_message else float("inf")
+    )
     return {
         "per_round_seconds_no_channel": statistics.median(samples["legacy"]),
         "per_round_seconds_perfect_channel": statistics.median(samples["perfect"]),
-        "overhead_ratio": round(ratio, 3),
-        "limit": CHANNEL_OVERHEAD_LIMIT,
+        "messages_per_run": statistics.median(messages),
+        "us_per_message": round(us_per_message, 3),
+        "limit_us_per_message": CHANNEL_US_PER_MESSAGE_LIMIT,
     }
 
 
@@ -598,6 +615,17 @@ def run_grid(columns: int, rows: int, holes: int, seed: int, repeats: int) -> di
     return entry
 
 
+def channel_failures(channel: dict) -> list:
+    """The channel-cost guard's failure messages (empty when it holds)."""
+    if channel["us_per_message"] <= CHANNEL_US_PER_MESSAGE_LIMIT:
+        return []
+    return [
+        f"the perfect channel costs {channel['us_per_message']:.2f} us per message "
+        f"over channel-less rounds (limit {CHANNEL_US_PER_MESSAGE_LIMIT} us) — the "
+        "messaging subsystem grew a cost not explained by traffic"
+    ]
+
+
 def smoke(holes: int, seed: int, repeats: int) -> int:
     """Smallest-grid benchmark + query-scaling regression guard for CI."""
     small = run_grid(16, 16, holes, seed, repeats)
@@ -657,17 +685,14 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
     base = build_base_state(16, 16, seed)
     channel = bench_channel_overhead(base, holes, seed, repeats)
     print(
-        "channel overhead guard: no-channel "
+        "channel cost guard: no-channel "
         f"{channel['per_round_seconds_no_channel'] * 1e3:.3f} ms vs perfect "
-        f"{channel['per_round_seconds_perfect_channel'] * 1e3:.3f} ms per round "
-        f"-> ratio {channel['overhead_ratio']:.3f} (limit {CHANNEL_OVERHEAD_LIMIT})"
+        f"{channel['per_round_seconds_perfect_channel'] * 1e3:.3f} ms per round, "
+        f"{channel['messages_per_run']} messages per run "
+        f"-> {channel['us_per_message']:.2f} us per message "
+        f"(limit {CHANNEL_US_PER_MESSAGE_LIMIT})"
     )
-    if channel["overhead_ratio"] > CHANNEL_OVERHEAD_LIMIT:
-        failures.append(
-            f"the perfect-channel per-round cost is {channel['overhead_ratio']:.2f}x "
-            f"the channel-less legacy path (limit {CHANNEL_OVERHEAD_LIMIT}x) — the "
-            "messaging subsystem grew a per-round cost not explained by traffic"
-        )
+    failures.extend(channel_failures(channel))
 
     build = bench_scenario_build(seeds=(seed,))
     print(
@@ -719,7 +744,7 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
         f"{build['bulk_vs_loop_speedup']}x one-at-a-time, identical "
         f"{build['bulk_equals_loop']}"
     )
-    failures = build_failures(build)
+    failures = build_failures(build) + channel_failures(channel)
     if include_large:
         large = grids[-1]
         if large["deploy"]["seconds"] > DEPLOY_SECONDS_LIMIT_786K:
@@ -740,9 +765,11 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "SR recovery per-round cost and state-query cost at equal hole "
             "count across grid sizes; per_round_ratio_largest_vs_smallest ~2x "
             "or less means round cost is grid-size independent, "
-            "channel_overhead.overhead_ratio <= 1.2 means the control-message "
-            "channel adds no meaningful per-round cost on the default perfect "
-            "model, the per-tier deploy/adjacency columns track the "
+            "channel_overhead.us_per_message is what the default perfect "
+            "control-message channel adds per message sent (perfect-channel "
+            "rounds minus channel-less rounds, median over adjacent pairs; "
+            f"guarded at <= {CHANNEL_US_PER_MESSAGE_LIMIT} us), "
+            "the per-tier deploy/adjacency columns track the "
             "vectorized struct-of-arrays paths (per-edge seconds are the "
             "throughput of the batch adjacency build), scenario_build times "
             "build_scenario_state at the paper tier (16x16, 5000 deployed, "
@@ -774,8 +801,8 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
     largest_label = f"{shapes[-1][0]}x{shapes[-1][1]}"
     print(f"\nper-round cost {largest_label} vs 16x16: {ratio:.2f}x")
     print(
-        f"perfect-channel overhead vs channel-less rounds: "
-        f"{channel['overhead_ratio']:.3f}x (limit {CHANNEL_OVERHEAD_LIMIT})"
+        f"perfect-channel cost: {channel['us_per_message']:.2f} us per message "
+        f"(limit {CHANNEL_US_PER_MESSAGE_LIMIT})"
     )
     print(f"[written to {output}]")
     for failure in failures:

@@ -18,9 +18,11 @@ the exact code broker workers run per cold spec:
 
 * a **cold-path breakdown** — seconds spent building the initial scenario
   state versus simulating from it, per scheme (best of
-  ``COLD_PATH_REPEATS`` each).  The build's share of a cold spec must stay
-  at or below ``MAX_STATE_BUILD_FRACTION``: since thinning disables its
-  victims in one bulk pass, the build is a small part of a cold spec;
+  ``COLD_PATH_REPEATS`` each).  One paper-tier build must take at most
+  ``MAX_STATE_BUILD_MS`` milliseconds: an absolute bound on the build
+  alone, so a faster simulation cannot move it (the build's share of a
+  cold spec, the former guard, rose whenever only the simulation got
+  faster);
 * a **sweep-shaped cold workload** — every scheme crossed with several
   trial seeds over a handful of shared scenarios (the shape every sweep
   and figure driver emits), executed once per spec with the initial-state
@@ -47,7 +49,7 @@ requests, "p99" is just the max wearing a statistics costume).  The guards
 * the herd performs exactly one simulation (in-flight dedup works);
 * warm p50 latency under a generous quarter-second ceiling (a cache hit
   must never cost simulation time);
-* the state build is at most ``MAX_STATE_BUILD_FRACTION`` of a cold spec;
+* one paper-tier state build takes at most ``MAX_STATE_BUILD_MS`` ms;
 * the sweep-shaped cold workload gives byte-identical records with the
   initial-state cache off and on.
 """
@@ -99,7 +101,11 @@ SWEEP_TRIALS = 4
 #: simulated over 25x.
 MAX_WARM_VS_HEALTH_P50 = 6.0
 MAX_WARM_P50_SECONDS = 0.25
-MAX_STATE_BUILD_FRACTION = 0.4
+#: Milliseconds one paper-tier ``build_initial_state`` may take (best of
+#: ``COLD_PATH_REPEATS``).  Ten readings before the flat-cell-id hot path
+#: were 2.9-5.2 ms on a 2-core host; the bound doubles the worst for the
+#: host's ~2x speed swings.  Thinning one victim at a time reads 56-69 ms.
+MAX_STATE_BUILD_MS = 10.5
 #: Cold-path breakdown: each half of a cold spec is timed this many times and
 #: the fastest run is reported, so a one-off stall cannot tip the build share.
 COLD_PATH_REPEATS = 3
@@ -240,6 +246,7 @@ def cold_path_breakdown() -> dict:
     typical_simulate = statistics.median(simulate.values())
     return {
         "state_build_seconds": round(build_seconds, 4),
+        "state_build_ms": round(build_seconds * 1e3, 3),
         "simulate_seconds": simulate,
         "state_build_fraction_of_cold_spec": round(
             build_seconds / (build_seconds + typical_simulate), 3
@@ -334,8 +341,9 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             f"only; the breakdown times each half best of {COLD_PATH_REPEATS}; "
             f"guards: warm_vs_health_p50 <= {MAX_WARM_VS_HEALTH_P50:.0f}x with "
             "every warm request answered cached, "
-            "cold_path.breakdown.state_build_fraction_of_cold_spec <= "
-            f"{MAX_STATE_BUILD_FRACTION}, cold_path.sweep.records_identical"
+            f"cold_path.breakdown.state_build_ms <= {MAX_STATE_BUILD_MS}, "
+            "cold_path.sweep.records_identical (the build's share of a cold "
+            "spec is reported, not guarded)"
         ),
         "scenario": SCENARIO,
         "schemes": list(SCHEMES),
@@ -387,12 +395,12 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         failures.append(
             "state-cached sweep records differ from the cache-off baseline"
         )
-    build_fraction = breakdown["state_build_fraction_of_cold_spec"]
-    if build_fraction > MAX_STATE_BUILD_FRACTION:
+    build_ms = breakdown["state_build_ms"]
+    if build_ms > MAX_STATE_BUILD_MS:
         failures.append(
-            f"the state build is {build_fraction:.0%} of a cold spec "
-            f"(guard: <= {MAX_STATE_BUILD_FRACTION:.0%}); thinning lost its "
-            "bulk pass or another build step grew"
+            f"one paper-tier state build takes {build_ms:.2f} ms "
+            f"(guard: <= {MAX_STATE_BUILD_MS} ms); thinning lost its bulk pass "
+            "or another build step grew"
         )
     return report, failures
 
@@ -436,8 +444,9 @@ def main(argv=None) -> int:
         f"{report['warm_vs_health_p50']}x the /health p50, herd of "
         f"{report['herd']['concurrent_requests']} -> "
         f"{report['herd']['simulations_performed']} simulation, "
-        f"state build {breakdown['state_build_fraction_of_cold_spec']:.0%} of a "
-        f"cold spec, sweep {sweep['baseline_specs_per_second']} specs/s cache "
+        f"state build {breakdown['state_build_ms']:.2f} ms "
+        f"({breakdown['state_build_fraction_of_cold_spec']:.0%} of a cold spec), "
+        f"sweep {sweep['baseline_specs_per_second']} specs/s cache "
         f"off vs {sweep['cached_specs_per_second']} on (identical records)"
     )
     if not args.smoke:

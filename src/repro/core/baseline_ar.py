@@ -26,6 +26,12 @@ a faithful reconstruction of the behaviour the paper relies on:
 
 See DESIGN.md ("AR reconstruction") for the mapping between these rules and
 the claims made in Section 5 of the paper.
+
+Like SR, the controller works on flat cell ids (``y * columns + x``): the
+grid's neighbour table and the state's per-cell counts and heads.  Holes
+are still announced in :class:`GridCoord` order, ``(x, y)``, and the
+straight-line continuation is computed in ``(x, y)``; processes, move
+records and messages carry :class:`GridCoord` cells.
 """
 
 from __future__ import annotations
@@ -38,18 +44,17 @@ from repro.core.protocol import (
     MobilityController,
     ReplacementProcess,
     RoundOutcome,
-    select_spare,
 )
-from repro.grid.virtual_grid import GridCoord, VirtualGrid
+from repro.grid.virtual_grid import VirtualGrid
 from repro.network.state import WsnState
 
 
 @dataclass
 class _CascadeState:
-    """Controller-private bookkeeping for one AR process."""
+    """Controller-private bookkeeping for one AR process (cells are flat ids)."""
 
-    target: GridCoord
-    supplier: GridCoord
+    target: int
+    supplier: int
     #: Unit direction (dx, dy) of the last hop, used to prefer straight cascades.
     direction: Optional[Tuple[int, int]] = None
     stalls: int = 0
@@ -107,12 +112,13 @@ class LocalizedReplacementController(MobilityController):
         #: Ids of the cascades still active at the last look, in creation
         #: order; pruned every round, so a round never rescans finished ones.
         self._active: List[int] = []
-        #: Original holes that already triggered their burst of processes.
-        self._announced_holes: Set[GridCoord] = set()
+        #: Original holes (flat ids) that already triggered their burst of
+        #: processes.
+        self._announced_holes: Set[int] = set()
         #: Vacancies created by cascading moves (owned by exactly one process).
-        self._cascade_vacancies: Set[GridCoord] = set()
+        self._cascade_vacancies: Set[int] = set()
         #: Vacancies left behind by failed processes; never re-announced.
-        self._abandoned: Set[GridCoord] = set()
+        self._abandoned: Set[int] = set()
 
     # ------------------------------------------------------------------ round
     def execute_round(
@@ -122,11 +128,11 @@ class LocalizedReplacementController(MobilityController):
         outcome = RoundOutcome(round_index=round_index)
         self._service_retries(state, round_index, outcome)
         # O(holes) snapshot from the live vacancy index; no grid scan.
-        vacant_snapshot = state.vacant_cell_set()
+        vacant_snapshot = state.vacant_flat_cells()
 
         self._announce_new_holes(state, vacant_snapshot, round_index, outcome)
 
-        acted_heads: Set[GridCoord] = set()
+        acted_heads: Set[int] = set()
         self._active = [pid for pid in self._active if self._processes[pid].is_active]
         active_ids = list(self._active)
         rng.shuffle(active_ids)
@@ -146,12 +152,19 @@ class LocalizedReplacementController(MobilityController):
     def _announce_new_holes(
         self,
         state: WsnState,
-        vacant_snapshot: FrozenSet[GridCoord],
+        vacant_snapshot: FrozenSet[int],
         round_index: int,
         outcome: RoundOutcome,
     ) -> None:
-        """Every occupied neighbour of a fresh hole starts its own process."""
-        for hole in sorted(vacant_snapshot):
+        """Every occupied neighbour of a fresh hole starts its own process.
+
+        Holes are announced in :class:`GridCoord` order — by ``x``, then
+        ``y`` — which fixes the process ids; row-major flat order would not.
+        """
+        coords = self.grid.coord_list()
+        neighbour_table = self.grid.neighbour_table
+        counts = state.cell_counts
+        for hole in sorted(vacant_snapshot, key=coords.__getitem__):
             if (
                 hole in self._announced_holes
                 or hole in self._cascade_vacancies
@@ -159,9 +172,7 @@ class LocalizedReplacementController(MobilityController):
             ):
                 continue
             occupied_neighbours = [
-                neighbour
-                for neighbour in self.grid.neighbours(hole)
-                if not state.is_vacant(neighbour)
+                neighbour for neighbour in neighbour_table[hole] if counts[neighbour]
             ]
             if not occupied_neighbours:
                 # Nobody can see the hole yet; it may be announced later once
@@ -170,7 +181,9 @@ class LocalizedReplacementController(MobilityController):
             self._announced_holes.add(hole)
             for neighbour in occupied_neighbours:
                 process = self._start_process(
-                    origin_cell=hole, initiator_cell=neighbour, round_index=round_index
+                    origin_cell=coords[hole],
+                    initiator_cell=coords[neighbour],
+                    round_index=round_index,
                 )
                 self._cascades[process.process_id] = _CascadeState(
                     target=hole, supplier=neighbour
@@ -185,8 +198,8 @@ class LocalizedReplacementController(MobilityController):
         rng: random.Random,
         round_index: int,
         process_id: int,
-        vacant_snapshot: FrozenSet[GridCoord],
-        acted_heads: Set[GridCoord],
+        vacant_snapshot: FrozenSet[int],
+        acted_heads: Set[int],
         outcome: RoundOutcome,
     ) -> None:
         process = self._processes[process_id]
@@ -199,7 +212,8 @@ class LocalizedReplacementController(MobilityController):
             # starving — no stall is counted) until it is delivered.
             return
 
-        if target not in vacant_snapshot and not state.is_vacant(target):
+        counts = state.cell_counts
+        if target not in vacant_snapshot and counts[target]:
             # Another process filled the target in a *previous* round; this
             # process aborts.  It is redundant work typical of AR, but it did
             # not fail to find a spare, so it does not count against the
@@ -209,7 +223,7 @@ class LocalizedReplacementController(MobilityController):
             return
 
         supplier = cascade.supplier
-        if state.is_vacant(supplier):
+        if not counts[supplier]:
             # The supplier lost its nodes (e.g. another cascade pulled them
             # away): with only 1-hop knowledge the process cannot recover.
             self._fail(process, cascade, round_index, outcome)
@@ -220,7 +234,7 @@ class LocalizedReplacementController(MobilityController):
                 self._fail(process, cascade, round_index, outcome)
             return
 
-        head_id = state.head_id_of(supplier)
+        head_id = state.cell_heads[supplier]
         if state.energy_of(head_id) <= 0.0:
             # A dead-battery head can neither move nor message; with 1-hop
             # knowledge the process can only wait (and eventually starve) —
@@ -231,11 +245,9 @@ class LocalizedReplacementController(MobilityController):
                 self._fail(process, cascade, round_index, outcome)
             return
         acted_heads.add(supplier)
-        spare_id = select_spare(state, supplier, target, self.spare_selection)
+        spare_id = state.select_spare_at(supplier, target, self.spare_selection)
         if spare_id is not None:
-            record = state.move_node(
-                spare_id, target, rng, round_index, process_id=process_id
-            )
+            record = state.relocate(spare_id, target, rng, round_index, process_id)
             process.record_move(record)
             outcome.moves.append(record)
             self._cascade_vacancies.discard(target)
@@ -249,12 +261,11 @@ class LocalizedReplacementController(MobilityController):
         # to this round.
         process.notifications_sent += 1
         outcome.messages_sent += 1
-        record = state.move_node(
-            head_id, target, rng, round_index, process_id=process_id
-        )
+        record = state.relocate(head_id, target, rng, round_index, process_id)
         process.record_move(record)
         outcome.moves.append(record)
         self._cascade_vacancies.discard(target)
+        coords = self.grid.coord_list()
 
         if process.move_count >= self.max_hops:
             cascade.target = supplier
@@ -264,9 +275,9 @@ class LocalizedReplacementController(MobilityController):
             self._post_replacement_request(
                 state,
                 head_id,
-                source_cell=target,
-                target_cell=supplier,
-                vacancy=supplier,
+                source_cell=coords[target],
+                target_cell=coords[supplier],
+                vacancy=coords[supplier],
                 process_id=process_id,
                 round_index=round_index,
                 reliable=False,
@@ -284,9 +295,9 @@ class LocalizedReplacementController(MobilityController):
             self._post_replacement_request(
                 state,
                 head_id,
-                source_cell=target,
-                target_cell=supplier,
-                vacancy=supplier,
+                source_cell=coords[target],
+                target_cell=coords[supplier],
+                vacancy=coords[supplier],
                 process_id=process_id,
                 round_index=round_index,
                 reliable=False,
@@ -299,9 +310,9 @@ class LocalizedReplacementController(MobilityController):
         if self._post_replacement_request(
             state,
             head_id,
-            source_cell=target,
-            target_cell=next_supplier,
-            vacancy=supplier,
+            source_cell=coords[target],
+            target_cell=coords[next_supplier],
+            vacancy=coords[supplier],
             process_id=process_id,
             round_index=round_index,
         ):
@@ -310,32 +321,40 @@ class LocalizedReplacementController(MobilityController):
     def _choose_next_supplier(
         self,
         state: WsnState,
-        vacated: GridCoord,
-        came_from: GridCoord,
+        vacated: int,
+        came_from: int,
         direction: Optional[Tuple[int, int]],
         rng: random.Random,
-    ) -> Tuple[Optional[GridCoord], Optional[Tuple[int, int]]]:
-        """Pick the neighbouring cell the cascade pulls from next.
+    ) -> Tuple[Optional[int], Optional[Tuple[int, int]]]:
+        """Pick the neighbouring cell (flat id) the cascade pulls from next.
 
         Prefers continuing in a straight line (the snake keeps its heading),
         never backtracks into the cell it just filled, and only considers
-        occupied cells because a vacant cell has no head to ask.
+        occupied cells because a vacant cell has no head to ask.  The
+        straight-line cell is computed in ``(x, y)``: flat arithmetic would
+        wrap across rows.
         """
-        incoming = (came_from.x - vacated.x, came_from.y - vacated.y)
-        straight = GridCoord(vacated.x - incoming[0], vacated.y - incoming[1])
+        coords = self.grid.coord_list()
+        vacated_x, vacated_y = coords[vacated]
+        came_x, came_y = coords[came_from]
+        straight_x = 2 * vacated_x - came_x
+        straight_y = 2 * vacated_y - came_y
+        counts = state.cell_counts
         candidates = [
             neighbour
-            for neighbour in self.grid.neighbours(vacated)
-            if neighbour != came_from and not state.is_vacant(neighbour)
+            for neighbour in self.grid.neighbour_table[vacated]
+            if neighbour != came_from and counts[neighbour]
         ]
         if not candidates:
             return None, None
-        if straight in candidates:
-            chosen = straight
+        for neighbour in candidates:
+            if coords[neighbour] == (straight_x, straight_y):
+                chosen = neighbour
+                break
         else:
             chosen = candidates[rng.randrange(len(candidates))]
-        new_direction = (vacated.x - chosen.x, vacated.y - chosen.y)
-        return chosen, new_direction
+        chosen_x, chosen_y = coords[chosen]
+        return chosen, (vacated_x - chosen_x, vacated_y - chosen_y)
 
     # -------------------------------------------------------------- messaging
     def _reset_messaging_state(self) -> None:
@@ -353,7 +372,8 @@ class LocalizedReplacementController(MobilityController):
         if cascade is None or not cascade.awaiting_delivery:
             return
         vacancy = (message.payload or {}).get("vacancy")
-        if vacancy is not None and tuple(vacancy) != cascade.target.as_tuple():
+        target_cell = self.grid.coord_at(cascade.target)
+        if vacancy is not None and tuple(vacancy) != target_cell.as_tuple():
             # A late duplicate (retransmission) of an *earlier* hop's request:
             # it must not open the gate for the current hop, whose own
             # notification may still be in flight or lost.
@@ -374,7 +394,7 @@ class LocalizedReplacementController(MobilityController):
         cascade = self._cascades.get(key[0])
         if process is None or cascade is None or not process.is_active:
             return
-        if cascade.awaiting_delivery and key[1] == cascade.target.as_tuple():
+        if cascade.awaiting_delivery and key[1] == self.grid.coord_at(cascade.target):
             cascade.awaiting_delivery = False
             self._fail(process, cascade, round_index, outcome)
 

@@ -22,13 +22,20 @@ The replacement controllers only need one question answered: *given a vacant
 cell, which cell's head is responsible for initiating (or continuing) its
 replacement?*  That is :meth:`HamiltonCycle.initiator_for`, which encodes the
 special cases of Algorithm 2 for the dual-path construction.
+
+The controllers ask it by flat cell id (``y * columns + x``): every
+structure carries :attr:`~HamiltonCycle.index_table` (the traversal position
+of each cell) and :attr:`~HamiltonCycle.initiator_table` (each cell's
+initiator wherever it does not depend on spares), and
+:meth:`~HamiltonCycle.initiator_of` answers the rest.  The coordinate
+methods read the same tables.
 """
 
 from __future__ import annotations
 
 import abc
 import functools
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 
@@ -47,7 +54,20 @@ HAMILTON_CACHE_SIZE = 8
 
 
 class HamiltonCycle(abc.ABC):
-    """Common interface of the directed Hamilton structures used by SR."""
+    """Common interface of the directed Hamilton structures used by SR.
+
+    Attributes
+    ----------
+    index_table:
+        Position of every cell in :meth:`order`, indexed by flat cell id.
+    initiator_table:
+        The initiator's flat id for every vacant flat cell id whose initiator
+        is fixed, ``-1`` where it depends on spares and the original hole
+        (the dual-path junction cells C and D).  Both tables are read-only.
+    """
+
+    index_table: List[int]
+    initiator_table: List[int]
 
     def __init__(self, grid: VirtualGrid) -> None:
         self.grid = grid
@@ -124,12 +144,29 @@ class HamiltonCycle(abc.ABC):
                     f"consecutive cells {a.as_tuple()} -> {b.as_tuple()} are not neighbours"
                 )
 
+    def initiator_of(
+        self, vacant: int, cell_counts: Sequence[int], origin: Optional[int]
+    ) -> Optional[int]:
+        """:meth:`initiator_for` by flat id, for the replacement controllers.
+
+        ``cell_counts`` is the enabled-node count per flat id (a cell has a
+        spare when it holds more than one node) and ``origin`` the flat id of
+        the hole the process serves.  The base structure's initiators are
+        all fixed, so this is one table read.
+        """
+        return self.initiator_table[vacant]
+
     def index_of(self, coord: GridCoord) -> int:
         """Position of ``coord`` in the representative traversal order."""
-        return self._index[coord]
+        return self.index_table[self.grid.flat_id(coord)]
 
-    def _build_index(self, order: Sequence[GridCoord]) -> None:
-        self._index: Dict[GridCoord, int] = {coord: i for i, coord in enumerate(order)}
+    def _index_traversal(self, order: Sequence[GridCoord]) -> List[int]:
+        """Set :attr:`index_table` from the traversal ``order``; return its flat ids."""
+        flat_order = [self.grid.flat_index(coord) for coord in order]
+        self.index_table = [0] * len(flat_order)
+        for position, flat in enumerate(flat_order):
+            self.index_table[flat] = position
+        return flat_order
 
 
 class SerpentineHamiltonCycle(HamiltonCycle):
@@ -153,13 +190,15 @@ class SerpentineHamiltonCycle(HamiltonCycle):
                 f"grid {n}x{m} has an odd number of cells; use DualPathHamiltonCycle"
             )
         self._order = self._build_order(n, m)
-        self._build_index(self._order)
-        self._successor: Dict[GridCoord, GridCoord] = {}
-        self._predecessor: Dict[GridCoord, GridCoord] = {}
-        for i, coord in enumerate(self._order):
-            nxt = self._order[(i + 1) % len(self._order)]
-            self._successor[coord] = nxt
-            self._predecessor[nxt] = coord
+        flat_order = self._index_traversal(self._order)
+        self._successor = [0] * len(flat_order)
+        self._predecessor = [0] * len(flat_order)
+        for i, flat in enumerate(flat_order):
+            nxt = flat_order[(i + 1) % len(flat_order)]
+            self._successor[flat] = nxt
+            self._predecessor[nxt] = flat
+        # Every cell's initiator is its cycle predecessor.
+        self.initiator_table = self._predecessor
 
     @staticmethod
     def _build_order(n: int, m: int) -> List[GridCoord]:
@@ -197,11 +236,13 @@ class SerpentineHamiltonCycle(HamiltonCycle):
 
     def successor(self, coord: GridCoord) -> GridCoord:
         """The next cell along the directed cycle (the cell ``coord`` monitors)."""
-        return self._successor[self.grid.validate_coord(coord)]
+        flat = self.grid.flat_index(self.grid.validate_coord(coord))
+        return self.grid.coord_at(self._successor[flat])
 
     def predecessor(self, coord: GridCoord) -> GridCoord:
         """The previous cell along the directed cycle."""
-        return self._predecessor[self.grid.validate_coord(coord)]
+        flat = self.grid.flat_index(self.grid.validate_coord(coord))
+        return self.grid.coord_at(self._predecessor[flat])
 
     def monitored_cells(self, coord: GridCoord) -> List[GridCoord]:
         """The cells whose coverage ``coord``'s head monitors: its cycle successor."""
@@ -258,12 +299,30 @@ class DualPathHamiltonCycle(HamiltonCycle):
         self._chain = self._build_chain(n, m)
         if self._chain[0] != self.cell_d or self._chain[-1] != self.cell_c:
             raise AssertionError("dual-path chain must run from D to C")
-        self._chain_index: Dict[GridCoord, int] = {
-            coord: i for i, coord in enumerate(self._chain)
-        }
         self._path_one = [self.cell_a] + self._chain + [self.cell_b]
         self._path_two = [self.cell_b] + self._chain + [self.cell_a]
-        self._build_index(self._path_one)
+        flat_order = self._index_traversal(self._path_one)
+        flat_chain = flat_order[1:-1]
+        a, b, c, d = (
+            grid.flat_index(cell)
+            for cell in (self.cell_a, self.cell_b, self.cell_c, self.cell_d)
+        )
+        self._flat_abcd = (a, b, c, d)
+        # Chain neighbours by flat id: -1 before D, after C, and for A and
+        # B, the two cells off the chain.
+        self._chain_predecessor = [-1] * len(flat_order)
+        self._chain_successor = [-1] * len(flat_order)
+        for previous, flat in zip(flat_chain, flat_chain[1:]):
+            self._chain_predecessor[flat] = previous
+            self._chain_successor[previous] = flat
+        # Algorithm 2's fixed rules: A and B are served by C, every other
+        # chain cell by its chain predecessor.  C and D depend on spares and
+        # the original hole (initiator_of).
+        self.initiator_table = list(self._chain_predecessor)
+        self.initiator_table[a] = c
+        self.initiator_table[b] = c
+        self.initiator_table[c] = -1
+        self.initiator_table[d] = -1
 
     @staticmethod
     def _build_chain(n: int, m: int) -> List[GridCoord]:
@@ -317,19 +376,21 @@ class DualPathHamiltonCycle(HamiltonCycle):
         """The ``m*n - 2`` cells shared by both paths, from D to C."""
         return list(self._chain)
 
+    def _chain_flat(self, coord: GridCoord) -> int:
+        """Flat id of a chain cell (:class:`ValueError` for A, B, or a cell off the grid)."""
+        if not self.grid.contains_coord(coord) or coord in (self.cell_a, self.cell_b):
+            raise ValueError(f"{coord.as_tuple()} is not on the shared chain")
+        return self.grid.flat_index(coord)
+
     def chain_predecessor(self, coord: GridCoord) -> Optional[GridCoord]:
         """Predecessor of a chain cell within the shared chain (``None`` for D)."""
-        index = self._chain_index.get(coord)
-        if index is None:
-            raise ValueError(f"{coord.as_tuple()} is not on the shared chain")
-        return None if index == 0 else self._chain[index - 1]
+        flat = self._chain_predecessor[self._chain_flat(coord)]
+        return None if flat < 0 else self.grid.coord_at(flat)
 
     def chain_successor(self, coord: GridCoord) -> Optional[GridCoord]:
         """Successor of a chain cell within the shared chain (``None`` for C)."""
-        index = self._chain_index.get(coord)
-        if index is None:
-            raise ValueError(f"{coord.as_tuple()} is not on the shared chain")
-        return None if index == len(self._chain) - 1 else self._chain[index + 1]
+        flat = self._chain_successor[self._chain_flat(coord)]
+        return None if flat < 0 else self.grid.coord_at(flat)
 
     def monitored_cells(self, coord: GridCoord) -> List[GridCoord]:
         """Cells the head of ``coord`` watches for vacancy.
@@ -383,6 +444,26 @@ class DualPathHamiltonCycle(HamiltonCycle):
                 return self.cell_a
             return self.chain_predecessor(self.cell_c)
         return self.chain_predecessor(vacant)
+
+    def initiator_of(
+        self, vacant: int, cell_counts: Sequence[int], origin: Optional[int]
+    ) -> Optional[int]:
+        """:meth:`initiator_for` by flat id: the fixed table, then Algorithm 2 at C and D.
+
+        ``cell_counts`` answers :meth:`initiator_for`'s ``has_spare`` (more
+        than one node in the cell), and ``origin`` is a flat id or ``None``.
+        """
+        initiator = self.initiator_table[vacant]
+        if initiator >= 0:
+            return initiator
+        a, b, c, d = self._flat_abcd
+        if vacant == d:
+            if origin is None or origin == d:
+                return b
+            return a if cell_counts[a] > 1 else b
+        if origin != a and cell_counts[a] > 1:
+            return a
+        return self._chain_predecessor[c]
 
 
 @functools.lru_cache(maxsize=HAMILTON_CACHE_SIZE)

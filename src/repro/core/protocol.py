@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 import enum
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -147,12 +146,12 @@ class RoundOutcome:
 
 
 def usable_spares(state: WsnState, cell: GridCoord) -> List[int]:
-    """Ids of the spares of ``cell`` that still have the battery to move, in id order."""
-    energy = state.arrays.energy
-    row_of = state.arrays.row_of
-    return [
-        node_id for node_id in state.spare_ids_of(cell) if energy[row_of(node_id)] > 0.0
-    ]
+    """Ids of the spares of ``cell`` that still have the battery to move, in id order.
+
+    The coordinate form of :meth:`WsnState.usable_spares_at`; a cell off the
+    grid raises :class:`KeyError`.
+    """
+    return state.usable_spares_at(state.grid.flat_id(cell))
 
 
 def select_spare(
@@ -167,35 +166,12 @@ def select_spare(
     ``"nearest"`` picks the spare closest to the target cell's centre (ties
     by id), ``"max_energy"`` the fullest battery (ties by distance, then id),
     and ``"random"`` draws uniformly from ``rng``, the only selection that
-    needs one.
+    needs one.  The coordinate form of :meth:`WsnState.select_spare_at`,
+    which holds the rule.
     """
-    spares = usable_spares(state, cell)
-    if not spares:
-        return None
-    if selection == "random":
-        return spares[rng.randrange(len(spares))]
-    if len(spares) == 1:
-        return spares[0]
-    center_x = state.grid.column_spans[target.x].center
-    center_y = state.grid.row_spans[target.y].center
-    arrays = state.arrays
-    row_of = arrays.row_of
-
-    def distance(node_id: int) -> float:
-        """Distance from the node to the target cell's centre."""
-        x, y = arrays.positions[row_of(node_id)].tolist()
-        return math.hypot(x - center_x, y - center_y)
-
-    if selection == "max_energy":
-        return max(
-            spares,
-            key=lambda node_id: (
-                float(arrays.energy[row_of(node_id)]),
-                -distance(node_id),
-                -node_id,
-            ),
-        )
-    return min(spares, key=lambda node_id: (distance(node_id), node_id))
+    return state.select_spare_at(
+        state.grid.flat_id(cell), state.grid.flat_id(target), selection, rng
+    )
 
 
 class MobilityController(abc.ABC):
@@ -331,12 +307,12 @@ class MobilityController(abc.ABC):
             payload["req"] = self._request_nonce
         self.channel.send(
             MessageKind.REPLACEMENT_REQUEST,
-            source_cell=source_cell,
-            target_cell=target_cell,
-            round_index=round_index,
-            sender_id=sender_id,
-            process_id=process_id,
-            payload=payload,
+            source_cell,
+            target_cell,
+            round_index,
+            sender_id,
+            process_id,
+            payload,
         )
         if track:
             key = (process_id, vacancy.as_tuple())

@@ -16,6 +16,12 @@ the directed Hamilton cycle.  When the successor becomes vacant:
 The controller is fully round-based: notifications sent in round ``t`` are
 acted upon in round ``t + 1``, exactly as the paper's synchronisation model
 assumes.
+
+Cells are flat ids (``y * columns + x``) throughout the controller: holes
+come from the state's vacancy index, initiators from the Hamilton
+structure's tables, heads from the state's head list.  Processes, move
+records and messages carry :class:`GridCoord` cells, taken from the grid's
+coordinate list.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from repro.core.protocol import (
     MobilityController,
     ReplacementProcess,
     RoundOutcome,
-    select_spare,
 )
 from repro.grid.virtual_grid import GridCoord
 from repro.network.messages import Message
@@ -90,14 +95,16 @@ class HamiltonReplacementController(MobilityController):
             raise ValueError(f"max_hops must be >= 1, got {self.max_hops}")
         self.spare_selection = spare_selection
         self.activation_probability = activation_probability
-        #: Vacant cells currently being served, mapped to their process id.
-        self._vacancy_process: Dict[GridCoord, int] = {}
-        #: Cascade vacancies whose replacement request is still in flight.
-        #: A head only acts on a cascade vacancy once the notification has
-        #: actually been delivered through the channel; on the default
-        #: perfect channel delivery happens exactly one round after the move,
-        #: which is precisely when the vacancy becomes actionable anyway.
-        self._undelivered: Set[GridCoord] = set()
+        #: Vacant cells (flat ids) currently being served, mapped to their
+        #: process id.
+        self._vacancy_process: Dict[int, int] = {}
+        #: Cascade vacancies (flat ids) whose replacement request is still in
+        #: flight.  A head only acts on a cascade vacancy once the
+        #: notification has actually been delivered through the channel; on
+        #: the default perfect channel delivery happens exactly one round
+        #: after the move, which is precisely when the vacancy becomes
+        #: actionable anyway.
+        self._undelivered: Set[int] = set()
 
     # ------------------------------------------------------------------ round
     def execute_round(
@@ -106,15 +113,19 @@ class HamiltonReplacementController(MobilityController):
         """Run one SR round: start processes for new holes and advance each cascade one hop."""
         outcome = RoundOutcome(round_index=round_index)
         self._service_retries(state, round_index, outcome)
+        cycle = self.cycle
         # Snapshot the holes visible at the start of the round.  New vacancies
         # created by this round's moves are only observable next round.  The
         # vacancy index makes this O(holes log holes) — round cost no longer
         # depends on the grid size.
-        ordered = sorted(state.vacant_cell_set(), key=self.cycle.index_of)
-        acted_heads: set = set()
+        ordered = sorted(state.vacant_flat_cells(), key=cycle.index_table.__getitem__)
+        initiator_table = cycle.initiator_table
+        heads = state.cell_heads
+        vacancy_process = self._vacancy_process
+        acted_heads: Set[int] = set()
 
         for vacant in ordered:
-            process_id = self._vacancy_process.get(vacant)
+            process_id = vacancy_process.get(vacant)
             process = self._processes.get(process_id) if process_id is not None else None
             if process is not None and not process.is_active:
                 # Served by a process that already finished (e.g. failed):
@@ -125,16 +136,20 @@ class HamiltonReplacementController(MobilityController):
                 # channel; nobody knows about it yet, so nobody may act.
                 continue
 
-            origin = process.origin_cell if process is not None else vacant
-            initiator = self.cycle.initiator_for(
-                vacant, has_spare=state.has_spare, origin=origin
-            )
-            if initiator is None:
-                continue
-            head_id = state.head_id_of(initiator)
-            if initiator in acted_heads or head_id is None:
-                # The responsible head is busy this round or does not exist
-                # yet (its own cell is also vacant); retry next round.
+            initiator = initiator_table[vacant]
+            if initiator < 0:
+                origin = (
+                    state.grid.flat_index(process.origin_cell)
+                    if process is not None
+                    else vacant
+                )
+                initiator = cycle.initiator_of(vacant, state.cell_counts, origin)
+                if initiator is None:
+                    continue
+            head_id = heads[initiator]
+            if head_id is None or initiator in acted_heads:
+                # The responsible head does not exist yet (its own cell is
+                # also vacant) or is busy this round; retry next round.
                 continue
             if (
                 self.activation_probability < 1.0
@@ -149,10 +164,13 @@ class HamiltonReplacementController(MobilityController):
                 continue
 
             if process is None:
+                coords = state.grid.coord_list()
                 process = self._start_process(
-                    origin_cell=vacant, initiator_cell=initiator, round_index=round_index
+                    origin_cell=coords[vacant],
+                    initiator_cell=coords[initiator],
+                    round_index=round_index,
                 )
-                self._vacancy_process[vacant] = process.process_id
+                vacancy_process[vacant] = process.process_id
                 outcome.processes_started.append(process.process_id)
 
             self._serve_vacancy(
@@ -167,18 +185,18 @@ class HamiltonReplacementController(MobilityController):
         state: WsnState,
         rng: random.Random,
         round_index: int,
-        vacant: GridCoord,
-        initiator: GridCoord,
+        vacant: int,
+        initiator: int,
         head_id: int,
         process: ReplacementProcess,
         outcome: RoundOutcome,
     ) -> None:
-        """One hop of Algorithm 1 for one vacancy; ``head_id`` heads ``initiator``."""
-        spare_id = select_spare(state, initiator, vacant, self.spare_selection, rng)
+        """One hop of Algorithm 1 for one vacancy (flat ids); ``head_id`` heads ``initiator``."""
+        spare_id = state.select_spare_at(initiator, vacant, self.spare_selection, rng)
         if spare_id is not None:
             # Step 2: a spare exists — it fills the hole and the process converges.
-            record = state.move_node(
-                spare_id, vacant, rng, round_index, process_id=process.process_id
+            record = state.relocate(
+                spare_id, vacant, rng, round_index, process.process_id
             )
             process.record_move(record)
             outcome.moves.append(record)
@@ -194,25 +212,26 @@ class HamiltonReplacementController(MobilityController):
         # complete the move it committed to this round.
         process.notifications_sent += 1
         outcome.messages_sent += 1
-        record = state.move_node(
-            head_id, vacant, rng, round_index, process_id=process.process_id
-        )
-        notify_target = (
-            self.cycle.initiator_for(
-                initiator, has_spare=state.has_spare, origin=process.origin_cell
+        record = state.relocate(head_id, vacant, rng, round_index, process.process_id)
+        grid = state.grid
+        notify_target = self.cycle.initiator_table[initiator]
+        if notify_target < 0:
+            notify_target = self.cycle.initiator_of(
+                initiator, state.cell_counts, grid.flat_index(process.origin_cell)
             )
-            or initiator
-        )
+            if notify_target is None:
+                notify_target = initiator
         # The hop that blows the budget ends the process, so its notification
         # is advisory: nobody will serve the abandoned vacancy, hence nothing
         # to acknowledge or retry.
         final_hop = process.move_count + 1 >= self.max_hops
+        coords = grid.coord_list()
         gated = self._post_replacement_request(
             state,
             head_id,
-            source_cell=vacant,
-            target_cell=notify_target,
-            vacancy=initiator,
+            source_cell=coords[vacant],
+            target_cell=coords[notify_target],
+            vacancy=coords[initiator],
             process_id=process.process_id,
             round_index=round_index,
             reliable=not final_hop,
@@ -250,10 +269,13 @@ class HamiltonReplacementController(MobilityController):
         vacancy = (message.payload or {}).get("vacancy")
         if vacancy is None:
             return
-        # The payload carries the cell as an (x, y) tuple, which hashes and
-        # compares equal to the GridCoord keys of both tables.
-        if self._vacancy_process.get(vacancy) == message.process_id:
-            self._undelivered.discard(vacancy)
+        # The payload carries the cell as an (x, y) tuple.
+        try:
+            flat = state.grid.flat_id(vacancy)
+        except KeyError:
+            return
+        if self._vacancy_process.get(flat) == message.process_id:
+            self._undelivered.discard(flat)
 
     def _on_request_abandoned(
         self,
@@ -264,7 +286,7 @@ class HamiltonReplacementController(MobilityController):
     ) -> None:
         """Retry budget exhausted: the cascade can never continue, so it fails."""
         process_id, vacancy_tuple = key
-        vacancy = GridCoord(*vacancy_tuple)
+        vacancy = state.grid.flat_id(vacancy_tuple)
         process = self._processes.get(process_id)
         if process is None or not process.is_active or vacancy not in self._undelivered:
             return
@@ -287,8 +309,9 @@ class HamiltonReplacementController(MobilityController):
 
     def pending_vacancies(self) -> List[GridCoord]:
         """Vacant cells currently owned by an active process (for inspection)."""
+        coords = self.cycle.grid.coord_list()
         return [
-            cell
+            coords[cell]
             for cell, pid in self._vacancy_process.items()
             if self._processes[pid].is_active
         ]

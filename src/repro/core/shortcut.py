@@ -23,17 +23,11 @@ plain SR against this variant in the sparse regime the paper highlights.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.hamilton import HamiltonCycle
-from repro.core.protocol import (
-    ReplacementProcess,
-    RoundOutcome,
-    select_spare,
-    usable_spares,
-)
+from repro.core.protocol import ReplacementProcess, RoundOutcome
 from repro.core.replacement import HamiltonReplacementController
-from repro.grid.virtual_grid import GridCoord
 from repro.network.state import WsnState
 
 
@@ -46,6 +40,10 @@ class ShortcutReplacementController(HamiltonReplacementController):
     one exists, that spare moves in directly and the process converges without
     extending the snake.  Only when no adjacent cell can help does the cascade
     continue along the directed Hamilton path as in plain SR.
+
+    ``shortcut_radius`` (at least 1) bounds how far the short-cut looks; a
+    replacement move is a single hop, so only the cells adjacent to the
+    vacancy can supply, and a larger radius chooses the same supplier.
     """
 
     name = "SR-shortcut"
@@ -64,50 +62,32 @@ class ShortcutReplacementController(HamiltonReplacementController):
         self.shortcut_moves = 0
 
     # ------------------------------------------------------------------ hooks
-    def _shortcut_cells(self, state: WsnState, vacant: GridCoord) -> List[GridCoord]:
-        """Cells within ``shortcut_radius`` grid hops of the vacancy (excluding it)."""
-        frontier = {vacant}
-        seen = {vacant}
-        for _ in range(self.shortcut_radius):
-            frontier = {
-                neighbour
-                for cell in frontier
-                for neighbour in state.grid.neighbours(cell)
-                if neighbour not in seen
-            }
-            seen.update(frontier)
-        return sorted(seen - {vacant}, key=lambda c: c.as_tuple())
+    def _find_shortcut_supplier(self, state: WsnState, vacant: int) -> Optional[int]:
+        """The adjacent cell (flat id) to pull a spare from, or ``None`` when none has one.
 
-    def _find_shortcut_supplier(
-        self, state: WsnState, vacant: GridCoord
-    ) -> Optional[GridCoord]:
-        """The neighbouring cell to pull a spare from, or ``None`` when none has one.
-
-        Adjacent cells are preferred (a legal single-hop move); cells further
-        out are only considered when ``shortcut_radius > 1`` and are used to
-        route a spare over intermediate cells, which plain SR cannot do.
+        Deterministic preference: the cell with the most usable spares, ties
+        broken towards the smaller coordinates (x first), so repeated runs
+        stay reproducible.
         """
-        candidates = [
-            cell
-            for cell in self._shortcut_cells(state, vacant)
-            if cell.is_neighbour_of(vacant) and usable_spares(state, cell)
-        ]
-        if not candidates:
-            return None
-        # Deterministic preference: the candidate with the most spares, ties
-        # broken by coordinates, so repeated runs stay reproducible.
-        return max(
-            candidates,
-            key=lambda cell: (len(usable_spares(state, cell)), (-cell.x, -cell.y)),
-        )
+        coords = state.grid.coord_list()
+        best = None
+        best_key = None
+        for cell in state.grid.neighbour_table[vacant]:
+            usable = len(state.usable_spares_at(cell))
+            if usable:
+                x, y = coords[cell]
+                key = (usable, -x, -y)
+                if best_key is None or key > best_key:
+                    best, best_key = cell, key
+        return best
 
     def _serve_vacancy(
         self,
         state: WsnState,
         rng: random.Random,
         round_index: int,
-        vacant: GridCoord,
-        initiator: GridCoord,
+        vacant: int,
+        initiator: int,
         head_id: int,
         process: ReplacementProcess,
         outcome: RoundOutcome,
@@ -115,7 +95,7 @@ class ShortcutReplacementController(HamiltonReplacementController):
         # Step 2 of Algorithm 1 is unchanged: a usable (non-depleted) spare in
         # the initiator cell always wins (it is also a 1-hop move and needs no
         # extra messages).
-        if usable_spares(state, initiator):
+        if state.usable_spares_at(initiator):
             super()._serve_vacancy(
                 state, rng, round_index, vacant, initiator, head_id, process, outcome
             )
@@ -133,23 +113,22 @@ class ShortcutReplacementController(HamiltonReplacementController):
         # one-process-per-hole property is preserved.  The notification is
         # advisory — the spare dispatch itself carries the command — so it is
         # fire-and-forget on every channel and never gates the move.
-        spare_id = select_spare(state, shortcut_cell, vacant, self.spare_selection, rng)
+        spare_id = state.select_spare_at(shortcut_cell, vacant, self.spare_selection, rng)
         assert spare_id is not None
         process.notifications_sent += 1
         outcome.messages_sent += 1
+        coords = state.grid.coord_list()
         self._post_replacement_request(
             state,
             head_id,
-            source_cell=initiator,
-            target_cell=shortcut_cell,
-            vacancy=vacant,
+            source_cell=coords[initiator],
+            target_cell=coords[shortcut_cell],
+            vacancy=coords[vacant],
             process_id=process.process_id,
             round_index=round_index,
             reliable=False,
         )
-        record = state.move_node(
-            spare_id, vacant, rng, round_index, process_id=process.process_id
-        )
+        record = state.relocate(spare_id, vacant, rng, round_index, process.process_id)
         process.record_move(record)
         outcome.moves.append(record)
         self.shortcut_moves += 1

@@ -14,9 +14,9 @@ relies on for connectivity (Xu & Heidemann, MOBICOM'01).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -29,6 +29,12 @@ GAF_RANGE_FACTOR = math.sqrt(5.0)
 #: Ratio required to also reach *diagonal* neighbouring cells
 #: (``R = 2 * sqrt(2) * r``); the paper explicitly does not require it.
 DIAGONAL_RANGE_FACTOR = 2.0 * math.sqrt(2.0)
+
+#: How many grid shapes the per-shape cell tables (:meth:`VirtualGrid.coord_list`,
+#: :attr:`VirtualGrid.neighbour_table`) are kept for.  A process works on a
+#: handful of shapes; the bound only stops one that visits many from
+#: holding them all.
+GRID_TABLE_CACHE_SIZE = 16
 
 
 class GridCoord(NamedTuple):
@@ -86,6 +92,32 @@ class AxisSpan(NamedTuple):
     center: float
     central_low: float
     central_high: float
+
+
+@functools.lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
+def _coords_for_shape(columns: int, rows: int) -> List[GridCoord]:
+    """Every cell address of a ``columns x rows`` grid, indexed by flat id."""
+    return [GridCoord(x, y) for y in range(rows) for x in range(columns)]
+
+
+@functools.lru_cache(maxsize=GRID_TABLE_CACHE_SIZE)
+def _neighbour_table_for_shape(columns: int, rows: int) -> Tuple[Tuple[int, ...], ...]:
+    """Flat ids of every cell's 4-neighbours, in :meth:`VirtualGrid.neighbours` order."""
+    table = []
+    for y in range(rows):
+        for x in range(columns):
+            flat = y * columns + x
+            cells = []
+            if y + 1 < rows:
+                cells.append(flat + columns)
+            if y > 0:
+                cells.append(flat - columns)
+            if x + 1 < columns:
+                cells.append(flat + 1)
+            if x > 0:
+                cells.append(flat - 1)
+            table.append(tuple(cells))
+    return tuple(table)
 
 
 def _axis_spans(origin: float, count: int, cell_size: float) -> Tuple[AxisSpan, ...]:
@@ -152,7 +184,10 @@ class VirtualGrid:
         self._rows = int(rows)
         self._cell_size = float(cell_size)
         self._origin = origin
-        self._coord_cache: Optional[List[GridCoord]] = None
+        # Shared per shape (built by the first grid of a shape in a process),
+        # so every later grid of that shape, one per spec, only looks them up.
+        self._coords = _coords_for_shape(self._columns, self._rows)
+        self._neighbour_table = _neighbour_table_for_shape(self._columns, self._rows)
         self._column_spans = _axis_spans(origin.x, self._columns, self._cell_size)
         self._row_spans = _axis_spans(origin.y, self._rows, self._cell_size)
 
@@ -262,19 +297,41 @@ class VirtualGrid:
                 yield GridCoord(x, y)
 
     def coord_list(self) -> List[GridCoord]:
-        """All cell addresses in row-major order, cached.
+        """All cell addresses in row-major order, shared per grid shape.
 
         The list is indexable by the *flat cell index* (``y * columns + x``)
         used by the struct-of-arrays state, so ``coord_list()[flat]`` is the
-        inverse of :meth:`flat_index`.
+        inverse of :meth:`flat_index`.  Grids of one shape share the list;
+        it is read-only by contract.
         """
-        if self._coord_cache is None:
-            self._coord_cache = list(self.all_coords())
-        return self._coord_cache
+        return self._coords
+
+    @property
+    def neighbour_table(self) -> Tuple[Tuple[int, ...], ...]:
+        """Flat ids of every cell's 4-neighbours, indexed by flat id.
+
+        ``neighbour_table[flat]`` lists the same cells as
+        :meth:`neighbours` of ``coord_at(flat)``, in the same order (north,
+        south, east, west).  Built once per grid shape and shared.
+        """
+        return self._neighbour_table
 
     def flat_index(self, coord: GridCoord) -> int:
-        """Flat row-major index of ``coord`` (``y * columns + x``)."""
+        """Flat row-major index of ``coord`` (``y * columns + x``), unchecked."""
         return coord.y * self._columns + coord.x
+
+    def flat_id(self, cell: Tuple[int, int]) -> int:
+        """Flat index of a cell ``(x, y)``; :class:`KeyError` for a cell off the grid.
+
+        ``cell`` is a :class:`GridCoord` or a plain ``(x, y)`` pair, as
+        message payloads carry.  The range check matters: unchecked, an
+        off-grid cell would alias a real flat index (``(-1, 0)`` is the last
+        entry of :meth:`coord_list`).
+        """
+        x, y = cell
+        if not (0 <= x < self._columns and 0 <= y < self._rows):
+            raise KeyError(cell)
+        return y * self._columns + x
 
     def coord_at(self, flat_index: int) -> GridCoord:
         """The cell address for a flat row-major index (inverse of :meth:`flat_index`)."""

@@ -11,8 +11,7 @@ estimates (Figure 5).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import (
@@ -24,9 +23,14 @@ from repro.grid.virtual_grid import (
 from repro.network.node import MOVE_COST_PER_METER
 
 
-@dataclass(frozen=True)
-class MoveRecord:
-    """One completed relocation of a node between two cells."""
+class MoveRecord(NamedTuple):
+    """One completed relocation of a node between two cells.
+
+    A named tuple, like :class:`~repro.grid.virtual_grid.GridCoord`: every
+    replacement move builds one, and a positional tuple build costs a
+    fraction of a frozen dataclass's.  It is immutable and takes keyword
+    arguments too.
+    """
 
     node_id: int
     source_cell: GridCoord
@@ -47,7 +51,9 @@ class MovementModel:
     """Chooses the target positions of replacement moves and prices them.
 
     The move itself — position, accounting, and energy written by row — is
-    :meth:`repro.network.state.WsnState.move_node`.
+    the state's one relocation routine, reached through
+    :meth:`repro.network.state.WsnState.move_node` or the controllers'
+    :meth:`repro.network.state.WsnState.relocate`.
     """
 
     def __init__(

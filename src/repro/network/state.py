@@ -23,17 +23,26 @@ implementation (see the golden seed-identity test).
 The per-round queries every controller depends on — holes, spares,
 occupancy — are served from *incremental indices* maintained by the three
 mutation paths (:meth:`WsnState.disable_nodes`, :meth:`WsnState.enable_node`,
-:meth:`WsnState.move_node`):
+and the one relocation routine behind :meth:`WsnState.move_node` and
+:meth:`WsnState.relocate`).  Every index addresses a cell by its *flat id*
+(``y * columns + x``, the value ``arrays.cell`` stores):
 
 * ``_cell_members`` — per-cell **sorted** lists of enabled node ids, so
   :meth:`members_of` iterates deterministically without re-sorting;
 * ``_occupancy`` — per-cell enabled-node counters;
-* ``_vacant`` — the live set of vacant cells, making :attr:`hole_count`
+* ``_heads`` — per-cell head node id, ``None`` for a vacant cell;
+* ``_vacant`` — the live set of vacant flat ids, making :attr:`hole_count`
   O(1) and :meth:`vacant_cells` O(holes);
 * ``_spare_total`` — the running network-wide spare count, making
   :attr:`spare_count` O(1);
 * ``arrays.cell`` — the flat cell index of every node, kept in lock-step
-  with the node's position by :meth:`move_node`.
+  with the node's position by the relocation routine.
+
+The coordinate queries (:meth:`members_of`, :meth:`head_of`, ...) convert
+their :class:`GridCoord` once and keep their return types and errors.  The
+replacement controllers read the flat form directly: :attr:`cell_heads`,
+:attr:`cell_counts`, :meth:`vacant_flat_cells`, :meth:`usable_spares_at`
+and :meth:`select_spare_at`, and they move nodes with :meth:`relocate`.
 
 An optional :class:`~repro.network.adjacency.NeighborIndex` can be attached
 with :meth:`attach_neighbor_index`; the mutation paths then update radio
@@ -52,7 +61,7 @@ import math
 import random
 import struct
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -175,8 +184,7 @@ class WsnState:
     def _rebuild_indices_from_arrays(self) -> None:
         """Build membership/occupancy/vacancy indices in a few array passes."""
         arrays = self.arrays
-        coords = self.grid.coord_list()
-        cell_count = len(coords)
+        cell_count = self.grid.cell_count
         mask = arrays.enabled_mask()
         enabled_cells = arrays.cell[mask]
         enabled_ids = arrays.node_ids[mask]
@@ -186,16 +194,12 @@ class WsnState:
         # m*n cells and then discarded down never shrinks its hash table, and
         # every later iteration of it (vacant_cells is a per-round query)
         # would silently stay O(m*n).
-        self._occupancy: Dict[GridCoord, int] = dict(zip(coords, counts.tolist()))
-        self._vacant: Set[GridCoord] = {
-            coords[flat] for flat in np.flatnonzero(counts == 0).tolist()
-        }
+        self._occupancy: List[int] = counts.tolist()
+        self._vacant: Set[int] = set(np.flatnonzero(counts == 0).tolist())
         self._enabled_total = int(mask.sum())
         occupied_cells = cell_count - len(self._vacant)
         self._spare_total = self._enabled_total - occupied_cells
-        self._cell_members: Dict[GridCoord, List[int]] = {
-            coord: [] for coord in coords
-        }
+        self._cell_members: List[List[int]] = [[] for _ in range(cell_count)]
         if len(enabled_ids):
             grouping = np.lexsort((enabled_ids, enabled_cells))
             sorted_cells = enabled_cells[grouping]
@@ -206,36 +210,42 @@ class WsnState:
             group_cells = sorted_cells[np.array(starts, dtype=np.int64)].tolist()
             cell_members = self._cell_members
             for flat, start, end in zip(group_cells, starts, ends):
-                cell_members[coords[flat]] = sorted_ids[start:end]
+                cell_members[flat] = sorted_ids[start:end]
 
     # ----------------------------------------------------- index maintenance
-    def _index_add(self, coord: GridCoord, node_id: int) -> None:
-        """Register an enabled node in ``coord``, updating every index."""
-        insort(self._cell_members[coord], node_id)
-        count = self._occupancy[coord] + 1
-        self._occupancy[coord] = count
+    def _index_add(self, flat: int, node_id: int) -> None:
+        """Register an enabled node in cell ``flat``, updating every index."""
+        insort(self._cell_members[flat], node_id)
+        count = self._occupancy[flat] + 1
+        self._occupancy[flat] = count
         self._enabled_total += 1
         if count == 1:
-            self._vacant.discard(coord)
+            self._vacant.discard(flat)
         else:
             self._spare_total += 1
 
-    def _index_remove(self, coord: GridCoord, node_id: int) -> None:
-        """Unregister an enabled node from ``coord``, updating every index."""
-        members = self._cell_members[coord]
+    def _index_remove(self, flat: int, node_id: int) -> None:
+        """Unregister an enabled node from cell ``flat``, updating every index."""
+        members = self._cell_members[flat]
         position = bisect_left(members, node_id)
         if position >= len(members) or members[position] != node_id:
             raise KeyError(
-                f"node {node_id} is not indexed in cell {coord.as_tuple()}"
+                f"node {node_id} is not indexed in cell "
+                f"{self.grid.coord_at(flat).as_tuple()}"
             )
         members.pop(position)
-        count = self._occupancy[coord] - 1
-        self._occupancy[coord] = count
+        count = self._occupancy[flat] - 1
+        self._occupancy[flat] = count
         self._enabled_total -= 1
         if count == 0:
-            self._vacant.add(coord)
+            self._vacant.add(flat)
         else:
             self._spare_total -= 1
+
+    # ------------------------------------------------------ cell conversion
+    def _flat_of(self, coord: GridCoord) -> int:
+        """Flat id of ``coord``; :class:`ValueError` off the grid (the public range check)."""
+        return self.grid.flat_index(self.grid.validate_coord(coord))
 
     # ------------------------------------------------------------------ nodes
     def node(self, node_id: int) -> SensorNode:
@@ -289,33 +299,24 @@ class WsnState:
         The per-cell index is kept sorted by the mutation paths, so this is a
         plain lookup — no per-call re-sort.
         """
-        self.grid.validate_coord(coord)
-        return [self.node(node_id) for node_id in self._cell_members[coord]]
+        return [self.node(node_id) for node_id in self._cell_members[self._flat_of(coord)]]
 
     def member_count(self, coord: GridCoord) -> int:
-        """Number of enabled nodes in ``coord`` (an O(1) read of the occupancy index).
-
-        The index holds every cell of the grid, so the lookup is the range
-        check: only a miss pays for :meth:`VirtualGrid.validate_coord`, which
-        raises its usual error.
-        """
-        count = self._occupancy.get(coord)
-        if count is None:
-            self.grid.validate_coord(coord)
-        return count
+        """Number of enabled nodes in ``coord`` (an O(1) read of the occupancy index)."""
+        return self._occupancy[self._flat_of(coord)]
 
     def head_of(self, coord: GridCoord) -> Optional[SensorNode]:
         """The grid head of ``coord``, or ``None`` when the cell is vacant."""
-        self.grid.validate_coord(coord)
-        head_id = self._heads[coord]
+        head_id = self._heads[self._flat_of(coord)]
         return None if head_id is None else self.node(head_id)
 
     def spares_of(self, coord: GridCoord) -> List[SensorNode]:
         """Enabled non-head nodes in ``coord`` (the cell's spare nodes), in id order."""
-        head_id = self._heads[self.grid.validate_coord(coord)]
+        flat = self._flat_of(coord)
+        head_id = self._heads[flat]
         return [
             self.node(node_id)
-            for node_id in self._cell_members[coord]
+            for node_id in self._cell_members[flat]
             if node_id != head_id
         ]
 
@@ -324,18 +325,17 @@ class WsnState:
         return self.member_count(coord) > 1
 
     # ---------------------------------------------------------- id-level reads
-    # The replacement hot path reads heads, spares and batteries by id and
-    # row, creating no handles.  Its cells come from the state's own indices
-    # or the Hamilton cycle's tables, so these reads skip the separate range
-    # check: a cell off the grid misses the index and raises KeyError.
+    # Reads by node id and row, creating no handles.  An off-grid cell raises
+    # KeyError here (VirtualGrid.flat_id), as a miss of the index would.
     def head_id_of(self, coord: GridCoord) -> Optional[int]:
         """Id of the grid head of ``coord``, or ``None`` when the cell is vacant."""
-        return self._heads[coord]
+        return self._heads[self.grid.flat_id(coord)]
 
     def spare_ids_of(self, coord: GridCoord) -> List[int]:
         """Ids of the enabled non-head nodes in ``coord``, in id order."""
-        head_id = self._heads[coord]
-        return [node_id for node_id in self._cell_members[coord] if node_id != head_id]
+        flat = self.grid.flat_id(coord)
+        head_id = self._heads[flat]
+        return [node_id for node_id in self._cell_members[flat] if node_id != head_id]
 
     def is_node_enabled(self, node_id: int) -> bool:
         """Whether a node is enabled (:class:`KeyError` if unknown)."""
@@ -343,13 +343,13 @@ class WsnState:
 
     def energy_of(self, node_id: int) -> float:
         """Remaining battery energy of a node, in joules."""
-        return float(self.arrays.energy[self.arrays.row_of(node_id)])
+        return self.arrays.energy.item(self.arrays.row_of(node_id))
 
     def debit_energy(self, node_id: int, joules: float) -> None:
         """Take ``joules`` from a node's battery, clamping at zero."""
         energy = self.arrays.energy
         row = self.arrays.row_of(node_id)
-        energy[row] = max(0.0, float(energy[row]) - joules)
+        energy[row] = max(0.0, energy.item(row) - joules)
 
     def is_vacant(self, coord: GridCoord) -> bool:
         """Whether ``coord`` has no enabled node (a hole in the coverage)."""
@@ -357,15 +357,21 @@ class WsnState:
 
     def vacant_cells(self) -> List[GridCoord]:
         """All holes, in row-major order.  Costs O(holes log holes), not O(m*n)."""
-        return sorted(self._vacant, key=lambda coord: (coord.y, coord.x))
+        coords = self.grid.coord_list()
+        return [coords[flat] for flat in sorted(self._vacant)]
 
     def vacant_cell_set(self) -> FrozenSet[GridCoord]:
         """The current holes as an (unordered) frozen set — an O(holes) snapshot."""
-        return frozenset(self._vacant)
+        coords = self.grid.coord_list()
+        return frozenset([coords[flat] for flat in self._vacant])
 
     def occupied_cells(self) -> List[GridCoord]:
         """Cells with at least one enabled node, in grid enumeration order."""
-        return [coord for coord in self.grid.all_coords() if coord not in self._vacant]
+        return [
+            coord
+            for coord, count in zip(self.grid.coord_list(), self._occupancy)
+            if count
+        ]
 
     @property
     def hole_count(self) -> int:
@@ -388,11 +394,95 @@ class WsnState:
 
     def occupancy(self) -> Dict[GridCoord, int]:
         """Enabled-node count for every cell."""
-        return dict(self._occupancy)
+        return dict(zip(self.grid.coord_list(), self._occupancy))
 
     def spare_counts(self) -> Dict[GridCoord, int]:
         """Spare-node count for every cell."""
-        return {coord: max(0, count - 1) for coord, count in self._occupancy.items()}
+        return {
+            coord: max(0, count - 1)
+            for coord, count in zip(self.grid.coord_list(), self._occupancy)
+        }
+
+    # ---------------------------------------------------- flat controller API
+    # The replacement controllers address cells by flat id.  These reads are
+    # the state's live indices, read-only by contract: a caller that writes
+    # to them corrupts the state (check_invariants() would say so).
+    @property
+    def cell_heads(self) -> List[Optional[int]]:
+        """Head node id per flat cell id (``None`` for a vacant cell); live, read-only."""
+        return self._heads
+
+    @property
+    def cell_counts(self) -> List[int]:
+        """Enabled-node count per flat cell id; live, read-only."""
+        return self._occupancy
+
+    def vacant_flat_cells(self) -> FrozenSet[int]:
+        """Flat ids of the current holes — an O(holes) snapshot."""
+        return frozenset(self._vacant)
+
+    def _usable_spare_rows(self, flat: int) -> List[Tuple[int, int]]:
+        """``(id, row)`` of the usable spares of cell ``flat``, in id order.
+
+        A spare is usable when it is not the head and its battery is above
+        zero, so it can move: the one definition both spare reads share.
+        """
+        head_id = self._heads[flat]
+        energy = self.arrays.energy
+        row_of = self.arrays.row_of
+        spares = []
+        for node_id in self._cell_members[flat]:
+            if node_id != head_id:
+                row = row_of(node_id)
+                if energy[row] > 0.0:
+                    spares.append((node_id, row))
+        return spares
+
+    def usable_spares_at(self, flat: int) -> List[int]:
+        """Ids of the spares of cell ``flat`` with battery left to move, in id order."""
+        return [node_id for node_id, _ in self._usable_spare_rows(flat)]
+
+    def select_spare_at(
+        self,
+        flat: int,
+        target: int,
+        selection: str,
+        rng: Optional[random.Random] = None,
+    ) -> Optional[int]:
+        """The usable spare of cell ``flat`` sent into cell ``target``; ``None`` if none.
+
+        One pass over the cell's members finds the usable spares, then
+        ``"nearest"`` takes the one closest to the target cell's centre
+        (ties by id), ``"max_energy"`` the fullest battery (ties by
+        distance, then id), and ``"random"`` draws uniformly from ``rng``,
+        the only selection that needs one.  This is the one spare-selection
+        rule; :func:`repro.core.protocol.select_spare` is its coordinate form.
+        """
+        spares = self._usable_spare_rows(flat)
+        if not spares:
+            return None
+        if selection == "random":
+            return spares[rng.randrange(len(spares))][0]
+        if len(spares) == 1:
+            return spares[0][0]
+        grid = self.grid
+        target_y, target_x = divmod(target, grid.columns)
+        center_x = grid.column_spans[target_x].center
+        center_y = grid.row_spans[target_y].center
+        energy = self.arrays.energy
+        positions = self.arrays.positions
+
+        def distance(row: int) -> float:
+            """Distance from the node in ``row`` to the target cell's centre."""
+            x, y = positions[row].tolist()
+            return math.hypot(x - center_x, y - center_y)
+
+        if selection == "max_energy":
+            return max(
+                spares,
+                key=lambda spare: (float(energy[spare[1]]), -distance(spare[1]), -spare[0]),
+            )[0]
+        return min(spares, key=lambda spare: (distance(spare[1]), spare[0]))[0]
 
     # ------------------------------------------------------- adjacency index
     @property
@@ -458,29 +548,27 @@ class WsnState:
         arrays.role[rows] = UNASSIGNED_CODE
 
         gone = set(arrays.node_ids[rows].tolist())
-        coords = self.grid.coord_list()
         cell_members = self._cell_members
         occupancy = self._occupancy
         heads = self._heads
         removed_total = 0
-        hit: List[GridCoord] = []
+        hit: List[int] = []
         hit_members: List[int] = []
         for flat in sorted(set(arrays.cell[rows].tolist())):
-            coord = coords[flat]
-            members = cell_members[coord]
+            members = cell_members[flat]
             kept = [node_id for node_id in members if node_id not in gone]
             removed = len(members) - len(kept)
             removed_total += removed
             members[:] = kept
-            occupancy[coord] = len(kept)
+            occupancy[flat] = len(kept)
             if kept:
                 self._spare_total -= removed
             else:
-                self._vacant.add(coord)
+                self._vacant.add(flat)
                 self._spare_total -= removed - 1
-            if heads[coord] in gone:
-                heads[coord] = None
-                hit.append(coord)
+            if heads[flat] in gone:
+                heads[flat] = None
+                hit.append(flat)
                 hit_members.extend(kept)
         self._enabled_total -= removed_total
         if hit:
@@ -489,8 +577,8 @@ class WsnState:
                     hit, arrays.rows_of(np.asarray(hit_members, dtype=np.int64))
                 )
             else:
-                for coord in hit:
-                    self._elect_cell_head(coord)
+                for flat in hit:
+                    self._elect_cell_head(flat)
         if self._neighbor_index is not None:
             for row in sorted(set(rows.tolist())):
                 self._neighbor_index.on_disable(row)
@@ -503,9 +591,9 @@ class WsnState:
             return
         arrays.state[row] = ENABLED_CODE
         arrays.role[row] = UNASSIGNED_CODE
-        coord = self.grid.coord_at(int(arrays.cell[row]))
-        self._index_add(coord, node_id)
-        self._elect_cell_head(coord)
+        flat = int(arrays.cell[row])
+        self._index_add(flat, node_id)
+        self._elect_cell_head(flat)
         if self._neighbor_index is not None:
             self._neighbor_index.on_enable(row)
 
@@ -529,93 +617,184 @@ class WsnState:
         ``move_count``, the energy debit (``max(0, e - distance * rate)``),
         and the cell column.  A disabled node raises :class:`RuntimeError`,
         and so does one whose battery is depleted (no motor power left).
+
+        The checks run here, in this order (an unknown id raises
+        :class:`KeyError`, an off-grid target :class:`ValueError`); the move
+        itself is the one relocation routine :meth:`relocate` also uses.
         """
         arrays = self.arrays
         row = arrays.row_of(node_id)
-        if arrays.state[row] != ENABLED_CODE:
+        if arrays.state.item(row) != ENABLED_CODE:
             raise RuntimeError(f"cannot move disabled node {node_id}")
         grid = self.grid
-        source_cell = grid.coord_at(int(arrays.cell[row]))
-        grid.validate_coord(target_cell)
-        if enforce_adjacent and not source_cell.is_neighbour_of(target_cell):
+        source = arrays.cell.item(row)
+        target = self._flat_of(target_cell)
+        if enforce_adjacent and target not in grid.neighbour_table[source]:
             raise ValueError(
-                f"move from {source_cell.as_tuple()} to {target_cell.as_tuple()} is not "
-                "a neighbouring-cell move"
+                f"move from {grid.coord_at(source).as_tuple()} to "
+                f"{target_cell.as_tuple()} is not a neighbouring-cell move"
             )
-        model = self.movement_model
         if target_position is None:
-            target_position = model._draw_target(target_cell, rng)
-        energy = float(arrays.energy[row])
+            target_position = self.movement_model._draw_target(target_cell, rng)
+        energy = arrays.energy.item(row)
         if energy <= 0.0:
             raise RuntimeError(f"node {node_id} has a depleted battery and cannot move")
+        return self._apply_move(
+            row, node_id, source, target, target_position, energy, round_index, process_id
+        )
+
+    def relocate(
+        self,
+        node_id: int,
+        target: int,
+        rng: random.Random,
+        round_index: int = 0,
+        process_id: Optional[int] = None,
+    ) -> MoveRecord:
+        """The replacement controllers' move: node ``node_id`` into neighbouring cell ``target``.
+
+        ``target`` is a flat cell id.  The checks are :meth:`move_node`'s for
+        a neighbouring-cell move, in O(1) flat form and the same order: the
+        node is enabled, ``target`` is one of its cell's 4-neighbours (which
+        also puts it on the grid), the target position is drawn (x, then y,
+        from ``rng``), and the battery is not empty.  The records, draws and
+        state it leaves are the ones ``move_node(node_id, coord_at(target),
+        rng, round_index, process_id)`` would.
+        """
+        arrays = self.arrays
+        row = arrays.row_of(node_id)
+        if arrays.state.item(row) != ENABLED_CODE:
+            raise RuntimeError(f"cannot move disabled node {node_id}")
+        grid = self.grid
+        source = arrays.cell.item(row)
+        if target not in grid.neighbour_table[source]:
+            raise ValueError(
+                f"move from cell {source} to cell {target} is not a "
+                "neighbouring-cell move"
+            )
+        target_position = self.movement_model._draw_target(
+            grid.coord_list()[target], rng
+        )
+        energy = arrays.energy.item(row)
+        if energy <= 0.0:
+            raise RuntimeError(f"node {node_id} has a depleted battery and cannot move")
+        return self._apply_move(
+            row, node_id, source, target, target_position, energy, round_index, process_id
+        )
+
+    def _apply_move(
+        self,
+        row: int,
+        node_id: int,
+        source: int,
+        target: int,
+        target_position: Point,
+        energy: float,
+        round_index: int,
+        process_id: Optional[int],
+    ) -> MoveRecord:
+        """The one relocation routine; its callers have checked the move.
+
+        Only :meth:`move_node` and :meth:`relocate` call it, after their
+        checks: ``row`` holds the enabled node ``node_id`` in flat cell
+        ``source``, ``target`` is on the grid, and ``energy`` is the node's
+        (positive) battery.  It writes the node's row, moves it between the
+        two member lists, and repairs the heads writing at most two role
+        rows: the new head of ``source`` when the mover headed it, and the
+        mover itself (HEAD when it heads ``target``, SPARE otherwise).  Every
+        other member of both cells already holds the role the rule gives it,
+        so rewriting them (as a full election pass would) changes nothing.
+        """
+        arrays = self.arrays
         positions = arrays.positions
-        source_x, source_y = positions[row].tolist()
-        distance = math.hypot(source_x - target_position.x, source_y - target_position.y)
-        positions[row, 0] = target_position.x
-        positions[row, 1] = target_position.y
-        arrays.moved_distance[row] += distance
-        arrays.move_count[row] += 1
-        arrays.energy[row] = max(0.0, energy - distance * model.move_cost_per_meter)
-        arrays.cell[row] = grid.flat_index(target_cell)
-        self._index_remove(source_cell, node_id)
-        self._index_add(target_cell, node_id)
-        if self._heads[source_cell] == node_id:
-            self._heads[source_cell] = None
-            self._elect_cell_head(source_cell)
-        arrays.role[row] = UNASSIGNED_CODE
-        self._elect_cell_head(target_cell)
+        source_x = positions.item(row, 0)
+        source_y = positions.item(row, 1)
+        target_x, target_y = target_position.x, target_position.y
+        distance = math.hypot(source_x - target_x, source_y - target_y)
+        positions[row, 0] = target_x
+        positions[row, 1] = target_y
+        moved = arrays.moved_distance
+        moved[row] = moved.item(row) + distance
+        count = arrays.move_count
+        count[row] = count.item(row) + 1
+        arrays.energy[row] = max(
+            0.0, energy - distance * self.movement_model.move_cost_per_meter
+        )
+        arrays.cell[row] = target
+        self._index_remove(source, node_id)
+        self._index_add(target, node_id)
+        heads = self._heads
+        role = arrays.role
+        if heads[source] == node_id:
+            new_head = self._elect_fresh(source)
+            if new_head is not None:
+                role[arrays.row_of(new_head)] = HEAD_CODE
+        head_id = heads[target]
+        if head_id is None:
+            head_id = self._elect_fresh(target)
+        role[row] = HEAD_CODE if head_id == node_id else SPARE_CODE
         if self._neighbor_index is not None:
             self._neighbor_index.on_move(row)
+        coords = self.grid.coord_list()
         return MoveRecord(
-            node_id=node_id,
-            source_cell=source_cell,
-            target_cell=target_cell,
-            source_position=Point(source_x, source_y),
-            target_position=target_position,
-            distance=distance,
-            round_index=round_index,
-            process_id=process_id,
+            node_id,
+            coords[source],
+            coords[target],
+            Point(source_x, source_y),
+            target_position,
+            distance,
+            round_index,
+            process_id,
         )
 
     # ----------------------------------------------------------------- heads
-    def _elect_cell_head(self, coord: GridCoord) -> Optional[int]:
-        """Keep or elect the head of ``coord``; returns its id (``None`` if vacant).
+    def _elect_fresh(self, flat: int) -> Optional[int]:
+        """Run a fresh election in cell ``flat``; record and return the winner.
+
+        Under the default lowest-id policy the winner is ``members[0]``
+        (member lists are sorted); any other policy is called once, on
+        handles of the members.  A vacant cell gets ``None`` and no call.
+        Roles are the caller's to write.
+        """
+        members = self._cell_members[flat]
+        if not members:
+            head_id = None
+        elif self._head_policy is lowest_id_policy:
+            head_id = members[0]
+        else:
+            grid = self.grid
+            y, x = divmod(flat, grid.columns)
+            center = Point(grid.column_spans[x].center, grid.row_spans[y].center)
+            head = elect_head(
+                [self.node(node_id) for node_id in members], center, self._head_policy
+            )
+            head_id = head.node_id
+        self._heads[flat] = head_id
+        return head_id
+
+    def _elect_cell_head(self, flat: int) -> Optional[int]:
+        """Keep or elect the head of cell ``flat``; returns its id (``None`` if vacant).
 
         A head that is still a member keeps the role; otherwise a fresh
-        election runs.  Under the default lowest-id policy the winner is
-        ``members[0]`` (member lists are sorted); any other policy is called
-        on handles of the members, once per fresh election.  Every member is
-        then a spare except the head, written by row.
+        election runs (:meth:`_elect_fresh`).  Every member is then a spare
+        except the head, written by row.
         """
-        members = self._cell_members[coord]
-        head_id = self._heads[coord]
+        members = self._cell_members[flat]
+        head_id = self._heads[flat]
         if head_id is None or head_id not in members:
-            if not members:
-                head_id = None
-            elif self._head_policy is lowest_id_policy:
-                head_id = members[0]
-            else:
-                center = Point(
-                    self.grid.column_spans[coord.x].center,
-                    self.grid.row_spans[coord.y].center,
-                )
-                head = elect_head(
-                    [self.node(node_id) for node_id in members], center, self._head_policy
-                )
-                head_id = head.node_id
-            self._heads[coord] = head_id
+            head_id = self._elect_fresh(flat)
         role = self.arrays.role
         row_of = self.arrays.row_of
         for node_id in members:
             role[row_of(node_id)] = HEAD_CODE if node_id == head_id else SPARE_CODE
         return head_id
 
-    def _elect_lowest_id(self, coords: Iterable[GridCoord], member_rows) -> None:
-        """Vectorized fresh election of ``coords`` under the default lowest-id policy.
+    def _elect_lowest_id(self, cells: Iterable[int], member_rows) -> None:
+        """Vectorized fresh election of flat ``cells`` under the default lowest-id policy.
 
         Equivalent to running :meth:`_elect_cell_head` on each of the cells
         with its head cleared: every member (``member_rows`` indexes the
-        member rows of all ``coords``) becomes a spare, the smallest member
+        member rows of all ``cells``) becomes a spare, the smallest member
         id of each occupied cell becomes head, an empty cell gets none, and
         disabled nodes keep their roles (they are never members).
         """
@@ -624,42 +803,41 @@ class WsnState:
         heads = self._heads
         cell_members = self._cell_members
         head_ids: List[int] = []
-        for coord in coords:
-            members = cell_members[coord]
+        for flat in cells:
+            members = cell_members[flat]
             if members:
-                heads[coord] = members[0]
+                heads[flat] = members[0]
                 head_ids.append(members[0])
             else:
-                heads[coord] = None
+                heads[flat] = None
         if head_ids:
             rows = arrays.rows_of(np.asarray(head_ids, dtype=np.int64))
             arrays.role[rows] = HEAD_CODE
 
     def elect_all_heads(self) -> None:
         """(Re-)elect the head of every cell from scratch-consistent membership."""
-        self._heads: Dict[GridCoord, Optional[int]] = dict.fromkeys(
-            self.grid.coord_list()
-        )
+        cell_count = self.grid.cell_count
+        self._heads: List[Optional[int]] = [None] * cell_count
         if self._head_policy is lowest_id_policy:
-            self._elect_lowest_id(self.grid.coord_list(), self.arrays.enabled_mask())
+            self._elect_lowest_id(range(cell_count), self.arrays.enabled_mask())
         else:
-            for coord in self.grid.all_coords():
-                self._elect_cell_head(coord)
+            for flat in range(cell_count):
+                self._elect_cell_head(flat)
 
     def rotate_head(self, coord: GridCoord) -> Optional[SensorNode]:
         """Force a fresh election in ``coord`` (head-rotation extension)."""
-        self.grid.validate_coord(coord)
-        self._heads[coord] = None
-        head_id = self._elect_cell_head(coord)
+        flat = self._flat_of(coord)
+        self._heads[flat] = None
+        head_id = self._elect_cell_head(flat)
         return None if head_id is None else self.node(head_id)
 
     def heads(self) -> Dict[GridCoord, Optional[int]]:
         """Copy of the head assignment (cell -> head node id or ``None``)."""
-        return dict(self._heads)
+        return dict(zip(self.grid.coord_list(), self._heads))
 
     def head_nodes(self) -> List[SensorNode]:
-        """All current grid heads."""
-        return [self.node(h) for h in self._heads.values() if h is not None]
+        """All current grid heads, in row-major cell order."""
+        return [self.node(h) for h in self._heads if h is not None]
 
     # -------------------------------------------------------------- accounting
     @property
@@ -696,11 +874,9 @@ class WsnState:
         twin.movement_model = self.movement_model
         twin.arrays = self.arrays.copy()
         twin._handles = {}
-        twin._cell_members = {
-            coord: list(members) for coord, members in self._cell_members.items()
-        }
-        twin._heads = dict(self._heads)
-        twin._occupancy = dict(self._occupancy)
+        twin._cell_members = [list(members) for members in self._cell_members]
+        twin._heads = list(self._heads)
+        twin._occupancy = list(self._occupancy)
         twin._vacant = set(self._vacant)
         twin._spare_total = self._spare_total
         twin._enabled_total = self._enabled_total
@@ -782,15 +958,14 @@ class WsnState:
         role; they are ignored), so the role column *is* the head assignment.
         """
         arrays = self.arrays
-        heads: Dict[GridCoord, Optional[int]] = dict.fromkeys(self.grid.coord_list())
+        heads: List[Optional[int]] = [None] * self.grid.cell_count
         head_rows = np.flatnonzero(
             (arrays.state == ENABLED_CODE) & (arrays.role == HEAD_CODE)
         )
-        coord_at = self.grid.coord_at
         for flat, node_id in zip(
             arrays.cell[head_rows].tolist(), arrays.node_ids[head_rows].tolist()
         ):
-            heads[coord_at(flat)] = node_id
+            heads[flat] = node_id
         self._heads = heads
 
     def check_invariants(self) -> None:
@@ -803,9 +978,9 @@ class WsnState:
         node arrays, and the head invariants of Section 2 are checked on top.
         """
         arrays = self.arrays
-        rebuilt: Dict[GridCoord, List[int]] = {
-            coord: [] for coord in self.grid.all_coords()
-        }
+        grid = self.grid
+        coords = grid.coord_list()
+        rebuilt: List[List[int]] = [[] for _ in range(grid.cell_count)]
         enabled_total = 0
         node_ids = arrays.node_ids.tolist()
         xs = arrays.positions[:, 0].tolist()
@@ -813,52 +988,54 @@ class WsnState:
         states = arrays.state.tolist()
         cells = arrays.cell.tolist()
         for row, node_id in enumerate(node_ids):
-            coord = self.grid.cell_of(Point(xs[row], ys[row]))
-            assert cells[row] == self.grid.flat_index(coord), (
+            flat = grid.flat_index(grid.cell_of(Point(xs[row], ys[row])))
+            assert cells[row] == flat, (
                 f"cell column of node {node_id} is {cells[row]}, position "
-                f"says {self.grid.flat_index(coord)}"
+                f"says {flat}"
             )
             if states[row] == ENABLED_CODE:
-                rebuilt[coord].append(node_id)
+                rebuilt[flat].append(node_id)
                 enabled_total += 1
         assert self._enabled_total == enabled_total, (
             f"enabled total {self._enabled_total} != rebuilt {enabled_total}"
         )
+        sizes = {len(self._cell_members), len(self._occupancy), len(self._heads)}
+        assert sizes == {len(rebuilt)}, "a per-cell index does not hold one entry per cell"
         spare_total = 0
         vacant = set()
-        for coord, expected in rebuilt.items():
+        for flat, expected in enumerate(rebuilt):
             expected.sort()
-            members = self._cell_members[coord]
+            cell = coords[flat].as_tuple()
+            members = self._cell_members[flat]
             assert members == expected, (
-                f"membership index of {coord.as_tuple()} is {members}, "
-                f"rebuild says {expected}"
+                f"membership index of {cell} is {members}, rebuild says {expected}"
             )
-            assert self._occupancy[coord] == len(expected), (
-                f"occupancy counter of {coord.as_tuple()} is "
-                f"{self._occupancy[coord]}, rebuild says {len(expected)}"
+            assert self._occupancy[flat] == len(expected), (
+                f"occupancy counter of {cell} is {self._occupancy[flat]}, "
+                f"rebuild says {len(expected)}"
             )
             if expected:
                 spare_total += len(expected) - 1
             else:
-                vacant.add(coord)
-            head_id = self._heads[coord]
+                vacant.add(flat)
+            head_id = self._heads[flat]
             if expected:
-                assert head_id is not None, f"occupied cell {coord.as_tuple()} has no head"
+                assert head_id is not None, f"occupied cell {cell} has no head"
                 assert head_id in expected, (
-                    f"head {head_id} of cell {coord.as_tuple()} is not one of its members"
+                    f"head {head_id} of cell {cell} is not one of its members"
                 )
             else:
-                assert head_id is None, f"vacant cell {coord.as_tuple()} has a head"
+                assert head_id is None, f"vacant cell {cell} has a head"
         assert self._vacant == vacant, (
-            f"vacant-cell index has {sorted(c.as_tuple() for c in self._vacant)}, "
-            f"rebuild says {sorted(c.as_tuple() for c in vacant)}"
+            f"vacant-cell index has flat ids {sorted(self._vacant - vacant)} "
+            f"too many and {sorted(vacant - self._vacant)} missing"
         )
         assert self._spare_total == spare_total, (
             f"spare total {self._spare_total} != rebuilt {spare_total}"
         )
         # The role rule: an enabled node is HEAD if it heads its cell, SPARE
         # otherwise.  Disabled nodes keep whatever role they were left with.
-        head_ids = [head_id for head_id in self._heads.values() if head_id is not None]
+        head_ids = [head_id for head_id in self._heads if head_id is not None]
         expected_roles = np.full(len(arrays), SPARE_CODE, dtype=np.int8)
         expected_roles[arrays.rows_of(np.asarray(head_ids, dtype=np.int64))] = HEAD_CODE
         wrong = np.flatnonzero(

@@ -303,8 +303,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 self._handle_figure(segments[1], query)
             else:
                 self._send_error_json(404, f"unknown endpoint {self.path!r}")
-        except BrokenPipeError:
-            pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client left; there is nobody to answer
         except BrokerQueueFull as error:
             self._send_error_json(503, str(error))
 
@@ -319,8 +319,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
             else:
                 self._send_error_json(404, f"unknown endpoint {self.path!r}")
-        except BrokenPipeError:
-            pass
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client left; there is nobody to answer
         except BrokerQueueFull as error:
             self._send_error_json(503, str(error))
 
@@ -413,7 +413,10 @@ class _RequestHandler(BaseHTTPRequestHandler):
         is nothing to replay); a novel spec simulates in this handler thread
         with the engine's ``round_observer`` writing each round's sample to
         the socket as it is produced, then publishes the finished record to
-        the shared cache so the *next* query is a hit.
+        the shared cache so the *next* query is a hit.  A client that leaves
+        mid-stream (a reset or an orderly close) only ends the writing: the
+        first failed write stops all later ones, and the run still finishes
+        and is cached.
         """
         key = run_key(spec)
         cache = self.server.cache
@@ -421,11 +424,18 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Connection", "close")
         self.end_headers()
+        client_gone = False
 
         def emit_line(payload: Dict[str, object]) -> None:
-            """Write one NDJSON event and flush so it arrives live."""
-            self.wfile.write((json.dumps(payload) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            """Write one NDJSON event and flush so it arrives live (while anyone listens)."""
+            nonlocal client_gone
+            if client_gone:
+                return
+            try:
+                self.wfile.write((json.dumps(payload) + "\n").encode("utf-8"))
+                self.wfile.flush()
+            except (BrokenPipeError, ConnectionResetError):
+                client_gone = True
 
         if cache is not None:
             hit = cache.get(spec)

@@ -1,9 +1,12 @@
 """The pinned run specs of the seed-identity golden test.
 
-These specs cover every code path the struct-of-arrays refactor touches:
-uniform and per-cell deployments, thinning, scheduled failures, energy
-physics with jittered batteries (run-to-exhaustion), a lossy channel, and
-both paper schemes.  ``record_to_dict`` flattens a
+These specs cover every code path the struct-of-arrays refactor and the
+flat-cell-id hot path touch: uniform and per-cell deployments, thinning,
+scheduled failures, energy physics with jittered batteries
+(run-to-exhaustion), a lossy channel under SR and AR, both paper schemes,
+the dual-path construction of an odd-by-odd grid, SR-shortcut, the
+energy-aware AR variant, and a non-default head policy.
+``record_to_dict`` flattens a
 :class:`~repro.experiments.orchestration.RunRecord` into plain JSON types
 with full float precision, so the fixture comparison is bit-for-bit.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.experiments.lifetime import LIFETIME_CONFIG, build_lifetime_specs
 from repro.experiments.orchestration import RunRecord, RunSpec, execute_run
 from repro.network.channel import ChannelModel
 from repro.network.energy import EnergyModel
@@ -80,6 +84,50 @@ GOLDEN_SPECS = {
         scheme="SR",
         seed=17,
         channel=ChannelModel.with_params("lossy", drop_probability=0.2),
+    ),
+    # An odd-by-odd grid takes the dual-path construction.  The targeted
+    # failures empty C=(0, 1), A=(0, 0), D=(1, 0) and B=(1, 1), and the
+    # chain cell after D, so the run takes every rule of Algorithm 2: A or B
+    # vacant, D vacant as an original hole and by a cascade (to A and to B),
+    # and C vacant (to A and up the chain).
+    "dual-path-sr": RunSpec(
+        scenario=ScenarioConfig(
+            columns=7, rows=9, deployed_count=400, spare_surplus=14, seed=25
+        ),
+        scheme="SR",
+        seed=3,
+        failures=(
+            FailureEvent.with_params(1, "targeted_cells", cells=[[0, 1], [2, 0]]),
+            FailureEvent.with_params(4, "targeted_cells", cells=[[0, 0], [1, 0]]),
+            FailureEvent.with_params(7, "targeted_cells", cells=[[1, 1], [0, 1]]),
+            FailureEvent.with_params(10, "random", count=12),
+        ),
+    ),
+    "lossy-channel-ar": RunSpec(
+        scenario=ScenarioConfig(
+            columns=10, rows=10, deployed_count=700, spare_surplus=8, seed=31
+        ),
+        scheme="AR",
+        seed=17,
+        channel=ChannelModel.with_params("lossy", drop_probability=0.2),
+    ),
+    "lifetime-ar-energy": build_lifetime_specs(LIFETIME_CONFIG, schemes=("AR-energy",))[0],
+    "paper-sr-shortcut": RunSpec(
+        scenario=_PAPER.with_spare_surplus(10), scheme="SR-shortcut", seed=19
+    ),
+    "paper-sr-highest-energy": RunSpec(
+        scenario=ScenarioConfig(
+            columns=16,
+            rows=16,
+            deployed_count=5000,
+            spare_surplus=20,
+            seed=2008,
+            initial_energy=100.0,
+            initial_energy_jitter=0.3,
+            head_policy="highest_energy",
+        ),
+        scheme="SR",
+        seed=11,
     ),
 }
 

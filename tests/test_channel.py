@@ -399,8 +399,10 @@ class TestMessagingStateHygiene:
         controller = HamiltonReplacementController(build_hamilton_cycle(grid))
         controller.bind_channel(build_channel(lossy(0.5), random.Random(0)))
         owner = controller._start_process(GridCoord(1, 1), GridCoord(1, 0), 0)
-        controller._vacancy_process[GridCoord(1, 1)] = owner.process_id
-        controller._undelivered.add(GridCoord(1, 1))
+        # The controller keys its gates by flat cell id.
+        vacancy = grid.flat_index(GridCoord(1, 1))
+        controller._vacancy_process[vacancy] = owner.process_id
+        controller._undelivered.add(vacancy)
 
         def request(process_id):
             return Message(
@@ -415,9 +417,9 @@ class TestMessagingStateHygiene:
         # A stale retransmission from a process that served this cell in an
         # earlier life must not unlock the current owner's gate.
         controller._on_request_delivered(state, request(owner.process_id + 7), 1)
-        assert GridCoord(1, 1) in controller._undelivered
+        assert vacancy in controller._undelivered
         controller._on_request_delivered(state, request(owner.process_id), 1)
-        assert GridCoord(1, 1) not in controller._undelivered
+        assert vacancy not in controller._undelivered
 
     def test_ar_ignores_stale_duplicate_request_for_an_earlier_hop(self, rng):
         from repro.core.baseline_ar import LocalizedReplacementController, _CascadeState
@@ -432,7 +434,9 @@ class TestMessagingStateHygiene:
         controller.bind_channel(build_channel(lossy(0.5), random.Random(0)))
         process = controller._start_process(GridCoord(2, 2), GridCoord(2, 1), 0)
         cascade = _CascadeState(
-            target=GridCoord(2, 1), supplier=GridCoord(2, 0), awaiting_delivery=True
+            target=grid.flat_index(GridCoord(2, 1)),
+            supplier=grid.flat_index(GridCoord(2, 0)),
+            awaiting_delivery=True,
         )
         controller._cascades[process.process_id] = cascade
 
@@ -467,7 +471,9 @@ class TestMessagingStateHygiene:
         controller.bind_channel(build_channel(lossy(0.5), random.Random(0)))
         process = controller._start_process(GridCoord(3, 3), GridCoord(3, 2), 0)
         cascade = _CascadeState(
-            target=GridCoord(2, 2), supplier=GridCoord(2, 1), awaiting_delivery=True
+            target=grid.flat_index(GridCoord(2, 2)),
+            supplier=grid.flat_index(GridCoord(2, 1)),
+            awaiting_delivery=True,
         )
         controller._cascades[process.process_id] = cascade
         outcome = RoundOutcome(round_index=5)

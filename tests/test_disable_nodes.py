@@ -65,12 +65,12 @@ def _reference_disable(state: WsnState, node_id: int, reason=NodeState.FAILED) -
     node = state.node(node_id)
     if not node.is_enabled:
         return
-    coord = state.cell_of_node(node_id)
+    flat = state.grid.flat_index(state.cell_of_node(node_id))
     node.disable(reason)
-    state._index_remove(coord, node_id)
-    if state._heads[coord] == node_id:
-        state._heads[coord] = None
-        state._elect_cell_head(coord)
+    state._index_remove(flat, node_id)
+    if state._heads[flat] == node_id:
+        state._heads[flat] = None
+        state._elect_cell_head(flat)
     if state.neighbor_index is not None:
         state.neighbor_index.on_disable(state.arrays.row_of(node_id))
 
@@ -89,8 +89,8 @@ def _victims(state: WsnState, rng: random.Random) -> list:
 def _assert_same(bulk: WsnState, looped: WsnState) -> None:
     assert bulk.to_bytes() == looped.to_bytes()
     assert bulk.heads() == looped.heads()
-    for coord in bulk.grid.all_coords():
-        assert bulk._cell_members[coord] == looped._cell_members[coord]
+    for flat in range(bulk.grid.cell_count):
+        assert bulk._cell_members[flat] == looped._cell_members[flat]
     assert bulk.occupancy() == looped.occupancy()
     assert bulk.vacant_cells() == looped.vacant_cells()
     assert bulk.hole_count == looped.hole_count
@@ -214,13 +214,13 @@ def test_stateful_policy_sees_one_election_per_hit_cell():
     # Every head falls, and so does the next-lowest member of each cell, so a
     # one-at-a-time loop would re-elect some cells more than once.
     victims = []
-    for coord in grid.all_coords():
-        victims += state._cell_members[coord][:2]
+    for flat in range(grid.cell_count):
+        victims += state._cell_members[flat][:2]
     keeping = [
         coord
-        for coord in grid.all_coords()
+        for flat, coord in enumerate(grid.all_coords())
         if state.heads()[coord] in victims
-        and len(state._cell_members[coord]) > 2
+        and len(state._cell_members[flat]) > 2
     ]
     centers.clear()
     state.disable_nodes(victims)

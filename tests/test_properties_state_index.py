@@ -140,7 +140,7 @@ def test_corrupted_occupancy_counter_is_detected():
     rng = random.Random(99)
     state = _random_state(rng)
     coord = next(iter(state.grid.all_coords()))
-    state._occupancy[coord] += 1
+    state._occupancy[state.grid.flat_index(coord)] += 1
     with pytest.raises(AssertionError):
         state.check_invariants()
 
@@ -149,7 +149,7 @@ def test_corrupted_vacant_set_is_detected():
     rng = random.Random(99)
     state = _random_state(rng)
     occupied = [c for c in state.grid.all_coords() if not state.is_vacant(c)]
-    state._vacant.add(occupied[0])
+    state._vacant.add(state.grid.flat_index(occupied[0]))
     with pytest.raises(AssertionError):
         state.check_invariants()
 

@@ -7,7 +7,9 @@ The contracts exercised here:
 * a repeated ``/run`` query is answered from the cache with the identical
   record; concurrent identical queries collapse onto one simulation;
 * ``/run?stream=1`` carries live per-round events and publishes the finished
-  record so the next query is a hit;
+  record so the next query is a hit, also when the client disconnects
+  mid-stream (reset or orderly close): the run finishes quietly and is
+  cached;
 * error mapping: bad specs -> 400, unknown endpoints -> 404, a full broker
   queue -> 503, a negative ``Content-Length`` -> 400 and one above
   ``MAX_BODY_BYTES`` -> 413, both answered without reading a body, and a
@@ -17,6 +19,7 @@ The contracts exercised here:
 
 import json
 import socket
+import struct
 import threading
 from contextlib import contextmanager
 
@@ -151,6 +154,65 @@ def test_streamed_run_emits_live_rounds_then_caches():
         replay = list(client.run_stream(spec_payload(seed=11)))
         assert [e["event"] for e in replay] == ["cached"]
         assert replay[0]["record"] == events[-1]["record"]
+
+
+def _stream_then_disconnect(server, payload: dict, reset: bool) -> None:
+    """``POST /run?stream=1``, read up to the ``accepted`` event, then leave.
+
+    ``reset=True`` closes with an RST (``SO_LINGER`` 0), so the server's
+    next write raises ``ConnectionResetError``; otherwise the close is an
+    orderly FIN, after which a later write raises ``BrokenPipeError``.
+    """
+    host, port = server.server_address[:2]
+    body = json.dumps(payload).encode("utf-8")
+    request = (
+        "POST /run?stream=1 HTTP/1.1\r\n"
+        f"Host: {host}:{port}\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    ).encode("ascii") + body
+    sock = socket.create_connection((host, port), timeout=5.0)
+    try:
+        sock.sendall(request)
+        received = b""
+        while b'"accepted"' not in received:
+            chunk = sock.recv(4096)
+            assert chunk, "the server closed the stream before accepting the run"
+            received += chunk
+        if reset:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        else:
+            sock.shutdown(socket.SHUT_RDWR)
+    finally:
+        sock.close()
+
+
+@pytest.mark.parametrize("reset", [True, False], ids=["reset", "orderly"])
+def test_streamed_run_is_cached_when_the_client_disconnects(reset, capsys):
+    """A client that leaves mid-stream still gets its run finished and cached."""
+    # Enough rounds that the server keeps writing after the client is gone.
+    payload = spec_payload(
+        seed=17,
+        scenario={
+            "columns": 10,
+            "rows": 10,
+            "deployed_count": 400,
+            "spare_surplus": 4,
+            "seed": 17,
+        },
+        max_rounds=200,
+    )
+    spec = spec_from_request(payload)
+    with running_server() as (server, client):
+        before = set(threading.enumerate())
+        _stream_then_disconnect(server, payload, reset)
+        wait_until(lambda: server.cache.get(spec) is not None, timeout=30.0)
+        # The handler thread finished instead of dying mid-run.
+        wait_until(lambda: set(threading.enumerate()) <= before, timeout=5.0)
+        answer = client.run(payload)
+        assert answer["cached"] is True
+        assert answer["record"] == record_to_dict(execute_run(spec))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -298,8 +298,9 @@ class TestInvariantsChecker:
     def test_detects_head_in_wrong_cell(self, small_grid, rng):
         nodes = deploy_per_cell_counts(small_grid, {GridCoord(0, 0): 2}, rng)
         state = WsnState(small_grid, nodes)
-        # Corrupt the internal index on purpose to check the detector fires.
-        state._heads[GridCoord(1, 1)] = nodes[0].node_id
+        # Corrupt the internal index (by flat cell id) on purpose to check the
+        # detector fires.
+        state._heads[small_grid.flat_index(GridCoord(1, 1))] = nodes[0].node_id
         with pytest.raises(AssertionError):
             state.check_invariants()
 
