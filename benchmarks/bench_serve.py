@@ -279,7 +279,7 @@ def sweep_cold_pass(scenarios: int) -> dict:
     baseline_records = [execute_run(spec, state_cache=None) for spec in specs]
     baseline_wall = time.perf_counter() - started
 
-    cache = StateCache(capacity=scenarios, mode="clone")
+    cache = StateCache(capacity=scenarios)
     started = time.perf_counter()
     cached_records = [execute_run(spec, state_cache=cache) for spec in specs]
     cached_wall = time.perf_counter() - started

@@ -39,10 +39,11 @@ programmatically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.core import analysis
 from repro.experiments.figures import (
@@ -75,11 +76,6 @@ from repro.experiments.orchestration import (
     make_executor,
 )
 from repro.experiments.persistence import CACHE_BACKENDS, RunCache, make_cache
-from repro.experiments.state_cache import (
-    STATE_CACHE_MODES,
-    StateCache,
-    set_default_state_cache,
-)
 from repro.experiments.scenario_files import (
     Scenario,
     ScenarioValidationError,
@@ -529,29 +525,23 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="disable result caching even when --cache-dir is given",
     )
-    parser.add_argument(
-        "--state-cache",
-        choices=list(STATE_CACHE_MODES) + ["off"],
-        default="clone",
-        help="initial-state cache mode: reuse each scenario's built initial "
-        "state across schemes and trials as live clones (default), as "
-        "compact binary snapshots, or not at all; results are byte-identical "
-        "in every mode",
-    )
 
 
 # ------------------------------------------------------------------ commands
+@contextlib.contextmanager
 def _execution_backend(
     args: argparse.Namespace,
-) -> tuple[RunExecutor, Optional[RunCache]]:
-    """Executor + optional cache as selected by the shared CLI flags."""
-    mode = getattr(args, "state_cache", "clone")
-    set_default_state_cache(None if mode == "off" else StateCache(mode=mode))
-    executor = make_executor(args.jobs)
+) -> Iterator[tuple[RunExecutor, Optional[RunCache]]]:
+    """Executor + optional cache as selected by the shared CLI flags.
+
+    The executor is closed when the block exits, so a ``--jobs`` pool never
+    outlives the command that opened it.
+    """
     cache: Optional[RunCache] = None
     if args.cache_dir is not None and not args.no_cache:
         cache = make_cache(args.cache_dir, backend=args.cache_backend)
-    return executor, cache
+    with make_executor(args.jobs) as executor:
+        yield executor, cache
 
 
 def _cache_report(cache: RunCache) -> str:
@@ -594,14 +584,14 @@ def _figures_command(args: argparse.Namespace) -> int:
     if wanted & set(EXPERIMENTAL_FIGURES):
         spare_values = QUICK_SPARE_VALUES if args.quick else PAPER_SPARE_VALUES
         config = ScenarioConfig(seed=args.seed)
-        executor, cache = _execution_backend(args)
-        experiment = run_section5_experiment(
-            spare_values=spare_values,
-            config=config,
-            trials=args.trials,
-            executor=executor,
-            cache=cache,
-        )
+        with _execution_backend(args) as (executor, cache):
+            experiment = run_section5_experiment(
+                spare_values=spare_values,
+                config=config,
+                trials=args.trials,
+                executor=executor,
+                cache=cache,
+            )
         if cache is not None and cache.hits:
             print(_cache_report(cache))
             print()
@@ -666,7 +656,6 @@ def _compare_command(args: argparse.Namespace) -> int:
         spare_surplus=args.spare_surplus,
         seed=args.seed,
     )
-    executor, cache = _execution_backend(args)
     specs = [
         RunSpec(
             scenario=config,
@@ -677,7 +666,8 @@ def _compare_command(args: argparse.Namespace) -> int:
         )
         for scheme in args.schemes
     ]
-    records = execute_many(specs, executor=executor, cache=cache)
+    with _execution_backend(args) as (executor, cache):
+        records = execute_many(specs, executor=executor, cache=cache)
     initial = records[0].metrics
     channel_note = f", channel {args.channel.kind}" if args.channel is not None else ""
     print(
@@ -742,16 +732,16 @@ def _lifetime_command(args: argparse.Namespace) -> int:
             idle_cost_per_round=args.idle_cost,
             depletion_threshold=args.depletion_threshold,
         )
-        executor, cache = _execution_backend(args)
-        result = run_lifetime_experiment(
-            config=config,
-            schemes=args.schemes,
-            energy=energy,
-            trials=args.trials,
-            max_rounds=args.max_rounds,
-            executor=executor,
-            cache=cache,
-        )
+        with _execution_backend(args) as (executor, cache):
+            result = run_lifetime_experiment(
+                config=config,
+                schemes=args.schemes,
+                energy=energy,
+                trials=args.trials,
+                max_rounds=args.max_rounds,
+                executor=executor,
+                cache=cache,
+            )
     except ValueError as error:
         print(f"lifetime: {error}", file=sys.stderr)
         return 2
@@ -842,8 +832,8 @@ def _scenario_run_command(args: argparse.Namespace) -> int:
     scenario = _resolve_cli_scenario(args)
     if args.smoke:
         scenario = scenario.smoke_variant()
-    executor, cache = _execution_backend(args)
-    records = scenario.execute(executor=executor, cache=cache)
+    with _execution_backend(args) as (executor, cache):
+        records = scenario.execute(executor=executor, cache=cache)
     print(_scenario_header(scenario))
     if cache is not None and cache.hits:
         print(_cache_report(cache))
@@ -863,8 +853,8 @@ def _scenario_sweep_command(args: argparse.Namespace) -> int:
     variants = [scenario.with_spare_surplus(n) for n in args.spares]
     variant_specs = [variant.run_specs() for variant in variants]
     specs: List[RunSpec] = [spec for chunk in variant_specs for spec in chunk]
-    executor, cache = _execution_backend(args)
-    records = execute_many(specs, executor=executor, cache=cache)
+    with _execution_backend(args) as (executor, cache):
+        records = execute_many(specs, executor=executor, cache=cache)
     print(_scenario_header(scenario))
     if cache is not None and cache.hits:
         print(_cache_report(cache))
@@ -917,20 +907,20 @@ def _scenario_fuzz_command(args: argparse.Namespace) -> int:
     archive_dir: Optional[Path] = None
     if not args.no_archive:
         archive_dir = args.archive_dir if args.archive_dir is not None else falsified_dir()
-    executor, cache = _execution_backend(args)
     budget = (
         f"{args.samples} samples" if args.samples is not None else f"{args.minutes} min"
     )
     print(f"scenario fuzz: seed {args.seed}, {budget}, archive: {archive_dir or 'off'}")
-    result = run_fuzz(
-        seed=args.seed,
-        samples=args.samples,
-        minutes=args.minutes,
-        archive_dir=archive_dir,
-        executor=executor,
-        cache=cache,
-        log=print,
-    )
+    with _execution_backend(args) as (executor, cache):
+        result = run_fuzz(
+            seed=args.seed,
+            samples=args.samples,
+            minutes=args.minutes,
+            archive_dir=archive_dir,
+            executor=executor,
+            cache=cache,
+            log=print,
+        )
     if cache is not None and cache.hits:
         print(_cache_report(cache))
     bugs = result.bug_falsifiers
@@ -959,12 +949,12 @@ def _scenario_replay_command(args: argparse.Namespace) -> int:
     from repro.experiments.differential import run_differential
 
     scenario = _resolve_cli_scenario(args)
-    executor, cache = _execution_backend(args)
     print(_scenario_header(scenario))
     if scenario.description:
         print(scenario.description)
     print()
-    report = run_differential(scenario, executor=executor, cache=cache)
+    with _execution_backend(args) as (executor, cache):
+        report = run_differential(scenario, executor=executor, cache=cache)
     result = ExperimentResult(
         name=f"replay {scenario.name}",
         columns=["oracle", "severity", "verdict", "detail"],

@@ -39,16 +39,14 @@ import threading
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.orchestration import (
-    USE_DEFAULT_STATE_CACHE,
     RunExecutor,
     RunRecord,
     RunSpec,
     SerialExecutor,
-    _resolve_state_cache,
     execute_run,
 )
 from repro.experiments.persistence import RunCache, run_key
-from repro.experiments.state_cache import StateCacheStats
+from repro.experiments.state_cache import StateCacheStats, default_state_cache
 
 __all__ = [
     "Priority",
@@ -166,20 +164,16 @@ class ExperimentBroker:
     workers:
         Worker threads draining the queue.  Each runs ``run_fn`` (default:
         the pure :func:`~repro.experiments.orchestration.execute_run`)
-        in-process; simulation determinism makes thread scheduling
-        irrelevant to results.
+        in-process, so the default run function shares the process's
+        default state cache: specs over one scenario build its initial state
+        once.  Simulation determinism makes thread scheduling irrelevant to
+        results.
     queue_limit:
         Maximum pending (queued, not yet running) specs before ``submit``
         raises :class:`BrokerQueueFull`; ``None`` means unbounded.
     run_fn:
         Execution function ``RunSpec -> RunRecord``; injectable for tests
         (e.g. a gated stub proving dedup performs exactly one simulation).
-    state_cache:
-        Initial-state cache consulted by the default ``run_fn``: specs
-        sharing a scenario (the sweep's N schemes x T trials shape) build
-        the initial state once and simulate on private copies.  Defaults to
-        the process-wide cache; pass ``None`` to force from-scratch builds.
-        Ignored when a custom ``run_fn`` is injected.
     """
 
     def __init__(
@@ -188,7 +182,6 @@ class ExperimentBroker:
         workers: int = 1,
         queue_limit: Optional[int] = None,
         run_fn: Callable[[RunSpec], RunRecord] = execute_run,
-        state_cache: object = USE_DEFAULT_STATE_CACHE,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -196,7 +189,6 @@ class ExperimentBroker:
             raise ValueError(f"queue_limit must be >= 1 or None, got {queue_limit}")
         self.cache = cache
         self.queue_limit = queue_limit
-        self.state_cache = state_cache
         self._run_fn = run_fn
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._lock = threading.Lock()
@@ -275,8 +267,8 @@ class ExperimentBroker:
 
     # ------------------------------------------------------------- lifecycle
     def state_cache_stats(self) -> Optional[StateCacheStats]:
-        """Counters of the broker's initial-state cache (``None`` if disabled)."""
-        cache = _resolve_state_cache(self.state_cache)
+        """Counters of the process's default state cache (``None`` if disabled)."""
+        cache = default_state_cache()
         return cache.stats() if cache is not None else None
 
     def stats(self) -> BrokerStats:
@@ -327,14 +319,7 @@ class ExperimentBroker:
             with self._lock:
                 self._pending -= 1
             try:
-                if self._run_fn is execute_run:
-                    # The default run function threads the broker's state
-                    # cache through, so worker threads share one initial
-                    # state per scenario (built once, herd-deduplicated by
-                    # the cache's per-key build locks).
-                    record = execute_run(handle.spec, state_cache=self.state_cache)
-                else:
-                    record = self._run_fn(handle.spec)
+                record = self._run_fn(handle.spec)
             except BaseException as error:  # noqa: BLE001 - forwarded to waiters
                 with self._lock:
                     self._failed += 1

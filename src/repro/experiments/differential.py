@@ -13,8 +13,8 @@ Oracles come in two severities:
   bound), energy debit reconciliation, message-ledger conservation
   (``sent == delivered + dropped + in_flight``), and
   state-cached-vs-from-scratch byte-identity (the initial-state cache and
-  its snapshot serialization must never change a record).  Bug violations
-  fail the fuzzing session (exit 1).
+  its clones must never change a record).  Bug violations fail the fuzzing
+  session (exit 1).
 * ``claim`` — a statistical claim of the paper checked on individual seeds:
   *SR moves no more than AR when both converge*.  The paper proves this in
   expectation, not per seed, so per-seed counterexamples are *discoveries*,
@@ -91,11 +91,10 @@ class DifferentialContext:
         (trials outermost, schemes innermost).
     state_cache_trio:
         ``(baseline, miss, hit)`` executions of the same spec: from scratch
-        with state caching disabled, then twice through a fresh bytes-mode
+        with state caching disabled, then twice through a fresh
         :class:`~repro.experiments.state_cache.StateCache` (the first run
-        builds and stores the initial state, the second restores it via the
-        ``WsnState.to_bytes``/``from_bytes`` round-trip).  Used by the
-        ``state-cache-identity`` oracle.
+        builds and stores the initial state, the second simulates on a clone
+        of the stored build).  Used by the ``state-cache-identity`` oracle.
     """
 
     scenario: Scenario
@@ -274,11 +273,10 @@ def check_state_cache_identity(context: DifferentialContext) -> List[str]:
 
     Compares the canonical persisted form of the cache-off baseline against
     the cache-miss run (simulates from the state it just built and stored)
-    and the cache-hit run (simulates from a ``from_bytes`` restore of the
-    stored snapshot).  Any divergence means the initial-state cache — or the
-    snapshot serialization underneath its bytes mode — changed the
-    simulation, which the determinism contract forbids on every scenario the
-    fuzzer can express.
+    and the cache-hit run (simulates from a clone of the stored build).  Any
+    divergence means the initial-state cache — or the state clone underneath
+    it — changed the simulation, which the determinism contract forbids on
+    every scenario the fuzzer can express.
     """
     if context.state_cache_trio is None:
         return []
@@ -369,9 +367,9 @@ def run_differential(
         # From-scratch ground truth: no state cache, so nothing under test
         # can leak into the reference.
         baseline = execute_run(sr_spec, state_cache=None)
-        # State-cache rerun: a private bytes-mode cache so the first run
-        # exercises build+store and the second the from_bytes restore.
-        private_cache = StateCache(capacity=1, mode="bytes")
+        # State-cache rerun: a private cache so the first run exercises
+        # build+store and the second a clone of the stored build.
+        private_cache = StateCache(capacity=1)
         miss = execute_run(sr_spec, state_cache=private_cache)
         hit = execute_run(sr_spec, state_cache=private_cache)
         state_cache_trio = (baseline, miss, hit)

@@ -252,7 +252,8 @@ def run_lifetime_smoke(jobs: int = 2) -> List[str]:
 
     serial = execute_many(specs, executor=SerialExecutor())
     repeat = execute_many(specs, executor=SerialExecutor())
-    parallel = execute_many(specs, executor=make_executor(max(2, jobs)))
+    with make_executor(max(2, jobs)) as executor:
+        parallel = execute_many(specs, executor=executor)
 
     failures: List[str] = []
     if canonical(serial) != canonical(repeat):

@@ -10,19 +10,18 @@ counts ``N`` and seeds.  This module decouples *describing* such a cell from
   specs describe byte-identical runs, which is what makes result caching and
   cross-process execution sound.
 * :func:`build_initial_state` / :func:`simulate_from` — the two pure halves
-  of a run: content-addressed construction of the initial state (the shared
-  prefix of every spec over one scenario, served through a
+  of a run: construction of the initial state (the shared prefix of every
+  spec over one scenario, served through a
   :class:`~repro.experiments.state_cache.StateCache`) and the simulation
   proper.  :func:`execute_run` is their composition and stays the pure entry
   point ``RunSpec -> RunRecord``.
 * :class:`SerialExecutor` / :class:`ParallelExecutor` — interchangeable
-  strategies for executing a batch of specs.  Both return records in spec
-  order, so identical seeds give identical results regardless of worker
-  count.  The parallel executor keeps its worker pool alive across
-  ``run_all`` calls, groups specs sharing a scenario into one worker task,
-  gives each worker a warm per-process state cache, and ships already-built
-  initial states to workers as raw :meth:`WsnState.to_bytes` buffers over
-  ``multiprocessing.shared_memory`` instead of pickling them.
+  strategies for executing a batch of specs.  Both run the same loop,
+  ``execute_run`` per spec against the executing process's default state
+  cache, and return records in spec order, so identical seeds give
+  identical results regardless of worker count.  The parallel executor
+  keeps its worker pool alive across ``run_all`` calls and sends specs
+  sharing a scenario to one worker as one task.
 * :func:`execute_many` — the one entry point the sweep layer uses: consult an
   optional cache, execute only the missing specs, persist fresh records.
 
@@ -31,15 +30,15 @@ Determinism contract: everything stochastic inside a run is derived from
 stream) via :func:`repro.sim.rng.derive_rng`, so ``execute_run`` is a pure
 function of its spec — with or without a state cache, serial or parallel,
 the records are byte-identical (the golden seed-identity suite and the
-``state_cache`` differential oracle enforce this).
+``state-cache-identity`` differential oracle enforce this).
 """
 
 from __future__ import annotations
 
-import contextlib
 import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
@@ -57,7 +56,11 @@ from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT, RoundBasedEngine
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
-from repro.experiments.state_cache import StateCache, default_state_cache
+from repro.experiments.state_cache import (
+    StateCache,
+    default_state_cache,
+    set_default_state_cache,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.experiments.persistence import RunCache
@@ -66,13 +69,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 #: itself be disabled via ``set_default_state_cache(None)``); distinct from
 #: an explicit ``None``, which bypasses state caching outright.
 USE_DEFAULT_STATE_CACHE = object()
-
-
-def _resolve_state_cache(state_cache: object) -> Optional[StateCache]:
-    """Map the sentinel/explicit argument onto an actual cache (or ``None``)."""
-    if state_cache is USE_DEFAULT_STATE_CACHE:
-        return default_state_cache()
-    return state_cache  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)
@@ -172,9 +168,11 @@ def build_initial_state(
     one scenario share one build: with a state cache the build happens once
     and every caller gets a private mutable copy; without one this is a plain
     ``build_scenario_state``.  Either way the result is interchangeable —
-    the build is deterministic and clone/restore are byte-equivalent.
+    the build is deterministic and a clone is byte-equivalent to a rebuild.
     """
-    cache = _resolve_state_cache(state_cache)
+    cache = (
+        default_state_cache() if state_cache is USE_DEFAULT_STATE_CACHE else state_cache
+    )
     if cache is None:
         return build_scenario_state(spec.scenario)
     return cache.state_for(spec.scenario)
@@ -224,56 +222,30 @@ def simulate_from(
 
 
 def execute_run(
-    spec: RunSpec,
-    _state: Optional[WsnState] = None,
-    state_cache: object = USE_DEFAULT_STATE_CACHE,
+    spec: RunSpec, state_cache: object = USE_DEFAULT_STATE_CACHE
 ) -> RunRecord:
     """Build the scenario, run the scheme, and return the resulting record.
 
     This is the single choke point every sweep cell goes through — serial,
-    parallel, and cached execution all bottom out here — and it is now the
+    parallel, and cached execution all bottom out here — and it is the
     composition of :func:`build_initial_state` and :func:`simulate_from`.
     It must stay a pure, top-level function: worker processes unpickle and
-    call it by reference.
-
-    ``_state`` is an internal optimisation hook: a caller that already built
-    ``spec.scenario`` may pass a private copy of the resulting state to skip
-    the (deterministic, hence equivalent) rebuild.  The copy is mutated in
-    place.  ``state_cache`` selects the initial-state cache: the default
-    sentinel consults the process-wide cache, ``None`` forces a from-scratch
-    build, and an explicit :class:`StateCache` is used as-is.
+    call it by reference.  ``state_cache`` selects the initial-state cache:
+    the default sentinel consults the process-wide cache, ``None`` forces a
+    from-scratch build (the reference every cached path is checked
+    against), and an explicit :class:`StateCache` is used as-is.
     """
-    state = build_initial_state(spec, state_cache) if _state is None else _state
-    return simulate_from(state, spec)
+    return simulate_from(build_initial_state(spec, state_cache), spec)
 
 
 # ------------------------------------------------------------------ executors
-def _run_serially(
-    specs: Sequence[RunSpec], state_cache: object = USE_DEFAULT_STATE_CACHE
-) -> List[RunRecord]:
-    """Execute specs in order, building each distinct scenario only once.
+def _run_serially(specs: Sequence[RunSpec]) -> List[RunRecord]:
+    """Execute specs in order against this process's default state cache.
 
-    With a state cache every spec draws a private copy from it, so scenario
-    sharing works across the whole batch (and across batches).  Without one,
-    consecutive specs that share a scenario config (the sweep emits one run
-    per scheme with schemes innermost) still get private clones of one base
-    state instead of rebuilding the deployment from scratch — the build is
-    deterministic, so a clone and a rebuild are interchangeable.
+    The one execution loop: the serial executor runs it in the caller's
+    process, and each parallel worker runs it on one scenario group.
     """
-    cache = _resolve_state_cache(state_cache)
-    if cache is not None:
-        return [
-            simulate_from(cache.state_for(spec.scenario), spec) for spec in specs
-        ]
-    records: List[RunRecord] = []
-    base_scenario = None
-    base_state: Optional[WsnState] = None
-    for spec in specs:
-        if base_state is None or spec.scenario != base_scenario:
-            base_scenario = spec.scenario
-            base_state = build_scenario_state(base_scenario)
-        records.append(execute_run(spec, _state=base_state.clone()))
-    return records
+    return [execute_run(spec) for spec in specs]
 
 
 def _registry_overrides() -> Dict[str, SchemeFactory]:
@@ -297,92 +269,23 @@ def _registry_overrides() -> Dict[str, SchemeFactory]:
     return overrides
 
 
-def _install_registry_overrides(overrides: Dict[str, SchemeFactory]) -> None:
-    """Worker-process initializer: replay post-import registrations."""
+def _init_worker(overrides: Dict[str, SchemeFactory]) -> None:
+    """Worker-process initializer: replay post-import registrations.
+
+    It also installs a fresh default :class:`StateCache`, so a forked worker
+    never starts from a copy of the parent's cache or its locks.
+    """
     SCHEME_REGISTRY.update(overrides)
-
-
-# ----------------------------------------------------- worker-side execution
-#: Number of distinct scenarios each worker process keeps warm.  Persistent
-#: pools make this pay across ``run_all`` calls: a sweep that revisits a
-#: scenario in a later batch finds it already built in the worker.
-WORKER_STATE_CACHE_CAPACITY = 4
-
-#: Lazily-created per-worker-process state cache (module-global so it
-#: survives across tasks for the lifetime of the worker).
-_worker_state_cache: Optional[StateCache] = None
-
-
-def _get_worker_state_cache() -> StateCache:
-    """The calling worker process's warm state cache (created on first use)."""
-    global _worker_state_cache
-    if _worker_state_cache is None:
-        _worker_state_cache = StateCache(capacity=WORKER_STATE_CACHE_CAPACITY)
-    return _worker_state_cache
-
-
-def _state_from_shared_memory(segment_name: str, config: ScenarioConfig) -> WsnState:
-    """Restore an initial state shipped as a shared-memory snapshot.
-
-    The parent placed a raw :meth:`WsnState.to_bytes` buffer into the
-    segment; the worker copies it out and closes its mapping immediately.
-    The parent owns the segment lifetime: it unlinks (and thereby
-    unregisters) the segment after the batch.  Workers deliberately do NOT
-    unregister on attach — pool workers share the parent's resource-tracker
-    process, where registration is idempotent but a worker-side unregister
-    would strip the parent's own entry and break its unlink accounting.
-    """
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=segment_name)
-    try:
-        snapshot = bytes(segment.buf)
-    finally:
-        segment.close()
-    return WsnState.from_bytes(snapshot, head_policy=config.head_policy_fn)
-
-
-def _execute_spec_group(
-    payload: Tuple[Tuple[RunSpec, ...], Optional[str], Optional[bytes], bool],
-) -> List[RunRecord]:
-    """Worker task: execute a group of specs sharing one scenario.
-
-    ``payload`` is ``(specs, segment_name, snapshot, use_worker_cache)``:
-    the specs (all with equal ``scenario``), an optional shared-memory
-    segment holding the parent's already-built initial state, an optional
-    inline snapshot (the pickle fallback when shared memory is unavailable),
-    and whether this worker should keep the scenario warm in its own cache.
-    Exactly one initial-state build (or restore) happens per group; each
-    spec then simulates on a private copy, which is byte-identical to a
-    from-scratch run.
-    """
-    specs, segment_name, snapshot, use_worker_cache = payload
-    config = specs[0].scenario
-    cache = _get_worker_state_cache() if use_worker_cache else None
-
-    base: Optional[WsnState] = None
-    if cache is None or not cache.contains(config):
-        if segment_name is not None:
-            with contextlib.suppress(Exception):
-                base = _state_from_shared_memory(segment_name, config)
-        if base is None and snapshot is not None:
-            base = WsnState.from_bytes(snapshot, head_policy=config.head_policy_fn)
-        if base is None:
-            base = build_scenario_state(config)
-        if cache is not None:
-            cache.put(config, base)
-    if cache is not None:
-        return [simulate_from(cache.state_for(spec.scenario), spec) for spec in specs]
-    assert base is not None
-    return [simulate_from(base.clone(), spec) for spec in specs]
+    set_default_state_cache(StateCache())
 
 
 def _group_by_scenario(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
     """Split specs into maximal runs of consecutive equal scenarios.
 
-    Mirrors the sharing structure of :func:`_run_serially`: the sweep emits
-    schemes innermost, so grouping consecutive equal scenarios captures the
-    N-schemes-x-T-trials duplication without reordering anything.
+    The sweep emits schemes innermost, so grouping consecutive equal
+    scenarios captures the N-schemes-x-T-trials duplication without
+    reordering anything.  One group is one worker task, so its scenario is
+    built once, by one worker.
     """
     groups: List[List[RunSpec]] = []
     for spec in specs:
@@ -398,7 +301,8 @@ class RunExecutor(ABC):
 
     Implementations must return one record per spec **in spec order** and
     keep :attr:`runs_executed` up to date (the cache tests rely on it to
-    assert that a warm cache causes zero re-executions).
+    assert that a warm cache causes zero re-executions).  Every executor is a
+    context manager whose exit calls :meth:`close`.
     """
 
     def __init__(self) -> None:
@@ -409,17 +313,24 @@ class RunExecutor(ABC):
     def run_all(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
         """Execute every spec and return their records in spec order."""
 
+    def close(self) -> None:
+        """Release the executor's workers (nothing to release by default)."""
+
+    def __enter__(self) -> "RunExecutor":
+        """Context-manager entry: the executor itself."""
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        """Context-manager exit: :meth:`close`."""
+        self.close()
+
 
 class SerialExecutor(RunExecutor):
     """Execute specs one after another in the current process."""
 
-    def __init__(self, state_cache: object = USE_DEFAULT_STATE_CACHE) -> None:
-        super().__init__()
-        self.state_cache = state_cache
-
     def run_all(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
         """Execute every spec in order in the current process."""
-        records = _run_serially(specs, state_cache=self.state_cache)
+        records = _run_serially(specs)
         self.runs_executed += len(records)
         return records
 
@@ -430,41 +341,27 @@ class ParallelExecutor(RunExecutor):
     ``ProcessPoolExecutor.map`` preserves input order, so the records come
     back exactly as :class:`SerialExecutor` would produce them; only
     wall-clock time changes with ``jobs``.  Specs and records cross the
-    process boundary, controllers never do; initial states cross it only as
-    raw snapshot buffers over ``multiprocessing.shared_memory``.
-
-    Three cold-path optimisations stack here:
+    process boundary; states and controllers never do.
 
     * **Persistent pool** — the worker pool survives across ``run_all``
-      calls (and therefore across sweep/broker submissions), so repeated
-      batches pay interpreter + import start-up once.  The pool is rebuilt
-      only when the picklable scheme-registry overrides change.  Call
-      :meth:`close` (or use the executor as a context manager) to reap the
-      workers early; an unreferenced executor reaps them at GC/interpreter
-      exit like any ``ProcessPoolExecutor``.
+      calls, so repeated batches pay interpreter start-up once.  The pool is
+      rebuilt when the picklable scheme-registry overrides change, and after
+      a worker died (``BrokenProcessPool``).  Call :meth:`close` (or use the
+      executor as a context manager) to reap the workers.
     * **Scenario grouping** — consecutive specs sharing a scenario travel as
-      one worker task, so the shared initial state is built once per group
-      in the worker instead of once per spec, and each worker keeps the last
-      :data:`WORKER_STATE_CACHE_CAPACITY` scenarios warm for later batches.
-    * **Zero-pickle state handoff** — when the parent's state cache already
-      holds a group's scenario, its :meth:`WsnState.to_bytes` snapshot is
-      placed in a shared-memory segment and workers restore from it instead
-      of rebuilding (falling back to an inline snapshot, then to a worker
-      build, if shared memory is unavailable).
+      one worker task, which runs :func:`_run_serially` against the worker's
+      own default state cache: one build per group, and a later batch over
+      the same scenario may find it warm.
     """
 
-    def __init__(
-        self, jobs: int, state_cache: object = USE_DEFAULT_STATE_CACHE
-    ) -> None:
+    def __init__(self, jobs: int) -> None:
         super().__init__()
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        self.state_cache = state_cache
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_overrides: Optional[Dict[str, SchemeFactory]] = None
 
-    # ------------------------------------------------------------- pool reuse
     def _ensure_pool(self) -> ProcessPoolExecutor:
         """The persistent worker pool, (re-)created only when needed.
 
@@ -474,12 +371,11 @@ class ParallelExecutor(RunExecutor):
         """
         overrides = _registry_overrides()
         if self._pool is not None and overrides != self._pool_overrides:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+            self.close()
         if self._pool is None:
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs,
-                initializer=_install_registry_overrides,
+                initializer=_init_worker,
                 initargs=(overrides,),
             )
             self._pool_overrides = overrides
@@ -492,106 +388,30 @@ class ParallelExecutor(RunExecutor):
             self._pool = None
             self._pool_overrides = None
 
-    def __enter__(self) -> "ParallelExecutor":
-        """Context-manager entry: the executor itself."""
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: reap the worker pool."""
-        self.close()
-
-    # -------------------------------------------------------- state shipping
-    def _export_shared_states(
-        self, groups: Sequence[Sequence[RunSpec]]
-    ) -> Tuple[Dict[str, Tuple[Optional[str], Optional[bytes]]], List[object]]:
-        """Publish parent-warm initial states as shared-memory segments.
-
-        Only scenarios the parent state cache already holds are shipped —
-        building cold scenarios in the parent would serialize work the
-        workers can do concurrently.  Returns ``{scenario_key: (segment_name,
-        inline_snapshot)}`` plus the segments themselves (the caller unlinks
-        them after the batch).  When a segment cannot be created the snapshot
-        ships inline through the task pickle instead — slower, still cheaper
-        than a worker rebuild.
-        """
-        from repro.experiments.state_cache import scenario_key
-
-        cache = _resolve_state_cache(self.state_cache)
-        segments: List[object] = []
-        transports: Dict[str, Tuple[Optional[str], Optional[bytes]]] = {}
-        if cache is None:
-            return transports, segments
-        for group in groups:
-            config = group[0].scenario
-            key = scenario_key(config)
-            if key in transports:
-                continue
-            snapshot = cache.snapshot_bytes(config)
-            if snapshot is None:
-                continue
-            try:
-                from multiprocessing import shared_memory
-
-                segment = shared_memory.SharedMemory(create=True, size=len(snapshot))
-                segment.buf[: len(snapshot)] = snapshot
-            except Exception:
-                transports[key] = (None, snapshot)
-                continue
-            segments.append(segment)
-            transports[key] = (segment.name, None)
-        return transports, segments
-
-    @staticmethod
-    def _release_segments(segments: Sequence[object]) -> None:
-        """Close and unlink the batch's shared-memory segments."""
-        for segment in segments:
-            with contextlib.suppress(Exception):
-                segment.close()
-            with contextlib.suppress(Exception):
-                segment.unlink()
-
-    # -------------------------------------------------------------- execution
     def run_all(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
         """Execute the specs across worker processes; records in spec order."""
-        from repro.experiments.state_cache import scenario_key
-
         specs = list(specs)
-        if not specs:
-            return []
-        if self.jobs == 1 or len(specs) == 1:
-            records = _run_serially(specs, state_cache=self.state_cache)
+        if self.jobs == 1 or len(specs) <= 1:
+            records = _run_serially(specs)
         else:
-            groups = _group_by_scenario(specs)
-            use_worker_cache = _resolve_state_cache(self.state_cache) is not None
-            transports, segments = self._export_shared_states(groups)
-            payloads = []
-            for group in groups:
-                segment_name, snapshot = transports.get(
-                    scenario_key(group[0].scenario), (None, None)
-                )
-                payloads.append(
-                    (tuple(group), segment_name, snapshot, use_worker_cache)
-                )
+            pool = self._ensure_pool()
             try:
-                pool = self._ensure_pool()
-                records = [
-                    record
-                    for group_records in pool.map(_execute_spec_group, payloads)
-                    for record in group_records
-                ]
-            finally:
-                self._release_segments(segments)
+                grouped = list(pool.map(_run_serially, _group_by_scenario(specs)))
+            except BrokenProcessPool:
+                # A dead worker breaks the whole pool: this batch reports the
+                # error, and the next one starts fresh workers.
+                self.close()
+                raise
+            records = [record for group in grouped for record in group]
         self.runs_executed += len(records)
         return records
 
 
-def make_executor(
-    jobs: Optional[int] = None, state_cache: object = USE_DEFAULT_STATE_CACHE
-) -> RunExecutor:
+def make_executor(jobs: Optional[int] = None) -> RunExecutor:
     """Executor for ``jobs`` worker processes (``None`` or 1: serial)."""
     if jobs is None or jobs <= 1:
-        return SerialExecutor(state_cache=state_cache)
-    return ParallelExecutor(jobs, state_cache=state_cache)
+        return SerialExecutor()
+    return ParallelExecutor(jobs)
 
 
 # ---------------------------------------------------------------- entry point

@@ -1,4 +1,4 @@
-"""Content-addressed cache of built initial scenario states.
+"""In-process cache of built initial scenario states.
 
 The sweep layer intentionally gives every scheme and every trial at a sweep
 point the *same* :class:`~repro.sim.scenario.ScenarioConfig`, yet cold
@@ -7,79 +7,43 @@ execution used to rebuild the identical initial
 indices, head election — once per spec.  This module is the simulation-stack
 analog of prefix caching in an inference server: the built initial state is
 the shared prefix of every run over one scenario, so it is built exactly
-once, stored content-addressed by :func:`scenario_key`, and handed out as
-private mutable copies.
+once, stored under its frozen config, and handed out as private
+:meth:`WsnState.clone` copies.
 
 Soundness rests on two established contracts:
 
 * ``build_scenario_state`` is a pure function of its config (all randomness
   is derived from ``config.seed`` via :func:`repro.sim.rng.derive_rng`), so
   a cached build is exactly what a rebuild would produce;
-* a :meth:`WsnState.clone` (and, for the ``bytes`` mode, a
-  ``WsnState.from_bytes(state.to_bytes())`` round-trip) is interchangeable
-  with a rebuild — the golden seed-identity suite and the ``state_cache``
-  differential oracle hold cached runs to byte-identical records.
+* a :meth:`WsnState.clone` is interchangeable with a rebuild — the golden
+  seed-identity suite and the ``state-cache-identity`` differential oracle
+  hold cached runs to byte-identical records.
 
-Two storage modes trade memory against copy cost:
-
-* ``"clone"`` — the pristine built state is kept as a live object; a lookup
-  returns ``pristine.clone()`` (column ``memcpy`` + index copies).
-* ``"bytes"`` — only the compact :meth:`WsnState.to_bytes` snapshot is kept
-  (roughly half the resident footprint of a live state, and the exact
-  payload the parallel executor ships to workers over shared memory); a
-  lookup restores via :meth:`WsnState.from_bytes`.
-
-A process-wide default instance (capacity :data:`DEFAULT_CAPACITY`) is
-consulted by ``execute_run`` and both executors unless a caller passes an
-explicit cache or disables it; ``--state-cache off`` flips the default to
-``None`` for the whole process.
+Each process has one default instance (capacity :data:`DEFAULT_CAPACITY`),
+consulted by ``execute_run`` unless a caller passes an explicit cache or
+``None``.  Parallel workers install a fresh default of their own.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional
 
-from repro.network.node_arrays import BUFFER_FORMAT_VERSION
 from repro.network.state import WsnState
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
 __all__ = [
-    "STATE_CACHE_MODES",
     "DEFAULT_CAPACITY",
-    "scenario_key",
     "StateCacheStats",
     "StateCache",
     "default_state_cache",
     "set_default_state_cache",
 ]
 
-#: Storage modes accepted by :class:`StateCache` (and ``--state-cache``).
-STATE_CACHE_MODES = ("clone", "bytes")
-
 #: Default number of distinct scenarios the cache retains (LRU beyond that).
 DEFAULT_CAPACITY = 8
-
-
-def scenario_key(config: ScenarioConfig) -> str:
-    """Content hash of a scenario config — the cache address of its built state.
-
-    This is the scenario-defining subset of the run key: the canonical JSON
-    of the config alone, without scheme/seed/engine knobs, so every spec
-    sharing a scenario shares one key.  The snapshot layout version is folded
-    in so persisted-snapshot consumers (the shared-memory handoff) never
-    misread a foreign layout as a current one.
-    """
-    payload = {
-        "snapshot_version": BUFFER_FORMAT_VERSION,
-        "scenario": dataclasses.asdict(config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,7 +65,6 @@ class StateCacheStats:
     evictions: int
     entries: int
     capacity: int
-    mode: str
 
     @property
     def builds_saved(self) -> int:
@@ -114,33 +77,22 @@ class StateCacheStats:
 
 
 class StateCache:
-    """In-process LRU of built initial states, keyed by :func:`scenario_key`.
+    """In-process LRU of built initial states, keyed by their frozen config.
 
     Thread-safe: broker worker threads share one instance.  Concurrent
     lookups of the same missing scenario are deduplicated through per-key
     build locks, so a thundering herd over one scenario performs exactly one
-    build.  Lookups never hand out the stored entry itself — ``clone`` mode
-    returns a private :meth:`WsnState.clone`, ``bytes`` mode a private
-    :meth:`WsnState.from_bytes` restore — so callers may mutate the result
-    freely.
+    build.  Lookups never hand out the stored entry itself, only a private
+    :meth:`WsnState.clone`, so callers may mutate the result freely.
     """
 
-    def __init__(
-        self, capacity: int = DEFAULT_CAPACITY, mode: str = "clone"
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if mode not in STATE_CACHE_MODES:
-            raise ValueError(
-                f"unknown state-cache mode {mode!r}; choose from {list(STATE_CACHE_MODES)}"
-            )
         self.capacity = capacity
-        self.mode = mode
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Tuple[ScenarioConfig, Union[WsnState, bytes]]]" = (
-            OrderedDict()
-        )
-        self._build_locks: Dict[str, threading.Lock] = {}
+        self._entries: "OrderedDict[ScenarioConfig, WsnState]" = OrderedDict()
+        self._build_locks: Dict[ScenarioConfig, threading.Lock] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -149,61 +101,30 @@ class StateCache:
     def state_for(self, config: ScenarioConfig) -> WsnState:
         """A private, mutable built state for ``config`` (building on miss).
 
-        The hot path: a hit costs one clone/restore; a miss builds the
-        scenario once, stores the pristine build, and returns the build
-        itself (so the first caller pays no extra copy).
+        The hot path: a hit costs one clone; a miss builds the scenario once,
+        stores a pristine clone, and returns the build itself.
         """
-        key = scenario_key(config)
-        state = self._materialize(key, config)
+        state = self._clone_stored(config)
         if state is not None:
             self._count(hit=True)
             return state
-        build_lock = self._build_lock_for(key)
-        with build_lock:
+        with self._build_lock_for(config):
             # Another thread may have finished the same build while this one
             # waited on the key lock; re-check before building.  Served from
             # the store either way, so it still counts as a single hit.
-            state = self._materialize(key, config)
+            state = self._clone_stored(config)
             if state is not None:
                 self._count(hit=True)
                 return state
             self._count(hit=False)
             built = build_scenario_state(config)
-            self._insert(key, config, built)
+            self._insert(config, built.clone())
             return built
-
-    def get(self, config: ScenarioConfig) -> Optional[WsnState]:
-        """A private copy of the stored build, or ``None`` on a miss (no build)."""
-        state = self._materialize(scenario_key(config), config)
-        self._count(hit=state is not None)
-        return state
-
-    def put(self, config: ScenarioConfig, state: WsnState) -> None:
-        """Store ``state`` as the pristine build of ``config``.
-
-        The entry is snapshotted (cloned or serialized) immediately, so the
-        caller keeps exclusive ownership of ``state``.
-        """
-        self._insert(scenario_key(config), config, state, own=False)
 
     def contains(self, config: ScenarioConfig) -> bool:
         """Whether a build for ``config`` is currently stored."""
         with self._lock:
-            return scenario_key(config) in self._entries
-
-    def snapshot_bytes(self, config: ScenarioConfig) -> Optional[bytes]:
-        """The stored build as a :meth:`WsnState.to_bytes` snapshot, if present.
-
-        This is the zero-pickle payload the parallel executor places into
-        shared memory; ``clone`` mode serializes on demand, ``bytes`` mode
-        returns the stored snapshot as-is.
-        """
-        with self._lock:
-            entry = self._entries.get(scenario_key(config))
-            if entry is None:
-                return None
-            _, stored = entry
-        return stored if isinstance(stored, bytes) else stored.to_bytes()
+            return config in self._entries
 
     # ------------------------------------------------------------- lifecycle
     def stats(self) -> StateCacheStats:
@@ -215,7 +136,6 @@ class StateCache:
                 evictions=self._evictions,
                 entries=len(self._entries),
                 capacity=self.capacity,
-                mode=self.mode,
             )
 
     def clear(self) -> int:
@@ -230,52 +150,38 @@ class StateCache:
             return len(self._entries)
 
     # -------------------------------------------------------------- internals
-    def _build_lock_for(self, key: str) -> threading.Lock:
+    def _build_lock_for(self, config: ScenarioConfig) -> threading.Lock:
         with self._lock:
-            lock = self._build_locks.get(key)
+            lock = self._build_locks.get(config)
             if lock is None:
-                lock = self._build_locks[key] = threading.Lock()
+                lock = self._build_locks[config] = threading.Lock()
             return lock
 
     def _count(self, hit: bool) -> None:
-        """Tally one lookup (every public lookup counts exactly one)."""
+        """Tally one lookup (every lookup counts exactly one)."""
         with self._lock:
             if hit:
                 self._hits += 1
             else:
                 self._misses += 1
 
-    def _materialize(self, key: str, config: ScenarioConfig) -> Optional[WsnState]:
-        """A private copy of the stored entry for ``key`` (no counting)."""
+    def _clone_stored(self, config: ScenarioConfig) -> Optional[WsnState]:
+        """A private copy of the stored build of ``config`` (no counting)."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            stored = self._entries.get(config)
+            if stored is None:
                 return None
-            self._entries.move_to_end(key)
-            stored_config, stored = entry
-        if isinstance(stored, bytes):
-            return WsnState.from_bytes(stored, head_policy=stored_config.head_policy_fn)
+            self._entries.move_to_end(config)
         return stored.clone()
 
-    def _insert(
-        self, key: str, config: ScenarioConfig, state: WsnState, own: bool = True
-    ) -> None:
-        """Store the pristine form of ``state`` under ``key`` (LRU-bounded).
-
-        ``own=True`` means the caller will keep mutating ``state`` (the miss
-        path of :meth:`state_for` returns it), so the stored pristine must be
-        an independent copy either way; the flag only documents intent.
-        """
-        if self.mode == "bytes":
-            stored: Union[WsnState, bytes] = state.to_bytes()
-        else:
-            stored = state.clone()
+    def _insert(self, config: ScenarioConfig, pristine: WsnState) -> None:
+        """Store ``pristine`` as the build of ``config`` (LRU-bounded)."""
         with self._lock:
-            self._entries[key] = (config, stored)
-            self._entries.move_to_end(key)
+            self._entries[config] = pristine
+            self._entries.move_to_end(config)
             while len(self._entries) > self.capacity:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self._build_locks.pop(evicted_key, None)
+                evicted, _ = self._entries.popitem(last=False)
+                self._build_locks.pop(evicted, None)
                 self._evictions += 1
 
 
@@ -293,7 +199,7 @@ def set_default_state_cache(cache: Optional[StateCache]) -> Optional[StateCache]
     """Replace the process-wide default cache; returns the previous one.
 
     Pass ``None`` to disable implicit state caching for every consumer that
-    did not receive an explicit cache (``--state-cache off``).
+    did not receive an explicit cache.
     """
     global _default_cache
     with _default_lock:

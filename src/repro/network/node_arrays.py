@@ -245,8 +245,7 @@ class NodeArrays:
         the row count, so a snapshot is just ``len(self)`` and the
         concatenated little-endian buffers — no pickle, no per-column
         framing.  ``from_bytes(to_bytes())`` round-trips every column
-        bit-for-bit; this is the transport format of the initial-state cache
-        and the shared-memory worker handoff.
+        bit-for-bit.
         """
         parts = [struct.pack(_HEADER_FORMAT, BUFFER_FORMAT_VERSION, len(self))]
         for name, dtype, _ in _COLUMN_LAYOUT:
@@ -257,10 +256,10 @@ class NodeArrays:
     def from_bytes(cls, buffer: Union[bytes, memoryview]) -> "NodeArrays":
         """Rebuild a store from a :meth:`to_bytes` snapshot.
 
-        ``buffer`` may be longer than the snapshot (shared-memory segments
-        round up to a page size); trailing bytes are ignored.  Columns are
-        copied out of the buffer, so the result owns writable arrays and the
-        buffer may be released immediately.
+        ``buffer`` must be exactly :func:`snapshot_nbytes` of its row count
+        long; a shorter or longer buffer is rejected.  Columns are copied out
+        of the buffer, so the result owns writable arrays and the buffer may
+        be released immediately.
         """
         if len(buffer) < _HEADER_SIZE:
             raise ValueError("snapshot buffer is too short for a header")
@@ -270,10 +269,10 @@ class NodeArrays:
                 f"snapshot has buffer format version {version}, "
                 f"this build expects {BUFFER_FORMAT_VERSION}"
             )
-        if len(buffer) < snapshot_nbytes(count):
+        if len(buffer) != snapshot_nbytes(count):
             raise ValueError(
                 f"snapshot buffer holds {len(buffer)} bytes, a {count}-row "
-                f"snapshot needs {snapshot_nbytes(count)}"
+                f"snapshot is exactly {snapshot_nbytes(count)}"
             )
         offset = _HEADER_SIZE
         columns: Dict[str, np.ndarray] = {}

@@ -924,8 +924,8 @@ class WsnState:
         non-default policy (e.g. ``highest_energy``) could pick different
         heads than the snapshotted state held.  Handles are re-created lazily
         and a neighbour index is not carried over, exactly like ``clone``.
-        ``buffer`` may be longer than the snapshot (shared-memory segments
-        round up); trailing bytes are ignored.
+        ``buffer`` must hold exactly one snapshot: trailing bytes are
+        rejected.
         """
         if len(buffer) < _SNAPSHOT_HEADER_SIZE:
             raise ValueError("state snapshot buffer is too short for a header")

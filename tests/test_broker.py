@@ -9,6 +9,7 @@ The contracts exercised here:
   buffering unboundedly;
 * records produced through the broker are byte-identical to a plain
   :class:`SerialExecutor` run of the same specs;
+* ``state_cache_stats`` reports the process's default state cache;
 * ``execute_many`` collapses duplicate specs within one batch onto a single
   execution while preserving spec order in the returned records.
 """
@@ -32,6 +33,7 @@ from repro.experiments.orchestration import (
     execute_run,
 )
 from repro.experiments.persistence import RunCache, record_to_dict, run_key
+from repro.experiments.state_cache import StateCache, set_default_state_cache
 from repro.sim.scenario import ScenarioConfig
 
 QUICK_CONFIG = ScenarioConfig(columns=5, rows=5, deployed_count=150, seed=7)
@@ -183,6 +185,23 @@ def test_broker_records_match_serial_executor(tmp_path):
     with ExperimentBroker(cache=RunCache(tmp_path), workers=3) as broker:
         brokered = broker.run(specs)
     assert canonical(serial) == canonical(brokered)
+
+
+# ---------------------------------------------------------- state-cache stats
+def test_state_cache_stats_read_the_process_default_cache():
+    """Worker threads build through the default cache; its counters show here."""
+    cache = StateCache()
+    previous = set_default_state_cache(cache)
+    try:
+        with ExperimentBroker(workers=1) as broker:
+            broker.run([quick_spec("SR"), quick_spec("AR")])
+            stats = broker.state_cache_stats()
+            assert (stats.misses, stats.hits, stats.entries) == (1, 1, 1)
+            assert "mode" not in stats.as_dict()
+            set_default_state_cache(None)
+            assert broker.state_cache_stats() is None
+    finally:
+        set_default_state_cache(previous)
 
 
 # -------------------------------------------------------------- in-batch dedup

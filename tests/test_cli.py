@@ -325,3 +325,57 @@ class TestScenarioFuzzCommand:
     def test_replay_unknown_ref_is_a_clean_error(self, capsys):
         assert main(["scenario", "replay", "no-such-falsifier"]) == 2
         assert "unknown catalog scenario" in capsys.readouterr().err
+
+
+SMALL_COMPARE = [
+    "compare",
+    "--columns", "6",
+    "--rows", "6",
+    "--deployed", "200",
+    "--spare-surplus", "20",
+    "--seed", "2",
+    "--schemes", "SR", "AR", "SR-shortcut",
+]
+
+
+class TestWorkerPoolLifecycle:
+    """A command that opens a ``--jobs`` pool shuts it down before returning."""
+
+    @pytest.fixture
+    def opened_pools(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments import orchestration
+
+        pools = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.shut_down = False
+                pools.append(self)
+
+            def shutdown(self, *args, **kwargs):
+                self.shut_down = True
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(orchestration, "ProcessPoolExecutor", RecordingPool)
+        return pools
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "fig6", "--quick", "--jobs", "2"],
+            SMALL_COMPARE + ["--jobs", "2"],
+            ["scenario", "run", "corner-holes", "--smoke", "--jobs", "2"],
+            ["scenario", "sweep", "corner-holes", "--spares", "8", "16",
+             "--trials", "1", "--jobs", "2"],
+            ["lifetime", "--smoke"],
+        ],
+        ids=["figures", "compare", "scenario-run", "scenario-sweep", "lifetime-smoke"],
+    )
+    def test_every_pool_a_command_opens_is_shut_down(self, argv, opened_pools, capsys):
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert opened_pools, "the command never opened a worker pool"
+        assert all(pool.shut_down for pool in opened_pools)

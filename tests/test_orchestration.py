@@ -5,12 +5,15 @@ The contracts exercised here are the ones the sweep stack depends on:
 * the scheme registry resolves names, rejects duplicates and unknowns;
 * ``execute_run`` is a pure function of its (picklable) ``RunSpec``;
 * serial and parallel executors produce identical records in spec order;
+* a parallel worker builds each scenario group once, and a dead worker
+  fails only its own batch;
 * the run cache round-trips records, treats damage as a miss, and lets a
   repeated sweep finish with zero re-executions.
 """
 
 import dataclasses
 import json
+import os
 import pickle
 
 import pytest
@@ -328,8 +331,26 @@ class TestCachedSweeps:
         assert cache.hits == 1 and cache.misses == 1
 
 
+@pytest.fixture
+def fresh_default_state_cache():
+    """An empty process-wide state cache for the test, restored afterwards."""
+    from repro.experiments.state_cache import StateCache, set_default_state_cache
+
+    cache = StateCache()
+    previous = set_default_state_cache(cache)
+    yield cache
+    set_default_state_cache(previous)
+
+
+def _crash_on_marker_factory(state):
+    """SR factory that kills its worker process on the 5x5 marker scenario."""
+    if state.grid.columns == 5:
+        os._exit(3)
+    return _module_level_sr_factory(state)
+
+
 class TestStateCacheOrchestration:
-    """The cold-path machinery: scenario grouping, warm pools, shared memory."""
+    """One execution loop: the serial loop, per process, over the default cache."""
 
     def test_group_by_scenario_groups_consecutive_runs(self):
         from repro.experiments.orchestration import _group_by_scenario
@@ -347,6 +368,24 @@ class TestStateCacheOrchestration:
         assert [spec for group in groups for spec in group] == specs
         assert _group_by_scenario([]) == []
 
+    def test_worker_initializer_installs_a_fresh_default_cache(
+        self, fresh_default_state_cache
+    ):
+        """A worker starts from an empty cache of its own, overrides replayed."""
+        from repro.experiments.orchestration import _init_worker
+        from repro.experiments.state_cache import default_state_cache
+
+        fresh_default_state_cache.state_for(QUICK_CONFIG)
+        try:
+            _init_worker({"SR-init-test": _module_level_sr_factory})
+            worker_cache = default_state_cache()
+            assert worker_cache is not fresh_default_state_cache
+            assert len(worker_cache) == 0
+            assert get_scheme("SR-init-test") is _module_level_sr_factory
+        finally:
+            unregister_scheme("SR-init-test")
+        assert len(fresh_default_state_cache) == 1
+
     def test_build_initial_state_consults_the_cache(self):
         from repro.experiments.orchestration import build_initial_state
         from repro.experiments.state_cache import StateCache
@@ -358,9 +397,10 @@ class TestStateCacheOrchestration:
         stats = cache.stats()
         assert (stats.misses, stats.hits) == (1, 1)
 
-    def test_serial_executor_builds_each_scenario_once(self, monkeypatch):
+    def test_serial_executor_builds_each_scenario_once(
+        self, monkeypatch, fresh_default_state_cache
+    ):
         from repro.experiments import state_cache as state_cache_module
-        from repro.experiments.state_cache import StateCache
 
         builds = []
         real_build = state_cache_module.build_scenario_state
@@ -378,23 +418,22 @@ class TestStateCacheOrchestration:
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        executor = SerialExecutor(state_cache=StateCache())
-        records = executor.run_all(specs)
+        records = SerialExecutor().run_all(specs)
         assert len(records) == len(specs)
-        # 8 specs over 2 distinct scenarios per surplus... scenario ==
-        # (surplus) here because the seed lives in the spec, not the config.
+        # 8 specs over 2 distinct scenarios: the seed lives in the spec, not
+        # the config, so a scenario is one surplus here.
         assert sorted(builds) == [5, 15]
+        assert fresh_default_state_cache.stats().hits == len(specs) - 2
 
-    def test_serial_executor_without_cache_matches_cached_records(self):
-        from repro.experiments.state_cache import StateCache
-
+    def test_serial_executor_matches_cache_off_records(self, fresh_default_state_cache):
         specs = [
             quick_spec(scheme=scheme, seed=seed)
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        plain = SerialExecutor(state_cache=None).run_all(specs)
-        cached = SerialExecutor(state_cache=StateCache(mode="bytes")).run_all(specs)
+        plain = [execute_run(spec, state_cache=None) for spec in specs]
+        cached = SerialExecutor().run_all(specs)
+        assert fresh_default_state_cache.stats().hits == len(specs) - 1
         assert [record_to_dict(a) for a in plain] == [
             record_to_dict(b) for b in cached
         ]
@@ -430,51 +469,85 @@ class TestStateCacheOrchestration:
             finally:
                 unregister_scheme("SR-pool-test")
 
-    def test_parallel_shared_memory_handoff_matches_serial(self):
-        """Parent-warm scenarios ship over shm and stay byte-identical."""
-        from repro.experiments.state_cache import StateCache
-
+    def test_parallel_batch_after_parent_built_matches_cache_off_serial(
+        self, fresh_default_state_cache
+    ):
+        """A parent that already built the scenarios changes no parallel record."""
         specs = [
-            quick_spec(scheme=scheme, seed=seed)
+            quick_spec(scheme=scheme, seed=seed, spare_surplus=surplus)
+            for surplus in (5, 15)
             for seed in (1, 2)
             for scheme in ("SR", "AR")
         ]
-        baseline = SerialExecutor(state_cache=None).run_all(specs)
-        cache = StateCache()
-        cache.state_for(specs[0].scenario)  # pre-warm: forces the shm path
-        with ParallelExecutor(2, state_cache=cache) as executor:
+        baseline = [execute_run(spec, state_cache=None) for spec in specs]
+        SerialExecutor().run_all(specs)  # the parent now holds both scenarios
+        assert len(fresh_default_state_cache) == 2
+        with ParallelExecutor(2) as executor:
             parallel = executor.run_all(specs)
         assert [record_to_dict(a) for a in baseline] == [
             record_to_dict(b) for b in parallel
         ]
 
-    def test_export_shared_states_ships_only_warm_scenarios(self):
-        from repro.experiments.orchestration import _group_by_scenario
-        from repro.experiments.state_cache import StateCache, scenario_key
+    def test_parallel_sweep_builds_each_scenario_once(self, monkeypatch, tmp_path):
+        """A cold paper-tier sweep: one worker build per scenario group."""
+        from repro.experiments import orchestration
+        from repro.experiments import state_cache as state_cache_module
+        from repro.experiments.figures import PAPER_SPARE_VALUES
 
-        warm = quick_spec(spare_surplus=5)
-        cold = quick_spec(spare_surplus=15)
-        cache = StateCache()
-        cache.state_for(warm.scenario)
-        executor = ParallelExecutor(2, state_cache=cache)
-        groups = _group_by_scenario([warm, cold])
-        transports, segments = executor._export_shared_states(groups)
-        try:
-            assert set(transports) == {scenario_key(warm.scenario)}
-            assert len(segments) == 1
-            segment_name, inline = transports[scenario_key(warm.scenario)]
-            assert segment_name is not None and inline is None
-        finally:
-            executor._release_segments(segments)
-
-    def test_worker_group_execution_restores_from_inline_snapshot(self):
-        """The pickle fallback path: no shm segment, snapshot ships inline."""
-        from repro.experiments.orchestration import _execute_spec_group
-        from repro.sim.scenario import build_scenario_state
-
-        spec = quick_spec()
-        snapshot = build_scenario_state(spec.scenario).to_bytes()
-        records = _execute_spec_group(((spec,), None, snapshot, False))
-        assert record_to_dict(records[0]) == record_to_dict(
-            execute_run(spec, state_cache=None)
+        specs = build_comparison_specs(
+            ScenarioConfig(seed=4), PAPER_SPARE_VALUES, schemes=("SR", "AR"), trials=2
         )
+        scenarios = {spec.scenario for spec in specs}
+        assert (len(specs), len(scenarios)) == (40, 20)
+        baseline = [execute_run(spec, state_cache=None) for spec in specs]
+
+        # Workers fork from this process, so they inherit the wrapper; each
+        # build appends one line, whichever process made it.
+        log = tmp_path / "builds.log"
+        real_build = state_cache_module.build_scenario_state
+
+        def logging_build(config):
+            with open(log, "a") as handle:
+                handle.write(f"{config.spare_surplus} {config.seed}\n")
+            return real_build(config)
+
+        for module in (orchestration, state_cache_module):
+            monkeypatch.setattr(module, "build_scenario_state", logging_build)
+        with ParallelExecutor(2) as executor:
+            parallel = executor.run_all(specs)
+        builds = log.read_text().splitlines()
+        assert len(builds) == len(scenarios)
+        assert len(set(builds)) == len(scenarios)
+        assert [record_to_dict(a) for a in baseline] == [
+            record_to_dict(b) for b in parallel
+        ]
+
+    def test_dead_worker_fails_its_batch_and_the_next_batch_gets_fresh_workers(self):
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.experiments.registry import register_scheme, unregister_scheme
+
+        # Registered once, so the registry overrides never change below: only
+        # the dead worker can make the executor replace its pool.
+        register_scheme("SR-crash-test", _crash_on_marker_factory)
+        try:
+            healthy = [
+                quick_spec(scheme="SR-crash-test", seed=seed, spare_surplus=surplus)
+                for surplus in (5, 15)
+                for seed in (1, 2)
+            ]
+            marker = RunSpec(
+                scenario=ScenarioConfig(columns=5, rows=5, deployed_count=150, seed=7),
+                scheme="SR-crash-test",
+                seed=1,
+            )
+            serial = [record_to_dict(r) for r in SerialExecutor().run_all(healthy)]
+            with ParallelExecutor(2) as executor:
+                executor.run_all(healthy)
+                with pytest.raises(BrokenProcessPool):
+                    executor.run_all(healthy + [marker])
+                for _ in range(2):
+                    records = executor.run_all(healthy)
+                    assert [record_to_dict(r) for r in records] == serial
+        finally:
+            unregister_scheme("SR-crash-test")

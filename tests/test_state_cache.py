@@ -1,13 +1,13 @@
-"""Tests for the content-addressed initial-state cache.
+"""Tests for the initial-state cache.
 
 The contracts exercised here:
 
-* :func:`scenario_key` addresses the *scenario* — equal configs share a key,
-  any field change (and any snapshot-layout bump) changes it;
+* entries are keyed by the frozen scenario config — equal configs share an
+  entry, configs that differ in any field never do;
 * :class:`StateCache` lookups are LRU-bounded, counted, and always hand out
   private copies — mutating a result never contaminates later lookups;
-* both storage modes (``clone`` and ``bytes``) return states byte-identical
-  to a from-scratch ``build_scenario_state`` of the same config;
+* a miss and a hit both return states byte-identical to a from-scratch
+  ``build_scenario_state`` of the same config;
 * a thundering herd of threads over one missing scenario performs exactly
   one build;
 * ``execute_run`` through a state cache produces records byte-identical to
@@ -16,6 +16,7 @@ The contracts exercised here:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import threading
 
@@ -27,10 +28,8 @@ from repro.experiments.persistence import record_to_dict
 from repro.experiments import state_cache as state_cache_module
 from repro.experiments.state_cache import (
     DEFAULT_CAPACITY,
-    STATE_CACHE_MODES,
     StateCache,
     default_state_cache,
-    scenario_key,
     set_default_state_cache,
 )
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
@@ -61,79 +60,73 @@ def assert_states_identical(left, right) -> None:
     assert left.heads() == right.heads()
 
 
-# -------------------------------------------------------------- scenario_key
-def test_scenario_key_equal_configs_share_a_key():
-    assert scenario_key(QUICK_CONFIG) == scenario_key(
-        ScenarioConfig(columns=5, rows=5, deployed_count=150, seed=7)
-    )
+# ------------------------------------------------------------------- keying
+def test_equal_configs_share_an_entry():
+    cache = StateCache()
+    cache.state_for(QUICK_CONFIG)
+    twin = ScenarioConfig(columns=5, rows=5, deployed_count=150, seed=7)
+    assert twin is not QUICK_CONFIG
+    assert cache.contains(twin)
+    cache.state_for(twin)
+    assert (cache.stats().hits, len(cache)) == (1, 1)
 
 
-@pytest.mark.parametrize(
-    "variant",
-    [
-        QUICK_CONFIG.with_seed(8),
-        QUICK_CONFIG.with_spare_surplus(11),
-        ScenarioConfig(columns=6, rows=5, deployed_count=150, seed=7),
-    ],
-)
-def test_scenario_key_changes_with_any_field(variant):
-    assert scenario_key(variant) != scenario_key(QUICK_CONFIG)
+#: One changed value per ScenarioConfig field; the tests below check that the
+#: table covers every field.
+FIELD_VARIANTS = {
+    "columns": 6,
+    "rows": 6,
+    "communication_range": 12.0,
+    "deployed_count": 151,
+    "spare_surplus": 11,
+    "seed": 8,
+    "initial_energy": 2.0,
+    "initial_energy_jitter": 0.25,
+    "head_policy": "highest_energy",
+    "deployment": "per_cell",
+}
 
 
-def test_scenario_key_folds_in_snapshot_version(monkeypatch):
-    """A snapshot-layout bump must invalidate every existing key."""
-    before = scenario_key(QUICK_CONFIG)
-    monkeypatch.setattr(state_cache_module, "BUFFER_FORMAT_VERSION", 999)
-    assert scenario_key(QUICK_CONFIG) != before
+def test_field_variants_cover_every_config_field():
+    fields = [field.name for field in dataclasses.fields(ScenarioConfig)]
+    assert sorted(FIELD_VARIANTS) == sorted(fields)
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_VARIANTS))
+def test_configs_that_differ_in_any_field_never_share_an_entry(name):
+    cache = StateCache(capacity=2)
+    cache.state_for(QUICK_CONFIG)
+    variant = dataclasses.replace(QUICK_CONFIG, **{name: FIELD_VARIANTS[name]})
+    assert variant != QUICK_CONFIG
+    assert not cache.contains(variant)
+    cache.state_for(variant)
+    stats = cache.stats()
+    assert (stats.misses, stats.hits, len(cache)) == (2, 0, 2)
+    assert_states_identical(cache.state_for(variant), build_scenario_state(variant))
 
 
 # -------------------------------------------------------------------- lookup
-@pytest.mark.parametrize("mode", STATE_CACHE_MODES)
-def test_state_for_matches_from_scratch_build(mode):
-    cache = StateCache(mode=mode)
+def test_state_for_matches_from_scratch_build():
+    cache = StateCache()
     for _ in range(2):  # miss, then hit — both must equal a fresh build
         state = cache.state_for(QUICK_CONFIG)
         assert_states_identical(state, build_scenario_state(QUICK_CONFIG))
     stats = cache.stats()
     assert (stats.hits, stats.misses, stats.entries) == (1, 1, 1)
     assert stats.builds_saved == 1
-    assert stats.mode == mode
 
 
-@pytest.mark.parametrize("mode", STATE_CACHE_MODES)
-def test_lookups_hand_out_private_copies(mode):
-    cache = StateCache(mode=mode)
+def test_lookups_hand_out_private_copies():
+    cache = StateCache()
     first = cache.state_for(QUICK_CONFIG)
     victim = first.enabled_nodes()[0].node_id
     first.disable_node(victim)
     second = cache.state_for(QUICK_CONFIG)
     assert second.node(victim).is_enabled
     assert_states_identical(second, build_scenario_state(QUICK_CONFIG))
-
-
-def test_get_is_a_pure_lookup_and_put_stores():
-    cache = StateCache()
-    assert cache.get(QUICK_CONFIG) is None
-    assert not cache.contains(QUICK_CONFIG)
-    built = build_scenario_state(QUICK_CONFIG)
-    cache.put(QUICK_CONFIG, built)
-    assert cache.contains(QUICK_CONFIG)
-    hit = cache.get(QUICK_CONFIG)
-    assert hit is not built  # private copy, not the stored entry
-    assert_states_identical(hit, built)
-
-
-@pytest.mark.parametrize("mode", STATE_CACHE_MODES)
-def test_snapshot_bytes_round_trips(mode):
-    from repro.network.state import WsnState
-
-    cache = StateCache(mode=mode)
-    assert cache.snapshot_bytes(QUICK_CONFIG) is None
-    built = cache.state_for(QUICK_CONFIG)
-    snapshot = cache.snapshot_bytes(QUICK_CONFIG)
-    assert isinstance(snapshot, bytes)
-    restored = WsnState.from_bytes(snapshot, head_policy=QUICK_CONFIG.head_policy_fn)
-    assert_states_identical(restored, built)
+    third = cache.state_for(QUICK_CONFIG)
+    assert third is not second
+    assert_states_identical(third, build_scenario_state(QUICK_CONFIG))
 
 
 def test_lru_eviction_drops_the_least_recent_scenario():
@@ -162,11 +155,9 @@ def test_clear_empties_the_cache():
     assert not cache.contains(QUICK_CONFIG)
 
 
-def test_rejects_bad_capacity_and_mode():
+def test_rejects_bad_capacity():
     with pytest.raises(ValueError):
         StateCache(capacity=0)
-    with pytest.raises(ValueError):
-        StateCache(mode="marble")
 
 
 def test_concurrent_lookups_build_once(monkeypatch):
@@ -175,7 +166,7 @@ def test_concurrent_lookups_build_once(monkeypatch):
     real_build = state_cache_module.build_scenario_state
 
     def counting_build(config):
-        builds.append(scenario_key(config))
+        builds.append(config)
         return real_build(config)
 
     monkeypatch.setattr(state_cache_module, "build_scenario_state", counting_build)
@@ -225,11 +216,10 @@ def test_default_cache_exists_with_default_capacity():
 
 
 # ------------------------------------------------------- execute_run identity
-@pytest.mark.parametrize("mode", STATE_CACHE_MODES)
-def test_execute_run_records_identical_with_and_without_cache(mode):
+def test_execute_run_records_identical_with_and_without_cache():
     """Cache-off, cache-miss, and cache-hit runs serialize identically."""
     spec = RunSpec(scenario=QUICK_CONFIG, scheme="SR", seed=3, max_rounds=40)
-    cache = StateCache(mode=mode)
+    cache = StateCache()
     baseline = execute_run(spec, state_cache=None)
     miss = execute_run(spec, state_cache=cache)
     hit = execute_run(spec, state_cache=cache)

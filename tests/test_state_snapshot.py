@@ -1,10 +1,9 @@
 """Property tests for the binary state snapshots (``to_bytes``/``from_bytes``).
 
-The snapshot is the storage format of the bytes-mode initial-state cache and
-the payload the parallel executor ships to workers over shared memory, so
-its round-trip must be *exact*: every :class:`NodeArrays` column (values and
-dtypes), the grid geometry, the head table, and the incremental indices of
-the restored state must match the snapshotted one.  These tests drive the
+A snapshot's round-trip must be *exact*: every :class:`NodeArrays` column
+(values and dtypes), the grid geometry, the head table, and the incremental
+indices of the restored state must match the snapshotted one, and a buffer
+of any other length than one snapshot is rejected.  These tests drive the
 round-trip over seeded random scenarios and mutation histories — including
 states with disabled nodes, stale head roles on disabled rows, energy
 jitter, and non-default head policies — and hold the restored state to
@@ -159,14 +158,18 @@ def test_restored_heads_are_not_re_elected():
     assert restored.heads() == state.heads()
 
 
-def test_snapshot_tolerates_trailing_bytes():
-    """Shared-memory segments round up; trailing bytes must be ignored."""
+def test_snapshot_rejects_trailing_bytes():
+    """A snapshot is exactly ``snapshot_nbytes`` long; padding is rejected."""
     state = build_scenario_state(
         ScenarioConfig(columns=4, rows=4, deployed_count=48, seed=3)
     )
-    padded = state.to_bytes() + b"\x00" * 4096
-    restored = WsnState.from_bytes(padded)
-    assert_arrays_identical(state.arrays, restored.arrays)
+    snapshot = state.to_bytes()
+    for padding in (b"\x00", b"\x00" * 4096):
+        with pytest.raises(ValueError, match="exactly"):
+            WsnState.from_bytes(snapshot + padding)
+        with pytest.raises(ValueError, match="exactly"):
+            NodeArrays.from_bytes(state.arrays.to_bytes() + padding)
+    assert_arrays_identical(state.arrays, WsnState.from_bytes(snapshot).arrays)
 
 
 def test_state_snapshot_rejects_foreign_versions():
