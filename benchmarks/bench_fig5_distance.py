@@ -18,7 +18,7 @@ from repro.experiments.figures import figure5_distance_estimates
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid, random_point_in_box
 from repro.network.mobility import MovementModel
-from repro.network.node import SensorNode
+from repro.network.node_arrays import NodeArrays
 from repro.network.state import WsnState
 
 from figutils import emit
@@ -53,9 +53,8 @@ def test_fig5_hop_distance_model(benchmark):
         total = 0.0
         for i in range(samples):
             start = random_point_in_box(grid.cell_bounds(source_cell), rng)
-            state = WsnState(
-                grid, [SensorNode(node_id=i, position=start)], movement_model=model
-            )
+            node = NodeArrays.from_positions([i], [start.x], [start.y])
+            state = WsnState(grid, node, movement_model=model)
             total += state.move_node(i, target_cell, rng, round_index=0).distance
         return total / samples
 

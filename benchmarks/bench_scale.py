@@ -152,9 +152,7 @@ SMOKE_SIMULATE_SPARES = (5, 40)
 
 def build_base_state(columns: int, rows: int, seed: int) -> WsnState:
     grid = VirtualGrid(columns, rows, cell_side_for_range(COMMUNICATION_RANGE))
-    arrays = deploy_per_cell(
-        grid, NODES_PER_CELL, derive_rng(seed, "deployment"), as_arrays=True
-    )
+    arrays = deploy_per_cell(grid, NODES_PER_CELL, derive_rng(seed, "deployment"))
     return WsnState(grid, arrays)
 
 
@@ -162,9 +160,7 @@ def bench_deploy(columns: int, rows: int, seed: int) -> dict:
     """Time the batched array-backed deployment for one tier."""
     grid = VirtualGrid(columns, rows, cell_side_for_range(COMMUNICATION_RANGE))
     start = time.perf_counter()
-    arrays = deploy_per_cell(
-        grid, NODES_PER_CELL, derive_rng(seed, "deployment"), as_arrays=True
-    )
+    arrays = deploy_per_cell(grid, NODES_PER_CELL, derive_rng(seed, "deployment"))
     elapsed = time.perf_counter() - start
     return {"seconds": round(elapsed, 6), "nodes": len(arrays)}
 
@@ -439,10 +435,7 @@ def bench_scenario_build(seeds) -> dict:
             steps["build"].append(time.perf_counter() - started)
             grid = config.make_grid()
             arrays = deploy_uniform(
-                grid,
-                config.deployed_count,
-                derive_rng(seed, "deployment"),
-                as_arrays=True,
+                grid, config.deployed_count, derive_rng(seed, "deployment")
             )
             composed = WsnState(grid, arrays, head_policy=config.head_policy_fn)
             bulk = composed.clone()

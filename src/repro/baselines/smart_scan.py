@@ -121,24 +121,20 @@ class SmartScanController(MobilityController):
     def _pick_mover(state: WsnState, source: GridCoord, target: GridCoord) -> Optional[int]:
         """Prefer moving a usable spare; fall back to the head otherwise.
 
+        The spare is :meth:`WsnState.select_spare_at`'s ``"nearest"`` pick:
+        battery left, closest to the target cell's centre, ties by id.
         Battery-depleted nodes cannot move and are never picked — so the head
         also moves when every remaining spare in the cell is depleted, not
         only when it is literally the last node.
         """
-        candidates = [
-            node for node in state.spares_of(source) if not node.is_battery_depleted
-        ]
-        if not candidates:
-            head = state.head_of(source)
-            if head is None or head.is_battery_depleted:
-                return None
-            candidates = [head]
-        target_center = state.grid.cell_center(target)
-        chosen = min(
-            candidates,
-            key=lambda node: (node.position.distance_to(target_center), node.node_id),
-        )
-        return chosen.node_id
+        grid = state.grid
+        source_flat = grid.flat_index(source)
+        mover = state.select_spare_at(source_flat, grid.flat_index(target), "nearest")
+        if mover is None:
+            head_id = state.cell_heads[source_flat]
+            if head_id is not None and state.energy_of(head_id) > 0.0:
+                mover = head_id
+        return mover
 
     # -------------------------------------------------------------- processes
     def _open_processes(

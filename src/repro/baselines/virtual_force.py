@@ -23,10 +23,13 @@ import math
 import random
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.protocol import MobilityController, RoundOutcome
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord
 from repro.network.mobility import MoveRecord
+from repro.network.node_arrays import HEAD_CODE
 from repro.network.state import WsnState
 
 
@@ -89,40 +92,49 @@ class VirtualForceController(MobilityController):
 
         self._open_processes(state, round_index, outcome)
 
+        grid = state.grid
         vacant_centers = [
-            state.grid.cell_center(coord) for coord in state.vacant_cells()
+            grid.cell_center(coord).as_tuple() for coord in state.vacant_cells()
         ]
-        enabled = state.enabled_nodes()
+        # One read of the enabled rows per round, in deployment order; the
+        # force loop then works on plain floats.
+        arrays = state.arrays
+        rows = np.flatnonzero(arrays.enabled_mask())
+        ids = arrays.node_ids[rows].tolist()
+        xs = arrays.positions[rows, 0].tolist()
+        ys = arrays.positions[rows, 1].tolist()
+        # Heads stay put: removing a head would create a new hole, which no
+        # virtual-force formulation intends.  Depleted nodes have no motor
+        # power left and stay where they are.
+        movable = (
+            (arrays.role[rows] != HEAD_CODE) & (arrays.energy[rows] > 0.0)
+        ).tolist()
         # Bucket the enabled nodes by repulsion range once per round so each
         # node only inspects its 3x3 bucket neighbourhood instead of every
         # other node (O(N * density) instead of O(N^2)).
-        buckets = self._repulsion_buckets(enabled, repulsion_range)
+        buckets = self._repulsion_buckets(xs, ys, repulsion_range)
+        bounds = grid.bounds
         planned: List[tuple] = []
-        for node in enabled:
-            # Heads stay put: removing a head would create a new hole, which
-            # no virtual-force formulation intends.  Depleted nodes have no
-            # motor power left and stay where they are.
-            if node.is_head or node.is_battery_depleted:
+        for index, node_id in enumerate(ids):
+            if not movable[index]:
                 continue
-            force = self._force_on(node, buckets, vacant_centers, repulsion_range, attraction_range)
-            magnitude = math.hypot(force[0], force[1])
+            x, y = xs[index], ys[index]
+            fx, fy = self._force_on(
+                index, xs, ys, buckets, vacant_centers, repulsion_range, attraction_range
+            )
+            magnitude = math.hypot(fx, fy)
             if magnitude < self.minimum_step:
                 continue
             scale = min(max_step, magnitude) / magnitude
-            target = Point(
-                node.position.x + force[0] * scale, node.position.y + force[1] * scale
-            )
-            target = state.grid.bounds.clamp(target)
-            if target.distance_to(node.position) < self.minimum_step:
+            target = bounds.clamp(Point(x + fx * scale, y + fy * scale))
+            if math.hypot(target.x - x, target.y - y) < self.minimum_step:
                 continue
-            planned.append((node.node_id, target))
+            planned.append((node_id, target))
 
         for node_id, target in planned:
-            source_cell = state.cell_of_node(node_id)
-            target_cell = state.grid.cell_of(target)
             record = state.move_node(
                 node_id,
-                target_cell,
+                grid.cell_of(target),
                 rng,
                 round_index=round_index,
                 target_position=target,
@@ -136,48 +148,51 @@ class VirtualForceController(MobilityController):
 
     # ------------------------------------------------------------------ forces
     @staticmethod
-    def _repulsion_buckets(enabled, repulsion_range: float) -> Dict[tuple, list]:
-        """Spatial hash of the enabled nodes with bucket side ``repulsion_range``.
+    def _repulsion_buckets(
+        xs: List[float], ys: List[float], repulsion_range: float
+    ) -> Dict[tuple, List[int]]:
+        """Spatial hash of the enabled nodes' indices with bucket side ``repulsion_range``.
 
         Any pair closer than the repulsion range lives in the same or an
         adjacent bucket, so the force computation only needs the 3x3 bucket
         neighbourhood of each node.  A non-positive range disables repulsion
         entirely (no pair can be closer than 0), so no buckets are needed.
         """
-        buckets: Dict[tuple, list] = {}
+        buckets: Dict[tuple, List[int]] = {}
         if repulsion_range <= 0:
             return buckets
         inverse = 1.0 / repulsion_range
-        for node in enabled:
-            key = (
-                math.floor(node.position.x * inverse),
-                math.floor(node.position.y * inverse),
-            )
-            buckets.setdefault(key, []).append(node)
+        for index, (x, y) in enumerate(zip(xs, ys)):
+            key = (math.floor(x * inverse), math.floor(y * inverse))
+            buckets.setdefault(key, []).append(index)
         return buckets
 
     def _force_on(
         self,
-        node,
-        buckets: Dict[tuple, list],
-        vacant_centers,
+        index: int,
+        xs: List[float],
+        ys: List[float],
+        buckets: Dict[tuple, List[int]],
+        vacant_centers: List[tuple],
         repulsion_range: float,
         attraction_range: float,
     ) -> tuple:
+        """Net virtual force on enabled node ``index``: repulsion plus hole attraction."""
+        x, y = xs[index], ys[index]
         fx = fy = 0.0
         if not buckets:
             bucket_x = bucket_y = 0
         else:
             inverse = 1.0 / repulsion_range
-            bucket_x = math.floor(node.position.x * inverse)
-            bucket_y = math.floor(node.position.y * inverse)
+            bucket_x = math.floor(x * inverse)
+            bucket_y = math.floor(y * inverse)
         for offset_x in (-1, 0, 1):
             for offset_y in (-1, 0, 1):
                 for other in buckets.get((bucket_x + offset_x, bucket_y + offset_y), ()):
-                    if other.node_id == node.node_id:
+                    if other == index:
                         continue
-                    dx = node.position.x - other.position.x
-                    dy = node.position.y - other.position.y
+                    dx = x - xs[other]
+                    dy = y - ys[other]
                     distance = math.hypot(dx, dy)
                     if distance < 1e-9 or distance >= repulsion_range:
                         continue
@@ -186,9 +201,9 @@ class VirtualForceController(MobilityController):
                     )
                     fx += strength * dx / distance
                     fy += strength * dy / distance
-        for center in vacant_centers:
-            dx = center.x - node.position.x
-            dy = center.y - node.position.y
+        for center_x, center_y in vacant_centers:
+            dx = center_x - x
+            dy = center_y - y
             distance = math.hypot(dx, dy)
             if distance < 1e-9 or distance > attraction_range:
                 continue

@@ -7,31 +7,40 @@ other generators that are useful for unit tests, examples, and the extension
 baselines: exact per-cell deployment, head-only deployment, and clustered
 (hot-spot) deployment.
 
-The two hot generators (:func:`deploy_uniform`, :func:`deploy_per_cell`) are
-batched: the RNG draws happen in one :func:`~repro.sim.rng.draw_uniforms`
-call (in exactly the historical per-node order, so seeds reproduce
-bit-for-bit) and the affine transform to
-world coordinates is a vectorized numpy expression.  Pass ``as_arrays=True``
-to get a :class:`~repro.network.node_arrays.NodeArrays` store directly —
-the path large benchmarks and scenarios use to skip per-node object
-construction entirely.
+Every generator returns a :class:`~repro.network.node_arrays.NodeArrays`
+store with consecutive ids from ``start_id``, ready for
+:class:`~repro.network.state.WsnState`.  The two hot generators
+(:func:`deploy_uniform`, :func:`deploy_per_cell`) are batched: the RNG
+draws happen in one :func:`~repro.sim.rng.draw_uniforms` call (in exactly
+the historical per-node order, so seeds reproduce bit-for-bit) and the
+affine transform to world coordinates is a vectorized numpy expression.
+The three small generators draw point by point.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.grid.geometry import BoundingBox, Point
+from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid, random_point_in_box
-from repro.network.node import SensorNode
 from repro.network.node_arrays import NodeArrays
 
 
-def _next_id(start_id: int, offset: int) -> int:
-    return start_id + offset
+def _consecutive_ids(start_id: int, count: int) -> np.ndarray:
+    """``count`` node ids counting up from ``start_id``."""
+    return np.arange(start_id, start_id + count, dtype=np.int64)
+
+
+def _from_points(points: List[Point], start_id: int) -> NodeArrays:
+    """A fresh population at ``points``, with consecutive ids from ``start_id``."""
+    return NodeArrays.from_positions(
+        _consecutive_ids(start_id, len(points)),
+        [point.x for point in points],
+        [point.y for point in points],
+    )
 
 
 def _draw_unit_pairs(count: int, rng: random.Random) -> np.ndarray:
@@ -43,42 +52,31 @@ def _draw_unit_pairs(count: int, rng: random.Random) -> np.ndarray:
     return draw_uniforms(rng, 2 * count).reshape(-1, 2)
 
 
-def _materialize(
-    node_ids: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    as_arrays: bool,
-) -> Union[NodeArrays, List[SensorNode]]:
-    """Wrap computed positions as a ``NodeArrays`` store or a node list."""
-    if as_arrays:
-        return NodeArrays.from_positions(node_ids, xs, ys)
-    return [
-        SensorNode(node_id=node_id, position=Point(x, y))
-        for node_id, x, y in zip(node_ids.tolist(), xs.tolist(), ys.tolist())
-    ]
-
-
 def deploy_uniform(
     grid: VirtualGrid,
     count: int,
     rng: random.Random,
     start_id: int = 0,
-    as_arrays: bool = False,
-) -> Union[NodeArrays, List[SensorNode]]:
+    as_arrays: bool = True,
+) -> NodeArrays:
     """Deploy ``count`` nodes uniformly at random over the surveillance area.
 
-    This is the workload of Section 5 of the paper.  With ``as_arrays=True``
-    the result is a :class:`NodeArrays` store (identical ids and positions,
-    no per-node objects).
+    This is the workload of Section 5 of the paper.  The result is always a
+    :class:`NodeArrays` store; ``as_arrays`` accepts only ``True``, for
+    callers that still pass it.
     """
+    if not as_arrays:
+        raise ValueError(
+            "deploy_uniform always returns a NodeArrays store; as_arrays=False "
+            "is not supported"
+        )
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     bounds = grid.bounds
     draws = _draw_unit_pairs(count, rng)
     xs = bounds.min_x + draws[:, 0] * bounds.width
     ys = bounds.min_y + draws[:, 1] * bounds.height
-    node_ids = np.arange(start_id, start_id + count, dtype=np.int64)
-    return _materialize(node_ids, xs, ys, as_arrays)
+    return NodeArrays.from_positions(_consecutive_ids(start_id, count), xs, ys)
 
 
 def deploy_per_cell(
@@ -86,14 +84,12 @@ def deploy_per_cell(
     nodes_per_cell: int,
     rng: random.Random,
     start_id: int = 0,
-    as_arrays: bool = False,
-) -> Union[NodeArrays, List[SensorNode]]:
+) -> NodeArrays:
     """Deploy exactly ``nodes_per_cell`` nodes uniformly inside every cell.
 
     Useful for tests that need a deterministic occupancy pattern, and for the
     comparison with the grid-balancing baselines which assume a minimum
-    density per cell.  With ``as_arrays=True`` the result is a
-    :class:`NodeArrays` store.
+    density per cell.
     """
     if nodes_per_cell < 0:
         raise ValueError(f"nodes_per_cell must be non-negative, got {nodes_per_cell}")
@@ -102,7 +98,7 @@ def deploy_per_cell(
     # Per-node cell corners, in the same row-major cell enumeration order as
     # the historical per-cell loop.  The min/width expressions reproduce
     # ``grid.cell_bounds(coord)`` exactly (min + size, then max - min), so the
-    # resulting float64 coordinates are bit-identical to the object path.
+    # resulting float64 coordinates are bit-identical to the per-cell loop.
     coords = grid.coord_list()
     cell_x = np.repeat(
         np.fromiter((c.x for c in coords), dtype=np.float64, count=len(coords)),
@@ -119,8 +115,7 @@ def deploy_per_cell(
     height = (min_y + size) - min_y
     xs = min_x + draws[:, 0] * width
     ys = min_y + draws[:, 1] * height
-    node_ids = np.arange(start_id, start_id + count, dtype=np.int64)
-    return _materialize(node_ids, xs, ys, as_arrays)
+    return NodeArrays.from_positions(_consecutive_ids(start_id, count), xs, ys)
 
 
 def deploy_grid_heads(
@@ -128,21 +123,21 @@ def deploy_grid_heads(
     rng: Optional[random.Random] = None,
     start_id: int = 0,
     jitter: bool = False,
-) -> List[SensorNode]:
+) -> NodeArrays:
     """Deploy exactly one node per cell, at the centre (or jittered around it).
 
     Produces a fully covered network with zero spares — the minimal
     configuration in which every cell has a head.
     """
-    nodes: List[SensorNode] = []
-    for offset, coord in enumerate(grid.all_coords()):
+    points: List[Point] = []
+    for coord in grid.all_coords():
         position = grid.cell_center(coord)
         if jitter:
             if rng is None:
                 raise ValueError("jitter=True requires an rng")
             position = random_point_in_box(grid.central_area(coord), rng)
-        nodes.append(SensorNode(node_id=_next_id(start_id, offset), position=position))
-    return nodes
+        points.append(position)
+    return _from_points(points, start_id)
 
 
 def deploy_per_cell_counts(
@@ -150,25 +145,20 @@ def deploy_per_cell_counts(
     counts: Dict[GridCoord, int],
     rng: random.Random,
     start_id: int = 0,
-) -> List[SensorNode]:
+) -> NodeArrays:
     """Deploy an explicit number of nodes in each listed cell.
 
     Cells not present in ``counts`` receive no node, which makes it easy to
     construct scenarios with a prescribed pattern of holes and spares.
     """
-    nodes: List[SensorNode] = []
-    next_id = start_id
+    points: List[Point] = []
     for coord, count in sorted(counts.items(), key=lambda item: item[0].as_tuple()):
         grid.validate_coord(coord)
         if count < 0:
             raise ValueError(f"count for cell {coord.as_tuple()} must be non-negative")
         cell_bounds = grid.cell_bounds(coord)
-        for _ in range(count):
-            nodes.append(
-                SensorNode(node_id=next_id, position=random_point_in_box(cell_bounds, rng))
-            )
-            next_id += 1
-    return nodes
+        points.extend(random_point_in_box(cell_bounds, rng) for _ in range(count))
+    return _from_points(points, start_id)
 
 
 def deploy_clustered(
@@ -178,7 +168,7 @@ def deploy_clustered(
     spread: float,
     rng: random.Random,
     start_id: int = 0,
-) -> List[SensorNode]:
+) -> NodeArrays:
     """Deploy nodes around hot-spot cluster centres (Gaussian spread).
 
     Models the non-uniform densities produced by air-dropped deployments or
@@ -192,21 +182,9 @@ def deploy_clustered(
     if spread < 0:
         raise ValueError(f"spread must be non-negative, got {spread}")
     bounds = grid.bounds
-    nodes: List[SensorNode] = []
-    for i in range(count):
+    points: List[Point] = []
+    for _ in range(count):
         center = cluster_centers[rng.randrange(len(cluster_centers))]
         raw = Point(rng.gauss(center.x, spread), rng.gauss(center.y, spread))
-        nodes.append(SensorNode(node_id=_next_id(start_id, i), position=bounds.clamp(raw)))
-    return nodes
-
-
-def occupancy_by_cell(
-    grid: VirtualGrid, nodes: Sequence[SensorNode], enabled_only: bool = True
-) -> Dict[GridCoord, int]:
-    """Count nodes per cell (all cells present, zero-filled)."""
-    counts: Dict[GridCoord, int] = {coord: 0 for coord in grid.all_coords()}
-    for node in nodes:
-        if enabled_only and not node.is_enabled:
-            continue
-        counts[grid.cell_of(node.position)] += 1
-    return counts
+        points.append(bounds.clamp(raw))
+    return _from_points(points, start_id)

@@ -99,8 +99,8 @@ class EnergyModel:
         the disabled nodes, in ascending order, so callers can log them.
 
         The drain is one masked array operation; the clamp
-        (``max(0, e - cost)``) matches the node-level ``consume_energy``
-        bit-for-bit.
+        (``max(0, e - cost)``) matches :meth:`WsnState.debit_energy
+        <repro.network.state.WsnState.debit_energy>` bit-for-bit.
         """
         arrays = state.arrays
         mask = arrays.state == _ENABLED

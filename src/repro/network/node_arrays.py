@@ -1,14 +1,16 @@
-"""Struct-of-arrays backing store for the deployed node population.
+"""Struct-of-arrays store: the one representation of a node population.
 
 :class:`NodeArrays` holds the per-node fields of an entire deployment as
 parallel numpy arrays — positions ``float64[N, 2]``, energy ``float64[N]``,
 state/role ``int8[N]`` enum codes (see ``STATE_CODES`` / ``ROLE_CODES`` in
 :mod:`repro.network.node`), the flat virtual-grid cell index ``int32[N]``,
-and the move-accounting columns.  :class:`~repro.network.state.WsnState`
-owns one instance per network and the vectorized hot paths (adjacency,
-deployment, the per-round energy sweep, coverage) operate on these arrays
-directly; :class:`~repro.network.node.SensorNode` handles bound to a row
-provide the unchanged object API on top.
+and the move-accounting columns.  Every population enters the program as
+one: the deployment generators return a store, a hand-placed population is
+built with :meth:`NodeArrays.from_positions`, and
+:class:`~repro.network.state.WsnState` takes a store and owns it from then
+on.  The vectorized hot paths (adjacency, deployment, the per-round energy
+sweep, coverage) and the controllers operate on these arrays directly;
+:class:`~repro.network.node.SensorNode` handles are read-only views of a row.
 
 Row order is deployment order, so iterating rows reproduces the insertion
 order the array-of-objects implementation used — a requirement for the
@@ -19,7 +21,7 @@ draws both depend on it).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +31,6 @@ from repro.network.node import (
     STATE_CODES,
     NodeRole,
     NodeState,
-    SensorNode,
 )
 
 #: int8 code of :attr:`NodeState.ENABLED` (the hot-path mask constant).
@@ -146,13 +147,25 @@ class NodeArrays:
         ys: np.ndarray,
         energy: float = DEFAULT_BATTERY_CAPACITY,
     ) -> "NodeArrays":
-        """Fresh (enabled, unassigned) nodes at the given positions."""
+        """Fresh (enabled, unassigned) nodes at the given positions.
+
+        This builds a hand-placed population; the deployment generators use
+        it too.  Its columns may be written until a
+        :class:`~repro.network.state.WsnState` takes the store (the scenario
+        build marks its thinning victims that way); after that, every change
+        goes through the state.
+        """
+        node_ids = np.asarray(node_ids, dtype=np.int64)
+        if len(node_ids) and node_ids.min() < 0:
+            raise ValueError(f"node ids must be non-negative, got {int(node_ids.min())}")
+        if energy < 0:
+            raise ValueError(f"energy must be non-negative, got {energy}")
         count = len(xs)
         positions = np.empty((count, 2), dtype=np.float64)
         positions[:, 0] = xs
         positions[:, 1] = ys
         return cls(
-            node_ids=np.asarray(node_ids, dtype=np.int64),
+            node_ids=node_ids,
             positions=positions,
             energy=np.full(count, float(energy), dtype=np.float64),
             initial_energy=np.full(count, float(energy), dtype=np.float64),
@@ -161,41 +174,6 @@ class NodeArrays:
             cell=np.full(count, -1, dtype=np.int32),
             moved_distance=np.zeros(count, dtype=np.float64),
             move_count=np.zeros(count, dtype=np.int64),
-        )
-
-    @classmethod
-    def from_nodes(cls, nodes: Sequence[SensorNode]) -> "NodeArrays":
-        """Snapshot a sequence of (unbound) nodes into a fresh store."""
-        count = len(nodes)
-        positions = np.empty((count, 2), dtype=np.float64)
-        node_ids = np.empty(count, dtype=np.int64)
-        energy = np.empty(count, dtype=np.float64)
-        initial_energy = np.empty(count, dtype=np.float64)
-        state = np.empty(count, dtype=np.int8)
-        role = np.empty(count, dtype=np.int8)
-        moved_distance = np.empty(count, dtype=np.float64)
-        move_count = np.empty(count, dtype=np.int64)
-        for row, node in enumerate(nodes):
-            node_ids[row] = node.node_id
-            position = node.position
-            positions[row, 0] = position.x
-            positions[row, 1] = position.y
-            energy[row] = node.energy
-            initial_energy[row] = node.initial_energy
-            state[row] = STATE_CODES[node.state]
-            role[row] = ROLE_CODES[node.role]
-            moved_distance[row] = node.moved_distance
-            move_count[row] = node.move_count
-        return cls(
-            node_ids=node_ids,
-            positions=positions,
-            energy=energy,
-            initial_energy=initial_energy,
-            state=state,
-            role=role,
-            cell=np.full(count, -1, dtype=np.int32),
-            moved_distance=moved_distance,
-            move_count=move_count,
         )
 
     # ----------------------------------------------------------------- lookups
@@ -232,6 +210,17 @@ class NodeArrays:
         except KeyError:
             return False
         return True
+
+    def check_shapes(self) -> None:
+        """Raise :class:`ValueError` unless every column holds one entry per node id."""
+        count = len(self.node_ids)
+        for name, _, width in _COLUMN_LAYOUT:
+            shape = getattr(self, name).shape
+            if shape != ((count, width) if width > 1 else (count,)):
+                raise ValueError(
+                    f"column {name} has shape {shape}, but the population has "
+                    f"{count} node ids"
+                )
 
     def enabled_mask(self) -> np.ndarray:
         """Boolean mask over rows: ``state == ENABLED`` (fresh array)."""

@@ -9,7 +9,7 @@ neighbouring cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,18 +43,6 @@ class UnitDiskRadio:
     def in_range(self, a: Point, b: Point) -> bool:
         """Whether two positions can communicate directly."""
         return a.distance_to(b) <= self.communication_range + 1e-12
-
-    def neighbours_of(
-        self, node: SensorNode, nodes: Iterable[SensorNode]
-    ) -> List[SensorNode]:
-        """Enabled nodes within range of ``node`` (excluding itself)."""
-        return [
-            other
-            for other in nodes
-            if other.node_id != node.node_id
-            and other.is_enabled
-            and self.in_range(node.position, other.position)
-        ]
 
     def adjacency(
         self, nodes: Sequence[SensorNode]

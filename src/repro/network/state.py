@@ -9,16 +9,17 @@ enforces the virtual-grid invariants of Section 2:
 * a vacant cell (no enabled node) has no head,
 * the head of a cell is always one of the enabled nodes located in that cell.
 
-Node storage is struct-of-arrays: every per-node field lives in a
-:class:`~repro.network.node_arrays.NodeArrays` column (``self.arrays``), and
-:class:`~repro.network.node.SensorNode` objects handed out by :meth:`node`,
-:meth:`members_of`, etc. are cached *handles*: pure views of array rows.
-The vectorized paths — adjacency construction, deployment, the per-round
-energy sweep, coverage — read the arrays directly, and the replacement hot
-path (:meth:`move_node`, head elections, the id-level reads such as
-:meth:`head_id_of`) works on node ids and rows without creating handles.
-All of them stay bit-for-bit equivalent to the former array-of-objects
-implementation (see the golden seed-identity test).
+Node storage is struct-of-arrays: the state takes one
+:class:`~repro.network.node_arrays.NodeArrays` store (``self.arrays``) and
+owns it, and :class:`~repro.network.node.SensorNode` objects handed out by
+:meth:`node`, :meth:`members_of`, etc. are cached, read-only *handles*:
+views of array rows.  The vectorized paths — adjacency construction,
+deployment, the per-round energy sweep, coverage — read the arrays directly,
+and the replacement hot path (:meth:`move_node`, head elections, the
+id-level reads such as :meth:`head_id_of`) and the VF and SMART baselines
+work on node ids and rows without creating handles.  All of them stay
+bit-for-bit equivalent to the former array-of-objects implementation (see
+the golden seed-identity test).
 
 The per-round queries every controller depends on — holes, spares,
 occupancy — are served from *incremental indices* maintained by the three
@@ -90,12 +91,15 @@ _SNAPSHOT_HEADER_SIZE = struct.calcsize(_SNAPSHOT_HEADER_FORMAT)
 
 
 def _validate_population(grid: VirtualGrid, arrays: NodeArrays) -> None:
-    """Reject duplicate ids and out-of-bounds positions.
+    """Reject ragged columns, duplicate ids and positions outside the area.
 
-    Mirrors the per-node validation loop of the array-of-objects
-    implementation: whichever offence appears first in deployment order is
-    reported (duplicate-id checks ran before bounds checks for each node).
+    Every column must hold one entry per id (``positions`` one ``(x, y)``
+    pair).  Then whichever offence appears first in deployment order is
+    reported, as the per-node validation loop of the array-of-objects
+    implementation did (duplicate-id checks ran before bounds checks for
+    each node).  A non-finite coordinate lies outside the area.
     """
+    arrays.check_shapes()
     node_ids = arrays.node_ids
     order = np.argsort(node_ids, kind="stable")
     sorted_ids = node_ids[order]
@@ -107,7 +111,8 @@ def _validate_population(grid: VirtualGrid, arrays: NodeArrays) -> None:
     ys = arrays.positions[:, 1]
     tolerance = 1e-9
     outside = (
-        (xs < bounds.min_x - tolerance)
+        ~(np.isfinite(xs) & np.isfinite(ys))
+        | (xs < bounds.min_x - tolerance)
         | (xs > bounds.max_x + tolerance)
         | (ys < bounds.min_y - tolerance)
         | (ys > bounds.max_y + tolerance)
@@ -134,11 +139,14 @@ class WsnState:
     grid:
         The virtual grid partition of the surveillance area.
     nodes:
-        All deployed nodes (enabled and disabled) — either an iterable of
-        :class:`SensorNode` objects (unbound ones become bound handles onto
-        the state's arrays; a node bound to another state is copied and
-        stays bound there) or a ready-made :class:`NodeArrays` store.  Node
-        ids must be unique.
+        All deployed nodes (enabled and disabled) as a :class:`NodeArrays`
+        store, from a deployment generator or
+        :meth:`NodeArrays.from_positions`; anything else raises
+        :class:`TypeError`.  The state owns the store from then on: it
+        writes the cell and role columns, and every later change goes
+        through its methods.  Node ids must be unique and positions finite
+        and inside the surveillance area.  To build two states from one
+        deployment, pass ``arrays.copy()`` to one of them.
     head_policy:
         Election policy used whenever a cell needs a (new) head.
     movement_model:
@@ -149,30 +157,21 @@ class WsnState:
     def __init__(
         self,
         grid: VirtualGrid,
-        nodes: Union[NodeArrays, Iterable[SensorNode]],
+        nodes: NodeArrays,
         head_policy: Optional[HeadElectionPolicy] = None,
         movement_model: Optional[MovementModel] = None,
     ) -> None:
+        if not isinstance(nodes, NodeArrays):
+            raise TypeError(
+                f"WsnState takes a NodeArrays population, not {type(nodes).__name__}; "
+                "build one with a deploy_* generator or NodeArrays.from_positions"
+            )
+        _validate_population(grid, nodes)
         self.grid = grid
         self._head_policy = head_policy or lowest_id_policy
         self.movement_model = movement_model or MovementModel(grid)
         self._handles: Dict[int, SensorNode] = {}
-        if isinstance(nodes, NodeArrays):
-            arrays = nodes
-        else:
-            node_list = list(nodes)
-            arrays = NodeArrays.from_nodes(node_list)
-        _validate_population(grid, arrays)
-        self.arrays = arrays
-        if not isinstance(nodes, NodeArrays):
-            # Unbound node objects become bound handles so caller-held
-            # references keep observing (and mutating) the live state.  A
-            # node already bound to another state was read as data above and
-            # stays bound to its own arrays.
-            for row, node in enumerate(node_list):
-                if not node.is_bound:
-                    node._bind(arrays, row)
-                    self._handles[node.node_id] = node
+        self.arrays = arrays = nodes
         arrays.cell[:] = grid.cell_indices(
             arrays.positions[:, 0], arrays.positions[:, 1]
         )
@@ -256,8 +255,7 @@ class WsnState:
         """
         handle = self._handles.get(node_id)
         if handle is None:
-            row = self.arrays.row_of(node_id)
-            handle = SensorNode._bound(self.arrays, row)
+            handle = SensorNode(self.arrays, self.arrays.row_of(node_id))
             self._handles[node_id] = handle
         return handle
 
@@ -863,10 +861,9 @@ class WsnState:
         head policy, and movement model are immutable and shared, the node
         arrays are copied column-by-column, and the incremental indices are
         copied container-by-container.  Handles are re-created lazily on the
-        clone (position histories, a debug aid, are not carried over), and an
-        attached neighbour index is not cloned — attach a fresh one if the
-        clone needs it.  Sweep fan-out over one scenario therefore pays
-        O(nodes + cells) per clone instead of a full recursive deepcopy.
+        clone, and an attached neighbour index is not cloned — attach a fresh
+        one if the clone needs it.  Sweep fan-out over one scenario therefore
+        pays O(nodes + cells) per clone instead of a full recursive deepcopy.
         """
         twin = WsnState.__new__(WsnState)
         twin.grid = self.grid

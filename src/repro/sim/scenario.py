@@ -177,13 +177,11 @@ def build_scenario_state(config: ScenarioConfig) -> WsnState:
     grid = config.make_grid()
     deploy_rng = derive_rng(config.seed, "deployment")
     if config.deployment == "uniform":
-        arrays = deploy_uniform(grid, config.deployed_count, deploy_rng, as_arrays=True)
+        arrays = deploy_uniform(grid, config.deployed_count, deploy_rng)
     else:
         # __post_init__ guarantees deployed_count is a positive multiple of
         # the cell count, so this deploys exactly deployed_count nodes.
-        arrays = deploy_per_cell(
-            grid, config.deployed_count // config.cell_count, deploy_rng, as_arrays=True
-        )
+        arrays = deploy_per_cell(grid, config.deployed_count // config.cell_count, deploy_rng)
     if config.target_enabled is not None:
         thinning = ThinningToEnabledCount(target_enabled=config.target_enabled)
         victims = thinning.draw_victims(

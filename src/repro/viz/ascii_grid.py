@@ -58,7 +58,7 @@ def render_roles(state, cell_width: int = 5) -> str:
         """The label rendered inside one cell."""
         if state.is_vacant(coord):
             return "."
-        spares = len(state.spares_of(coord))
+        spares = state.member_count(coord) - 1
         return "H" if spares == 0 else f"H+{spares}"
 
     return _render_cells(state.grid, text, cell_width)

@@ -5,7 +5,8 @@ flat-cell-id hot path touch: uniform and per-cell deployments, thinning,
 scheduled failures, energy physics with jittered batteries
 (run-to-exhaustion), a lossy channel under SR and AR, both paper schemes,
 the dual-path construction of an odd-by-odd grid, SR-shortcut, the
-energy-aware AR variant, and a non-default head policy.
+energy-aware AR variant, a non-default head policy, and the VF and SMART
+baselines on the paper tier and with drained batteries.
 ``record_to_dict`` flattens a
 :class:`~repro.experiments.orchestration.RunRecord` into plain JSON types
 with full float precision, so the fixture comparison is bit-for-bit.
@@ -15,12 +16,15 @@ change) with::
 
     PYTHONPATH=src:tests python -m golden_specs
 
-which rewrites ``tests/data/golden_seed_identity.json``.
+which rewrites ``tests/data/golden_seed_identity.json``.  To pin a new spec,
+name it (``python -m golden_specs paper-vf``): only the named entries are
+executed and written, and every other entry stays byte-equal.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 from repro.experiments.lifetime import LIFETIME_CONFIG, build_lifetime_specs
@@ -35,6 +39,17 @@ FIXTURE_PATH = Path(__file__).resolve().parent / "data" / "golden_seed_identity.
 #: The paper-baseline deployment of Section 5 (5000 sensors, 16x16 grid).
 _PAPER = ScenarioConfig(
     columns=16, rows=16, deployed_count=5000, spare_surplus=20, seed=2008
+)
+
+#: A small grid with 4 J +/- 50 % batteries: moves drain nodes to zero charge.
+_DRAINED = ScenarioConfig(
+    columns=8,
+    rows=8,
+    deployed_count=300,
+    spare_surplus=4,
+    seed=7,
+    initial_energy=4.0,
+    initial_energy_jitter=0.5,
 )
 
 GOLDEN_SPECS = {
@@ -129,6 +144,14 @@ GOLDEN_SPECS = {
         scheme="SR",
         seed=11,
     ),
+    # The two extension baselines.  On the paper tier SMART moves heads
+    # when a cell has no spare left; the drained scenarios run batteries
+    # down to zero while the nodes stay enabled, so both controllers take
+    # their depleted-node branches.
+    "paper-vf": RunSpec(scenario=_PAPER, scheme="VF", seed=11),
+    "paper-smart": RunSpec(scenario=_PAPER, scheme="SMART", seed=11),
+    "drained-vf": RunSpec(scenario=_DRAINED, scheme="VF", seed=11),
+    "drained-smart": RunSpec(scenario=_DRAINED, scheme="SMART", seed=11),
 }
 
 
@@ -160,12 +183,18 @@ def record_to_dict(record: RunRecord) -> dict:
     return payload
 
 
-def generate() -> dict:
-    """Execute every golden spec and return ``{name: flattened record}``."""
-    return {name: record_to_dict(execute_run(spec)) for name, spec in GOLDEN_SPECS.items()}
+def generate(names=None) -> dict:
+    """Execute the named golden specs (all by default): ``{name: flattened record}``."""
+    names = GOLDEN_SPECS if names is None else names
+    return {name: record_to_dict(execute_run(GOLDEN_SPECS[name])) for name in names}
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:]
+    fixture = {}
+    if names:
+        fixture = json.loads(FIXTURE_PATH.read_text())
     FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
-    FIXTURE_PATH.write_text(json.dumps(generate(), indent=2, sort_keys=True) + "\n")
+    fixture.update(generate(names or None))
+    FIXTURE_PATH.write_text(json.dumps(fixture, indent=2, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE_PATH}")

@@ -27,9 +27,12 @@ from repro.grid.head_election import (
 )
 from repro.grid.virtual_grid import VirtualGrid
 from repro.network.deployment import deploy_uniform
-from repro.network.node import NodeState, SensorNode
+from repro.network.node import STATE_CODES, NodeState
+from repro.network.node_arrays import UNASSIGNED_CODE, NodeArrays
 from repro.network.radio import UnitDiskRadio
 from repro.network.state import WsnState
+
+from helpers import install_batteries
 
 POLICIES = {
     "lowest_id": lowest_id_policy,
@@ -50,23 +53,25 @@ def _state(shape, policy, seed, irregular_ids=False) -> WsnState:
     nodes = deploy_uniform(grid, count, rng)
     if irregular_ids:
         # Non-consecutive ids in shuffled order exercise the id -> row dict.
-        rng.shuffle(nodes)
-        nodes = [
-            SensorNode(node_id=7 * index + 3, position=node.position)
-            for index, node in enumerate(nodes)
-        ]
-    for node in nodes:
-        node.reset_energy(rng.uniform(1.0, 2.0))
+        # Shuffling a row permutation draws what shuffling the rows would.
+        order = list(range(count))
+        rng.shuffle(order)
+        nodes = NodeArrays.from_positions(
+            7 * np.arange(count) + 3, nodes.positions[order, 0], nodes.positions[order, 1]
+        )
+    install_batteries(nodes, [rng.uniform(1.0, 2.0) for _ in range(count)])
     return WsnState(grid, nodes, head_policy=policy)
 
 
 def _reference_disable(state: WsnState, node_id: int, reason=NodeState.FAILED) -> None:
     """The per-node algorithm: flip one node, re-elect its cell if it was head."""
-    node = state.node(node_id)
-    if not node.is_enabled:
+    if not state.is_node_enabled(node_id):
         return
-    flat = state.grid.flat_index(state.cell_of_node(node_id))
-    node.disable(reason)
+    arrays = state.arrays
+    row = arrays.row_of(node_id)
+    flat = int(arrays.cell[row])
+    arrays.state[row] = STATE_CODES[reason]
+    arrays.role[row] = UNASSIGNED_CODE
     state._index_remove(flat, node_id)
     if state._heads[flat] == node_id:
         state._heads[flat] = None

@@ -60,8 +60,8 @@ class TestEnergySummary:
         # default capacity, so custom batteries broke the accounting.
         for node in dense_state.nodes():
             node.reset_energy(10.0)
-        first = next(iter(dense_state.enabled_nodes()))
-        first.consume_energy(4.0)
+        first = dense_state.enabled_node_ids()[0]
+        dense_state.debit_energy(first, 4.0)
         summary = energy_summary(dense_state)
         assert summary.total_consumed == pytest.approx(4.0)
         assert summary.initial_energy_total == pytest.approx(
@@ -71,18 +71,17 @@ class TestEnergySummary:
     def test_disabled_nodes_consumption_is_not_lost(self, dense_state):
         # Regression: consumption by nodes that were later disabled used to
         # silently vanish from total_consumed.
-        node = next(iter(dense_state.enabled_nodes()))
-        node.consume_energy(25.0)
-        dense_state.disable_node(node.node_id)
+        node_id = dense_state.enabled_node_ids()[0]
+        dense_state.debit_energy(node_id, 25.0)
+        dense_state.disable_node(node_id)
         summary = energy_summary(dense_state)
         assert summary.total_consumed == pytest.approx(25.0)
 
     def test_depleted_count_covers_engine_disabled_nodes(self, dense_state):
-        alive = dense_state.enabled_nodes()
-        drained, disabled = alive[0], alive[1]
-        drained.consume_energy(drained.energy)  # enabled, at zero
-        disabled.consume_energy(disabled.energy)
-        dense_state.disable_node(disabled.node_id, reason=NodeState.DEPLETED)
+        drained, disabled = dense_state.enabled_node_ids()[:2]
+        dense_state.debit_energy(drained, dense_state.energy_of(drained))  # enabled, at zero
+        dense_state.debit_energy(disabled, dense_state.energy_of(disabled))
+        dense_state.disable_node(disabled, reason=NodeState.DEPLETED)
         summary = energy_summary(dense_state)
         assert summary.depleted_nodes == 2
 

@@ -171,8 +171,8 @@ class TestTargetedCellFailure:
 class TestBatteryAndComposite:
     def test_battery_depletion(self, state, rng):
         nodes = list(state.enabled_nodes())
-        nodes[0].energy = 0.0
-        nodes[1].energy = 0.5
+        nodes[0].reset_energy(0.0)
+        nodes[1].reset_energy(0.5)
         victims = BatteryDepletionFailure(threshold=0.5).apply(state, rng)
         assert set(victims) == {nodes[0].node_id, nodes[1].node_id}
 

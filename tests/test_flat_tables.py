@@ -35,6 +35,8 @@ from repro.network.deployment import deploy_uniform
 from repro.network.node import NodeRole
 from repro.network.state import WsnState
 
+from helpers import install_batteries
+
 SERPENTINE_SHAPES = ((4, 5), (5, 4), (16, 16))
 DUAL_PATH_SHAPES = ((3, 3), (5, 5), (7, 9))
 
@@ -180,14 +182,13 @@ def _twin_states(seed: int, policy_name: str):
     rng = random.Random(seed)
     grid = _grid(rng.randint(2, 6), rng.randint(2, 6))
     nodes = deploy_uniform(grid, rng.randint(grid.cell_count, 4 * grid.cell_count), rng)
-    for node in nodes:
-        node.reset_energy(rng.uniform(0.5, 30.0))
+    install_batteries(nodes, [rng.uniform(0.5, 30.0) for _ in range(len(nodes))])
     twins = []
     for _ in range(2):
         policy, calls = POLICIES[policy_name](), None
         if policy is not lowest_id_policy:
             policy, calls = _counted(policy)
-        state = WsnState(grid, [node.copy() for node in nodes], head_policy=policy)
+        state = WsnState(grid, nodes.copy(), head_policy=policy)
         twins.append((state, calls))
     return rng, twins
 
@@ -260,9 +261,9 @@ def test_relocate_equals_move_node(policy_name, seed):
 def test_a_head_moved_into_its_own_cell_keeps_the_role_when_re_elected(policy_name):
     """``move_node(..., enforce_adjacent=False)`` may target the mover's own cell."""
     grid = _grid(2, 2)
-    nodes = deploy_uniform(grid, 12, random.Random(5))
-    for index, node in enumerate(nodes):
-        node.reset_energy(10.0 + index)
+    nodes = install_batteries(
+        deploy_uniform(grid, 12, random.Random(5)), [10.0 + index for index in range(12)]
+    )
     state = WsnState(grid, nodes, head_policy=POLICIES[policy_name]())
     for coord in grid.all_coords():
         head = state.head_of(coord)
@@ -285,8 +286,9 @@ def test_coordinate_spare_reads_wrap_the_flat_rule(selection):
     rng = random.Random(8)
     grid = _grid(4, 4)
     nodes = deploy_uniform(grid, 90, rng)
-    for node in nodes:
-        node.reset_energy(rng.choice((0.0, 5.0, rng.uniform(1.0, 9.0))))
+    install_batteries(
+        nodes, [rng.choice((0.0, 5.0, rng.uniform(1.0, 9.0))) for _ in range(90)]
+    )
     state = WsnState(grid, nodes)
     for cell in grid.all_coords():
         flat = grid.flat_index(cell)

@@ -89,7 +89,7 @@ class TestEngineDepletion:
         spares = dense_state.spares_of(cell)
         assert len(spares) >= 2
         drained = spares[0]
-        drained.consume_energy(drained.energy)
+        dense_state.debit_energy(drained.node_id, drained.energy)
         from helpers import make_hole
 
         make_hole(dense_state, GridCoord(0, 2))

@@ -8,7 +8,8 @@ import pytest
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.mobility import MovementModel, MoveRecord
-from repro.network.node import DEFAULT_BATTERY_CAPACITY, SensorNode
+from repro.network.node import DEFAULT_BATTERY_CAPACITY
+from repro.network.node_arrays import NodeArrays
 from repro.network.state import WsnState
 
 
@@ -48,9 +49,8 @@ class TestTargetSelection:
 
 def _one_node_state(grid, model, position, node_id=1):
     """A state holding a single node, moved by ``model``."""
-    return WsnState(
-        grid, [SensorNode(node_id=node_id, position=position)], movement_model=model
-    )
+    node = NodeArrays.from_positions([node_id], [position.x], [position.y])
+    return WsnState(grid, node, movement_model=model)
 
 
 class TestExecuteMove:
@@ -72,8 +72,8 @@ class TestExecuteMove:
         )
 
     def test_move_updates_node(self, grid, model, rng):
-        node = SensorNode(node_id=1, position=Point(5.0, 5.0))
-        state = WsnState(grid, [node], movement_model=model)
+        state = _one_node_state(grid, model, Point(5.0, 5.0))
+        node = state.node(1)
         record = state.move_node(1, GridCoord(1, 0), rng, round_index=0)
         assert node.position == record.target_position
         assert node.move_count == 1

@@ -1,168 +1,144 @@
-"""Unit tests for the sensor node model."""
+"""Unit tests for the sensor node model: a read-only view of one state row."""
 
+import numpy as np
 import pytest
 
 from repro.grid.geometry import Point
+from repro.grid.virtual_grid import GridCoord, VirtualGrid
+from repro.network.mobility import MovementModel
 from repro.network.node import (
     DEFAULT_BATTERY_CAPACITY,
-    MESSAGE_COST,
-    MOVE_COST_PER_METER,
     NodeRole,
     NodeState,
-    SensorNode,
-    enabled_only,
-    find_node,
 )
+from repro.network.node_arrays import NodeArrays
+from repro.network.state import WsnState
 
 
-def make_node(node_id: int = 0, x: float = 0.0, y: float = 0.0) -> SensorNode:
-    return SensorNode(node_id=node_id, position=Point(x, y))
+def make_state(*positions, movement_model=None) -> WsnState:
+    """Nodes ``0, 1, ...`` at ``positions`` on a 4x4 grid of 10 m cells."""
+    xs, ys = zip(*positions)
+    grid = VirtualGrid(4, 4, cell_size=10.0)
+    if movement_model is not None:
+        movement_model = movement_model(grid)
+    nodes = NodeArrays.from_positions(np.arange(len(xs)), xs, ys)
+    return WsnState(grid, nodes, movement_model=movement_model)
 
 
 class TestLifecycle:
-    def test_new_node_is_enabled_and_unassigned(self):
-        node = make_node()
+    def test_new_node_is_enabled_with_a_full_battery(self):
+        state = make_state((1.0, 1.0))
+        node = state.node(0)
+        assert node.node_id == 0
+        assert node.position == Point(1.0, 1.0)
         assert node.is_enabled
-        assert node.role is NodeRole.UNASSIGNED
-        assert not node.is_head
-        assert not node.is_spare
+        assert node.role is NodeRole.HEAD
         assert node.energy == DEFAULT_BATTERY_CAPACITY
+        assert node.moved_distance == 0.0
+        assert node.move_count == 0
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
-            SensorNode(node_id=-1, position=Point(0, 0))
+            NodeArrays.from_positions([-1], [0.0], [0.0])
         with pytest.raises(ValueError):
-            SensorNode(node_id=0, position=Point(0, 0), energy=-5)
+            NodeArrays.from_positions([0], [0.0], [0.0], energy=-5.0)
 
     def test_disable_removes_from_collaboration(self):
-        node = make_node()
-        node.role = NodeRole.HEAD
-        node.disable(NodeState.MISBEHAVING)
+        state = make_state((1.0, 1.0), (2.0, 2.0))
+        node = state.node(0)
+        assert node.is_head
+        state.disable_node(0, NodeState.MISBEHAVING)
         assert not node.is_enabled
         assert node.state is NodeState.MISBEHAVING
         assert node.role is NodeRole.UNASSIGNED
 
     def test_disable_requires_non_enabled_reason(self):
         with pytest.raises(ValueError):
-            make_node().disable(NodeState.ENABLED)
+            make_state((1.0, 1.0)).disable_node(0, NodeState.ENABLED)
 
     def test_enable_after_failure(self):
-        node = make_node()
-        node.disable()
-        node.enable()
+        state = make_state((1.0, 1.0))
+        state.disable_node(0)
+        state.enable_node(0)
+        node = state.node(0)
         assert node.is_enabled
-        assert node.role is NodeRole.UNASSIGNED
+        assert node.role is NodeRole.HEAD
 
     def test_role_predicates(self):
-        node = make_node()
-        node.role = NodeRole.HEAD
-        assert node.is_head and not node.is_spare
-        node.role = NodeRole.SPARE
-        assert node.is_spare and not node.is_head
-        node.disable()
-        assert not node.is_head and not node.is_spare
+        state = make_state((1.0, 1.0), (2.0, 2.0))
+        head, spare = state.node(0), state.node(1)
+        assert head.is_head and not head.is_spare
+        assert spare.is_spare and not spare.is_head
+        state.disable_node(1)
+        assert not spare.is_head and not spare.is_spare
 
 
 class TestMovement:
-    def test_relocate_updates_position_and_accounting(self):
-        node = make_node()
-        distance = node.relocate(Point(3, 4))
-        assert distance == pytest.approx(5.0)
-        assert node.position == Point(3, 4)
-        assert node.moved_distance == pytest.approx(5.0)
-        assert node.move_count == 1
-
-    def test_relocate_accumulates(self):
-        node = make_node()
-        node.relocate(Point(1, 0))
-        node.relocate(Point(1, 2))
-        assert node.moved_distance == pytest.approx(3.0)
-        assert node.move_count == 2
-
-    def test_relocate_consumes_energy(self):
-        node = make_node()
-        node.relocate(Point(0, 10))
-        assert node.energy == pytest.approx(
-            DEFAULT_BATTERY_CAPACITY - 10 * MOVE_COST_PER_METER
-        )
-
-    def test_disabled_node_cannot_move(self):
-        node = make_node()
-        node.disable()
-        with pytest.raises(RuntimeError):
-            node.relocate(Point(1, 1))
+    def test_moves_accumulate(self):
+        state = make_state((5.0, 5.0))
+        state.move_node(0, GridCoord(1, 0), None, target_position=Point(15.0, 5.0))
+        state.move_node(0, GridCoord(1, 1), None, target_position=Point(15.0, 15.0))
+        assert state.node(0).moved_distance == pytest.approx(20.0)
+        assert state.node(0).move_count == 2
 
     def test_depleted_node_cannot_move(self):
         # Regression: a node clamped to an empty battery used to keep moving
         # forever; depletion must refuse relocation like a disabled node does.
-        node = make_node()
-        node.consume_energy(node.energy)
+        state = make_state((5.0, 5.0))
+        node = state.node(0)
+        state.debit_energy(0, node.energy)
         assert node.is_battery_depleted
         with pytest.raises(RuntimeError):
-            node.relocate(Point(1, 1))
+            state.move_node(0, GridCoord(1, 0), None, target_position=Point(15.0, 5.0))
         assert node.move_count == 0
 
-    def test_relocate_honours_custom_move_cost(self):
-        node = make_node()
-        node.relocate(Point(0, 10), cost_per_meter=2.5)
-        assert node.energy == pytest.approx(DEFAULT_BATTERY_CAPACITY - 25.0)
-
-    def test_position_history_optional(self):
-        node = make_node()
-        node.relocate(Point(1, 1))
-        assert node.position_history == []
-        node.relocate(Point(2, 2), record_history=True)
-        assert node.position_history == [Point(1, 1)]
+    def test_move_honours_custom_move_cost(self):
+        state = make_state(
+            (5.0, 5.0),
+            movement_model=lambda grid: MovementModel(grid, move_cost_per_meter=2.5),
+        )
+        state.move_node(0, GridCoord(0, 1), None, target_position=Point(5.0, 15.0))
+        assert state.node(0).energy == pytest.approx(DEFAULT_BATTERY_CAPACITY - 25.0)
 
 
 class TestEnergy:
-    def test_consume_clamps_at_zero(self):
-        node = make_node()
-        node.consume_energy(DEFAULT_BATTERY_CAPACITY * 2)
-        assert node.energy == 0.0
-        assert node.is_battery_depleted
-
-    def test_consume_rejects_negative(self):
-        with pytest.raises(ValueError):
-            make_node().consume_energy(-1)
-
-    def test_message_cost(self):
-        node = make_node()
-        node.charge_message_cost(3)
-        assert node.energy == pytest.approx(DEFAULT_BATTERY_CAPACITY - 3 * MESSAGE_COST)
+    def test_debit_clamps_at_zero(self):
+        state = make_state((1.0, 1.0))
+        state.debit_energy(0, DEFAULT_BATTERY_CAPACITY * 2)
+        assert state.node(0).energy == 0.0
+        assert state.node(0).is_battery_depleted
 
     def test_initial_energy_defaults_to_starting_energy(self):
-        node = make_node()
+        state = make_state((1.0, 1.0))
+        node = state.node(0)
         assert node.initial_energy == pytest.approx(DEFAULT_BATTERY_CAPACITY)
-        node.consume_energy(7.0)
+        state.debit_energy(0, 7.0)
         assert node.consumed_energy == pytest.approx(7.0)
 
     def test_reset_energy_installs_fresh_battery(self):
-        node = make_node()
-        node.consume_energy(30.0)
+        state = make_state((1.0, 1.0))
+        node = state.node(0)
+        state.debit_energy(0, 30.0)
         node.reset_energy(12.0)
         assert node.energy == pytest.approx(12.0)
         assert node.initial_energy == pytest.approx(12.0)
         assert node.consumed_energy == pytest.approx(0.0)
         with pytest.raises(ValueError):
             node.reset_energy(-1.0)
+        state.check_invariants()
 
-    def test_copy_preserves_initial_energy(self):
-        node = make_node()
-        node.reset_energy(42.0)
-        node.consume_energy(2.0)
-        twin = node.copy()
+    def test_clone_preserves_initial_energy(self):
+        state = make_state((1.0, 1.0))
+        state.node(0).reset_energy(42.0)
+        state.debit_energy(0, 2.0)
+        twin = state.clone().node(0)
         assert twin.initial_energy == pytest.approx(42.0)
         assert twin.consumed_energy == pytest.approx(2.0)
 
 
-class TestHelpers:
-    def test_enabled_only(self):
-        nodes = [make_node(0), make_node(1), make_node(2)]
-        nodes[1].disable()
-        assert [n.node_id for n in enabled_only(nodes)] == [0, 2]
-
-    def test_find_node(self):
-        nodes = [make_node(3), make_node(7)]
-        assert find_node(nodes, 7) is nodes[1]
-        assert find_node(nodes, 99) is None
+class TestLookups:
+    def test_enabled_node_ids(self):
+        state = make_state((1.0, 1.0), (2.0, 2.0), (3.0, 3.0))
+        state.disable_node(1)
+        assert state.enabled_node_ids() == [0, 2]
+        assert [node.node_id for node in state.enabled_nodes()] == [0, 2]

@@ -1,8 +1,8 @@
-"""Unit tests for the struct-of-arrays node store and its bound handles.
+"""Unit tests for the struct-of-arrays node store and the handles over its rows.
 
-:class:`NodeArrays` is the backing store behind every ``WsnState``;
-:class:`SensorNode` handles bound to a row must behave exactly like the old
-standalone dataclass while reading and writing the shared columns.
+:class:`NodeArrays` is the one representation of a population: every
+``WsnState`` takes one.  A :class:`SensorNode` handle is a read-only view of
+a row: it reports whatever the columns hold and writes none of them.
 """
 
 from __future__ import annotations
@@ -11,18 +11,10 @@ import numpy as np
 import pytest
 
 from repro.grid.geometry import Point
-from repro.network.node import (
-    DEFAULT_BATTERY_CAPACITY,
-    NodeRole,
-    NodeState,
-    SensorNode,
-)
-from repro.network.node_arrays import (
-    ENABLED_CODE,
-    HEAD_CODE,
-    NodeArrays,
-    SPARE_CODE,
-)
+from repro.grid.virtual_grid import VirtualGrid
+from repro.network.node import DEFAULT_BATTERY_CAPACITY, NodeRole, NodeState
+from repro.network.node_arrays import ENABLED_CODE, UNASSIGNED_CODE, NodeArrays
+from repro.network.state import WsnState
 
 
 def make_store(count: int = 5, start_id: int = 0) -> NodeArrays:
@@ -81,51 +73,41 @@ class TestNodeArrays:
         assert store.positions[2, 0] != -7.0
         assert store.state[1] == ENABLED_CODE
 
-    def test_from_nodes_round_trips_fields(self):
-        nodes = [
-            SensorNode(node_id=4, position=Point(1.0, 2.0)),
-            SensorNode(
-                node_id=7,
-                position=Point(3.0, 4.0),
-                state=NodeState.FAILED,
-                role=NodeRole.SPARE,
-                energy=12.5,
-            ),
-        ]
-        store = NodeArrays.from_nodes(nodes)
+    def test_from_positions_keeps_ids_positions_and_battery(self):
+        store = NodeArrays.from_positions([4, 7], [1.0, 3.0], [2.0, 4.0], energy=12.5)
         assert store.node_ids.tolist() == [4, 7]
         assert store.positions[1].tolist() == [3.0, 4.0]
-        assert store.energy[1] == 12.5
-        assert store.role[1] == SPARE_CODE
-        assert store.enabled_mask().tolist() == [True, False]
+        assert store.energy.tolist() == store.initial_energy.tolist() == [12.5, 12.5]
+        assert store.role.tolist() == [UNASSIGNED_CODE, UNASSIGNED_CODE]
+        assert store.enabled_mask().tolist() == [True, True]
 
-
-class TestBoundHandles:
-    def test_bound_handle_reads_arrays(self):
+    def test_check_shapes_rejects_a_ragged_column(self):
         store = make_store(3)
-        store.role[1] = HEAD_CODE
-        node = SensorNode._bound(store, 1)
+        store.check_shapes()
+        store.move_count = store.move_count[:2]
+        with pytest.raises(ValueError, match="column move_count has shape"):
+            store.check_shapes()
+
+
+def make_state(count: int = 5, start_id: int = 0) -> WsnState:
+    """A state over :func:`make_store`'s nodes (one row of 1 m cells)."""
+    return WsnState(VirtualGrid(count, 2, cell_size=1.0), make_store(count, start_id))
+
+
+class TestHandles:
+    def test_handle_reads_arrays(self):
+        state = make_state(3)
+        node = state.node(1)
         assert node.node_id == 1
         assert node.position == Point(1.5, 1.25)
         assert node.role is NodeRole.HEAD
         assert node.state is NodeState.ENABLED
         assert node.energy == DEFAULT_BATTERY_CAPACITY
 
-    def test_handle_writes_flow_into_arrays(self):
-        store = make_store(3)
-        node = SensorNode._bound(store, 2)
-        node.energy = 4.5
-        node.state = NodeState.MISBEHAVING
-        node.role = NodeRole.SPARE
-        node.position = Point(0.25, 0.75)
-        assert store.energy[2] == 4.5
-        assert store.state[2] != ENABLED_CODE
-        assert store.role[2] == SPARE_CODE
-        assert store.positions[2].tolist() == [0.25, 0.75]
-
     def test_array_writes_visible_through_handle(self):
-        store = make_store(3)
-        node = SensorNode._bound(store, 0)
+        state = make_state(3)
+        store = state.arrays
+        node = state.node(0)
         store.energy[0] = 2.0
         store.state[0] = 3
         assert node.energy == 2.0
@@ -133,38 +115,3 @@ class TestBoundHandles:
         # Positions too: a handle caches nothing, so row writes show at once.
         store.positions[0] = (4.0, 5.0)
         assert node.position == Point(4.0, 5.0)
-        node.position = Point(9.0, 8.0)
-        assert store.positions[0].tolist() == [9.0, 8.0]
-
-    def test_consume_energy_clamps_in_arrays(self):
-        store = make_store(1)
-        node = SensorNode._bound(store, 0)
-        node.consume_energy(DEFAULT_BATTERY_CAPACITY + 5.0)
-        assert node.energy == 0.0
-        assert store.energy[0] == 0.0
-        assert node.is_battery_depleted
-
-    def test_relocate_updates_movement_columns(self):
-        store = make_store(1)
-        node = SensorNode._bound(store, 0)
-        start = node.position
-        node.relocate(Point(start.x + 3.0, start.y + 4.0))
-        assert store.moved_distance[0] == pytest.approx(5.0)
-        assert store.move_count[0] == 1
-        assert node.moved_distance == pytest.approx(5.0)
-        assert node.move_count == 1
-
-    def test_copy_detaches_from_store(self):
-        store = make_store(2)
-        node = SensorNode._bound(store, 1)
-        snapshot = node.copy()
-        store.energy[1] = 0.5
-        assert snapshot.energy == DEFAULT_BATTERY_CAPACITY
-        snapshot.energy = 99.0
-        assert store.energy[1] == 0.5
-
-    def test_bound_and_unbound_compare_equal_on_same_values(self):
-        store = make_store(1, start_id=42)
-        bound = SensorNode._bound(store, 0)
-        unbound = bound.copy()
-        assert bound == unbound

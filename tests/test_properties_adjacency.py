@@ -99,7 +99,7 @@ def test_adjacency_lists_matches_radio_object_path():
 # --------------------------------------------------------- incremental index
 def _random_state(rng: random.Random) -> WsnState:
     grid = VirtualGrid(columns=4, rows=4, cell_size=1.0)
-    arrays = deploy_uniform(grid, rng.randint(8, 30), rng, as_arrays=True)
+    arrays = deploy_uniform(grid, rng.randint(8, 30), rng)
     return WsnState(grid, arrays)
 
 

@@ -22,6 +22,8 @@ from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.deployment import deploy_uniform
 from repro.network.state import WsnState
 
+from helpers import install_batteries
+
 #: Number of seeded mutation sequences (acceptance: 200+).
 SEQUENCE_COUNT = 220
 #: Mutations per sequence.
@@ -32,8 +34,7 @@ def _random_state(rng: random.Random, head_policy=None) -> WsnState:
     grid = VirtualGrid(columns=4, rows=4, cell_size=1.0)
     nodes = deploy_uniform(grid, rng.randint(10, 36), rng)
     if head_policy is highest_energy_policy:
-        for node in nodes:
-            node.reset_energy(rng.uniform(1.0, 100.0))
+        install_batteries(nodes, [rng.uniform(1.0, 100.0) for _ in range(len(nodes))])
     return WsnState(grid, nodes, head_policy=head_policy)
 
 
@@ -101,8 +102,8 @@ def test_incremental_indices_match_rebuild(seed):
         state.check_invariants()
 
     # Cross-check against an independently constructed WsnState built from
-    # copies of the surviving nodes: every derived statistic must agree.
-    rebuilt = WsnState(state.grid, [node.copy() for node in state.nodes()])
+    # a copy of the nodes' columns: every derived statistic must agree.
+    rebuilt = WsnState(state.grid, state.arrays.copy())
     assert rebuilt.occupancy() == state.occupancy()
     assert rebuilt.spare_counts() == state.spare_counts()
     assert rebuilt.vacant_cells() == state.vacant_cells()

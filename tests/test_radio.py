@@ -5,12 +5,20 @@ import math
 import pytest
 
 from repro.grid.geometry import Point
-from repro.network.node import SensorNode
+from repro.grid.virtual_grid import VirtualGrid
+from repro.network.node_arrays import NodeArrays
 from repro.network.radio import UnitDiskRadio
+from repro.network.state import WsnState
 
 
-def node_at(node_id: int, x: float, y: float) -> SensorNode:
-    return SensorNode(node_id=node_id, position=Point(x, y))
+def nodes_at(*positions, disabled=()):
+    """Handles of nodes ``0, 1, ...`` at ``positions`` (on an 11 m square), some disabled."""
+    xs, ys = zip(*positions)
+    state = WsnState(
+        VirtualGrid(11, 11, cell_size=1.0), NodeArrays.from_positions(range(len(xs)), xs, ys)
+    )
+    state.disable_nodes(disabled)
+    return list(state.nodes())
 
 
 class TestRange:
@@ -40,19 +48,17 @@ class TestRange:
 
 
 class TestNeighbourhoods:
-    def test_neighbours_of_excludes_self_and_disabled(self):
+    def test_neighbours_exclude_self_disabled_and_distant_nodes(self):
         radio = UnitDiskRadio(2.0)
-        a = node_at(0, 0, 0)
-        b = node_at(1, 1, 0)
-        c = node_at(2, 1.5, 0)
-        c.disable()
-        d = node_at(3, 10, 10)
-        neighbours = radio.neighbours_of(a, [a, b, c, d])
-        assert [n.node_id for n in neighbours] == [1]
+        nodes = nodes_at((0, 0), (1, 0), (1.5, 0), (10, 10), disabled=[2])
+        adjacency = radio.adjacency(nodes)
+        assert adjacency[0] == [1]
+        assert 2 not in adjacency
+        assert adjacency[3] == []
 
     def test_adjacency_is_symmetric(self):
         radio = UnitDiskRadio(3.0)
-        nodes = [node_at(i, float(i), 0.0) for i in range(5)]
+        nodes = nodes_at(*[(float(i), 0.0) for i in range(5)])
         adjacency = radio.adjacency(nodes)
         for node_id, neighbours in adjacency.items():
             for other in neighbours:
@@ -63,14 +69,13 @@ class TestNeighbourhoods:
 
     def test_adjacency_ignores_disabled(self):
         radio = UnitDiskRadio(2.0)
-        nodes = [node_at(0, 0, 0), node_at(1, 1, 0)]
-        nodes[1].disable()
+        nodes = nodes_at((0, 0), (1, 0), disabled=[1])
         adjacency = radio.adjacency(nodes)
         assert adjacency == {0: []}
 
     def test_link_pairs_unique_and_sorted(self):
         radio = UnitDiskRadio(1.5)
-        nodes = [node_at(0, 0, 0), node_at(1, 1, 0), node_at(2, 2, 0)]
+        nodes = nodes_at((0, 0), (1, 0), (2, 0))
         pairs = radio.link_pairs(nodes)
         assert (0, 1) in pairs and (1, 2) in pairs
         assert (0, 2) not in pairs
@@ -79,5 +84,5 @@ class TestNeighbourhoods:
 
     def test_chain_topology_link_count(self):
         radio = UnitDiskRadio(1.0)
-        nodes = [node_at(i, float(i), 0.0) for i in range(10)]
+        nodes = nodes_at(*[(float(i), 0.0) for i in range(10)])
         assert len(radio.link_pairs(nodes)) == 9

@@ -124,11 +124,9 @@ def build_by_composition(config: ScenarioConfig) -> WsnState:
     grid = config.make_grid()
     deploy_rng = derive_rng(config.seed, "deployment")
     if config.deployment == "uniform":
-        arrays = deploy_uniform(grid, config.deployed_count, deploy_rng, as_arrays=True)
+        arrays = deploy_uniform(grid, config.deployed_count, deploy_rng)
     else:
-        arrays = deploy_per_cell(
-            grid, config.deployed_count // config.cell_count, deploy_rng, as_arrays=True
-        )
+        arrays = deploy_per_cell(grid, config.deployed_count // config.cell_count, deploy_rng)
     state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
     if config.target_enabled is not None:
         ThinningToEnabledCount(config.target_enabled).apply(

@@ -2,30 +2,67 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.grid.geometry import Point
 from repro.grid.head_election import highest_energy_policy
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.deployment import deploy_per_cell, deploy_per_cell_counts
-from repro.network.node import NodeRole, NodeState, SensorNode
+from repro.network.node import ROLE_CODES, NodeRole, NodeState
+from repro.network.node_arrays import NodeArrays
 from repro.network.state import WsnState
 
-from helpers import make_hole
+from helpers import install_batteries, make_hole
+
+
+def _corrupt_role(state: WsnState, node_id: int, role: NodeRole) -> None:
+    """Write a role straight into the column, past the state's bookkeeping."""
+    state.arrays.role[state.arrays.row_of(node_id)] = ROLE_CODES[role]
 
 
 class TestConstruction:
     def test_rejects_duplicate_ids(self, small_grid):
-        nodes = [
-            SensorNode(node_id=1, position=Point(0.5, 0.5)),
-            SensorNode(node_id=1, position=Point(1.5, 0.5)),
-        ]
+        nodes = NodeArrays.from_positions([1, 1], [0.5, 1.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             WsnState(small_grid, nodes)
 
     def test_rejects_nodes_outside_area(self, small_grid):
         with pytest.raises(ValueError):
-            WsnState(small_grid, [SensorNode(node_id=0, position=Point(10, 10))])
+            WsnState(small_grid, NodeArrays.from_positions([0], [10.0], [10.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_position(self, small_grid, bad):
+        nodes = NodeArrays.from_positions(np.arange(3), [0.5, bad, 1.5], [0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="node 1 at .* outside the surveillance area"):
+            WsnState(small_grid, nodes)
+        nodes = NodeArrays.from_positions(np.arange(3), [0.5, 0.5, 1.5], [0.5, 0.5, bad])
+        with pytest.raises(ValueError, match="node 2 at .* outside the surveillance area"):
+            WsnState(small_grid, nodes)
+
+    def test_a_non_finite_position_keeps_the_first_offence_order(self, small_grid):
+        """Whichever offence comes first in deployment order is the one reported."""
+        nan_first = NodeArrays.from_positions([0, 1, 1], [np.nan, 0.5, 1.5], [0.5] * 3)
+        with pytest.raises(ValueError, match="node 0 at"):
+            WsnState(small_grid, nan_first)
+        duplicate_first = NodeArrays.from_positions([0, 0, 1], [0.5, 0.5, np.nan], [0.5] * 3)
+        with pytest.raises(ValueError, match="duplicate node id 0"):
+            WsnState(small_grid, duplicate_first)
+
+    def test_rejects_columns_of_unequal_length(self, small_grid):
+        nodes = NodeArrays.from_positions(np.arange(5), [0.5, 1.5], [0.5, 0.5])
+        with pytest.raises(ValueError, match="column positions has shape"):
+            WsnState(small_grid, nodes)
+        nodes = NodeArrays.from_positions(np.arange(2), [0.5, 1.5], [0.5, 0.5])
+        nodes.energy = nodes.energy[:1]
+        with pytest.raises(ValueError, match="column energy has shape"):
+            WsnState(small_grid, nodes)
+
+    def test_takes_only_a_node_arrays_population(self, small_grid, dense_state):
+        with pytest.raises(TypeError, match="NodeArrays"):
+            WsnState(small_grid, list(dense_state.nodes()))
+        with pytest.raises(TypeError, match="NodeArrays"):
+            WsnState(small_grid, [])
 
     def test_initial_heads_elected_everywhere(self, dense_state):
         for coord in dense_state.grid.all_coords():
@@ -43,8 +80,7 @@ class TestConstruction:
 
     def test_custom_head_policy(self, small_grid, rng):
         nodes = deploy_per_cell(small_grid, 2, rng)
-        for i, node in enumerate(nodes):
-            node.energy = float(i)
+        install_batteries(nodes, [float(i) for i in range(len(nodes))])
         state = WsnState(small_grid, nodes, head_policy=highest_energy_policy)
         for coord in small_grid.all_coords():
             members = state.members_of(coord)
@@ -53,22 +89,51 @@ class TestConstruction:
 
 
 class TestHandles:
-    def test_nodes_bound_to_another_state_stay_bound_to_it(self, dense_state):
-        """Building a state from another state's handles copies them as data."""
+    def test_a_state_built_from_a_copy_is_independent(self, dense_state):
+        """Two states over one deployment: the second takes ``arrays.copy()``."""
         node_id = dense_state.members_of(GridCoord(1, 1))[0].node_id
-        twin = WsnState(dense_state.grid, list(dense_state.nodes()))
-        twin.node(node_id).energy = 1.0
+        twin = WsnState(dense_state.grid, dense_state.arrays.copy())
+        twin.node(node_id).reset_energy(1.0)
         assert twin.arrays.energy[twin.arrays.row_of(node_id)] == 1.0
         assert dense_state.node(node_id).energy == 100.0
         assert dense_state.arrays.energy[dense_state.arrays.row_of(node_id)] == 100.0
 
-    def test_unbound_nodes_become_handles(self, small_grid):
-        node = SensorNode(node_id=0, position=Point(0.5, 0.5))
-        state = WsnState(small_grid, [node])
-        assert node.is_bound
-        assert state.node(0) is node
+    def test_the_state_owns_its_store_and_caches_handles(self, small_grid):
+        nodes = NodeArrays.from_positions([0], [0.5], [0.5])
+        state = WsnState(small_grid, nodes)
+        assert state.arrays is nodes
+        handle = state.node(0)
+        assert state.node(0) is handle
+        assert state.clone().node(0) is not handle
         state.arrays.energy[0] = 7.0
-        assert node.energy == 7.0
+        assert handle.energy == 7.0
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("state", NodeState.FAILED),
+            ("role", NodeRole.SPARE),
+            ("position", Point(3.5, 4.5)),
+            ("node_id", 99),
+            ("energy", 1.0),
+            ("initial_energy", 1.0),
+            ("moved_distance", 1.0),
+            ("move_count", 1),
+        ],
+    )
+    def test_a_handle_cannot_write_a_field(self, uniform_state, field, value):
+        """Every field is read-only on a handle, so nothing bypasses the indices."""
+        before = uniform_state.to_bytes()
+        for node_id in (0, 5):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(uniform_state.node(node_id), field, value)
+        assert uniform_state.to_bytes() == before
+        uniform_state.check_invariants()
+
+    def test_handles_offer_no_mutators(self, uniform_state):
+        handle = uniform_state.node(0)
+        for name in ("disable", "enable", "relocate", "consume_energy", "copy"):
+            assert not hasattr(handle, name)
 
     def test_handle_taken_before_a_move_reports_the_new_position(self, dense_state, rng):
         spare = dense_state.spares_of(GridCoord(2, 2))[0]
@@ -300,23 +365,23 @@ class TestInvariantsChecker:
         state = WsnState(small_grid, nodes)
         # Corrupt the internal index (by flat cell id) on purpose to check the
         # detector fires.
-        state._heads[small_grid.flat_index(GridCoord(1, 1))] = nodes[0].node_id
+        state._heads[small_grid.flat_index(GridCoord(1, 1))] = int(nodes.node_ids[0])
         with pytest.raises(AssertionError):
             state.check_invariants()
 
     def test_detects_a_spare_marked_head(self, dense_state):
         spare = dense_state.spares_of(GridCoord(1, 1))[0]
-        spare.role = NodeRole.HEAD
+        _corrupt_role(dense_state, spare.node_id, NodeRole.HEAD)
         with pytest.raises(AssertionError, match="role rule"):
             dense_state.check_invariants()
 
     def test_detects_a_head_marked_spare(self, dense_state):
-        dense_state.head_of(GridCoord(2, 3)).role = NodeRole.SPARE
+        _corrupt_role(dense_state, dense_state.head_id_of(GridCoord(2, 3)), NodeRole.SPARE)
         with pytest.raises(AssertionError, match="role rule"):
             dense_state.check_invariants()
 
     def test_disabled_nodes_are_outside_the_role_rule(self, dense_state):
         head = dense_state.head_of(GridCoord(0, 0))
         dense_state.disable_node(head.node_id)
-        head.role = NodeRole.HEAD
+        _corrupt_role(dense_state, head.node_id, NodeRole.HEAD)
         dense_state.check_invariants()
