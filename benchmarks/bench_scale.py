@@ -9,8 +9,7 @@ number of holes punched into each, and it micro-benchmarks the hot state
 queries (``hole_count``, ``spare_count``, ``vacant_cells``) the engine and
 the controllers issue every round.  Since the struct-of-arrays refactor the
 run also times the vectorized deployment and batch-adjacency paths per tier
-(``deploy_seconds``, ``adjacency_per_edge_seconds``) and the incremental
-:class:`~repro.network.adjacency.NeighborIndex` against a full rebuild.
+(``deploy_seconds``, ``adjacency_per_edge_seconds``).
 
 Usage::
 
@@ -39,9 +38,10 @@ It reports the median over passes of the milliseconds per spec, the
 microseconds per node move, and a digest of the records.
 
 The ``channel_overhead`` section prices the control-message channel: SR
-recovery rounds run back to back with the default perfect channel and with
-``channel=None`` (identical physical work), and the difference, divided by
-the messages the perfect run sent, is the channel's cost per message.
+drip-feed recovery runs on the default perfect channel time every messaging
+call directly (the channel's ``send`` and ``deliver`` and the controller's
+``handle_messages``), and the seconds spent inside them, divided by the
+messages the run sent, are the channel's cost per message.
 
 The smoke run executes the smallest grid's round benchmark plus the
 regression guards — query scaling (16x16 vs 64x64 at equal hole count),
@@ -81,11 +81,9 @@ from repro.experiments.persistence import record_to_dict
 from repro.experiments.registry import make_controller
 from repro.experiments.sweep import build_comparison_specs
 from repro.network.adjacency import adjacency_lists, adjacency_offsets, build_edges
-from repro.network.channel import DEFAULT_CHANNEL
 from repro.network.deployment import deploy_per_cell, deploy_uniform
 from repro.network.failures import ThinningToEnabledCount
 from repro.network.node_arrays import ENABLED_CODE
-from repro.network.radio import UnitDiskRadio
 from repro.network.state import WsnState
 from repro.sim.engine import RoundBasedEngine
 from repro.sim.rng import derive_rng
@@ -110,15 +108,14 @@ HOLES_PER_ROUND = 8
 SMOKE_QUERY_RATIO_LIMIT = 5.0
 #: Smoke-mode guard: generous absolute per-round budget on the 16x16 grid.
 SMOKE_ROUND_SECONDS_LIMIT = 0.05
-#: Guard on the messaging subsystem: microseconds the default perfect
-#: channel adds per message sent (perfect-channel rounds minus the same
-#: rounds with ``channel=None``, over the messages sent).  An absolute
-#: per-unit bound, so it does not move when only the controllers or the
-#: engine get faster, as the former perfect/None ratio did.  Set from ten
-#: readings of 2.5-8.4 us on a 2-core host before the flat-cell-id hot
-#: path, the worst doubled for the host's ~2x speed swings; an O(cells)
-#: search per delivered message reads 78-91 us.
-CHANNEL_US_PER_MESSAGE_LIMIT = 17.0
+#: Guard on the messaging subsystem: microseconds spent inside the perfect
+#: channel's messaging calls (``send``, ``deliver``, ``handle_messages``)
+#: per message sent.  An absolute per-unit bound, so it does not move when
+#: only the controllers or the engine get faster.  Set from ten readings of
+#: 3.8-6.8 us on a 2-core host, the worst doubled for the host's ~2x speed
+#: swings; a Python-level 256-cell list search per delivered message reads
+#: 14.0-19.6 us.
+CHANNEL_US_PER_MESSAGE_LIMIT = 13.5
 #: Guard on the vectorized batch-adjacency path: wall-clock ceiling for the
 #: full adjacency build at 49k nodes (the 128x128 tier).  The pre-refactor
 #: per-node implementation measured ~2.3 s here; the vectorized path is well
@@ -131,12 +128,6 @@ ADJACENCY_PER_EDGE_SECONDS_LIMIT = 5e-7
 #: Guard on the batched deployment path: wall-clock ceiling for generating
 #: the 512x512 deployment (~786k nodes) as arrays.
 DEPLOY_SECONDS_LIMIT_786K = 2.0
-#: Incremental-index microbenchmark: moves timed per tier.
-INCREMENTAL_UPDATES = 200
-#: Largest node count the incremental-index microbenchmark runs at; the
-#: index materialises per-row neighbour arrays, which is not worth the build
-#: time on the top tiers.
-INCREMENTAL_MAX_NODES = 100_000
 #: Smoke-mode guard: floor on how much faster one bulk ``disable_nodes``
 #: call thins a paper-tier scenario than a loop of one-element calls over the
 #: same victims, measured in one process.
@@ -209,44 +200,55 @@ def build_failure_schedule(
     return schedule
 
 
-def bench_recovery_rounds(
-    base: WsnState, hole_count: int, seed: int, repeats: int, channel=DEFAULT_CHANNEL
-) -> dict:
+def drip_feed_engine(base: WsnState, hole_count: int, seed: int) -> RoundBasedEngine:
+    """An SR engine on a clone of ``base`` with ``hole_count`` holes drip-fed.
+
+    ``HOLES_PER_ROUND`` fresh holes are scheduled per round, over disjoint
+    cells drawn from ``seed``; the engine runs on the default perfect channel.
+    """
+    state = base.clone()
+    schedule = build_failure_schedule(
+        base,
+        max(1, hole_count // HOLES_PER_ROUND),
+        HOLES_PER_ROUND,
+        derive_rng(seed, "holes"),
+    )
+    return RoundBasedEngine(
+        state,
+        make_controller("SR", state),
+        derive_rng(seed, "controller"),
+        failure_schedule=schedule,
+    )
+
+
+def run_to_recovery(engine: RoundBasedEngine):
+    """Run ``engine``; raise if it leaves a hole (the drip feed always recovers)."""
+    result = engine.run()
+    if result.metrics.final_holes:
+        raise RuntimeError(
+            f"benchmark run left {result.metrics.final_holes} holes unrepaired; "
+            "the scenario is supposed to always recover"
+        )
+    return result
+
+
+def bench_recovery_rounds(base: WsnState, hole_count: int, seed: int, repeats: int) -> dict:
     """Steady-state per-round cost of SR recovery under a constant hole feed.
 
     Every round ``HOLES_PER_ROUND`` fresh holes are punched (scheduled
     failures), so every grid size executes the same number of rounds with the
     same per-round workload — the per-round figure is therefore directly
-    comparable across grid sizes at equal hole count.  ``channel=None``
-    measures the channel-less legacy path (the pre-channel engine), which is
-    what the channel-overhead guard compares the default against.
+    comparable across grid sizes at equal hole count.
     """
-    rounds_scheduled = max(1, hole_count // HOLES_PER_ROUND)
     total_seconds = 0.0
     total_rounds = 0
     total_messages = 0
     per_round_samples = []
     for repeat in range(repeats):
-        state = base.clone()
-        schedule = build_failure_schedule(
-            base, rounds_scheduled, HOLES_PER_ROUND, derive_rng(seed + repeat, "holes")
-        )
-        controller = make_controller("SR", state)
-        engine = RoundBasedEngine(
-            state,
-            controller,
-            derive_rng(seed + repeat, "controller"),
-            failure_schedule=schedule,
-            channel=channel,
-        )
+        engine = drip_feed_engine(base, hole_count, seed + repeat)
         start = time.perf_counter()
-        result = engine.run()
+        result = run_to_recovery(engine)
         elapsed = time.perf_counter() - start
-        if result.metrics.final_holes:
-            raise RuntimeError(
-                f"benchmark run left {result.metrics.final_holes} holes unrepaired; "
-                "the scenario is supposed to always recover"
-            )
         total_seconds += elapsed
         total_rounds += result.rounds_executed
         total_messages += result.metrics.messages_sent
@@ -263,65 +265,67 @@ def bench_recovery_rounds(
     }
 
 
+def _timed_into(spent: list, call):
+    """``call`` wrapped to add the seconds spent inside it to ``spent[0]``."""
+
+    def timed_call(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            spent[0] += time.perf_counter() - start
+
+    return timed_call
+
+
 def bench_channel_overhead(
     base: WsnState, hole_count: int, seed: int, repeats: int
 ) -> dict:
-    """Cost of the default perfect channel per message sent.
+    """Seconds inside the perfect channel's messaging calls per message sent.
 
-    Both configurations run the identical workload back to back on the same
-    machine — the perfect channel is a semantic no-op, so they make the same
-    moves over the same rounds — and the difference in wall time is the
-    messaging subsystem's work (message construction, mailbox delivery,
-    delivery handling, the sender's energy debit through the engine hook).
-    Divided by the messages the perfect run sent, it is an absolute
-    per-unit cost that does not scale with anything else the round does.
-    The configurations are warmed up once and then measured as *adjacent
-    pairs* (alternating which runs first); the reported cost is the median
-    of the per-pair figures, so slow drift affects both sides of every pair
-    equally and a single noisy sample cannot move the estimate.
+    SR drip-feed recovery runs on the default perfect channel, with a longer
+    feed than the scaling benchmark (more messages per run).  In each run
+    three instance attributes are wrapped with ``perf_counter``
+    accumulators, the way perfbench's tracer wraps ``deliver``: the engine
+    channel's ``send`` and ``deliver`` and the controller's
+    ``handle_messages``.  That is the messaging subsystem's work: message
+    construction and mailbox bookkeeping, the sender's energy debit through
+    the engine hook, delivery, and delivery handling.  The perfect channel
+    sends no acknowledgements, so the timed calls never nest.  The seconds
+    spent inside them over the messages sent is the run's cost per message;
+    after one warm-up run, the median over at least seven runs is reported,
+    timed with garbage collection off (a collection would land on whichever
+    call happens to allocate).
     """
-    configs = (("legacy", None), ("perfect", DEFAULT_CHANNEL))
-    # A longer drip feed than the scaling benchmark uses: more rounds per
-    # timed run amortises fixed noise into a stable per-round figure.
     overhead_holes = hole_count * 4
-    for _, channel in configs:  # warm caches and code paths
-        bench_recovery_rounds(base, overhead_holes, seed, 1, channel=channel)
-    pair_us_per_message = []
-    samples = {label: [] for label, _ in configs}
+    run_to_recovery(drip_feed_engine(base, overhead_holes, seed))  # warm-up
+    us_per_message = []
     messages = []
-    # Garbage collection is disabled during the timed pairs (as
-    # pytest-benchmark does): the channel side allocates more, so GC pauses
-    # would otherwise land on one side of the comparison systematically.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for repeat in range(max(repeats, 7)):
             gc.collect()
-            pair = {}
-            # Alternate which configuration runs first so cache/frequency
-            # effects tied to position inside a pair cancel across repeats.
-            ordered = configs if repeat % 2 == 0 else tuple(reversed(configs))
-            for label, channel in ordered:
-                pair[label] = bench_recovery_rounds(
-                    base, overhead_holes, seed + repeat, 1, channel=channel
-                )
-                samples[label].append(pair[label]["per_round_seconds_min"])
-            sent = pair["perfect"]["messages_total"]
+            engine = drip_feed_engine(base, overhead_holes, seed + repeat)
+            spent = [0.0]
+            channel = engine.channel
+            controller = engine.controller
+            channel.send = _timed_into(spent, channel.send)
+            channel.deliver = _timed_into(spent, channel.deliver)
+            controller.handle_messages = _timed_into(spent, controller.handle_messages)
+            sent = run_to_recovery(engine).metrics.messages_sent
             messages.append(sent)
             if sent:
-                extra = pair["perfect"]["seconds_total"] - pair["legacy"]["seconds_total"]
-                pair_us_per_message.append(extra / sent * 1e6)
+                us_per_message.append(spent[0] / sent * 1e6)
     finally:
         if gc_was_enabled:
             gc.enable()
-    us_per_message = (
-        statistics.median(pair_us_per_message) if pair_us_per_message else float("inf")
-    )
     return {
-        "per_round_seconds_no_channel": statistics.median(samples["legacy"]),
-        "per_round_seconds_perfect_channel": statistics.median(samples["perfect"]),
+        "runs": len(messages),
         "messages_per_run": statistics.median(messages),
-        "us_per_message": round(us_per_message, 3),
+        "us_per_message": round(
+            statistics.median(us_per_message) if us_per_message else float("inf"), 3
+        ),
         "limit_us_per_message": CHANNEL_US_PER_MESSAGE_LIMIT,
     }
 
@@ -380,34 +384,6 @@ def bench_adjacency(state: WsnState) -> dict:
         "per_edge_seconds": round(edge_seconds / edges, 12) if edges else 0.0,
         "adjacency_offsets_seconds": round(offsets_seconds, 6),
         "adjacency_lists_seconds": round(lists_seconds, 6),
-    }
-
-
-def bench_incremental_adjacency(state: WsnState, updates: int = INCREMENTAL_UPDATES) -> dict:
-    """Per-update cost of the incremental NeighborIndex vs a full rebuild.
-
-    ``updates`` random enabled rows are re-linked in place (the exact work
-    ``on_move`` performs: drop incident edges, rehash the bucket, re-scan the
-    3x3 bucket neighbourhood); the speedup column is the number of such
-    updates one full rebuild would have paid for.
-    """
-    radio = UnitDiskRadio(COMMUNICATION_RANGE)
-    start = time.perf_counter()
-    index = state.attach_neighbor_index(radio)
-    full_build = time.perf_counter() - start
-    rows = np.flatnonzero(state.arrays.enabled_mask())
-    rng = random.Random(1234)
-    picks = [int(rows[rng.randrange(len(rows))]) for _ in range(updates)]
-    start = time.perf_counter()
-    for row in picks:
-        index.on_move(row)
-    per_update = (time.perf_counter() - start) / updates
-    state.detach_neighbor_index()
-    return {
-        "full_build_seconds": round(full_build, 6),
-        "per_update_seconds": round(per_update, 9),
-        "updates": updates,
-        "updates_per_rebuild": round(full_build / per_update, 1) if per_update else 0.0,
     }
 
 
@@ -595,8 +571,6 @@ def run_grid(columns: int, rows: int, holes: int, seed: int, repeats: int) -> di
         "deploy": bench_deploy(columns, rows, seed),
         "adjacency": bench_adjacency(base),
     }
-    if base.node_count <= INCREMENTAL_MAX_NODES:
-        entry["incremental_adjacency"] = bench_incremental_adjacency(base.clone())
     print(
         f"{columns:>4}x{rows:<4} {base.node_count:>6} nodes  "
         f"per-round {rounds['per_round_seconds'] * 1e3:8.3f} ms  "
@@ -613,8 +587,8 @@ def channel_failures(channel: dict) -> list:
     if channel["us_per_message"] <= CHANNEL_US_PER_MESSAGE_LIMIT:
         return []
     return [
-        f"the perfect channel costs {channel['us_per_message']:.2f} us per message "
-        f"over channel-less rounds (limit {CHANNEL_US_PER_MESSAGE_LIMIT} us) — the "
+        f"the perfect channel's messaging calls cost {channel['us_per_message']:.2f} "
+        f"us per message sent (limit {CHANNEL_US_PER_MESSAGE_LIMIT} us) — the "
         "messaging subsystem grew a cost not explained by traffic"
     ]
 
@@ -678,11 +652,9 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
     base = build_base_state(16, 16, seed)
     channel = bench_channel_overhead(base, holes, seed, repeats)
     print(
-        "channel cost guard: no-channel "
-        f"{channel['per_round_seconds_no_channel'] * 1e3:.3f} ms vs perfect "
-        f"{channel['per_round_seconds_perfect_channel'] * 1e3:.3f} ms per round, "
-        f"{channel['messages_per_run']} messages per run "
-        f"-> {channel['us_per_message']:.2f} us per message "
+        f"channel cost guard: {channel['runs']} perfect-channel runs, "
+        f"{channel['messages_per_run']} messages per run, messaging calls "
+        f"{channel['us_per_message']:.2f} us per message "
         f"(limit {CHANNEL_US_PER_MESSAGE_LIMIT})"
     )
     failures.extend(channel_failures(channel))
@@ -758,9 +730,9 @@ def full(holes: int, seed: int, repeats: int, output: Path, include_large: bool)
             "SR recovery per-round cost and state-query cost at equal hole "
             "count across grid sizes; per_round_ratio_largest_vs_smallest ~2x "
             "or less means round cost is grid-size independent, "
-            "channel_overhead.us_per_message is what the default perfect "
-            "control-message channel adds per message sent (perfect-channel "
-            "rounds minus channel-less rounds, median over adjacent pairs; "
+            "channel_overhead.us_per_message is the time spent inside the "
+            "default perfect channel's messaging calls (send, deliver, "
+            "handle_messages) per message sent (median over runs; "
             f"guarded at <= {CHANNEL_US_PER_MESSAGE_LIMIT} us), "
             "the per-tier deploy/adjacency columns track the "
             "vectorized struct-of-arrays paths (per-edge seconds are the "

@@ -307,7 +307,7 @@ class LocalizedReplacementController(MobilityController):
         cascade.supplier = next_supplier
         cascade.direction = direction
         cascade.stalls = 0
-        if self._post_replacement_request(
+        self._post_replacement_request(
             state,
             head_id,
             source_cell=coords[target],
@@ -315,8 +315,8 @@ class LocalizedReplacementController(MobilityController):
             vacancy=coords[supplier],
             process_id=process_id,
             round_index=round_index,
-        ):
-            cascade.awaiting_delivery = True
+        )
+        cascade.awaiting_delivery = True
 
     def _choose_next_supplier(
         self,

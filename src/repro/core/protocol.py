@@ -8,6 +8,12 @@ move did not create a new vacancy) or by *failing* (the cascade dead-ended or
 exceeded its hop budget).  The per-process records defined here are what the
 experiments of Section 5 aggregate: number of processes initiated, number of
 node movements, total moving distance, and success rate.
+
+Heads talk only through the run's control channel, which the engine binds
+to the controller before the first round: a head posts a replacement request,
+the engine delivers it in a later round, and on unreliable channels the
+controller's retry layer resends it until it is acknowledged or its budget
+runs out.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from repro.grid.virtual_grid import GridCoord
 from repro.network.channel import ChannelState
 from repro.network.messages import Message, MessageKind
 from repro.network.mobility import MoveRecord
-from repro.network.node import MESSAGE_COST
 from repro.network.state import WsnState
 
 
@@ -145,41 +150,14 @@ class RoundOutcome:
         )
 
 
-def usable_spares(state: WsnState, cell: GridCoord) -> List[int]:
-    """Ids of the spares of ``cell`` that still have the battery to move, in id order.
-
-    The coordinate form of :meth:`WsnState.usable_spares_at`; a cell off the
-    grid raises :class:`KeyError`.
-    """
-    return state.usable_spares_at(state.grid.flat_id(cell))
-
-
-def select_spare(
-    state: WsnState,
-    cell: GridCoord,
-    target: GridCoord,
-    selection: str,
-    rng: Optional[random.Random] = None,
-) -> Optional[int]:
-    """The usable spare of ``cell`` (an id) sent into ``target``; ``None`` if it has none.
-
-    ``"nearest"`` picks the spare closest to the target cell's centre (ties
-    by id), ``"max_energy"`` the fullest battery (ties by distance, then id),
-    and ``"random"`` draws uniformly from ``rng``, the only selection that
-    needs one.  The coordinate form of :meth:`WsnState.select_spare_at`,
-    which holds the rule.
-    """
-    return state.select_spare_at(
-        state.grid.flat_id(cell), state.grid.flat_id(target), selection, rng
-    )
-
-
 class MobilityController(abc.ABC):
     """A distributed hole-recovery scheme driven by the round-based engine.
 
     A controller is bound to one :class:`~repro.network.state.WsnState` and
     mutates it (through :meth:`WsnState.move_node`) as its heads act.  The
-    engine calls :meth:`execute_round` once per synchronous round.
+    engine binds the run's control channel (:meth:`bind_channel`), then in
+    every synchronous round hands the channel's deliveries to
+    :meth:`handle_messages` and calls :meth:`execute_round`.
     """
 
     #: Human-readable scheme name used in metric records and plots.
@@ -188,9 +166,8 @@ class MobilityController(abc.ABC):
     def __init__(self) -> None:
         self._processes: Dict[int, ReplacementProcess] = {}
         self._next_process_id = 0
-        #: The run's control channel.  ``None`` (standalone use, outside an
-        #: engine) falls back to the pre-channel semantics: notifications are
-        #: counted and charged at the node default but not materialised.
+        #: The run's control channel; the engine binds it before the first
+        #: round.
         self.channel: Optional[ChannelState] = None
         #: Requests awaiting acknowledgement, keyed by ``(process_id, vacancy)``.
         self._awaiting_ack: Dict[Tuple[int, Tuple[int, int]], _PendingRequest] = {}
@@ -198,7 +175,7 @@ class MobilityController(abc.ABC):
         self._request_nonce = 0
 
     # -------------------------------------------------------------- messaging
-    def bind_channel(self, channel: Optional[ChannelState]) -> None:
+    def bind_channel(self, channel: ChannelState) -> None:
         """Attach the run's control channel (called by the engine).
 
         Binding clears the messaging state (pending acknowledgements and the
@@ -227,7 +204,7 @@ class MobilityController(abc.ABC):
         addressed to a cell that currently has no head is not acknowledged,
         so the sender's retry keeps the cascade alive until a head exists.
         """
-        acknowledge = self.channel is not None and self.channel.requires_ack
+        acknowledge = self.channel.requires_ack
         for cell, messages in inbox.items():
             for message in messages:
                 if message.kind is MessageKind.REPLACEMENT_ACK:
@@ -286,19 +263,16 @@ class MobilityController(abc.ABC):
         process_id: int,
         round_index: int,
         reliable: bool = True,
-    ) -> bool:
+    ) -> None:
         """Send one replacement request through the channel.
 
-        Returns ``True`` when the request was routed through a real channel
-        (so the caller must gate the cascade on its delivery).  Without a
-        channel the pre-channel fallback applies: the sender is charged the
-        node-level default message cost and no gating happens.  With
-        ``reliable=False`` the message is advisory (fire-and-forget): it is
-        neither acknowledged nor retried, and delivery gates nothing.
+        A reliable request gates the cascade: the caller waits for its
+        delivery, and on unreliable channels it is tracked for
+        acknowledgement and retried.  With ``reliable=False`` the message is
+        advisory (fire-and-forget): it is neither acknowledged nor retried,
+        and delivery gates nothing.  The channel's debit hook charges the
+        sender.
         """
-        if self.channel is None:
-            state.debit_energy(sender_id, MESSAGE_COST)
-            return False
         payload = {"vacancy": vacancy.as_tuple()}
         if not reliable:
             payload["ack"] = False
@@ -324,7 +298,6 @@ class MobilityController(abc.ABC):
                 nonce=self._request_nonce,
             )
             self._request_nonce += 1
-        return reliable
 
     def _service_retries(
         self, state: WsnState, round_index: int, outcome: "RoundOutcome"
@@ -335,7 +308,7 @@ class MobilityController(abc.ABC):
         round.  Only unreliable channels ever populate the pending table, so
         this is a no-op on perfect/delayed channels.
         """
-        if self.channel is None or not self.channel.requires_ack:
+        if not self.channel.requires_ack:
             return
         for key in sorted(self._awaiting_ack):
             pending = self._awaiting_ack[key]

@@ -226,7 +226,7 @@ class HamiltonReplacementController(MobilityController):
         # to acknowledge or retry.
         final_hop = process.move_count + 1 >= self.max_hops
         coords = grid.coord_list()
-        gated = self._post_replacement_request(
+        self._post_replacement_request(
             state,
             head_id,
             source_cell=coords[vacant],
@@ -248,8 +248,7 @@ class HamiltonReplacementController(MobilityController):
             outcome.processes_failed.append(process.process_id)
             return
         self._vacancy_process[initiator] = process.process_id
-        if gated:
-            self._undelivered.add(initiator)
+        self._undelivered.add(initiator)
 
     # -------------------------------------------------------------- messaging
     def _reset_messaging_state(self) -> None:

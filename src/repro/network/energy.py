@@ -27,6 +27,7 @@ consumption must not vanish) are both handled correctly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -86,6 +87,8 @@ class EnergyModel:
             "depletion_threshold",
         ):
             value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 

@@ -282,10 +282,21 @@ def _reason_from(params: Dict[str, object], kind: str, default: NodeState) -> No
     return NodeState(value)
 
 
+def _is_finite_number(value: object) -> bool:
+    """Whether ``value`` is an int or a finite float (``bool`` is not a number here)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _checked_number(value: object, kind: str, key: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ValueError(
             f"failure kind {kind!r}: parameter {key!r} must be a number, got {value!r}"
+        )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(
+            f"failure kind {kind!r}: parameter {key!r} must be finite, got {value!r}"
         )
     return value
 
@@ -306,11 +317,11 @@ def _point_from(value: object, kind: str, key: str) -> Point:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in value)
+        or not all(_is_finite_number(c) for c in value)
     ):
         raise ValueError(
             f"failure kind {kind!r}: parameter {key!r} must be an [x, y] pair "
-            f"of numbers, got {value!r}"
+            f"of finite numbers, got {value!r}"
         )
     return Point(float(value[0]), float(value[1]))
 
@@ -345,14 +356,11 @@ def _build_region_jamming(params: Dict[str, object]) -> FailureModel:
         if (
             not isinstance(box_value, (list, tuple))
             or len(box_value) != 4
-            or not all(
-                isinstance(c, (int, float)) and not isinstance(c, bool)
-                for c in box_value
-            )
+            or not all(_is_finite_number(c) for c in box_value)
         ):
             raise ValueError(
                 "failure kind 'region_jamming': parameter 'box' must be "
-                f"[min_x, min_y, max_x, max_y], got {box_value!r}"
+                f"[min_x, min_y, max_x, max_y] of finite numbers, got {box_value!r}"
             )
         box = BoundingBox(
             float(box_value[0]), float(box_value[1]),

@@ -21,7 +21,7 @@ draws both depend on it).
 from __future__ import annotations
 
 import struct
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -43,13 +43,13 @@ SPARE_CODE = ROLE_CODES[NodeRole.SPARE]
 UNASSIGNED_CODE = ROLE_CODES[NodeRole.UNASSIGNED]
 
 #: Version of the :meth:`NodeArrays.to_bytes` buffer layout.  Bump whenever a
-#: column is added, removed, or changes dtype — restore rejects foreign
-#: versions loudly instead of misinterpreting raw buffers.
+#: column is added, removed, or changes dtype, so images of different
+#: layouts never compare equal.
 BUFFER_FORMAT_VERSION = 1
 
-#: Column layout of a snapshot: name, dtype, and per-row element count, in
-#: buffer order.  The layout is fully determined by the row count, so the
-#: snapshot needs no per-column framing.
+#: Column layout of the byte image: name, dtype, and per-row element count,
+#: in buffer order.  The layout is fully determined by the row count, so the
+#: image needs no per-column framing.
 _COLUMN_LAYOUT: Tuple[Tuple[str, np.dtype, int], ...] = (
     ("node_ids", np.dtype(np.int64), 1),
     ("positions", np.dtype(np.float64), 2),
@@ -62,15 +62,8 @@ _COLUMN_LAYOUT: Tuple[Tuple[str, np.dtype, int], ...] = (
     ("move_count", np.dtype(np.int64), 1),
 )
 
-#: ``struct`` format of the snapshot header: layout version + row count.
+#: ``struct`` format of the image header: layout version + row count.
 _HEADER_FORMAT = "<II"
-_HEADER_SIZE = struct.calcsize(_HEADER_FORMAT)
-
-
-def snapshot_nbytes(count: int) -> int:
-    """Exact byte size of a :meth:`NodeArrays.to_bytes` snapshot of ``count`` rows."""
-    row_bytes = sum(dtype.itemsize * width for _, dtype, width in _COLUMN_LAYOUT)
-    return _HEADER_SIZE + count * row_bytes
 
 
 class NodeArrays:
@@ -226,52 +219,20 @@ class NodeArrays:
         """Boolean mask over rows: ``state == ENABLED`` (fresh array)."""
         return self.state == ENABLED_CODE
 
-    # -------------------------------------------------------------- snapshots
+    # ------------------------------------------------------------ byte image
     def to_bytes(self) -> bytes:
-        """Compact binary snapshot: a fixed header plus the raw column buffers.
+        """Byte image of every column: a fixed header plus the raw column buffers.
 
         The layout (``_COLUMN_LAYOUT``) is versioned and fully determined by
-        the row count, so a snapshot is just ``len(self)`` and the
+        the row count, so the image is just ``len(self)`` and the
         concatenated little-endian buffers — no pickle, no per-column
-        framing.  ``from_bytes(to_bytes())`` round-trips every column
-        bit-for-bit.
+        framing.  Two stores hold the same values in every column exactly
+        when their images are equal.
         """
         parts = [struct.pack(_HEADER_FORMAT, BUFFER_FORMAT_VERSION, len(self))]
         for name, dtype, _ in _COLUMN_LAYOUT:
             parts.append(np.ascontiguousarray(getattr(self, name), dtype=dtype).tobytes())
         return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, buffer: Union[bytes, memoryview]) -> "NodeArrays":
-        """Rebuild a store from a :meth:`to_bytes` snapshot.
-
-        ``buffer`` must be exactly :func:`snapshot_nbytes` of its row count
-        long; a shorter or longer buffer is rejected.  Columns are copied out
-        of the buffer, so the result owns writable arrays and the buffer may
-        be released immediately.
-        """
-        if len(buffer) < _HEADER_SIZE:
-            raise ValueError("snapshot buffer is too short for a header")
-        version, count = struct.unpack_from(_HEADER_FORMAT, buffer, 0)
-        if version != BUFFER_FORMAT_VERSION:
-            raise ValueError(
-                f"snapshot has buffer format version {version}, "
-                f"this build expects {BUFFER_FORMAT_VERSION}"
-            )
-        if len(buffer) != snapshot_nbytes(count):
-            raise ValueError(
-                f"snapshot buffer holds {len(buffer)} bytes, a {count}-row "
-                f"snapshot is exactly {snapshot_nbytes(count)}"
-            )
-        offset = _HEADER_SIZE
-        columns: Dict[str, np.ndarray] = {}
-        for name, dtype, width in _COLUMN_LAYOUT:
-            flat = np.frombuffer(
-                buffer, dtype=dtype, count=count * width, offset=offset
-            ).copy()
-            columns[name] = flat.reshape(count, width) if width > 1 else flat
-            offset += count * width * dtype.itemsize
-        return cls(**columns)
 
     # ------------------------------------------------------------------- copy
     def copy(self) -> "NodeArrays":

@@ -45,15 +45,15 @@ replacement controllers read the flat form directly: :attr:`cell_heads`,
 :attr:`cell_counts`, :meth:`vacant_flat_cells`, :meth:`usable_spares_at`
 and :meth:`select_spare_at`, and they move nodes with :meth:`relocate`.
 
-An optional :class:`~repro.network.adjacency.NeighborIndex` can be attached
-with :meth:`attach_neighbor_index`; the mutation paths then update radio
-neighbourhoods incrementally instead of forcing per-query rebuilds.
-
 Round cost therefore scales with the number of holes and moves, not with the
 ``m*n`` grid size.  :meth:`check_invariants` is the oracle for this contract:
 it rebuilds every index from scratch from the arrays and asserts the
-incremental copies (including the cell column and any attached neighbour
-index) agree (see DESIGN.md, "The state-index contract").
+incremental copies (including the cell column) agree (see DESIGN.md, "The
+state-index contract").
+
+:meth:`WsnState.to_bytes` is the state's byte image: the grid geometry plus
+every node column.  Tests and benchmarks compare states by it; nothing
+rebuilds a state from it.
 """
 
 from __future__ import annotations
@@ -62,14 +62,13 @@ import math
 import random
 import struct
 from bisect import bisect_left, insort
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.grid.geometry import Point
 from repro.grid.head_election import HeadElectionPolicy, elect_head, lowest_id_policy
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
-from repro.network.adjacency import NeighborIndex
 from repro.network.mobility import MovementModel, MoveRecord
 from repro.network.node import ROLE_BY_CODE, STATE_CODES, NodeState, SensorNode
 from repro.network.node_arrays import (
@@ -80,14 +79,13 @@ from repro.network.node_arrays import (
     NodeArrays,
 )
 
-#: Version of the :meth:`WsnState.to_bytes` snapshot layout (grid header +
+#: Version of the :meth:`WsnState.to_bytes` layout (grid header +
 #: :meth:`NodeArrays.to_bytes` buffer).  Bump on any header change.
 STATE_SNAPSHOT_VERSION = 1
 
-#: ``struct`` format of the state snapshot header: layout version, grid
-#: columns/rows, cell side, and the grid origin coordinates.
+#: ``struct`` format of the state header: layout version, grid columns/rows,
+#: cell side, and the grid origin coordinates.
 _SNAPSHOT_HEADER_FORMAT = "<IIIddd"
-_SNAPSHOT_HEADER_SIZE = struct.calcsize(_SNAPSHOT_HEADER_FORMAT)
 
 
 def _validate_population(grid: VirtualGrid, arrays: NodeArrays) -> None:
@@ -175,7 +173,6 @@ class WsnState:
         arrays.cell[:] = grid.cell_indices(
             arrays.positions[:, 0], arrays.positions[:, 1]
         )
-        self._neighbor_index: Optional[NeighborIndex] = None
         self._rebuild_indices_from_arrays()
         self.elect_all_heads()
 
@@ -454,7 +451,7 @@ class WsnState:
         (ties by id), ``"max_energy"`` the fullest battery (ties by
         distance, then id), and ``"random"`` draws uniformly from ``rng``,
         the only selection that needs one.  This is the one spare-selection
-        rule; :func:`repro.core.protocol.select_spare` is its coordinate form.
+        rule.
         """
         spares = self._usable_spare_rows(flat)
         if not spares:
@@ -481,25 +478,6 @@ class WsnState:
                 key=lambda spare: (float(energy[spare[1]]), -distance(spare[1]), -spare[0]),
             )[0]
         return min(spares, key=lambda spare: (distance(spare[1]), spare[0]))[0]
-
-    # ------------------------------------------------------- adjacency index
-    @property
-    def neighbor_index(self) -> Optional[NeighborIndex]:
-        """The attached incremental radio-neighbourhood index, if any."""
-        return self._neighbor_index
-
-    def attach_neighbor_index(self, radio) -> NeighborIndex:
-        """Build and attach a :class:`NeighborIndex` for ``radio``.
-
-        The mutation paths keep it up to date incrementally; detach with
-        :meth:`detach_neighbor_index` when radio parameters change.
-        """
-        self._neighbor_index = NeighborIndex(self, radio)
-        return self._neighbor_index
-
-    def detach_neighbor_index(self) -> None:
-        """Drop the attached neighbour index (if any)."""
-        self._neighbor_index = None
 
     # ---------------------------------------------------------------- changes
     def disable_node(self, node_id: int, reason: NodeState = NodeState.FAILED) -> None:
@@ -577,9 +555,6 @@ class WsnState:
             else:
                 for flat in hit:
                     self._elect_cell_head(flat)
-        if self._neighbor_index is not None:
-            for row in sorted(set(rows.tolist())):
-                self._neighbor_index.on_disable(row)
 
     def enable_node(self, node_id: int) -> None:
         """Re-admit a previously disabled node (extension; not used by the paper)."""
@@ -592,8 +567,6 @@ class WsnState:
         flat = int(arrays.cell[row])
         self._index_add(flat, node_id)
         self._elect_cell_head(flat)
-        if self._neighbor_index is not None:
-            self._neighbor_index.on_enable(row)
 
     def move_node(
         self,
@@ -731,8 +704,6 @@ class WsnState:
         if head_id is None:
             head_id = self._elect_fresh(target)
         role[row] = HEAD_CODE if head_id == node_id else SPARE_CODE
-        if self._neighbor_index is not None:
-            self._neighbor_index.on_move(row)
         coords = self.grid.coord_list()
         return MoveRecord(
             node_id,
@@ -861,9 +832,8 @@ class WsnState:
         head policy, and movement model are immutable and shared, the node
         arrays are copied column-by-column, and the incremental indices are
         copied container-by-container.  Handles are re-created lazily on the
-        clone, and an attached neighbour index is not cloned — attach a fresh
-        one if the clone needs it.  Sweep fan-out over one scenario therefore
-        pays O(nodes + cells) per clone instead of a full recursive deepcopy.
+        clone.  Sweep fan-out over one scenario therefore pays O(nodes +
+        cells) per clone instead of a full recursive deepcopy.
         """
         twin = WsnState.__new__(WsnState)
         twin.grid = self.grid
@@ -877,20 +847,19 @@ class WsnState:
         twin._vacant = set(self._vacant)
         twin._spare_total = self._spare_total
         twin._enabled_total = self._enabled_total
-        twin._neighbor_index = None
         return twin
 
-    # -------------------------------------------------------------- snapshots
+    # ------------------------------------------------------------ byte image
     def to_bytes(self) -> bytes:
-        """Compact binary snapshot of the state: grid header + raw node columns.
+        """The state's byte image: grid header + raw node columns.
 
-        Only the *data* travels — the grid geometry and the
-        :meth:`NodeArrays.to_bytes` buffer.  Behaviour objects (head policy,
-        movement model) are plain functions, not data; :meth:`from_bytes`
-        re-installs them from its arguments.  The incremental indices and the
-        head table are redundant with the arrays (membership/occupancy follow
-        from state+cell, heads from the role column) and are rebuilt on
-        restore, so a snapshot costs exactly one buffer concatenation.
+        The grid geometry and the :meth:`NodeArrays.to_bytes` buffer (every
+        node column) determine the whole state: the incremental indices
+        follow from the state and cell columns, and the head table from the
+        role column.  Two states are the same state exactly when their
+        images are equal, which is how tests and benchmarks compare them.
+        Behaviour objects (head policy, movement model) are functions, not
+        data, and are not part of the image.
         """
         grid = self.grid
         origin = grid.origin
@@ -905,74 +874,14 @@ class WsnState:
         )
         return header + self.arrays.to_bytes()
 
-    @classmethod
-    def from_bytes(
-        cls,
-        buffer: Union[bytes, memoryview],
-        head_policy: Optional[HeadElectionPolicy] = None,
-        movement_model: Optional[MovementModel] = None,
-    ) -> "WsnState":
-        """Rebuild a state from a :meth:`to_bytes` snapshot.
-
-        The restored state is equivalent to a :meth:`clone` of the snapshotted
-        one: arrays are copied out of the buffer, the incremental indices are
-        rebuilt from the arrays, and the head table is restored from the
-        persisted role column — *not* by a fresh election, which under a
-        non-default policy (e.g. ``highest_energy``) could pick different
-        heads than the snapshotted state held.  Handles are re-created lazily
-        and a neighbour index is not carried over, exactly like ``clone``.
-        ``buffer`` must hold exactly one snapshot: trailing bytes are
-        rejected.
-        """
-        if len(buffer) < _SNAPSHOT_HEADER_SIZE:
-            raise ValueError("state snapshot buffer is too short for a header")
-        version, columns, rows, cell_size, origin_x, origin_y = struct.unpack_from(
-            _SNAPSHOT_HEADER_FORMAT, buffer, 0
-        )
-        if version != STATE_SNAPSHOT_VERSION:
-            raise ValueError(
-                f"state snapshot has version {version}, "
-                f"this build expects {STATE_SNAPSHOT_VERSION}"
-            )
-        grid = VirtualGrid(columns, rows, cell_size, origin=Point(origin_x, origin_y))
-        arrays = NodeArrays.from_bytes(memoryview(buffer)[_SNAPSHOT_HEADER_SIZE:])
-        twin = cls.__new__(cls)
-        twin.grid = grid
-        twin._head_policy = head_policy or lowest_id_policy
-        twin.movement_model = movement_model or MovementModel(grid)
-        twin.arrays = arrays
-        twin._handles = {}
-        twin._neighbor_index = None
-        twin._rebuild_indices_from_arrays()
-        twin._restore_heads_from_roles()
-        return twin
-
-    def _restore_heads_from_roles(self) -> None:
-        """Rebuild the head table from the persisted role column.
-
-        Every occupied cell of a consistent state holds exactly one enabled
-        node with the ``HEAD`` role (disabled nodes may keep a stale head
-        role; they are ignored), so the role column *is* the head assignment.
-        """
-        arrays = self.arrays
-        heads: List[Optional[int]] = [None] * self.grid.cell_count
-        head_rows = np.flatnonzero(
-            (arrays.state == ENABLED_CODE) & (arrays.role == HEAD_CODE)
-        )
-        for flat, node_id in zip(
-            arrays.cell[head_rows].tolist(), arrays.node_ids[head_rows].tolist()
-        ):
-            heads[flat] = node_id
-        self._heads = heads
-
     def check_invariants(self) -> None:
         """Raise :class:`AssertionError` if any index or grid-overlay invariant is violated.
 
         This is the oracle of the state-index contract: every incremental
         index (membership lists, occupancy counters, vacant set, spare and
-        enabled totals, the per-node cell column, and any attached neighbour
-        index) is compared against a from-scratch rebuild derived from the
-        node arrays, and the head invariants of Section 2 are checked on top.
+        enabled totals, and the per-node cell column) is compared against a
+        from-scratch rebuild derived from the node arrays, and the head
+        invariants of Section 2 are checked on top.
         """
         arrays = self.arrays
         grid = self.grid
@@ -1043,8 +952,6 @@ class WsnState:
             f"{ROLE_BY_CODE[arrays.role[wrong[0]]].value}, the role rule says "
             f"{ROLE_BY_CODE[expected_roles[wrong[0]]].value}"
         )
-        if self._neighbor_index is not None:
-            self._neighbor_index.check_consistency()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

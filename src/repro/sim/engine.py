@@ -7,6 +7,11 @@ starts".  :class:`RoundBasedEngine` drives one
 :class:`~repro.core.protocol.MobilityController` through those synchronous
 rounds, optionally injecting additional failures while the simulation runs
 (dynamic holes), and collects the metrics the paper's evaluation reports.
+
+Every run owns one control channel (:mod:`repro.network.channel`), the
+paper's perfect one-round channel by default: the engine binds it to the
+controller, delivers its messages at the start of every round, debits each
+transmission from its sender, and counts the run's traffic from it.
 """
 
 from __future__ import annotations
@@ -41,18 +46,16 @@ class SimulationResult:
     metrics: RunMetrics
     rounds_executed: int
     stalled: bool
+    #: Traffic statistics of the run's control channel.
+    channel_stats: ChannelStats
     #: Whether the run hit ``max_rounds`` before finishing.  A bound-hit run
     #: with holes remaining is also reported as stalled: it did not converge,
     #: and must not be indistinguishable from a clean finish.
     exhausted: bool = False
-    round_outcomes: List[RoundOutcome] = field(default_factory=list)
     series: RoundSeries = field(default_factory=RoundSeries)
     event_log: Optional[EventLog] = None
     #: Ids of nodes the engine disabled as battery-depleted, in depletion order.
     depleted_nodes: List[int] = field(default_factory=list)
-    #: Traffic statistics of the run's control channel (``None`` when the
-    #: engine ran without a messaging subsystem).
-    channel_stats: Optional[ChannelStats] = None
 
     @property
     def converged(self) -> bool:
@@ -95,11 +98,9 @@ class RoundBasedEngine:
         is the run-until-network-death mode of the lifetime workloads.
     channel:
         The :class:`~repro.network.channel.ChannelModel` of the run's control
-        traffic.  The default is the paper's perfect one-round channel, which
-        reproduces the pre-channel semantics bit for bit.  Pass ``None`` to
-        run without a messaging subsystem at all — the controllers fall back
-        to their observation-driven legacy path (used by the channel-overhead
-        benchmark and the equivalence regression tests).
+        traffic.  The default is the paper's perfect one-round channel: a
+        message sent in round ``t`` is delivered at the start of round
+        ``t + 1``.
     channel_seed:
         Seed of the channel's own random stream (stochastic drops); kept
         separate from ``rng`` so loss patterns never perturb movement
@@ -117,7 +118,7 @@ class RoundBasedEngine:
         idle_round_limit: int = DEFAULT_IDLE_ROUND_LIMIT,
         energy_model: Optional[EnergyModel] = None,
         run_to_exhaustion: bool = False,
-        channel: Optional[ChannelModel] = DEFAULT_CHANNEL,
+        channel: ChannelModel = DEFAULT_CHANNEL,
         channel_seed: int = 0,
     ) -> None:
         if idle_round_limit < 1:
@@ -150,26 +151,14 @@ class RoundBasedEngine:
         self._message_cost = (
             energy_model.message_cost if energy_model is not None else MESSAGE_COST
         )
-        if channel is None and self._message_cost != MESSAGE_COST:
-            # The legacy path charges the node default at the send site; it
-            # cannot honour a custom rate, and silently under- or
-            # over-debiting would corrupt the energy books.
-            raise ValueError(
-                "channel=None (the legacy no-messaging path) cannot honour a "
-                f"custom EnergyModel.message_cost ({self._message_cost}); run "
-                "with a channel model instead"
-            )
-        self.channel = (
-            build_channel(channel, derive_rng(channel_seed, f"channel:{channel.kind}"))
-            if channel is not None
-            else None
+        self.channel = build_channel(
+            channel, derive_rng(channel_seed, f"channel:{channel.kind}")
         )
-        if self.channel is not None:
-            # Message energy is debited at the moment of transmission — the
-            # same in-round visibility the movement debit has, so a head that
-            # empties its battery by transmitting is seen as depleted for the
-            # rest of the round.
-            self.channel.debit_hook = self._charge_sender
+        # Message energy is debited at the moment of transmission — the same
+        # in-round visibility the movement debit has, so a head that empties
+        # its battery by transmitting is seen as depleted for the rest of the
+        # round.
+        self.channel.debit_hook = self._charge_sender
         controller.bind_channel(self.channel)
         if energy_model is not None:
             # Route the model's move rate into the node-level debit path
@@ -193,7 +182,6 @@ class RoundBasedEngine:
             holes=initial.holes,
             spares=initial.spares,
         )
-        outcomes: List[RoundOutcome] = []
         series = RoundSeries()
         idle_rounds = 0
         stalled = False
@@ -205,19 +193,17 @@ class RoundBasedEngine:
             # Start-of-round physics: scheduled failures, then the energy model.
             self._inject_failures(round_index)
             round_depletions = self._apply_energy(round_index)
-            sent_before, dropped_before = self._channel_counters()
-            if channel is not None:
-                # Control messages sent in earlier rounds arrive now, before
-                # any head acts — the paper's one-round-latency assumption,
-                # generalised to whatever the channel model dictates.
-                inbox = channel.deliver(round_index)
-                if inbox:
-                    controller.handle_messages(state, inbox, round_index)
+            sent_before = channel.sent_count
+            dropped_before = channel.dropped_count
+            # Control messages sent in earlier rounds arrive now, before any
+            # head acts — the paper's one-round-latency assumption,
+            # generalised to whatever the channel model dictates.
+            inbox = channel.deliver(round_index)
+            if inbox:
+                controller.handle_messages(state, inbox, round_index)
             outcome = controller.execute_round(state, self.rng, round_index)
-            outcomes.append(outcome)
             rounds_executed = round_index + 1
             self._emit_outcome(outcome)
-            sent_after, dropped_after = self._channel_counters()
             # hole_count and spare_count are O(1) reads of the state's
             # incremental indices, so per-round sampling stays cheap on
             # arbitrarily large grids.  The energy total is an O(enabled)
@@ -229,12 +215,8 @@ class RoundBasedEngine:
                 spares=state.spare_count,
                 energy=remaining_energy(state)[0] if track_energy else None,
                 depletions=round_depletions if track_energy else None,
-                messages=(
-                    sent_after - sent_before
-                    if channel is not None
-                    else outcome.messages_sent
-                ),
-                drops=dropped_after - dropped_before,
+                messages=channel.sent_count - sent_before,
+                drops=channel.dropped_count - dropped_before,
             )
             if self.round_observer is not None:
                 sample = {
@@ -283,33 +265,21 @@ class RoundBasedEngine:
         finalize = getattr(controller, "finalize", None)
         if callable(finalize):
             finalize(state, final_round)
-        if channel is not None:
-            # The channel is the authority on traffic: every actual
-            # transmission (requests, retries, acknowledgements) counts.
-            messages_sent = channel.sent_count
-            messages_dropped = channel.dropped_count
-            mean_latency = channel.mean_delivery_latency
-            messages_delivered = channel.delivered_count
-            messages_in_flight = channel.pending_count
-        else:
-            messages_sent = sum(outcome.messages_sent for outcome in outcomes)
-            messages_dropped = 0
-            mean_latency = 0.0
-            messages_delivered = 0
-            messages_in_flight = 0
+        # The channel is the authority on traffic: every actual transmission
+        # (requests, retries, acknowledgements) counts.
         metrics = collect_metrics(
             controller,
             state,
             initial,
             rounds_executed,
-            messages_sent,
+            channel.sent_count,
             # The battery summary is an O(all nodes) sweep — worth it only
             # when the run actually had energy physics to report on.
             energy=energy_summary(state) if track_energy else None,
-            messages_dropped=messages_dropped,
-            mean_delivery_latency=mean_latency,
-            messages_delivered=messages_delivered,
-            messages_in_flight=messages_in_flight,
+            messages_dropped=channel.dropped_count,
+            mean_delivery_latency=channel.mean_delivery_latency,
+            messages_delivered=channel.delivered_count,
+            messages_in_flight=channel.pending_count,
         )
         self._emit(
             EventKind.SIMULATION_FINISHED,
@@ -323,20 +293,13 @@ class RoundBasedEngine:
             rounds_executed=rounds_executed,
             stalled=stalled,
             exhausted=exhausted,
-            round_outcomes=outcomes,
             series=series,
             event_log=self.event_log,
             depleted_nodes=list(self.depleted_nodes),
-            channel_stats=channel.stats() if channel is not None else None,
+            channel_stats=channel.stats(),
         )
 
     # --------------------------------------------------------------- internal
-    def _channel_counters(self) -> tuple:
-        """(sent, dropped) totals of the channel (zeros without a channel)."""
-        if self.channel is None:
-            return (0, 0)
-        return (self.channel.sent_count, self.channel.dropped_count)
-
     def _charge_sender(self, sender_id: int) -> None:
         """Debit one transmission from its sender (the channel's debit hook).
 
@@ -354,8 +317,6 @@ class RoundBasedEngine:
         timeout must not be mistaken for a stall: the cascade will resume
         (or give up, unblocking a real stall verdict) once the channel acts.
         """
-        if self.channel is None:
-            return False
         return self.channel.pending_count > 0 or self.controller.pending_acknowledgements > 0
 
     def _apply_energy(self, round_index: int) -> int:
@@ -468,7 +429,7 @@ def run_recovery(
     event_log: Optional[EventLog] = None,
     energy_model: Optional[EnergyModel] = None,
     run_to_exhaustion: bool = False,
-    channel: Optional[ChannelModel] = DEFAULT_CHANNEL,
+    channel: ChannelModel = DEFAULT_CHANNEL,
     channel_seed: int = 0,
 ) -> SimulationResult:
     """Convenience wrapper: build a :class:`RoundBasedEngine` and run it."""

@@ -38,21 +38,19 @@ class RunMetrics:
     cell_coverage_before: float
     cell_coverage_after: float
     energy: Optional[EnergySummary] = None
-    #: Control messages the channel lost in transit (0 on reliable channels
-    #: and on pre-channel legacy runs).
+    #: Control messages the channel lost in transit (0 on reliable channels).
     messages_dropped: int = 0
     #: Mean rounds between send and delivery over the delivered messages
     #: (0.0 when nothing was delivered; 1.0 on the paper's perfect channel).
     mean_delivery_latency: float = 0.0
     #: Control messages delivered to their destination cell.  Together with
     #: :attr:`messages_dropped` and :attr:`messages_in_flight` this makes the
-    #: channel ledger auditable from the record alone: every channel-backed
-    #: run satisfies ``sent == delivered + dropped + in_flight`` (the
-    #: message-conservation oracle of :mod:`repro.experiments.differential`).
-    #: 0 on pre-channel legacy runs, where only ``messages_sent`` is counted.
+    #: channel ledger auditable from the record alone: every run satisfies
+    #: ``sent == delivered + dropped + in_flight`` (the message-conservation
+    #: oracle of :mod:`repro.experiments.differential`).
     messages_delivered: int = 0
     #: Control messages still in flight (queued in the mailbox) when the run
-    #: ended.  0 on pre-channel legacy runs.
+    #: ended.
     messages_in_flight: int = 0
 
     @property

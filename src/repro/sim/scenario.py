@@ -13,6 +13,7 @@ plus the ones needed by the extension examples.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -93,6 +94,10 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.columns < 1 or self.rows < 1:
             raise ValueError("grid dimensions must be positive")
+        for name in ("communication_range", "initial_energy"):
+            value = getattr(self, name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.communication_range <= 0:
             raise ValueError("communication_range must be positive")
         if self.deployed_count < 0:

@@ -10,7 +10,7 @@ from repro.network.deployment import deploy_per_cell
 from repro.network.state import WsnState
 from repro.sim.engine import run_recovery
 
-from helpers import make_hole
+from helpers import make_hole, step_round
 
 
 class TestConstruction:
@@ -31,7 +31,7 @@ class TestOverreaction:
         controller = LocalizedReplacementController(dense_state.grid)
         hole = GridCoord(2, 2)  # interior cell: four occupied neighbours
         make_hole(dense_state, hole)
-        controller.execute_round(dense_state, rng, 0)
+        step_round(controller, dense_state, rng, 0)
         assert controller.total_processes == 4
         origins = {p.origin_cell for p in controller.processes()}
         assert origins == {hole}
@@ -43,7 +43,7 @@ class TestOverreaction:
         controller = LocalizedReplacementController(dense_state.grid)
         hole = GridCoord(1, 2)
         make_hole(dense_state, hole)
-        outcome = controller.execute_round(dense_state, rng, 0)
+        outcome = step_round(controller, dense_state, rng, 0)
         assert outcome.move_count >= 2
         assert dense_state.member_count(hole) >= 2
         dense_state.check_invariants()
@@ -51,7 +51,7 @@ class TestOverreaction:
     def test_corner_hole_has_fewer_processes(self, dense_state, rng):
         controller = LocalizedReplacementController(dense_state.grid)
         make_hole(dense_state, GridCoord(0, 0))
-        controller.execute_round(dense_state, rng, 0)
+        step_round(controller, dense_state, rng, 0)
         assert controller.total_processes == 2
 
     def test_sr_initiates_strictly_fewer_processes(self, dense_state, rng):
@@ -74,9 +74,9 @@ class TestCascadeAndFailure:
         controller = LocalizedReplacementController(dense_state.grid)
         hole = GridCoord(2, 2)
         make_hole(dense_state, hole)
-        controller.execute_round(dense_state, rng, 0)
+        step_round(controller, dense_state, rng, 0)
         # Round 1: the hole is covered, the remaining processes abort as redundant.
-        controller.execute_round(dense_state, rng, 1)
+        step_round(controller, dense_state, rng, 1)
         assert not controller.active_processes()
         assert controller.redundant_processes >= 0
         assert controller.converged_processes == controller.total_processes
@@ -86,7 +86,7 @@ class TestCascadeAndFailure:
         controller = LocalizedReplacementController(sparse_state.grid)
         hole = GridCoord(2, 2)
         make_hole(sparse_state, hole)
-        outcome = controller.execute_round(sparse_state, rng, 0)
+        outcome = step_round(controller, sparse_state, rng, 0)
         assert outcome.move_count >= 2
         assert not sparse_state.is_vacant(hole)
         # The moved heads left their own cells vacant (new holes appear).
@@ -116,7 +116,7 @@ class TestCascadeAndFailure:
     def test_finalize_marks_leftover_processes(self, sparse_state, rng):
         controller = LocalizedReplacementController(sparse_state.grid)
         make_hole(sparse_state, GridCoord(0, 0))
-        controller.execute_round(sparse_state, rng, 0)
+        step_round(controller, sparse_state, rng, 0)
         controller.finalize(sparse_state, 1)
         assert not controller.active_processes()
 
@@ -130,6 +130,6 @@ class TestIsolatedHole:
         for coord in [center] + grid.neighbours(center):
             make_hole(state, coord)
         controller = LocalizedReplacementController(grid)
-        controller.execute_round(state, rng, 0)
+        step_round(controller, state, rng, 0)
         origins = {p.origin_cell for p in controller.processes()}
         assert center not in origins

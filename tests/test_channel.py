@@ -36,7 +36,7 @@ from repro.network.channel import (
 )
 from repro.network.energy import energy_summary, recovery_energy_cost
 from repro.network.messages import MessageKind
-from repro.sim.engine import RoundBasedEngine, run_recovery
+from repro.sim.engine import run_recovery
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
@@ -222,42 +222,6 @@ class TestSeedIdentity:
             assert metrics.rounds == golden["rounds"]
             assert metrics.processes_initiated == golden["processes"]
             assert metrics.messages_dropped == 0
-
-    @pytest.mark.parametrize("scheme", ["SR", "AR", "SR-shortcut"])
-    def test_perfect_channel_equals_legacy_no_channel_path(self, scheme):
-        """The messaging subsystem is a provable no-op on the perfect channel.
-
-        The same scenario is run twice: once through the channel stack
-        (engine default) and once with the messaging subsystem disabled
-        (``channel=None``, the pre-channel observation-driven path).  Every
-        reported quantity — including per-node energy — must coincide.
-        """
-        config = ScenarioConfig(
-            columns=8,
-            rows=8,
-            communication_range=6.0,
-            deployed_count=80,
-            deployment="uniform",
-            seed=99,
-        )
-        results = {}
-        for label, channel in (("perfect", DEFAULT_CHANNEL), ("legacy", None)):
-            state = build_scenario_state(config)
-            controller = make_controller(scheme, state)
-            result = run_recovery(
-                state, controller, derive_rng(7, "equivalence"), channel=channel
-            )
-            results[label] = (result, energy_summary(state))
-        perfect, perfect_energy = results["perfect"]
-        legacy, legacy_energy = results["legacy"]
-        assert perfect.converged == legacy.converged
-        assert perfect.rounds_executed == legacy.rounds_executed
-        assert perfect.metrics.total_moves == legacy.metrics.total_moves
-        assert perfect.metrics.total_distance == legacy.metrics.total_distance
-        assert perfect.metrics.messages_sent == legacy.metrics.messages_sent
-        assert perfect.metrics.processes_initiated == legacy.metrics.processes_initiated
-        assert perfect_energy.total_consumed == legacy_energy.total_consumed
-        assert perfect.channel_stats is not None and legacy.channel_stats is None
 
 
 # ------------------------------------------------------------ degraded links
@@ -546,18 +510,6 @@ class TestMessagingStateHygiene:
         assert explicit == base
         assert explicit.channel is None
         assert run_key(explicit) == run_key(base)
-
-    def test_legacy_path_rejects_a_custom_message_cost(self, dense_state, rng):
-        from repro.network.energy import EnergyModel
-
-        with pytest.raises(ValueError, match="legacy no-messaging path"):
-            RoundBasedEngine(
-                dense_state,
-                make_controller("SR", dense_state),
-                rng,
-                energy_model=EnergyModel(message_cost=5.0),
-                channel=None,
-            )
 
 
 # --------------------------------------------------------------- spec/threading

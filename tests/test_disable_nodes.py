@@ -6,9 +6,8 @@ hit.  For every stateless head policy that must leave the state exactly as a
 loop of one-element ``disable_node`` calls over the same victims would, and
 as the per-node algorithm it replaced (``_reference_disable``, kept here as
 the reference): byte-identical snapshots, the same heads, members,
-occupancy, vacancy and totals, and indices that pass ``check_invariants``
-(with an attached ``NeighborIndex`` too).  A stateful policy is consulted
-once per hit cell, which the last test pins.
+occupancy, vacancy and totals, and indices that pass ``check_invariants``.
+A stateful policy is consulted once per hit cell, which the last test pins.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from repro.grid.virtual_grid import VirtualGrid
 from repro.network.deployment import deploy_uniform
 from repro.network.node import STATE_CODES, NodeState
 from repro.network.node_arrays import UNASSIGNED_CODE, NodeArrays
-from repro.network.radio import UnitDiskRadio
 from repro.network.state import WsnState
 
 from helpers import install_batteries
@@ -76,8 +74,6 @@ def _reference_disable(state: WsnState, node_id: int, reason=NodeState.FAILED) -
     if state._heads[flat] == node_id:
         state._heads[flat] = None
         state._elect_cell_head(flat)
-    if state.neighbor_index is not None:
-        state.neighbor_index.on_disable(state.arrays.row_of(node_id))
 
 
 def _victims(state: WsnState, rng: random.Random) -> list:
@@ -186,22 +182,6 @@ def test_enabled_reason_is_rejected():
     state = _state((3, 3), lowest_id_policy, seed=4)
     with pytest.raises(ValueError):
         state.disable_nodes(state.enabled_node_ids()[:1], NodeState.ENABLED)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_neighbor_index_follows_bulk_disable(seed):
-    bulk = _state((5, 4), lowest_id_policy, seed)
-    reference = bulk.clone()
-    radio = UnitDiskRadio(1.5)
-    bulk.attach_neighbor_index(radio)
-    reference.attach_neighbor_index(radio)
-    victims = _victims(bulk, random.Random(seed))
-    bulk.disable_nodes(victims)
-    for node_id in victims:
-        _reference_disable(reference, node_id)
-    bulk.neighbor_index.check_consistency()
-    assert bulk.neighbor_index.as_dict() == reference.neighbor_index.as_dict()
-    _assert_same(bulk, reference)
 
 
 def test_stateful_policy_sees_one_election_per_hit_cell():

@@ -11,8 +11,8 @@ and read per-shape tables instead of calling the coordinate API:
 * ``WsnState.relocate`` (the controllers' move) must leave the state,
   records, random draws and head-policy calls exactly as ``move_node``
   does, move for move, with ``check_invariants()`` holding throughout;
-* ``core.protocol.select_spare`` / ``usable_spares`` are the coordinate
-  forms of the state's one spare-selection rule.
+* ``WsnState.usable_spares_at`` / ``select_spare_at`` (the state's one
+  spare-selection rule) pick only spares with battery left.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro.core.hamilton import DualPathHamiltonCycle, build_hamilton_cycle
-from repro.core.protocol import select_spare, usable_spares
 from repro.grid.geometry import Point
 from repro.grid.head_election import (
     highest_energy_policy,
@@ -282,7 +281,7 @@ def test_a_head_moved_into_its_own_cell_keeps_the_role_when_re_elected(policy_na
 
 # ------------------------------------------------------------ spare reads
 @pytest.mark.parametrize("selection", ["nearest", "max_energy", "random"])
-def test_coordinate_spare_reads_wrap_the_flat_rule(selection):
+def test_flat_spare_reads_skip_spares_without_battery(selection):
     rng = random.Random(8)
     grid = _grid(4, 4)
     nodes = deploy_uniform(grid, 90, rng)
@@ -292,20 +291,13 @@ def test_coordinate_spare_reads_wrap_the_flat_rule(selection):
     state = WsnState(grid, nodes)
     for cell in grid.all_coords():
         flat = grid.flat_index(cell)
-        usable = usable_spares(state, cell)
-        assert usable == state.usable_spares_at(flat)
+        usable = state.usable_spares_at(flat)
         assert usable == [
             node_id for node_id in state.spare_ids_of(cell) if state.energy_of(node_id) > 0.0
         ]
         for target in grid.neighbours(cell):
-            draws_a, draws_b = random.Random(flat), random.Random(flat)
-            chosen = select_spare(state, cell, target, selection, draws_a)
-            assert chosen == state.select_spare_at(
-                flat, grid.flat_index(target), selection, draws_b
+            chosen = state.select_spare_at(
+                flat, grid.flat_index(target), selection, random.Random(flat)
             )
             assert (chosen is None) == (not usable)
             assert chosen is None or chosen in usable
-    with pytest.raises(KeyError):
-        usable_spares(state, GridCoord(-1, 0))
-    with pytest.raises(KeyError):
-        select_spare(state, GridCoord(0, 0), GridCoord(0, 4), "nearest")

@@ -1,13 +1,11 @@
-"""Property tests for the vectorized and incremental adjacency layers.
+"""Property tests for the vectorized adjacency layer.
 
-Two oracles anchor this suite:
-
-* :func:`build_edges` is compared against an O(N^2) brute-force scan using
-  the exact historical in-range predicate, over randomized deployments; and
-* :class:`NeighborIndex` is driven through long seeded random
-  move/disable/enable sequences with :meth:`~NeighborIndex.check_consistency`
-  (a from-scratch rebuild comparison) asserted after every mutation, plus
-  ``WsnState.check_invariants`` which chains to it when an index is attached.
+:func:`build_edges` is compared against an O(N^2) brute-force scan using the
+exact historical in-range predicate, over randomized deployments, and the
+dict-of-lists view :func:`adjacency_lists` against its contract and the
+radio's object path.  Long seeded random move/disable/enable histories then
+hold the state to ``check_invariants()`` after every mutation, and the batch
+adjacency of the mutated state to the brute-force scan and the object path.
 """
 
 from __future__ import annotations
@@ -18,21 +16,16 @@ import numpy as np
 import pytest
 
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
-from repro.network.adjacency import (
-    RANGE_SLACK_SQ,
-    NeighborIndex,
-    adjacency_lists,
-    build_edges,
-)
+from repro.network.adjacency import RANGE_SLACK_SQ, adjacency_lists, build_edges
 from repro.network.deployment import deploy_uniform
 from repro.network.radio import UnitDiskRadio
 from repro.network.state import WsnState
 
 #: Seeded random deployments checked against the brute-force oracle.
 EDGE_SEQUENCE_COUNT = 40
-#: Seeded mutation sequences driven through the incremental index.
-INDEX_SEQUENCE_COUNT = 60
-#: Mutations per incremental-index sequence.
+#: Seeded mutation histories driven through the state.
+MUTATION_SEQUENCE_COUNT = 60
+#: Mutations per history.
 OPERATIONS_PER_SEQUENCE = 25
 
 COMMUNICATION_RANGE = 3.0
@@ -96,7 +89,7 @@ def test_adjacency_lists_matches_radio_object_path():
     assert radio.adjacency_of_state(state) == radio.adjacency(state.enabled_nodes())
 
 
-# --------------------------------------------------------- incremental index
+# ------------------------------------------------------------ mutated states
 def _random_state(rng: random.Random) -> WsnState:
     grid = VirtualGrid(columns=4, rows=4, cell_size=1.0)
     arrays = deploy_uniform(grid, rng.randint(8, 30), rng)
@@ -126,65 +119,50 @@ def _apply_random_operation(state: WsnState, rng: random.Random) -> None:
             state.move_node(node_id, target, rng, enforce_adjacent=False)
 
 
-@pytest.mark.parametrize("seed", range(INDEX_SEQUENCE_COUNT))
-def test_incremental_index_never_drifts(seed):
-    """After every mutation the incremental index equals a full rebuild."""
+def brute_force_adjacency(state: WsnState, communication_range):
+    """Adjacency by node id over the enabled node handles, by O(N^2) comparison."""
+    nodes = state.enabled_nodes()
+    ids = [node.node_id for node in nodes]
+    xs = [node.position.x for node in nodes]
+    ys = [node.position.y for node in nodes]
+    adjacency = {node_id: [] for node_id in ids}
+    for a, b in brute_force_edges(xs, ys, communication_range):
+        adjacency[ids[a]].append(ids[b])
+        adjacency[ids[b]].append(ids[a])
+    return {node_id: sorted(neighbours) for node_id, neighbours in adjacency.items()}
+
+
+@pytest.mark.parametrize("seed", range(MUTATION_SEQUENCE_COUNT))
+def test_batch_adjacency_follows_every_mutation(seed):
+    """After every mutation the state passes its oracle and its adjacency is exact."""
     rng = random.Random(seed)
     state = _random_state(rng)
     radio = UnitDiskRadio(communication_range=COMMUNICATION_RANGE)
-    index = state.attach_neighbor_index(radio)
-    index.check_consistency()
+    assert radio.adjacency_of_state(state) == brute_force_adjacency(
+        state, COMMUNICATION_RANGE
+    )
     for _ in range(OPERATIONS_PER_SEQUENCE):
         _apply_random_operation(state, rng)
-        index.check_consistency()
-    # check_invariants chains to the index oracle when one is attached.
-    state.check_invariants()
+        state.check_invariants()
+        assert radio.adjacency_of_state(state) == brute_force_adjacency(
+            state, COMMUNICATION_RANGE
+        )
 
 
-@pytest.mark.parametrize("seed", range(0, INDEX_SEQUENCE_COUNT, 6))
-def test_index_queries_match_batch_adjacency(seed):
-    """neighbours_of/as_dict agree with the batch radio adjacency."""
+@pytest.mark.parametrize("seed", range(0, MUTATION_SEQUENCE_COUNT, 6))
+def test_mutated_state_adjacency_matches_the_object_path(seed):
+    """Array path, object path and ``link_pairs`` agree once nodes moved and failed."""
     rng = random.Random(seed)
     state = _random_state(rng)
     radio = UnitDiskRadio(communication_range=COMMUNICATION_RANGE)
-    index = state.attach_neighbor_index(radio)
     for _ in range(12):
         _apply_random_operation(state, rng)
-    expected = radio.adjacency_of_state(state)
-    assert index.as_dict() == expected
+    # All handles, disabled ones too: the object path must drop them itself.
+    expected = radio.adjacency(list(state.nodes()))
+    assert radio.adjacency_of_state(state) == expected
+    assert sorted(expected) == sorted(state.enabled_node_ids())
     for node_id, neighbours in expected.items():
-        assert index.neighbours_of(node_id) == neighbours
-        assert index.degree(node_id) == len(neighbours)
-    assert index.edge_count() == sum(len(n) for n in expected.values()) // 2
-
-
-def test_detach_stops_maintenance():
-    """After detaching, mutations no longer touch the index."""
-    rng = random.Random(3)
-    state = _random_state(rng)
-    radio = UnitDiskRadio(communication_range=COMMUNICATION_RANGE)
-    state.attach_neighbor_index(radio)
-    assert state.neighbor_index is not None
-    state.detach_neighbor_index()
-    assert state.neighbor_index is None
-    _apply_random_operation(state, rng)
-    state.check_invariants()  # no index attached: plain state oracle only
-
-
-def test_corrupted_index_is_detected():
-    """check_consistency raises when a neighbour set is tampered with."""
-    rng = random.Random(5)
-    state = _random_state(rng)
-    radio = UnitDiskRadio(communication_range=COMMUNICATION_RANGE)
-    index = state.attach_neighbor_index(radio)
-    rows = np.flatnonzero(state.arrays.enabled_mask())
-    # Fabricate an edge between the first two enabled rows only on one side.
-    a = int(rows[0])
-    b = int(rows[1])
-    neighbours = index._neighbours[a]
-    if b in set(neighbours.tolist()):
-        index._neighbours[a] = neighbours[neighbours != b]
-    else:
-        index._neighbours[a] = np.sort(np.append(neighbours, b))
-    with pytest.raises(AssertionError):
-        index.check_consistency()
+        assert neighbours == sorted(set(neighbours))
+        assert all(node_id in expected[other] for other in neighbours)
+    pairs = radio.link_pairs(list(state.nodes()))
+    assert len(pairs) == sum(len(n) for n in expected.values()) // 2

@@ -12,7 +12,7 @@ from repro.network.deployment import deploy_per_cell, deploy_per_cell_counts
 from repro.network.state import WsnState
 from repro.sim.engine import run_recovery
 
-from helpers import make_hole
+from helpers import make_hole, step_round
 
 
 def controller_for(state, **kwargs):
@@ -36,7 +36,7 @@ class TestSingleHole:
         controller = controller_for(dense_state)
         hole = GridCoord(2, 2)
         make_hole(dense_state, hole)
-        outcome = controller.execute_round(dense_state, rng, round_index=0)
+        outcome = step_round(controller, dense_state, rng, 0)
         assert not dense_state.is_vacant(hole)
         assert outcome.move_count == 1
         assert len(outcome.processes_started) == 1
@@ -53,7 +53,7 @@ class TestSingleHole:
         cycle = controller.cycle
         hole = GridCoord(1, 3)
         make_hole(dense_state, hole)
-        controller.execute_round(dense_state, rng, 0)
+        step_round(controller, dense_state, rng, 0)
         assert controller.total_processes == 1
         assert controller.processes()[0].initiator_cell == cycle.initiator_for(hole)
 
@@ -61,7 +61,7 @@ class TestSingleHole:
         controller = controller_for(dense_state)
         hole = GridCoord(0, 2)
         make_hole(dense_state, hole)
-        outcome = controller.execute_round(dense_state, rng, 0)
+        outcome = step_round(controller, dense_state, rng, 0)
         move = outcome.moves[0]
         assert dense_state.grid.central_area(hole).contains(move.target_position)
 
@@ -72,7 +72,7 @@ class TestSingleHole:
         hole = GridCoord(2, 2)
         predecessor = cycle.initiator_for(hole)
         make_hole(sparse_state, hole)
-        outcome = controller.execute_round(sparse_state, rng, 0)
+        outcome = step_round(controller, sparse_state, rng, 0)
         assert not sparse_state.is_vacant(hole)
         assert sparse_state.is_vacant(predecessor), "the cascade leaves the initiator cell vacant"
         assert outcome.messages_sent == 1
@@ -82,7 +82,7 @@ class TestSingleHole:
 
     def test_no_action_without_holes(self, dense_state, rng):
         controller = controller_for(dense_state)
-        outcome = controller.execute_round(dense_state, rng, 0)
+        outcome = step_round(controller, dense_state, rng, 0)
         assert not outcome.made_progress
         assert controller.total_processes == 0
         assert controller.is_quiescent(dense_state)
@@ -122,7 +122,7 @@ class TestCascadeConvergence:
         make_hole(state, hole)
         controller = HamiltonReplacementController(cycle)
         for round_index in range(4):
-            outcome = controller.execute_round(state, rng, round_index)
+            outcome = step_round(controller, state, rng, round_index)
             assert outcome.move_count == 1
         assert state.hole_count == 0
 
@@ -223,13 +223,13 @@ class TestSpareSelection:
             spares_before,
             key=lambda node: (node.position.distance_to(target_center), node.node_id),
         )
-        outcome = controller.execute_round(dense_state, rng, 0)
+        outcome = step_round(controller, dense_state, rng, 0)
         assert outcome.moves[0].node_id == expected.node_id
 
     def test_random_selection_supported(self, dense_state, rng):
         controller = controller_for(dense_state, spare_selection="random")
         make_hole(dense_state, GridCoord(1, 1))
-        outcome = controller.execute_round(dense_state, rng, 0)
+        outcome = step_round(controller, dense_state, rng, 0)
         assert outcome.move_count == 1
 
 
@@ -247,7 +247,7 @@ class TestBookkeeping:
     def test_finalize_marks_active_processes_failed(self, sparse_state, rng):
         controller = controller_for(sparse_state)
         make_hole(sparse_state, GridCoord(0, 0))
-        controller.execute_round(sparse_state, rng, 0)
+        step_round(controller, sparse_state, rng, 0)
         assert controller.active_processes()
         controller.finalize(sparse_state, round_index=1)
         assert not controller.active_processes()
@@ -256,7 +256,7 @@ class TestBookkeeping:
     def test_pending_vacancies_tracking(self, sparse_state, rng):
         controller = controller_for(sparse_state)
         make_hole(sparse_state, GridCoord(2, 2))
-        controller.execute_round(sparse_state, rng, 0)
+        step_round(controller, sparse_state, rng, 0)
         pending = controller.pending_vacancies()
         assert len(pending) == 1
         assert sparse_state.is_vacant(pending[0])

@@ -14,7 +14,8 @@ The contracts exercised here:
   queue -> 503, a negative ``Content-Length`` -> 400 and one above
   ``MAX_BODY_BYTES`` -> 413, both answered without reading a body, and a
   spec above an admission limit (grid cells, deployed nodes, round bound)
-  -> 400 before anything is built.
+  -> 400 before anything is built, and so does a spec carrying a non-finite
+  number (``1e400`` parses to ``inf``, and Python's JSON reads ``NaN``).
 """
 
 import json
@@ -61,7 +62,10 @@ def running_server(broker=None, **config_kwargs):
     """An ephemeral-port server (and client) that is torn down afterwards."""
     config = ServeConfig(port=0, workers=config_kwargs.pop("workers", 2), **config_kwargs)
     server = make_server(config, broker=broker)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short shutdown poll: teardown's shutdown() waits up to one interval.
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+    )
     thread.start()
     try:
         yield server, ServeClient(server.url, timeout=60)
@@ -382,6 +386,38 @@ def test_spec_over_an_admission_limit_is_refused_before_any_build(field, limit):
         # Refused at parsing: the broker never saw it.
         assert server.broker.stats().submitted == 0
         wait_until(lambda: set(threading.enumerate()) <= before, timeout=1.0)
+        assert client.health()["status"] == "ok"
+
+
+def _non_finite_body(case: str) -> bytes:
+    """A small spec's JSON text with one non-finite number spliced in."""
+    payload = spec_payload()
+    if case == "failure-count":
+        payload["failures"] = [{"round": 0, "kind": "random", "params": {"count": "@"}}]
+        literal = "1e400"
+    elif case == "energy-rate":
+        payload["energy"] = {
+            "idle_cost_per_round": "@",
+            "move_cost_per_meter": 1.0,
+            "message_cost": 0.01,
+            "depletion_threshold": 0.0,
+        }
+        literal = "NaN"
+    else:
+        payload["scenario"]["communication_range"] = "@"
+        literal = "1e400"
+    return json.dumps(payload).replace('"@"', literal).encode("utf-8")
+
+
+@pytest.mark.parametrize("case", ["failure-count", "energy-rate", "communication-range"])
+def test_a_non_finite_number_in_a_spec_maps_to_400(case):
+    with running_server() as (server, client):
+        body = _non_finite_body(case)
+        reply = raw_post_run(server, str(len(body)), body)
+        status_line = reply.split(b"\r\n", 1)[0].decode("ascii")
+        assert status_line.split()[1] == "400", status_line
+        assert "finite" in json.loads(reply.split(b"\r\n\r\n", 1)[1])["error"]
+        assert server.broker.stats().submitted == 0
         assert client.health()["status"] == "ok"
 
 

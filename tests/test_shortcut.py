@@ -10,7 +10,7 @@ from repro.network.deployment import deploy_per_cell_counts
 from repro.network.state import WsnState
 from repro.sim.engine import run_recovery
 
-from helpers import make_hole
+from helpers import make_hole, step_round
 
 
 def shortcut_for(state, **kwargs):
@@ -31,7 +31,7 @@ class TestBehaviour:
         controller = shortcut_for(dense_state)
         hole = GridCoord(2, 2)
         make_hole(dense_state, hole)
-        outcome = controller.execute_round(dense_state, rng, 0)
+        outcome = step_round(controller, dense_state, rng, 0)
         assert outcome.move_count == 1
         assert controller.shortcut_moves == 0
         assert controller.converged_processes == 1
