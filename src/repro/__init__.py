@@ -30,94 +30,52 @@ Quick tour of the public API
 See ``examples/quickstart.py`` for a five-minute end-to-end walk-through.
 """
 
-from repro.grid.geometry import BoundingBox, Point
-from repro.grid.virtual_grid import (
-    GridCoord,
-    VirtualGrid,
-    cell_side_for_range,
-    required_range_for_cell,
-)
-from repro.grid.coverage import coverage_report
-from repro.grid.connectivity import is_head_network_connected
-from repro.network.node import NodeRole, NodeState, SensorNode
-from repro.network.radio import UnitDiskRadio
-from repro.network.state import WsnState
-from repro.network.deployment import deploy_per_cell, deploy_uniform
-from repro.network.failures import (
-    FailureEvent,
-    RandomFailure,
-    RegionJammingFailure,
-    TargetedCellFailure,
-    ThinningToEnabledCount,
-)
-from repro.network.channel import ChannelModel, build_channel, parse_channel_spec
-from repro.experiments.catalog import load_catalog_scenario
-from repro.experiments.scenario_files import Scenario, dump_scenario, load_scenario
-from repro.core.hamilton import (
-    DualPathHamiltonCycle,
-    HamiltonCycle,
-    SerpentineHamiltonCycle,
-    build_hamilton_cycle,
-)
-from repro.core.replacement import HamiltonReplacementController
-from repro.core.shortcut import ShortcutReplacementController
-from repro.core.baseline_ar import LocalizedReplacementController
-from repro.core.protocol import MobilityController, ReplacementProcess, RoundOutcome
-from repro.core import analysis
-from repro.sim.engine import RoundBasedEngine, SimulationResult, run_recovery
-from repro.sim.scenario import ScenarioConfig, build_scenario_state
-from repro.sim.metrics import RunMetrics
-from repro.sim.events import EventLog
-from repro.sim.rng import derive_rng
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "BoundingBox",
-    "Point",
-    "GridCoord",
-    "VirtualGrid",
-    "cell_side_for_range",
-    "required_range_for_cell",
-    "coverage_report",
-    "is_head_network_connected",
-    "NodeRole",
-    "NodeState",
-    "SensorNode",
-    "UnitDiskRadio",
-    "WsnState",
-    "deploy_uniform",
-    "deploy_per_cell",
-    "FailureEvent",
-    "RandomFailure",
-    "RegionJammingFailure",
-    "TargetedCellFailure",
-    "ThinningToEnabledCount",
-    "ChannelModel",
-    "build_channel",
-    "parse_channel_spec",
-    "Scenario",
-    "load_scenario",
-    "dump_scenario",
-    "load_catalog_scenario",
-    "HamiltonCycle",
-    "SerpentineHamiltonCycle",
-    "DualPathHamiltonCycle",
-    "build_hamilton_cycle",
-    "HamiltonReplacementController",
-    "ShortcutReplacementController",
-    "LocalizedReplacementController",
-    "MobilityController",
-    "ReplacementProcess",
-    "RoundOutcome",
-    "analysis",
-    "RoundBasedEngine",
-    "SimulationResult",
-    "run_recovery",
-    "ScenarioConfig",
-    "build_scenario_state",
-    "RunMetrics",
-    "EventLog",
-    "derive_rng",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.grid.geometry": ["BoundingBox", "Point"],
+        "repro.grid.virtual_grid": [
+            "GridCoord",
+            "VirtualGrid",
+            "cell_side_for_range",
+            "required_range_for_cell",
+        ],
+        "repro.grid.coverage": ["coverage_report"],
+        "repro.grid.connectivity": ["is_head_network_connected"],
+        "repro.network.node": ["NodeRole", "NodeState", "SensorNode"],
+        "repro.network.radio": ["UnitDiskRadio"],
+        "repro.network.state": ["WsnState"],
+        "repro.network.deployment": ["deploy_uniform", "deploy_per_cell"],
+        "repro.network.failures": [
+            "FailureEvent",
+            "RandomFailure",
+            "RegionJammingFailure",
+            "TargetedCellFailure",
+            "ThinningToEnabledCount",
+        ],
+        "repro.network.channel": ["ChannelModel", "build_channel", "parse_channel_spec"],
+        "repro.experiments.scenario_files": ["Scenario", "load_scenario", "dump_scenario"],
+        "repro.experiments.catalog": ["load_catalog_scenario"],
+        "repro.core.hamilton": [
+            "HamiltonCycle",
+            "SerpentineHamiltonCycle",
+            "DualPathHamiltonCycle",
+            "build_hamilton_cycle",
+        ],
+        "repro.core.replacement": ["HamiltonReplacementController"],
+        "repro.core.shortcut": ["ShortcutReplacementController"],
+        "repro.core.baseline_ar": ["LocalizedReplacementController"],
+        "repro.core.protocol": ["MobilityController", "ReplacementProcess", "RoundOutcome"],
+        "repro.core": ["analysis"],
+        "repro.sim.engine": ["RoundBasedEngine", "SimulationResult", "run_recovery"],
+        "repro.sim.scenario": ["ScenarioConfig", "build_scenario_state"],
+        "repro.sim.metrics": ["RunMetrics"],
+        "repro.sim.events": ["EventLog"],
+        "repro.sim.rng": ["derive_rng"],
+    },
+)
+__all__.insert(0, "__version__")

@@ -14,7 +14,12 @@ qualitative claims (slow convergence and many unnecessary movements) on the
 same scenarios used for Figures 6-8.
 """
 
-from repro.baselines.virtual_force import VirtualForceController
-from repro.baselines.smart_scan import SmartScanController
+from repro._lazy import lazy_exports
 
-__all__ = ["VirtualForceController", "SmartScanController"]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.virtual_force": ["VirtualForceController"],
+        "repro.baselines.smart_scan": ["SmartScanController"],
+    },
+)

@@ -14,42 +14,31 @@
   replacement processes shared by all schemes.
 """
 
-from repro.core.hamilton import (
-    DualPathHamiltonCycle,
-    HamiltonCycle,
-    SerpentineHamiltonCycle,
-    build_hamilton_cycle,
-)
-from repro.core.protocol import (
-    MobilityController,
-    ReplacementProcess,
-    ProcessStatus,
-    RoundOutcome,
-)
-from repro.core.replacement import HamiltonReplacementController
-from repro.core.shortcut import ShortcutReplacementController
-from repro.core.baseline_ar import LocalizedReplacementController
-from repro.core.analysis import (
-    expected_movements,
-    expected_total_distance,
-    movement_distribution,
-    movements_series,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HamiltonCycle",
-    "SerpentineHamiltonCycle",
-    "DualPathHamiltonCycle",
-    "build_hamilton_cycle",
-    "MobilityController",
-    "ReplacementProcess",
-    "ProcessStatus",
-    "RoundOutcome",
-    "HamiltonReplacementController",
-    "ShortcutReplacementController",
-    "LocalizedReplacementController",
-    "expected_movements",
-    "expected_total_distance",
-    "movement_distribution",
-    "movements_series",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.hamilton": [
+            "HamiltonCycle",
+            "SerpentineHamiltonCycle",
+            "DualPathHamiltonCycle",
+            "build_hamilton_cycle",
+        ],
+        "repro.core.protocol": [
+            "MobilityController",
+            "ReplacementProcess",
+            "ProcessStatus",
+            "RoundOutcome",
+        ],
+        "repro.core.replacement": ["HamiltonReplacementController"],
+        "repro.core.shortcut": ["ShortcutReplacementController"],
+        "repro.core.baseline_ar": ["LocalizedReplacementController"],
+        "repro.core.analysis": [
+            "expected_movements",
+            "expected_total_distance",
+            "movement_distribution",
+            "movements_series",
+        ],
+    },
+)

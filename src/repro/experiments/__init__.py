@@ -6,208 +6,122 @@ computations; the experimental figures (6, 7, 8) run the SR and AR schemes on
 the Section-5 workload and report the same series the paper plots.
 """
 
-from repro.experiments.results import ExperimentResult, average_dicts
-from repro.experiments.plotting import ascii_chart, format_table
-from repro.experiments.registry import (
-    available_schemes,
-    get_scheme,
-    register_scheme,
-    unregister_scheme,
-)
-from repro.experiments.orchestration import (
-    ParallelExecutor,
-    RunExecutor,
-    RunRecord,
-    RunSpec,
-    SerialExecutor,
-    execute_many,
-    execute_run,
-    make_executor,
-)
-from repro.experiments.broker import (
-    BrokerQueueFull,
-    BrokerStats,
-    ExperimentBroker,
-    Priority,
-    RunHandle,
-    execute_batch,
-)
-from repro.experiments.fuzz import (
-    FuzzSample,
-    FuzzValidationError,
-    ScenarioSampler,
-    minimize_scenario,
-    shrink_candidates,
-    validate_roundtrip,
-)
-from repro.experiments.differential import (
-    ORACLES,
-    DifferentialContext,
-    DifferentialReport,
-    FalsifiedScenario,
-    FuzzSessionResult,
-    Oracle,
-    OracleOutcome,
-    run_differential,
-    run_fuzz,
-)
-from repro.experiments.persistence import (
-    CACHE_BACKENDS,
-    CacheBackend,
-    CacheStats,
-    CacheStatsSnapshot,
-    JsonDirBackend,
-    RunCache,
-    SqliteBackend,
-    make_cache,
-    run_key,
-)
-from repro.experiments.report import (
-    ShapeCheck,
-    find_crossover,
-    render_markdown_report,
-    section5_shape_checks,
-)
-from repro.experiments.sweep import (
-    SCHEME_FACTORIES,
-    build_comparison_specs,
-    make_controller,
-    run_comparison,
-    run_single,
-)
-from repro.experiments.lifetime import (
-    DEFAULT_LIFETIME_SCHEMES,
-    LIFETIME_CONFIG,
-    LIFETIME_ENERGY,
-    build_lifetime_specs,
-    run_lifetime_experiment,
-    run_lifetime_smoke,
-)
-from repro.experiments.scenario_files import (
-    Scenario,
-    ScenarioValidationError,
-    dump_scenario,
-    dumps_scenario,
-    load_scenario,
-    loads_scenario,
-    scenario_from_dict,
-    scenario_to_dict,
-    tabulate_records,
-)
-from repro.experiments.catalog import (
-    CATALOG_NAMES,
-    catalog_names,
-    catalog_scenarios,
-    falsified_dir,
-    falsified_names,
-    falsified_scenarios,
-    load_catalog_scenario,
-    load_falsified_scenario,
-    render_catalog_docs,
-    resolve_scenario,
-)
-from repro.experiments.figures import (
-    PAPER_SPARE_VALUES,
-    QUICK_SPARE_VALUES,
-    figure1_hamilton_layout,
-    figure3_expected_movements,
-    figure4_dual_path_layout,
-    figure5_distance_estimates,
-    figure6_processes_and_success,
-    figure7_node_movements,
-    figure8_total_distance,
-    run_section5_experiment,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentResult",
-    "average_dicts",
-    "ascii_chart",
-    "format_table",
-    "ShapeCheck",
-    "find_crossover",
-    "section5_shape_checks",
-    "render_markdown_report",
-    "available_schemes",
-    "get_scheme",
-    "register_scheme",
-    "unregister_scheme",
-    "RunSpec",
-    "RunRecord",
-    "RunExecutor",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "execute_run",
-    "execute_many",
-    "make_executor",
-    "RunCache",
-    "run_key",
-    "CACHE_BACKENDS",
-    "CacheBackend",
-    "CacheStats",
-    "CacheStatsSnapshot",
-    "JsonDirBackend",
-    "SqliteBackend",
-    "make_cache",
-    "BrokerQueueFull",
-    "BrokerStats",
-    "ExperimentBroker",
-    "Priority",
-    "RunHandle",
-    "execute_batch",
-    "SCHEME_FACTORIES",
-    "build_comparison_specs",
-    "make_controller",
-    "run_comparison",
-    "run_single",
-    "PAPER_SPARE_VALUES",
-    "QUICK_SPARE_VALUES",
-    "figure1_hamilton_layout",
-    "figure3_expected_movements",
-    "figure4_dual_path_layout",
-    "figure5_distance_estimates",
-    "figure6_processes_and_success",
-    "figure7_node_movements",
-    "figure8_total_distance",
-    "run_section5_experiment",
-    "DEFAULT_LIFETIME_SCHEMES",
-    "LIFETIME_CONFIG",
-    "LIFETIME_ENERGY",
-    "build_lifetime_specs",
-    "run_lifetime_experiment",
-    "run_lifetime_smoke",
-    "Scenario",
-    "ScenarioValidationError",
-    "load_scenario",
-    "loads_scenario",
-    "dump_scenario",
-    "dumps_scenario",
-    "scenario_from_dict",
-    "scenario_to_dict",
-    "tabulate_records",
-    "CATALOG_NAMES",
-    "catalog_names",
-    "catalog_scenarios",
-    "falsified_dir",
-    "falsified_names",
-    "falsified_scenarios",
-    "load_catalog_scenario",
-    "load_falsified_scenario",
-    "render_catalog_docs",
-    "resolve_scenario",
-    "FuzzSample",
-    "FuzzValidationError",
-    "ScenarioSampler",
-    "minimize_scenario",
-    "shrink_candidates",
-    "validate_roundtrip",
-    "ORACLES",
-    "DifferentialContext",
-    "DifferentialReport",
-    "FalsifiedScenario",
-    "FuzzSessionResult",
-    "Oracle",
-    "OracleOutcome",
-    "run_differential",
-    "run_fuzz",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.results": ["ExperimentResult", "average_dicts"],
+        "repro.experiments.plotting": ["ascii_chart", "format_table"],
+        "repro.experiments.report": [
+            "ShapeCheck",
+            "find_crossover",
+            "section5_shape_checks",
+            "render_markdown_report",
+        ],
+        "repro.experiments.registry": [
+            "available_schemes",
+            "get_scheme",
+            "register_scheme",
+            "unregister_scheme",
+        ],
+        "repro.experiments.orchestration": [
+            "RunSpec",
+            "RunRecord",
+            "RunExecutor",
+            "SerialExecutor",
+            "ParallelExecutor",
+            "execute_run",
+            "execute_many",
+            "make_executor",
+        ],
+        "repro.experiments.persistence": [
+            "RunCache",
+            "run_key",
+            "CACHE_BACKENDS",
+            "CacheBackend",
+            "CacheStats",
+            "CacheStatsSnapshot",
+            "JsonDirBackend",
+            "SqliteBackend",
+            "make_cache",
+        ],
+        "repro.experiments.broker": [
+            "BrokerQueueFull",
+            "BrokerStats",
+            "ExperimentBroker",
+            "Priority",
+            "RunHandle",
+            "execute_batch",
+        ],
+        "repro.experiments.sweep": [
+            "SCHEME_FACTORIES",
+            "build_comparison_specs",
+            "make_controller",
+            "run_comparison",
+            "run_single",
+        ],
+        "repro.experiments.figures": [
+            "PAPER_SPARE_VALUES",
+            "QUICK_SPARE_VALUES",
+            "figure1_hamilton_layout",
+            "figure3_expected_movements",
+            "figure4_dual_path_layout",
+            "figure5_distance_estimates",
+            "figure6_processes_and_success",
+            "figure7_node_movements",
+            "figure8_total_distance",
+            "run_section5_experiment",
+        ],
+        "repro.experiments.lifetime": [
+            "DEFAULT_LIFETIME_SCHEMES",
+            "LIFETIME_CONFIG",
+            "LIFETIME_ENERGY",
+            "build_lifetime_specs",
+            "run_lifetime_experiment",
+            "run_lifetime_smoke",
+        ],
+        "repro.experiments.scenario_files": [
+            "Scenario",
+            "ScenarioValidationError",
+            "load_scenario",
+            "loads_scenario",
+            "dump_scenario",
+            "dumps_scenario",
+            "scenario_from_dict",
+            "scenario_to_dict",
+            "tabulate_records",
+        ],
+        "repro.experiments.catalog": [
+            "CATALOG_NAMES",
+            "catalog_names",
+            "catalog_scenarios",
+            "falsified_dir",
+            "falsified_names",
+            "falsified_scenarios",
+            "load_catalog_scenario",
+            "load_falsified_scenario",
+            "render_catalog_docs",
+            "resolve_scenario",
+        ],
+        "repro.experiments.fuzz": [
+            "FuzzSample",
+            "FuzzValidationError",
+            "ScenarioSampler",
+            "minimize_scenario",
+            "shrink_candidates",
+            "validate_roundtrip",
+        ],
+        "repro.experiments.differential": [
+            "ORACLES",
+            "DifferentialContext",
+            "DifferentialReport",
+            "FalsifiedScenario",
+            "FuzzSessionResult",
+            "Oracle",
+            "OracleOutcome",
+            "run_differential",
+            "run_fuzz",
+        ],
+    },
+)

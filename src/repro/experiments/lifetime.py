@@ -33,6 +33,7 @@ from repro.experiments.orchestration import (
     execute_many,
     make_executor,
 )
+from repro.experiments.broker import ExperimentBroker
 from repro.experiments.persistence import RunCache, record_to_dict
 from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
@@ -153,7 +154,7 @@ def run_lifetime_experiment(
     max_rounds: int = 1500,
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
+    broker: Optional[ExperimentBroker] = None,
 ) -> ExperimentResult:
     """Run every scheme to network death and tabulate lifetimes.
 

@@ -56,6 +56,7 @@ from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT, RoundBasedEngine
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
+from repro.validation import checked_int
 from repro.experiments.state_cache import (
     StateCache,
     default_state_cache,
@@ -122,12 +123,24 @@ class RunSpec:
     channel: Optional[ChannelModel] = None
 
     def __post_init__(self) -> None:
-        """Normalise an explicit default channel to ``None``.
+        """Check the integer fields and normalise an explicit default channel to ``None``.
 
+        ``seed``, ``max_rounds`` and ``idle_round_limit`` must be integers
+        (numpy integers are stored as ``int``), the round bounds at least 1.
         ``--channel perfect`` and an omitted channel describe byte-identical
         runs; folding them onto one canonical form keeps spec equality — and
         therefore the run-cache key — semantic rather than syntactic.
         """
+        object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
+        if self.max_rounds is not None:
+            object.__setattr__(
+                self, "max_rounds", checked_int(self.max_rounds, "max_rounds", minimum=1)
+            )
+        object.__setattr__(
+            self,
+            "idle_round_limit",
+            checked_int(self.idle_round_limit, "idle_round_limit", minimum=1),
+        )
         if self.channel == DEFAULT_CHANNEL:
             object.__setattr__(self, "channel", None)
 

@@ -66,6 +66,7 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.orchestration import RunExecutor, RunRecord, RunSpec, execute_many
+from repro.experiments.broker import ExperimentBroker
 from repro.experiments.persistence import RunCache
 from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
@@ -270,7 +271,7 @@ class Scenario:
         self,
         executor: Optional[RunExecutor] = None,
         cache: Optional[RunCache] = None,
-        broker: Optional[object] = None,
+        broker: Optional[ExperimentBroker] = None,
     ) -> List[RunRecord]:
         """Run every spec of the scenario and return the records in spec order.
 

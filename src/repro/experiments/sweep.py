@@ -31,6 +31,7 @@ from repro.experiments.orchestration import (
     RunSpec,
     execute_many,
 )
+from repro.experiments.broker import ExperimentBroker
 from repro.experiments.persistence import RunCache
 from repro.experiments.registry import (
     SCHEME_REGISTRY as SCHEME_FACTORIES,
@@ -120,7 +121,7 @@ def run_comparison(
     max_rounds: Optional[int] = None,
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
+    broker: Optional[ExperimentBroker] = None,
 ) -> ExperimentResult:
     """Sweep ``N`` over ``spare_values`` and run every scheme on identical scenarios.
 

@@ -7,40 +7,29 @@ election, and coverage/connectivity evaluation used by the mobility-control
 algorithms in :mod:`repro.core`.
 """
 
-from repro.grid.geometry import BoundingBox, Point
-from repro.grid.virtual_grid import GridCoord, VirtualGrid
-from repro.grid.head_election import (
-    HeadElectionPolicy,
-    elect_head,
-    highest_energy_policy,
-    lowest_id_policy,
-    nearest_to_center_policy,
-)
-from repro.grid.coverage import (
-    cell_coverage_fraction,
-    coverage_report,
-    sampled_area_coverage,
-)
-from repro.grid.connectivity import (
-    head_connectivity_graph,
-    is_head_network_connected,
-    node_connectivity_graph,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BoundingBox",
-    "Point",
-    "GridCoord",
-    "VirtualGrid",
-    "HeadElectionPolicy",
-    "elect_head",
-    "lowest_id_policy",
-    "highest_energy_policy",
-    "nearest_to_center_policy",
-    "cell_coverage_fraction",
-    "sampled_area_coverage",
-    "coverage_report",
-    "head_connectivity_graph",
-    "node_connectivity_graph",
-    "is_head_network_connected",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.grid.geometry": ["BoundingBox", "Point"],
+        "repro.grid.virtual_grid": ["GridCoord", "VirtualGrid"],
+        "repro.grid.head_election": [
+            "HeadElectionPolicy",
+            "elect_head",
+            "lowest_id_policy",
+            "highest_energy_policy",
+            "nearest_to_center_policy",
+        ],
+        "repro.grid.coverage": [
+            "cell_coverage_fraction",
+            "sampled_area_coverage",
+            "coverage_report",
+        ],
+        "repro.grid.connectivity": [
+            "head_connectivity_graph",
+            "node_connectivity_graph",
+            "is_head_network_connected",
+        ],
+    },
+)

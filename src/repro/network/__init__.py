@@ -8,79 +8,48 @@ tracks which node occupies which virtual-grid cell and which node is the grid
 head.
 """
 
-from repro.network.node import NodeRole, NodeState, SensorNode
-from repro.network.radio import UnitDiskRadio
-from repro.network.deployment import (
-    deploy_grid_heads,
-    deploy_per_cell,
-    deploy_uniform,
-    deploy_clustered,
-)
-from repro.network.failures import (
-    BatteryDepletionFailure,
-    CompositeFailure,
-    FailureEvent,
-    FailureModel,
-    RandomFailure,
-    RegionJammingFailure,
-    TargetedCellFailure,
-    ThinningToEnabledCount,
-    available_failure_kinds,
-    build_failure_model,
-    compile_failure_schedule,
-)
-from repro.network.energy import (
-    EnergyModel,
-    EnergySummary,
-    energy_summary,
-    recovery_energy_cost,
-)
-from repro.network.mobility import MoveRecord, MovementModel
-from repro.network.messages import Mailbox, Message, MessageKind
-from repro.network.channel import (
-    ChannelModel,
-    ChannelState,
-    ChannelStats,
-    available_channel_kinds,
-    build_channel,
-    parse_channel_spec,
-)
-from repro.network.state import WsnState
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NodeRole",
-    "NodeState",
-    "SensorNode",
-    "UnitDiskRadio",
-    "deploy_uniform",
-    "deploy_per_cell",
-    "deploy_grid_heads",
-    "deploy_clustered",
-    "FailureEvent",
-    "FailureModel",
-    "available_failure_kinds",
-    "build_failure_model",
-    "compile_failure_schedule",
-    "RandomFailure",
-    "RegionJammingFailure",
-    "TargetedCellFailure",
-    "BatteryDepletionFailure",
-    "ThinningToEnabledCount",
-    "CompositeFailure",
-    "EnergyModel",
-    "EnergySummary",
-    "energy_summary",
-    "recovery_energy_cost",
-    "MoveRecord",
-    "MovementModel",
-    "Message",
-    "MessageKind",
-    "Mailbox",
-    "ChannelModel",
-    "ChannelState",
-    "ChannelStats",
-    "available_channel_kinds",
-    "build_channel",
-    "parse_channel_spec",
-    "WsnState",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.network.node": ["NodeRole", "NodeState", "SensorNode"],
+        "repro.network.radio": ["UnitDiskRadio"],
+        "repro.network.deployment": [
+            "deploy_uniform",
+            "deploy_per_cell",
+            "deploy_grid_heads",
+            "deploy_clustered",
+        ],
+        "repro.network.failures": [
+            "FailureEvent",
+            "FailureModel",
+            "available_failure_kinds",
+            "build_failure_model",
+            "compile_failure_schedule",
+            "RandomFailure",
+            "RegionJammingFailure",
+            "TargetedCellFailure",
+            "BatteryDepletionFailure",
+            "ThinningToEnabledCount",
+            "CompositeFailure",
+        ],
+        "repro.network.energy": [
+            "EnergyModel",
+            "EnergySummary",
+            "energy_summary",
+            "recovery_energy_cost",
+        ],
+        "repro.network.mobility": ["MoveRecord", "MovementModel"],
+        "repro.network.messages": ["Message", "MessageKind", "Mailbox"],
+        "repro.network.channel": [
+            "ChannelModel",
+            "ChannelState",
+            "ChannelStats",
+            "available_channel_kinds",
+            "build_channel",
+            "parse_channel_spec",
+        ],
+        "repro.network.state": ["WsnState"],
+    },
+)

@@ -52,6 +52,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.grid.virtual_grid import GridCoord
 from repro.network.failures import FrozenParams, freeze_params, thaw_params
 from repro.network.messages import Mailbox, Message, MessageKind
+from repro.validation import finite_float
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -298,10 +299,7 @@ class ChannelState:
 
 # ------------------------------------------------------------------ builders
 def _checked_number(value: object, kind: str, key: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(
-            f"channel kind {kind!r}: parameter {key!r} must be a number, got {value!r}"
-        )
+    finite_float(value, f"channel kind {kind!r}: parameter {key!r}")
     return value
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid, random_point_in_box
 from repro.network.node_arrays import NodeArrays
+from repro.sim.rng import draw_uniforms
 
 
 def _consecutive_ids(start_id: int, count: int) -> np.ndarray:
@@ -45,10 +46,6 @@ def _from_points(points: List[Point], start_id: int) -> NodeArrays:
 
 def _draw_unit_pairs(count: int, rng: random.Random) -> np.ndarray:
     """``count`` (x, y) unit draws, in the historical per-node draw order."""
-    # Imported at call time: the ``repro.sim`` package imports the scenario
-    # builder, which imports this module.
-    from repro.sim.rng import draw_uniforms
-
     return draw_uniforms(rng, 2 * count).reshape(-1, 2)
 
 

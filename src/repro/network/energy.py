@@ -27,7 +27,6 @@ consumption must not vanish) are both handled correctly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -41,6 +40,7 @@ from repro.network.node import (
     NodeRole,
     NodeState,
 )
+from repro.validation import finite_float
 
 _ENABLED = STATE_CODES[NodeState.ENABLED]
 _DEPLETED = STATE_CODES[NodeState.DEPLETED]
@@ -86,9 +86,7 @@ class EnergyModel:
             "message_cost",
             "depletion_threshold",
         ):
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            value = finite_float(getattr(self, name), name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
 

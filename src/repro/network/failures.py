@@ -31,6 +31,8 @@ import numpy as np
 from repro.grid.geometry import BoundingBox, Point
 from repro.grid.virtual_grid import GridCoord
 from repro.network.node import NodeState
+from repro.sim.rng import draw_uniforms
+from repro.validation import checked_int, finite_float
 
 
 class FailureModel(abc.ABC):
@@ -67,10 +69,6 @@ class RandomFailure(FailureModel):
         """Disable the sampled victims and return their ids."""
         enabled_ids = state.enabled_node_ids()
         if self.probability is not None:
-            # Imported at call time: the ``repro.sim`` package imports the
-            # scenario builder, which imports this module.
-            from repro.sim.rng import draw_uniforms
-
             # One draw per enabled node in deployment order, as a per-node
             # ``rng.random() < probability`` loop makes them.
             hit = draw_uniforms(rng, len(enabled_ids)) < self.probability
@@ -283,21 +281,16 @@ def _reason_from(params: Dict[str, object], kind: str, default: NodeState) -> No
 
 
 def _is_finite_number(value: object) -> bool:
-    """Whether ``value`` is an int or a finite float (``bool`` is not a number here)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """Whether ``value`` converts to a finite float (``bool`` is not a number here)."""
+    try:
+        finite_float(value, "value")
+    except ValueError:
         return False
-    return not isinstance(value, float) or math.isfinite(value)
+    return True
 
 
 def _checked_number(value: object, kind: str, key: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(
-            f"failure kind {kind!r}: parameter {key!r} must be a number, got {value!r}"
-        )
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValueError(
-            f"failure kind {kind!r}: parameter {key!r} must be finite, got {value!r}"
-        )
+    finite_float(value, f"failure kind {kind!r}: parameter {key!r}")
     return value
 
 
@@ -470,6 +463,8 @@ class FailureEvent:
     params: FrozenParams = ()
 
     def __post_init__(self) -> None:
+        # A round that is not an int would key a schedule entry no round reaches.
+        object.__setattr__(self, "round", checked_int(self.round, "failure round"))
         if self.round < 0:
             raise ValueError(f"failure round must be non-negative, got {self.round}")
         object.__setattr__(self, "params", freeze_params(dict(self.params)))

@@ -12,24 +12,20 @@ series stream back as newline-delimited JSON.
 (:class:`~repro.serve.client.ServeClient`, stdlib ``urllib`` only).
 """
 
-from repro.serve.client import ServeClient
-from repro.serve.server import (
-    DEFAULT_HOST,
-    DEFAULT_PORT,
-    ExperimentServer,
-    ServeConfig,
-    make_server,
-    run_serve_smoke,
-    spec_from_request,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_HOST",
-    "DEFAULT_PORT",
-    "ExperimentServer",
-    "ServeConfig",
-    "ServeClient",
-    "make_server",
-    "run_serve_smoke",
-    "spec_from_request",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.server": [
+            "DEFAULT_HOST",
+            "DEFAULT_PORT",
+            "ExperimentServer",
+            "ServeConfig",
+            "make_server",
+            "run_serve_smoke",
+            "spec_from_request",
+        ],
+        "repro.serve.client": ["ServeClient"],
+    },
+)

@@ -160,6 +160,10 @@ def spec_from_request(payload: object) -> RunSpec:
         spec = spec_from_dict(body)
     except (KeyError, TypeError, ValueError) as error:
         raise ValueError(f"malformed run spec: {error}") from error
+    if spec.scheme not in available_schemes():
+        raise ValueError(
+            f"unknown scheme {spec.scheme!r}; available: {list(available_schemes())}"
+        )
     scenario = spec.scenario
     for name, value, limit in (
         ("columns*rows", scenario.cell_count, MAX_GRID_CELLS),

@@ -1,22 +1,14 @@
 """Round-based simulation engine, scenarios, metrics, and event tracing."""
 
-from repro.sim.rng import derive_rng, spawn_seeds
-from repro.sim.events import Event, EventKind, EventLog
-from repro.sim.scenario import ScenarioConfig, build_scenario_state
-from repro.sim.metrics import RunMetrics, collect_metrics
-from repro.sim.engine import RoundBasedEngine, SimulationResult, run_recovery
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "derive_rng",
-    "spawn_seeds",
-    "Event",
-    "EventKind",
-    "EventLog",
-    "ScenarioConfig",
-    "build_scenario_state",
-    "RunMetrics",
-    "collect_metrics",
-    "RoundBasedEngine",
-    "SimulationResult",
-    "run_recovery",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.sim.rng": ["derive_rng", "spawn_seeds"],
+        "repro.sim.events": ["Event", "EventKind", "EventLog"],
+        "repro.sim.scenario": ["ScenarioConfig", "build_scenario_state"],
+        "repro.sim.metrics": ["RunMetrics", "collect_metrics"],
+        "repro.sim.engine": ["RoundBasedEngine", "SimulationResult", "run_recovery"],
+    },
+)

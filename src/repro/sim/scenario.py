@@ -13,7 +13,6 @@ plus the ones needed by the extension examples.
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -32,6 +31,7 @@ from repro.network.failures import ThinningToEnabledCount
 from repro.network.node import STATE_CODES
 from repro.network.state import WsnState
 from repro.sim.rng import derive_rng, draw_uniforms
+from repro.validation import checked_int, finite_float
 
 #: Named head-election policies selectable from a scenario config.
 HEAD_POLICIES = {
@@ -92,12 +92,18 @@ class ScenarioConfig:
     deployment: str = "uniform"
 
     def __post_init__(self) -> None:
+        for name in ("columns", "rows", "deployed_count", "seed"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name))
+        if self.spare_surplus is not None:
+            object.__setattr__(
+                self, "spare_surplus", checked_int(self.spare_surplus, "spare_surplus")
+            )
+        finite_float(self.communication_range, "communication_range")
+        finite_float(self.initial_energy_jitter, "initial_energy_jitter")
+        if self.initial_energy is not None:
+            finite_float(self.initial_energy, "initial_energy")
         if self.columns < 1 or self.rows < 1:
             raise ValueError("grid dimensions must be positive")
-        for name in ("communication_range", "initial_energy"):
-            value = getattr(self, name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
         if self.communication_range <= 0:
             raise ValueError("communication_range must be positive")
         if self.deployed_count < 0:

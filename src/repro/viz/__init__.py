@@ -1,15 +1,15 @@
 """Terminal-friendly visualisation of grids, cycles, and occupancy."""
 
-from repro.viz.ascii_grid import (
-    render_cycle,
-    render_dual_paths,
-    render_occupancy,
-    render_roles,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "render_occupancy",
-    "render_cycle",
-    "render_dual_paths",
-    "render_roles",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.viz.ascii_grid": [
+            "render_occupancy",
+            "render_cycle",
+            "render_dual_paths",
+            "render_roles",
+        ],
+    },
+)
