@@ -13,6 +13,14 @@ drives it with the workload shape the broker exists for:
 * a **herd pass** — many concurrent requests for one novel spec, which the
   broker's in-flight dedup must collapse onto a single simulation.
 
+A **record-store** section times the sqlite store every served request
+reads or writes, off the HTTP socket: the median microseconds of one hit
+``SqliteBackend.load`` and of one ``store`` of a new record on a warm store,
+``STORE_OPERATIONS`` of each from one thread.  Each must stay within an
+absolute limit (``MAX_STORE_LOAD_US``, ``MAX_STORE_STORE_US``): a store that
+connects, and closes and checkpoints, around every operation reads over ten
+times them.
+
 Two further sections profile the cold path itself, off the HTTP socket —
 the exact code broker workers run per cold spec:
 
@@ -50,6 +58,8 @@ requests, "p99" is just the max wearing a statistics costume).  The guards
 * warm p50 latency under a generous quarter-second ceiling (a cache hit
   must never cost simulation time);
 * one paper-tier state build takes at most ``MAX_STATE_BUILD_MS`` ms;
+* a hit load and a store on the warm sqlite store take at most
+  ``MAX_STORE_LOAD_US`` and ``MAX_STORE_STORE_US`` µs at the median;
 * the sweep-shaped cold workload gives byte-identical records with the
   initial-state cache off and on.
 """
@@ -58,8 +68,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -73,7 +85,7 @@ from repro.experiments.orchestration import (
     execute_run,
     simulate_from,
 )
-from repro.experiments.persistence import record_to_dict
+from repro.experiments.persistence import SqliteBackend, record_to_dict
 from repro.experiments.state_cache import StateCache
 from repro.serve.client import ServeClient
 from repro.serve.server import ServeConfig, make_server
@@ -109,6 +121,15 @@ MAX_STATE_BUILD_MS = 10.5
 #: Cold-path breakdown: each half of a cold spec is timed this many times and
 #: the fastest run is reported, so a one-off stall cannot tip the build share.
 COLD_PATH_REPEATS = 3
+#: Record-store section: hit loads and stores timed, each, on one warm store.
+STORE_OPERATIONS = 200
+#: Median microseconds one hit ``SqliteBackend.load`` and one ``store`` of a
+#: paper-tier record may take on a warm store.  Ten readings on a 2-core host
+#: with pooled connections were 14.0-16.5 µs per load and 24.9-33.0 µs per
+#: store; each limit doubles the worst.  A connection per operation read
+#: 359-480 µs per load and 1,424-1,760 µs per store on the same host.
+MAX_STORE_LOAD_US = 33.0
+MAX_STORE_STORE_US = 66.0
 
 
 def spec_payload(scheme: str, seed: int) -> dict:
@@ -254,6 +275,46 @@ def cold_path_breakdown() -> dict:
     }
 
 
+def record_store_pass() -> dict:
+    """Median µs of a hit ``load`` and of a ``store`` on a warm sqlite store.
+
+    The store already holds ``STORE_OPERATIONS`` records when the timing
+    starts; then as many new records are stored, one call each, and read
+    back, all from one thread.  Every document is one paper-tier record in
+    the form ``RunCache.put`` writes.
+    """
+    spec = RunSpec(
+        scenario=_sweep_scenario(seed=1), scheme=SCHEMES[0], seed=1, max_rounds=MAX_ROUNDS
+    )
+    document = json.dumps(record_to_dict(execute_run(spec)), sort_keys=True, indent=1)
+    keys = [f"{index:064x}" for index in range(2 * STORE_OPERATIONS)]
+    warm, timed = keys[:STORE_OPERATIONS], keys[STORE_OPERATIONS:]
+    with tempfile.TemporaryDirectory(prefix="bench-serve-store-") as directory:
+        backend = SqliteBackend(directory)
+        for key in warm:
+            backend.store(key, document)
+        store_seconds = []
+        for key in timed:
+            started = time.perf_counter()
+            backend.store(key, document)
+            store_seconds.append(time.perf_counter() - started)
+        load_seconds = []
+        misread = 0
+        for key in timed:
+            started = time.perf_counter()
+            loaded = backend.load(key)
+            load_seconds.append(time.perf_counter() - started)
+            misread += loaded != document
+        backend.close()
+    return {
+        "operations": STORE_OPERATIONS,
+        "document_bytes": len(document.encode("utf-8")),
+        "load_hit_p50_us": round(statistics.median(load_seconds) * 1e6, 1),
+        "store_p50_us": round(statistics.median(store_seconds) * 1e6, 1),
+        "loads_misread": misread,
+    }
+
+
 def sweep_cold_pass(scenarios: int) -> dict:
     """Sweep-shaped cold throughput with the initial-state cache off vs on.
 
@@ -321,6 +382,7 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         thread.join(timeout=10)
         server.close()
 
+    store = record_store_pass()
     breakdown = cold_path_breakdown()
     sweep = sweep_cold_pass(scenarios=sweep_scenarios)
 
@@ -343,19 +405,24 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
             "every warm request answered cached, "
             f"cold_path.breakdown.state_build_ms <= {MAX_STATE_BUILD_MS}, "
             "cold_path.sweep.records_identical (the build's share of a cold "
-            "spec is reported, not guarded)"
+            "spec is reported, not guarded), "
+            f"record_store.load_hit_p50_us <= {MAX_STORE_LOAD_US} and "
+            f"record_store.store_p50_us <= {MAX_STORE_STORE_US} (median of "
+            f"{STORE_OPERATIONS} each on one warm sqlite store, one thread)"
         ),
         "scenario": SCENARIO,
         "schemes": list(SCHEMES),
         "max_rounds": MAX_ROUNDS,
         "distinct_specs": len(SCHEMES) * seeds,
         "broker_workers": workers,
+        "cores_available": os.cpu_count(),
         "cold": cold,
         "warm": warm,
         "health": health,
         "warm_vs_cold_speedup": round(speedup, 1),
         "warm_vs_health_p50": round(warm_vs_health, 2),
         "herd": herd,
+        "record_store": store,
         "cold_path": {
             "breakdown": breakdown,
             "sweep": sweep,
@@ -395,6 +462,20 @@ def run_benchmark(seeds: int, workers: int, sweep_scenarios: int) -> tuple:
         failures.append(
             "state-cached sweep records differ from the cache-off baseline"
         )
+    if store["loads_misread"]:
+        failures.append(
+            f"{store['loads_misread']} record-store loads read back another document"
+        )
+    for name, limit in (
+        ("load_hit_p50_us", MAX_STORE_LOAD_US),
+        ("store_p50_us", MAX_STORE_STORE_US),
+    ):
+        if store[name] > limit:
+            failures.append(
+                f"record_store.{name} is {store[name]} µs (guard: <= {limit} µs); "
+                "the sqlite store opens a connection per operation again, or "
+                "an operation grew"
+            )
     build_ms = breakdown["state_build_ms"]
     if build_ms > MAX_STATE_BUILD_MS:
         failures.append(
@@ -444,6 +525,8 @@ def main(argv=None) -> int:
         f"{report['warm_vs_health_p50']}x the /health p50, herd of "
         f"{report['herd']['concurrent_requests']} -> "
         f"{report['herd']['simulations_performed']} simulation, "
+        f"store load {report['record_store']['load_hit_p50_us']} µs, "
+        f"store {report['record_store']['store_p50_us']} µs, "
         f"state build {breakdown['state_build_ms']:.2f} ms "
         f"({breakdown['state_build_fraction_of_cold_spec']:.0%} of a cold spec), "
         f"sweep {sweep['baseline_specs_per_second']} specs/s cache "

@@ -126,7 +126,9 @@ class RunSpec:
         """Check the integer fields and normalise an explicit default channel to ``None``.
 
         ``seed``, ``max_rounds`` and ``idle_round_limit`` must be integers
-        (numpy integers are stored as ``int``), the round bounds at least 1.
+        (numpy integers are stored as ``int``), the round bounds at least 1,
+        and ``run_to_exhaustion`` a ``bool``: ``1`` would compare equal to
+        ``True`` but give the spec another run key.
         ``--channel perfect`` and an omitted channel describe byte-identical
         runs; folding them onto one canonical form keeps spec equality — and
         therefore the run-cache key — semantic rather than syntactic.
@@ -141,6 +143,10 @@ class RunSpec:
             "idle_round_limit",
             checked_int(self.idle_round_limit, "idle_round_limit", minimum=1),
         )
+        if not isinstance(self.run_to_exhaustion, bool):
+            raise ValueError(
+                f"run_to_exhaustion must be true or false, got {self.run_to_exhaustion!r}"
+            )
         if self.channel == DEFAULT_CHANNEL:
             object.__setattr__(self, "channel", None)
 

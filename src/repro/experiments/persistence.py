@@ -44,9 +44,10 @@ import os
 import sqlite3
 import tempfile
 import threading
+import time
 from abc import ABC, abstractmethod
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.orchestration import RunRecord, RunSpec
 from repro.experiments.registry import factory_identity
@@ -290,6 +291,13 @@ class CacheBackend(ABC):
         for key, document in items.items():
             self.store(key, document)
 
+    def close(self) -> None:
+        """Release whatever the backend holds open between operations.
+
+        The backend stays usable: a later operation reopens what it needs.
+        The base implementation holds nothing and does nothing.
+        """
+
 
 class JsonDirBackend(CacheBackend):
     """One ``<run_key>.json`` file per record in a flat directory.
@@ -371,18 +379,39 @@ SQLITE_SCHEMA_VERSION = 1
 #: Default database filename when ``--cache-dir`` points at a directory.
 SQLITE_DEFAULT_FILENAME = "runs.sqlite3"
 
+#: Idle connections a :class:`SqliteBackend` keeps open in one process.  An
+#: operation that finds none idle opens another; one returned to a full pool
+#: is closed.
+SQLITE_IDLE_CONNECTIONS = 8
+
+#: Seconds a connection waits on another's lock before failing (sqlite's
+#: busy timeout), and how long creating the schema retries a refused lock.
+SQLITE_BUSY_TIMEOUT_S = 30.0
+
 
 class SqliteBackend(CacheBackend):
     """All records in one WAL-mode sqlite database, keyed by ``run_key``.
 
     Designed for many concurrent readers and writers sharing one store (the
     broker's worker threads, several ``repro`` processes, or the serve
-    service): WAL mode lets readers proceed during a write, a busy timeout
-    absorbs write contention, and every operation runs on its own
-    short-lived connection so the backend is safe to share across threads
-    and to fork across processes.  The table schema is versioned through
+    service): WAL mode lets readers proceed during a write and a busy
+    timeout absorbs write contention.  The table schema is versioned through
     ``PRAGMA user_version``; a database created by an incompatible revision
     is rejected loudly instead of being misread.
+
+    Operations run on pooled connections, each opened once with
+    ``synchronous=NORMAL``.  An operation checks one out, so no two threads
+    ever use a connection at once, and checks it back in afterwards: rolled
+    back if it still holds a transaction, closed instead if the operation
+    raised.  At most :data:`SQLITE_IDLE_CONNECTIONS` stay open per process.
+    The pool is keyed by process id, so a forked child opens connections of
+    its own and never uses or closes one it inherited (sqlite forbids
+    carrying a connection across ``fork``), nor waits on a pool lock another
+    thread held when the process forked.  :meth:`close` closes this
+    process's idle connections; closing the last connection to the database
+    checkpoints the WAL into the database file.  A pooled connection keeps
+    the file it opened, so a database deleted or replaced under a running
+    process is only seen again after :meth:`close`.
     """
 
     kind = "sqlite"
@@ -394,6 +423,53 @@ class SqliteBackend(CacheBackend):
         self.path = path
         self._initialised = False
         self._init_lock = threading.Lock()
+        #: ``pid -> (lock, idle connections)``: one pool per process.
+        self._pools: Dict[int, Tuple[threading.Lock, List[sqlite3.Connection]]] = {}
+
+    def _pool(self) -> Tuple[threading.Lock, List[sqlite3.Connection]]:
+        """This process's lock and idle connections (created on first use)."""
+        pid = os.getpid()
+        pool = self._pools.get(pid)
+        if pool is None:
+            pool = self._pools.setdefault(pid, (threading.Lock(), []))
+        return pool
+
+    def _checkout(self, write: bool) -> sqlite3.Connection:
+        """An idle connection of this process, or a new one.
+
+        Only a write creates the database, so only a write creates its
+        directory.  The connect ``timeout`` is the busy timeout that absorbs
+        write contention.
+        """
+        lock, idle = self._pool()
+        with lock:
+            if idle:
+                return idle.pop()
+        if write:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        connection = sqlite3.connect(
+            str(self.path), timeout=SQLITE_BUSY_TIMEOUT_S, check_same_thread=False
+        )
+        connection.execute("PRAGMA synchronous=NORMAL")
+        return connection
+
+    def _checkin(self, connection: sqlite3.Connection) -> None:
+        """Return a connection to the pool, or close it when the pool is full."""
+        lock, idle = self._pool()
+        with lock:
+            if len(idle) < SQLITE_IDLE_CONNECTIONS:
+                idle.append(connection)
+                return
+        connection.close()
+
+    def close(self) -> None:
+        """Close this process's idle connections; later operations reopen them."""
+        lock, idle = self._pool()
+        with lock:
+            connections = idle[:]
+            idle.clear()
+        for connection in connections:
+            connection.close()
 
     def _schema_ready(self, connection: sqlite3.Connection) -> bool:
         """Whether the table exists; reject incompatible schema versions."""
@@ -411,48 +487,64 @@ class SqliteBackend(CacheBackend):
         WAL is a property of the database file, so no later connection sets
         it again; in particular a lookup never asks for the exclusive lock a
         journal-mode change takes, which a concurrent first write holds.
+
+        Two processes creating one database at once race the WAL switch,
+        and sqlite refuses the loser "database is locked" at once, without
+        its busy timeout (the loser already reads the file, and waiting for
+        the winner to take it over could deadlock).  The loser retries until
+        the winner's schema is in place.
         """
-        if self._schema_ready(connection):
-            return
-        connection.execute("PRAGMA journal_mode=WAL")
-        connection.execute(
-            "CREATE TABLE IF NOT EXISTS run_records ("
-            "run_key TEXT PRIMARY KEY, document TEXT NOT NULL)"
-        )
-        connection.execute(f"PRAGMA user_version = {SQLITE_SCHEMA_VERSION}")
-        connection.commit()
+        deadline = time.monotonic() + SQLITE_BUSY_TIMEOUT_S
+        while True:
+            try:
+                if self._schema_ready(connection):
+                    return
+                connection.execute("PRAGMA journal_mode=WAL")
+                connection.execute(
+                    "CREATE TABLE IF NOT EXISTS run_records ("
+                    "run_key TEXT PRIMARY KEY, document TEXT NOT NULL)"
+                )
+                connection.execute(f"PRAGMA user_version = {SQLITE_SCHEMA_VERSION}")
+                connection.commit()
+                return
+            except sqlite3.OperationalError as error:
+                if "locked" not in str(error) or time.monotonic() > deadline:
+                    raise
+                connection.rollback()
+                time.sleep(0.01)
 
     @contextlib.contextmanager
     def _session(self, write: bool = False) -> Iterator[Optional[sqlite3.Connection]]:
-        """Per-operation connection; ``None`` when there is nothing to read.
+        """A pooled connection for one operation; ``None`` when there is nothing to read.
 
         Only a write creates the database.  A read of a database that does
         not exist yet, or whose first write is still creating it, gets
         ``None`` (a miss) instead of contending for the creator's locks.
-        The connect ``timeout`` is the busy timeout that absorbs write
-        contention.
         """
-        if write:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        elif not self.path.exists():
+        if not write and not self.path.exists():
             yield None
             return
-        connection = sqlite3.connect(str(self.path), timeout=30.0)
+        connection = self._checkout(write)
         try:
-            if write:
-                connection.execute("PRAGMA synchronous=NORMAL")
-                if not self._initialised:
-                    with self._init_lock:
-                        self._ensure_schema(connection)
-                        self._initialised = True
-            elif not self._initialised:
-                if not self._schema_ready(connection):
-                    yield None
-                    return
-                self._initialised = True
-            yield connection
-        finally:
+            yield connection if self._ready(connection, write) else None
+            if connection.in_transaction:
+                connection.rollback()
+        except BaseException:
             connection.close()
+            raise
+        self._checkin(connection)
+
+    def _ready(self, connection: sqlite3.Connection, write: bool) -> bool:
+        """Whether the schema exists, creating it first for a write."""
+        if self._initialised:
+            return True
+        if write:
+            with self._init_lock:
+                self._ensure_schema(connection)
+        elif not self._schema_ready(connection):
+            return False
+        self._initialised = True
+        return True
 
     def load(self, key: str) -> Optional[str]:
         """Read the stored document text, or ``None`` when absent."""

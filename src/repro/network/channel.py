@@ -50,9 +50,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.grid.virtual_grid import GridCoord
-from repro.network.failures import FrozenParams, freeze_params, thaw_params
+from repro.network.failures import FrozenParams, float_params, freeze_params, thaw_params
 from repro.network.messages import Mailbox, Message, MessageKind
-from repro.validation import finite_float
+from repro.validation import checked_int, finite_float
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -102,6 +102,10 @@ class ChannelModel:
         # Eager validation: a bad kind or parameter set fails at construction
         # time with the builder's actionable error, not mid-run.
         build_channel(self, random.Random(0))
+        if self.kind == "lossy":
+            object.__setattr__(
+                self, "params", float_params(self.params, ("drop_probability",))
+            )
 
     @classmethod
     def with_params(cls, kind: str, *, ack_timeout: int = 3, max_retries: int = 8, **params: object) -> "ChannelModel":
@@ -303,6 +307,17 @@ def _checked_number(value: object, kind: str, key: str) -> float:
     return value
 
 
+def _checked_round(value: object, kind: str, key: str) -> int:
+    """The integer under ``key``: a float is refused, never truncated.
+
+    Checked as a number first, so an infinity or an integer too large for
+    a float is reported as not finite.
+    """
+    name = f"channel kind {kind!r}: parameter {key!r}"
+    finite_float(value, name)
+    return checked_int(value, name)
+
+
 def _reject_unknown(params: Dict[str, object], kind: str, allowed: Tuple[str, ...]) -> None:
     if params:
         raise ValueError(
@@ -329,7 +344,7 @@ def _build_lossy(model: ChannelModel, params: Dict[str, object], rng: random.Ran
 
 
 def _build_delayed(model: ChannelModel, params: Dict[str, object], rng: random.Random) -> ChannelState:
-    latency = int(_checked_number(params.pop("latency", None), "delayed", "latency"))
+    latency = _checked_round(params.pop("latency", None), "delayed", "latency")
     _reject_unknown(params, "delayed", ("latency",))
     if latency < 1:
         raise ValueError(f"channel kind 'delayed': latency must be >= 1, got {latency}")
@@ -355,8 +370,8 @@ def _build_jammed(model: ChannelModel, params: Dict[str, object], rng: random.Ra
         raise ValueError(
             f"channel kind 'jammed': region corners must be ordered, got {list(region)}"
         )
-    start = int(_checked_number(from_round, "jammed", "from_round"))
-    end = int(_checked_number(until_round, "jammed", "until_round"))
+    start = _checked_round(from_round, "jammed", "from_round")
+    end = _checked_round(until_round, "jammed", "until_round")
     if start < 0 or end <= start:
         raise ValueError(
             "channel kind 'jammed': need 0 <= from_round < until_round, got "

@@ -89,6 +89,8 @@ class EnergyModel:
             value = finite_float(getattr(self, name), name)
             if value < 0:
                 raise ValueError(f"{name} must be non-negative, got {value}")
+            # The float, not the given value: ``1`` and ``1.0`` key one run.
+            object.__setattr__(self, name, value)
 
     def apply_round(self, state) -> List[int]:
         """Drain the per-round idle cost and disable depleted nodes.

@@ -266,6 +266,25 @@ def thaw_params(params: FrozenParams) -> Dict[str, object]:
     return dict(params)
 
 
+def float_params(params: FrozenParams, keys: Sequence[str]) -> FrozenParams:
+    """``params`` with the numbers under ``keys`` stored as floats.
+
+    A run key hashes the parameters' JSON, where ``1`` and ``1.0`` differ,
+    although events holding them compare equal.  Call after validation: a
+    value under ``keys`` is a number, a tuple of numbers, or ``None``.
+    """
+
+    def as_float(value: object) -> object:
+        """``value`` (a number, a tuple of numbers, or ``None``) in floats."""
+        if isinstance(value, tuple):
+            return tuple(float(item) for item in value)
+        return None if value is None else float(value)
+
+    return tuple(
+        (key, as_float(value) if key in keys else value) for key, value in params
+    )
+
+
 def _reason_from(params: Dict[str, object], kind: str, default: NodeState) -> NodeState:
     value = params.pop("reason", None)
     if value is None:
@@ -294,8 +313,15 @@ def _checked_number(value: object, kind: str, key: str) -> float:
     return value
 
 
-def _require_number(params: Dict[str, object], kind: str, key: str) -> float:
-    return _checked_number(params.pop(key, None), kind, key)
+def _checked_count(value: object, kind: str, key: str) -> int:
+    """The integer under ``key``: a float is refused, never truncated.
+
+    Checked as a number first, so an infinity or an integer too large for
+    a float is reported as not finite, as for the real-valued parameters.
+    """
+    name = f"failure kind {kind!r}: parameter {key!r}"
+    finite_float(value, name)
+    return checked_int(value, name)
 
 
 def _reject_unknown(params: Dict[str, object], kind: str, allowed: Sequence[str]) -> None:
@@ -327,13 +353,13 @@ def _build_random(params: Dict[str, object]) -> FailureModel:
     if probability is not None:
         probability = _checked_number(probability, "random", "probability")
     if count is not None:
-        count = int(_checked_number(count, "random", "count"))
+        count = _checked_count(count, "random", "count")
     return RandomFailure(probability=probability, count=count, reason=reason)
 
 
 def _build_thinning(params: Dict[str, object]) -> FailureModel:
     reason = _reason_from(params, "thinning", NodeState.FAILED)
-    target = int(_require_number(params, "thinning", "target_enabled"))
+    target = _checked_count(params.pop("target_enabled", None), "thinning", "target_enabled")
     _reject_unknown(params, "thinning", ("target_enabled", "reason"))
     return ThinningToEnabledCount(target_enabled=target, reason=reason)
 
@@ -405,6 +431,14 @@ def _build_battery_depletion(params: Dict[str, object]) -> FailureModel:
     return BatteryDepletionFailure(threshold=threshold, reason=reason)
 
 
+#: The real-valued parameters of each failure kind; an event stores them as
+#: floats (see :func:`float_params`).
+_REAL_PARAMS: Dict[str, Tuple[str, ...]] = {
+    "random": ("probability",),
+    "region_jamming": ("box", "center", "radius"),
+    "battery_depletion": ("threshold",),
+}
+
 #: Declarative failure kinds: name -> builder taking a plain parameter dict.
 FAILURE_KINDS: Dict[str, Callable[[Dict[str, object]], FailureModel]] = {
     "random": _build_random,
@@ -469,6 +503,11 @@ class FailureEvent:
             raise ValueError(f"failure round must be non-negative, got {self.round}")
         object.__setattr__(self, "params", freeze_params(dict(self.params)))
         self.build()  # eager validation; the model itself is discarded
+        object.__setattr__(
+            self,
+            "params",
+            float_params(self.params, _REAL_PARAMS.get(self.kind, ())),
+        )
 
     @classmethod
     def with_params(cls, round: int, kind: str, **params: object) -> "FailureEvent":

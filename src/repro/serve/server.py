@@ -226,9 +226,16 @@ class ExperimentServer(ThreadingHTTPServer):
         return f"http://{host}:{port}"
 
     def close(self) -> None:
-        """Shut down the broker and release the (possibly temporary) store."""
+        """Shut down the broker and release the (possibly temporary) store.
+
+        The store's backend closes the connections it keeps between
+        requests, so a sqlite store is checkpointed and no file of it stays
+        open.
+        """
         self.broker.shutdown(wait=True)
         self.server_close()
+        if self.cache is not None:
+            self.cache.backend.close()
         if self._temp_dir is not None:
             self._temp_dir.cleanup()
 

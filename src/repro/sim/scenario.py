@@ -98,10 +98,13 @@ class ScenarioConfig:
             object.__setattr__(
                 self, "spare_surplus", checked_int(self.spare_surplus, "spare_surplus")
             )
-        finite_float(self.communication_range, "communication_range")
-        finite_float(self.initial_energy_jitter, "initial_energy_jitter")
+        # Store the float, so ``10`` and ``10.0`` give one spec and one run key.
+        for name in ("communication_range", "initial_energy_jitter"):
+            object.__setattr__(self, name, finite_float(getattr(self, name), name))
         if self.initial_energy is not None:
-            finite_float(self.initial_energy, "initial_energy")
+            object.__setattr__(
+                self, "initial_energy", finite_float(self.initial_energy, "initial_energy")
+            )
         if self.columns < 1 or self.rows < 1:
             raise ValueError("grid dimensions must be positive")
         if self.communication_range <= 0:

@@ -10,14 +10,25 @@ The contracts exercised here:
   (round-trip, hit/miss accounting, damage-as-miss);
 * concurrent readers and writers — threads and forked worker processes —
   never observe a torn document: every read is a miss or a complete,
-  valid record.
+  valid record;
+* the sqlite backend pools its connections: sequential operations share
+  one, no two threads use one at once, a forked child opens its own, a
+  failed operation's connection is closed, and a record stored by a
+  writer killed without closing is still read;
+* processes racing to create one database all store their record.
 """
 
 import json
+import multiprocessing
+import os
+import signal
 import sqlite3
 import sys
 import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +229,238 @@ def test_sqlite_concurrent_lookups_race_the_first_store(tmp_path):
             assert backend.load("k") == "{}"
     finally:
         sys.setswitchinterval(interval)
+
+
+# ----------------------------------------------------------- connection pool
+@pytest.fixture
+def counted_connects(monkeypatch):
+    """The paths every ``sqlite3.connect`` call opens, in call order."""
+    opened = []
+    connect = sqlite3.connect
+
+    def counting_connect(database, *args, **kwargs):
+        opened.append(database)
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    return opened
+
+
+def test_sqlite_sequential_operations_share_one_connection(tmp_path, counted_connects):
+    backend = SqliteBackend(tmp_path)
+    for index in range(100):
+        backend.store(f"k{index}", f'{{"v": {index}}}')
+        assert backend.load(f"k{index}") == f'{{"v": {index}}}'
+    assert backend.count() == 100
+    assert len(counted_connects) == 1
+    backend.close()
+
+
+def test_sqlite_close_keeps_the_backend_usable(tmp_path, counted_connects):
+    backend = SqliteBackend(tmp_path)
+    backend.store("k", "{}")
+    backend.close()
+    assert not Path(f"{backend.path}-wal").exists()  # the last close checkpoints
+    assert backend.load("k") == "{}"
+    assert len(counted_connects) == 2
+    backend.close()
+
+
+def test_sqlite_a_failed_operation_closes_its_connection(tmp_path, counted_connects):
+    backend = SqliteBackend(tmp_path)
+    backend.store("k", "{}")
+    with pytest.raises(sqlite3.Error):
+        with backend._session() as connection:
+            connection.execute("SELECT * FROM no_such_table")
+    assert backend.load("k") == "{}"
+    assert len(counted_connects) == 2  # the failed connection was not reused
+    backend.close()
+
+
+def test_sqlite_an_open_transaction_is_rolled_back_on_checkin(tmp_path):
+    backend = SqliteBackend(tmp_path)
+    backend.store("k", '{"v": 1}')
+    with backend._session(write=True) as connection:
+        connection.execute(
+            "UPDATE run_records SET document = '{\"v\": 2}' WHERE run_key = 'k'"
+        )  # no commit
+    assert backend.load("k") == '{"v": 1}'
+    backend.store("other", "{}")  # the writer lock was released
+    backend.close()
+
+
+def test_sqlite_threads_never_share_a_connection(tmp_path, monkeypatch):
+    """Every execute runs on a connection no other thread is executing on."""
+    guard = threading.Lock()
+    busy = {}
+    overlaps = []
+
+    class TrackedConnection(sqlite3.Connection):
+        def execute(self, *args, **kwargs):
+            with guard:
+                if busy.get(id(self)) not in (None, threading.get_ident()):
+                    overlaps.append(id(self))
+                busy[id(self)] = threading.get_ident()
+            try:
+                time.sleep(0)  # widen the window for another thread to enter
+                return super().execute(*args, **kwargs)
+            finally:
+                with guard:
+                    busy.pop(id(self), None)
+
+    connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3,
+        "connect",
+        lambda database, **kwargs: connect(database, factory=TrackedConnection, **kwargs),
+    )
+    backend = SqliteBackend(tmp_path)
+    backend.store("seed", "{}")
+    errors = []
+
+    def hammer(worker: int) -> None:
+        try:
+            for index in range(40):
+                key = f"w{worker}-{index}"
+                backend.store(key, f'"{key}"')
+                if backend.load(key) != f'"{key}"':
+                    errors.append(f"{key} read back wrong")
+        except sqlite3.Error as error:
+            errors.append(repr(error))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=hammer, args=(w,)) for w in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not errors
+    assert not overlaps
+    assert backend.count() == 1 + 12 * 40
+    backend.close()
+
+
+def _store_load_and_close(backend: SqliteBackend, opened: list, results) -> None:
+    """Child side: write and read through the inherited backend, then close it."""
+    connects_before = len(opened)
+    backend.store("child", '{"by": "child"}')
+    results.put(backend.load("child"))
+    results.put(backend.load("parent"))
+    results.put(len(opened) - connects_before)
+    backend.close()
+
+
+def _integrity(path) -> str:
+    with closing(sqlite3.connect(path)) as connection:
+        return connection.execute("PRAGMA integrity_check").fetchone()[0]
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_sqlite_forked_child_opens_its_own_connections(tmp_path, counted_connects):
+    backend = SqliteBackend(tmp_path)
+    backend.store("parent", '{"by": "parent"}')
+    assert backend.load("parent") == '{"by": "parent"}'  # an idle connection now
+    context = multiprocessing.get_context("fork")
+    results = context.Queue()
+    child = context.Process(
+        target=_store_load_and_close, args=(backend, counted_connects, results)
+    )
+    pool_lock, _ = backend._pool()
+    with pool_lock:  # held across the fork: the child must not wait on it
+        child.start()
+    try:
+        assert results.get(timeout=30) == '{"by": "child"}'
+        assert results.get(timeout=30) == '{"by": "parent"}'
+        assert results.get(timeout=30) == 1  # a connection of its own
+    finally:
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
+
+    # The parent goes on with the connection it had before the fork.
+    assert backend.load("child") == '{"by": "child"}'
+    backend.store("after", '{"by": "parent"}')
+    assert backend.count() == 3
+    assert len(counted_connects) == 1
+    assert _integrity(backend.path) == "ok"
+    backend.close()
+    fresh = SqliteBackend(tmp_path)
+    assert sorted(fresh.iter_keys()) == ["after", "child", "parent"]
+    assert _integrity(fresh.path) == "ok"
+    fresh.close()
+
+
+def _store_then_hang(path, stored) -> None:
+    """Child side: store one record, say so, and wait to be killed."""
+    backend = SqliteBackend(path)
+    backend.store("k", '{"v": "durable"}')
+    stored.set()
+    time.sleep(120)
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_sqlite_record_survives_a_killed_writer(tmp_path):
+    context = multiprocessing.get_context("fork")
+    stored = context.Event()
+    child = context.Process(target=_store_then_hang, args=(tmp_path, stored))
+    child.start()
+    try:
+        assert stored.wait(timeout=60)
+    finally:
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(timeout=60)
+    assert child.exitcode == -signal.SIGKILL
+    backend = SqliteBackend(tmp_path)
+    assert backend.load("k") == '{"v": "durable"}'
+    backend.close()
+
+
+def _first_store(path, barrier, results, index: int) -> None:
+    """Child side: wait for the others, then make one of the first stores."""
+    backend = SqliteBackend(path)
+    barrier.wait()
+    try:
+        backend.store(f"k{index}", "{}")
+        results.put(None)
+    except sqlite3.Error as error:
+        results.put(repr(error))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_sqlite_processes_racing_the_first_store_all_succeed(tmp_path):
+    """sqlite refuses all but one concurrent WAL switch at once; the others retry."""
+    context = multiprocessing.get_context("fork")
+    for trial in range(20):
+        path = tmp_path / f"store-{trial}"
+        barrier = context.Barrier(4)
+        results = context.Queue()
+        writers = [
+            context.Process(target=_first_store, args=(path, barrier, results, index))
+            for index in range(4)
+        ]
+        for writer in writers:
+            writer.start()
+        outcomes = [results.get(timeout=60) for _ in writers]
+        for writer in writers:
+            writer.join(timeout=60)
+        assert [writer.exitcode for writer in writers] == [0] * 4
+        assert outcomes == [None] * 4, outcomes
+        backend = SqliteBackend(path)
+        assert backend.count() == 4
+        backend.close()
 
 
 # --------------------------------------------------------------- concurrency

@@ -7,7 +7,9 @@ refuse them with :class:`ValueError` (a 400 at the HTTP service, a
 the scenario's communication range and initial energy, and the failure
 kinds' numbers, points and boxes.  So must an integer too large for a float
 in any of those, and an integer field (grid size, counts, seeds, round
-bounds) holding a float, a string, a ``bool`` or a value out of range.  The
+bounds, the failure kinds' counts and the channel kinds' rounds) holding a
+float, a string, a ``bool`` or a value out of range: ``count: 2.5`` is
+refused, not run as 2.  ``run_to_exhaustion`` takes only a ``bool``.  The
 service also refuses a scheme that is not registered.
 """
 
@@ -121,6 +123,13 @@ ADMISSION_ROWS = [
     ("channel", "jammed", {"region": [0, 0, 1, 1], "from_round": 0, "until_round": math.inf}),
     ("failure-round", "random", 2.5),
     ("failure-round", "random", True),
+    ("failure", "random", {"count": 2.5}),
+    ("failure", "thinning", {"target_enabled": 20.5}),
+    ("channel", "delayed", {"latency": 2.5}),
+    ("channel", "jammed", {"region": [0, 0, 1, 1], "from_round": 1.5, "until_round": 4}),
+    ("channel", "jammed", {"region": [0, 0, 1, 1], "from_round": 0, "until_round": 4.5}),
+    ("run", "run_to_exhaustion", 1),
+    ("run", "run_to_exhaustion", "true"),
     ("run", "max_rounds", 0),
     ("run", "max_rounds", -1),
     ("run", "idle_round_limit", 0),

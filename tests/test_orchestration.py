@@ -286,6 +286,97 @@ class TestPersistence:
         assert cache.get(quick_spec()) is None
 
 
+#: A ``POST /run`` body whose real-valued fields all hold floats, and its run
+#: key as stores written before whole numbers were stored as floats have it.
+FLOAT_TYPED_BODY = {
+    "scenario": {
+        "columns": 4,
+        "rows": 4,
+        "deployed_count": 48,
+        "spare_surplus": 4,
+        "seed": 3,
+        "communication_range": 10.0,
+        "initial_energy": 40.0,
+        "initial_energy_jitter": 0.0,
+    },
+    "scheme": "SR",
+    "max_rounds": 30,
+    "energy": {"idle_cost_per_round": 1.0, "move_cost_per_meter": 1.0},
+    "run_to_exhaustion": True,
+    "failures": [
+        {"round": 2, "kind": "random", "params": {"probability": 0.0}},
+        {"round": 3, "kind": "region_jamming", "params": {"center": [2.0, 2.0], "radius": 3.0}},
+        {"round": 4, "kind": "battery_depletion", "params": {"threshold": 0.0}},
+    ],
+    "channel": {"kind": "lossy", "drop_probability": 0.0},
+}
+FLOAT_TYPED_KEY = "6184e863d5a3c076e520299b318e57a8fcafbcb285faf74880dfbda084c0d72b"
+
+#: ``(path into FLOAT_TYPED_BODY, the same value as a whole number)``.
+WHOLE_NUMBER_FIELDS = [
+    (("scenario", "communication_range"), 10),
+    (("scenario", "initial_energy"), 40),
+    (("scenario", "initial_energy_jitter"), 0),
+    (("energy", "idle_cost_per_round"), 1),
+    (("energy", "move_cost_per_meter"), 1),
+    (("failures", 0, "params", "probability"), 0),
+    (("failures", 1, "params", "center"), [2, 2]),
+    (("failures", 1, "params", "radius"), 3),
+    (("failures", 2, "params", "threshold"), 0),
+    (("channel", "drop_probability"), 0),
+]
+
+
+def _whole_number_body(path, value):
+    """FLOAT_TYPED_BODY with the field at ``path`` set to ``value``."""
+    body = json.loads(json.dumps(FLOAT_TYPED_BODY))
+    target = body
+    for step in path[:-1]:
+        target = target[step]
+    target[path[-1]] = value
+    return body
+
+
+class TestEqualSpecsShareOneKey:
+    """Specs that compare equal get one run key, so one record and one run."""
+
+    def test_a_float_typed_spec_keeps_its_key(self):
+        from repro.serve import spec_from_request
+
+        assert run_key(spec_from_request(FLOAT_TYPED_BODY)) == FLOAT_TYPED_KEY
+
+    @pytest.mark.parametrize(
+        "path, value", WHOLE_NUMBER_FIELDS, ids=[".".join(map(str, p)) for p, _ in WHOLE_NUMBER_FIELDS]
+    )
+    def test_a_whole_number_gets_the_float_key(self, path, value):
+        from repro.serve import spec_from_request
+
+        spec = spec_from_request(_whole_number_body(path, value))
+        assert spec == spec_from_request(FLOAT_TYPED_BODY)
+        assert run_key(spec) == FLOAT_TYPED_KEY
+        assert spec_to_dict(spec) == spec_to_dict(spec_from_request(FLOAT_TYPED_BODY))
+
+    def test_execute_batch_simulates_equal_specs_once(self, tmp_path):
+        from repro.experiments.broker import execute_batch
+        from repro.serve import spec_from_request
+
+        specs = [spec_from_request(FLOAT_TYPED_BODY)] + [
+            spec_from_request(_whole_number_body(path, value))
+            for path, value in WHOLE_NUMBER_FIELDS
+        ]
+        executor = SerialExecutor()
+        cache = RunCache(tmp_path)
+        records = execute_batch(specs, executor=executor, cache=cache)
+        assert executor.runs_executed == 1
+        assert len(cache) == 1
+        assert all(record == records[0] for record in records)
+
+    @pytest.mark.parametrize("value", [1, 0, "true", None])
+    def test_run_to_exhaustion_takes_only_a_bool(self, value):
+        with pytest.raises(ValueError, match="run_to_exhaustion"):
+            quick_spec(run_to_exhaustion=value)
+
+
 class TestCachedSweeps:
     def test_second_pass_executes_nothing(self, tmp_path):
         cache = RunCache(tmp_path)

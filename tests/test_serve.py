@@ -15,14 +15,20 @@ The contracts exercised here:
   ``MAX_BODY_BYTES`` -> 413, both answered without reading a body, and a
   spec above an admission limit (grid cells, deployed nodes, round bound)
   -> 400 before anything is built, and so does a spec carrying a non-finite
-  number (``1e400`` parses to ``inf``, and Python's JSON reads ``NaN``).
+  number (``1e400`` parses to ``inf``, and Python's JSON reads ``NaN``);
+* the sqlite record store: a damaged stored document is answered as a
+  miss, plain or streamed, and rewritten, and closing the server leaves no
+  file of the store open and no WAL behind.
 """
 
 import json
+import os
 import socket
+import sqlite3
 import struct
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -438,3 +444,92 @@ def test_admission_limits_admit_the_paper_tier_and_the_limits_themselves():
     spec = spec_from_request(at_limits)
     assert spec.scenario.cell_count == MAX_GRID_CELLS
     assert spec.max_rounds == MAX_ROUNDS
+
+
+# --------------------------------------------------------- the sqlite record store
+def _stored_document(db_path, key: str) -> str:
+    """The document stored under ``key``, read on a connection of the test's own."""
+    with closing(sqlite3.connect(db_path)) as connection:
+        row = connection.execute(
+            "SELECT document FROM run_records WHERE run_key = ?", (key,)
+        ).fetchone()
+    return row[0]
+
+
+def _truncate_stored_document(db_path, key: str) -> str:
+    """Cut the document stored under ``key`` to half its length; returns the original."""
+    original = _stored_document(db_path, key)
+    with closing(sqlite3.connect(db_path)) as connection:
+        connection.execute(
+            "UPDATE run_records SET document = ? WHERE run_key = ?",
+            (original[: len(original) // 2], key),
+        )
+        connection.commit()
+    return original
+
+
+def test_a_damaged_stored_document_is_answered_as_a_miss_and_rewritten(tmp_path):
+    with running_server(cache_dir=tmp_path) as (server, client):
+        first = client.run(spec_payload(seed=5))
+        db_path = server.cache.backend.path
+        original = _truncate_stored_document(db_path, first["key"])
+        before = client.stats()["cache"]
+
+        again = client.run(spec_payload(seed=5))
+        assert not again["cached"]
+        assert again["record"] == first["record"]
+        after = client.stats()["cache"]
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"]
+        assert _stored_document(db_path, first["key"]) == original
+
+        third = client.run(spec_payload(seed=5))
+        assert third["cached"]
+        assert third["record"] == first["record"]
+
+
+def test_a_damaged_stored_document_is_streamed_as_a_miss_and_rewritten(tmp_path):
+    with running_server(cache_dir=tmp_path) as (server, client):
+        done = list(client.run_stream(spec_payload(seed=6)))[-1]
+        db_path = server.cache.backend.path
+        original = _truncate_stored_document(db_path, done["key"])
+        before = client.stats()["cache"]
+
+        events = list(client.run_stream(spec_payload(seed=6)))
+        assert [events[0]["event"], events[-1]["event"]] == ["accepted", "done"]
+        assert events[-1]["record"] == done["record"]
+        after = client.stats()["cache"]
+        assert after["misses"] == before["misses"] + 1
+        assert after["hits"] == before["hits"]
+        assert _stored_document(db_path, done["key"]) == original
+
+        replay = list(client.run_stream(spec_payload(seed=6)))
+        assert [event["event"] for event in replay] == ["cached"]
+        assert replay[0]["record"] == done["record"]
+
+
+def _open_files_under(prefix: str) -> list:
+    """Targets of this process's file descriptors that start with ``prefix``."""
+    targets = []
+    for fd in Path("/proc/self/fd").iterdir():
+        try:
+            target = os.readlink(fd)
+        except OSError:  # closed between listing and reading
+            continue
+        if target.startswith(prefix):
+            targets.append(target)
+    return targets
+
+
+def test_closing_the_server_closes_the_sqlite_store(tmp_path):
+    if not Path("/proc/self/fd").is_dir():
+        pytest.skip("needs /proc/self/fd to list open files")
+    with running_server(cache_dir=tmp_path) as (server, client):
+        client.run(spec_payload(seed=4))
+        assert client.run(spec_payload(seed=4))["cached"]
+        client.stats()
+        db_path = server.cache.backend.path.resolve()
+        # Between requests the store stays open: its connections are pooled.
+        assert _open_files_under(str(db_path))
+    assert _open_files_under(str(db_path)) == []
+    assert not Path(f"{db_path}-wal").exists()
