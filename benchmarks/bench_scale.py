@@ -49,7 +49,9 @@ batch adjacency wall-clock at 49k nodes, the per-edge adjacency ceiling on
 the 256x256 tier, the channel's microseconds per message (at most
 ``CHANNEL_US_PER_MESSAGE_LIMIT``), build-vs-composition identity, bulk-vs-loop thinning
 identity (unconditional) and speed (bulk at least
-``BULK_DISABLE_SPEEDUP_FLOOR`` times faster), and the
+``BULK_DISABLE_SPEEDUP_FLOOR`` times faster), the paper-tier thinning draw
+(``sample_indices`` equal to ``random.Random.sample`` and at least
+``SAMPLE_INDICES_SPEEDUP_FLOOR`` times faster), and the
 ``simulate_from`` section on a small tier, whose records must equal
 ``execute_run(spec, state_cache=None)`` — and exits
 non-zero when any guard trips, so an accidental O(m*n) scan or a
@@ -86,7 +88,7 @@ from repro.network.failures import ThinningToEnabledCount
 from repro.network.node_arrays import ENABLED_CODE
 from repro.network.state import WsnState
 from repro.sim.engine import RoundBasedEngine
-from repro.sim.rng import derive_rng
+from repro.sim.rng import derive_rng, sample_indices
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 from repro.grid.virtual_grid import VirtualGrid, cell_side_for_range
 
@@ -117,10 +119,12 @@ SMOKE_ROUND_SECONDS_LIMIT = 0.05
 #: 14.0-19.6 us.
 CHANNEL_US_PER_MESSAGE_LIMIT = 13.5
 #: Guard on the vectorized batch-adjacency path: wall-clock ceiling for the
-#: full adjacency build at 49k nodes (the 128x128 tier).  The pre-refactor
-#: per-node implementation measured ~2.3 s here; the vectorized path is well
-#: under 0.25 s, so tripping this means adjacency de-vectorized.
-ADJACENCY_SECONDS_LIMIT_49K = 0.25
+#: full adjacency build at 49k nodes (the 128x128 tier).  Set from ten
+#: readings of 0.200-0.325 s on a 2-core host, the worst doubled for the
+#: host's ~2x speed swings.  The pre-refactor per-node implementation
+#: measured ~2.3 s here, and a per-node scan of the 3x3 buckets with numpy
+#: reads 1.23-1.26 s, so tripping this means adjacency de-vectorized.
+ADJACENCY_SECONDS_LIMIT_49K = 0.65
 #: Guard on adjacency throughput: ceiling on seconds per produced edge,
 #: checked on the 256x256 tier (~4.5M edges).  The vectorized path measures
 #: well under 1e-7 s/edge; the old per-node code sat around 2e-6.
@@ -132,6 +136,14 @@ DEPLOY_SECONDS_LIMIT_786K = 2.0
 #: call thins a paper-tier scenario than a loop of one-element calls over the
 #: same victims, measured in one process.
 BULK_DISABLE_SPEEDUP_FLOOR = 10.0
+#: Smoke-mode guard: floor on how much faster ``sample_indices`` makes the
+#: paper-tier thinning draw (3,744-4,734 of 5,000) than
+#: ``random.Random.sample`` on the same seeds, the two timed alternately in
+#: one process (median of the per-draw ratios).  Ten readings on a 2-core
+#: host were 1.55-2.19x, and a helper that delegates to ``rng.sample`` reads
+#: 0.98-1.02x; halving the worst reading would pass that helper, so the floor
+#: sits near the geometric middle of 1.55x and 1.0x.
+SAMPLE_INDICES_SPEEDUP_FLOOR = 1.25
 #: Schemes, trials and timed passes of the ``simulate_from`` section.
 SIMULATE_SCHEMES = ("SR", "AR")
 SIMULATE_TRIALS = 2
@@ -450,6 +462,72 @@ def bench_scenario_build(seeds) -> dict:
     }
 
 
+def bench_thinning_draw(seeds, passes: int = 3) -> dict:
+    """The paper-tier thinning draw through ``sample_indices`` and ``random.Random.sample``.
+
+    For every ``(seed, N)`` over ``PAPER_SPARE_VALUES``, ``passes`` times,
+    the scenario build's thinning draw (``deployed - m*n - N`` of the
+    ``deployed`` rows, from the seed's ``"thinning"`` stream) is made by both,
+    back to back, the first of the two alternating from draw to draw.  Both
+    must give the same picks and leave equal generator states.  ``speedup``
+    is the median over draws of the ratio of the two times, so the host's
+    speed swings, which move both of a pair alike, cancel.
+    """
+    paper = ScenarioConfig()
+    population = paper.deployed_count
+    times = {"bulk": [], "sample": []}
+    ratios = []
+    identical = True
+    draws = [
+        (seed, population - paper.cell_count - spare_surplus)
+        for _ in range(passes)
+        for seed in seeds
+        for spare_surplus in PAPER_SPARE_VALUES
+    ]
+    for draw, (seed, count) in enumerate(draws):
+        bulk_rng, sample_rng = derive_rng(seed, "thinning"), derive_rng(seed, "thinning")
+        calls = [
+            ("bulk", lambda: sample_indices(bulk_rng, population, count)),
+            ("sample", lambda: sample_rng.sample(range(population), count)),
+        ]
+        picks, spent = {}, {}
+        for name, call in calls if draw % 2 else calls[::-1]:
+            started = time.perf_counter()
+            picks[name] = call()
+            spent[name] = time.perf_counter() - started
+            times[name].append(spent[name])
+        ratios.append(spent["sample"] / spent["bulk"])
+        identical = (
+            identical
+            and picks["bulk"] == picks["sample"]
+            and bulk_rng.getstate() == sample_rng.getstate()
+        )
+    return {
+        "draws": len(ratios),
+        "sample_indices_ms_p50": round(statistics.median(times["bulk"]) * 1e3, 3),
+        "random_sample_ms_p50": round(statistics.median(times["sample"]) * 1e3, 3),
+        "speedup": round(statistics.median(ratios), 2),
+        "identical": identical,
+    }
+
+
+def thinning_draw_failures(draw: dict) -> list:
+    """The thinning-draw guard's failure messages (empty when it holds)."""
+    failures = []
+    if not draw["identical"]:
+        failures.append(
+            "sample_indices drew other picks, or left another generator state, "
+            "than random.Random.sample"
+        )
+    if draw["speedup"] < SAMPLE_INDICES_SPEEDUP_FLOOR:
+        failures.append(
+            f"sample_indices is only {draw['speedup']}x faster than "
+            f"random.Random.sample on the paper-tier thinning draw (floor "
+            f"{SAMPLE_INDICES_SPEEDUP_FLOOR}x) — the bulk draw lost its word batches"
+        )
+    return failures
+
+
 def build_failures(build: dict) -> list:
     """Identity failures of a ``bench_scenario_build`` report (none when both hold)."""
     failures = []
@@ -676,6 +754,14 @@ def smoke(holes: int, seed: int, repeats: int) -> int:
             f"one-at-a-time disables (floor {BULK_DISABLE_SPEEDUP_FLOOR}x) — the "
             "bulk path lost its single pass"
         )
+    draw = bench_thinning_draw(seeds=(seed,))
+    print(
+        f"thinning draw guard: {draw['draws']} paper-tier draws, sample_indices "
+        f"{draw['sample_indices_ms_p50']:.2f} ms vs random.Random.sample "
+        f"{draw['random_sample_ms_p50']:.2f} ms -> {draw['speedup']}x "
+        f"(floor {SAMPLE_INDICES_SPEEDUP_FLOOR}x), identical {draw['identical']}"
+    )
+    failures.extend(thinning_draw_failures(draw))
     failures.extend(smoke_simulate_from())
     for failure in failures:
         print(f"SMOKE FAILURE: {failure}", file=sys.stderr)

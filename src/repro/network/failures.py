@@ -31,7 +31,7 @@ import numpy as np
 from repro.grid.geometry import BoundingBox, Point
 from repro.grid.virtual_grid import GridCoord
 from repro.network.node import NodeState
-from repro.sim.rng import draw_uniforms
+from repro.sim.rng import draw_uniforms, sample_indices
 from repro.validation import checked_int, finite_float
 
 
@@ -75,7 +75,8 @@ class RandomFailure(FailureModel):
             victims = np.asarray(enabled_ids, dtype=np.int64)[hit].tolist()
         else:
             count = min(self.count or 0, len(enabled_ids))
-            victims = rng.sample(enabled_ids, count)
+            picks = sample_indices(rng, len(enabled_ids), count)
+            victims = [enabled_ids[i] for i in picks]
         state.disable_nodes(victims, reason=self.reason)
         return victims
 
@@ -99,14 +100,22 @@ class ThinningToEnabledCount(FailureModel):
     def draw_victims(self, enabled_ids: List[int], rng: random.Random) -> List[int]:
         """The nodes to disable among ``enabled_ids`` (deployment order), in draw order.
 
-        One ``rng.sample`` of the excess over ``target_enabled``; no draw
-        when there is no excess.  :meth:`apply` disables these on a live
-        state, and the scenario build marks them failed before it indexes.
+        ``rng.sample(enabled_ids, excess)`` for the excess over
+        ``target_enabled``, drawn by :meth:`draw_positions`.  :meth:`apply`
+        disables these on a live state.
         """
-        excess = len(enabled_ids) - self.target_enabled
-        if excess <= 0:
-            return []
-        return rng.sample(enabled_ids, excess)
+        return [enabled_ids[i] for i in self.draw_positions(len(enabled_ids), rng)]
+
+    def draw_positions(self, enabled_count: int, rng: random.Random) -> List[int]:
+        """The victims' positions among ``enabled_count`` enabled nodes, in draw order.
+
+        ``rng.sample(range(enabled_count), excess)``, taken in bulk by
+        :func:`~repro.sim.rng.sample_indices`; no draw when there is no
+        excess.  The scenario build marks these rows failed before it
+        indexes.
+        """
+        excess = max(enabled_count - self.target_enabled, 0)
+        return sample_indices(rng, enabled_count, excess)
 
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable random nodes until only ``target_enabled`` remain enabled."""

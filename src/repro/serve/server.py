@@ -499,7 +499,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 404, f"unknown figure {name!r}; choose from {list(FIGURE_ENDPOINTS)}"
             )
             return
-        trials = int((query.get("trials") or ["1"])[-1])
+        raw_trials = (query.get("trials") or ["1"])[-1]
+        trials = int(raw_trials) if raw_trials.isascii() and raw_trials.isdigit() else 0
+        if trials < 1:
+            self._send_error_json(
+                400, f"trials must be an integer >= 1, got {raw_trials!r}"
+            )
+            return
         spare_values = (
             QUICK_SPARE_VALUES if self._flag(query, "quick") else None
         )

@@ -198,11 +198,10 @@ def build_scenario_state(config: ScenarioConfig) -> WsnState:
         arrays = deploy_per_cell(grid, config.deployed_count // config.cell_count, deploy_rng)
     if config.target_enabled is not None:
         thinning = ThinningToEnabledCount(target_enabled=config.target_enabled)
-        victims = thinning.draw_victims(
-            arrays.node_ids.tolist(), derive_rng(config.seed, "thinning")
-        )
-        rows = arrays.rows_of(np.asarray(victims, dtype=np.int64))
-        arrays.state[rows] = STATE_CODES[thinning.reason]
+        # Every deployed node is enabled and deployment order is row order,
+        # so the victims' positions are their rows.
+        rows = thinning.draw_positions(len(arrays), derive_rng(config.seed, "thinning"))
+        arrays.state[np.array(rows, dtype=np.int64)] = STATE_CODES[thinning.reason]
     state = WsnState(grid, arrays, head_policy=config.head_policy_fn)
     if config.initial_energy is not None:
         # Batched battery install: the per-node jitter draws happen in the

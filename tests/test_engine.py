@@ -1,14 +1,21 @@
 """Unit tests for the round-based simulation engine."""
 
+import random
+
 import pytest
 
 from repro.core.hamilton import build_hamilton_cycle
 from repro.core.protocol import MobilityController, RoundOutcome
 from repro.core.replacement import HamiltonReplacementController
 from repro.grid.virtual_grid import GridCoord
-from repro.network.failures import TargetedCellFailure
+from repro.network.failures import (
+    RandomFailure,
+    TargetedCellFailure,
+    ThinningToEnabledCount,
+)
 from repro.sim.engine import RoundBasedEngine, run_recovery
 from repro.sim.events import EventKind, EventLog
+from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
 from helpers import make_hole
 
@@ -115,6 +122,52 @@ class TestFailureSchedule:
         engine.run()
         assert log.count(EventKind.NODE_DISABLED) == 3
         assert log.count(EventKind.NODE_MOVED) >= 1
+
+
+class SampledRandomFailure(RandomFailure):
+    """``RandomFailure(count=...)`` drawn by ``rng.sample``, the CPython reference."""
+
+    def apply(self, state, rng):
+        enabled = state.enabled_node_ids()
+        victims = rng.sample(enabled, min(self.count, len(enabled)))
+        state.disable_nodes(victims, reason=self.reason)
+        return victims
+
+
+class SampledThinning(ThinningToEnabledCount):
+    """``ThinningToEnabledCount`` drawn by ``rng.sample``, the CPython reference."""
+
+    def apply(self, state, rng):
+        enabled = state.enabled_node_ids()
+        excess = len(enabled) - self.target_enabled
+        victims = rng.sample(enabled, excess) if excess > 0 else []
+        state.disable_nodes(victims, reason=self.reason)
+        return victims
+
+
+class TestFailureDraws:
+    def test_bulk_failure_draws_leave_the_engine_rng_where_rng_sample_does(self):
+        def run(random_failure, thinning):
+            config = ScenarioConfig(
+                columns=8, rows=8, deployed_count=600, spare_surplus=200, seed=5
+            )
+            state = build_scenario_state(config)
+            rng = random.Random(77)
+            log = EventLog()
+            schedule = {
+                1: random_failure(count=30),  # 264 enabled: the pool branch
+                3: thinning(target_enabled=100),  # the pool branch
+                5: random_failure(count=3),  # the set branch
+            }
+            engine = RoundBasedEngine(
+                state, sr_controller(state), rng, failure_schedule=schedule, event_log=log
+            )
+            engine.run()
+            return log.to_lines(), state.to_bytes(), [rng.random() for _ in range(5)]
+
+        bulk = run(RandomFailure, ThinningToEnabledCount)
+        assert sum("node_disabled" in line for line in bulk[0]) > 100
+        assert bulk == run(SampledRandomFailure, SampledThinning)
 
 
 class TestResultContents:

@@ -10,7 +10,8 @@ The contracts exercised here:
   record so the next query is a hit, also when the client disconnects
   mid-stream (reset or orderly close): the run finishes quietly and is
   cached;
-* error mapping: bad specs -> 400, unknown endpoints -> 404, a full broker
+* error mapping: bad specs -> 400, a ``?trials=`` on ``/figure`` that is
+  not an integer >= 1 -> 400, unknown endpoints -> 404, a full broker
   queue -> 503, a negative ``Content-Length`` -> 400 and one above
   ``MAX_BODY_BYTES`` -> 413, both answered without reading a body, and a
   spec above an admission limit (grid cells, deployed nodes, round bound)
@@ -29,6 +30,8 @@ import struct
 import threading
 from contextlib import closing, contextmanager
 from pathlib import Path
+from urllib.error import HTTPError
+from urllib.request import urlopen
 
 import pytest
 
@@ -287,6 +290,18 @@ def test_unknown_routes_map_to_404():
             with pytest.raises(ServeError) as excinfo:
                 client._call(path)
             assert excinfo.value.status == 404, path
+
+
+@pytest.mark.parametrize("query", ["trials=abc", "quick=1&trials=0", "quick=1&trials=-2"])
+def test_a_bad_figure_trials_value_maps_to_400(query):
+    with running_server() as (server, client):
+        with pytest.raises(HTTPError) as excinfo:
+            urlopen(f"{server.url}/figure/fig6?{query}", timeout=30)
+        with closing(excinfo.value) as response:
+            assert response.code == 400
+            error = json.loads(response.read())["error"]
+        assert error.startswith("trials must be an integer >= 1"), error
+        assert client.health()["status"] == "ok"
 
 
 def test_full_queue_maps_to_503():
