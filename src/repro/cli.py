@@ -69,12 +69,8 @@ from repro.experiments.catalog import (
     render_catalog_docs,
     resolve_scenario,
 )
-from repro.experiments.orchestration import (
-    RunExecutor,
-    RunSpec,
-    execute_many,
-    make_executor,
-)
+from repro.experiments.broker import execute_many
+from repro.experiments.orchestration import RunExecutor, RunSpec, make_executor
 from repro.experiments.persistence import CACHE_BACKENDS, RunCache, make_cache
 from repro.experiments.scenario_files import (
     Scenario,
@@ -416,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-limit",
         type=int,
         default=256,
-        help="pending-run bound before /run answers HTTP 503 (0 = unbounded)",
+        help="pending-run bound; a request whose new runs do not fit answers "
+        "HTTP 503 and queues none of them (0 = unbounded)",
     )
     serve.add_argument(
         "--verbose", action="store_true", help="log one line per request"
@@ -1071,8 +1068,8 @@ def _serve_command(args: argparse.Namespace) -> int:
                 print(f"serve smoke FAILED: {failure}", file=sys.stderr)
             return 1
         print(
-            "serve smoke OK: uncached, cached, and streamed queries answered "
-            "through the broker"
+            "serve smoke OK: uncached, cached, streamed and figure queries "
+            "answered through the broker; an oversized figure batch refused whole"
         )
         return 0
     config = ServeConfig(

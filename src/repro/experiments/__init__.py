@@ -32,7 +32,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "SerialExecutor",
             "ParallelExecutor",
             "execute_run",
-            "execute_many",
             "make_executor",
         ],
         "repro.experiments.persistence": [
@@ -52,14 +51,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "ExperimentBroker",
             "Priority",
             "RunHandle",
-            "execute_batch",
+            "execute_many",
         ],
         "repro.experiments.sweep": [
-            "SCHEME_FACTORIES",
             "build_comparison_specs",
-            "make_controller",
             "run_comparison",
-            "run_single",
         ],
         "repro.experiments.figures": [
             "PAPER_SPARE_VALUES",

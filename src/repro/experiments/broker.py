@@ -1,33 +1,35 @@
 """The experiment broker: cache-first admission, in-flight dedup, priorities.
 
 The RunSpec/``execute_run``/:class:`~repro.experiments.persistence.RunCache`
-pipeline is content-addressed and deterministic, but until this module every
-consumer drove it as a one-shot batch.  :class:`ExperimentBroker` turns it
-into a long-running service core:
+pipeline is content-addressed and deterministic.  :class:`ExperimentBroker`
+runs it as a long-running service core, and is itself a
+:class:`~repro.experiments.orchestration.RunExecutor`:
 
-* **Cache-first admission** — ``submit`` answers from the cache before
-  touching the queue, so repeated traffic costs one backend lookup.
-* **In-flight deduplication** — two submissions of an identical spec (same
+* **Cache-first admission** — a stored record answers before the queue is
+  touched, so repeated traffic costs one backend lookup.
+* **In-flight deduplication** — two admissions of an identical spec (same
   ``run_key``) share one simulation; the second submitter gets the same
   :class:`RunHandle` and therefore the same record.  This is what converts
   the heavy-overlap workload shape of the paper's sweeps (every figure and
   scenario re-asks for the same cells) into near-free lookups.
 * **Priority admission** — interactive submissions (a human waiting on an
   HTTP response) overtake batch backfill in the queue.
-* **Bounded queue depth** — past the bound, ``submit`` raises
-  :class:`BrokerQueueFull` instead of buffering unboundedly; the serve layer
-  maps that to HTTP 503.
+* **Bounded queue depth, whole batches** — a batch is admitted whole or not
+  at all: when its new specs (not cached, not already in flight) do not fit
+  under the bound beside the pending ones, :class:`BrokerQueueFull` is raised
+  before any of them is queued; the serve layer maps that to HTTP 503.
+
+``submit`` (one spec, returns a handle) and ``run_all`` (a batch, blocks for
+the records) are two calls of one admission routine.
 
 Determinism makes all of this sound: ``execute_run`` is a pure function of
 its spec, so a deduplicated or cached record is byte-identical to what a
 private re-simulation would have produced.
 
-The one-shot batch entry point
-:func:`~repro.experiments.orchestration.execute_many` is a thin wrapper over
-:func:`execute_batch` below, which applies the same cache-first + dedup
-policy to a static spec list while still driving misses through a pluggable
-:class:`~repro.experiments.orchestration.RunExecutor` (so ``--jobs`` process
-parallelism keeps working).
+:func:`execute_many` below is the one way to run a batch of specs: it
+applies the same cache-first + dedup policy to a static spec list and drives
+the misses through any executor — serial, process-parallel (``--jobs``), or
+a broker, whose admission then spans concurrent callers.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ __all__ = [
     "BrokerStats",
     "RunHandle",
     "ExperimentBroker",
-    "execute_batch",
+    "execute_many",
 ]
 
 
@@ -68,7 +70,7 @@ class Priority(enum.IntEnum):
 
 
 class BrokerQueueFull(RuntimeError):
-    """Raised by ``submit`` when the pending queue is at its depth bound."""
+    """Raised, with nothing queued, when new specs do not fit under the queue bound."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +80,7 @@ class BrokerStats:
     Attributes
     ----------
     submitted:
-        Total ``submit`` calls accepted (including cache hits and dedups).
+        Total specs admitted (including cache hits and dedups).
     cache_hits:
         Submissions answered directly from the cache.
     dedup_hits:
@@ -88,7 +90,8 @@ class BrokerStats:
     failed:
         Simulations that raised (their handles carry the exception).
     rejected:
-        Submissions refused with :class:`BrokerQueueFull`.
+        Admissions refused with :class:`BrokerQueueFull` (a refused batch
+        counts once).
     pending:
         Specs queued but not yet picked up by a worker.
     in_flight:
@@ -151,8 +154,12 @@ class RunHandle:
         self._event.set()
 
 
-class ExperimentBroker:
-    """Long-running execution service over an executor pool and a cache.
+class ExperimentBroker(RunExecutor):
+    """Long-running execution service over worker threads and a cache.
+
+    As a :class:`~repro.experiments.orchestration.RunExecutor` it can be
+    handed to :func:`execute_many` and to every experiment taking ``executor=``;
+    :meth:`run_all` admits the batch at :attr:`Priority.BATCH`.
 
     Parameters
     ----------
@@ -169,8 +176,9 @@ class ExperimentBroker:
         once.  Simulation determinism makes thread scheduling irrelevant to
         results.
     queue_limit:
-        Maximum pending (queued, not yet running) specs before ``submit``
-        raises :class:`BrokerQueueFull`; ``None`` means unbounded.
+        Maximum pending (queued, not yet running) specs; an admission whose
+        new specs would exceed it raises :class:`BrokerQueueFull` and queues
+        none of them.  ``None`` means unbounded.
     run_fn:
         Execution function ``RunSpec -> RunRecord``; injectable for tests
         (e.g. a gated stub proving dedup performs exactly one simulation).
@@ -220,52 +228,77 @@ class ExperimentBroker:
         ``deduplicated``) > fresh enqueue.  Raises :class:`BrokerQueueFull`
         when the pending queue is at its bound.
         """
-        key = run_key(spec)
-        if self.cache is not None:
-            hit = self.cache.get(spec)
-            if hit is not None:
-                with self._lock:
-                    self._submitted += 1
-                    self._cache_hits += 1
-                handle = RunHandle(spec, key, cached=True)
-                handle._resolve(dataclasses.replace(hit, cached=True))
-                return handle
+        return self._admit([spec], priority)[0]
+
+    def run_all(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
+        """Admit a batch whole at :attr:`Priority.BATCH` and block for its records.
+
+        Records come back in spec order.  When the batch's new specs do not
+        fit under ``queue_limit``, :class:`BrokerQueueFull` is raised and
+        none of them is queued.
+        """
+        return [handle.result() for handle in self._admit(list(specs), Priority.BATCH)]
+
+    def _admit(self, specs: List[RunSpec], priority: Priority) -> List[RunHandle]:
+        """The one admission routine: ``specs`` are admitted all or none.
+
+        Each spec resolves cache hit > in-flight dedup (onto a run already
+        queued or running, or onto an earlier spec of this batch) > fresh
+        enqueue.  The fresh specs are queued only if all of them fit under
+        ``queue_limit`` beside the pending ones; otherwise the refusal counts
+        once in ``rejected``, no other counter moves, and
+        :class:`BrokerQueueFull` is raised.  Returns one handle per spec, in
+        order.
+        """
+        keys = [run_key(spec) for spec in specs]
+        hits = [
+            self.cache.get(spec) if self.cache is not None else None for spec in specs
+        ]
+        handles: List[RunHandle] = []
+        fresh: Dict[str, RunHandle] = {}
+        attached: List[RunHandle] = []
         with self._lock:
-            if self._closed:
-                raise RuntimeError("broker is shut down")
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self._submitted += 1
-                self._dedup_hits += 1
-                existing.deduplicated = True
-                return existing
-            if self.queue_limit is not None and self._pending >= self.queue_limit:
+            for spec, key, hit in zip(specs, keys, hits):
+                if hit is not None:
+                    handle = RunHandle(spec, key, cached=True)
+                    handle._resolve(dataclasses.replace(hit, cached=True))
+                elif self._closed:
+                    raise RuntimeError("broker is shut down")
+                else:
+                    handle = self._inflight.get(key) or fresh.get(key)
+                    if handle is None:
+                        handle = fresh[key] = RunHandle(spec, key)
+                    else:
+                        attached.append(handle)
+                handles.append(handle)
+            if (
+                self.queue_limit is not None
+                and self._pending + len(fresh) > self.queue_limit
+            ):
                 self._rejected += 1
                 raise BrokerQueueFull(
-                    f"broker queue is full ({self._pending} pending, "
-                    f"limit {self.queue_limit})"
+                    f"broker queue is full ({self._pending} pending + "
+                    f"{len(fresh)} new > limit {self.queue_limit})"
                 )
-            self._submitted += 1
-            self._sequence += 1
-            self._pending += 1
-            handle = RunHandle(spec, key)
-            self._inflight[key] = handle
-            self._queue.put((int(priority), self._sequence, handle))
-        return handle
-
-    def submit_many(
-        self, specs: Sequence[RunSpec], priority: Priority = Priority.BATCH
-    ) -> List[RunHandle]:
-        """Admit a batch of specs in order and return their handles."""
-        return [self.submit(spec, priority=priority) for spec in specs]
-
-    def run(
-        self, specs: Sequence[RunSpec], priority: Priority = Priority.BATCH
-    ) -> List[RunRecord]:
-        """Admit a batch and block for the records, in spec order."""
-        return [handle.result() for handle in self.submit_many(specs, priority)]
+            for handle in attached:
+                handle.deduplicated = True
+            for handle in fresh.values():
+                self._sequence += 1
+                self._inflight[handle.key] = handle
+                self._queue.put((int(priority), self._sequence, handle))
+            self._submitted += len(specs)
+            self._cache_hits += len(specs) - len(attached) - len(fresh)
+            self._dedup_hits += len(attached)
+            self._pending += len(fresh)
+        return handles
 
     # ------------------------------------------------------------- lifecycle
+    @property
+    def runs_executed(self) -> int:
+        """Simulations the workers performed: the ``executed`` counter."""
+        with self._lock:
+            return self._executed
+
     def state_cache_stats(self) -> Optional[StateCacheStats]:
         """Counters of the process's default state cache (``None`` if disabled)."""
         cache = default_state_cache()
@@ -285,11 +318,11 @@ class ExperimentBroker:
                 in_flight=len(self._inflight),
             )
 
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop accepting work and (optionally) join the worker threads.
+    def close(self) -> None:
+        """Stop accepting work and join the worker threads (the context-manager exit).
 
         Queued specs are still drained — their submitters hold handles and
-        deserve answers — but new ``submit`` calls are refused.
+        deserve answers — but new admissions are refused.
         """
         with self._lock:
             if self._closed:
@@ -297,17 +330,8 @@ class ExperimentBroker:
             self._closed = True
         for _ in self._workers:
             self._queue.put((max(Priority) + 1, float("inf"), None))
-        if wait:
-            for worker in self._workers:
-                worker.join()
-
-    def __enter__(self) -> "ExperimentBroker":
-        """Context-manager entry: the broker itself."""
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        """Context-manager exit: shut down and join the workers."""
-        self.shutdown(wait=True)
+        for worker in self._workers:
+            worker.join()
 
     # --------------------------------------------------------------- workers
     def _worker_loop(self) -> None:
@@ -338,20 +362,22 @@ class ExperimentBroker:
 
 
 # ------------------------------------------------------------------- batches
-def execute_batch(
+def execute_many(
     specs: Sequence[RunSpec],
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
 ) -> List[RunRecord]:
-    """One-shot broker admission for a static spec list.
+    """Execute a batch of specs, reusing cached records where available.
 
-    Applies the broker's cache-first + dedup policy without standing up
-    worker threads: identical specs within the batch collapse onto one
-    simulation (``execute_run`` is deterministic, so the shared record is
-    exactly what each duplicate would have produced), cached specs are
-    answered from the store, and only the remaining unique misses are driven
-    through ``executor`` — preserving process-level ``--jobs`` parallelism
-    and the executor's ``runs_executed`` accounting.
+    The one way to run a batch: identical specs within the batch collapse
+    onto one simulation (``execute_run`` is deterministic, so the shared
+    record is exactly what each duplicate would have produced), specs stored
+    in ``cache`` are answered from it, and only the remaining unique misses
+    are driven through ``executor`` and persisted.  The executor is a
+    :class:`~repro.experiments.orchestration.SerialExecutor` by default, a
+    ``ParallelExecutor`` for process-level ``--jobs`` parallelism, or an
+    :class:`ExperimentBroker`, whose own cache, in-flight dedup and bounded
+    queue then apply across concurrent callers.
 
     Records come back in spec order; cache hits are flagged ``cached``.
     """

@@ -1,9 +1,9 @@
 """Differential scheme harness: run every scheme on a scenario, check oracles.
 
 This is the correctness backstop the fuzzer (:mod:`repro.experiments.fuzz`)
-feeds: every registered scheme runs on each sampled scenario through the
-broker layer, and a fixed set of *oracles* — cross-scheme claims and physical
-invariants — judges the resulting records.
+feeds: every registered scheme runs on each sampled scenario through
+``execute_many``, and a fixed set of *oracles* — cross-scheme claims and
+physical invariants — judges the resulting records.
 
 Oracles come in two severities:
 
@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import analysis
-from repro.experiments.broker import execute_batch
+from repro.experiments.broker import execute_many
 from repro.experiments.fuzz import (
     FuzzSample,
     ScenarioSampler,
@@ -340,26 +340,21 @@ def run_differential(
     scenario: Scenario,
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
     oracles: Sequence[Oracle] = ORACLES,
 ) -> DifferentialReport:
     """Run every registered scheme on ``scenario`` and evaluate the oracles.
 
     The scenario's scheme list is replaced by the full registry so every
-    scheme sees the identical deployment; records flow through the broker
-    layer (``broker`` when given, otherwise the one-shot
-    :func:`~repro.experiments.broker.execute_batch` admission over
-    ``executor``/``cache``).  The state-cache reruns deliberately bypass
-    broker and run cache: a cached record would silently replace the
+    scheme sees the identical deployment; records flow through
+    :func:`~repro.experiments.broker.execute_many` over
+    ``executor``/``cache``.  The state-cache reruns deliberately bypass
+    executor and run cache: a cached record would silently replace the
     execution under test.
     """
     schemes = available_schemes()
     harness_scenario = dataclasses.replace(scenario, schemes=schemes)
     specs = harness_scenario.run_specs()
-    if broker is not None:
-        records = broker.run(specs)
-    else:
-        records = execute_batch(specs, executor=executor, cache=cache)
+    records = execute_many(specs, executor=executor, cache=cache)
 
     state_cache_trio: Optional[Tuple[RunRecord, RunRecord, RunRecord]] = None
     sr_spec = next((spec for spec in specs if spec.scheme == "SR"), None)

@@ -153,7 +153,6 @@ def run_section5_experiment(
     schemes: Sequence[str] = ("SR", "AR"),
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[object] = None,
 ) -> ExperimentResult:
     """The shared SR-versus-AR sweep behind Figures 6, 7 and 8.
 
@@ -163,12 +162,12 @@ def run_section5_experiment(
     movements per hole is Theorem 2's ``M(N, L)`` and the per-hop distance is
     ``1.08 * r``, both multiplied by the number of holes in the scenario.
 
-    ``executor``, ``cache``, and ``broker`` are forwarded to the sweep
-    runner, so the three figure scripts sharing this sweep can run it in
-    parallel and reuse each other's persisted run records — and the serve
-    layer can answer figure queries through its long-running broker.  Cold
-    cells additionally share one initial-state build per (N, trial) scenario
-    through the executors' state cache.
+    ``executor`` and ``cache`` are forwarded to the sweep runner, so the
+    three figure scripts sharing this sweep can run it in parallel and reuse
+    each other's persisted run records — and the serve layer can answer
+    figure queries through its long-running broker, passed as the executor.
+    Cold cells additionally share one initial-state build per (N, trial)
+    scenario through the executors' state cache.
     """
     spare_values = list(spare_values) if spare_values is not None else list(PAPER_SPARE_VALUES)
     config = config if config is not None else SECTION5_CONFIG
@@ -180,7 +179,6 @@ def run_section5_experiment(
         max_rounds=max_rounds,
         executor=executor,
         cache=cache,
-        broker=broker,
     )
     grid = config.make_grid()
     path_length = build_hamilton_cycle(grid).replacement_path_length

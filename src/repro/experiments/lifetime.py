@@ -25,15 +25,14 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Sequence
 
+from repro.experiments.broker import execute_many
 from repro.experiments.orchestration import (
     RunExecutor,
     RunRecord,
     RunSpec,
     SerialExecutor,
-    execute_many,
     make_executor,
 )
-from repro.experiments.broker import ExperimentBroker
 from repro.experiments.persistence import RunCache, record_to_dict
 from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
@@ -154,7 +153,6 @@ def run_lifetime_experiment(
     max_rounds: int = 1500,
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[ExperimentBroker] = None,
 ) -> ExperimentResult:
     """Run every scheme to network death and tabulate lifetimes.
 
@@ -166,9 +164,6 @@ def run_lifetime_experiment(
     ``lifetime_rounds`` is the rounds executed until the first unrepairable
     hole (or the bound); ``stalled``/``exhausted`` are the fractions of trials
     that ended in each way (a run can be both when the bound hits with holes).
-    Pass ``broker`` to route the cells through a long-running
-    :class:`~repro.experiments.broker.ExperimentBroker` instead of a private
-    executor/cache pair.
     """
     config = config if config is not None else LIFETIME_CONFIG
     energy = energy if energy is not None else LIFETIME_ENERGY
@@ -179,7 +174,7 @@ def run_lifetime_experiment(
         trials=trials,
         max_rounds=max_rounds,
     )
-    records = execute_many(specs, executor=executor, cache=cache, broker=broker)
+    records = execute_many(specs, executor=executor, cache=cache)
 
     result = ExperimentResult(
         name=f"lifetime comparison on {config.columns}x{config.rows} grid",

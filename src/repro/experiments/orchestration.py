@@ -15,15 +15,17 @@ counts ``N`` and seeds.  This module decouples *describing* such a cell from
   :class:`~repro.experiments.state_cache.StateCache`) and the simulation
   proper.  :func:`execute_run` is their composition and stays the pure entry
   point ``RunSpec -> RunRecord``.
-* :class:`SerialExecutor` / :class:`ParallelExecutor` — interchangeable
-  strategies for executing a batch of specs.  Both run the same loop,
-  ``execute_run`` per spec against the executing process's default state
-  cache, and return records in spec order, so identical seeds give
+* :class:`RunExecutor` — the strategy interface for executing a batch of
+  specs.  :class:`SerialExecutor` and :class:`ParallelExecutor` run the same
+  loop, ``execute_run`` per spec against the executing process's default
+  state cache, and return records in spec order, so identical seeds give
   identical results regardless of worker count.  The parallel executor
   keeps its worker pool alive across ``run_all`` calls and sends specs
-  sharing a scenario to one worker as one task.
-* :func:`execute_many` — the one entry point the sweep layer uses: consult an
-  optional cache, execute only the missing specs, persist fresh records.
+  sharing a scenario to one worker as one task.  The third executor is the
+  long-running :class:`~repro.experiments.broker.ExperimentBroker`, and
+  :func:`~repro.experiments.broker.execute_many`, next to it, is the one
+  batch entry point: cache first, each distinct spec once, misses through
+  any of the three.
 
 Determinism contract: everything stochastic inside a run is derived from
 ``spec.scenario.seed`` (deployment + thinning) and ``spec.seed`` (controller
@@ -40,7 +42,7 @@ from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import (
     BUILTIN_FACTORIES,
@@ -62,9 +64,6 @@ from repro.experiments.state_cache import (
     default_state_cache,
     set_default_state_cache,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.experiments.persistence import RunCache
 
 #: Sentinel meaning "use the process-wide default state cache" (which may
 #: itself be disabled via ``set_default_state_cache(None)``); distinct from
@@ -324,9 +323,8 @@ class RunExecutor(ABC):
     context manager whose exit calls :meth:`close`.
     """
 
-    def __init__(self) -> None:
-        #: Total number of specs this executor has actually simulated.
-        self.runs_executed = 0
+    #: Total number of specs this executor has actually simulated.
+    runs_executed: int = 0
 
     @abstractmethod
     def run_all(self, specs: Sequence[RunSpec]) -> List[RunRecord]:
@@ -431,33 +429,3 @@ def make_executor(jobs: Optional[int] = None) -> RunExecutor:
     if jobs is None or jobs <= 1:
         return SerialExecutor()
     return ParallelExecutor(jobs)
-
-
-# ---------------------------------------------------------------- entry point
-def execute_many(
-    specs: Sequence[RunSpec],
-    executor: Optional[RunExecutor] = None,
-    cache: "Optional[RunCache]" = None,
-    broker: "Optional[object]" = None,
-) -> List[RunRecord]:
-    """Execute a batch of specs, reusing cached records where available.
-
-    Records are returned in spec order.  This is a thin wrapper over the
-    broker layer (:mod:`repro.experiments.broker`): identical specs within
-    the batch are simulated once (``execute_run`` is deterministic, so the
-    shared record is what each duplicate would have produced), specs with a
-    stored record are answered from the cache with ``record.cached`` set,
-    and only the remaining unique misses are simulated through ``executor``
-    and persisted before returning.
-
-    Pass ``broker`` (an :class:`~repro.experiments.broker.ExperimentBroker`)
-    to route the batch through a long-running broker instead — its cache,
-    in-flight dedup, and worker pool then apply across concurrent callers,
-    not just within this batch; ``executor``/``cache`` are ignored because
-    the broker owns its own.
-    """
-    from repro.experiments.broker import Priority, execute_batch
-
-    if broker is not None:
-        return broker.run(list(specs), priority=Priority.BATCH)
-    return execute_batch(specs, executor=executor, cache=cache)

@@ -711,17 +711,6 @@ class RunCache:
         """Lookups that fell through to simulation."""
         return self.stats.snapshot().misses
 
-    def path_for(self, spec: RunSpec) -> Path:
-        """Where the record for ``spec`` is (or would be) stored.
-
-        For the JSON backend this is the record's own file; for sqlite every
-        record shares the database file.
-        """
-        key = run_key(spec)
-        if isinstance(self.backend, JsonDirBackend):
-            return self.backend.path_for(key)
-        return getattr(self.backend, "path", self.cache_dir)
-
     def get(self, spec: RunSpec) -> Optional[RunRecord]:
         """The stored record for ``spec``, or ``None`` on any kind of miss."""
         return self._decode(spec, self.backend.load(run_key(spec)))

@@ -37,9 +37,7 @@ from repro.network.state import WsnState
 #: scheme is to be run by the parallel executor.
 SchemeFactory = Callable[[WsnState], MobilityController]
 
-#: The registry itself.  ``repro.experiments.sweep.SCHEME_FACTORIES`` aliases
-#: this dict for backwards compatibility; mutate it only through the
-#: functions below.
+#: The registry itself; mutate it only through the functions below.
 SCHEME_REGISTRY: Dict[str, SchemeFactory] = {}
 
 

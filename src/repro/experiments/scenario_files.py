@@ -65,8 +65,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.experiments.orchestration import RunExecutor, RunRecord, RunSpec, execute_many
-from repro.experiments.broker import ExperimentBroker
+from repro.experiments.broker import execute_many
+from repro.experiments.orchestration import RunExecutor, RunRecord, RunSpec
 from repro.experiments.persistence import RunCache
 from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
@@ -77,6 +77,7 @@ from repro.network.failures import (
     available_failure_kinds,
     freeze_params,
     thaw_params,
+    thaw_value,
 )
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 from repro.sim.rng import spawn_seeds
@@ -271,17 +272,14 @@ class Scenario:
         self,
         executor: Optional[RunExecutor] = None,
         cache: Optional[RunCache] = None,
-        broker: Optional[ExperimentBroker] = None,
     ) -> List[RunRecord]:
         """Run every spec of the scenario and return the records in spec order.
 
-        ``broker`` routes the specs through a long-running
+        ``executor`` may be a long-running
         :class:`~repro.experiments.broker.ExperimentBroker` (the serve layer
-        uses this); otherwise the one-shot ``executor``/``cache`` pair applies.
+        passes its own).
         """
-        return execute_many(
-            self.run_specs(), executor=executor, cache=cache, broker=broker
-        )
+        return execute_many(self.run_specs(), executor=executor, cache=cache)
 
     # -------------------------------------------------------------- variants
     def with_spare_surplus(self, spare_surplus: int) -> "Scenario":
@@ -338,17 +336,11 @@ def scenario_to_dict(scenario: Scenario) -> Dict[str, object]:
             {
                 "round": event.round,
                 "kind": event.kind,
-                **{k: _plain_value(v) for k, v in thaw_params(event.params).items()},
+                **{k: thaw_value(v) for k, v in thaw_params(event.params).items()},
             }
             for event in scenario.failures
         ]
     return payload
-
-
-def _plain_value(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_plain_value(item) for item in value]
-    return value
 
 
 _TOP_LEVEL_KEYS = (

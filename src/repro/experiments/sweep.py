@@ -8,68 +8,34 @@ that sweep once so the three figures (and the extension benchmarks) can share
 the data.
 
 The sweep is expressed as a batch of
-:class:`~repro.experiments.orchestration.RunSpec` cells executed through a
-pluggable :class:`~repro.experiments.orchestration.RunExecutor` — pass
+:class:`~repro.experiments.orchestration.RunSpec` cells run by
+:func:`~repro.experiments.broker.execute_many` through a pluggable
+:class:`~repro.experiments.orchestration.RunExecutor` — pass
 ``executor=ParallelExecutor(jobs)`` to spread the cells over worker processes
-(results are identical to serial execution for the same seeds), and
-``cache=RunCache(dir)`` to skip cells whose records were already persisted by
-an earlier sweep.
+(results are identical to serial execution for the same seeds), an
+:class:`~repro.experiments.broker.ExperimentBroker` to share a long-running
+service's cache and in-flight runs, and ``cache=RunCache(dir)`` to skip cells
+whose records were already persisted by an earlier sweep.
 
-Scheme names are resolved through :mod:`repro.experiments.registry`;
-``SCHEME_FACTORIES`` remains as a backwards-compatible alias of the registry
-dict.
+Scheme names are resolved through :mod:`repro.experiments.registry`.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Optional, Sequence
 
-from repro.experiments.orchestration import (
-    RunExecutor,
-    RunRecord,
-    RunSpec,
-    execute_many,
-)
-from repro.experiments.broker import ExperimentBroker
+from repro.experiments.broker import execute_many
+from repro.experiments.orchestration import RunExecutor, RunRecord, RunSpec
 from repro.experiments.persistence import RunCache
-from repro.experiments.registry import (
-    SCHEME_REGISTRY as SCHEME_FACTORIES,
-    available_schemes,
-    make_controller,
-)
+from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
-from repro.network.state import WsnState
-from repro.sim.engine import run_recovery
-from repro.sim.metrics import RunMetrics
 from repro.sim.rng import spawn_seeds
 from repro.sim.scenario import ScenarioConfig
 
 __all__ = [
-    "SCHEME_FACTORIES",
-    "make_controller",
-    "run_single",
     "build_comparison_specs",
     "run_comparison",
 ]
-
-
-def run_single(
-    state: WsnState,
-    scheme: str,
-    rng: random.Random,
-    max_rounds: Optional[int] = None,
-) -> RunMetrics:
-    """Run one scheme on (a clone of) an already-built ``state``.
-
-    This is the in-place entry point for callers that hold a concrete
-    network; sweeps go through :func:`repro.experiments.orchestration.execute_run`
-    instead, which builds the network from a spec.
-    """
-    working_state = state.clone()
-    controller = make_controller(scheme, working_state)
-    result = run_recovery(working_state, controller, rng, max_rounds=max_rounds)
-    return result.metrics
 
 
 def build_comparison_specs(
@@ -92,7 +58,7 @@ def build_comparison_specs(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    unknown = [scheme for scheme in schemes if scheme not in SCHEME_FACTORIES]
+    unknown = [scheme for scheme in schemes if scheme not in available_schemes()]
     if unknown:
         raise KeyError(
             f"unknown schemes {unknown}; available: {list(available_schemes())}"
@@ -121,7 +87,6 @@ def run_comparison(
     max_rounds: Optional[int] = None,
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    broker: Optional[ExperimentBroker] = None,
 ) -> ExperimentResult:
     """Sweep ``N`` over ``spare_values`` and run every scheme on identical scenarios.
 
@@ -132,16 +97,15 @@ def run_comparison(
         <scheme>_processes, <scheme>_success_rate, <scheme>_moves,
         <scheme>_distance, <scheme>_failed, <scheme>_final_holes   (per scheme)
 
-    ``executor`` selects the execution strategy (default: serial in-process);
-    ``cache`` reuses persisted records for previously executed specs; pass
-    ``broker`` instead to route the cells through a long-running
-    :class:`~repro.experiments.broker.ExperimentBroker` (shared cache,
-    cross-caller in-flight dedup).
+    ``executor`` selects the execution strategy (default: serial in-process;
+    an :class:`~repro.experiments.broker.ExperimentBroker` adds its shared
+    cache and cross-caller in-flight dedup); ``cache`` reuses persisted
+    records for previously executed specs.
     """
     specs = build_comparison_specs(
         config, spare_values, schemes=schemes, trials=trials, max_rounds=max_rounds
     )
-    records = execute_many(specs, executor=executor, cache=cache, broker=broker)
+    records = execute_many(specs, executor=executor, cache=cache)
 
     columns: List[str] = ["N", "holes", "spares", "enabled"]
     for scheme in schemes:

@@ -50,9 +50,17 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.grid.virtual_grid import GridCoord
-from repro.network.failures import FrozenParams, float_params, freeze_params, thaw_params
+from repro.network.failures import (
+    FrozenParams,
+    checked_count,
+    checked_number,
+    float_params,
+    freeze_params,
+    reject_unknown,
+    thaw_params,
+    thaw_value,
+)
 from repro.network.messages import Mailbox, Message, MessageKind
-from repro.validation import checked_int, finite_float
 
 __all__ = [
     "CHANNEL_KINDS",
@@ -302,40 +310,20 @@ class ChannelState:
 
 
 # ------------------------------------------------------------------ builders
-def _checked_number(value: object, kind: str, key: str) -> float:
-    finite_float(value, f"channel kind {kind!r}: parameter {key!r}")
-    return value
-
-
-def _checked_round(value: object, kind: str, key: str) -> int:
-    """The integer under ``key``: a float is refused, never truncated.
-
-    Checked as a number first, so an infinity or an integer too large for
-    a float is reported as not finite.
-    """
-    name = f"channel kind {kind!r}: parameter {key!r}"
-    finite_float(value, name)
-    return checked_int(value, name)
-
-
-def _reject_unknown(params: Dict[str, object], kind: str, allowed: Tuple[str, ...]) -> None:
-    if params:
-        raise ValueError(
-            f"channel kind {kind!r} got unknown parameter(s) {sorted(params)}; "
-            f"allowed: {sorted(allowed)}"
-        )
+#: The words every parameter error of a channel kind starts with.
+_LABEL = "channel kind"
 
 
 def _build_perfect(model: ChannelModel, params: Dict[str, object], rng: random.Random) -> ChannelState:
-    _reject_unknown(params, "perfect", ())
+    reject_unknown(params, _LABEL, "perfect", ())
     return ChannelState(model, rng)
 
 
 def _build_lossy(model: ChannelModel, params: Dict[str, object], rng: random.Random) -> ChannelState:
-    probability = _checked_number(
-        params.pop("drop_probability", None), "lossy", "drop_probability"
+    probability = checked_number(
+        params.pop("drop_probability", None), _LABEL, "lossy", "drop_probability"
     )
-    _reject_unknown(params, "lossy", ("drop_probability",))
+    reject_unknown(params, _LABEL, "lossy", ("drop_probability",))
     if not 0.0 <= probability < 1.0:
         raise ValueError(
             f"channel kind 'lossy': drop_probability must be in [0, 1), got {probability}"
@@ -344,8 +332,8 @@ def _build_lossy(model: ChannelModel, params: Dict[str, object], rng: random.Ran
 
 
 def _build_delayed(model: ChannelModel, params: Dict[str, object], rng: random.Random) -> ChannelState:
-    latency = _checked_round(params.pop("latency", None), "delayed", "latency")
-    _reject_unknown(params, "delayed", ("latency",))
+    latency = checked_count(params.pop("latency", None), _LABEL, "delayed", "latency")
+    reject_unknown(params, _LABEL, "delayed", ("latency",))
     if latency < 1:
         raise ValueError(f"channel kind 'delayed': latency must be >= 1, got {latency}")
     return ChannelState(model, rng, latency=latency)
@@ -355,7 +343,7 @@ def _build_jammed(model: ChannelModel, params: Dict[str, object], rng: random.Ra
     region = params.pop("region", None)
     from_round = params.pop("from_round", None)
     until_round = params.pop("until_round", None)
-    _reject_unknown(params, "jammed", ("region", "from_round", "until_round"))
+    reject_unknown(params, _LABEL, "jammed", ("region", "from_round", "until_round"))
     if (
         not isinstance(region, (list, tuple))
         or len(region) != 4
@@ -370,8 +358,8 @@ def _build_jammed(model: ChannelModel, params: Dict[str, object], rng: random.Ra
         raise ValueError(
             f"channel kind 'jammed': region corners must be ordered, got {list(region)}"
         )
-    start = _checked_round(from_round, "jammed", "from_round")
-    end = _checked_round(until_round, "jammed", "until_round")
+    start = checked_count(from_round, _LABEL, "jammed", "from_round")
+    end = checked_count(until_round, _LABEL, "jammed", "until_round")
     if start < 0 or end <= start:
         raise ValueError(
             "channel kind 'jammed': need 0 <= from_round < until_round, got "
@@ -429,14 +417,8 @@ def build_channel(model: ChannelModel, rng: random.Random) -> ChannelState:
             f"unknown channel kind {model.kind!r}; "
             f"available: {list(available_channel_kinds())}"
         ) from None
-    params = {key: _thaw_value(value) for key, value in thaw_params(model.params).items()}
+    params = {key: thaw_value(value) for key, value in thaw_params(model.params).items()}
     return builder(model, params, rng)
-
-
-def _thaw_value(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_thaw_value(item) for item in value]
-    return value
 
 
 #: The paper's communication assumption; the default everywhere.
@@ -448,7 +430,7 @@ def channel_to_dict(model: Optional[ChannelModel]) -> Optional[Dict[str, object]
     if model is None:
         return None
     payload: Dict[str, object] = {"kind": model.kind}
-    payload.update({key: _thaw_value(value) for key, value in model.params})
+    payload.update({key: thaw_value(value) for key, value in model.params})
     payload["ack_timeout"] = model.ack_timeout
     payload["max_retries"] = model.max_retries
     return payload

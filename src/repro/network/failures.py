@@ -275,6 +275,13 @@ def thaw_params(params: FrozenParams) -> Dict[str, object]:
     return dict(params)
 
 
+def thaw_value(value: object) -> object:
+    """A frozen parameter value in plain JSON/TOML form (tuples back to lists)."""
+    if isinstance(value, tuple):
+        return [thaw_value(item) for item in value]
+    return value
+
+
 def float_params(params: FrozenParams, keys: Sequence[str]) -> FrozenParams:
     """``params`` with the numbers under ``keys`` stored as floats.
 
@@ -317,26 +324,35 @@ def _is_finite_number(value: object) -> bool:
     return True
 
 
-def _checked_number(value: object, kind: str, key: str) -> float:
-    finite_float(value, f"failure kind {kind!r}: parameter {key!r}")
+def checked_number(value: object, label: str, kind: str, key: str) -> float:
+    """``value`` as given once it is a finite number.
+
+    Errors name the parameter as ``failure kind 'random': parameter
+    'probability'`` (``label``, ``kind``, ``key``); channel kinds pass
+    ``"channel kind"``.
+    """
+    finite_float(value, f"{label} {kind!r}: parameter {key!r}")
     return value
 
 
-def _checked_count(value: object, kind: str, key: str) -> int:
+def checked_count(value: object, label: str, kind: str, key: str) -> int:
     """The integer under ``key``: a float is refused, never truncated.
 
     Checked as a number first, so an infinity or an integer too large for
     a float is reported as not finite, as for the real-valued parameters.
     """
-    name = f"failure kind {kind!r}: parameter {key!r}"
+    name = f"{label} {kind!r}: parameter {key!r}"
     finite_float(value, name)
     return checked_int(value, name)
 
 
-def _reject_unknown(params: Dict[str, object], kind: str, allowed: Sequence[str]) -> None:
+def reject_unknown(
+    params: Dict[str, object], label: str, kind: str, allowed: Sequence[str]
+) -> None:
+    """Refuse whatever is left in ``params`` once the known keys are popped."""
     if params:
         raise ValueError(
-            f"failure kind {kind!r} got unknown parameter(s) {sorted(params)}; "
+            f"{label} {kind!r} got unknown parameter(s) {sorted(params)}; "
             f"allowed: {sorted(allowed)}"
         )
 
@@ -354,22 +370,28 @@ def _point_from(value: object, kind: str, key: str) -> Point:
     return Point(float(value[0]), float(value[1]))
 
 
+#: The words every parameter error of a failure kind starts with.
+_LABEL = "failure kind"
+
+
 def _build_random(params: Dict[str, object]) -> FailureModel:
     reason = _reason_from(params, "random", NodeState.FAILED)
     probability = params.pop("probability", None)
     count = params.pop("count", None)
-    _reject_unknown(params, "random", ("probability", "count", "reason"))
+    reject_unknown(params, _LABEL, "random", ("probability", "count", "reason"))
     if probability is not None:
-        probability = _checked_number(probability, "random", "probability")
+        probability = checked_number(probability, _LABEL, "random", "probability")
     if count is not None:
-        count = _checked_count(count, "random", "count")
+        count = checked_count(count, _LABEL, "random", "count")
     return RandomFailure(probability=probability, count=count, reason=reason)
 
 
 def _build_thinning(params: Dict[str, object]) -> FailureModel:
     reason = _reason_from(params, "thinning", NodeState.FAILED)
-    target = _checked_count(params.pop("target_enabled", None), "thinning", "target_enabled")
-    _reject_unknown(params, "thinning", ("target_enabled", "reason"))
+    target = checked_count(
+        params.pop("target_enabled", None), _LABEL, "thinning", "target_enabled"
+    )
+    reject_unknown(params, _LABEL, "thinning", ("target_enabled", "reason"))
     return ThinningToEnabledCount(target_enabled=target, reason=reason)
 
 
@@ -378,7 +400,9 @@ def _build_region_jamming(params: Dict[str, object]) -> FailureModel:
     box_value = params.pop("box", None)
     center_value = params.pop("center", None)
     radius_value = params.pop("radius", None)
-    _reject_unknown(params, "region_jamming", ("box", "center", "radius", "reason"))
+    reject_unknown(
+        params, _LABEL, "region_jamming", ("box", "center", "radius", "reason")
+    )
     box = None
     if box_value is not None:
         if (
@@ -400,7 +424,7 @@ def _build_region_jamming(params: Dict[str, object]) -> FailureModel:
         else None
     )
     radius = (
-        float(_checked_number(radius_value, "region_jamming", "radius"))
+        float(checked_number(radius_value, _LABEL, "region_jamming", "radius"))
         if radius_value is not None
         else None
     )
@@ -410,7 +434,7 @@ def _build_region_jamming(params: Dict[str, object]) -> FailureModel:
 def _build_targeted_cells(params: Dict[str, object]) -> FailureModel:
     reason = _reason_from(params, "targeted_cells", NodeState.MISBEHAVING)
     cells_value = params.pop("cells", None)
-    _reject_unknown(params, "targeted_cells", ("cells", "reason"))
+    reject_unknown(params, _LABEL, "targeted_cells", ("cells", "reason"))
     if not isinstance(cells_value, (list, tuple)) or not cells_value:
         raise ValueError(
             "failure kind 'targeted_cells': parameter 'cells' must be a "
@@ -434,9 +458,11 @@ def _build_targeted_cells(params: Dict[str, object]) -> FailureModel:
 def _build_battery_depletion(params: Dict[str, object]) -> FailureModel:
     reason = _reason_from(params, "battery_depletion", NodeState.DEPLETED)
     threshold = float(
-        _checked_number(params.pop("threshold", 0.0), "battery_depletion", "threshold")
+        checked_number(
+            params.pop("threshold", 0.0), _LABEL, "battery_depletion", "threshold"
+        )
     )
-    _reject_unknown(params, "battery_depletion", ("threshold", "reason"))
+    reject_unknown(params, _LABEL, "battery_depletion", ("threshold", "reason"))
     return BatteryDepletionFailure(threshold=threshold, reason=reason)
 
 
@@ -478,14 +504,8 @@ def build_failure_model(kind: str, params: Mapping[str, object]) -> FailureModel
         raise ValueError(
             f"unknown failure kind {kind!r}; available: {list(available_failure_kinds())}"
         ) from None
-    payload = {key: _thaw_value(value) for key, value in dict(params).items()}
+    payload = {key: thaw_value(value) for key, value in dict(params).items()}
     return builder(payload)
-
-
-def _thaw_value(value: object) -> object:
-    if isinstance(value, tuple):
-        return [_thaw_value(item) for item in value]
-    return value
 
 
 @dataclass(frozen=True)

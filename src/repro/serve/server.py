@@ -12,7 +12,9 @@ dependencies) whose handler threads share one
 * ``GET  /scenario/<name>[?smoke=1]`` — run a catalog scenario cache-first
   through the broker and return its tabulated records.
 * ``GET  /figure/<fig6|fig7|fig8>[?quick=1&trials=k]`` — the Section-5
-  figure series, cache-first.
+  figure series, cache-first through the broker.  Both batch endpoints pass
+  the broker as ``execute_many``'s executor, which admits the batch whole
+  or answers 503 with nothing queued.
 * ``POST /run`` — execute one spec (JSON body of at most
   :data:`MAX_BODY_BYTES`, see :func:`spec_from_request`); answered from the
   cache when stored, admitted
@@ -112,8 +114,11 @@ class ServeConfig:
     workers:
         Broker worker threads simulating cache misses.
     queue_limit:
-        Bound on queued-but-not-running specs; past it, ``POST /run``
-        answers HTTP 503 instead of buffering unboundedly.
+        Bound on queued-but-not-running specs.  A request is admitted whole:
+        one whose new specs (not cached, not already in flight) do not fit
+        beside the pending ones answers HTTP 503 and queues none of them, so
+        a ``/figure`` or ``/scenario`` batch with more new specs than the
+        bound is always refused.
     verbose:
         Log one line per request to stderr.
     """
@@ -232,7 +237,7 @@ class ExperimentServer(ThreadingHTTPServer):
         requests, so a sqlite store is checkpointed and no file of it stays
         open.
         """
-        self.broker.shutdown(wait=True)
+        self.broker.close()
         self.server_close()
         if self.cache is not None:
             self.cache.backend.close()
@@ -480,7 +485,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             return
         if self._flag(query, "smoke"):
             scenario = scenario.smoke_variant()
-        records = scenario.execute(broker=self.server.broker)
+        records = scenario.execute(executor=self.server.broker)
         table = tabulate_records(scenario, records)
         self._send_json(
             200,
@@ -512,7 +517,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         experiment = run_section5_experiment(
             spare_values=spare_values,
             trials=trials,
-            broker=self.server.broker,
+            executor=self.server.broker,
         )
         driver = {
             "fig6": figure6_processes_and_success,
@@ -586,9 +591,11 @@ def run_serve_smoke(workers: int = 2) -> List[str]:
     cache, then checks the full request surface end to end: health, an
     uncached run (simulated), the identical run again (answered from the
     cache), a streamed run (live per-round events arrive), stats consistency,
-    and clean shutdown.
+    the quick Figure-6 batch (one row per spare value), a figure batch with
+    more new specs than the queue bound (503, nothing left pending), and
+    clean shutdown.
     """
-    from repro.serve.client import ServeClient
+    from repro.serve.client import ServeClient, ServeError
 
     failures: List[str] = []
     config = ServeConfig(port=0, workers=workers, verbose=False)
@@ -626,6 +633,22 @@ def run_serve_smoke(workers: int = 2) -> List[str]:
             failures.append(f"stats report no cache hit after a repeat query: {stats}")
         if stats.get("broker", {}).get("executed", 0) < 1:
             failures.append(f"stats report no executed run: {stats}")
+
+        rows = client.figure("fig6", quick=True).get("rows", [])
+        if len(rows) != len(QUICK_SPARE_VALUES):
+            failures.append(
+                f"quick fig6 answered {len(rows)} rows, expected {len(QUICK_SPARE_VALUES)}"
+            )
+
+        try:
+            client.figure("fig6", quick=True, trials=200)
+            failures.append("a figure batch over the queue bound was admitted")
+        except ServeError as error:
+            if error.status != 503:
+                failures.append(f"an oversized figure batch answered {error}, not 503")
+        pending = client.stats().get("broker", {}).get("pending")
+        if pending != 0:
+            failures.append(f"a refused figure batch left {pending} specs pending")
 
         client.shutdown()
     except Exception as error:  # noqa: BLE001 - the gate reports, not raises

@@ -6,15 +6,20 @@ The contracts exercised here:
   (in-flight dedup) and both receive the same record;
 * interactive submissions overtake queued batch work;
 * a bounded queue rejects overload with :class:`BrokerQueueFull` instead of
-  buffering unboundedly;
+  buffering unboundedly, and admits a batch whole or not at all: a refused
+  batch queues nothing and runs nothing, and only its new specs (not cached,
+  not in flight) count against the bound;
 * records produced through the broker are byte-identical to a plain
   :class:`SerialExecutor` run of the same specs;
 * ``state_cache_stats`` reports the process's default state cache;
 * ``execute_many`` collapses duplicate specs within one batch onto a single
-  execution while preserving spec order in the returned records.
+  execution while preserving spec order in the returned records, and takes
+  the broker as its executor.
 """
 
+import dataclasses
 import json
+import sys
 import threading
 import time
 
@@ -24,14 +29,9 @@ from repro.experiments.broker import (
     BrokerQueueFull,
     ExperimentBroker,
     Priority,
-    execute_batch,
-)
-from repro.experiments.orchestration import (
-    RunSpec,
-    SerialExecutor,
     execute_many,
-    execute_run,
 )
+from repro.experiments.orchestration import RunSpec, SerialExecutor, execute_run
 from repro.experiments.persistence import RunCache, record_to_dict, run_key
 from repro.experiments.state_cache import StateCache, set_default_state_cache
 from repro.sim.scenario import ScenarioConfig
@@ -54,6 +54,14 @@ def wait_until_draining(broker, timeout: float = 5.0) -> None:
     while broker.stats().pending and time.monotonic() < deadline:
         time.sleep(0.005)
     assert broker.stats().pending == 0, "worker never picked up the queued spec"
+
+
+def wait_until_submitted(broker, count: int, timeout: float = 5.0) -> None:
+    """Block until the broker has admitted ``count`` specs in total."""
+    deadline = time.monotonic() + timeout
+    while broker.stats().submitted < count and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert broker.stats().submitted == count, "the batch was never admitted"
 
 
 class GatedRunner:
@@ -148,7 +156,104 @@ def test_bounded_queue_rejects_overload():
         assert broker.stats().rejected == 1
     finally:
         runner.gate.set()
-        broker.shutdown(wait=True)
+        broker.close()
+
+
+def test_a_batch_over_the_bound_queues_and_runs_nothing():
+    """A refused batch moves no counter but ``rejected`` and leaves nothing to run."""
+    runner = GatedRunner()
+    broker = ExperimentBroker(workers=1, queue_limit=4, run_fn=runner)
+    try:
+        before = broker.stats()
+        with pytest.raises(BrokerQueueFull):
+            broker.run_all([quick_spec(seed=seed) for seed in range(1, 7)])
+        assert broker.stats() == dataclasses.replace(before, rejected=before.rejected + 1)
+    finally:
+        runner.gate.set()
+        broker.close()
+    assert runner.calls == []
+    assert broker.stats().executed == 0
+
+
+def test_cached_and_in_flight_specs_do_not_count_against_the_bound(tmp_path):
+    """New specs that exactly fit are admitted whole beside cached and in-flight ones."""
+    cache = RunCache(tmp_path)
+    cached = quick_spec(seed=9)
+    cache.put(execute_run(cached))
+    runner = GatedRunner()
+    broker = ExperimentBroker(cache=cache, workers=1, queue_limit=4, run_fn=runner)
+    try:
+        running = broker.submit(quick_spec(seed=1))
+        wait_until_draining(broker)  # the worker holds seed 1 at the gate
+        queued = broker.submit(quick_spec(seed=2))
+        new = [quick_spec(seed=seed) for seed in (3, 4, 5)]
+        batch = [cached, running.spec, queued.spec, *new]
+        records = []
+        thread = threading.Thread(target=lambda: records.extend(broker.run_all(batch)))
+        thread.start()
+        wait_until_submitted(broker, 2 + len(batch))
+        stats = broker.stats()
+        assert (stats.pending, stats.in_flight) == (4, 5)
+        assert (stats.cache_hits, stats.dedup_hits, stats.rejected) == (1, 2, 0)
+        assert running.deduplicated and queued.deduplicated
+        runner.gate.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+    finally:
+        runner.gate.set()
+        broker.close()
+    assert [record.spec for record in records] == batch
+    assert [record.cached for record in records] == [True] + [False] * 5
+    assert sorted(spec.seed for spec in runner.calls) == [1, 2, 3, 4, 5]
+    assert broker.runs_executed == broker.stats().executed == 5
+
+
+def test_concurrent_batches_keep_the_counters_consistent():
+    """Overlapping batches from many threads: no lost update, no spec over the bound."""
+    limit, clients, rounds, size = 8, 8, 50, 6
+    calls, pending_seen, misrouted = [], [], []
+    lock = threading.Lock()
+    refusals = [0] * clients
+
+    def run_fn(spec):
+        with lock:
+            calls.append(spec)
+            pending_seen.append(broker.stats().pending)
+        return spec.seed
+
+    def client(index):
+        for round_index in range(rounds):
+            specs = [quick_spec(seed=(index + round_index + k) % 12) for k in range(size)]
+            try:
+                if broker.run_all(specs) != [spec.seed for spec in specs]:
+                    misrouted.append(specs)
+            except BrokerQueueFull:
+                refusals[index] += 1
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ExperimentBroker(workers=4, queue_limit=limit, run_fn=run_fn) as broker:
+            threads = [
+                threading.Thread(target=client, args=(i,), daemon=True)
+                for i in range(clients)
+            ]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 60
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert misrouted == []
+    stats = broker.stats()
+    assert (stats.pending, stats.in_flight, stats.failed) == (0, 0, 0)
+    assert stats.rejected == sum(refusals)
+    assert stats.submitted == (clients * rounds - sum(refusals)) * size
+    assert stats.submitted == stats.dedup_hits + stats.executed
+    assert stats.executed == len(calls) == broker.runs_executed
+    assert max(pending_seen) <= limit
 
 
 def test_shutdown_refuses_new_work_but_drains_the_queue():
@@ -156,7 +261,7 @@ def test_shutdown_refuses_new_work_but_drains_the_queue():
     broker = ExperimentBroker(workers=1, run_fn=runner)
     handle = broker.submit(quick_spec())
     runner.gate.set()
-    broker.shutdown(wait=True)
+    broker.close()
     assert handle.result(timeout=5) is not None
     with pytest.raises(RuntimeError, match="shut down"):
         broker.submit(quick_spec(seed=99))
@@ -183,7 +288,7 @@ def test_broker_records_match_serial_executor(tmp_path):
     specs = [quick_spec(scheme=s, seed=seed) for s in ("SR", "AR") for seed in (1, 2)]
     serial = execute_many(specs, executor=SerialExecutor())
     with ExperimentBroker(cache=RunCache(tmp_path), workers=3) as broker:
-        brokered = broker.run(specs)
+        brokered = broker.run_all(specs)
     assert canonical(serial) == canonical(brokered)
 
 
@@ -194,7 +299,7 @@ def test_state_cache_stats_read_the_process_default_cache():
     previous = set_default_state_cache(cache)
     try:
         with ExperimentBroker(workers=1) as broker:
-            broker.run([quick_spec("SR"), quick_spec("AR")])
+            broker.run_all([quick_spec("SR"), quick_spec("AR")])
             stats = broker.state_cache_stats()
             assert (stats.misses, stats.hits, stats.entries) == (1, 1, 1)
             assert "mode" not in stats.as_dict()
@@ -229,22 +334,22 @@ def test_execute_many_dedup_works_without_a_cache():
     assert canonical([records[0]]) == canonical([records[1]])
 
 
-def test_execute_batch_mixes_cache_hits_and_misses(tmp_path):
+def test_execute_many_mixes_cache_hits_and_misses(tmp_path):
     cache = RunCache(tmp_path)
     cached_spec = quick_spec()
     cache.put(execute_run(cached_spec))
     executor = SerialExecutor()
-    records = execute_batch(
+    records = execute_many(
         [cached_spec, quick_spec(scheme="AR")], executor=executor, cache=cache
     )
     assert records[0].cached and not records[1].cached
     assert executor.runs_executed == 1
 
 
-def test_execute_many_routes_through_a_broker(tmp_path):
+def test_execute_many_runs_through_a_broker(tmp_path):
     specs = [quick_spec(seed=s) for s in (1, 2)]
     with ExperimentBroker(cache=RunCache(tmp_path), workers=2) as broker:
-        records = execute_many(specs, broker=broker)
-        again = execute_many(specs, broker=broker)
+        records = execute_many(specs, executor=broker)
+        again = execute_many(specs, executor=broker)
     assert canonical(records) == canonical(execute_many(specs, executor=SerialExecutor()))
     assert all(record.cached for record in again)

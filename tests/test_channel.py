@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.broker import execute_many
 from repro.experiments.catalog import load_catalog_scenario
-from repro.experiments.orchestration import RunSpec, execute_many, execute_run
+from repro.experiments.orchestration import RunSpec, execute_run
 from repro.experiments.persistence import run_key, spec_from_dict, spec_to_dict
 from repro.experiments.registry import make_controller
 from repro.experiments.scenario_files import (

@@ -14,8 +14,9 @@ from repro.experiments.figures import (
     run_section5_experiment,
 )
 from repro.experiments.plotting import ascii_chart, format_table
+from repro.experiments.registry import make_controller
 from repro.experiments.results import ExperimentResult, average_dicts
-from repro.experiments.sweep import make_controller, run_comparison
+from repro.experiments.sweep import run_comparison
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
 

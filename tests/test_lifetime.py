@@ -14,13 +14,14 @@ from hypothesis import strategies as st
 
 from repro.core.hamilton import build_hamilton_cycle
 from repro.core.replacement import HamiltonReplacementController
+from repro.experiments.broker import execute_many
 from repro.experiments.lifetime import (
     SMOKE_CONFIG,
     SMOKE_ENERGY,
     build_lifetime_specs,
     run_lifetime_experiment,
 )
-from repro.experiments.orchestration import SerialExecutor, execute_many
+from repro.experiments.orchestration import SerialExecutor
 from repro.experiments.persistence import (
     RunCache,
     record_from_dict,

@@ -18,11 +18,11 @@ import pickle
 
 import pytest
 
+from repro.experiments.broker import execute_many
 from repro.experiments.orchestration import (
     ParallelExecutor,
     RunSpec,
     SerialExecutor,
-    execute_many,
     execute_run,
     make_executor,
 )
@@ -356,8 +356,7 @@ class TestEqualSpecsShareOneKey:
         assert run_key(spec) == FLOAT_TYPED_KEY
         assert spec_to_dict(spec) == spec_to_dict(spec_from_request(FLOAT_TYPED_BODY))
 
-    def test_execute_batch_simulates_equal_specs_once(self, tmp_path):
-        from repro.experiments.broker import execute_batch
+    def test_execute_many_simulates_equal_specs_once(self, tmp_path):
         from repro.serve import spec_from_request
 
         specs = [spec_from_request(FLOAT_TYPED_BODY)] + [
@@ -366,7 +365,7 @@ class TestEqualSpecsShareOneKey:
         ]
         executor = SerialExecutor()
         cache = RunCache(tmp_path)
-        records = execute_batch(specs, executor=executor, cache=cache)
+        records = execute_many(specs, executor=executor, cache=cache)
         assert executor.runs_executed == 1
         assert len(cache) == 1
         assert all(record == records[0] for record in records)

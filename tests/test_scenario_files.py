@@ -16,7 +16,8 @@ import dataclasses
 
 import pytest
 
-from repro.experiments.orchestration import RunSpec, SerialExecutor, execute_many, execute_run
+from repro.experiments.broker import execute_many
+from repro.experiments.orchestration import RunSpec, SerialExecutor, execute_run
 from repro.experiments.persistence import RunCache, run_key, spec_from_dict, spec_to_dict
 from repro.experiments.scenario_files import (
     Scenario,

@@ -10,9 +10,11 @@ The contracts exercised here:
   record so the next query is a hit, also when the client disconnects
   mid-stream (reset or orderly close): the run finishes quietly and is
   cached;
+* ``/figure`` answers the table a local sweep computes, cold and warm;
 * error mapping: bad specs -> 400, a ``?trials=`` on ``/figure`` that is
   not an integer >= 1 -> 400, unknown endpoints -> 404, a full broker
-  queue -> 503, a negative ``Content-Length`` -> 400 and one above
+  queue -> 503, a figure batch with more new specs than the queue bound
+  -> 503 with nothing queued or run, a negative ``Content-Length`` -> 400 and one above
   ``MAX_BODY_BYTES`` -> 413, both answered without reading a body, and a
   spec above an admission limit (grid cells, deployed nodes, round bound)
   -> 400 before anything is built, and so does a spec carrying a non-finite
@@ -36,6 +38,11 @@ from urllib.request import urlopen
 import pytest
 
 from repro.experiments.broker import ExperimentBroker
+from repro.experiments.figures import (
+    QUICK_SPARE_VALUES,
+    figure6_processes_and_success,
+    run_section5_experiment,
+)
 from repro.experiments.orchestration import execute_run
 from repro.experiments.persistence import record_to_dict
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
@@ -269,6 +276,19 @@ def test_concurrent_identical_queries_share_one_simulation():
         assert server.broker.stats().executed == 1
 
 
+def test_figure_answers_the_local_table_cold_and_warm():
+    local = figure6_processes_and_success(
+        run_section5_experiment(spare_values=QUICK_SPARE_VALUES)
+    )
+    with running_server() as (server, client):
+        cold = client.figure("fig6", quick=True)
+        warm = client.figure("fig6", quick=True)
+        stats = server.broker.stats()
+    assert cold == warm
+    assert (cold["columns"], cold["rows"]) == (local.columns, local.rows)
+    assert (stats.executed, stats.cache_hits) == (8, 8)
+
+
 # --------------------------------------------------------------- error paths
 def test_malformed_spec_maps_to_400():
     with running_server() as (server, client):
@@ -332,6 +352,21 @@ def test_full_queue_maps_to_503():
         gate.set()
         for thread in background:
             thread.join(timeout=30)
+
+
+def test_a_figure_batch_over_the_queue_bound_queues_and_runs_nothing():
+    """1,600 new specs against the default bound of 256: 503, and no work left behind."""
+    with running_server() as (server, client):
+        with pytest.raises(HTTPError) as excinfo:
+            urlopen(f"{server.url}/figure/fig6?quick=1&trials=200", timeout=60)
+        with closing(excinfo.value) as response:
+            assert response.code == 503
+            error = json.loads(response.read())["error"]
+        assert error.startswith("broker queue is full"), error
+        broker = client.stats()["broker"]
+        assert broker["submitted"] == broker["pending"] == broker["in_flight"] == 0
+        assert broker["rejected"] == 1
+    assert server.broker.stats().executed == 0
 
 
 def raw_post_run(server, content_length: str, body: bytes = b"") -> bytes:
