@@ -517,11 +517,6 @@ def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
         help="run-record store format under --cache-dir: one JSON file per "
         "record (default) or one concurrent-safe sqlite database",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable result caching even when --cache-dir is given",
-    )
 
 
 # ------------------------------------------------------------------ commands
@@ -535,7 +530,7 @@ def _execution_backend(
     outlives the command that opened it.
     """
     cache: Optional[RunCache] = None
-    if args.cache_dir is not None and not args.no_cache:
+    if args.cache_dir is not None:
         cache = make_cache(args.cache_dir, backend=args.cache_backend)
     with make_executor(args.jobs) as executor:
         yield executor, cache

@@ -163,6 +163,10 @@ class MobilityController(abc.ABC):
     #: Human-readable scheme name used in metric records and plots.
     name: str = "controller"
 
+    #: Processes that converged without moving anything.  Only AR aborts a
+    #: process as redundant; it overrides this with a property.
+    redundant_processes: int = 0
+
     def __init__(self) -> None:
         self._processes: Dict[int, ReplacementProcess] = {}
         self._next_process_id = 0
@@ -355,6 +359,9 @@ class MobilityController(abc.ABC):
         progress flag to decide when to stop.
         """
         return not any(process.is_active for process in self._processes.values())
+
+    def finalize(self, state: WsnState, round_index: int) -> None:
+        """Hook: settle bookkeeping after the engine's last round (default: no-op)."""
 
     # -------------------------------------------------------------- processes
     def processes(self) -> List[ReplacementProcess]:

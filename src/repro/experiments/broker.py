@@ -7,11 +7,12 @@ runs it as a long-running service core, and is itself a
 
 * **Cache-first admission** — a stored record answers before the queue is
   touched, so repeated traffic costs one backend lookup.
-* **In-flight deduplication** — two admissions of an identical spec (same
-  ``run_key``) share one simulation; the second submitter gets the same
-  :class:`RunHandle` and therefore the same record.  This is what converts
-  the heavy-overlap workload shape of the paper's sweeps (every figure and
-  scenario re-asks for the same cells) into near-free lookups.
+* **In-flight deduplication** — two admissions of equal specs share one
+  simulation; the second submitter gets the same :class:`RunHandle` and
+  therefore the same record.  The in-flight table is keyed by the frozen
+  spec itself: only the record store computes a ``run_key``.  This is what
+  converts the heavy-overlap workload shape of the paper's sweeps (every
+  figure and scenario re-asks for the same cells) into near-free lookups.
 * **Priority admission** — interactive submissions (a human waiting on an
   HTTP response) overtake batch backfill in the queue.
 * **Bounded queue depth, whole batches** — a batch is admitted whole or not
@@ -24,7 +25,9 @@ the records) are two calls of one admission routine.
 
 Determinism makes all of this sound: ``execute_run`` is a pure function of
 its spec, so a deduplicated or cached record is byte-identical to what a
-private re-simulation would have produced.
+private re-simulation would have produced.  Only the record store flags a
+record ``cached``: :meth:`~repro.experiments.persistence.RunCache.get` and
+``get_many`` return their hits that way.
 
 :func:`execute_many` below is the one way to run a batch of specs: it
 applies the same cache-first + dedup policy to a static spec list and drives
@@ -115,13 +118,12 @@ class BrokerStats:
 class RunHandle:
     """Future-style handle on one admitted spec.
 
-    Multiple submissions of the same spec share one handle (in-flight
+    Multiple submissions of equal specs share one handle (in-flight
     dedup), so ``result()`` may be awaited by several callers at once.
     """
 
-    def __init__(self, spec: RunSpec, key: str, *, cached: bool = False) -> None:
+    def __init__(self, spec: RunSpec, *, cached: bool = False) -> None:
         self.spec = spec
-        self.key = key
         #: Whether the handle was resolved straight from the cache.
         self.cached = cached
         #: Whether this submit attached to an already in-flight identical spec.
@@ -129,6 +131,11 @@ class RunHandle:
         self._event = threading.Event()
         self._record: Optional[RunRecord] = None
         self._error: Optional[BaseException] = None
+
+    @property
+    def key(self) -> str:
+        """The spec's ``run_key``: the record store's address of its record."""
+        return run_key(self.spec)
 
     def done(self) -> bool:
         """Whether a record (or an error) is available without blocking."""
@@ -200,7 +207,7 @@ class ExperimentBroker(RunExecutor):
         self._run_fn = run_fn
         self._queue: "queue.PriorityQueue" = queue.PriorityQueue()
         self._lock = threading.Lock()
-        self._inflight: Dict[str, RunHandle] = {}
+        self._inflight: Dict[RunSpec, RunHandle] = {}
         self._sequence = 0
         self._pending = 0
         self._submitted = 0
@@ -242,32 +249,31 @@ class ExperimentBroker(RunExecutor):
     def _admit(self, specs: List[RunSpec], priority: Priority) -> List[RunHandle]:
         """The one admission routine: ``specs`` are admitted all or none.
 
-        Each spec resolves cache hit > in-flight dedup (onto a run already
-        queued or running, or onto an earlier spec of this batch) > fresh
-        enqueue.  The fresh specs are queued only if all of them fit under
-        ``queue_limit`` beside the pending ones; otherwise the refusal counts
-        once in ``rejected``, no other counter moves, and
-        :class:`BrokerQueueFull` is raised.  Returns one handle per spec, in
-        order.
+        Each spec resolves cache hit > in-flight dedup (onto a run of an
+        equal spec already queued or running, or onto an earlier equal spec
+        of this batch) > fresh enqueue.  The fresh specs are queued only if
+        all of them fit under ``queue_limit`` beside the pending ones;
+        otherwise the refusal counts once in ``rejected``, no other counter
+        moves, and :class:`BrokerQueueFull` is raised.  Returns one handle
+        per spec, in order.
         """
-        keys = [run_key(spec) for spec in specs]
         hits = [
             self.cache.get(spec) if self.cache is not None else None for spec in specs
         ]
         handles: List[RunHandle] = []
-        fresh: Dict[str, RunHandle] = {}
+        fresh: Dict[RunSpec, RunHandle] = {}
         attached: List[RunHandle] = []
         with self._lock:
-            for spec, key, hit in zip(specs, keys, hits):
+            for spec, hit in zip(specs, hits):
                 if hit is not None:
-                    handle = RunHandle(spec, key, cached=True)
-                    handle._resolve(dataclasses.replace(hit, cached=True))
+                    handle = RunHandle(spec, cached=True)
+                    handle._resolve(hit)
                 elif self._closed:
                     raise RuntimeError("broker is shut down")
                 else:
-                    handle = self._inflight.get(key) or fresh.get(key)
+                    handle = self._inflight.get(spec) or fresh.get(spec)
                     if handle is None:
-                        handle = fresh[key] = RunHandle(spec, key)
+                        handle = fresh[spec] = RunHandle(spec)
                     else:
                         attached.append(handle)
                 handles.append(handle)
@@ -282,9 +288,9 @@ class ExperimentBroker(RunExecutor):
                 )
             for handle in attached:
                 handle.deduplicated = True
-            for handle in fresh.values():
+            for spec, handle in fresh.items():
                 self._sequence += 1
-                self._inflight[handle.key] = handle
+                self._inflight[spec] = handle
                 self._queue.put((int(priority), self._sequence, handle))
             self._submitted += len(specs)
             self._cache_hits += len(specs) - len(attached) - len(fresh)
@@ -347,7 +353,7 @@ class ExperimentBroker(RunExecutor):
             except BaseException as error:  # noqa: BLE001 - forwarded to waiters
                 with self._lock:
                     self._failed += 1
-                    self._inflight.pop(handle.key, None)
+                    self._inflight.pop(handle.spec, None)
                 handle._fail(error)
                 continue
             # Publish to the cache BEFORE leaving the in-flight table: a
@@ -357,7 +363,7 @@ class ExperimentBroker(RunExecutor):
                 self.cache.put(record)
             with self._lock:
                 self._executed += 1
-                self._inflight.pop(handle.key, None)
+                self._inflight.pop(handle.spec, None)
             handle._resolve(record)
 
 
@@ -369,47 +375,29 @@ def execute_many(
 ) -> List[RunRecord]:
     """Execute a batch of specs, reusing cached records where available.
 
-    The one way to run a batch: identical specs within the batch collapse
-    onto one simulation (``execute_run`` is deterministic, so the shared
-    record is exactly what each duplicate would have produced), specs stored
-    in ``cache`` are answered from it, and only the remaining unique misses
+    The one way to run a batch: equal specs within the batch collapse onto
+    one simulation (``execute_run`` is deterministic, so the shared record
+    is exactly what each duplicate would have produced), specs stored in
+    ``cache`` are answered from it, and only the remaining distinct misses
     are driven through ``executor`` and persisted.  The executor is a
     :class:`~repro.experiments.orchestration.SerialExecutor` by default, a
     ``ParallelExecutor`` for process-level ``--jobs`` parallelism, or an
     :class:`ExperimentBroker`, whose own cache, in-flight dedup and bounded
     queue then apply across concurrent callers.
 
-    Records come back in spec order; cache hits are flagged ``cached``.
+    Records come back in spec order; the cache flags its hits ``cached``.
     """
     specs = list(specs)
     executor = executor if executor is not None else SerialExecutor()
-
-    # In-batch dedup: first occurrence of each run_key owns the execution.
-    keys = [run_key(spec) for spec in specs]
-    owner_index: Dict[str, int] = {}
-    for index, key in enumerate(keys):
-        owner_index.setdefault(key, index)
-
-    resolved: Dict[str, RunRecord] = {}
-    missing: List[RunSpec] = []
-    owner_specs = [specs[index] for index in owner_index.values()]
-    hits = (
-        cache.get_many(owner_specs)
-        if cache is not None
-        else [None] * len(owner_specs)
-    )
-    for key, spec, hit in zip(owner_index.keys(), owner_specs, hits):
-        if hit is not None:
-            resolved[key] = dataclasses.replace(hit, cached=True)
-        else:
-            missing.append(spec)
-
+    unique = list(dict.fromkeys(specs))
+    hits = cache.get_many(unique) if cache is not None else [None] * len(unique)
+    resolved = {spec: hit for spec, hit in zip(unique, hits) if hit is not None}
+    missing = [spec for spec, hit in zip(unique, hits) if hit is None]
     if missing:
         fresh = executor.run_all(missing)
         if cache is not None:
             # One transactional commit for the whole sweep's fresh records
             # instead of a write per record.
             cache.put_many(fresh)
-        for record in fresh:
-            resolved[run_key(record.spec)] = record
-    return [resolved[key] for key in keys]
+        resolved.update(zip(missing, fresh))
+    return [resolved[spec] for spec in specs]

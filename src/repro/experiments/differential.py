@@ -281,10 +281,10 @@ def check_state_cache_identity(context: DifferentialContext) -> List[str]:
     if context.state_cache_trio is None:
         return []
     baseline, miss, hit = context.state_cache_trio
-    base = record_to_dict(dataclasses.replace(baseline, cached=False))
+    base = record_to_dict(baseline)
     violations: List[str] = []
     for label, record in (("cache-miss", miss), ("cache-hit", hit)):
-        candidate = record_to_dict(dataclasses.replace(record, cached=False))
+        candidate = record_to_dict(record)
         if candidate != base:
             differing = sorted(
                 key for key in base if base[key] != candidate.get(key)

@@ -206,23 +206,8 @@ def run_section5_experiment(
     return result
 
 
-def _require_experiment(
-    experiment: Optional[ExperimentResult],
-    spare_values: Optional[Sequence[int]],
-    trials: int,
-) -> ExperimentResult:
-    if experiment is not None:
-        return experiment
-    return run_section5_experiment(spare_values=spare_values, trials=trials)
-
-
-def figure6_processes_and_success(
-    experiment: Optional[ExperimentResult] = None,
-    spare_values: Optional[Sequence[int]] = None,
-    trials: int = 1,
-) -> ExperimentResult:
+def figure6_processes_and_success(experiment: ExperimentResult) -> ExperimentResult:
     """Figure 6: replacement processes initiated (a) and success rate (b), AR vs SR."""
-    experiment = _require_experiment(experiment, spare_values, trials)
     result = ExperimentResult(
         name="Figure 6: replacement processes and success rate",
         columns=[
@@ -247,13 +232,8 @@ def figure6_processes_and_success(
     return result
 
 
-def figure7_node_movements(
-    experiment: Optional[ExperimentResult] = None,
-    spare_values: Optional[Sequence[int]] = None,
-    trials: int = 1,
-) -> ExperimentResult:
+def figure7_node_movements(experiment: ExperimentResult) -> ExperimentResult:
     """Figure 7: total node movements — experimental AR/SR (a) and analytical SR (b)."""
-    experiment = _require_experiment(experiment, spare_values, trials)
     result = ExperimentResult(
         name="Figure 7: number of node movements",
         columns=["N", "holes", "SR_moves", "AR_moves", "SR_moves_analytic"],
@@ -270,13 +250,8 @@ def figure7_node_movements(
     return result
 
 
-def figure8_total_distance(
-    experiment: Optional[ExperimentResult] = None,
-    spare_values: Optional[Sequence[int]] = None,
-    trials: int = 1,
-) -> ExperimentResult:
+def figure8_total_distance(experiment: ExperimentResult) -> ExperimentResult:
     """Figure 8: total moving distance (m) — experimental AR/SR (a) and analytical SR (b)."""
-    experiment = _require_experiment(experiment, spare_values, trials)
     result = ExperimentResult(
         name="Figure 8: total moving distance",
         columns=["N", "holes", "SR_distance", "AR_distance", "SR_distance_analytic"],

@@ -41,7 +41,7 @@ import pickle
 from abc import ABC, abstractmethod
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.registry import (
@@ -168,7 +168,10 @@ class RunRecord:
     #: Per-round total remaining energy of the enabled nodes; empty unless the
     #: spec carried an energy model.
     energy_series: Tuple[float, ...] = ()
-    cached: bool = False
+    #: Whether the record was read back from a run cache.  Execution
+    #: metadata set only by :class:`~repro.experiments.persistence.RunCache`:
+    #: neither stored nor compared, so a cached record equals a fresh one.
+    cached: bool = field(default=False, compare=False)
 
     @property
     def converged(self) -> bool:

@@ -32,6 +32,12 @@ Storage is a :class:`CacheBackend` behind the :class:`RunCache` facade:
 Both backends store the *same* canonical document text, so a record read
 back from either is byte-identical; serialization, validation, and hit/miss
 accounting (:class:`CacheStats`) live in the facade, never in a backend.
+
+The store is the one place a run's identity becomes a key: the facade
+computes :func:`run_key` to address the backend and is the only code that
+flags a record ``cached``.  Everything in between (the broker's in-flight
+table, ``execute_many``'s in-batch dedup) tracks a run by its frozen,
+hashable spec, because specs that compare equal share one key.
 """
 
 from __future__ import annotations
@@ -679,26 +685,17 @@ class RunCache:
 
     ``RunCache(directory)`` keeps the historical behaviour (a
     :class:`JsonDirBackend` on that directory); pass ``backend=`` to use a
-    different store.  ``hits``/``misses`` remain readable attributes but are
-    now backed by a thread-safe :class:`CacheStats` shared with the broker.
+    different store under that directory.  ``hits``/``misses`` remain
+    readable attributes but are backed by a thread-safe :class:`CacheStats`
+    shared with the broker.  Every record a lookup returns is flagged
+    ``cached``; nothing else sets the flag.
     """
 
     def __init__(
-        self,
-        cache_dir: Optional[Union[str, Path]] = None,
-        backend: Optional[CacheBackend] = None,
+        self, cache_dir: Union[str, Path], backend: Optional[CacheBackend] = None
     ) -> None:
-        if backend is None:
-            if cache_dir is None:
-                raise ValueError("RunCache needs a cache_dir or an explicit backend")
-            backend = JsonDirBackend(cache_dir)
-        self.backend = backend
-        if cache_dir is not None:
-            self.cache_dir = Path(cache_dir)
-        elif isinstance(backend, JsonDirBackend):
-            self.cache_dir = backend.cache_dir
-        else:
-            self.cache_dir = Path(getattr(backend, "path", ".")).parent
+        self.cache_dir = Path(cache_dir)
+        self.backend = backend if backend is not None else JsonDirBackend(cache_dir)
         self.stats = CacheStats()
 
     @property
@@ -712,7 +709,7 @@ class RunCache:
         return self.stats.snapshot().misses
 
     def get(self, spec: RunSpec) -> Optional[RunRecord]:
-        """The stored record for ``spec``, or ``None`` on any kind of miss."""
+        """The stored record for ``spec`` flagged ``cached``, or ``None`` on any miss."""
         return self._decode(spec, self.backend.load(run_key(spec)))
 
     def put(self, record: RunRecord) -> Path:
@@ -737,10 +734,10 @@ class RunCache:
             self.stats.record_miss()
             return None
         self.stats.record_hit()
-        return record
+        return dataclasses.replace(record, cached=True)
 
     def get_many(self, specs: Sequence[RunSpec]) -> List[Optional[RunRecord]]:
-        """Stored records for ``specs`` in order (``None`` per miss).
+        """Stored records for ``specs`` in order, flagged ``cached`` (``None`` per miss).
 
         One bulk backend read instead of a lookup per spec; validation and
         hit/miss accounting are identical to :meth:`get`, so a damaged

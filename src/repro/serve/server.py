@@ -2,8 +2,8 @@
 
 The server is a stdlib :class:`http.server.ThreadingHTTPServer` (no new
 dependencies) whose handler threads share one
-:class:`~repro.experiments.broker.ExperimentBroker` and one
-:class:`~repro.experiments.persistence.RunCache`:
+:class:`~repro.experiments.broker.ExperimentBroker` and reach the record
+store (a :class:`~repro.experiments.persistence.RunCache`) only through it:
 
 * ``GET  /health`` — liveness + uptime.
 * ``GET  /stats`` — cache hit/miss counters and broker admission counters.
@@ -12,9 +12,11 @@ dependencies) whose handler threads share one
 * ``GET  /scenario/<name>[?smoke=1]`` — run a catalog scenario cache-first
   through the broker and return its tabulated records.
 * ``GET  /figure/<fig6|fig7|fig8>[?quick=1&trials=k]`` — the Section-5
-  figure series, cache-first through the broker.  Both batch endpoints pass
-  the broker as ``execute_many``'s executor, which admits the batch whole
-  or answers 503 with nothing queued.
+  figure series, cache-first through the broker.  A sweep of more than
+  :data:`MAX_BATCH_SPECS` specs is refused with 400 before any spec is
+  built.  Both batch endpoints pass the broker as ``execute_many``'s
+  executor, which admits the batch whole or answers 503 with nothing
+  queued.
 * ``POST /run`` — execute one spec (JSON body of at most
   :data:`MAX_BODY_BYTES`, see :func:`spec_from_request`); answered from the
   cache when stored, admitted
@@ -22,7 +24,7 @@ dependencies) whose handler threads share one
   traffic).  With ``?stream=1`` the response is newline-delimited JSON that
   carries the run's **live per-round series** — one ``round`` event per
   simulated round as it happens (via the engine's ``round_observer`` hook) —
-  followed by the final record.
+  followed by the final record (or an ``error`` event when the run raises).
 * ``POST /shutdown`` — drain and stop (the serve smoke gate uses this).
 
 Identical concurrent ``POST /run`` requests collapse onto one simulation
@@ -49,6 +51,7 @@ from repro.experiments.broker import (
 )
 from repro.experiments.catalog import catalog_names, load_catalog_scenario
 from repro.experiments.figures import (
+    PAPER_SPARE_VALUES,
     QUICK_SPARE_VALUES,
     figure6_processes_and_success,
     figure7_node_movements,
@@ -57,7 +60,6 @@ from repro.experiments.figures import (
 )
 from repro.experiments.orchestration import RunSpec, build_initial_state, simulate_from
 from repro.experiments.persistence import (
-    RunCache,
     make_cache,
     record_to_dict,
     run_key,
@@ -89,6 +91,12 @@ MAX_BODY_BYTES = 1 << 20
 MAX_GRID_CELLS = 256 * 256
 MAX_DEPLOYED_COUNT = 200_000
 MAX_ROUNDS = 100_000
+
+#: Admission limit on a ``GET /figure`` sweep: spare values x trials x two
+#: schemes.  A larger sweep is refused with 400 before any spec is built,
+#: because building and looking up 40,000 specs holds a handler thread for
+#: seconds.  It admits 100 trials on the paper sweep and 250 on the quick one.
+MAX_BATCH_SPECS = 2000
 
 
 class _BodyTooLarge(ValueError):
@@ -180,6 +188,11 @@ def spec_from_request(payload: object) -> RunSpec:
     return spec
 
 
+def _run_failure(error: Exception) -> str:
+    """The message a run that raised is reported with, plain or streamed."""
+    return f"run failed: {type(error).__name__}: {error}"
+
+
 def _result_payload(result: ExperimentResult) -> Dict[str, object]:
     """JSON form of an :class:`ExperimentResult` table."""
     return {
@@ -191,36 +204,31 @@ def _result_payload(result: ExperimentResult) -> Dict[str, object]:
 
 
 class ExperimentServer(ThreadingHTTPServer):
-    """A :class:`ThreadingHTTPServer` owning the broker, cache, and config.
+    """A :class:`ThreadingHTTPServer` owning the broker and config.
 
-    Handler threads reach the shared state through ``self.server``; the
-    broker and cache may be injected (tests do) or built from the config.
+    Handler threads reach the shared state through ``self.server``, and the
+    record store through ``self.server.broker.cache``; the broker may be
+    injected (tests do) or built from the config.
     """
 
     daemon_threads = True
 
     def __init__(
-        self,
-        config: ServeConfig,
-        broker: Optional[ExperimentBroker] = None,
-        cache: Optional[RunCache] = None,
+        self, config: ServeConfig, broker: Optional[ExperimentBroker] = None
     ) -> None:
         self.config = config
         self._temp_dir: Optional[tempfile.TemporaryDirectory] = None
-        if broker is not None:
-            self.broker = broker
-            self.cache = broker.cache if cache is None else cache
-        else:
-            if cache is None:
-                cache_dir = config.cache_dir
-                if cache_dir is None:
-                    self._temp_dir = tempfile.TemporaryDirectory(prefix="repro-serve-")
-                    cache_dir = Path(self._temp_dir.name)
-                cache = make_cache(cache_dir, backend=config.cache_backend)
-            self.cache = cache
-            self.broker = ExperimentBroker(
-                cache=cache, workers=config.workers, queue_limit=config.queue_limit
+        if broker is None:
+            cache_dir = config.cache_dir
+            if cache_dir is None:
+                self._temp_dir = tempfile.TemporaryDirectory(prefix="repro-serve-")
+                cache_dir = Path(self._temp_dir.name)
+            broker = ExperimentBroker(
+                cache=make_cache(cache_dir, backend=config.cache_backend),
+                workers=config.workers,
+                queue_limit=config.queue_limit,
             )
+        self.broker = broker
         self.started_monotonic = time.monotonic()
         super().__init__((config.host, config.port), _RequestHandler)
 
@@ -239,14 +247,14 @@ class ExperimentServer(ThreadingHTTPServer):
         """
         self.broker.close()
         self.server_close()
-        if self.cache is not None:
-            self.cache.backend.close()
+        if self.broker.cache is not None:
+            self.broker.cache.backend.close()
         if self._temp_dir is not None:
             self._temp_dir.cleanup()
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto the shared broker/cache (one thread each)."""
+    """Routes HTTP requests onto the shared broker (one thread each)."""
 
     server: ExperimentServer  # narrowed for type checkers
 
@@ -343,7 +351,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------- handlers
     def _handle_stats(self) -> None:
         """``GET /stats``: cache + broker counters."""
-        cache = self.server.cache
+        cache = self.server.broker.cache
         payload: Dict[str, object] = {
             "uptime_seconds": round(
                 time.monotonic() - self.server.started_monotonic, 3
@@ -409,7 +417,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
         try:
             record = handle.result()
         except Exception as error:  # noqa: BLE001 - simulation errors -> HTTP 500
-            self._send_error_json(500, f"run failed: {type(error).__name__}: {error}")
+            self._send_error_json(500, _run_failure(error))
             return
         self._send_json(
             200,
@@ -429,13 +437,15 @@ class _RequestHandler(BaseHTTPRequestHandler):
         is nothing to replay); a novel spec simulates in this handler thread
         with the engine's ``round_observer`` writing each round's sample to
         the socket as it is produced, then publishes the finished record to
-        the shared cache so the *next* query is a hit.  A client that leaves
-        mid-stream (a reset or an orderly close) only ends the writing: the
-        first failed write stops all later ones, and the run still finishes
-        and is cached.
+        the shared cache so the *next* query is a hit.  A run that raises
+        ends the stream with one ``error`` event carrying the plain ``/run``
+        500 message, and nothing is cached.  A client that leaves mid-stream
+        (a reset or an orderly close) only ends the writing: the first
+        failed write stops all later ones, and the run still finishes and is
+        cached.
         """
         key = run_key(spec)
-        cache = self.server.cache
+        cache = self.server.broker.cache
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Connection", "close")
@@ -469,7 +479,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
         # Streamed runs take the broker's path to a record (the same initial
         # state cache, the same engine set-up), so the record they publish is
         # byte-identical to a brokered one.
-        record = simulate_from(build_initial_state(spec), spec, round_observer=observe)
+        try:
+            record = simulate_from(
+                build_initial_state(spec), spec, round_observer=observe
+            )
+        except Exception as error:  # noqa: BLE001 - reported to the client
+            emit_line({"event": "error", "key": key, "error": _run_failure(error)})
+            return
         if cache is not None:
             cache.put(record)
         emit_line({"event": "done", "key": key, "record": record_to_dict(record)})
@@ -512,8 +528,17 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
             return
         spare_values = (
-            QUICK_SPARE_VALUES if self._flag(query, "quick") else None
+            QUICK_SPARE_VALUES if self._flag(query, "quick") else PAPER_SPARE_VALUES
         )
+        # Two schemes, SR and AR, at every (N, trial) cell of the sweep.
+        batch_specs = len(spare_values) * trials * 2
+        if batch_specs > MAX_BATCH_SPECS:
+            self._send_error_json(
+                400,
+                f"a figure sweep of {batch_specs} specs (trials = {trials}) exceeds "
+                f"the admission limit of {MAX_BATCH_SPECS}",
+            )
+            return
         experiment = run_section5_experiment(
             spare_values=spare_values,
             trials=trials,
@@ -528,26 +553,26 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
 
 def make_server(
-    config: Optional[ServeConfig] = None,
-    broker: Optional[ExperimentBroker] = None,
-    cache: Optional[RunCache] = None,
+    config: Optional[ServeConfig] = None, broker: Optional[ExperimentBroker] = None
 ) -> ExperimentServer:
     """Build (but do not start) an :class:`ExperimentServer`.
 
     Call ``serve_forever()`` on the result — typically from a dedicated
-    thread — and ``close()`` when done.  ``broker``/``cache`` injection is
-    for tests and embedding; normally both are built from the config.
+    thread — and ``close()`` when done.  ``broker`` injection is for tests
+    and embedding; normally the broker and its store are built from the
+    config.
     """
-    return ExperimentServer(config or ServeConfig(), broker=broker, cache=cache)
+    return ExperimentServer(config or ServeConfig(), broker=broker)
 
 
 def serve_forever(config: ServeConfig) -> int:
     """Run the service until interrupted (the ``repro serve`` entry point)."""
     server = make_server(config)
+    cache = server.broker.cache
     cache_note = (
-        f"{server.cache.backend.kind} cache at {server.cache.cache_dir}"
+        f"{cache.backend.kind} cache at {cache.cache_dir}"
         if config.cache_dir is not None
-        else f"ephemeral {server.cache.backend.kind} cache"
+        else f"ephemeral {cache.backend.kind} cache"
     )
     print(
         f"repro experiment service on {server.url} "
@@ -559,7 +584,7 @@ def serve_forever(config: ServeConfig) -> int:
         print("shutting down")
     finally:
         server.close()
-        snapshot = server.cache.stats.snapshot()
+        snapshot = cache.stats.snapshot()
         print(
             f"served {snapshot.lookups} lookups, "
             f"{snapshot.hits} cache hits ({snapshot.hit_rate:.1%} hit rate)"

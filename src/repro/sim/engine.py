@@ -262,9 +262,7 @@ class RoundBasedEngine:
 
         final_round = rounds_executed
         # Let the controller settle its bookkeeping after the last round.
-        finalize = getattr(controller, "finalize", None)
-        if callable(finalize):
-            finalize(state, final_round)
+        controller.finalize(state, final_round)
         # The channel is the authority on traffic: every actual transmission
         # (requests, retries, acknowledgements) counts.
         metrics = collect_metrics(

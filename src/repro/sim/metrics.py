@@ -165,14 +165,13 @@ def collect_metrics(
     """
     total_cells = state.grid.cell_count
     final_holes = state.hole_count
-    redundant = getattr(controller, "redundant_processes", 0)
     return RunMetrics(
         scheme=controller.name,
         rounds=rounds,
         processes_initiated=controller.total_processes,
         processes_converged=controller.converged_processes,
         processes_failed=controller.failed_processes,
-        redundant_processes=redundant,
+        redundant_processes=controller.redundant_processes,
         success_rate=controller.success_rate,
         total_moves=controller.total_moves,
         total_distance=controller.total_distance,

@@ -14,7 +14,10 @@ The contracts exercised here:
 * ``state_cache_stats`` reports the process's default state cache;
 * ``execute_many`` collapses duplicate specs within one batch onto a single
   execution while preserving spec order in the returned records, and takes
-  the broker as its executor.
+  the broker as its executor;
+* a run is tracked by its spec: equal spec objects share one handle and one
+  execution, and neither admission nor ``execute_many`` computes a
+  ``run_key`` — only the record store does, to address its documents.
 """
 
 import dataclasses
@@ -25,15 +28,18 @@ import time
 
 import pytest
 
+from repro.experiments import persistence
 from repro.experiments.broker import (
     BrokerQueueFull,
     ExperimentBroker,
     Priority,
     execute_many,
 )
+from repro.experiments.figures import QUICK_SPARE_VALUES, SECTION5_CONFIG
 from repro.experiments.orchestration import RunSpec, SerialExecutor, execute_run
-from repro.experiments.persistence import RunCache, record_to_dict, run_key
+from repro.experiments.persistence import RunCache, make_cache, record_to_dict, run_key
 from repro.experiments.state_cache import StateCache, set_default_state_cache
+from repro.experiments.sweep import build_comparison_specs
 from repro.sim.scenario import ScenarioConfig
 
 QUICK_CONFIG = ScenarioConfig(columns=5, rows=5, deployed_count=150, seed=7)
@@ -353,3 +359,76 @@ def test_execute_many_runs_through_a_broker(tmp_path):
         again = execute_many(specs, executor=broker)
     assert canonical(records) == canonical(execute_many(specs, executor=SerialExecutor()))
     assert all(record.cached for record in again)
+
+
+def test_execute_many_collapses_equal_spec_objects():
+    first, second = quick_spec(), quick_spec()
+    assert first is not second and first == second
+    executor = SerialExecutor()
+    records = execute_many([first, second], executor=executor)
+    assert executor.runs_executed == 1
+    assert records[0] is records[1]
+
+
+# -------------------------------------------------------------- run identity
+def test_equal_specs_submitted_concurrently_share_one_handle_and_one_run():
+    """In-flight dedup is by spec equality, not by object identity."""
+    runner = GatedRunner()
+    specs = [quick_spec(), quick_spec()]
+    assert specs[0] is not specs[1] and specs[0] == specs[1]
+    handles = [None, None]
+    barrier = threading.Barrier(len(specs))
+
+    def submit(index):
+        barrier.wait(timeout=5)
+        handles[index] = broker.submit(specs[index])
+
+    with ExperimentBroker(workers=2, run_fn=runner) as broker:
+        threads = [threading.Thread(target=submit, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        assert handles[0] is handles[1]
+        runner.gate.set()
+        handles[0].result(timeout=30)
+    assert len(runner.calls) == 1
+    stats = broker.stats()
+    assert (stats.submitted, stats.dedup_hits, stats.executed) == (2, 1, 1)
+
+
+def count_run_keys(monkeypatch):
+    """Patch ``run_key`` in every module that imported it; returns the call log."""
+    real = persistence.run_key
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for module in list(sys.modules.values()):
+        if vars(module).get("run_key") is real:
+            monkeypatch.setattr(module, "run_key", counting)
+    return calls
+
+
+def test_a_brokered_batch_computes_run_keys_only_in_the_store(tmp_path, monkeypatch):
+    """Cold, a spec costs two keys (the store's lookup and write); warm, one.
+
+    Admission and in-batch dedup hash the frozen spec instead: computing a
+    key there too cost 40 calls cold and 32 warm on this batch.
+    """
+    specs = build_comparison_specs(SECTION5_CONFIG, QUICK_SPARE_VALUES)
+    assert len(set(specs)) == len(specs) == 8
+    calls = count_run_keys(monkeypatch)
+    cache = make_cache(tmp_path, backend="sqlite")
+    with ExperimentBroker(cache=cache, workers=2) as broker:
+        cold = execute_many(specs, executor=broker)
+        cold_calls = len(calls)
+        warm = execute_many(specs, executor=broker)
+    cache.backend.close()
+    assert (cold_calls, len(calls) - cold_calls) == (16, 8)
+    assert not any(record.cached for record in cold)
+    assert all(record.cached for record in warm)
+    assert warm == cold

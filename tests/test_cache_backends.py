@@ -7,7 +7,9 @@ The contracts exercised here:
 * the two backends hold **byte-identical** documents for the same record,
   so switching backends never changes results;
 * the :class:`RunCache` facade behaves identically over either backend
-  (round-trip, hit/miss accounting, damage-as-miss);
+  (round-trip, hit/miss accounting, damage-as-miss), and flags every record
+  it returns ``cached`` — a flag that is neither stored nor compared, so a
+  cached record equals the fresh one;
 * concurrent readers and writers — threads and forked worker processes —
   never observe a torn document: every read is a miss or a complete,
   valid record;
@@ -131,6 +133,20 @@ def test_facade_round_trip_and_stats(kind, tmp_path):
     assert snapshot.hit_rate == 0.5
     assert run_key(spec) in list(cache.iter_keys())
     assert spec in cache and len(cache) == 1
+
+
+@pytest.mark.parametrize("kind", CACHE_BACKENDS)
+def test_the_cache_flags_what_it_returns_cached(kind, tmp_path):
+    cache = make_cache(tmp_path, backend=kind)
+    spec = quick_spec(seed=4)
+    fresh = execute_run(spec)
+    assert not fresh.cached
+    cache.put(fresh)
+    hit = cache.get(spec)
+    [bulk] = cache.get_many([spec])
+    assert hit.cached and bulk.cached
+    assert hit == fresh and bulk == fresh
+    assert record_to_dict(hit) == record_to_dict(fresh)
 
 
 def test_sqlite_corrupt_document_is_a_miss(tmp_path):
@@ -589,7 +605,7 @@ def test_sqlite_get_many_crosses_select_chunks(tmp_path):
 @pytest.mark.parametrize("kind", CACHE_BACKENDS)
 def test_run_cache_get_many_matches_get(kind, tmp_path):
     """get_many agrees with per-spec get, including hit/miss accounting."""
-    cache = RunCache(backend=make_backend(kind, tmp_path))
+    cache = RunCache(tmp_path, backend=make_backend(kind, tmp_path))
     stored_specs = [quick_spec(scheme="SR", seed=s) for s in (1, 2)]
     records = [execute_run(spec) for spec in stored_specs]
     cache.put_many(records)
@@ -608,7 +624,7 @@ def test_run_cache_get_many_matches_get(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", CACHE_BACKENDS)
 def test_run_cache_get_many_treats_damage_as_miss(kind, tmp_path):
-    cache = RunCache(backend=make_backend(kind, tmp_path))
+    cache = RunCache(tmp_path, backend=make_backend(kind, tmp_path))
     spec = quick_spec(seed=5)
     cache.put(execute_run(spec))
     cache.backend.store(run_key(spec), '{"not": "a record"}')
@@ -618,8 +634,8 @@ def test_run_cache_get_many_treats_damage_as_miss(kind, tmp_path):
 @pytest.mark.parametrize("kind", CACHE_BACKENDS)
 def test_run_cache_put_many_then_backend_documents_canonical(kind, tmp_path):
     """put_many writes the same canonical document as per-record put."""
-    cache_a = RunCache(backend=make_backend(kind, tmp_path / "a"))
-    cache_b = RunCache(backend=make_backend(kind, tmp_path / "b"))
+    cache_a = RunCache(tmp_path / "a", backend=make_backend(kind, tmp_path / "a"))
+    cache_b = RunCache(tmp_path / "b", backend=make_backend(kind, tmp_path / "b"))
     records = [execute_run(quick_spec(scheme=s, seed=9)) for s in ("SR", "AR")]
     cache_a.put_many(records)
     for record in records:

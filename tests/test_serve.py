@@ -9,10 +9,12 @@ The contracts exercised here:
 * ``/run?stream=1`` carries live per-round events and publishes the finished
   record so the next query is a hit, also when the client disconnects
   mid-stream (reset or orderly close): the run finishes quietly and is
-  cached;
+  cached; a streamed run whose scheme raises ends with an ``error`` event,
+  quietly, and caches nothing;
 * ``/figure`` answers the table a local sweep computes, cold and warm;
 * error mapping: bad specs -> 400, a ``?trials=`` on ``/figure`` that is
-  not an integer >= 1 -> 400, unknown endpoints -> 404, a full broker
+  not an integer >= 1 -> 400, a figure sweep above ``MAX_BATCH_SPECS`` ->
+  400 before any spec is built, unknown endpoints -> 404, a full broker
   queue -> 503, a figure batch with more new specs than the queue bound
   -> 503 with nothing queued or run, a negative ``Content-Length`` -> 400 and one above
   ``MAX_BODY_BYTES`` -> 413, both answered without reading a body, and a
@@ -30,6 +32,7 @@ import socket
 import sqlite3
 import struct
 import threading
+import time
 from contextlib import closing, contextmanager
 from pathlib import Path
 from urllib.error import HTTPError
@@ -37,6 +40,7 @@ from urllib.request import urlopen
 
 import pytest
 
+from repro.core.protocol import MobilityController
 from repro.experiments.broker import ExperimentBroker
 from repro.experiments.figures import (
     QUICK_SPARE_VALUES,
@@ -45,9 +49,11 @@ from repro.experiments.figures import (
 )
 from repro.experiments.orchestration import execute_run
 from repro.experiments.persistence import record_to_dict
+from repro.experiments.registry import register_scheme, unregister_scheme
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
 from repro.serve.client import ServeError
 from repro.serve.server import (
+    MAX_BATCH_SPECS,
     MAX_BODY_BYTES,
     MAX_DEPLOYED_COUNT,
     MAX_GRID_CELLS,
@@ -226,7 +232,7 @@ def test_streamed_run_is_cached_when_the_client_disconnects(reset, capsys):
     with running_server() as (server, client):
         before = set(threading.enumerate())
         _stream_then_disconnect(server, payload, reset)
-        wait_until(lambda: server.cache.get(spec) is not None, timeout=30.0)
+        wait_until(lambda: server.broker.cache.get(spec) is not None, timeout=30.0)
         # The handler thread finished instead of dying mid-run.
         wait_until(lambda: set(threading.enumerate()) <= before, timeout=5.0)
         answer = client.run(payload)
@@ -255,6 +261,39 @@ def test_streamed_record_matches_local_execution(overrides):
     assert events[-1]["event"] == "done"
     local = record_to_dict(execute_run(spec_from_request(payload)))
     assert events[-1]["record"] == local
+
+
+@pytest.fixture
+def raising_scheme():
+    """A registered scheme whose controller raises in its first round."""
+
+    class Exploding(MobilityController):
+        name = "EXPLODING"
+
+        def execute_round(self, state, rng, round_index):
+            raise RuntimeError("controller exploded")
+
+    register_scheme("EXPLODING", lambda state: Exploding())
+    try:
+        yield "EXPLODING"
+    finally:
+        unregister_scheme("EXPLODING")
+
+
+def test_a_streamed_run_that_raises_ends_with_an_error_event(raising_scheme, capsys):
+    payload = spec_payload(scheme=raising_scheme, seed=19)
+    with running_server() as (server, client):
+        events = list(client.run_stream(payload))
+        with pytest.raises(ServeError) as excinfo:
+            client.run(payload)
+        assert server.broker.cache.get(spec_from_request(payload)) is None
+    assert [event["event"] for event in events] == ["accepted", "error"]
+    assert events[1]["key"] == events[0]["key"]
+    message = "run failed: RuntimeError: controller exploded"
+    assert events[1]["error"] == message
+    # The plain /run answer reports the same failure.
+    assert excinfo.value.status == 500 and str(excinfo.value).endswith(message)
+    assert capsys.readouterr().err == ""
 
 
 def test_concurrent_identical_queries_share_one_simulation():
@@ -367,6 +406,36 @@ def test_a_figure_batch_over_the_queue_bound_queues_and_runs_nothing():
         assert broker["submitted"] == broker["pending"] == broker["in_flight"] == 0
         assert broker["rejected"] == 1
     assert server.broker.stats().executed == 0
+
+
+@pytest.mark.parametrize(
+    "query",
+    ["trials=2000", "quick=1&trials=2000", "trials=101", "quick=1&trials=251"],
+)
+def test_a_figure_sweep_over_the_batch_limit_is_refused_before_any_spec(query):
+    with running_server() as (server, client):
+        before = client.stats()["broker"]
+        started = time.perf_counter()
+        with pytest.raises(HTTPError) as excinfo:
+            urlopen(f"{server.url}/figure/fig6?{query}", timeout=30)
+        elapsed = time.perf_counter() - started
+        with closing(excinfo.value) as response:
+            assert response.code == 400
+            error = json.loads(response.read())["error"]
+        assert f"admission limit of {MAX_BATCH_SPECS}" in error, error
+        assert elapsed < 0.5
+        assert client.stats()["broker"] == before
+
+
+def test_a_figure_sweep_at_the_batch_limit_reaches_the_queue_bound():
+    """100 paper-sweep trials are 2,000 specs: admitted by the limit, refused by the queue."""
+    with running_server() as (server, client):
+        with pytest.raises(HTTPError) as excinfo:
+            urlopen(f"{server.url}/figure/fig6?trials=100", timeout=60)
+        with closing(excinfo.value) as response:
+            assert response.code == 503
+            error = json.loads(response.read())["error"]
+        assert error.startswith("broker queue is full"), error
 
 
 def raw_post_run(server, content_length: str, body: bytes = b"") -> bytes:
@@ -521,7 +590,7 @@ def _truncate_stored_document(db_path, key: str) -> str:
 def test_a_damaged_stored_document_is_answered_as_a_miss_and_rewritten(tmp_path):
     with running_server(cache_dir=tmp_path) as (server, client):
         first = client.run(spec_payload(seed=5))
-        db_path = server.cache.backend.path
+        db_path = server.broker.cache.backend.path
         original = _truncate_stored_document(db_path, first["key"])
         before = client.stats()["cache"]
 
@@ -541,7 +610,7 @@ def test_a_damaged_stored_document_is_answered_as_a_miss_and_rewritten(tmp_path)
 def test_a_damaged_stored_document_is_streamed_as_a_miss_and_rewritten(tmp_path):
     with running_server(cache_dir=tmp_path) as (server, client):
         done = list(client.run_stream(spec_payload(seed=6)))[-1]
-        db_path = server.cache.backend.path
+        db_path = server.broker.cache.backend.path
         original = _truncate_stored_document(db_path, done["key"])
         before = client.stats()["cache"]
 
@@ -578,7 +647,7 @@ def test_closing_the_server_closes_the_sqlite_store(tmp_path):
         client.run(spec_payload(seed=4))
         assert client.run(spec_payload(seed=4))["cached"]
         client.stats()
-        db_path = server.cache.backend.path.resolve()
+        db_path = server.broker.cache.backend.path.resolve()
         # Between requests the store stays open: its connections are pooled.
         assert _open_files_under(str(db_path))
     assert _open_files_under(str(db_path)) == []
