@@ -46,7 +46,12 @@ from repro.core.protocol import (
     RoundOutcome,
 )
 from repro.grid.virtual_grid import VirtualGrid
-from repro.network.state import WsnState
+from repro.network.state import SPARE_SELECTIONS, WsnState
+
+#: The spare selections AR accepts: every state selection but ``"random"``.
+AR_SPARE_SELECTIONS = tuple(
+    selection for selection in SPARE_SELECTIONS if selection != "random"
+)
 
 
 @dataclass
@@ -103,15 +108,17 @@ class LocalizedReplacementController(MobilityController):
         if stall_limit < 1:
             raise ValueError(f"stall_limit must be >= 1, got {stall_limit}")
         self.stall_limit = stall_limit
-        if spare_selection not in ("nearest", "max_energy"):
+        if spare_selection not in AR_SPARE_SELECTIONS:
             raise ValueError(
-                f"spare_selection must be 'nearest' or 'max_energy', got {spare_selection!r}"
+                f"spare_selection must be one of {list(AR_SPARE_SELECTIONS)}, "
+                f"got {spare_selection!r}"
             )
         self.spare_selection = spare_selection
         self._cascades: Dict[int, _CascadeState] = {}
-        #: Ids of the cascades still active at the last look, in creation
-        #: order; pruned every round, so a round never rescans finished ones.
-        self._active: List[int] = []
+        #: The processes still active at the last look, with their cascade
+        #: state, in creation order; pruned every round, so a round never
+        #: rescans finished ones.
+        self._active: List[Tuple[ReplacementProcess, _CascadeState]] = []
         #: Original holes (flat ids) that already triggered their burst of
         #: processes.
         self._announced_holes: Set[int] = set()
@@ -125,7 +132,7 @@ class LocalizedReplacementController(MobilityController):
         self, state: WsnState, rng: random.Random, round_index: int
     ) -> RoundOutcome:
         """Run one AR round: heads detect adjacent holes and cascade 1-hop replacements."""
-        outcome = RoundOutcome(round_index=round_index)
+        outcome = RoundOutcome(round_index)
         self._service_retries(state, round_index, outcome)
         # O(holes) snapshot from the live vacancy index; no grid scan.
         vacant_snapshot = state.vacant_flat_cells()
@@ -133,18 +140,22 @@ class LocalizedReplacementController(MobilityController):
         self._announce_new_holes(state, vacant_snapshot, round_index, outcome)
 
         acted_heads: Set[int] = set()
-        self._active = [pid for pid in self._active if self._processes[pid].is_active]
-        active_ids = list(self._active)
-        rng.shuffle(active_ids)
-        for process_id in active_ids:
+        self._active = [
+            (process, cascade) for process, cascade in self._active if process.is_active
+        ]
+        # Shuffling the pairs draws what shuffling their ids would: the
+        # draws depend only on the length.
+        active = list(self._active)
+        rng.shuffle(active)
+        for process, cascade in active:
+            if cascade.awaiting_delivery:
+                # The request asking the next supplier to continue the
+                # cascade is still in the channel; the process cannot
+                # advance (and is not starving — no stall is counted) until
+                # it is delivered.
+                continue
             self._advance_process(
-                state,
-                rng,
-                round_index,
-                process_id,
-                vacant_snapshot,
-                acted_heads,
-                outcome,
+                state, rng, round_index, process, cascade, vacant_snapshot, acted_heads, outcome
             )
         return outcome
 
@@ -164,13 +175,17 @@ class LocalizedReplacementController(MobilityController):
         coords = self.grid.coord_list()
         neighbour_table = self.grid.neighbour_table
         counts = state.cell_counts
-        for hole in sorted(vacant_snapshot, key=coords.__getitem__):
-            if (
-                hole in self._announced_holes
-                or hole in self._cascade_vacancies
-                or hole in self._abandoned
-            ):
-                continue
+        announced = self._announced_holes
+        cascade_vacancies = self._cascade_vacancies
+        abandoned = self._abandoned
+        fresh = [
+            hole
+            for hole in vacant_snapshot
+            if hole not in announced
+            and hole not in cascade_vacancies
+            and hole not in abandoned
+        ]
+        for hole in sorted(fresh, key=coords.__getitem__):
             occupied_neighbours = [
                 neighbour for neighbour in neighbour_table[hole] if counts[neighbour]
             ]
@@ -185,10 +200,9 @@ class LocalizedReplacementController(MobilityController):
                     initiator_cell=coords[neighbour],
                     round_index=round_index,
                 )
-                self._cascades[process.process_id] = _CascadeState(
-                    target=hole, supplier=neighbour
-                )
-                self._active.append(process.process_id)
+                cascade = _CascadeState(target=hole, supplier=neighbour)
+                self._cascades[process.process_id] = cascade
+                self._active.append((process, cascade))
                 outcome.processes_started.append(process.process_id)
 
     # -------------------------------------------------------------- cascading
@@ -197,21 +211,15 @@ class LocalizedReplacementController(MobilityController):
         state: WsnState,
         rng: random.Random,
         round_index: int,
-        process_id: int,
+        process: ReplacementProcess,
+        cascade: _CascadeState,
         vacant_snapshot: FrozenSet[int],
         acted_heads: Set[int],
         outcome: RoundOutcome,
     ) -> None:
-        process = self._processes[process_id]
-        cascade = self._cascades[process_id]
+        """One round of one process that is not waiting on its cascade request."""
+        process_id = process.process_id
         target = cascade.target
-
-        if cascade.awaiting_delivery:
-            # The request asking the next supplier to continue the cascade is
-            # still in the channel; the process cannot advance (and is not
-            # starving — no stall is counted) until it is delivered.
-            return
-
         counts = state.cell_counts
         if target not in vacant_snapshot and counts[target]:
             # Another process filled the target in a *previous* round; this

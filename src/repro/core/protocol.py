@@ -310,9 +310,10 @@ class MobilityController(abc.ABC):
 
         Controllers that send gated requests call this at the top of every
         round.  Only unreliable channels ever populate the pending table, so
-        this is a no-op on perfect/delayed channels.
+        this is a no-op on perfect/delayed channels, and on any channel
+        while nothing awaits an acknowledgement.
         """
-        if not self.channel.requires_ack:
+        if not self._awaiting_ack:
             return
         for key in sorted(self._awaiting_ack):
             pending = self._awaiting_ack[key]

@@ -37,7 +37,7 @@ from repro.core.protocol import (
 )
 from repro.grid.virtual_grid import GridCoord
 from repro.network.messages import Message
-from repro.network.state import WsnState
+from repro.network.state import SPARE_SELECTIONS, WsnState
 
 
 class HamiltonReplacementController(MobilityController):
@@ -80,9 +80,9 @@ class HamiltonReplacementController(MobilityController):
         activation_probability: float = 1.0,
     ) -> None:
         super().__init__()
-        if spare_selection not in ("nearest", "random", "max_energy"):
+        if spare_selection not in SPARE_SELECTIONS:
             raise ValueError(
-                "spare_selection must be 'nearest', 'random', or 'max_energy', "
+                f"spare_selection must be one of {list(SPARE_SELECTIONS)}, "
                 f"got {spare_selection!r}"
             )
         if not 0.0 < activation_probability <= 1.0:
@@ -111,7 +111,7 @@ class HamiltonReplacementController(MobilityController):
         self, state: WsnState, rng: random.Random, round_index: int
     ) -> RoundOutcome:
         """Run one SR round: start processes for new holes and advance each cascade one hop."""
-        outcome = RoundOutcome(round_index=round_index)
+        outcome = RoundOutcome(round_index)
         self._service_retries(state, round_index, outcome)
         cycle = self.cycle
         # Snapshot the holes visible at the start of the round.  New vacancies
@@ -122,21 +122,32 @@ class HamiltonReplacementController(MobilityController):
         initiator_table = cycle.initiator_table
         heads = state.cell_heads
         vacancy_process = self._vacancy_process
+        processes = self._processes
+        undelivered = self._undelivered
         acted_heads: Set[int] = set()
 
         for vacant in ordered:
-            process_id = vacancy_process.get(vacant)
-            process = self._processes.get(process_id) if process_id is not None else None
-            if process is not None and not process.is_active:
-                # Served by a process that already finished (e.g. failed):
-                # leave the vacancy alone; the scheme has no spare to offer.
-                continue
-            if process is not None and vacant in self._undelivered:
-                # The cascade notification for this vacancy is still in the
-                # channel; nobody knows about it yet, so nobody may act.
-                continue
-
             initiator = initiator_table[vacant]
+            if initiator >= 0 and heads[initiator] is None:
+                # The responsible head does not exist yet (its own cell is
+                # also vacant); retry next round.  Tested first: in a dying
+                # network most holes wait here.
+                continue
+            process_id = vacancy_process.get(vacant)
+            if process_id is None:
+                process = None
+            else:
+                process = processes[process_id]
+                if not process.is_active:
+                    # Served by a process that already finished (e.g.
+                    # failed): leave the vacancy alone; the scheme has no
+                    # spare to offer.
+                    continue
+                if vacant in undelivered:
+                    # The cascade notification for this vacancy is still in
+                    # the channel; nobody knows about it yet, so nobody may
+                    # act.
+                    continue
             if initiator < 0:
                 origin = (
                     state.grid.flat_index(process.origin_cell)
@@ -148,8 +159,8 @@ class HamiltonReplacementController(MobilityController):
                     continue
             head_id = heads[initiator]
             if head_id is None or initiator in acted_heads:
-                # The responsible head does not exist yet (its own cell is
-                # also vacant) or is busy this round; retry next round.
+                # The responsible head does not exist yet or is busy this
+                # round; retry next round.
                 continue
             if (
                 self.activation_probability < 1.0

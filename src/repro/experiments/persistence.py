@@ -79,17 +79,30 @@ from repro.sim.scenario import ScenarioConfig
 CACHE_FORMAT_VERSION = 5
 
 
+#: Field names of the two frozen configs a spec carries, in declaration
+#: order.  Every field is a plain value, so a dict of them equals
+#: ``dataclasses.asdict``, which costs ten times as much.
+_SCENARIO_FIELDS = tuple(field.name for field in dataclasses.fields(ScenarioConfig))
+_ENERGY_FIELDS = tuple(field.name for field in dataclasses.fields(EnergyModel))
+
+
 # ------------------------------------------------------------- serialization
 def spec_to_dict(spec: RunSpec) -> Dict[str, object]:
     """Canonical JSON-compatible form of a spec (stable across processes)."""
+    scenario = spec.scenario
+    energy = spec.energy
     return {
         "format_version": CACHE_FORMAT_VERSION,
-        "scenario": dataclasses.asdict(spec.scenario),
+        "scenario": {name: getattr(scenario, name) for name in _SCENARIO_FIELDS},
         "scheme": spec.scheme,
         "seed": spec.seed,
         "max_rounds": spec.max_rounds,
         "idle_round_limit": spec.idle_round_limit,
-        "energy": dataclasses.asdict(spec.energy) if spec.energy is not None else None,
+        "energy": (
+            {name: getattr(energy, name) for name in _ENERGY_FIELDS}
+            if energy is not None
+            else None
+        ),
         "run_to_exhaustion": spec.run_to_exhaustion,
         "failures": [
             {

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import types
+import weakref
 from typing import Callable, Dict, Tuple
 
 from repro.baselines.smart_scan import SmartScanController
@@ -148,10 +149,20 @@ def factory_identity(name: str) -> str:
     identity = f"{factory.__module__}.{factory.__qualname__}"
     code = getattr(factory, "__code__", None)
     if code is not None:
-        fingerprint = repr(_code_fingerprint(code))
-        digest = hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()[:16]
-        identity += f":{digest}"
+        memo = _CODE_DIGESTS.get(factory)
+        if memo is None or memo[0] is not code:
+            fingerprint = repr(_code_fingerprint(code))
+            memo = (code, hashlib.sha256(fingerprint.encode("utf-8")).hexdigest()[:16])
+            _CODE_DIGESTS[factory] = memo
+        identity += f":{memo[1]}"
     return identity
+
+
+#: Each factory's code digest, with the code object it was taken from: a
+#: factory whose ``__code__`` is swapped is fingerprinted again.
+_CODE_DIGESTS: "weakref.WeakKeyDictionary[Callable, Tuple[types.CodeType, str]]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _code_fingerprint(code: types.CodeType) -> tuple:

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 
-@dataclass(frozen=True, order=True)
-class Point:
-    """A point in the 2-D surveillance plane (coordinates in metres)."""
+class Point(NamedTuple):
+    """A point in the 2-D surveillance plane (coordinates in metres).
+
+    A named tuple, like :class:`~repro.grid.virtual_grid.GridCoord`: every
+    replacement move builds two (its source and its drawn target), and a
+    positional tuple build costs a fraction of a frozen dataclass's.  Points
+    are immutable, hash and order as their ``(x, y)`` tuple, and unpack as
+    ``x, y``.
+    """
 
     x: float
     y: float
@@ -39,10 +45,6 @@ class Point:
     def as_tuple(self) -> Tuple[float, float]:
         """Return ``(x, y)`` as a plain tuple (handy for numpy interop)."""
         return (self.x, self.y)
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.x
-        yield self.y
 
 
 @dataclass(frozen=True)

@@ -186,8 +186,10 @@ class ChannelState:
         self.jam_region = jam_region
         self.jam_window = jam_window
         self.reliable = KIND_RELIABILITY[model.kind]
-        self._dropped_count = 0
-        self._sent_total = 0
+        #: Messages ever transmitted (delivered, dropped, or still in flight).
+        self.sent_count = 0
+        #: Messages lost in transit (drops and jamming).
+        self.dropped_count = 0
         self._latency_total = 0
         #: Charged with the sender's node id at the moment of each
         #: transmission (delivered or dropped — the radio fired either way).
@@ -198,19 +200,9 @@ class ChannelState:
 
     # ------------------------------------------------------------------ stats
     @property
-    def sent_count(self) -> int:
-        """Messages ever transmitted (delivered, dropped, or still in flight)."""
-        return self._sent_total
-
-    @property
     def delivered_count(self) -> int:
         """Messages ever delivered to their destination cell."""
         return self.mailbox.delivered_count
-
-    @property
-    def dropped_count(self) -> int:
-        """Messages lost in transit (drops and jamming)."""
-        return self._dropped_count
 
     @property
     def pending_count(self) -> int:
@@ -268,10 +260,14 @@ class ChannelState:
     ) -> Message:
         """Transmit one message; it is queued or lost per the channel semantics.
 
-        The transmission always costs energy (the radio fired either way), so
+        The message's id is the count of earlier transmissions, so ids are
+        sequential within the run, dropped messages included.  The
+        transmission always costs energy (the radio fired either way), so
         the sender is logged for the engine's energy debit even when the
-        message is dropped.
+        message is dropped.  Only a kind that can lose messages draws the
+        loss test.
         """
+        message_id = self.sent_count
         # Positional in field order: keyword arguments double the cost of
         # building the tuple, and every replacement hop sends a message.
         message = Message(
@@ -282,15 +278,15 @@ class ChannelState:
             process_id,
             payload,
             sender_id,
-            self.mailbox.stamp_id(),
+            message_id,
         )
-        self._sent_total += 1
+        self.sent_count = message_id + 1
         if self.debit_hook is not None:
             self.debit_hook(sender_id)
-        if self._is_lost(message):
-            self._dropped_count += 1
-        else:
+        if self.reliable or not self._is_lost(message):
             self.mailbox.send(message)
+        else:
+            self.dropped_count += 1
         return message
 
     def deliver(self, round_index: int) -> Dict[GridCoord, List[Message]]:

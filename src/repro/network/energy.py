@@ -49,8 +49,12 @@ _SPARE = ROLE_CODES[NodeRole.SPARE]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, identical to Python's ``sum()`` over a list."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+    """Left-to-right float sum, identical to Python's ``sum()`` over a list.
+
+    ``cumsum`` adds strictly left to right (``np.sum`` adds pairwise, and
+    Python 3.12's ``sum()`` compensates, so neither would do).
+    """
+    return values.cumsum().item(-1) if len(values) else 0.0
 
 
 @dataclass(frozen=True)
@@ -101,19 +105,28 @@ class EnergyModel:
         :attr:`~repro.network.node.NodeState.DEPLETED`.  Returns the ids of
         the disabled nodes, in ascending order, so callers can log them.
 
-        The drain is one masked array operation; the clamp
-        (``max(0, e - cost)``) matches :meth:`WsnState.debit_energy
+        The drain gathers over the state's enabled-row index
+        (:meth:`WsnState.enabled_rows
+        <repro.network.state.WsnState.enabled_rows>`), and the state is
+        asked to disable nodes only in a round where some depleted.  The
+        clamp (``max(0, e - cost)``) matches :meth:`WsnState.debit_energy
         <repro.network.state.WsnState.debit_energy>` bit-for-bit.
         """
         arrays = state.arrays
-        mask = arrays.state == _ENABLED
+        rows = state.enabled_rows()
+        if not len(rows):
+            return []
+        energy = arrays.energy
+        enabled_energy = energy[rows]
         if self.idle_cost_per_round:
-            arrays.energy[mask] = np.maximum(
-                0.0, arrays.energy[mask] - self.idle_cost_per_round
-            )
-        depleted = arrays.node_ids[mask & (arrays.energy <= self.depletion_threshold)]
-        state.disable_nodes(depleted, reason=NodeState.DEPLETED)
-        return sorted(depleted.tolist())
+            enabled_energy -= self.idle_cost_per_round
+            np.maximum(0.0, enabled_energy, out=enabled_energy)
+            energy[rows] = enabled_energy
+        if enabled_energy.min() > self.depletion_threshold:
+            return []
+        victims = arrays.node_ids[rows[enabled_energy <= self.depletion_threshold]]
+        state.disable_nodes(victims, reason=NodeState.DEPLETED)
+        return sorted(victims.tolist())
 
     def recovery_cost(self, total_distance: float, messages_sent: int = 0) -> float:
         """:func:`recovery_energy_cost` evaluated at this model's rates."""
@@ -191,9 +204,11 @@ def energy_summary(state) -> EnergySummary:
 
 
 def remaining_energy(state) -> Tuple[float, int]:
-    """``(total remaining joules, count)`` over the enabled nodes of ``state``."""
-    arrays = state.arrays
-    enabled_energy = arrays.energy[arrays.state == _ENABLED]
+    """``(total remaining joules, count)`` over the enabled nodes of ``state``.
+
+    Summed left to right over the enabled-row index, in deployment order.
+    """
+    enabled_energy = state.arrays.energy[state.enabled_rows()]
     return _sequential_sum(enabled_energy), len(enabled_energy)
 
 

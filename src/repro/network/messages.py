@@ -9,10 +9,11 @@ reliability layer, see :mod:`repro.network.channel`).  Messages sent in round
 head w receives this notification"), which the :class:`Mailbox` models
 explicitly; the paper's synchronisation assumption is ``latency = 1``.
 
-Message ids are assigned by the :class:`Mailbox` that queues them, not by a
-process-global counter: every run owns its own mailbox (through its channel),
-so traces are deterministic for a given spec regardless of how many runs the
-process executed before, and identical across :class:`~repro.experiments.orchestration.ParallelExecutor`
+Message ids are assigned by the channel that sends them — each is the
+channel's count of earlier transmissions, dropped ones included — not by a
+process-global counter: every run owns its own channel, so traces are
+deterministic for a given spec regardless of how many runs the process
+executed before, and identical across :class:`~repro.experiments.orchestration.ParallelExecutor`
 workers.
 """
 
@@ -38,10 +39,11 @@ class MessageKind(enum.Enum):
 class Message(NamedTuple):
     """A control message addressed to the head of a destination cell.
 
-    ``message_id`` is ``None`` until a :class:`Mailbox` stamps the message
-    (see :meth:`Mailbox.post`); stamped ids are unique and sequential within
-    one mailbox.  ``sender_id`` names the node that transmitted the message,
-    so the engine can debit the transmission energy from the right battery.
+    ``message_id`` is ``None`` until a channel sends the message (see
+    :meth:`repro.network.channel.ChannelState.send`); sent ids are unique and
+    sequential within one channel.  ``sender_id`` names the node that
+    transmitted the message, so the engine can debit the transmission energy
+    from the right battery.
 
     A named tuple rather than a frozen dataclass, like
     :class:`~repro.grid.virtual_grid.GridCoord`: every replacement hop sends
@@ -75,7 +77,6 @@ class Mailbox:
         self._in_flight: List[Message] = []
         self._sent_count = 0
         self._delivered_count = 0
-        self._next_message_id = 0
 
     @property
     def sent_count(self) -> int:
@@ -91,18 +92,6 @@ class Mailbox:
     def pending_count(self) -> int:
         """Messages submitted but not yet delivered."""
         return len(self._in_flight)
-
-    def stamp_id(self) -> int:
-        """Next message id of this mailbox (per-mailbox, hence deterministic).
-
-        All message construction goes through
-        :meth:`repro.network.channel.ChannelState.send`, which stamps every
-        transmission with this counter — delivered and dropped alike — so
-        id traces replay identically across runs and worker processes.
-        """
-        message_id = self._next_message_id
-        self._next_message_id += 1
-        return message_id
 
     def send(self, message: Message) -> None:
         """Submit a message for delivery after the mailbox latency."""

@@ -69,6 +69,10 @@ class MovementModel:
         self._grid = grid
         self._target_central_area = target_central_area
         self._move_cost_per_meter = move_cost_per_meter
+        # The grid's geometry tables, read by every draw.
+        self._columns = grid.columns
+        self._column_spans = grid.column_spans
+        self._row_spans = grid.row_spans
 
     @property
     def grid(self) -> VirtualGrid:
@@ -105,16 +109,18 @@ class MovementModel:
         select the destination location in the central area of the target
         grid" (Section 5).
         """
-        return self._draw_target(self._grid.validate_coord(target_cell), rng)
+        grid = self._grid
+        return self._draw_target(grid.flat_index(grid.validate_coord(target_cell)), rng)
 
-    def _draw_target(self, target_cell: GridCoord, rng: random.Random) -> Point:
-        """:meth:`choose_target_position` for a cell known to be on the grid.
+    def _draw_target(self, target: int, rng: random.Random) -> Point:
+        """:meth:`choose_target_position` for flat cell id ``target``, known to be on the grid.
 
         Draws x, then y, from ``rng``, uniformly over the target box — the
         draw order and float expressions every recorded run depends on.
         """
-        xs = self._grid.column_spans[target_cell.x]
-        ys = self._grid.row_spans[target_cell.y]
+        y, x = divmod(target, self._columns)
+        xs = self._column_spans[x]
+        ys = self._row_spans[y]
         if self._target_central_area:
             return Point(
                 xs.central_low + rng.random() * (xs.central_high - xs.central_low),

@@ -96,6 +96,7 @@ class NodeArrays:
         "cell",
         "moved_distance",
         "move_count",
+        "_size",
         "_id_base",
         "_row_by_id",
     )
@@ -121,6 +122,7 @@ class NodeArrays:
         self.cell = cell
         self.moved_distance = moved_distance
         self.move_count = move_count
+        self._size = len(node_ids)
         # Deployments produce consecutive ids, so id -> row is usually a
         # subtraction; the dict fallback is built lazily for irregular ids.
         if len(node_ids) and np.array_equal(
@@ -177,7 +179,7 @@ class NodeArrays:
         """Row index of ``node_id`` (:class:`KeyError` if unknown)."""
         if self._id_base is not None:
             row = node_id - self._id_base
-            if 0 <= row < len(self.node_ids):
+            if 0 <= row < self._size:
                 return row
             raise KeyError(node_id)
         if self._row_by_id is None:

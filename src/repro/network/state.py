@@ -39,6 +39,11 @@ and the one relocation routine behind :meth:`WsnState.move_node` and
 * ``arrays.cell`` — the flat cell index of every node, kept in lock-step
   with the node's position by the relocation routine.
 
+Beside them, ``_enabled_rows`` holds the ascending rows of the enabled
+nodes, read-only, which the per-round energy sweep gathers over
+(:meth:`enabled_rows`).  It is built on first use and dropped by the two
+paths that change the ``state`` column; moves keep it.
+
 The coordinate queries (:meth:`members_of`, :meth:`head_of`, ...) convert
 their :class:`GridCoord` once and keep their return types and errors.  The
 replacement controllers read the flat form directly: :attr:`cell_heads`,
@@ -86,6 +91,10 @@ STATE_SNAPSHOT_VERSION = 1
 #: ``struct`` format of the state header: layout version, grid columns/rows,
 #: cell side, and the grid origin coordinates.
 _SNAPSHOT_HEADER_FORMAT = "<IIIddd"
+
+#: The spare selections :meth:`WsnState.select_spare_at` knows; the
+#: controllers validate their ``spare_selection`` against it when built.
+SPARE_SELECTIONS = ("nearest", "max_energy", "random")
 
 
 def _validate_population(grid: VirtualGrid, arrays: NodeArrays) -> None:
@@ -169,6 +178,7 @@ class WsnState:
         self._head_policy = head_policy or lowest_id_policy
         self.movement_model = movement_model or MovementModel(grid)
         self._handles: Dict[int, SensorNode] = {}
+        self._enabled_rows: Optional[np.ndarray] = None
         self.arrays = arrays = nodes
         arrays.cell[:] = grid.cell_indices(
             arrays.positions[:, 0], arrays.positions[:, 1]
@@ -282,6 +292,21 @@ class WsnState:
     def enabled_count(self) -> int:
         """Number of enabled nodes (an O(1) read of the incremental index)."""
         return self._enabled_total
+
+    def enabled_rows(self) -> np.ndarray:
+        """Ascending rows of the enabled nodes, as a read-only array.
+
+        The energy sweep gathers over it every round.  It is built on first
+        use after a change of the ``state`` column: :meth:`disable_nodes`
+        and :meth:`enable_node` drop it, moves keep it, and :meth:`clone`
+        shares it (it is never written, only replaced).
+        """
+        rows = self._enabled_rows
+        if rows is None:
+            rows = (self.arrays.state == ENABLED_CODE).nonzero()[0]
+            rows.flags.writeable = False
+            self._enabled_rows = rows
+        return rows
 
     # ------------------------------------------------------------------ cells
     def cell_of_node(self, node_id: int) -> GridCoord:
@@ -429,7 +454,7 @@ class WsnState:
         for node_id in self._cell_members[flat]:
             if node_id != head_id:
                 row = row_of(node_id)
-                if energy[row] > 0.0:
+                if energy.item(row) > 0.0:
                     spares.append((node_id, row))
         return spares
 
@@ -451,8 +476,17 @@ class WsnState:
         (ties by id), ``"max_energy"`` the fullest battery (ties by
         distance, then id), and ``"random"`` draws uniformly from ``rng``,
         the only selection that needs one.  This is the one spare-selection
-        rule.
+        rule.  An unknown selection, or ``"random"`` without an ``rng``,
+        raises :class:`ValueError`.
         """
+        if selection not in SPARE_SELECTIONS:
+            raise ValueError(
+                f"spare selection must be one of {list(SPARE_SELECTIONS)}, got {selection!r}"
+            )
+        if rng is None and selection == "random":
+            raise ValueError("the 'random' spare selection needs an rng to draw from")
+        if self._occupancy[flat] < 2:
+            return None  # at most the head: no spare to read
         spares = self._usable_spare_rows(flat)
         if not spares:
             return None
@@ -464,20 +498,24 @@ class WsnState:
         target_y, target_x = divmod(target, grid.columns)
         center_x = grid.column_spans[target_x].center
         center_y = grid.row_spans[target_y].center
-        energy = self.arrays.energy
-        positions = self.arrays.positions
-
-        def distance(row: int) -> float:
-            """Distance from the node in ``row`` to the target cell's centre."""
-            x, y = positions[row].tolist()
-            return math.hypot(x - center_x, y - center_y)
-
-        if selection == "max_energy":
-            return max(
-                spares,
-                key=lambda spare: (float(energy[spare[1]]), -distance(spare[1]), -spare[0]),
-            )[0]
-        return min(spares, key=lambda spare: (distance(spare[1]), spare[0]))[0]
+        position = self.arrays.positions.item
+        hypot = math.hypot
+        # Each spare's key as a tuple, so min/max compare in C; ids are
+        # unique, so the best key names exactly one spare.
+        if selection == "nearest":
+            return min(
+                (hypot(position(row, 0) - center_x, position(row, 1) - center_y), node_id)
+                for node_id, row in spares
+            )[1]
+        energy = self.arrays.energy.item
+        return -max(
+            (
+                energy(row),
+                -hypot(position(row, 0) - center_x, position(row, 1) - center_y),
+                -node_id,
+            )
+            for node_id, row in spares
+        )[2]
 
     # ---------------------------------------------------------------- changes
     def disable_node(self, node_id: int, reason: NodeState = NodeState.FAILED) -> None:
@@ -489,14 +527,16 @@ class WsnState:
     ) -> None:
         """Disable a set of nodes in one pass and repair the heads of their cells.
 
-        The ``state`` and ``role`` columns are written once; each touched cell
-        drops its victims from its member list, so the cost is O(victims +
-        members of the touched cells) with no full index rebuild; and every
-        touched cell whose head was hit holds exactly one fresh election —
-        vectorized under the default lowest-id policy, through
-        :meth:`_elect_cell_head` (in row-major cell order) under any other.
-        Ids that are repeated or already disabled are skipped; an unknown id
-        raises :class:`KeyError` before anything changes.
+        The ``state`` and ``role`` columns are written once and the
+        enabled-row index is dropped; each touched cell drops its victims
+        from its member list, so the cost is O(victims + members of the
+        touched cells) with no full index rebuild; and every touched cell
+        whose head was hit holds exactly one fresh election — the lowest
+        member id under the default policy, which writes only the new heads'
+        roles (the kept members were spares beside the head that went),
+        through :meth:`_elect_cell_head` (in row-major cell order) under any
+        other.  Ids that are repeated or already disabled are skipped; an
+        unknown id raises :class:`KeyError` before anything changes.
 
         Under any stateless policy the result equals disabling the nodes one
         at a time, bit for bit: a policy picks the best candidate under a
@@ -514,27 +554,28 @@ class WsnState:
         if not len(ids):
             return
         rows = arrays.rows_of(ids)
-        unknown = (rows < 0) | (rows >= len(arrays))
-        if unknown.any():
+        # One reduction checks both ends: a negative row wraps to a huge
+        # unsigned one.
+        if rows.view(np.uint64).max() >= len(arrays):
+            unknown = (rows < 0) | (rows >= len(arrays))
             raise KeyError(int(ids[np.argmax(unknown)]))
-        rows = rows[arrays.state[rows] == ENABLED_CODE]
+        state_column = arrays.state
+        rows = rows[state_column[rows] == ENABLED_CODE]
         if not len(rows):
             return
-        arrays.state[rows] = STATE_CODES[reason]
+        state_column[rows] = STATE_CODES[reason]
         arrays.role[rows] = UNASSIGNED_CODE
+        self._enabled_rows = None
 
         gone = set(arrays.node_ids[rows].tolist())
         cell_members = self._cell_members
         occupancy = self._occupancy
         heads = self._heads
-        removed_total = 0
         hit: List[int] = []
-        hit_members: List[int] = []
         for flat in sorted(set(arrays.cell[rows].tolist())):
             members = cell_members[flat]
             kept = [node_id for node_id in members if node_id not in gone]
             removed = len(members) - len(kept)
-            removed_total += removed
             members[:] = kept
             occupancy[flat] = len(kept)
             if kept:
@@ -545,13 +586,15 @@ class WsnState:
             if heads[flat] in gone:
                 heads[flat] = None
                 hit.append(flat)
-                hit_members.extend(kept)
-        self._enabled_total -= removed_total
+        self._enabled_total -= len(gone)
         if hit:
             if self._head_policy is lowest_id_policy:
-                self._elect_lowest_id(
-                    hit, arrays.rows_of(np.asarray(hit_members, dtype=np.int64))
-                )
+                # The kept members of a hit cell were spares beside the
+                # head that went, so only the new heads' roles change.
+                role = arrays.role
+                row_of = arrays.row_of
+                for head_id in self._elect_lowest_id(hit):
+                    role[row_of(head_id)] = HEAD_CODE
             else:
                 for flat in hit:
                     self._elect_cell_head(flat)
@@ -564,6 +607,7 @@ class WsnState:
             return
         arrays.state[row] = ENABLED_CODE
         arrays.role[row] = UNASSIGNED_CODE
+        self._enabled_rows = None
         flat = int(arrays.cell[row])
         self._index_add(flat, node_id)
         self._elect_cell_head(flat)
@@ -589,9 +633,15 @@ class WsnState:
         and the cell column.  A disabled node raises :class:`RuntimeError`,
         and so does one whose battery is depleted (no motor power left).
 
-        The checks run here, in this order (an unknown id raises
-        :class:`KeyError`, an off-grid target :class:`ValueError`); the move
-        itself is the one relocation routine :meth:`relocate` also uses.
+        The checks run here, in this order, before anything is written: an
+        unknown id raises :class:`KeyError`, a disabled node
+        :class:`RuntimeError`, an off-grid target :class:`ValueError`, a
+        target that is not a neighbouring cell (unless
+        ``enforce_adjacent=False``) :class:`ValueError`, a given
+        ``target_position`` that does not lie in ``target_cell``
+        :class:`ValueError` (otherwise the point is drawn), and an empty
+        battery :class:`RuntimeError`.  The move itself is the one
+        relocation routine :meth:`relocate` also uses.
         """
         arrays = self.arrays
         row = arrays.row_of(node_id)
@@ -606,7 +656,15 @@ class WsnState:
                 f"{target_cell.as_tuple()} is not a neighbouring-cell move"
             )
         if target_position is None:
-            target_position = self.movement_model._draw_target(target_cell, rng)
+            target_position = self.movement_model._draw_target(target, rng)
+        else:
+            position_cell = grid.cell_of(target_position)
+            if grid.flat_index(position_cell) != target:
+                raise ValueError(
+                    f"target position {tuple(target_position)} lies in cell "
+                    f"{position_cell.as_tuple()}, not in the target cell "
+                    f"{target_cell.as_tuple()}"
+                )
         energy = arrays.energy.item(row)
         if energy <= 0.0:
             raise RuntimeError(f"node {node_id} has a depleted battery and cannot move")
@@ -636,16 +694,13 @@ class WsnState:
         row = arrays.row_of(node_id)
         if arrays.state.item(row) != ENABLED_CODE:
             raise RuntimeError(f"cannot move disabled node {node_id}")
-        grid = self.grid
         source = arrays.cell.item(row)
-        if target not in grid.neighbour_table[source]:
+        if target not in self.grid.neighbour_table[source]:
             raise ValueError(
                 f"move from cell {source} to cell {target} is not a "
                 "neighbouring-cell move"
             )
-        target_position = self.movement_model._draw_target(
-            grid.coord_list()[target], rng
-        )
+        target_position = self.movement_model._draw_target(target, rng)
         energy = arrays.energy.item(row)
         if energy <= 0.0:
             raise RuntimeError(f"node {node_id} has a depleted battery and cannot move")
@@ -668,19 +723,20 @@ class WsnState:
 
         Only :meth:`move_node` and :meth:`relocate` call it, after their
         checks: ``row`` holds the enabled node ``node_id`` in flat cell
-        ``source``, ``target`` is on the grid, and ``energy`` is the node's
-        (positive) battery.  It writes the node's row, moves it between the
-        two member lists, and repairs the heads writing at most two role
-        rows: the new head of ``source`` when the mover headed it, and the
-        mover itself (HEAD when it heads ``target``, SPARE otherwise).  Every
-        other member of both cells already holds the role the rule gives it,
-        so rewriting them (as a full election pass would) changes nothing.
+        ``source``, ``target`` is on the grid and holds ``target_position``,
+        and ``energy`` is the node's (positive) battery.  It writes the
+        node's row, moves it between the two member lists, and repairs the
+        heads writing at most two role rows: the new head of ``source`` when
+        the mover headed it, and the mover itself (HEAD when it heads
+        ``target``, SPARE otherwise).  Every other member of both cells
+        already holds the role the rule gives it, so rewriting them (as a
+        full election pass would) changes nothing.
         """
         arrays = self.arrays
         positions = arrays.positions
         source_x = positions.item(row, 0)
         source_y = positions.item(row, 1)
-        target_x, target_y = target_position.x, target_position.y
+        target_x, target_y = target_position
         distance = math.hypot(source_x - target_x, source_y - target_y)
         positions[row, 0] = target_x
         positions[row, 1] = target_y
@@ -758,17 +814,16 @@ class WsnState:
             role[row_of(node_id)] = HEAD_CODE if node_id == head_id else SPARE_CODE
         return head_id
 
-    def _elect_lowest_id(self, cells: Iterable[int], member_rows) -> None:
-        """Vectorized fresh election of flat ``cells`` under the default lowest-id policy.
+    def _elect_lowest_id(self, cells: Iterable[int]) -> List[int]:
+        """Fresh election of flat ``cells`` under the default lowest-id policy.
 
-        Equivalent to running :meth:`_elect_cell_head` on each of the cells
-        with its head cleared: every member (``member_rows`` indexes the
-        member rows of all ``cells``) becomes a spare, the smallest member
-        id of each occupied cell becomes head, an empty cell gets none, and
-        disabled nodes keep their roles (they are never members).
+        The smallest member id of each occupied cell becomes its head; an
+        empty cell gets none.  Returns the new heads' ids.  Roles are the
+        caller's to write: the new heads become ``HEAD``, and every other
+        member must already be a spare (:meth:`elect_all_heads` writes them,
+        and the kept members of a cell :meth:`disable_nodes` hit were spares
+        beside the head it removed).
         """
-        arrays = self.arrays
-        arrays.role[member_rows] = SPARE_CODE
         heads = self._heads
         cell_members = self._cell_members
         head_ids: List[int] = []
@@ -779,16 +834,17 @@ class WsnState:
                 head_ids.append(members[0])
             else:
                 heads[flat] = None
-        if head_ids:
-            rows = arrays.rows_of(np.asarray(head_ids, dtype=np.int64))
-            arrays.role[rows] = HEAD_CODE
+        return head_ids
 
     def elect_all_heads(self) -> None:
         """(Re-)elect the head of every cell from scratch-consistent membership."""
         cell_count = self.grid.cell_count
         self._heads: List[Optional[int]] = [None] * cell_count
         if self._head_policy is lowest_id_policy:
-            self._elect_lowest_id(range(cell_count), self.arrays.enabled_mask())
+            arrays = self.arrays
+            arrays.role[arrays.enabled_mask()] = SPARE_CODE
+            head_ids = self._elect_lowest_id(range(cell_count))
+            arrays.role[arrays.rows_of(np.asarray(head_ids, dtype=np.int64))] = HEAD_CODE
         else:
             for flat in range(cell_count):
                 self._elect_cell_head(flat)
@@ -841,6 +897,7 @@ class WsnState:
         twin.movement_model = self.movement_model
         twin.arrays = self.arrays.copy()
         twin._handles = {}
+        twin._enabled_rows = self._enabled_rows
         twin._cell_members = [list(members) for members in self._cell_members]
         twin._heads = list(self._heads)
         twin._occupancy = list(self._occupancy)
@@ -905,6 +962,11 @@ class WsnState:
         assert self._enabled_total == enabled_total, (
             f"enabled total {self._enabled_total} != rebuilt {enabled_total}"
         )
+        enabled_rows = self.enabled_rows()
+        assert not enabled_rows.flags.writeable, "the enabled-row index is writeable"
+        assert np.array_equal(
+            enabled_rows, np.flatnonzero(arrays.state == ENABLED_CODE)
+        ), "the enabled-row index does not list the enabled rows"
         sizes = {len(self._cell_members), len(self._occupancy), len(self._heads)}
         assert sizes == {len(rebuilt)}, "a per-cell index does not hold one entry per cell"
         spare_total = 0

@@ -188,41 +188,53 @@ class RoundBasedEngine:
         exhausted = False
         rounds_executed = 0
         track_energy = self.energy_model is not None
+        rng = self.rng
+        failure_schedule = self.failure_schedule
+        log_events = self.event_log is not None
+        # Read once, after the engine bound the channel: a wrapper installed
+        # on the instance before the run (a tracer's, a benchmark's) fires.
+        deliver = channel.deliver
+        handle_messages = controller.handle_messages
+        execute_round = controller.execute_round
 
         for round_index in range(self.max_rounds):
             # Start-of-round physics: scheduled failures, then the energy model.
-            self._inject_failures(round_index)
-            round_depletions = self._apply_energy(round_index)
+            if round_index in failure_schedule:
+                self._inject_failures(round_index)
+            round_depletions = self._apply_energy(round_index) if track_energy else 0
             sent_before = channel.sent_count
             dropped_before = channel.dropped_count
             # Control messages sent in earlier rounds arrive now, before any
             # head acts — the paper's one-round-latency assumption,
             # generalised to whatever the channel model dictates.
-            inbox = channel.deliver(round_index)
+            inbox = deliver(round_index)
             if inbox:
-                controller.handle_messages(state, inbox, round_index)
-            outcome = controller.execute_round(state, self.rng, round_index)
+                handle_messages(state, inbox, round_index)
+            outcome = execute_round(state, rng, round_index)
             rounds_executed = round_index + 1
-            self._emit_outcome(outcome)
+            if log_events:
+                self._emit_outcome(outcome)
+            move_count = outcome.move_count
+            distance = outcome.total_distance
             # hole_count and spare_count are O(1) reads of the state's
             # incremental indices, so per-round sampling stays cheap on
             # arbitrarily large grids.  The energy total is an O(enabled)
             # sweep, sampled only when an energy model is active.
             series.record(
-                holes=state.hole_count,
-                moves=outcome.move_count,
-                distance=outcome.total_distance,
-                spares=state.spare_count,
-                energy=remaining_energy(state)[0] if track_energy else None,
-                depletions=round_depletions if track_energy else None,
-                messages=channel.sent_count - sent_before,
-                drops=channel.dropped_count - dropped_before,
+                state.hole_count,
+                move_count,
+                distance,
+                state.spare_count,
+                remaining_energy(state)[0] if track_energy else None,
+                round_depletions if track_energy else None,
+                channel.sent_count - sent_before,
+                channel.dropped_count - dropped_before,
             )
             if self.round_observer is not None:
                 sample = {
                     "holes": series.holes[-1],
-                    "moves": outcome.move_count,
-                    "distance": outcome.total_distance,
+                    "moves": move_count,
+                    "distance": distance,
                     "spares": series.spares[-1],
                 }
                 if track_energy:
@@ -319,8 +331,6 @@ class RoundBasedEngine:
 
     def _apply_energy(self, round_index: int) -> int:
         """Apply the energy model for one round; returns how many nodes depleted."""
-        if self.energy_model is None:
-            return 0
         victims = self.energy_model.apply_round(self.state)
         if not victims:
             return 0
@@ -349,7 +359,7 @@ class RoundBasedEngine:
         )
 
     def _inject_failures(self, round_index: int) -> None:
-        model = self.failure_schedule.get(round_index)
+        model = self.failure_schedule[round_index]
         if model is None:
             return
         victims = model.apply(self.state, self.rng)
@@ -377,8 +387,6 @@ class RoundBasedEngine:
         return self.controller.is_quiescent(self.state)
 
     def _emit_outcome(self, outcome: RoundOutcome) -> None:
-        if self.event_log is None:
-            return
         for process_id in outcome.processes_started:
             self._emit(
                 EventKind.PROCESS_STARTED,

@@ -45,6 +45,22 @@ class TestPoint:
         x, y = Point(3.5, 4.5)
         assert (x, y) == (3.5, 4.5)
         assert Point(3.5, 4.5).as_tuple() == (3.5, 4.5)
+        assert type(Point(3.5, 4.5).as_tuple()) is tuple
+
+    def test_hash_and_order_are_the_coordinate_pairs(self):
+        points = [Point(2.0, 1.0), Point(1.0, 3.0), Point(1.0, 2.0)]
+        assert sorted(points) == [Point(1.0, 2.0), Point(1.0, 3.0), Point(2.0, 1.0)]
+        assert hash(Point(1.5, -2.0)) == hash((1.5, -2.0))
+        assert Point(x=1.0, y=2.0) == Point(1.0, 2.0)
+        assert repr(Point(1.0, 2.0)) == "Point(x=1.0, y=2.0)"
+
+    def test_fields_cannot_be_assigned(self):
+        point = Point(1.0, 2.0)
+        with pytest.raises(AttributeError):
+            point.x = 5.0
+        with pytest.raises(AttributeError):
+            point.z = 5.0
+        assert point == Point(1.0, 2.0)
 
 
 class TestBoundingBox:

@@ -1,8 +1,11 @@
-"""Unit tests for the control-message mailbox (one-round delivery latency)."""
+"""Unit tests for the control-message mailbox (one-round delivery latency) and message ids."""
+
+import random
 
 import pytest
 
 from repro.grid.virtual_grid import GridCoord
+from repro.network.channel import DEFAULT_CHANNEL, ChannelModel, build_channel
 from repro.network.messages import Mailbox, Message, MessageKind
 
 
@@ -71,20 +74,32 @@ class TestMailbox:
         assert mailbox.deliver(current_round=5) == {}
 
 
-class TestMessage:
-    def test_mailbox_stamps_unique_sequential_ids(self):
-        mailbox = Mailbox()
-        assert (mailbox.stamp_id(), mailbox.stamp_id(), mailbox.stamp_id()) == (0, 1, 2)
+def transmit(channel):
+    return channel.send(
+        MessageKind.REPLACEMENT_REQUEST, GridCoord(0, 0), GridCoord(0, 1), 0, sender_id=3
+    )
 
-    def test_ids_are_per_mailbox_hence_deterministic(self):
-        # Ids are assigned by the owning mailbox, not a process-global
-        # counter: two runs (two mailboxes) produce identical id traces no
+
+class TestMessage:
+    def test_channel_stamps_unique_sequential_ids(self):
+        channel = build_channel(DEFAULT_CHANNEL, random.Random(0))
+        assert [transmit(channel).message_id for _ in range(3)] == [0, 1, 2]
+
+    def test_dropped_messages_take_ids_too(self):
+        lossy = ChannelModel.with_params("lossy", drop_probability=0.5)
+        channel = build_channel(lossy, random.Random(4))
+        assert [transmit(channel).message_id for _ in range(12)] == list(range(12))
+        assert 0 < channel.dropped_count < 12
+
+    def test_ids_are_per_channel_hence_deterministic(self):
+        # Ids are assigned by the sending channel, not a process-global
+        # counter: two runs (two channels) produce identical id traces no
         # matter how many messages earlier runs in the process created.
-        first = Mailbox()
+        first = build_channel(DEFAULT_CHANNEL, random.Random(0))
         for _ in range(5):
-            first.stamp_id()
-        second = Mailbox()
-        assert second.stamp_id() == 0
+            transmit(first)
+        second = build_channel(DEFAULT_CHANNEL, random.Random(0))
+        assert transmit(second).message_id == 0
 
     def test_unstamped_message_has_no_id(self):
         message = request((0, 0), (0, 1), 0)
