@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional
 
+from repro._sums import sequential_sum
 from repro.core.protocol import MobilityController, RoundOutcome
 from repro.grid.virtual_grid import GridCoord
 from repro.network.state import WsnState
@@ -176,7 +177,7 @@ class SmartScanController(MobilityController):
     @property
     def total_distance(self) -> float:
         """Total distance (metres) moved across all balancing transfers."""
-        return sum(record.distance for record in self._all_moves)
+        return sequential_sum(record.distance for record in self._all_moves)
 
     def movement_records(self) -> List:
         """All balancing transfers performed so far."""

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro._sums import sequential_sum
 from repro.core.protocol import MobilityController, RoundOutcome
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord
@@ -250,7 +251,7 @@ class VirtualForceController(MobilityController):
     @property
     def total_distance(self) -> float:
         """Total distance (metres) moved across all force steps."""
-        return sum(record.distance for record in self._moves)
+        return sequential_sum(record.distance for record in self._moves)
 
     def movement_records(self) -> List[MoveRecord]:
         """All individual node movements performed by the iteration."""

@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro._sums import sequential_sum
 from repro.grid.virtual_grid import GridCoord
 from repro.network.channel import ChannelState
 from repro.network.messages import Message, MessageKind
@@ -60,7 +61,7 @@ class ReplacementProcess:
     @property
     def total_distance(self) -> float:
         """Total moving distance (metres) of this process so far."""
-        return sum(move.distance for move in self.moves)
+        return sequential_sum(move.distance for move in self.moves)
 
     @property
     def is_active(self) -> bool:
@@ -136,7 +137,7 @@ class RoundOutcome:
     @property
     def total_distance(self) -> float:
         """Total distance (metres) moved this round."""
-        return sum(move.distance for move in self.moves)
+        return sequential_sum(move.distance for move in self.moves)
 
     @property
     def made_progress(self) -> bool:
@@ -404,7 +405,7 @@ class MobilityController(abc.ABC):
     @property
     def total_distance(self) -> float:
         """Total moving distance (metres) across all processes."""
-        return sum(p.total_distance for p in self._processes.values())
+        return sequential_sum(p.total_distance for p in self._processes.values())
 
     @property
     def converged_processes(self) -> int:

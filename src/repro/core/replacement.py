@@ -113,6 +113,8 @@ class HamiltonReplacementController(MobilityController):
         """Run one SR round: start processes for new holes and advance each cascade one hop."""
         outcome = RoundOutcome(round_index)
         self._service_retries(state, round_index, outcome)
+        if not state.hole_count:
+            return outcome
         cycle = self.cycle
         # Snapshot the holes visible at the start of the round.  New vacancies
         # created by this round's moves are only observable next round.  The

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
+from repro._sums import sequential_sum
+
 
 @dataclass
 class ExperimentResult:
@@ -107,7 +109,7 @@ def average_dicts(dicts: Sequence[Dict[str, float]]) -> Dict[str, float]:
     for key in keys:
         values = [d[key] for d in dicts]
         if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values):
-            result[key] = sum(values) / len(values)
+            result[key] = sequential_sum(values) / len(values)
         else:
             result[key] = values[0]
     return result

@@ -49,10 +49,11 @@ _SPARE = ROLE_CODES[NodeRole.SPARE]
 
 
 def _sequential_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, identical to Python's ``sum()`` over a list.
+    """Left-to-right float sum: :func:`repro._sums.sequential_sum` of the list.
 
     ``cumsum`` adds strictly left to right (``np.sum`` adds pairwise, and
-    Python 3.12's ``sum()`` compensates, so neither would do).
+    Python 3.12's ``sum()`` compensates, so neither would do).  An empty
+    array totals ``0.0``.
     """
     return values.cumsum().item(-1) if len(values) else 0.0
 
@@ -107,8 +108,11 @@ class EnergyModel:
 
         The drain gathers over the state's enabled-row index
         (:meth:`WsnState.enabled_rows
-        <repro.network.state.WsnState.enabled_rows>`), and the state is
-        asked to disable nodes only in a round where some depleted.  The
+        <repro.network.state.WsnState.enabled_rows>`).  Only in a round
+        where some node depleted is the state asked to disable nodes, by
+        row (:meth:`WsnState.disable_rows
+        <repro.network.state.WsnState.disable_rows>`): the victims' rows and
+        the surviving rows, which become the next enabled-row index.  The
         clamp (``max(0, e - cost)``) matches :meth:`WsnState.debit_energy
         <repro.network.state.WsnState.debit_energy>` bit-for-bit.
         """
@@ -122,11 +126,13 @@ class EnergyModel:
             enabled_energy -= self.idle_cost_per_round
             np.maximum(0.0, enabled_energy, out=enabled_energy)
             energy[rows] = enabled_energy
-        if enabled_energy.min() > self.depletion_threshold:
+        threshold = self.depletion_threshold
+        if enabled_energy.min() > threshold:
             return []
-        victims = arrays.node_ids[rows[enabled_energy <= self.depletion_threshold]]
-        state.disable_nodes(victims, reason=NodeState.DEPLETED)
-        return sorted(victims.tolist())
+        depleted = enabled_energy <= threshold
+        victim_rows = rows[depleted]
+        state.disable_rows(victim_rows, NodeState.DEPLETED, rows[~depleted])
+        return sorted(arrays.node_ids[victim_rows].tolist())
 
     def recovery_cost(self, total_distance: float, messages_sent: int = 0) -> float:
         """:func:`recovery_energy_cost` evaluated at this model's rates."""

@@ -23,10 +23,12 @@ the golden seed-identity test).
 
 The per-round queries every controller depends on — holes, spares,
 occupancy — are served from *incremental indices* maintained by the three
-mutation paths (:meth:`WsnState.disable_nodes`, :meth:`WsnState.enable_node`,
-and the one relocation routine behind :meth:`WsnState.move_node` and
-:meth:`WsnState.relocate`).  Every index addresses a cell by its *flat id*
-(``y * columns + x``, the value ``arrays.cell`` stores):
+mutation paths (:meth:`WsnState.disable_rows`, behind
+:meth:`WsnState.disable_nodes` and the energy sweep;
+:meth:`WsnState.enable_node`; and the one relocation routine behind
+:meth:`WsnState.move_node` and :meth:`WsnState.relocate`).  Every index
+addresses a cell by its *flat id* (``y * columns + x``, the value
+``arrays.cell`` stores):
 
 * ``_cell_members`` — per-cell **sorted** lists of enabled node ids, so
   :meth:`members_of` iterates deterministically without re-sorting;
@@ -41,8 +43,8 @@ and the one relocation routine behind :meth:`WsnState.move_node` and
 
 Beside them, ``_enabled_rows`` holds the ascending rows of the enabled
 nodes, read-only, which the per-round energy sweep gathers over
-(:meth:`enabled_rows`).  It is built on first use and dropped by the two
-paths that change the ``state`` column; moves keep it.
+(:meth:`enabled_rows`).  It is built on first use and replaced or dropped
+by the two paths that change the ``state`` column; moves keep it.
 
 The coordinate queries (:meth:`members_of`, :meth:`head_of`, ...) convert
 their :class:`GridCoord` once and keep their return types and errors.  The
@@ -91,6 +93,11 @@ STATE_SNAPSHOT_VERSION = 1
 #: ``struct`` format of the state header: layout version, grid columns/rows,
 #: cell side, and the grid origin coordinates.
 _SNAPSHOT_HEADER_FORMAT = "<IIIddd"
+
+#: The constructor ``NamedTuple._make`` uses.  A move's record and source
+#: point are built through it from their field values, at under half the cost
+#: of the generated ``__new__``; the records are the same.
+_new_tuple = tuple.__new__
 
 #: The spare selections :meth:`WsnState.select_spare_at` knows; the
 #: controllers validate their ``spare_selection`` against it when built.
@@ -297,9 +304,10 @@ class WsnState:
         """Ascending rows of the enabled nodes, as a read-only array.
 
         The energy sweep gathers over it every round.  It is built on first
-        use after a change of the ``state`` column: :meth:`disable_nodes`
-        and :meth:`enable_node` drop it, moves keep it, and :meth:`clone`
-        shares it (it is never written, only replaced).
+        use after a change of the ``state`` column: :meth:`disable_rows`
+        takes the surviving rows when its caller has them and drops it
+        otherwise, :meth:`enable_node` drops it, moves keep it, and
+        :meth:`clone` shares it (it is never written, only replaced).
         """
         rows = self._enabled_rows
         if rows is None:
@@ -527,16 +535,10 @@ class WsnState:
     ) -> None:
         """Disable a set of nodes in one pass and repair the heads of their cells.
 
-        The ``state`` and ``role`` columns are written once and the
-        enabled-row index is dropped; each touched cell drops its victims
-        from its member list, so the cost is O(victims + members of the
-        touched cells) with no full index rebuild; and every touched cell
-        whose head was hit holds exactly one fresh election — the lowest
-        member id under the default policy, which writes only the new heads'
-        roles (the kept members were spares beside the head that went),
-        through :meth:`_elect_cell_head` (in row-major cell order) under any
-        other.  Ids that are repeated or already disabled are skipped; an
-        unknown id raises :class:`KeyError` before anything changes.
+        The id-checking front of :meth:`disable_rows`: an unknown id raises
+        :class:`KeyError` before anything changes, ids that are repeated or
+        already disabled are skipped, and the rows left are disabled in one
+        :meth:`disable_rows` call, which drops the enabled-row index.
 
         Under any stateless policy the result equals disabling the nodes one
         at a time, bit for bit: a policy picks the best candidate under a
@@ -559,13 +561,41 @@ class WsnState:
         if rows.view(np.uint64).max() >= len(arrays):
             unknown = (rows < 0) | (rows >= len(arrays))
             raise KeyError(int(ids[np.argmax(unknown)]))
-        state_column = arrays.state
-        rows = rows[state_column[rows] == ENABLED_CODE]
-        if not len(rows):
-            return
-        state_column[rows] = STATE_CODES[reason]
+        rows = np.unique(rows[arrays.state[rows] == ENABLED_CODE])
+        if len(rows):
+            self.disable_rows(rows, reason)
+
+    def disable_rows(
+        self,
+        rows: np.ndarray,
+        reason: NodeState,
+        enabled_rows: Optional[np.ndarray] = None,
+    ) -> None:
+        """Disable the enabled nodes at ``rows`` and repair the heads of their cells.
+
+        The one disabling routine.  ``rows`` lists rows of enabled nodes,
+        each once, and ``reason`` is a non-enabled state; nothing is
+        checked (:meth:`disable_nodes` is the checking front, by id).
+        ``enabled_rows``, when given, is the ascending rows of the nodes
+        still enabled afterwards: it becomes the enabled-row index, made
+        read-only, where otherwise the index is dropped and rebuilt on next
+        use.  The energy sweep passes both, since it holds them already.
+
+        The ``state`` and ``role`` columns are written once; each touched
+        cell drops its victims from its member list, so the cost is
+        O(victims + members of the touched cells) with no full index
+        rebuild; and every touched cell whose head was hit holds exactly one
+        fresh election — the lowest member id under the default policy,
+        which writes only the new heads' roles (the kept members were spares
+        beside the head that went), through :meth:`_elect_cell_head` (in
+        row-major cell order) under any other.
+        """
+        arrays = self.arrays
+        arrays.state[rows] = STATE_CODES[reason]
         arrays.role[rows] = UNASSIGNED_CODE
-        self._enabled_rows = None
+        if enabled_rows is not None:
+            enabled_rows.flags.writeable = False
+        self._enabled_rows = enabled_rows
 
         gone = set(arrays.node_ids[rows].tolist())
         cell_members = self._cell_members
@@ -761,15 +791,18 @@ class WsnState:
             head_id = self._elect_fresh(target)
         role[row] = HEAD_CODE if head_id == node_id else SPARE_CODE
         coords = self.grid.coord_list()
-        return MoveRecord(
-            node_id,
-            coords[source],
-            coords[target],
-            Point(source_x, source_y),
-            target_position,
-            distance,
-            round_index,
-            process_id,
+        return _new_tuple(
+            MoveRecord,
+            (
+                node_id,
+                coords[source],
+                coords[target],
+                _new_tuple(Point, (source_x, source_y)),
+                target_position,
+                distance,
+                round_index,
+                process_id,
+            ),
         )
 
     # ----------------------------------------------------------------- heads
@@ -821,7 +854,7 @@ class WsnState:
         empty cell gets none.  Returns the new heads' ids.  Roles are the
         caller's to write: the new heads become ``HEAD``, and every other
         member must already be a spare (:meth:`elect_all_heads` writes them,
-        and the kept members of a cell :meth:`disable_nodes` hit were spares
+        and the kept members of a cell :meth:`disable_rows` hit were spares
         beside the head it removed).
         """
         heads = self._heads

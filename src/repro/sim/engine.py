@@ -215,7 +215,7 @@ class RoundBasedEngine:
             if log_events:
                 self._emit_outcome(outcome)
             move_count = outcome.move_count
-            distance = outcome.total_distance
+            distance = outcome.total_distance if move_count else 0
             # hole_count and spare_count are O(1) reads of the state's
             # incremental indices, so per-round sampling stays cheap on
             # arbitrarily large grids.  The energy total is an O(enabled)
@@ -330,23 +330,27 @@ class RoundBasedEngine:
         return self.channel.pending_count > 0 or self.controller.pending_acknowledgements > 0
 
     def _apply_energy(self, round_index: int) -> int:
-        """Apply the energy model for one round; returns how many nodes depleted."""
+        """Apply the energy model for one round; returns how many nodes depleted.
+
+        The events' payloads are built only when an event log is attached.
+        """
         victims = self.energy_model.apply_round(self.state)
         if not victims:
             return 0
         self.depleted_nodes.extend(victims)
-        for node_id in victims:
+        if self.event_log is not None:
+            for node_id in victims:
+                self._emit(
+                    EventKind.NODE_DISABLED,
+                    round_index=round_index,
+                    node_id=node_id,
+                    cause="battery-depleted",
+                )
             self._emit(
-                EventKind.NODE_DISABLED,
+                EventKind.HOLE_DETECTED,
                 round_index=round_index,
-                node_id=node_id,
-                cause="battery-depleted",
+                holes=self.state.hole_count,
             )
-        self._emit(
-            EventKind.HOLE_DETECTED,
-            round_index=round_index,
-            holes=self.state.hole_count,
-        )
         return len(victims)
 
     def _drain_active(self) -> bool:

@@ -3,9 +3,11 @@
 * ``WsnState.enabled_rows()`` — the energy sweep's index — lists the
   enabled rows in ascending order, read-only, after any sequence of
   disables, enables, moves, clones, failure models and energy rounds; moves
-  keep it, ``disable_nodes`` and ``enable_node`` drop it, ``clone`` shares it;
+  keep it, ``disable_nodes`` and ``enable_node`` drop it, a depleting energy
+  round replaces it with the surviving rows, ``clone`` shares it;
 * ``EnergyModel.apply_round`` asks the state to disable nodes only in a
-  round where some depleted;
+  round where some depleted, and disables by row (handing over the
+  surviving rows) exactly what ``disable_nodes`` disables by id;
 * ``select_spare_at``'s single pass picks what the closure-and-``tolist``
   implementation it replaced picks (kept here as the reference), over
   seeded states full of distance and energy ties, and refuses a selection
@@ -31,6 +33,7 @@ from hypothesis import strategies as st
 from repro.core.hamilton import build_hamilton_cycle
 from repro.core.replacement import HamiltonReplacementController
 from repro.grid.geometry import BoundingBox, Point
+from repro.grid.head_election import highest_energy_policy, lowest_id_policy
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.deployment import deploy_per_cell, deploy_uniform
 from repro.network.energy import EnergyModel
@@ -40,6 +43,7 @@ from repro.network.failures import (
     RegionJammingFailure,
     ThinningToEnabledCount,
 )
+from repro.network.node import NodeState
 from repro.network.node_arrays import ENABLED_CODE, NodeArrays
 from repro.network.state import WsnState
 
@@ -168,13 +172,13 @@ def test_check_invariants_catches_a_stale_index(dense_state):
 # ---------------------------------------------------------------- energy
 def test_apply_round_disables_only_in_a_round_where_a_node_depleted(dense_state):
     calls = []
-    disable_nodes = dense_state.disable_nodes
+    disable_rows = dense_state.disable_rows
 
-    def counted(node_ids, reason):
-        calls.append(list(node_ids))
-        return disable_nodes(node_ids, reason)
+    def counted(rows, reason, enabled_rows=None):
+        calls.append(dense_state.arrays.node_ids[rows].tolist())
+        return disable_rows(rows, reason, enabled_rows)
 
-    dense_state.disable_nodes = counted
+    dense_state.disable_rows = counted
     model = EnergyModel(idle_cost_per_round=0.5)
     assert model.apply_round(dense_state) == []
     assert calls == []
@@ -185,6 +189,69 @@ def test_apply_round_disables_only_in_a_round_where_a_node_depleted(dense_state)
     assert model.apply_round(dense_state) == []
     assert len(calls) == 1
     assert_enabled_rows_hold(dense_state)
+
+
+def _members(state: WsnState):
+    return [
+        [node.node_id for node in state.members_of(coord)]
+        for coord in state.grid.coord_list()
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    per_cell=st.booleans(),
+    policy=st.sampled_from((lowest_id_policy, highest_energy_policy)),
+    idle_cost=st.sampled_from((0.0, 0.25)),
+)
+def test_apply_round_disables_by_row_what_disable_nodes_disables_by_id(
+    seed, per_cell, policy, idle_cost
+):
+    rng = random.Random(seed)
+    grid = VirtualGrid(columns=4, rows=4, cell_size=1.0)
+    if per_cell:
+        nodes = deploy_per_cell(grid, rng.randint(2, 4), rng)
+    else:
+        nodes = deploy_uniform(grid, rng.randint(16, 60), rng)
+    install_batteries(nodes, [rng.uniform(0.2, 6.0) for _ in range(len(nodes))])
+    state = WsnState(grid, nodes, head_policy=policy)
+    # Drain to zero a random set, a cell's head with all its spares, and a
+    # head with one spare left.
+    enabled = state.enabled_node_ids()
+    drained = set(rng.sample(enabled, rng.randint(0, len(enabled) // 4)))
+    occupied = [flat for flat, count in enumerate(state.cell_counts) if count]
+    whole = grid.coord_at(rng.choice(occupied))
+    drained.update(node.node_id for node in state.members_of(whole))
+    crowded = [flat for flat, count in enumerate(state.cell_counts) if count >= 2]
+    if crowded:
+        flat = rng.choice(crowded)
+        spares = state.spare_ids_of(grid.coord_at(flat))
+        drained.add(state.cell_heads[flat])
+        drained.update(rng.sample(spares, len(spares) - 1))
+    for node_id in drained:
+        state.debit_energy(node_id, state.energy_of(node_id))
+    twin = state.clone()
+    model = EnergyModel(idle_cost_per_round=idle_cost)
+
+    victims = model.apply_round(state)
+
+    for node_id in twin.enabled_node_ids():
+        twin.debit_energy(node_id, idle_cost)
+    expected = sorted(
+        node_id for node_id in twin.enabled_node_ids() if twin.energy_of(node_id) <= 0.0
+    )
+    twin.disable_nodes(expected, NodeState.DEPLETED)
+    assert victims == expected
+    assert drained <= set(victims)
+    assert state.to_bytes() == twin.to_bytes()
+    assert state.heads() == twin.heads()
+    assert _members(state) == _members(twin)
+    assert state.vacant_flat_cells() == twin.vacant_flat_cells()
+    assert (state.spare_count, state.enabled_count) == (twin.spare_count, twin.enabled_count)
+    np.testing.assert_array_equal(state.enabled_rows(), twin.enabled_rows())
+    assert_enabled_rows_hold(state)
+    twin.check_invariants()
 
 
 # ---------------------------------------------------------- spare selection
