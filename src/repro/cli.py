@@ -81,6 +81,7 @@ from repro.experiments.scenario_files import (
 from repro.experiments.plotting import ascii_chart
 from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult
+from repro.experiments.sweep import build_comparison_specs
 from repro.network.channel import ChannelModel, parse_channel_spec
 from repro.network.energy import EnergyModel
 from repro.sim.scenario import ScenarioConfig
@@ -495,11 +496,22 @@ def _add_channel_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _job_count(text: str) -> int:
+    """argparse type hook for ``--jobs``: an integer >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _add_execution_arguments(parser: argparse.ArgumentParser) -> None:
     """Shared orchestration flags of the simulation-running commands."""
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_job_count,
         default=1,
         help="worker processes for the simulation runs (1 = serial; "
         "results are identical to serial for the same seeds)",
@@ -561,6 +573,16 @@ def _figures_command(args: argparse.Namespace) -> int:
     if unknown:
         print(f"unknown figures: {sorted(unknown)} (choose from {ALL_FIGURES})", file=sys.stderr)
         return 2
+    experimental = wanted & set(EXPERIMENTAL_FIGURES)
+    if experimental:
+        spare_values = QUICK_SPARE_VALUES if args.quick else PAPER_SPARE_VALUES
+        try:
+            config = ScenarioConfig(seed=args.seed)
+            # The sweep's specs, built only to check its inputs up front.
+            build_comparison_specs(config, spare_values, trials=args.trials)
+        except ValueError as error:
+            print(f"figures: {error}", file=sys.stderr)
+            return 2
 
     if "fig1" in wanted:
         print(figure1_hamilton_layout())
@@ -573,9 +595,7 @@ def _figures_command(args: argparse.Namespace) -> int:
     if "fig5" in wanted:
         _emit(figure5_distance_estimates(), args.csv_dir, "fig5_distance_estimates.csv")
 
-    if wanted & set(EXPERIMENTAL_FIGURES):
-        spare_values = QUICK_SPARE_VALUES if args.quick else PAPER_SPARE_VALUES
-        config = ScenarioConfig(seed=args.seed)
+    if experimental:
         with _execution_backend(args) as (executor, cache):
             experiment = run_section5_experiment(
                 spare_values=spare_values,
@@ -640,24 +660,28 @@ def _figures_command(args: argparse.Namespace) -> int:
 
 
 def _compare_command(args: argparse.Namespace) -> int:
-    config = ScenarioConfig(
-        columns=args.columns,
-        rows=args.rows,
-        communication_range=args.communication_range,
-        deployed_count=args.deployed,
-        spare_surplus=args.spare_surplus,
-        seed=args.seed,
-    )
-    specs = [
-        RunSpec(
-            scenario=config,
-            scheme=scheme,
+    try:
+        config = ScenarioConfig(
+            columns=args.columns,
+            rows=args.rows,
+            communication_range=args.communication_range,
+            deployed_count=args.deployed,
+            spare_surplus=args.spare_surplus,
             seed=args.seed,
-            max_rounds=args.max_rounds,
-            channel=args.channel,
         )
-        for scheme in args.schemes
-    ]
+        specs = [
+            RunSpec(
+                scenario=config,
+                scheme=scheme,
+                seed=args.seed,
+                max_rounds=args.max_rounds,
+                channel=args.channel,
+            )
+            for scheme in args.schemes
+        ]
+    except ValueError as error:
+        print(f"compare: {error}", file=sys.stderr)
+        return 2
     with _execution_backend(args) as (executor, cache):
         records = execute_many(specs, executor=executor, cache=cache)
     initial = records[0].metrics
@@ -842,8 +866,11 @@ def _scenario_run_command(args: argparse.Namespace) -> int:
 
 def _scenario_sweep_command(args: argparse.Namespace) -> int:
     scenario = _resolve_cli_scenario(args)
-    variants = [scenario.with_spare_surplus(n) for n in args.spares]
-    variant_specs = [variant.run_specs() for variant in variants]
+    try:
+        variants = [scenario.with_spare_surplus(n) for n in args.spares]
+        variant_specs = [variant.run_specs() for variant in variants]
+    except ValueError as error:
+        raise _ScenarioCliError(str(error)) from error
     specs: List[RunSpec] = [spec for chunk in variant_specs for spec in chunk]
     with _execution_backend(args) as (executor, cache):
         records = execute_many(specs, executor=executor, cache=cache)
@@ -1021,9 +1048,15 @@ def _scenario_command(args: argparse.Namespace) -> int:
 
 
 def _analyze_command(args: argparse.Namespace) -> int:
-    moves = analysis.expected_movements(args.spares, args.path_length)
-    distance = analysis.expected_total_distance(args.spares, args.path_length, args.cell_size)
-    low, average, high = analysis.hop_distance_statistics(args.cell_size)
+    try:
+        moves = analysis.expected_movements(args.spares, args.path_length)
+        distance = analysis.expected_total_distance(
+            args.spares, args.path_length, args.cell_size
+        )
+        low, average, high = analysis.hop_distance_statistics(args.cell_size)
+    except ValueError as error:
+        print(f"analyze: {error}", file=sys.stderr)
+        return 2
     print(f"Theorem 2 with N = {args.spares} spares, L = {args.path_length}:")
     print(f"  expected node movements per replacement : {moves:.4f}")
     print(f"  expected total moving distance          : {distance:.2f} m")
@@ -1039,10 +1072,15 @@ def _analyze_command(args: argparse.Namespace) -> int:
 
 
 def _layout_command(args: argparse.Namespace) -> int:
-    if args.columns % 2 == 1 and args.rows % 2 == 1:
-        print(figure4_dual_path_layout(args.columns, args.rows))
-    else:
-        print(figure1_hamilton_layout(args.columns, args.rows))
+    try:
+        if args.columns % 2 == 1 and args.rows % 2 == 1:
+            layout = figure4_dual_path_layout(args.columns, args.rows)
+        else:
+            layout = figure1_hamilton_layout(args.columns, args.rows)
+    except ValueError as error:
+        print(f"layout: {error}", file=sys.stderr)
+        return 2
+    print(layout)
     return 0
 
 
@@ -1063,19 +1101,24 @@ def _serve_command(args: argparse.Namespace) -> int:
                 print(f"serve smoke FAILED: {failure}", file=sys.stderr)
             return 1
         print(
-            "serve smoke OK: uncached, cached, streamed and figure queries "
-            "answered through the broker; an oversized figure batch refused whole"
+            "serve smoke OK: uncached, cached, streamed, catalog scenario and "
+            "figure queries answered through the broker; an oversized figure "
+            "batch refused whole"
         )
         return 0
-    config = ServeConfig(
-        host=args.host if args.host is not None else DEFAULT_HOST,
-        port=args.port if args.port is not None else DEFAULT_PORT,
-        cache_dir=args.cache_dir,
-        cache_backend=args.cache_backend,
-        workers=args.workers,
-        queue_limit=args.queue_limit or None,
-        verbose=args.verbose,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host if args.host is not None else DEFAULT_HOST,
+            port=args.port if args.port is not None else DEFAULT_PORT,
+            cache_dir=args.cache_dir,
+            cache_backend=args.cache_backend,
+            workers=args.workers,
+            queue_limit=args.queue_limit or None,
+            verbose=args.verbose,
+        )
+    except ValueError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     return serve_forever(config)
 
 

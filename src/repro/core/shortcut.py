@@ -39,11 +39,9 @@ class ShortcutReplacementController(HamiltonReplacementController):
     first looks for a spare in the cells adjacent to the *vacant* cell.  If
     one exists, that spare moves in directly and the process converges without
     extending the snake.  Only when no adjacent cell can help does the cascade
-    continue along the directed Hamilton path as in plain SR.
-
-    ``shortcut_radius`` (at least 1) bounds how far the short-cut looks; a
-    replacement move is a single hop, so only the cells adjacent to the
-    vacancy can supply, and a larger radius chooses the same supplier.
+    continue along the directed Hamilton path as in plain SR.  A replacement
+    move is a single hop, so only the cells adjacent to the vacancy can
+    supply.
     """
 
     name = "SR-shortcut"
@@ -53,12 +51,8 @@ class ShortcutReplacementController(HamiltonReplacementController):
         cycle: HamiltonCycle,
         max_hops: Optional[int] = None,
         spare_selection: str = "nearest",
-        shortcut_radius: int = 1,
     ) -> None:
         super().__init__(cycle, max_hops=max_hops, spare_selection=spare_selection)
-        if shortcut_radius < 1:
-            raise ValueError(f"shortcut_radius must be >= 1, got {shortcut_radius}")
-        self.shortcut_radius = shortcut_radius
         self.shortcut_moves = 0
 
     # ------------------------------------------------------------------ hooks

@@ -12,13 +12,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.experiments.results": ["ExperimentResult", "average_dicts"],
-        "repro.experiments.plotting": ["ascii_chart", "format_table"],
-        "repro.experiments.report": [
-            "ShapeCheck",
-            "find_crossover",
-            "section5_shape_checks",
-            "render_markdown_report",
-        ],
+        "repro.experiments.plotting": ["ascii_chart"],
         "repro.experiments.registry": [
             "available_schemes",
             "get_scheme",

@@ -64,22 +64,3 @@ def ascii_chart(
     lines.append("    legend: " + legend + f"   (y = {y_label})")
     return "\n".join(lines)
 
-
-def format_table(
-    columns: Sequence[str], rows: Sequence[Sequence[object]], float_digits: int = 2
-) -> str:
-    """Small standalone table formatter for ad-hoc output in examples."""
-    rendered = [[str(column) for column in columns]]
-    for row in rows:
-        rendered.append(
-            [
-                f"{value:.{float_digits}f}" if isinstance(value, float) else str(value)
-                for value in row
-            ]
-        )
-    widths = [max(len(r[i]) for r in rendered) for i in range(len(columns))]
-    lines = ["  ".join(cell.rjust(w) for cell, w in zip(rendered[0], widths))]
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rendered[1:]:
-        lines.append("  ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)

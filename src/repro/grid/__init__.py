@@ -23,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ],
         "repro.grid.coverage": [
             "cell_coverage_fraction",
-            "sampled_area_coverage",
             "coverage_report",
         ],
         "repro.grid.connectivity": [

@@ -3,21 +3,12 @@
 The paper equates *complete coverage* with "every virtual-grid cell has a
 grid head" (Section 2, following the GAF result): when that holds, the heads
 alone cover the surveillance area and stay connected.  This module provides
-
-* the cell-level coverage metrics the paper's argument is based on, and
-* a sampled area-coverage metric for a given sensing radius, which is useful
-  to visualise how large the physical blind spots of a set of holes are.
+the cell-level coverage metrics the paper's argument is based on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
-
-import numpy as np
-
-from repro.grid.geometry import Point
-from repro.grid.virtual_grid import GridCoord, VirtualGrid
 
 
 @dataclass(frozen=True)
@@ -28,7 +19,6 @@ class CoverageReport:
     covered_cells: int
     vacant_cells: int
     cell_coverage: float
-    area_coverage: Optional[float] = None
 
     @property
     def is_complete(self) -> bool:
@@ -46,114 +36,13 @@ def cell_coverage_fraction(state) -> float:
     return (total - vacant) / total if total else 1.0
 
 
-def covered_cells(state) -> List[GridCoord]:
-    """Cells that currently have at least one enabled node."""
-    return state.occupied_cells()
-
-
-def sampled_area_coverage(
-    positions: Union[Sequence[Point], np.ndarray],
-    grid: VirtualGrid,
-    sensing_range: float,
-    samples_per_cell_side: int = 4,
-) -> float:
-    """Fraction of the surveillance area within ``sensing_range`` of a sensor.
-
-    The area is sampled on a regular lattice (``samples_per_cell_side`` sample
-    points per cell side); exact polygon unions are unnecessary for the shape
-    comparisons this library targets.
-
-    ``positions`` is either a sequence of :class:`~repro.grid.geometry.Point`
-    or an ``(N, 2)`` float array (the zero-copy path used by array-backed
-    states).  Each sensor only touches the lattice window its sensing disk
-    can reach, so the cost is proportional to the covered samples rather than
-    ``N x lattice`` — which is what keeps the metric usable at the bench
-    tiers' node counts.
-    """
-    if sensing_range < 0:
-        raise ValueError(f"sensing_range must be non-negative, got {sensing_range}")
-    if samples_per_cell_side < 1:
-        raise ValueError("samples_per_cell_side must be >= 1")
-    bounds = grid.bounds
-    nx = grid.columns * samples_per_cell_side
-    ny = grid.rows * samples_per_cell_side
-    xs = np.linspace(bounds.min_x, bounds.max_x, nx, endpoint=False) + (
-        bounds.width / nx / 2.0
-    )
-    ys = np.linspace(bounds.min_y, bounds.max_y, ny, endpoint=False) + (
-        bounds.height / ny / 2.0
-    )
-    if isinstance(positions, np.ndarray):
-        coords = np.asarray(positions, dtype=np.float64).reshape(-1, 2)
-        px, py = coords[:, 0], coords[:, 1]
-    else:
-        px = np.array([p.x for p in positions], dtype=np.float64)
-        py = np.array([p.y for p in positions], dtype=np.float64)
-    if len(px) == 0:
-        return 0.0
-    covered = np.zeros((ny, nx), dtype=bool)
-    range_sq = sensing_range * sensing_range
-    total = covered.size
-    done = 0
-    for x, y in zip(px.tolist(), py.tolist()):
-        # Samples outside the bounding square of the sensing disk can never
-        # satisfy the distance test, so restrict the update to that window;
-        # inside it the test is element-wise identical to the full-lattice
-        # version, and OR-ing windows commutes, so the result is unchanged.
-        i_lo = int(np.searchsorted(xs, x - sensing_range, side="left"))
-        i_hi = int(np.searchsorted(xs, x + sensing_range, side="right"))
-        j_lo = int(np.searchsorted(ys, y - sensing_range, side="left"))
-        j_hi = int(np.searchsorted(ys, y + sensing_range, side="right"))
-        if i_lo >= i_hi or j_lo >= j_hi:
-            continue
-        dx_sq = (xs[i_lo:i_hi] - x) ** 2
-        dy_sq = (ys[j_lo:j_hi] - y) ** 2
-        window = covered[j_lo:j_hi, i_lo:i_hi]
-        window |= dy_sq[:, None] + dx_sq[None, :] <= range_sq
-        done += 1
-        if done % 256 == 0 and covered.sum() == total:
-            break
-    return float(covered.mean())
-
-
-def coverage_report(
-    state,
-    sensing_range: Optional[float] = None,
-    samples_per_cell_side: int = 4,
-) -> CoverageReport:
-    """Build a :class:`CoverageReport` for a network state.
-
-    When ``sensing_range`` is given, the sampled area coverage of the enabled
-    nodes is included as well.
-    """
+def coverage_report(state) -> CoverageReport:
+    """Build a :class:`CoverageReport` for a network state."""
     total = state.grid.cell_count
     vacant = state.hole_count
-    area_coverage = None
-    if sensing_range is not None:
-        arrays = state.arrays
-        area_coverage = sampled_area_coverage(
-            arrays.positions[arrays.enabled_mask()],
-            state.grid,
-            sensing_range,
-            samples_per_cell_side=samples_per_cell_side,
-        )
     return CoverageReport(
         total_cells=total,
         covered_cells=total - vacant,
         vacant_cells=vacant,
-        cell_coverage=(total - vacant) / total if total else 1.0,
-        area_coverage=area_coverage,
+        cell_coverage=cell_coverage_fraction(state),
     )
-
-
-def hole_cells_adjacency(state) -> Dict[GridCoord, List[GridCoord]]:
-    """Group the current holes with their vacant 4-neighbours.
-
-    Useful for analysing clustered holes produced by region jamming: the
-    result maps each vacant cell to the vacant cells adjacent to it.
-    """
-    vacant = state.vacant_cell_set()
-    return {
-        coord: [n for n in state.grid.neighbours(coord) if n in vacant]
-        for coord in vacant
-    }

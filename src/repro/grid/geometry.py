@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Tuple
 
 
 class Point(NamedTuple):
@@ -33,14 +33,6 @@ class Point(NamedTuple):
     def manhattan_distance_to(self, other: "Point") -> float:
         """L1 distance to ``other`` (useful for grid-aligned estimates)."""
         return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a new point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
-
-    def midpoint(self, other: "Point") -> "Point":
-        """Return the midpoint of the segment between this point and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
 
     def as_tuple(self) -> Tuple[float, float]:
         """Return ``(x, y)`` as a plain tuple (handy for numpy interop)."""
@@ -108,47 +100,3 @@ class BoundingBox:
             self.max_x - margin,
             self.max_y - margin,
         )
-
-    def corners(self) -> Tuple[Point, Point, Point, Point]:
-        """The four corners, counter-clockwise from ``(min_x, min_y)``."""
-        return (
-            Point(self.min_x, self.min_y),
-            Point(self.max_x, self.min_y),
-            Point(self.max_x, self.max_y),
-            Point(self.min_x, self.max_y),
-        )
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        """Whether the two closed boxes share at least one point."""
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
-
-
-def centroid(points: Sequence[Point]) -> Point:
-    """Arithmetic mean of a non-empty sequence of points."""
-    if not points:
-        raise ValueError("centroid() requires at least one point")
-    sx = sum(p.x for p in points)
-    sy = sum(p.y for p in points)
-    return Point(sx / len(points), sy / len(points))
-
-def bounding_box_of(points: Iterable[Point]) -> BoundingBox:
-    """Smallest axis-aligned box containing every point in ``points``."""
-    points = list(points)
-    if not points:
-        raise ValueError("bounding_box_of() requires at least one point")
-    return BoundingBox(
-        min(p.x for p in points),
-        min(p.y for p in points),
-        max(p.x for p in points),
-        max(p.y for p in points),
-    )
-
-
-def total_path_length(points: Sequence[Point]) -> float:
-    """Length of the polyline visiting ``points`` in order."""
-    return sum(a.distance_to(b) for a, b in zip(points, points[1:]))

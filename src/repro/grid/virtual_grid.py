@@ -26,10 +26,6 @@ from repro.grid.geometry import BoundingBox, Point
 #: neighbouring-cell communication in the GAF model: ``R = sqrt(5) * r``.
 GAF_RANGE_FACTOR = math.sqrt(5.0)
 
-#: Ratio required to also reach *diagonal* neighbouring cells
-#: (``R = 2 * sqrt(2) * r``); the paper explicitly does not require it.
-DIAGONAL_RANGE_FACTOR = 2.0 * math.sqrt(2.0)
-
 #: How many grid shapes the per-shape cell tables (:meth:`VirtualGrid.coord_list`,
 #: :attr:`VirtualGrid.neighbour_table`) are kept for.  A process works on a
 #: handful of shapes; the bound only stops one that visits many from
@@ -57,22 +53,6 @@ class GridCoord(NamedTuple):
     def is_neighbour_of(self, other: "GridCoord") -> bool:
         """Whether the two cells are neighbouring grids (share a full edge)."""
         return self.manhattan_distance_to(other) == 1
-
-    def north(self) -> "GridCoord":
-        """The neighbouring coordinate one cell up (+y)."""
-        return GridCoord(self.x, self.y + 1)
-
-    def south(self) -> "GridCoord":
-        """The neighbouring coordinate one cell down (-y)."""
-        return GridCoord(self.x, self.y - 1)
-
-    def east(self) -> "GridCoord":
-        """The neighbouring coordinate one cell right (+x)."""
-        return GridCoord(self.x + 1, self.y)
-
-    def west(self) -> "GridCoord":
-        """The neighbouring coordinate one cell left (-x)."""
-        return GridCoord(self.x - 1, self.y)
 
     def as_tuple(self) -> Tuple[int, int]:
         """The coordinate as a plain ``(x, y)`` tuple."""
@@ -274,21 +254,6 @@ class VirtualGrid:
             )
         return coord
 
-    def is_edge_cell(self, coord: GridCoord) -> bool:
-        """Whether the cell lies on the boundary of the grid system."""
-        self.validate_coord(coord)
-        return (
-            coord.x == 0
-            or coord.y == 0
-            or coord.x == self._columns - 1
-            or coord.y == self._rows - 1
-        )
-
-    def is_corner_cell(self, coord: GridCoord) -> bool:
-        """Whether ``coord`` is one of the four grid corners."""
-        self.validate_coord(coord)
-        return coord.x in (0, self._columns - 1) and coord.y in (0, self._rows - 1)
-
     # ------------------------------------------------------------ enumeration
     def all_coords(self) -> Iterator[GridCoord]:
         """Iterate over every cell address in row-major order (y outer, x inner)."""
@@ -368,17 +333,6 @@ class VirtualGrid:
             result.append(GridCoord(x - 1, y))
         return result
 
-    def diagonal_neighbours(self, coord: GridCoord) -> List[GridCoord]:
-        """The up-to-four diagonal neighbours (not used for monitoring by the paper)."""
-        self.validate_coord(coord)
-        candidates = (
-            GridCoord(coord.x + 1, coord.y + 1),
-            GridCoord(coord.x + 1, coord.y - 1),
-            GridCoord(coord.x - 1, coord.y + 1),
-            GridCoord(coord.x - 1, coord.y - 1),
-        )
-        return [c for c in candidates if self.contains_coord(c)]
-
     # ----------------------------------------------------- coordinate mapping
     def cell_of(self, point: Point) -> GridCoord:
         """The cell containing ``point``.
@@ -427,14 +381,6 @@ class VirtualGrid:
         return self.cell_center(a).distance_to(self.cell_center(b))
 
     # ------------------------------------------------------------- utilities
-    def coords_in_box(self, box: BoundingBox) -> List[GridCoord]:
-        """All cells whose area intersects ``box`` (used by region failures)."""
-        result = []
-        for coord in self.all_coords():
-            if self.cell_bounds(coord).intersects(box):
-                result.append(coord)
-        return result
-
     def row(self, y: int) -> List[GridCoord]:
         """Cells of row ``y`` ordered by increasing ``x``."""
         if not 0 <= y < self._rows:
@@ -446,26 +392,6 @@ class VirtualGrid:
         if not 0 <= x < self._columns:
             raise ValueError(f"column {x} outside grid with {self._columns} columns")
         return [GridCoord(x, y) for y in range(self._rows)]
-
-    @classmethod
-    def for_area(
-        cls,
-        width: float,
-        height: float,
-        communication_range: float,
-        origin: Point = Point(0.0, 0.0),
-    ) -> "VirtualGrid":
-        """Build the grid covering a ``width x height`` area for a given radio range.
-
-        The cell side is ``r = R / sqrt(5)`` and the number of cells is the
-        ceiling of the area dimensions divided by ``r``, so the grid always
-        covers the whole requested area (the last row/column may extend past
-        it, as in any practical deployment).
-        """
-        r = cell_side_for_range(communication_range)
-        columns = max(1, math.ceil(width / r - 1e-9))
-        rows = max(1, math.ceil(height / r - 1e-9))
-        return cls(columns=columns, rows=rows, cell_size=r, origin=origin)
 
 
 def random_point_in_box(box: BoundingBox, rng) -> Point:

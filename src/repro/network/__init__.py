@@ -18,8 +18,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.network.deployment": [
             "deploy_uniform",
             "deploy_per_cell",
-            "deploy_grid_heads",
-            "deploy_clustered",
         ],
         "repro.network.failures": [
             "FailureEvent",
@@ -38,7 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "EnergyModel",
             "EnergySummary",
             "energy_summary",
-            "recovery_energy_cost",
         ],
         "repro.network.mobility": ["MoveRecord", "MovementModel"],
         "repro.network.messages": ["Message", "MessageKind", "Mailbox"],

@@ -2,10 +2,10 @@
 
 The paper's experiments deploy a large number of sensors uniformly at random
 over the surveillance area (Section 5: 5000 sensors over a 16x16 grid of
-4.4721 m cells).  Besides the uniform deployment this module offers a few
-other generators that are useful for unit tests, examples, and the extension
-baselines: exact per-cell deployment, head-only deployment, and clustered
-(hot-spot) deployment.
+4.4721 m cells).  Besides the uniform deployment this module offers the
+exact per-cell deployment (the ``per_cell`` scenario deployment) and an
+explicit count per cell, which tests and benches use to build a prescribed
+pattern of holes and spares.
 
 Every generator returns a :class:`~repro.network.node_arrays.NodeArrays`
 store with consecutive ids from ``start_id``, ready for
@@ -14,13 +14,13 @@ store with consecutive ids from ``start_id``, ready for
 draws happen in one :func:`~repro.sim.rng.draw_uniforms` call (in exactly
 the historical per-node order, so seeds reproduce bit-for-bit) and the
 affine transform to world coordinates is a vectorized numpy expression.
-The three small generators draw point by point.
+:func:`deploy_per_cell_counts` draws point by point.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 import numpy as np
 
@@ -33,15 +33,6 @@ from repro.sim.rng import draw_uniforms
 def _consecutive_ids(start_id: int, count: int) -> np.ndarray:
     """``count`` node ids counting up from ``start_id``."""
     return np.arange(start_id, start_id + count, dtype=np.int64)
-
-
-def _from_points(points: List[Point], start_id: int) -> NodeArrays:
-    """A fresh population at ``points``, with consecutive ids from ``start_id``."""
-    return NodeArrays.from_positions(
-        _consecutive_ids(start_id, len(points)),
-        [point.x for point in points],
-        [point.y for point in points],
-    )
 
 
 def _draw_unit_pairs(count: int, rng: random.Random) -> np.ndarray:
@@ -115,28 +106,6 @@ def deploy_per_cell(
     return NodeArrays.from_positions(_consecutive_ids(start_id, count), xs, ys)
 
 
-def deploy_grid_heads(
-    grid: VirtualGrid,
-    rng: Optional[random.Random] = None,
-    start_id: int = 0,
-    jitter: bool = False,
-) -> NodeArrays:
-    """Deploy exactly one node per cell, at the centre (or jittered around it).
-
-    Produces a fully covered network with zero spares — the minimal
-    configuration in which every cell has a head.
-    """
-    points: List[Point] = []
-    for coord in grid.all_coords():
-        position = grid.cell_center(coord)
-        if jitter:
-            if rng is None:
-                raise ValueError("jitter=True requires an rng")
-            position = random_point_in_box(grid.central_area(coord), rng)
-        points.append(position)
-    return _from_points(points, start_id)
-
-
 def deploy_per_cell_counts(
     grid: VirtualGrid,
     counts: Dict[GridCoord, int],
@@ -155,33 +124,9 @@ def deploy_per_cell_counts(
             raise ValueError(f"count for cell {coord.as_tuple()} must be non-negative")
         cell_bounds = grid.cell_bounds(coord)
         points.extend(random_point_in_box(cell_bounds, rng) for _ in range(count))
-    return _from_points(points, start_id)
+    return NodeArrays.from_positions(
+        _consecutive_ids(start_id, len(points)),
+        [point.x for point in points],
+        [point.y for point in points],
+    )
 
-
-def deploy_clustered(
-    grid: VirtualGrid,
-    count: int,
-    cluster_centers: Sequence[Point],
-    spread: float,
-    rng: random.Random,
-    start_id: int = 0,
-) -> NodeArrays:
-    """Deploy nodes around hot-spot cluster centres (Gaussian spread).
-
-    Models the non-uniform densities produced by air-dropped deployments or
-    by attacks that herd nodes together; positions are clamped to the
-    surveillance area.
-    """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    if not cluster_centers:
-        raise ValueError("deploy_clustered requires at least one cluster centre")
-    if spread < 0:
-        raise ValueError(f"spread must be non-negative, got {spread}")
-    bounds = grid.bounds
-    points: List[Point] = []
-    for _ in range(count):
-        center = cluster_centers[rng.randrange(len(cluster_centers))]
-        raw = Point(rng.gauss(center.x, spread), rng.gauss(center.y, spread))
-        points.append(bounds.clamp(raw))
-    return _from_points(points, start_id)

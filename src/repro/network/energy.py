@@ -15,9 +15,6 @@ provides both halves of the energy story:
 * :class:`EnergySummary` / :func:`energy_summary` — an aggregate snapshot of
   the battery state of a network, consumed by :class:`~repro.sim.metrics.RunMetrics`
   and the lifetime experiment driver.
-* :func:`recovery_energy_cost` — translate a recovery run's cost metrics
-  (distance, messages) into joules, so scheme comparisons can be presented in
-  energy as well as metres.
 
 Consumption is accounted per node as ``initial_energy - energy``, summed over
 **all** deployed nodes — so heterogeneous battery capacities and nodes that
@@ -28,7 +25,7 @@ consumption must not vanish) are both handled correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -134,15 +131,6 @@ class EnergyModel:
         state.disable_rows(victim_rows, NodeState.DEPLETED, rows[~depleted])
         return sorted(arrays.node_ids[victim_rows].tolist())
 
-    def recovery_cost(self, total_distance: float, messages_sent: int = 0) -> float:
-        """:func:`recovery_energy_cost` evaluated at this model's rates."""
-        return recovery_energy_cost(
-            total_distance,
-            messages_sent,
-            move_cost_per_meter=self.move_cost_per_meter,
-            message_cost=self.message_cost,
-        )
-
 
 @dataclass(frozen=True)
 class EnergySummary:
@@ -164,11 +152,6 @@ class EnergySummary:
     spare_mean_energy: float
     initial_energy_total: float = 0.0
     total_consumed: float = 0.0
-
-    @property
-    def imbalance(self) -> float:
-        """Spread between the fullest and the emptiest enabled node (joules)."""
-        return self.max_energy - self.min_energy
 
 
 def energy_summary(state) -> EnergySummary:
@@ -217,31 +200,3 @@ def remaining_energy(state) -> Tuple[float, int]:
     enabled_energy = state.arrays.energy[state.enabled_rows()]
     return _sequential_sum(enabled_energy), len(enabled_energy)
 
-
-def recovery_energy_cost(
-    total_distance: float,
-    messages_sent: int = 0,
-    move_cost_per_meter: float = MOVE_COST_PER_METER,
-    message_cost: float = MESSAGE_COST,
-) -> float:
-    """Energy (joules) a recovery run consumed, from its cost metrics.
-
-    The model is the same linear one the node class uses: moving costs
-    ``move_cost_per_meter`` joules per metre and each control message costs
-    ``message_cost`` joules — so the comparison between schemes in joules has
-    exactly the same shape as the paper's moving-distance comparison, shifted
-    only by the (tiny) messaging term.
-    """
-    if total_distance < 0:
-        raise ValueError(f"total_distance must be non-negative, got {total_distance}")
-    if messages_sent < 0:
-        raise ValueError(f"messages_sent must be non-negative, got {messages_sent}")
-    return total_distance * move_cost_per_meter + messages_sent * message_cost
-
-
-def per_scheme_energy_costs(metrics_by_scheme: Dict[str, "RunMetrics"]) -> Dict[str, float]:
-    """Translate a mapping of scheme name -> RunMetrics into joules consumed."""
-    return {
-        scheme: recovery_energy_cost(metrics.total_distance, metrics.messages_sent)
-        for scheme, metrics in metrics_by_scheme.items()
-    }

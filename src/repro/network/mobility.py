@@ -64,7 +64,6 @@ class MovementModel:
     def __init__(
         self,
         grid: VirtualGrid,
-        target_central_area: bool = True,
         move_cost_per_meter: float = MOVE_COST_PER_METER,
     ) -> None:
         if move_cost_per_meter < 0:
@@ -72,7 +71,6 @@ class MovementModel:
                 f"move_cost_per_meter must be non-negative, got {move_cost_per_meter}"
             )
         self._grid = grid
-        self._target_central_area = target_central_area
         self._move_cost_per_meter = move_cost_per_meter
         # The grid's geometry tables, read by every draw.
         self._columns = grid.columns
@@ -90,12 +88,8 @@ class MovementModel:
         return self._move_cost_per_meter
 
     def with_move_cost(self, move_cost_per_meter: float) -> "MovementModel":
-        """Copy of this model with a different move rate, other knobs kept."""
-        return MovementModel(
-            self._grid,
-            target_central_area=self._target_central_area,
-            move_cost_per_meter=move_cost_per_meter,
-        )
+        """Copy of this model with a different move rate."""
+        return MovementModel(self._grid, move_cost_per_meter=move_cost_per_meter)
 
     @property
     def average_hop_distance(self) -> float:
@@ -108,7 +102,7 @@ class MovementModel:
         return move_distance_bounds(self._grid.cell_size)
 
     def choose_target_position(self, target_cell: GridCoord, rng: random.Random) -> Point:
-        """Random point in the central area (or the whole cell) of ``target_cell``.
+        """Random point in the central area of ``target_cell``.
 
         "Each movement of node u from one grid to its neighbour will randomly
         select the destination location in the central area of the target
@@ -120,24 +114,16 @@ class MovementModel:
     def _draw_target(self, target: int, rng: random.Random) -> Point:
         """:meth:`choose_target_position` for flat cell id ``target``, known to be on the grid.
 
-        Draws x, then y, from ``rng``, uniformly over the target box — the
+        Draws x, then y, from ``rng``, uniformly over the central area — the
         draw order and float expressions every recorded run depends on.
         """
         y, x = divmod(target, self._columns)
         xs = self._column_spans[x]
         ys = self._row_spans[y]
-        if self._target_central_area:
-            return _new_tuple(
-                Point,
-                (
-                    xs.central_low + rng.random() * (xs.central_high - xs.central_low),
-                    ys.central_low + rng.random() * (ys.central_high - ys.central_low),
-                ),
-            )
         return _new_tuple(
             Point,
             (
-                xs.low + rng.random() * (xs.high - xs.low),
-                ys.low + rng.random() * (ys.high - ys.low),
+                xs.central_low + rng.random() * (xs.central_high - xs.central_low),
+                ys.central_low + rng.random() * (ys.central_high - ys.central_low),
             ),
         )

@@ -34,6 +34,7 @@ one run plus N-1 table lookups.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import tempfile
@@ -41,7 +42,7 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from repro.experiments.broker import (
@@ -129,6 +130,9 @@ class ServeConfig:
         bound is always refused.
     verbose:
         Log one line per request to stderr.
+
+    ``workers`` and ``queue_limit`` are checked on construction, as the
+    broker checks them, so a bad value is refused before any server binds.
     """
 
     host: str = DEFAULT_HOST
@@ -138,6 +142,12 @@ class ServeConfig:
     workers: int = 2
     queue_limit: Optional[int] = 256
     verbose: bool = False
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.queue_limit is not None and self.queue_limit < 1:
+            raise ValueError(f"queue_limit must be >= 1 or None, got {self.queue_limit}")
 
 
 def spec_from_request(payload: object) -> RunSpec:
@@ -258,11 +268,39 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     server: ExperimentServer  # narrowed for type checkers
 
+    #: Whether the current request's status line has been written.
+    _response_started = False
+
     # ------------------------------------------------------------- plumbing
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         """Per-request logging, silenced unless the server is verbose."""
         if self.server.config.verbose:
             super().log_message(format, *args)
+
+    def send_response(self, code: int, message: Optional[str] = None) -> None:
+        """Start a response, noting that this request's status is on its way."""
+        self._response_started = True
+        super().send_response(code, message)
+
+    @contextlib.contextmanager
+    def _reported_failures(self) -> Iterator[None]:
+        """Answer what a route raises: 503 for a full broker queue, else 500.
+
+        Only while no response has started: a streamed ``/run`` writes its
+        200 first and reports a failed run with an ``error`` event, so an
+        error after that propagates instead of writing a second status line.
+        """
+        self._response_started = False
+        try:
+            yield
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client left; there is nobody to answer
+        except BrokerQueueFull as error:
+            self._send_error_json(503, str(error))
+        except Exception as error:  # noqa: BLE001 - any other fault -> HTTP 500
+            if self._response_started:
+                raise
+            self._send_error_json(500, f"internal error: {type(error).__name__}: {error}")
 
     def _send_json(self, status: int, payload: object) -> None:
         """One complete JSON response."""
@@ -293,7 +331,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         """Dispatch the read-only endpoints."""
         _, segments, query = self._route()
-        try:
+        with self._reported_failures():
             if segments == ["health"]:
                 self._send_json(
                     200,
@@ -327,15 +365,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 self._handle_figure(segments[1], query)
             else:
                 self._send_error_json(404, f"unknown endpoint {self.path!r}")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # the client left; there is nobody to answer
-        except BrokerQueueFull as error:
-            self._send_error_json(503, str(error))
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         """Dispatch the mutating endpoints (``/run``, ``/shutdown``)."""
         _, segments, query = self._route()
-        try:
+        with self._reported_failures():
             if segments == ["run"]:
                 self._handle_run(query)
             elif segments == ["shutdown"]:
@@ -343,10 +377,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 threading.Thread(target=self.server.shutdown, daemon=True).start()
             else:
                 self._send_error_json(404, f"unknown endpoint {self.path!r}")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # the client left; there is nobody to answer
-        except BrokerQueueFull as error:
-            self._send_error_json(503, str(error))
 
     # ------------------------------------------------------------- handlers
     def _handle_stats(self) -> None:
@@ -593,6 +623,10 @@ def serve_forever(config: ServeConfig) -> int:
 
 
 # ------------------------------------------------------------------ smoke gate
+#: The catalog scenario whose smoke variant the smoke gate asks for twice.
+SMOKE_SCENARIO = "paper-16x16"
+
+
 def _smoke_spec_payload(seed: int = 7) -> Dict[str, object]:
     """A small fixed spec body the smoke gate queries twice."""
     return {
@@ -616,9 +650,10 @@ def run_serve_smoke(workers: int = 2) -> List[str]:
     cache, then checks the full request surface end to end: health, an
     uncached run (simulated), the identical run again (answered from the
     cache), a streamed run (live per-round events arrive), stats consistency,
-    the quick Figure-6 batch (one row per spare value), a figure batch with
-    more new specs than the queue bound (503, nothing left pending), and
-    clean shutdown.
+    the catalog listing, a catalog scenario's smoke variant cold and then
+    answered from the cache (one row per scheme), the quick Figure-6 batch
+    (one row per spare value), a figure batch with more new specs than the
+    queue bound (503, nothing left pending), and clean shutdown.
     """
     from repro.serve.client import ServeClient, ServeError
 
@@ -659,6 +694,25 @@ def run_serve_smoke(workers: int = 2) -> List[str]:
         if stats.get("broker", {}).get("executed", 0) < 1:
             failures.append(f"stats report no executed run: {stats}")
 
+        listed = len(client.scenarios())
+        if listed != len(catalog_names()):
+            failures.append(
+                f"/scenarios listed {listed} entries, expected {len(catalog_names())}"
+            )
+        schemes = len(load_catalog_scenario(SMOKE_SCENARIO).schemes)
+        for ask, cached in (("cold", 0), ("warm", schemes)):
+            answer = client.scenario(SMOKE_SCENARIO, smoke=True)
+            counts = (
+                len(answer.get("rows", [])),
+                answer.get("total_records"),
+                answer.get("cached_records"),
+            )
+            if counts != (schemes, schemes, cached):
+                failures.append(
+                    f"{ask} {SMOKE_SCENARIO} smoke answered (rows, total, cached) = "
+                    f"{counts}, expected {(schemes, schemes, cached)}"
+                )
+
         rows = client.figure("fig6", quick=True).get("rows", [])
         if len(rows) != len(QUICK_SPARE_VALUES):
             failures.append(
@@ -678,6 +732,7 @@ def run_serve_smoke(workers: int = 2) -> List[str]:
         client.shutdown()
     except Exception as error:  # noqa: BLE001 - the gate reports, not raises
         failures.append(f"serve smoke raised {type(error).__name__}: {error}")
+        server.shutdown()  # the checks stopped before asking /shutdown
     finally:
         thread.join(timeout=10)
         if thread.is_alive():

@@ -162,8 +162,7 @@ class RoundBasedEngine:
         controller.bind_channel(self.channel)
         if energy_model is not None:
             # Route the model's move rate into the node-level debit path
-            # through the state's movement model (a reconfigured copy, so
-            # e.g. a whole-cell targeting choice survives).
+            # through the state's movement model (a copy with the new rate).
             if energy_model.move_cost_per_meter != state.movement_model.move_cost_per_meter:
                 state.movement_model = state.movement_model.with_move_cost(
                     energy_model.move_cost_per_meter

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.core.protocol import MobilityController
+from repro.grid.coverage import cell_coverage_fraction
 from repro.network.energy import EnergySummary, energy_summary
 
 
@@ -133,13 +134,11 @@ def snapshot_state(state) -> InitialSnapshot:
     All four statistics are O(1) reads of the state's incremental indices,
     so snapshots may be taken every round without a grid scan.
     """
-    total_cells = state.grid.cell_count
-    holes = state.hole_count
     return InitialSnapshot(
-        holes=holes,
+        holes=state.hole_count,
         spares=state.spare_count,
         enabled=state.enabled_count,
-        cell_coverage=(total_cells - holes) / total_cells if total_cells else 1.0,
+        cell_coverage=cell_coverage_fraction(state),
     )
 
 
@@ -163,8 +162,6 @@ def collect_metrics(
     more expensive than the rounds themselves on large grids, so runs without
     energy physics skip it and report ``energy=None``.
     """
-    total_cells = state.grid.cell_count
-    final_holes = state.hole_count
     return RunMetrics(
         scheme=controller.name,
         rounds=rounds,
@@ -177,14 +174,12 @@ def collect_metrics(
         total_distance=controller.total_distance,
         messages_sent=messages_sent,
         initial_holes=initial.holes,
-        final_holes=final_holes,
+        final_holes=state.hole_count,
         initial_spares=initial.spares,
         final_spares=state.spare_count,
         initial_enabled=initial.enabled,
         cell_coverage_before=initial.cell_coverage,
-        cell_coverage_after=(total_cells - final_holes) / total_cells
-        if total_cells
-        else 1.0,
+        cell_coverage_after=cell_coverage_fraction(state),
         energy=energy,
         messages_dropped=messages_dropped,
         mean_delivery_latency=mean_delivery_latency,

@@ -9,7 +9,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "render_occupancy",
             "render_cycle",
             "render_dual_paths",
-            "render_roles",
         ],
     },
 )

@@ -10,7 +10,7 @@ the paper's orientation (the origin cell ``(0, 0)`` is bottom-left).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List
 
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 
@@ -47,19 +47,6 @@ def render_occupancy(state, cell_width: int = 5) -> str:
         """The label rendered inside one cell."""
         count = occupancy[coord]
         return "." if count == 0 else str(count)
-
-    return _render_cells(state.grid, text, cell_width)
-
-
-def render_roles(state, cell_width: int = 5) -> str:
-    """Heads (``H``), spare counts (``+k``) and holes (``.``) per cell."""
-
-    def text(coord: GridCoord) -> str:
-        """The label rendered inside one cell."""
-        if state.is_vacant(coord):
-            return "."
-        spares = state.member_count(coord) - 1
-        return "H" if spares == 0 else f"H+{spares}"
 
     return _render_cells(state.grid, text, cell_width)
 
@@ -105,16 +92,3 @@ def render_dual_paths(cycle, cell_width: int = 7) -> str:
 
     return _render_cells(cycle.grid, text, cell_width)
 
-
-def render_path_overlay(
-    grid: VirtualGrid, path: Sequence[GridCoord], cell_width: int = 5
-) -> str:
-    """Render an arbitrary cell path (e.g. one cascade) as order indices over the grid."""
-    position = {coord: i for i, coord in enumerate(path)}
-
-    def text(coord: GridCoord) -> str:
-        """The label rendered inside one cell."""
-        index = position.get(coord)
-        return "" if index is None else str(index)
-
-    return _render_cells(grid, text, cell_width)

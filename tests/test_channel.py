@@ -35,8 +35,9 @@ from repro.network.channel import (
     channel_to_dict,
     parse_channel_spec,
 )
-from repro.network.energy import energy_summary, recovery_energy_cost
+from repro.network.energy import energy_summary
 from repro.network.messages import MessageKind
+from repro.network.node import MESSAGE_COST, MOVE_COST_PER_METER
 from repro.sim.engine import run_recovery
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
@@ -303,8 +304,9 @@ class TestDegradedChannels:
             state, controller, derive_rng(5, "lossy-energy"), channel=lossy(0.3)
         )
         summary = energy_summary(state)
-        expected = recovery_energy_cost(
-            result.metrics.total_distance, result.metrics.messages_sent
+        expected = (
+            result.metrics.total_distance * MOVE_COST_PER_METER
+            + result.metrics.messages_sent * MESSAGE_COST
         )
         assert summary.total_consumed == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert result.metrics.messages_sent == result.channel_stats.sent

@@ -379,3 +379,81 @@ class TestWorkerPoolLifecycle:
         capsys.readouterr()
         assert opened_pools, "the command never opened a worker pool"
         assert all(pool.shut_down for pool in opened_pools)
+
+
+class TestInvalidValues:
+    """An invalid value is reported as ``<command>: <message>`` before any run."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["figures", "fig6", "--quick", "--trials", "0"],
+             "figures: trials must be >= 1, got 0"),
+            (["compare", "--spare-surplus", "-3"],
+             "compare: spare_surplus must be non-negative"),
+            (["scenario", "sweep", "paper-16x16", "--spares", "-5"],
+             "scenario: spare_surplus must be non-negative"),
+            (["serve", "--workers", "0"], "serve: workers must be >= 1, got 0"),
+            (["analyze", "--spares", "-1"], "analyze: spares must be >= 0, got -1"),
+            (["layout", "--columns", "1", "--rows", "5"],
+             "layout: the dual-path construction needs at least a 3x3 grid"),
+            (["compare", "--columns", "0"], "compare: grid dimensions must be positive"),
+            (["compare", "--communication-range", "-1"],
+             "compare: communication_range must be positive"),
+            (["compare", "--max-rounds", "0"], "compare: max_rounds must be >= 1, got 0"),
+            (["serve", "--queue-limit", "-2"],
+             "serve: queue_limit must be >= 1 or None, got -2"),
+            (["analyze", "--spares", "1", "--path-length", "-3"],
+             "analyze: path_length must be >= 1, got -3"),
+            (["layout", "--columns", "0", "--rows", "3"],
+             "layout: grid must be at least 1x1, got 0x3"),
+        ],
+        ids=[
+            "figures-trials",
+            "compare-config",
+            "scenario-sweep-spares",
+            "serve-workers",
+            "analyze-spares",
+            "layout-grid",
+            "compare-grid",
+            "compare-range",
+            "compare-max-rounds",
+            "serve-queue-limit",
+            "analyze-path-length",
+            "layout-empty-grid",
+        ],
+    )
+    def test_is_a_clean_error(self, argv, message, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(message), captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figures", "fig6", "--quick", "--jobs", "0"],
+            ["compare", "--jobs", "0"],
+            ["lifetime", "--jobs", "0"],
+            ["lifetime", "--smoke", "--jobs", "-3"],
+            ["scenario", "run", "corner-holes", "--smoke", "--jobs", "0"],
+            ["scenario", "sweep", "paper-16x16", "--spares", "4", "--jobs", "-3"],
+        ],
+        ids=[
+            "figures",
+            "compare",
+            "lifetime",
+            "lifetime-smoke",
+            "scenario-run",
+            "scenario-sweep",
+        ],
+    )
+    def test_a_job_count_below_one_is_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"argument --jobs: must be >= 1, got {argv[-1]}" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""

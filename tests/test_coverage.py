@@ -2,15 +2,11 @@
 
 import pytest
 
-from repro.grid.coverage import (
-    cell_coverage_fraction,
-    coverage_report,
-    covered_cells,
-    hole_cells_adjacency,
-    sampled_area_coverage,
-)
-from repro.grid.geometry import Point
-from repro.grid.virtual_grid import GridCoord, VirtualGrid
+from repro.experiments.registry import make_controller
+from repro.grid.coverage import CoverageReport, cell_coverage_fraction, coverage_report
+from repro.grid.virtual_grid import GridCoord
+from repro.sim.engine import run_recovery
+from repro.sim.metrics import snapshot_state
 
 from helpers import make_hole
 
@@ -32,61 +28,43 @@ class TestCellCoverage:
         assert not report.is_complete
         assert report.vacant_cells == 2
 
-    def test_covered_cells_listing(self, sparse_state):
-        make_hole(sparse_state, GridCoord(1, 1))
-        cells = covered_cells(sparse_state)
-        assert GridCoord(1, 1) not in cells
-        assert len(cells) == sparse_state.grid.cell_count - 1
+    def test_a_refilled_cell_is_covered_again(self, dense_state):
+        coord = GridCoord(1, 1)
+        node_ids = [node.node_id for node in dense_state.members_of(coord)]
+        make_hole(dense_state, coord)
+        assert cell_coverage_fraction(dense_state) == 19 / 20
+        dense_state.enable_node(node_ids[0])
+        assert cell_coverage_fraction(dense_state) == 1.0
+        assert coverage_report(dense_state).is_complete
 
 
-class TestAreaCoverage:
-    def test_no_sensors_covers_nothing(self):
-        grid = VirtualGrid(4, 4, 1.0)
-        assert sampled_area_coverage([], grid, sensing_range=1.0) == 0.0
+class TestOneDefinition:
+    """Reports, snapshots and run records all read ``cell_coverage_fraction``."""
 
-    def test_single_central_sensor_partial_coverage(self):
-        grid = VirtualGrid(4, 4, 1.0)
-        coverage = sampled_area_coverage([Point(2, 2)], grid, sensing_range=1.0)
-        assert 0.0 < coverage < 0.5
+    @pytest.mark.parametrize("holes", [0, 1, 7, 20])
+    def test_report_and_snapshot_agree_with_the_fraction(self, dense_state, holes):
+        for coord in list(dense_state.grid.all_coords())[:holes]:
+            make_hole(dense_state, coord)
+        fraction = cell_coverage_fraction(dense_state)
+        assert fraction == (20 - holes) / 20
+        assert coverage_report(dense_state) == CoverageReport(
+            total_cells=20,
+            covered_cells=20 - holes,
+            vacant_cells=holes,
+            cell_coverage=fraction,
+        )
+        assert snapshot_state(dense_state).cell_coverage == fraction
 
-    def test_large_range_covers_everything(self):
-        grid = VirtualGrid(4, 4, 1.0)
-        coverage = sampled_area_coverage([Point(2, 2)], grid, sensing_range=10.0)
-        assert coverage == 1.0
-
-    def test_coverage_monotone_in_range(self):
-        grid = VirtualGrid(6, 6, 1.0)
-        positions = [Point(1, 1), Point(4, 4)]
-        small = sampled_area_coverage(positions, grid, sensing_range=0.8)
-        large = sampled_area_coverage(positions, grid, sensing_range=2.0)
-        assert large > small
-
-    def test_invalid_arguments(self):
-        grid = VirtualGrid(2, 2, 1.0)
-        with pytest.raises(ValueError):
-            sampled_area_coverage([], grid, sensing_range=-1)
-        with pytest.raises(ValueError):
-            sampled_area_coverage([], grid, sensing_range=1.0, samples_per_cell_side=0)
-
-    def test_report_includes_area_coverage_when_requested(self, dense_state):
-        report = coverage_report(dense_state, sensing_range=2.0)
-        assert report.area_coverage is not None
-        assert 0.0 < report.area_coverage <= 1.0
-        plain = coverage_report(dense_state)
-        assert plain.area_coverage is None
-
-
-class TestHoleAdjacency:
-    def test_isolated_holes_have_no_vacant_neighbours(self, dense_state):
-        make_hole(dense_state, GridCoord(0, 0))
-        make_hole(dense_state, GridCoord(3, 4))
-        adjacency = hole_cells_adjacency(dense_state)
-        assert adjacency[GridCoord(0, 0)] == []
-        assert adjacency[GridCoord(3, 4)] == []
-
-    def test_clustered_holes_are_linked(self, dense_state):
-        make_hole(dense_state, GridCoord(1, 1))
-        make_hole(dense_state, GridCoord(1, 2))
-        adjacency = hole_cells_adjacency(dense_state)
-        assert GridCoord(1, 2) in adjacency[GridCoord(1, 1)]
-        assert GridCoord(1, 1) in adjacency[GridCoord(1, 2)]
+    @pytest.mark.parametrize("scheme", ["SR", "AR", "VF"])
+    @pytest.mark.parametrize("fixture", ["dense_state", "sparse_state"])
+    def test_a_run_records_the_fraction_before_and_after(self, request, rng, fixture, scheme):
+        state = request.getfixturevalue(fixture)
+        make_hole(state, GridCoord(0, 0))
+        make_hole(state, GridCoord(2, 3))
+        before = cell_coverage_fraction(state)
+        metrics = run_recovery(state, make_controller(scheme, state), rng).metrics
+        assert metrics.cell_coverage_before == before == 18 / 20
+        assert metrics.cell_coverage_after == cell_coverage_fraction(state)
+        assert metrics.cell_coverage_after == (20 - metrics.final_holes) / 20
+        if fixture == "dense_state":
+            assert metrics.cell_coverage_after == 1.0

@@ -8,8 +8,6 @@ import pytest
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid, random_point_in_box
 from repro.network.deployment import (
-    deploy_clustered,
-    deploy_grid_heads,
     deploy_per_cell,
     deploy_per_cell_counts,
     deploy_uniform,
@@ -39,11 +37,9 @@ class TestEveryGenerator:
         [
             lambda grid, rng: deploy_uniform(grid, 10, rng),
             lambda grid, rng: deploy_per_cell(grid, 2, rng),
-            lambda grid, rng: deploy_grid_heads(grid, rng, jitter=True),
             lambda grid, rng: deploy_per_cell_counts(grid, {GridCoord(1, 1): 3}, rng),
-            lambda grid, rng: deploy_clustered(grid, 10, [Point(3.0, 3.0)], 1.0, rng),
         ],
-        ids=["uniform", "per_cell", "grid_heads", "per_cell_counts", "clustered"],
+        ids=["uniform", "per_cell", "per_cell_counts"],
     )
     def test_returns_a_fresh_node_arrays_store(self, grid, rng, deploy):
         nodes = deploy(grid, rng)
@@ -135,63 +131,13 @@ class TestPerCellCounts:
         assert rng.random() == reference.random()
 
 
-class TestGridHeads:
-    def test_one_node_per_cell_at_center(self, grid):
-        nodes = deploy_grid_heads(grid)
-        assert len(nodes) == grid.cell_count
-        for position in points(nodes):
-            assert position == grid.cell_center(grid.cell_of(position))
-
-    def test_jitter_requires_rng(self, grid, rng):
-        with pytest.raises(ValueError):
-            deploy_grid_heads(grid, jitter=True)
-        for position in points(deploy_grid_heads(grid, rng=rng, jitter=True)):
-            assert grid.central_area(grid.cell_of(position)).contains(position)
-
-    def test_jitter_draws_one_point_per_cell_in_cell_order(self, grid):
-        rng, reference = random.Random(4), random.Random(4)
-        nodes = deploy_grid_heads(grid, rng, start_id=2, jitter=True)
-        assert points(nodes) == [
-            random_point_in_box(grid.central_area(coord), reference)
-            for coord in grid.all_coords()
-        ]
-        assert nodes.node_ids.tolist() == list(range(2, 2 + grid.cell_count))
-        assert rng.random() == reference.random()
-
-
-class TestClustered:
-    def test_positions_clamped_to_area(self, grid, rng):
-        centers = [Point(0.0, 0.0), Point(12.0, 8.0)]
-        nodes = deploy_clustered(grid, 150, centers, spread=5.0, rng=rng)
-        assert len(nodes) == 150
-        for position in points(nodes):
-            assert grid.bounds.contains(position)
-
-    def test_clusters_are_denser_near_centres(self, grid):
-        rng = random.Random(10)
-        center = Point(2.0, 2.0)
-        nodes = deploy_clustered(grid, 400, [center], spread=1.0, rng=rng)
-        near = sum(1 for position in points(nodes) if position.distance_to(center) < 3.0)
-        assert near > len(nodes) * 0.7
-
-    def test_invalid_arguments(self, grid, rng):
-        with pytest.raises(ValueError):
-            deploy_clustered(grid, 10, [], spread=1.0, rng=rng)
-        with pytest.raises(ValueError):
-            deploy_clustered(grid, -1, [Point(0, 0)], spread=1.0, rng=rng)
-        with pytest.raises(ValueError):
-            deploy_clustered(grid, 10, [Point(0, 0)], spread=-1.0, rng=rng)
-
-    def test_draw_order_is_centre_then_x_then_y_per_node(self, grid):
-        centers = [Point(1.0, 1.0), Point(9.0, 5.0)]
-        rng, reference = random.Random(6), random.Random(6)
-        nodes = deploy_clustered(grid, 30, centers, spread=2.0, rng=rng)
-        expected = []
-        for _ in range(30):
-            center = centers[reference.randrange(len(centers))]
-            raw = Point(reference.gauss(center.x, 2.0), reference.gauss(center.y, 2.0))
-            expected.append(grid.bounds.clamp(raw))
-        assert points(nodes) == expected
+    def test_no_counts_deploy_no_nodes_and_draw_nothing(self, grid):
+        rng, reference = random.Random(3), random.Random(3)
+        nodes = deploy_per_cell_counts(grid, {}, rng, start_id=4)
+        assert len(nodes) == 0
+        assert nodes.positions.shape == (0, 2)
+        nodes.check_shapes()
+        assert WsnState(grid, nodes).hole_count == grid.cell_count
         assert rng.random() == reference.random()
 
 

@@ -9,8 +9,6 @@ from repro.network.energy import (
     EnergyModel,
     EnergySummary,
     energy_summary,
-    per_scheme_energy_costs,
-    recovery_energy_cost,
     remaining_energy,
 )
 from repro.network.node import (
@@ -31,7 +29,6 @@ class TestEnergySummary:
         assert summary.mean_energy == pytest.approx(DEFAULT_BATTERY_CAPACITY)
         assert summary.total_consumed == pytest.approx(0.0)
         assert summary.depleted_nodes == 0
-        assert summary.imbalance == pytest.approx(0.0)
         assert summary.head_mean_energy == pytest.approx(DEFAULT_BATTERY_CAPACITY)
         assert summary.spare_mean_energy == pytest.approx(DEFAULT_BATTERY_CAPACITY)
 
@@ -48,10 +45,10 @@ class TestEnergySummary:
         result = run_recovery(dense_state, controller, rng)
         summary = energy_summary(dense_state)
         assert summary.total_consumed > 0.0
-        assert summary.imbalance > 0.0
         # Consumed energy matches the cost model applied to the run metrics.
-        expected = recovery_energy_cost(
-            result.metrics.total_distance, result.metrics.messages_sent
+        expected = (
+            result.metrics.total_distance * MOVE_COST_PER_METER
+            + result.metrics.messages_sent * MESSAGE_COST
         )
         assert summary.total_consumed == pytest.approx(expected, rel=1e-6)
 
@@ -118,37 +115,3 @@ class TestEnergyModel:
         model = EnergyModel(idle_cost_per_round=0.1)
         assert model.apply_round(dense_state) == []
 
-    def test_recovery_cost_uses_model_rates(self):
-        model = EnergyModel(move_cost_per_meter=2.0, message_cost=0.5)
-        assert model.recovery_cost(10.0, messages_sent=4) == pytest.approx(22.0)
-
-
-class TestCostModel:
-    def test_recovery_energy_cost_formula(self):
-        cost = recovery_energy_cost(total_distance=25.0, messages_sent=4)
-        assert cost == pytest.approx(25.0 * MOVE_COST_PER_METER + 4 * MESSAGE_COST)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            recovery_energy_cost(-1.0)
-        with pytest.raises(ValueError):
-            recovery_energy_cost(1.0, messages_sent=-1)
-
-    def test_per_scheme_costs_follow_distance_ordering(self, dense_state, rng):
-        from repro.core.baseline_ar import LocalizedReplacementController
-
-        holes = [GridCoord(1, 1), GridCoord(3, 3)]
-        sr_state, ar_state = dense_state.clone(), dense_state.clone()
-        for hole in holes:
-            make_hole(sr_state, hole)
-            make_hole(ar_state, hole)
-        sr = HamiltonReplacementController(build_hamilton_cycle(sr_state.grid))
-        ar = LocalizedReplacementController(ar_state.grid)
-        metrics = {
-            "SR": run_recovery(sr_state, sr, rng).metrics,
-            "AR": run_recovery(ar_state, ar, rng).metrics,
-        }
-        costs = per_scheme_energy_costs(metrics)
-        assert set(costs) == {"SR", "AR"}
-        # In this dense scenario SR moves less, hence consumes less energy.
-        assert costs["SR"] <= costs["AR"]

@@ -13,7 +13,7 @@ from repro.experiments.figures import (
     figure8_total_distance,
     run_section5_experiment,
 )
-from repro.experiments.plotting import ascii_chart, format_table
+from repro.experiments.plotting import ascii_chart
 from repro.experiments.registry import make_controller
 from repro.experiments.results import ExperimentResult, average_dicts
 from repro.experiments.sweep import run_comparison
@@ -84,11 +84,6 @@ class TestPlotting:
 
     def test_ascii_chart_empty(self):
         assert "(no data)" in ascii_chart({}, title="empty")
-
-    def test_format_table(self):
-        text = format_table(["a", "b"], [[1, 2.5], [3, 4.0]])
-        assert "2.50" in text
-        assert text.splitlines()[0].strip().startswith("a")
 
 
 class TestAnalyticalFigures:

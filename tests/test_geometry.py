@@ -1,16 +1,8 @@
 """Unit tests for the planar geometry primitives."""
 
-import math
-
 import pytest
 
-from repro.grid.geometry import (
-    BoundingBox,
-    Point,
-    bounding_box_of,
-    centroid,
-    total_path_length,
-)
+from repro.grid.geometry import BoundingBox, Point
 
 
 class TestPoint:
@@ -27,15 +19,6 @@ class TestPoint:
 
     def test_manhattan_distance(self):
         assert Point(0, 0).manhattan_distance_to(Point(3, -4)) == pytest.approx(7.0)
-
-    def test_translated_returns_new_point(self):
-        p = Point(1.0, 2.0)
-        q = p.translated(0.5, -1.0)
-        assert q == Point(1.5, 1.0)
-        assert p == Point(1.0, 2.0), "original point must be unchanged (immutability)"
-
-    def test_midpoint(self):
-        assert Point(0, 0).midpoint(Point(4, 6)) == Point(2, 3)
 
     def test_points_are_hashable_and_comparable(self):
         assert len({Point(1, 2), Point(1, 2), Point(2, 1)}) == 2
@@ -89,6 +72,30 @@ class TestBoundingBox:
         assert box.clamp(Point(-1, 5)) == Point(0, 2)
         assert box.clamp(Point(1, 1)) == Point(1, 1)
 
+    @pytest.mark.parametrize(
+        "point, expected",
+        [
+            (Point(1.0, 1.5), Point(1.0, 1.5)),
+            (Point(0.0, 3.0), Point(0.0, 3.0)),
+            (Point(-2.0, 1.0), Point(0.0, 1.0)),
+            (Point(5.0, 1.0), Point(2.0, 1.0)),
+            (Point(1.0, -1.0), Point(1.0, 0.0)),
+            (Point(1.0, 9.0), Point(1.0, 3.0)),
+            (Point(-1.0, -1.0), Point(0.0, 0.0)),
+            (Point(3.0, 4.0), Point(2.0, 3.0)),
+        ],
+        ids=["inside", "on-corner", "west", "east", "south", "north", "south-west", "north-east"],
+    )
+    def test_clamp_is_the_nearest_point_of_the_box(self, point, expected):
+        """VF clamps each step with it, so a node never leaves the area."""
+        box = BoundingBox(0, 0, 2, 3)
+        clamped = box.clamp(point)
+        assert clamped == expected
+        assert box.contains(clamped)
+        lattice = [Point(i / 4, j / 4) for i in range(9) for j in range(13)]
+        nearest = min(point.distance_to(q) for q in lattice)
+        assert point.distance_to(clamped) <= nearest
+
     def test_shrunk(self):
         inner = BoundingBox(0, 0, 4, 4).shrunk(1)
         assert inner == BoundingBox(1, 1, 3, 3)
@@ -96,36 +103,3 @@ class TestBoundingBox:
     def test_shrunk_too_far_raises(self):
         with pytest.raises(ValueError):
             BoundingBox(0, 0, 1, 1).shrunk(0.6)
-
-    def test_corners_order(self):
-        corners = BoundingBox(0, 0, 1, 2).corners()
-        assert corners == (Point(0, 0), Point(1, 0), Point(1, 2), Point(0, 2))
-
-    def test_intersects(self):
-        a = BoundingBox(0, 0, 2, 2)
-        assert a.intersects(BoundingBox(1, 1, 3, 3))
-        assert a.intersects(BoundingBox(2, 2, 3, 3)), "touching boxes intersect"
-        assert not a.intersects(BoundingBox(2.1, 0, 3, 1))
-
-
-class TestHelpers:
-    def test_centroid(self):
-        points = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-        assert centroid(points) == Point(1, 1)
-
-    def test_centroid_empty_raises(self):
-        with pytest.raises(ValueError):
-            centroid([])
-
-    def test_bounding_box_of(self):
-        box = bounding_box_of([Point(1, 5), Point(-2, 3), Point(0, 0)])
-        assert box == BoundingBox(-2, 0, 1, 5)
-
-    def test_bounding_box_of_empty_raises(self):
-        with pytest.raises(ValueError):
-            bounding_box_of([])
-
-    def test_total_path_length(self):
-        path = [Point(0, 0), Point(3, 4), Point(3, 4)]
-        assert total_path_length(path) == pytest.approx(5.0)
-        assert total_path_length([Point(0, 0)]) == 0.0

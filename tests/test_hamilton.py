@@ -10,7 +10,7 @@ from repro.core.hamilton import (
 )
 from repro.experiments.registry import make_controller
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
-from repro.network.deployment import deploy_grid_heads
+from repro.network.deployment import deploy_per_cell
 from repro.network.state import WsnState
 
 
@@ -35,10 +35,11 @@ class TestFactory:
             build_hamilton_cycle(grid(columns, rows))
 
     @pytest.mark.parametrize("columns,rows", [(6, 4), (5, 5)])
-    def test_sr_controllers_on_equal_grids_share_one_structure(self, columns, rows):
+    def test_sr_controllers_on_equal_grids_share_one_structure(self, columns, rows, rng):
         controllers = [
             make_controller(
-                scheme, WsnState(grid(columns, rows), deploy_grid_heads(grid(columns, rows)))
+                scheme,
+                WsnState(grid(columns, rows), deploy_per_cell(grid(columns, rows), 1, rng)),
             )
             for scheme in ("SR", "SR-shortcut", "SR-energy")
         ]

@@ -28,8 +28,8 @@ from repro.experiments.persistence import (
     record_to_dict,
 )
 from repro.grid.virtual_grid import GridCoord
-from repro.network.energy import EnergyModel, energy_summary, recovery_energy_cost
-from repro.network.node import NodeState
+from repro.network.energy import EnergyModel, energy_summary
+from repro.network.node import MESSAGE_COST, MOVE_COST_PER_METER, NodeState
 from repro.sim.engine import RoundBasedEngine, run_recovery
 from repro.sim.events import EventKind, EventLog
 from repro.sim.rng import derive_rng
@@ -150,21 +150,19 @@ class TestEngineDepletion:
         result = engine.run()
         assert result.metrics.messages_sent > 0
         summary = energy_summary(sparse_state)
-        expected = model.recovery_cost(
-            result.metrics.total_distance, result.metrics.messages_sent
+        expected = (
+            result.metrics.total_distance * model.move_cost_per_meter
+            + result.metrics.messages_sent * model.message_cost
         )
         assert summary.total_consumed == pytest.approx(expected, rel=1e-9)
 
     def test_custom_move_cost_preserves_movement_model_config(self, dense_state, rng):
         from repro.network.mobility import MovementModel
 
-        dense_state.movement_model = MovementModel(
-            dense_state.grid, target_central_area=False
-        )
+        dense_state.movement_model = MovementModel(dense_state.grid)
         model = EnergyModel(move_cost_per_meter=2.0)
         RoundBasedEngine(dense_state, sr_controller(dense_state), rng, energy_model=model)
         assert dense_state.movement_model.move_cost_per_meter == 2.0
-        assert dense_state.movement_model._target_central_area is False
 
     def test_message_charge_cannot_abort_a_committed_head_move(self, sparse_state, rng):
         # Regression: a head whose battery was emptied by the notification
@@ -224,8 +222,9 @@ class TestEnergyReconciliation:
         controller = make_controller(scheme, state)
         result = run_recovery(state, controller, rng)
         summary = energy_summary(state)
-        expected = recovery_energy_cost(
-            result.metrics.total_distance, result.metrics.messages_sent
+        expected = (
+            result.metrics.total_distance * MOVE_COST_PER_METER
+            + result.metrics.messages_sent * MESSAGE_COST
         )
         assert summary.total_consumed == pytest.approx(expected, rel=1e-9, abs=1e-9)
 

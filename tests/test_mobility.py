@@ -8,7 +8,7 @@ import pytest
 from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.mobility import MovementModel, MoveRecord
-from repro.network.node import DEFAULT_BATTERY_CAPACITY
+from repro.network.node import DEFAULT_BATTERY_CAPACITY, MOVE_COST_PER_METER
 from repro.network.node_arrays import NodeArrays
 from repro.network.state import WsnState
 
@@ -30,13 +30,40 @@ class TestTargetSelection:
             point = model.choose_target_position(cell, rng)
             assert grid.central_area(cell).contains(point)
 
-    def test_whole_cell_targeting_option(self, grid, rng):
-        model = MovementModel(grid, target_central_area=False)
-        cell = GridCoord(0, 0)
-        points = [model.choose_target_position(cell, rng) for _ in range(200)]
-        assert all(grid.cell_bounds(cell).contains(p) for p in points)
-        # With whole-cell targeting some samples fall outside the central area.
-        assert any(not grid.central_area(cell).contains(p) for p in points)
+    @pytest.mark.parametrize(
+        "target_grid",
+        [
+            VirtualGrid(4, 4, cell_size=10.0),
+            VirtualGrid(7, 3, cell_size=0.3, origin=Point(-2.5, 11.125)),
+        ],
+        ids=["square", "offset"],
+    )
+    def test_every_cell_targets_its_central_area(self, target_grid):
+        model = MovementModel(target_grid)
+        rng = random.Random(5)
+        for cell in target_grid.all_coords():
+            area = target_grid.central_area(cell)
+            for _ in range(10):
+                assert area.contains(model.choose_target_position(cell, rng))
+
+    def test_draws_x_then_y_over_the_central_area(self, model, grid):
+        cell = GridCoord(1, 3)
+        rng, reference = random.Random(11), random.Random(11)
+        area = grid.central_area(cell)
+        u, v = reference.random(), reference.random()
+        expected = Point(area.min_x + u * area.width, area.min_y + v * area.height)
+        assert model.choose_target_position(cell, rng) == expected
+        assert rng.random() == reference.random()
+
+    def test_a_move_cost_copy_draws_the_same_targets(self, model, grid):
+        copy = model.with_move_cost(0.5)
+        assert copy.move_cost_per_meter == 0.5
+        assert model.move_cost_per_meter == MOVE_COST_PER_METER
+        rng, reference = random.Random(9), random.Random(9)
+        for cell in grid.all_coords():
+            assert copy.choose_target_position(cell, rng) == model.choose_target_position(
+                cell, reference
+            )
 
     def test_average_hop_distance_estimate(self, model):
         assert model.average_hop_distance == pytest.approx(10.8)

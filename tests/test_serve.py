@@ -11,7 +11,9 @@ The contracts exercised here:
   mid-stream (reset or orderly close): the run finishes quietly and is
   cached; a streamed run whose scheme raises ends with an ``error`` event,
   quietly, and caches nothing;
-* ``/figure`` answers the table a local sweep computes, cold and warm;
+* ``/figure`` answers the table a local sweep computes, cold and warm, and
+  ``/scenario/<name>`` the table a local run of the scenario computes,
+  cold and then from the cache;
 * error mapping: bad specs -> 400, a ``?trials=`` on ``/figure`` that is
   not an integer >= 1 -> 400, a figure sweep above ``MAX_BATCH_SPECS`` ->
   400 before any spec is built, unknown endpoints -> 404, a full broker
@@ -21,6 +23,7 @@ The contracts exercised here:
   spec above an admission limit (grid cells, deployed nodes, round bound)
   -> 400 before anything is built, and so does a spec carrying a non-finite
   number (``1e400`` parses to ``inf``, and Python's JSON reads ``NaN``);
+  any other error a handler raises -> 500 with the JSON envelope;
 * the sqlite record store: a damaged stored document is answered as a
   miss, plain or streamed, and rewritten, and closing the server leaves no
   file of the store open and no WAL behind.
@@ -42,6 +45,7 @@ import pytest
 
 from repro.core.protocol import MobilityController
 from repro.experiments.broker import ExperimentBroker
+from repro.experiments.catalog import catalog_names, load_catalog_scenario
 from repro.experiments.figures import (
     QUICK_SPARE_VALUES,
     figure6_processes_and_success,
@@ -50,6 +54,7 @@ from repro.experiments.figures import (
 from repro.experiments.orchestration import execute_run
 from repro.experiments.persistence import record_to_dict
 from repro.experiments.registry import register_scheme, unregister_scheme
+from repro.experiments.scenario_files import tabulate_records
 from repro.serve import ServeClient, ServeConfig, make_server, spec_from_request
 from repro.serve.client import ServeError
 from repro.serve.server import (
@@ -328,7 +333,63 @@ def test_figure_answers_the_local_table_cold_and_warm():
     assert (stats.executed, stats.cache_hits) == (8, 8)
 
 
+def test_catalog_scenario_is_answered_cold_then_from_the_cache():
+    scenario = load_catalog_scenario("paper-16x16").smoke_variant()
+    local = tabulate_records(scenario, scenario.execute())
+    with running_server() as (server, client):
+        listed = client.scenarios()
+        cold = client.scenario("paper-16x16", smoke=True)
+        warm = client.scenario("paper-16x16", smoke=True)
+    assert [entry["name"] for entry in listed] == list(catalog_names())
+    assert (cold["total_records"], cold["cached_records"]) == (2, 0)
+    assert (warm["total_records"], warm["cached_records"]) == (2, 2)
+    for answer in (cold, warm):
+        assert (answer["columns"], answer["rows"]) == (local.columns, local.rows)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_every_catalog_scenario_answers_its_local_table(name):
+    """Failure schedules, energy models and channels all survive the broker."""
+    scenario = load_catalog_scenario(name).smoke_variant()
+    records = scenario.execute()
+    local = tabulate_records(scenario, records)
+    with running_server() as (server, client):
+        cold = client.scenario(name, smoke=True)
+        warm = client.scenario(name, smoke=True)
+    assert cold["scenario"] == warm["scenario"] == name
+    assert (cold["total_records"], cold["cached_records"]) == (len(records), 0)
+    assert (warm["total_records"], warm["cached_records"]) == (len(records), len(records))
+    for answer in (cold, warm):
+        assert (answer["columns"], answer["rows"]) == (local.columns, local.rows)
+
+
 # --------------------------------------------------------------- error paths
+def test_an_unexpected_handler_error_answers_500(monkeypatch):
+    def unreadable(name):
+        raise OSError(f"catalog entry {name} is unreadable")
+
+    monkeypatch.setattr("repro.serve.server.load_catalog_scenario", unreadable)
+    with running_server() as (server, client):
+        for path in ["/scenarios", "/scenario/paper-16x16"]:
+            with pytest.raises(ServeError) as excinfo:
+                client._call(path)
+            assert excinfo.value.status == 500, path
+            assert "internal error: OSError: catalog entry" in str(excinfo.value), path
+        assert client.health()["status"] == "ok"
+
+
+def test_a_run_after_the_broker_closed_answers_500():
+    with running_server() as (server, client):
+        server.broker.close()
+        with pytest.raises(ServeError) as excinfo:
+            client.run(spec_payload(seed=37))
+        assert excinfo.value.status == 500
+        assert str(excinfo.value).endswith(
+            "internal error: RuntimeError: broker is shut down"
+        )
+        assert client.health()["status"] == "ok"
+
+
 def test_malformed_spec_maps_to_400():
     with running_server() as (server, client):
         with pytest.raises(ServeError) as excinfo:

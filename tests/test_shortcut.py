@@ -1,7 +1,5 @@
 """Unit tests for the short-cut SR extension (the paper's stated future work)."""
 
-import pytest
-
 from repro.core.hamilton import build_hamilton_cycle
 from repro.core.replacement import HamiltonReplacementController
 from repro.core.shortcut import ShortcutReplacementController
@@ -13,15 +11,11 @@ from repro.sim.engine import run_recovery
 from helpers import make_hole, step_round
 
 
-def shortcut_for(state, **kwargs):
-    return ShortcutReplacementController(build_hamilton_cycle(state.grid), **kwargs)
+def shortcut_for(state):
+    return ShortcutReplacementController(build_hamilton_cycle(state.grid))
 
 
 class TestConstruction:
-    def test_invalid_radius(self, small_cycle):
-        with pytest.raises(ValueError):
-            ShortcutReplacementController(small_cycle, shortcut_radius=0)
-
     def test_name_distinguishes_from_plain_sr(self, small_cycle):
         assert ShortcutReplacementController(small_cycle).name == "SR-shortcut"
 
@@ -116,9 +110,3 @@ class TestBehaviour:
         # can go either way because consuming a nearby spare may lengthen the
         # walk of a *different* hole's cascade.)
         assert shortcut_result.metrics.total_moves <= sr_result.metrics.total_moves
-
-    def test_larger_radius_accepted(self, dense_state, rng):
-        controller = shortcut_for(dense_state, shortcut_radius=2)
-        make_hole(dense_state, GridCoord(1, 1))
-        result = run_recovery(dense_state, controller, rng)
-        assert result.metrics.final_holes == 0
