@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -34,54 +34,29 @@ from repro.network.node_arrays import HEAD_CODE
 from repro.network.state import WsnState
 
 
+#: Force coefficients: a stable, slowly converging iteration, which is the
+#: behaviour the paper criticises.
+REPULSION_GAIN = 1.0
+ATTRACTION_GAIN = 2.0
+
+#: Net forces and steps shorter than this (metres) do not move a node.
+MINIMUM_STEP = 1e-3
+
+
 class VirtualForceController(MobilityController):
     """Distributed virtual-force iteration.
 
-    Parameters
-    ----------
-    repulsion_range:
-        Distance (metres) below which two enabled nodes repel each other.
-        Defaults to the grid cell size at bind time.
-    attraction_range:
-        Radius within which a vacant cell attracts spare nodes.  Defaults to
-        three cell sides.
-    max_step:
-        Maximum distance a node moves per round.
-    repulsion_gain / attraction_gain:
-        Force coefficients; the defaults give a stable, slowly converging
-        iteration, which is the behaviour the paper criticises.
+    Its ranges follow the grid: two enabled nodes closer than one cell side
+    repel each other, a vacant cell attracts spare nodes within three cell
+    sides, and a node moves at most half a cell side per round.
     """
 
     name = "VF"
 
-    def __init__(
-        self,
-        repulsion_range: Optional[float] = None,
-        attraction_range: Optional[float] = None,
-        max_step: Optional[float] = None,
-        repulsion_gain: float = 1.0,
-        attraction_gain: float = 2.0,
-        minimum_step: float = 1e-3,
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.repulsion_range = repulsion_range
-        self.attraction_range = attraction_range
-        self.max_step = max_step
-        self.repulsion_gain = repulsion_gain
-        self.attraction_gain = attraction_gain
-        self.minimum_step = minimum_step
         self._moves: List[MoveRecord] = []
         self._hole_process: Dict[GridCoord, int] = {}
-
-    # --------------------------------------------------------------- plumbing
-    def _parameters_for(self, state: WsnState) -> tuple:
-        cell = state.grid.cell_size
-        repulsion = self.repulsion_range if self.repulsion_range is not None else cell
-        attraction = (
-            self.attraction_range if self.attraction_range is not None else 3.0 * cell
-        )
-        step = self.max_step if self.max_step is not None else cell / 2.0
-        return repulsion, attraction, step
 
     # ------------------------------------------------------------------ round
     def execute_round(
@@ -89,7 +64,8 @@ class VirtualForceController(MobilityController):
     ) -> RoundOutcome:
         """Run one force round: every spare moves one step along its net virtual force."""
         outcome = RoundOutcome(round_index=round_index)
-        repulsion_range, attraction_range, max_step = self._parameters_for(state)
+        cell = state.grid.cell_size
+        repulsion_range, attraction_range, max_step = cell, 3.0 * cell, cell / 2.0
 
         self._open_processes(state, round_index, outcome)
 
@@ -124,11 +100,11 @@ class VirtualForceController(MobilityController):
                 index, xs, ys, buckets, vacant_centers, repulsion_range, attraction_range
             )
             magnitude = math.hypot(fx, fy)
-            if magnitude < self.minimum_step:
+            if magnitude < MINIMUM_STEP:
                 continue
             scale = min(max_step, magnitude) / magnitude
             target = bounds.clamp(Point(x + fx * scale, y + fy * scale))
-            if math.hypot(target.x - x, target.y - y) < self.minimum_step:
+            if math.hypot(target.x - x, target.y - y) < MINIMUM_STEP:
                 continue
             planned.append((node_id, target))
 
@@ -156,12 +132,9 @@ class VirtualForceController(MobilityController):
 
         Any pair closer than the repulsion range lives in the same or an
         adjacent bucket, so the force computation only needs the 3x3 bucket
-        neighbourhood of each node.  A non-positive range disables repulsion
-        entirely (no pair can be closer than 0), so no buckets are needed.
+        neighbourhood of each node.
         """
         buckets: Dict[tuple, List[int]] = {}
-        if repulsion_range <= 0:
-            return buckets
         inverse = 1.0 / repulsion_range
         for index, (x, y) in enumerate(zip(xs, ys)):
             key = (math.floor(x * inverse), math.floor(y * inverse))
@@ -181,12 +154,9 @@ class VirtualForceController(MobilityController):
         """Net virtual force on enabled node ``index``: repulsion plus hole attraction."""
         x, y = xs[index], ys[index]
         fx = fy = 0.0
-        if not buckets:
-            bucket_x = bucket_y = 0
-        else:
-            inverse = 1.0 / repulsion_range
-            bucket_x = math.floor(x * inverse)
-            bucket_y = math.floor(y * inverse)
+        inverse = 1.0 / repulsion_range
+        bucket_x = math.floor(x * inverse)
+        bucket_y = math.floor(y * inverse)
         for offset_x in (-1, 0, 1):
             for offset_y in (-1, 0, 1):
                 for other in buckets.get((bucket_x + offset_x, bucket_y + offset_y), ()):
@@ -198,7 +168,7 @@ class VirtualForceController(MobilityController):
                     if distance < 1e-9 or distance >= repulsion_range:
                         continue
                     strength = (
-                        self.repulsion_gain * (repulsion_range - distance) / repulsion_range
+                        REPULSION_GAIN * (repulsion_range - distance) / repulsion_range
                     )
                     fx += strength * dx / distance
                     fy += strength * dy / distance
@@ -208,7 +178,7 @@ class VirtualForceController(MobilityController):
             distance = math.hypot(dx, dy)
             if distance < 1e-9 or distance > attraction_range:
                 continue
-            strength = self.attraction_gain * (attraction_range - distance) / attraction_range
+            strength = ATTRACTION_GAIN * (attraction_range - distance) / attraction_range
             fx += strength * dx / distance
             fy += strength * dy / distance
         return fx, fy

@@ -43,7 +43,7 @@ import contextlib
 import dataclasses
 import sys
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.core import analysis
 from repro.experiments.figures import (
@@ -70,7 +70,7 @@ from repro.experiments.catalog import (
     resolve_scenario,
 )
 from repro.experiments.broker import execute_many
-from repro.experiments.orchestration import RunExecutor, RunSpec, make_executor
+from repro.experiments.orchestration import RunExecutor, expand_specs, make_executor
 from repro.experiments.persistence import CACHE_BACKENDS, RunCache, make_cache
 from repro.experiments.scenario_files import (
     Scenario,
@@ -85,6 +85,10 @@ from repro.experiments.sweep import build_comparison_specs
 from repro.network.channel import ChannelModel, parse_channel_spec
 from repro.network.energy import EnergyModel
 from repro.sim.scenario import ScenarioConfig
+
+#: Deployment ``compare`` runs by default: the paper's 16x16 grid of 5000
+#: sensors thinned to N = 55 spares.
+COMPARE_CONFIG = ScenarioConfig(spare_surplus=55)
 
 #: Figures that need the experimental SR-vs-AR sweep (as opposed to analysis only).
 EXPERIMENTAL_FIGURES = ("fig6", "fig7", "fig8")
@@ -131,25 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare = subparsers.add_parser(
         "compare", help="run several schemes on one identical scenario"
     )
-    compare.add_argument(
-        "--columns", type=int, default=16, help="virtual-grid columns (n)"
-    )
-    compare.add_argument("--rows", type=int, default=16, help="virtual-grid rows (m)")
-    compare.add_argument(
-        "--nodes",
-        "--deployed",
-        dest="deployed",
-        type=int,
-        default=5000,
-        help="number of deployed sensors (--deployed is an accepted alias); "
-        "together with --columns/--rows this makes large-grid scenarios "
-        "reachable without code edits",
-    )
-    compare.add_argument(
-        "--spare-surplus", type=int, default=55, help="the paper's N (enabled - m*n)"
-    )
-    compare.add_argument("--communication-range", type=float, default=10.0)
-    compare.add_argument("--seed", type=int, default=0)
+    _add_deployment_arguments(compare, COMPARE_CONFIG)
     compare.add_argument("--max-rounds", type=int, default=None)
     _add_channel_argument(compare)
     compare.add_argument(
@@ -165,30 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lifetime",
         help="run schemes to network death under the energy model and report lifetimes",
     )
-    lifetime.add_argument(
-        "--columns", type=int, default=LIFETIME_CONFIG.columns, help="virtual-grid columns (n)"
-    )
-    lifetime.add_argument(
-        "--rows", type=int, default=LIFETIME_CONFIG.rows, help="virtual-grid rows (m)"
-    )
-    lifetime.add_argument(
-        "--nodes",
-        "--deployed",
-        dest="deployed",
-        type=int,
-        default=LIFETIME_CONFIG.deployed_count,
-        help="number of deployed sensors (--deployed is an accepted alias)",
-    )
-    lifetime.add_argument(
-        "--spare-surplus",
-        type=int,
-        default=LIFETIME_CONFIG.spare_surplus,
-        help="the paper's N (enabled - m*n)",
-    )
-    lifetime.add_argument(
-        "--communication-range", type=float, default=LIFETIME_CONFIG.communication_range
-    )
-    lifetime.add_argument("--seed", type=int, default=LIFETIME_CONFIG.seed)
+    _add_deployment_arguments(lifetime, LIFETIME_CONFIG)
     lifetime.add_argument(
         "--initial-energy",
         type=float,
@@ -475,6 +438,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The deployment flags of ``compare`` and ``lifetime``: the flags, the
+#: :class:`ScenarioConfig` field each sets (its ``dest``), its type and help.
+_DEPLOYMENT_FLAGS = (
+    (("--columns",), "columns", int, "virtual-grid columns (n)"),
+    (("--rows",), "rows", int, "virtual-grid rows (m)"),
+    (
+        ("--nodes", "--deployed"),
+        "deployed_count",
+        int,
+        "number of deployed sensors (--deployed is an accepted alias)",
+    ),
+    (("--spare-surplus",), "spare_surplus", int, "the paper's N (enabled - m*n)"),
+    (("--communication-range",), "communication_range", float, "radio range R in metres"),
+    (("--seed",), "seed", int, "master random seed"),
+)
+
+
+def _add_deployment_arguments(
+    parser: argparse.ArgumentParser, defaults: ScenarioConfig
+) -> None:
+    """Declare the deployment flags, each defaulting to its field of ``defaults``."""
+    for flags, field, kind, text in _DEPLOYMENT_FLAGS:
+        parser.add_argument(
+            *flags, dest=field, type=kind, default=getattr(defaults, field), help=text
+        )
+
+
+def _deployment_config(args: argparse.Namespace, **fields: object) -> ScenarioConfig:
+    """The :class:`ScenarioConfig` the deployment flags (plus ``fields``) describe."""
+    flagged = {field: getattr(args, field) for _, field, _, _ in _DEPLOYMENT_FLAGS}
+    return ScenarioConfig(**flagged, **fields)
+
+
 def _parse_channel_argument(text: str) -> ChannelModel:
     """argparse type hook for ``--channel`` (clean error instead of a traceback)."""
     try:
@@ -661,24 +657,14 @@ def _figures_command(args: argparse.Namespace) -> int:
 
 def _compare_command(args: argparse.Namespace) -> int:
     try:
-        config = ScenarioConfig(
-            columns=args.columns,
-            rows=args.rows,
-            communication_range=args.communication_range,
-            deployed_count=args.deployed,
-            spare_surplus=args.spare_surplus,
-            seed=args.seed,
+        config = _deployment_config(args)
+        specs = expand_specs(
+            config,
+            args.schemes,
+            [args.seed],
+            max_rounds=args.max_rounds,
+            channel=args.channel,
         )
-        specs = [
-            RunSpec(
-                scenario=config,
-                scheme=scheme,
-                seed=args.seed,
-                max_rounds=args.max_rounds,
-                channel=args.channel,
-            )
-            for scheme in args.schemes
-        ]
     except ValueError as error:
         print(f"compare: {error}", file=sys.stderr)
         return 2
@@ -734,13 +720,8 @@ def _lifetime_command(args: argparse.Namespace) -> int:
         return 0
 
     try:
-        config = ScenarioConfig(
-            columns=args.columns,
-            rows=args.rows,
-            communication_range=args.communication_range,
-            deployed_count=args.deployed,
-            spare_surplus=args.spare_surplus,
-            seed=args.seed,
+        config = _deployment_config(
+            args,
             initial_energy=args.initial_energy,
             initial_energy_jitter=args.energy_jitter,
         )
@@ -871,7 +852,7 @@ def _scenario_sweep_command(args: argparse.Namespace) -> int:
         variant_specs = [variant.run_specs() for variant in variants]
     except ValueError as error:
         raise _ScenarioCliError(str(error)) from error
-    specs: List[RunSpec] = [spec for chunk in variant_specs for spec in chunk]
+    specs = [spec for chunk in variant_specs for spec in chunk]
     with _execution_backend(args) as (executor, cache):
         records = execute_many(specs, executor=executor, cache=cache)
     print(_scenario_header(scenario))
@@ -1090,6 +1071,7 @@ def _serve_command(args: argparse.Namespace) -> int:
         DEFAULT_HOST,
         DEFAULT_PORT,
         ServeConfig,
+        make_server,
         run_serve_smoke,
         serve_forever,
     )
@@ -1119,7 +1101,15 @@ def _serve_command(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    return serve_forever(config)
+    try:
+        server = make_server(config)
+    except OSError as error:
+        print(
+            f"serve: cannot listen on {config.host}:{config.port}: {error}",
+            file=sys.stderr,
+        )
+        return 1
+    return serve_forever(server)
 
 
 def _print_result_payload(payload: dict) -> None:

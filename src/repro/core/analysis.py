@@ -25,8 +25,7 @@ the total-moving-distance estimates of Figure 5.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 

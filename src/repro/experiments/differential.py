@@ -450,7 +450,6 @@ def run_fuzz(
     archive_dir: Optional[Path] = None,
     executor: Optional[RunExecutor] = None,
     cache: Optional[RunCache] = None,
-    minimize_budget: int = 32,
     log: Callable[[str], None] = lambda message: None,
 ) -> FuzzSessionResult:
     """One fuzzing session: sample, validate, run differential, archive.
@@ -490,7 +489,7 @@ def run_fuzz(
             )
             falsifier = _minimize_falsifier(
                 sample, outcome, executor=executor, cache=cache,
-                budget=minimize_budget,
+                budget=32,
             )
             if archive_dir is not None:
                 falsifier = _archive_falsifier(falsifier, archive_dir, seed)

@@ -19,14 +19,10 @@ paper-versus-measured comparison.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.core import analysis
-from repro.core.hamilton import (
-    DualPathHamiltonCycle,
-    SerpentineHamiltonCycle,
-    build_hamilton_cycle,
-)
+from repro.core.hamilton import DualPathHamiltonCycle, build_hamilton_cycle
 from repro.experiments.orchestration import RunExecutor
 from repro.experiments.persistence import RunCache
 from repro.experiments.results import ExperimentResult

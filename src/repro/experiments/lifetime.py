@@ -31,10 +31,10 @@ from repro.experiments.orchestration import (
     RunRecord,
     RunSpec,
     SerialExecutor,
+    expand_specs,
     make_executor,
 )
 from repro.experiments.persistence import RunCache, record_to_dict
-from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
 from repro.network.energy import EnergyModel
 from repro.sim.rng import spawn_seeds
@@ -99,50 +99,30 @@ def build_lifetime_specs(
     trials: int = 1,
     max_rounds: int = 1500,
 ) -> List[RunSpec]:
-    """The lifetime sweep's run specs in deterministic (trial, scheme) order.
+    """The lifetime sweep's run specs: the trials x schemes of :func:`expand_specs`.
 
     Every scheme in a trial gets the *same* scenario config (same deployment,
     thinning, and battery-jitter seed), so all schemes start from identical
     networks and battery placements — the comparison is purely about how long
-    each scheme keeps that network alive.  Schemes are innermost, so specs
-    sharing a scenario are consecutive and the initial-state cache builds
-    each trial's network exactly once for the whole scheme set.
+    each scheme keeps that network alive.  Every spec runs to exhaustion,
+    which :class:`~repro.experiments.orchestration.RunSpec` refuses without
+    idle drain.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if max_rounds < 1:
-        raise ValueError(f"max_rounds must be >= 1, got {max_rounds}")
     if config.initial_energy is None:
         raise ValueError(
             "lifetime scenarios need an explicit initial_energy; an unbounded "
             "default battery never depletes within a sensible round budget"
         )
-    if energy.idle_cost_per_round <= 0:
-        raise ValueError(
-            "lifetime scenarios need a positive idle_cost_per_round; without "
-            "idle drain nothing depletes and the run measures only the repair "
-            "of the initial holes, not a lifetime"
-        )
-    unknown = [scheme for scheme in schemes if scheme not in available_schemes()]
-    if unknown:
-        raise KeyError(
-            f"unknown schemes {unknown}; available: {list(available_schemes())}"
-        )
-    specs: List[RunSpec] = []
-    for trial_seed in spawn_seeds(config.seed, trials, label="lifetime"):
-        scenario = config.with_seed(trial_seed)
-        for scheme in schemes:
-            specs.append(
-                RunSpec(
-                    scenario=scenario,
-                    scheme=scheme,
-                    seed=trial_seed,
-                    max_rounds=max_rounds,
-                    energy=energy,
-                    run_to_exhaustion=True,
-                )
-            )
-    return specs
+    return expand_specs(
+        config,
+        schemes,
+        spawn_seeds(config.seed, trials, label="lifetime"),
+        max_rounds=max_rounds,
+        energy=energy,
+        run_to_exhaustion=True,
+    )
 
 
 def run_lifetime_experiment(

@@ -8,7 +8,10 @@ counts ``N`` and seeds.  This module decouples *describing* such a cell from
 * :class:`RunSpec` — a frozen, picklable description of one simulation run
   (scenario config + scheme name + controller seed + engine knobs).  Equal
   specs describe byte-identical runs, which is what makes result caching and
-  cross-process execution sound.
+  cross-process execution sound.  It is the one place a run is defaulted
+  and checked, field by field and across fields.
+* :func:`expand_specs` — the one layout of trials x schemes into specs,
+  used by the Section-5 sweep, the lifetime runs, scenario files and the CLI.
 * :func:`build_initial_state` / :func:`simulate_from` — the two pure halves
   of a run: construction of the initial state (the shared prefix of every
   spec over one scenario, served through a
@@ -48,13 +51,18 @@ from repro.experiments.registry import (
     BUILTIN_FACTORIES,
     SCHEME_REGISTRY,
     SchemeFactory,
+    available_schemes,
     make_controller,
 )
 from repro.network.channel import DEFAULT_CHANNEL, ChannelModel
 from repro.network.energy import EnergyModel
-from repro.network.failures import FailureEvent, compile_failure_schedule
+from repro.network.failures import FailureEvent, compile_failure_schedule, thaw_params
 from repro.network.state import WsnState
-from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT, RoundBasedEngine
+from repro.sim.engine import (
+    DEFAULT_IDLE_ROUND_LIMIT,
+    DEFAULT_ROUNDS_PER_CELL,
+    RoundBasedEngine,
+)
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
@@ -122,15 +130,18 @@ class RunSpec:
     channel: Optional[ChannelModel] = None
 
     def __post_init__(self) -> None:
-        """Check the integer fields and normalise an explicit default channel to ``None``.
+        """Check every field and the rules between them; fold the default channel to ``None``.
 
         ``seed``, ``max_rounds`` and ``idle_round_limit`` must be integers
         (numpy integers are stored as ``int``), the round bounds at least 1,
         and ``run_to_exhaustion`` a ``bool``: ``1`` would compare equal to
-        ``True`` but give the spec another run key.
-        ``--channel perfect`` and an omitted channel describe byte-identical
-        runs; folding them onto one canonical form keeps spec equality — and
-        therefore the run-cache key — semantic rather than syntactic.
+        ``True`` but give the spec another run key.  A run must be able to
+        do what it asks: every failure and a jammed channel's blackout start
+        below the round bound and lie on the grid, and exhaustion needs idle
+        drain.  ``--channel perfect`` and an omitted channel describe
+        byte-identical runs; folding them onto one canonical form keeps spec
+        equality — and therefore the run-cache key — semantic rather than
+        syntactic.
         """
         object.__setattr__(self, "seed", checked_int(self.seed, "seed"))
         if self.max_rounds is not None:
@@ -146,12 +157,86 @@ class RunSpec:
             raise ValueError(
                 f"run_to_exhaustion must be true or false, got {self.run_to_exhaustion!r}"
             )
+        if self.run_to_exhaustion and (
+            self.energy is None or self.energy.idle_cost_per_round <= 0
+        ):
+            raise ValueError(
+                "run_to_exhaustion requires an energy model with a positive "
+                "idle_cost_per_round (without idle drain the network never dies)"
+            )
         if self.channel == DEFAULT_CHANNEL:
             object.__setattr__(self, "channel", None)
+        if self.failures or self.channel is not None:
+            self._check_events_can_act()
+
+    def _check_events_can_act(self) -> None:
+        """Refuse a failure or jam that starts past the round bound or misses the grid."""
+        columns, rows = self.scenario.columns, self.scenario.rows
+        bound = self.max_rounds or DEFAULT_ROUNDS_PER_CELL * self.scenario.cell_count
+        bound_label = (
+            f"max_rounds is {bound}"
+            if self.max_rounds
+            else f"the engine's default bound is {bound} rounds"
+        )
+        for index, event in enumerate(self.failures):
+            if event.round >= bound:
+                raise ValueError(
+                    f"failures[{index}]: round {event.round} never fires: {bound_label}"
+                )
+            if event.kind != "targeted_cells":
+                continue
+            for x, y in thaw_params(event.params)["cells"]:
+                if not (0 <= x < columns and 0 <= y < rows):
+                    raise ValueError(
+                        f"failures[{index}]: cell [{x}, {y}] is outside the "
+                        f"{columns}x{rows} grid"
+                    )
+        if self.channel is not None and self.channel.kind == "jammed":
+            params = thaw_params(self.channel.params)
+            if params["from_round"] >= bound:
+                raise ValueError(
+                    f"channel: blackout from round {params['from_round']} never "
+                    f"fires: {bound_label}"
+                )
+            x0, y0, x1, y1 = params["region"]
+            if x0 >= columns or y0 >= rows or x1 < 0 or y1 < 0:
+                raise ValueError(
+                    f"channel: region {list(params['region'])} is outside the "
+                    f"{columns}x{rows} grid"
+                )
 
     def controller_rng_label(self) -> str:
         """Label of the controller random stream (kept stable for reproducibility)."""
         return f"{self.scheme}-controller"
+
+
+def expand_specs(
+    config: ScenarioConfig,
+    schemes: Sequence[str],
+    trial_seeds: Sequence[int],
+    **fields: object,
+) -> List[RunSpec]:
+    """One spec per (trial, scheme): trials outermost, schemes innermost.
+
+    Each trial runs ``config`` reseeded with its trial seed, which is also
+    the controller seed, so every scheme of a trial repairs the same build.
+    Specs sharing a scenario are consecutive, which the executors' scenario
+    grouping and the initial-state cache rely on to build each trial's
+    network once for the whole scheme set.  ``fields`` are the remaining
+    :class:`RunSpec` fields, the same for every spec.  An unregistered scheme
+    raises ``KeyError`` before any spec is built.
+    """
+    unknown = [scheme for scheme in schemes if scheme not in SCHEME_REGISTRY]
+    if unknown:
+        raise KeyError(
+            f"unknown schemes {unknown}; available: {list(available_schemes())}"
+        )
+    trials = [(seed, config.with_seed(seed)) for seed in trial_seeds]
+    return [
+        RunSpec(scenario=scenario, scheme=scheme, seed=seed, **fields)
+        for seed, scenario in trials
+        for scheme in schemes
+    ]
 
 
 @dataclass(frozen=True)
@@ -303,8 +388,8 @@ def _init_worker(overrides: Dict[str, SchemeFactory]) -> None:
 def _group_by_scenario(specs: Sequence[RunSpec]) -> List[List[RunSpec]]:
     """Split specs into maximal runs of consecutive equal scenarios.
 
-    The sweep emits schemes innermost, so grouping consecutive equal
-    scenarios captures the N-schemes-x-T-trials duplication without
+    :func:`expand_specs` puts schemes innermost, so grouping consecutive
+    equal scenarios captures the N-schemes-x-T-trials duplication without
     reordering anything.  One group is one worker task, so its scenario is
     built once, by one worker.
     """

@@ -116,17 +116,23 @@ def spec_to_dict(spec: RunSpec) -> Dict[str, object]:
     }
 
 
+#: The plain-valued optional :class:`RunSpec` fields; :func:`spec_from_dict`
+#: leaves an absent one to the spec's own default.
+_OPTIONAL_SPEC_FIELDS = ("max_rounds", "idle_round_limit", "run_to_exhaustion")
+
+
 def spec_from_dict(payload: Dict[str, object]) -> RunSpec:
-    """Inverse of :func:`spec_to_dict`."""
-    energy = payload["energy"]
+    """Inverse of :func:`spec_to_dict`.
+
+    An absent optional field takes :class:`RunSpec`'s own default; a stored
+    document carries every field.
+    """
+    energy = payload.get("energy")
     return RunSpec(
         scenario=ScenarioConfig(**payload["scenario"]),
         scheme=payload["scheme"],
         seed=payload["seed"],
-        max_rounds=payload["max_rounds"],
-        idle_round_limit=payload["idle_round_limit"],
         energy=EnergyModel(**energy) if energy is not None else None,
-        run_to_exhaustion=payload["run_to_exhaustion"],
         failures=tuple(
             FailureEvent(
                 round=entry["round"],
@@ -136,6 +142,7 @@ def spec_from_dict(payload: Dict[str, object]) -> RunSpec:
             for entry in payload.get("failures", ())
         ),
         channel=channel_from_dict(payload.get("channel")),
+        **{name: payload[name] for name in _OPTIONAL_SPEC_FIELDS if name in payload},
     )
 
 

@@ -66,9 +66,13 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.broker import execute_many
-from repro.experiments.orchestration import RunExecutor, RunRecord, RunSpec
+from repro.experiments.orchestration import (
+    RunExecutor,
+    RunRecord,
+    RunSpec,
+    expand_specs,
+)
 from repro.experiments.persistence import RunCache
-from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
 from repro.network.channel import ChannelModel, channel_from_dict, channel_to_dict
 from repro.network.energy import EnergyModel
@@ -82,6 +86,7 @@ from repro.network.failures import (
 from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 from repro.sim.rng import spawn_seeds
 from repro.sim.scenario import ScenarioConfig
+from repro.validation import checked_int
 
 __all__ = [
     "SCENARIO_FORMAT_VERSION",
@@ -144,13 +149,9 @@ class Scenario:
         Independent repetitions; each trial re-seeds the deployment and the
         controller stream together (one trial runs the scenario seed itself,
         several trials use seeds spawned from it).
-    max_rounds:
-        Optional hard bound on simulation rounds (``None``: engine default).
-    idle_round_limit:
-        Consecutive no-progress rounds before the engine declares a stall.
-    run_to_exhaustion:
-        Lifetime mode: keep draining until the network dies (requires an
-        energy model with positive idle drain).
+    max_rounds, idle_round_limit, run_to_exhaustion:
+        The :class:`~repro.experiments.orchestration.RunSpec` fields of the
+        same name, set on every compiled spec.
     """
 
     name: str
@@ -168,6 +169,12 @@ class Scenario:
     run_to_exhaustion: bool = False
 
     def __post_init__(self) -> None:
+        """Check the document's own fields, then everything else by compiling the specs.
+
+        A run the specs refuse (see
+        :class:`~repro.experiments.orchestration.RunSpec`) is reported at
+        ``run``, and an unregistered scheme at ``run.schemes``.
+        """
         if not self.name or any(ch.isspace() for ch in self.name):
             raise ScenarioValidationError(
                 "name", f"must be a non-empty token without whitespace, got {self.name!r}"
@@ -176,62 +183,16 @@ class Scenario:
         object.__setattr__(self, "failures", tuple(self.failures))
         if not self.schemes:
             raise ScenarioValidationError("run.schemes", "must list at least one scheme")
-        unknown = [s for s in self.schemes if s not in available_schemes()]
-        if unknown:
-            raise ScenarioValidationError(
-                "run.schemes",
-                f"unknown scheme(s) {unknown}; available: {list(available_schemes())}",
-            )
-        if self.trials < 1:
-            raise ScenarioValidationError("run.trials", f"must be >= 1, got {self.trials}")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ScenarioValidationError(
-                "run.max_rounds", f"must be >= 1 when given, got {self.max_rounds}"
-            )
-        if self.idle_round_limit < 1:
-            raise ScenarioValidationError(
-                "run.idle_round_limit", f"must be >= 1, got {self.idle_round_limit}"
-            )
-        if self.run_to_exhaustion and (
-            self.energy is None or self.energy.idle_cost_per_round <= 0
-        ):
-            raise ScenarioValidationError(
-                "run.run_to_exhaustion",
-                "requires an [energy] table with a positive idle_cost_per_round "
-                "(without idle drain the network never dies)",
-            )
-        # The engine's default bound (4 * cell_count, see RoundBasedEngine)
-        # applies when max_rounds is omitted — an event past the *effective*
-        # bound would silently never fire, so both cases are rejected.
-        effective_bound = (
-            self.max_rounds
-            if self.max_rounds is not None
-            else 4 * self.scenario.cell_count
-        )
-        bound_label = (
-            f"run.max_rounds is {self.max_rounds}"
-            if self.max_rounds is not None
-            else f"the engine's default bound is {effective_bound} rounds"
-        )
-        for index, event in enumerate(self.failures):
-            if event.round >= effective_bound:
-                raise ScenarioValidationError(
-                    f"failures[{index}].round",
-                    f"round {event.round} never fires: {bound_label}",
-                )
-            if event.kind == "targeted_cells":
-                self._validate_cells_in_grid(index, event)
-
-    def _validate_cells_in_grid(self, index: int, event: FailureEvent) -> None:
-        params = thaw_params(event.params)
-        for cell in params.get("cells", ()):
-            x, y = cell
-            if not (0 <= x < self.scenario.columns and 0 <= y < self.scenario.rows):
-                raise ScenarioValidationError(
-                    f"failures[{index}].cells",
-                    f"cell [{x}, {y}] is outside the "
-                    f"{self.scenario.columns}x{self.scenario.rows} grid",
-                )
+        try:
+            checked_int(self.trials, "trials", minimum=1)
+        except ValueError as error:
+            raise ScenarioValidationError("run.trials", str(error)) from error
+        try:
+            self.run_specs()
+        except KeyError as error:
+            raise ScenarioValidationError("run.schemes", error.args[0]) from error
+        except ValueError as error:
+            raise ScenarioValidationError("run", str(error)) from error
 
     # -------------------------------------------------------------- execution
     def trial_seeds(self) -> List[int]:
@@ -242,31 +203,24 @@ class Scenario:
         return spawn_seeds(self.scenario.seed, self.trials, label="scenario")
 
     def run_specs(self) -> List[RunSpec]:
-        """Compile into ordinary run specs, trials outermost, schemes innermost.
+        """Compile into ordinary run specs laid out by :func:`expand_specs`.
 
         The specs are plain :class:`~repro.experiments.orchestration.RunSpec`
         values — byte-identical to what a programmatic caller would build by
         hand — so records cached from a scenario-file run are hits for the
         equivalent programmatic sweep and vice versa.
         """
-        specs: List[RunSpec] = []
-        for trial_seed in self.trial_seeds():
-            config = self.scenario.with_seed(trial_seed)
-            for scheme in self.schemes:
-                specs.append(
-                    RunSpec(
-                        scenario=config,
-                        scheme=scheme,
-                        seed=trial_seed,
-                        max_rounds=self.max_rounds,
-                        idle_round_limit=self.idle_round_limit,
-                        energy=self.energy,
-                        run_to_exhaustion=self.run_to_exhaustion,
-                        failures=self.failures,
-                        channel=self.channel,
-                    )
-                )
-        return specs
+        return expand_specs(
+            self.scenario,
+            self.schemes,
+            self.trial_seeds(),
+            max_rounds=self.max_rounds,
+            idle_round_limit=self.idle_round_limit,
+            energy=self.energy,
+            run_to_exhaustion=self.run_to_exhaustion,
+            failures=self.failures,
+            channel=self.channel,
+        )
 
     def execute(
         self,
@@ -355,7 +309,9 @@ _TOP_LEVEL_KEYS = (
     "run",
     "failures",
 )
-_RUN_KEYS = ("schemes", "trials", "max_rounds", "idle_round_limit", "run_to_exhaustion")
+#: The ``[run]`` keys that are :class:`Scenario` fields of the same name.
+_RUN_FIELDS = ("trials", "max_rounds", "idle_round_limit", "run_to_exhaustion")
+_RUN_KEYS = ("schemes",) + _RUN_FIELDS
 
 
 def scenario_from_dict(payload: Mapping[str, object]) -> Scenario:
@@ -416,10 +372,7 @@ def scenario_from_dict(payload: Mapping[str, object]) -> Scenario:
             failures=failures,
             energy=energy,
             channel=channel,
-            trials=_int_field(run, "trials", 1),
-            max_rounds=_optional_int_field(run, "max_rounds"),
-            idle_round_limit=_int_field(run, "idle_round_limit", DEFAULT_IDLE_ROUND_LIMIT),
-            run_to_exhaustion=_bool_field(run, "run_to_exhaustion", False),
+            **{key: run[key] for key in _RUN_FIELDS if key in run},
         )
     except ScenarioValidationError:
         raise
@@ -435,29 +388,6 @@ def _reject_unknown_keys(
         raise ScenarioValidationError(
             where, f"unknown key(s) {unknown}; allowed: {sorted(allowed)}"
         )
-
-
-def _int_field(table: Mapping[str, object], key: str, default: int) -> int:
-    value = table.get(key, default)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioValidationError(f"run.{key}", f"must be an integer, got {value!r}")
-    return value
-
-
-def _optional_int_field(table: Mapping[str, object], key: str) -> Optional[int]:
-    value = table.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioValidationError(f"run.{key}", f"must be an integer, got {value!r}")
-    return value
-
-
-def _bool_field(table: Mapping[str, object], key: str, default: bool) -> bool:
-    value = table.get(key, default)
-    if not isinstance(value, bool):
-        raise ScenarioValidationError(f"run.{key}", f"must be a boolean, got {value!r}")
-    return value
 
 
 def _scenario_config_from(table: object) -> ScenarioConfig:

@@ -25,9 +25,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.broker import execute_many
-from repro.experiments.orchestration import RunExecutor, RunRecord, RunSpec
+from repro.experiments.orchestration import (
+    RunExecutor,
+    RunRecord,
+    RunSpec,
+    expand_specs,
+)
 from repro.experiments.persistence import RunCache
-from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult, average_dicts
 from repro.sim.rng import spawn_seeds
 from repro.sim.scenario import ScenarioConfig
@@ -45,37 +49,25 @@ def build_comparison_specs(
     trials: int = 1,
     max_rounds: Optional[int] = None,
 ) -> List[RunSpec]:
-    """The sweep's run specs in deterministic (N, trial, scheme) order.
+    """The sweep's run specs: per ``N``, the trials x schemes of :func:`expand_specs`.
 
     For each ``N`` and each trial every scheme gets a spec with the *same*
     scenario config (same deployment and thinning seed), so all schemes
     repair exactly the same holes with exactly the same spare placement —
     the comparison the paper performs.
-
-    Schemes are innermost, so specs sharing a scenario are consecutive: the
-    executors' scenario grouping and the initial-state cache build each
-    (N, trial) network exactly once for the whole scheme set.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    unknown = [scheme for scheme in schemes if scheme not in available_schemes()]
-    if unknown:
-        raise KeyError(
-            f"unknown schemes {unknown}; available: {list(available_schemes())}"
-        )
     specs: List[RunSpec] = []
     for spare_surplus in spare_values:
-        for trial_seed in spawn_seeds(config.seed, trials, label=f"N={spare_surplus}"):
-            scenario = config.with_spare_surplus(spare_surplus).with_seed(trial_seed)
-            for scheme in schemes:
-                specs.append(
-                    RunSpec(
-                        scenario=scenario,
-                        scheme=scheme,
-                        seed=trial_seed,
-                        max_rounds=max_rounds,
-                    )
-                )
+        specs.extend(
+            expand_specs(
+                config.with_spare_surplus(spare_surplus),
+                schemes,
+                spawn_seeds(config.seed, trials, label=f"N={spare_surplus}"),
+                max_rounds=max_rounds,
+            )
+        )
     return specs
 
 

@@ -70,7 +70,6 @@ from repro.experiments.registry import available_schemes
 from repro.experiments.results import ExperimentResult
 from repro.experiments.scenario_files import tabulate_records
 from repro.network.channel import channel_to_dict, parse_channel_spec
-from repro.sim.engine import DEFAULT_IDLE_ROUND_LIMIT
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8008
@@ -131,8 +130,9 @@ class ServeConfig:
     verbose:
         Log one line per request to stderr.
 
-    ``workers`` and ``queue_limit`` are checked on construction, as the
-    broker checks them, so a bad value is refused before any server binds.
+    ``port``, ``workers`` and ``queue_limit`` are checked on construction
+    (the last two as the broker checks them), so a bad value is refused
+    before any server binds.
     """
 
     host: str = DEFAULT_HOST
@@ -144,6 +144,8 @@ class ServeConfig:
     verbose: bool = False
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError(f"port must be in 0-65535, got {self.port}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_limit is not None and self.queue_limit < 1:
@@ -151,13 +153,14 @@ class ServeConfig:
 
 
 def spec_from_request(payload: object) -> RunSpec:
-    """Parse a ``POST /run`` body into a :class:`RunSpec`, filling defaults.
+    """Parse a ``POST /run`` body into a :class:`RunSpec`.
 
     The body is the ``spec_to_dict`` form with every field beyond
-    ``scenario`` and ``scheme`` optional; ``seed`` defaults to the scenario
-    seed, and ``channel`` additionally accepts the CLI's compact string form
-    (``"lossy:0.2"``).  Raises ``ValueError`` on anything malformed or above
-    an admission limit (:data:`MAX_GRID_CELLS`, :data:`MAX_DEPLOYED_COUNT`,
+    ``scenario`` and ``scheme`` optional (an absent one takes the spec's
+    default; ``seed`` defaults to the scenario seed), and ``channel`` also
+    accepts the CLI's string form (``"lossy:0.2"``).  Raises ``ValueError``
+    on anything the spec refuses, an unregistered scheme, or a spec above an
+    admission limit (:data:`MAX_GRID_CELLS`, :data:`MAX_DEPLOYED_COUNT`,
     :data:`MAX_ROUNDS`) — the handler maps that to HTTP 400.
     """
     if not isinstance(payload, dict):
@@ -173,12 +176,6 @@ def spec_from_request(payload: object) -> RunSpec:
     if isinstance(channel, str):
         body["channel"] = channel_to_dict(parse_channel_spec(channel))
     body.setdefault("seed", body["scenario"].get("seed", 0))
-    body.setdefault("max_rounds", None)
-    body.setdefault("idle_round_limit", DEFAULT_IDLE_ROUND_LIMIT)
-    body.setdefault("energy", None)
-    body.setdefault("run_to_exhaustion", False)
-    body.setdefault("failures", [])
-    body.setdefault("channel", None)
     try:
         spec = spec_from_dict(body)
     except (KeyError, TypeError, ValueError) as error:
@@ -218,7 +215,9 @@ class ExperimentServer(ThreadingHTTPServer):
 
     Handler threads reach the shared state through ``self.server``, and the
     record store through ``self.server.broker.cache``; the broker may be
-    injected (tests do) or built from the config.
+    injected (tests do) or built from the config.  The server binds before
+    it builds a broker, so an unusable address raises ``OSError`` with no
+    broker thread started.
     """
 
     daemon_threads = True
@@ -228,19 +227,23 @@ class ExperimentServer(ThreadingHTTPServer):
     ) -> None:
         self.config = config
         self._temp_dir: Optional[tempfile.TemporaryDirectory] = None
+        super().__init__((config.host, config.port), _RequestHandler)
         if broker is None:
             cache_dir = config.cache_dir
             if cache_dir is None:
                 self._temp_dir = tempfile.TemporaryDirectory(prefix="repro-serve-")
                 cache_dir = Path(self._temp_dir.name)
-            broker = ExperimentBroker(
-                cache=make_cache(cache_dir, backend=config.cache_backend),
-                workers=config.workers,
-                queue_limit=config.queue_limit,
-            )
+            try:
+                broker = ExperimentBroker(
+                    cache=make_cache(cache_dir, backend=config.cache_backend),
+                    workers=config.workers,
+                    queue_limit=config.queue_limit,
+                )
+            except BaseException:
+                self.server_close()
+                raise
         self.broker = broker
         self.started_monotonic = time.monotonic()
-        super().__init__((config.host, config.port), _RequestHandler)
 
     @property
     def url(self) -> str:
@@ -595,9 +598,9 @@ def make_server(
     return ExperimentServer(config or ServeConfig(), broker=broker)
 
 
-def serve_forever(config: ServeConfig) -> int:
-    """Run the service until interrupted (the ``repro serve`` entry point)."""
-    server = make_server(config)
+def serve_forever(server: ExperimentServer) -> int:
+    """Run a bound service until interrupted (the ``repro serve`` entry point)."""
+    config = server.config
     cache = server.broker.cache
     cache_note = (
         f"{cache.backend.kind} cache at {cache.cache_dir}"

@@ -38,6 +38,10 @@ from repro.sim.metrics import RoundSeries, RunMetrics, collect_metrics, snapshot
 #: Consecutive no-progress rounds after which the engine declares the run stalled.
 DEFAULT_IDLE_ROUND_LIMIT = 3
 
+#: Rounds per grid cell in the engine's default round bound (used when a run
+#: sets no ``max_rounds``).
+DEFAULT_ROUNDS_PER_CELL = 4
+
 
 @dataclass
 class SimulationResult:
@@ -75,8 +79,9 @@ class RoundBasedEngine:
     rng:
         Random stream used for movement targets and controller tie-breaking.
     max_rounds:
-        Hard bound on the number of rounds; generous by default because a
-        single cascading replacement needs at most ``m*n`` rounds.
+        Hard bound on the number of rounds; by default
+        :data:`DEFAULT_ROUNDS_PER_CELL` per cell, generous because a single
+        cascading replacement needs at most ``m*n`` rounds.
     failure_schedule:
         Optional mapping from round index to a
         :class:`~repro.network.failures.FailureModel` applied at the start of
@@ -126,7 +131,8 @@ class RoundBasedEngine:
         self.state = state
         self.controller = controller
         self.rng = rng
-        self.max_rounds = max_rounds if max_rounds is not None else 4 * state.grid.cell_count
+        default_bound = DEFAULT_ROUNDS_PER_CELL * state.grid.cell_count
+        self.max_rounds = max_rounds if max_rounds is not None else default_bound
         if self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
         self.failure_schedule = dict(failure_schedule or {})

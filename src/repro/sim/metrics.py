@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.core.protocol import MobilityController
 from repro.grid.coverage import cell_coverage_fraction
-from repro.network.energy import EnergySummary, energy_summary
+from repro.network.energy import EnergySummary
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ plus the ones needed by the extension examples.
 from __future__ import annotations
 
 import dataclasses
-import random
 from dataclasses import dataclass
 from typing import Optional
 

@@ -1,8 +1,17 @@
 """Tests for the command-line interface (python -m repro)."""
 
+import socket
+import threading
+from contextlib import closing
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def broker_threads() -> list:
+    """Names of the live broker worker threads."""
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("broker-"))
 
 
 class TestParser:
@@ -407,6 +416,7 @@ class TestInvalidValues:
              "analyze: path_length must be >= 1, got -3"),
             (["layout", "--columns", "0", "--rows", "3"],
              "layout: grid must be at least 1x1, got 0x3"),
+            (["serve", "--port", "70000"], "serve: port must be in 0-65535, got 70000"),
         ],
         ids=[
             "figures-trials",
@@ -421,6 +431,7 @@ class TestInvalidValues:
             "serve-queue-limit",
             "analyze-path-length",
             "layout-empty-grid",
+            "serve-port",
         ],
     )
     def test_is_a_clean_error(self, argv, message, capsys):
@@ -429,6 +440,18 @@ class TestInvalidValues:
         assert captured.err.startswith(message), captured.err
         assert "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_serve_on_a_port_in_use_reports_it_and_leaks_no_broker(self, capsys):
+        before = broker_threads()
+        with closing(socket.socket()) as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            assert main(["serve", "--port", str(port)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"serve: cannot listen on 127.0.0.1:{port}: ")
+        assert "Traceback" not in captured.err
+        assert broker_threads() == before
 
     @pytest.mark.parametrize(
         "argv",

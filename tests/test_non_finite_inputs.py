@@ -11,11 +11,17 @@ bounds, the failure kinds' counts and the channel kinds' rounds) holding a
 float, a string, a ``bool`` or a value out of range: ``count: 2.5`` is
 refused, not run as 2.  ``run_to_exhaustion`` takes only a ``bool``.  The
 service also refuses a scheme that is not registered.
+
+A spec also refuses a run that could never do what it asks: a failure or a
+jammed channel's blackout that starts at or after the round bound
+(``max_rounds``, or the engine's default of 4 rounds per cell), a targeted
+cell or a jammed region off the grid, and exhaustion without idle drain.
 """
 
 from __future__ import annotations
 
 import math
+import re
 import threading
 
 import pytest
@@ -144,11 +150,29 @@ ADMISSION_ROWS = [
     ("scenario", "rows", True),
     ("scenario", "seed", "3"),
     ("run", "scheme", "no-such-scheme"),
+    ("spec", "targeted-cell-off-grid",
+     {"failures": [{"round": 0, "kind": "targeted_cells", "params": {"cells": [[9, 9]]}}]}),
+    ("spec", "failure-at-max-rounds",
+     {"failures": [{"round": 20, "kind": "random", "params": {"count": 2}}]}),
+    ("spec", "failure-at-default-bound",
+     {"max_rounds": None,
+      "failures": [{"round": 64, "kind": "random", "params": {"count": 2}}]}),
+    ("spec", "exhaustion-without-energy", {"run_to_exhaustion": True}),
+    ("spec", "exhaustion-without-idle-cost",
+     {"run_to_exhaustion": True, "energy": {"idle_cost_per_round": 0.0}}),
+    ("spec", "jam-from-max-rounds",
+     {"channel": {"kind": "jammed", "region": [0, 0, 3, 3],
+                  "from_round": 20, "until_round": 30}}),
+    ("spec", "jam-off-grid",
+     {"channel": {"kind": "jammed", "region": [10, 10, 12, 12],
+                  "from_round": 0, "until_round": 5}}),
 ]
 
 
 def _row_id(row) -> str:
     where, key, value = row
+    if where == "spec":
+        return f"spec.{key}"
     return f"{where}.{key}={value!r}".replace(repr(TOO_LARGE), "10**400")
 
 
@@ -165,6 +189,8 @@ def request_body(where: str, key: str, value: object) -> dict:
         body["failures"] = [{"round": value, "kind": key, "params": {"count": 2}}]
     elif where == "channel":
         body["channel"] = dict(value, kind=key)
+    elif where == "spec":
+        body.update(value)
     else:
         body[key] = value
     return body
@@ -185,6 +211,22 @@ def build(where: str, key: str, value: object) -> object:
     if key == "scheme":
         # Registration is the service's admission check, not the spec's.
         return spec_from_request(request_body(where, key, value))
+    if where == "spec":
+        body = request_body(where, key, value)
+        energy = body.get("energy")
+        return RunSpec(
+            scenario=ScenarioConfig(**SCENARIO),
+            scheme="SR",
+            seed=3,
+            max_rounds=body["max_rounds"],
+            energy=EnergyModel(**energy) if energy is not None else None,
+            run_to_exhaustion=body.get("run_to_exhaustion", False),
+            failures=tuple(
+                FailureEvent.with_params(event["round"], event["kind"], **event["params"])
+                for event in body.get("failures", ())
+            ),
+            channel=channel_from_dict(body.get("channel")),
+        )
     fields = {"scenario": ScenarioConfig(**SCENARIO), "scheme": "SR", "seed": 3}
     return RunSpec(**dict(fields, **{key: value}))
 
@@ -215,6 +257,30 @@ def test_post_run_answers_400(client, where, key, value):
     with pytest.raises(ServeError) as excinfo:
         client.run(request_body(where, key, value))
     assert excinfo.value.status == 400
+
+
+#: What the refusal of each ``spec`` row says: the field and why it cannot act.
+SPEC_REFUSALS = {
+    "targeted-cell-off-grid": "failures[0]: cell [9, 9] is outside the 4x4 grid",
+    "failure-at-max-rounds": "failures[0]: round 20 never fires: max_rounds is 20",
+    "failure-at-default-bound": (
+        "failures[0]: round 64 never fires: the engine's default bound is 64 rounds"
+    ),
+    "exhaustion-without-energy": "positive idle_cost_per_round",
+    "exhaustion-without-idle-cost": "positive idle_cost_per_round",
+    "jam-from-max-rounds": "channel: blackout from round 20 never fires: max_rounds is 20",
+    "jam-off-grid": "channel: region [10, 10, 12, 12] is outside the 4x4 grid",
+}
+SPEC_ROWS = [row for row in ADMISSION_ROWS if row[0] == "spec"]
+
+
+@pytest.mark.parametrize("where, key, value", SPEC_ROWS, ids=map(_row_id, SPEC_ROWS))
+def test_a_run_that_cannot_act_is_refused_naming_the_field(client, where, key, value):
+    with pytest.raises(ValueError, match=re.escape(SPEC_REFUSALS[key])):
+        build(where, key, value)
+    with pytest.raises(ServeError) as excinfo:
+        client.run(request_body(where, key, value))
+    assert SPEC_REFUSALS[key] in str(excinfo.value)
 
 
 def test_a_small_valid_body_still_runs(client):

@@ -177,6 +177,48 @@ class TestValidation:
             "engine's default bound",
         )
 
+    def test_jammed_channel_opening_at_the_round_bound_never_fires(self):
+        self.check(
+            {
+                "name": "x",
+                "scenario": {"columns": 6, "rows": 6, "deployed_count": 200},
+                "channel": {
+                    "kind": "jammed",
+                    "region": [0, 0, 5, 5],
+                    "from_round": 80,
+                    "until_round": 90,
+                },
+                "run": {"max_rounds": 60},
+            },
+            "blackout from round 80 never fires",
+        )
+
+    def test_jammed_region_off_the_grid(self):
+        self.check(
+            {
+                "name": "x",
+                "scenario": {"columns": 6, "rows": 6, "deployed_count": 200},
+                "channel": {
+                    "kind": "jammed",
+                    "region": [10, 10, 12, 12],
+                    "from_round": 0,
+                    "until_round": 5,
+                },
+            },
+            "outside the 6x6 grid",
+        )
+
+    def test_run_fields_are_checked_by_the_spec(self):
+        self.check(
+            {"name": "x", "run": {"max_rounds": 2.5}},
+            "at run: max_rounds must be an integer, got 2.5",
+        )
+        self.check(
+            {"name": "x", "run": {"run_to_exhaustion": 1}},
+            "run_to_exhaustion must be true or false, got 1",
+        )
+        self.check({"name": "x", "run": {"trials": 0}}, "at run.trials: trials must be >= 1")
+
     def test_boolean_numbers_are_rejected(self):
         self.check(
             {

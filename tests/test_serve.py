@@ -713,3 +713,26 @@ def test_closing_the_server_closes_the_sqlite_store(tmp_path):
         assert _open_files_under(str(db_path))
     assert _open_files_under(str(db_path)) == []
     assert not Path(f"{db_path}-wal").exists()
+
+
+# ------------------------------------------------------------ unusable addresses
+def broker_threads() -> list:
+    """Names of the live broker worker threads."""
+    return sorted(t.name for t in threading.enumerate() if t.name.startswith("broker-"))
+
+
+@pytest.mark.parametrize("port", [-1, 65536, 70000])
+def test_serve_config_refuses_a_port_outside_the_tcp_range(port):
+    with pytest.raises(ValueError, match=f"port must be in 0-65535, got {port}"):
+        ServeConfig(port=port)
+
+
+def test_a_port_in_use_raises_before_any_broker_thread_starts():
+    before = broker_threads()
+    with closing(socket.socket()) as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        with pytest.raises(OSError):
+            make_server(ServeConfig(port=port, workers=2))
+    assert broker_threads() == before
