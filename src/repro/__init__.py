@@ -74,7 +74,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.sim.engine": ["RoundBasedEngine", "SimulationResult", "run_recovery"],
         "repro.sim.scenario": ["ScenarioConfig", "build_scenario_state"],
         "repro.sim.metrics": ["RunMetrics"],
-        "repro.sim.events": ["EventLog"],
         "repro.sim.rng": ["derive_rng"],
     },
 )

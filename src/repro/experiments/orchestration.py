@@ -170,7 +170,11 @@ class RunSpec:
             self._check_events_can_act()
 
     def _check_events_can_act(self) -> None:
-        """Refuse a failure or jam that starts past the round bound or misses the grid."""
+        """Refuse a failure or jam that starts past the round bound or misses the grid.
+
+        A ``region_jamming`` failure misses the grid when its box or disc lies
+        wholly outside the surveillance area: no node can be inside it.
+        """
         columns, rows = self.scenario.columns, self.scenario.rows
         bound = self.max_rounds or DEFAULT_ROUNDS_PER_CELL * self.scenario.cell_count
         bound_label = (
@@ -183,14 +187,27 @@ class RunSpec:
                 raise ValueError(
                     f"failures[{index}]: round {event.round} never fires: {bound_label}"
                 )
-            if event.kind != "targeted_cells":
-                continue
-            for x, y in thaw_params(event.params)["cells"]:
-                if not (0 <= x < columns and 0 <= y < rows):
-                    raise ValueError(
-                        f"failures[{index}]: cell [{x}, {y}] is outside the "
-                        f"{columns}x{rows} grid"
+            params = thaw_params(event.params)
+            if event.kind == "region_jamming":
+                area = self.scenario.make_grid().bounds
+                if not event.build().meets(area):
+                    region = (
+                        f"box {list(params['box'])}"
+                        if "box" in params
+                        else f"disc at {list(params['center'])} with radius {params['radius']}"
                     )
+                    raise ValueError(
+                        f"failures[{index}]: region_jamming {region} lies wholly "
+                        f"outside the surveillance area [{area.min_x:g}, "
+                        f"{area.min_y:g}, {area.max_x:g}, {area.max_y:g}]"
+                    )
+            elif event.kind == "targeted_cells":
+                for x, y in params["cells"]:
+                    if not (0 <= x < columns and 0 <= y < rows):
+                        raise ValueError(
+                            f"failures[{index}]: cell [{x}, {y}] is outside the "
+                            f"{columns}x{rows} grid"
+                        )
         if self.channel is not None and self.channel.kind == "jammed":
             params = thaw_params(self.channel.params)
             if params["from_round"] >= bound:
@@ -323,7 +340,7 @@ def simulate_from(
         rounds_executed=result.rounds_executed,
         stalled=result.stalled,
         exhausted=result.exhausted,
-        energy_series=tuple(result.series.energy),
+        energy_series=tuple(result.energy_series),
     )
 
 

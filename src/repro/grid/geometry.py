@@ -3,7 +3,7 @@
 Everything in the paper happens on a flat 2-D surveillance area, so the only
 geometry needed is points, axis-aligned boxes, and Euclidean distance.  The
 classes here are immutable value objects so they can be freely shared between
-the network state, the event log, and metric records.
+the network state and metric records.
 """
 
 from __future__ import annotations

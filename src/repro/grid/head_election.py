@@ -55,27 +55,6 @@ def nearest_to_center_policy(
     )
 
 
-def make_round_robin_policy(period: int = 1) -> HeadElectionPolicy:
-    """Return a stateful policy that rotates the head among candidates.
-
-    Every ``period`` elections the policy advances to the next candidate (by
-    id order).  This models the "role of each head can be rotated within the
-    grid" remark of Section 2 and is useful for energy-balance extensions.
-    """
-    if period < 1:
-        raise ValueError(f"period must be >= 1, got {period}")
-    counter = {"elections": 0}
-
-    def policy(candidates: Sequence["SensorNode"], cell_center: Point) -> "SensorNode":
-        """Pick the rotation's current candidate, cycling through ids over time."""
-        ordered = sorted(candidates, key=lambda node: node.node_id)
-        index = (counter["elections"] // period) % len(ordered)
-        counter["elections"] += 1
-        return ordered[index]
-
-    return policy
-
-
 def elect_head(
     candidates: Sequence["SensorNode"],
     cell_center: Point,

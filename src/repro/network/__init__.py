@@ -42,7 +42,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.network.channel": [
             "ChannelModel",
             "ChannelState",
-            "ChannelStats",
             "available_channel_kinds",
             "build_channel",
             "parse_channel_spec",

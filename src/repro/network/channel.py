@@ -71,7 +71,6 @@ __all__ = [
     "CHANNEL_KINDS",
     "ChannelModel",
     "ChannelState",
-    "ChannelStats",
     "DEFAULT_CHANNEL",
     "available_channel_kinds",
     "build_channel",
@@ -134,19 +133,6 @@ class ChannelModel:
     def reliable(self) -> bool:
         """Whether the kind never drops messages (no ack/retry layer needed)."""
         return KIND_RELIABILITY[self.kind]
-
-
-@dataclass(frozen=True)
-class ChannelStats:
-    """Aggregate traffic statistics of one run's channel."""
-
-    sent: int
-    delivered: int
-    dropped: int
-    in_flight: int
-    #: Mean rounds between send and delivery over the delivered messages
-    #: (0.0 when nothing was delivered).
-    mean_delivery_latency: float
 
 
 class ChannelState:
@@ -224,16 +210,6 @@ class ChannelState:
     def requires_ack(self) -> bool:
         """Whether senders must track acknowledgements and retry."""
         return not self.reliable
-
-    def stats(self) -> ChannelStats:
-        """Snapshot of the channel's aggregate traffic statistics."""
-        return ChannelStats(
-            sent=self.sent_count,
-            delivered=self.delivered_count,
-            dropped=self.dropped_count,
-            in_flight=self.pending_count,
-            mean_delivery_latency=self.mean_delivery_latency,
-        )
 
     # ------------------------------------------------------------------ wire
     def _is_jammed(self, message: Message) -> bool:

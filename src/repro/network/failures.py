@@ -154,6 +154,17 @@ class RegionJammingFailure(FailureModel):
         if self.radius is not None and self.radius < 0:
             raise ValueError(f"radius must be non-negative, got {self.radius}")
 
+    def meets(self, area: BoundingBox) -> bool:
+        """Whether the region shares a point with ``area`` (both closed, as in :meth:`apply`)."""
+        if self.box is not None:
+            return (
+                self.box.min_x <= area.max_x
+                and area.min_x <= self.box.max_x
+                and self.box.min_y <= area.max_y
+                and area.min_y <= self.box.max_y
+            )
+        return area.clamp(self.center).distance_to(self.center) <= self.radius
+
     def apply(self, state, rng: random.Random) -> List[int]:
         """Disable every enabled node whose position lies inside the region."""
         arrays = state.arrays

@@ -882,13 +882,6 @@ class WsnState:
             for flat in range(cell_count):
                 self._elect_cell_head(flat)
 
-    def rotate_head(self, coord: GridCoord) -> Optional[SensorNode]:
-        """Force a fresh election in ``coord`` (head-rotation extension)."""
-        flat = self._flat_of(coord)
-        self._heads[flat] = None
-        head_id = self._elect_cell_head(flat)
-        return None if head_id is None else self.node(head_id)
-
     def heads(self) -> Dict[GridCoord, Optional[int]]:
         """Copy of the head assignment (cell -> head node id or ``None``)."""
         return dict(zip(self.grid.coord_list(), self._heads))

@@ -652,11 +652,12 @@ def run_serve_smoke(workers: int = 2) -> List[str]:
     Starts a private server on an ephemeral port with an ephemeral sqlite
     cache, then checks the full request surface end to end: health, an
     uncached run (simulated), the identical run again (answered from the
-    cache), a streamed run (live per-round events arrive), stats consistency,
-    the catalog listing, a catalog scenario's smoke variant cold and then
-    answered from the cache (one row per scheme), the quick Figure-6 batch
-    (one row per spare value), a figure batch with more new specs than the
-    queue bound (503, nothing left pending), and clean shutdown.
+    cache), a streamed run (one live ``round`` event per executed round,
+    numbered from 0), stats consistency, the catalog listing, a catalog
+    scenario's smoke variant cold and then answered from the cache (one row
+    per scheme), the quick Figure-6 batch (one row per spare value), a
+    figure batch with more new specs than the queue bound (503, nothing left
+    pending), and clean shutdown.
     """
     from repro.serve.client import ServeClient, ServeError
 
@@ -687,8 +688,15 @@ def run_serve_smoke(workers: int = 2) -> List[str]:
         kinds = [event.get("event") for event in events]
         if kinds[:1] != ["accepted"] or kinds[-1:] != ["done"]:
             failures.append(f"stream framing wrong: {kinds[:3]}...{kinds[-1:]}")
-        if kinds.count("round") < 1:
-            failures.append("stream carried no live per-round events")
+        done = events[-1].get("record", {}) if events else {}
+        executed = done.get("rounds_executed", 0)
+        rounds = [event.get("round") for event in events if event.get("event") == "round"]
+        if not rounds or rounds != list(range(executed)):
+            failures.append(
+                f"stream carried {len(rounds)} round event(s) numbered "
+                f"{rounds[:1]}...{rounds[-1:]}, expected 0..{executed - 1} "
+                "(the done record's rounds_executed)"
+            )
 
         stats = client.stats()
         cache_stats = stats.get("cache", {})

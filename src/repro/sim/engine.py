@@ -20,20 +20,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.core.protocol import MobilityController, RoundOutcome
-from repro.network.channel import (
-    DEFAULT_CHANNEL,
-    ChannelModel,
-    ChannelStats,
-    build_channel,
-)
+from repro.core.protocol import MobilityController
+from repro.network.channel import DEFAULT_CHANNEL, ChannelModel, build_channel
 from repro.network.energy import EnergyModel, energy_summary, remaining_energy
 from repro.network.failures import FailureModel
 from repro.network.node import MESSAGE_COST
 from repro.network.state import WsnState
-from repro.sim.events import EventKind, EventLog
 from repro.sim.rng import derive_rng
-from repro.sim.metrics import RoundSeries, RunMetrics, collect_metrics, snapshot_state
+from repro.sim.metrics import RunMetrics, collect_metrics, snapshot_state
 
 #: Consecutive no-progress rounds after which the engine declares the run stalled.
 DEFAULT_IDLE_ROUND_LIMIT = 3
@@ -50,16 +44,13 @@ class SimulationResult:
     metrics: RunMetrics
     rounds_executed: int
     stalled: bool
-    #: Traffic statistics of the run's control channel.
-    channel_stats: ChannelStats
     #: Whether the run hit ``max_rounds`` before finishing.  A bound-hit run
     #: with holes remaining is also reported as stalled: it did not converge,
     #: and must not be indistinguishable from a clean finish.
     exhausted: bool = False
-    series: RoundSeries = field(default_factory=RoundSeries)
-    event_log: Optional[EventLog] = None
-    #: Ids of nodes the engine disabled as battery-depleted, in depletion order.
-    depleted_nodes: List[int] = field(default_factory=list)
+    #: Total remaining energy of the enabled nodes at the end of each round;
+    #: empty unless the run had an energy model.
+    energy_series: List[float] = field(default_factory=list)
 
     @property
     def converged(self) -> bool:
@@ -86,8 +77,6 @@ class RoundBasedEngine:
         Optional mapping from round index to a
         :class:`~repro.network.failures.FailureModel` applied at the start of
         that round — this is how dynamic hole creation is simulated.
-    event_log:
-        Optional :class:`~repro.sim.events.EventLog` receiving a trace of the run.
     idle_round_limit:
         Number of consecutive rounds without progress after which the run is
         declared stalled (holes remain but nobody can act on them).
@@ -119,7 +108,6 @@ class RoundBasedEngine:
         rng: random.Random,
         max_rounds: Optional[int] = None,
         failure_schedule: Optional[Dict[int, FailureModel]] = None,
-        event_log: Optional[EventLog] = None,
         idle_round_limit: int = DEFAULT_IDLE_ROUND_LIMIT,
         energy_model: Optional[EnergyModel] = None,
         run_to_exhaustion: bool = False,
@@ -140,16 +128,15 @@ class RoundBasedEngine:
         # scheduled round can be computed once instead of scanning the whole
         # schedule in every round's pending-failures check.
         self._last_scheduled_round = max(self.failure_schedule, default=-1)
-        self.event_log = event_log
         self.idle_round_limit = idle_round_limit
         self.energy_model = energy_model
         self.run_to_exhaustion = run_to_exhaustion
-        self.depleted_nodes: List[int] = []
-        #: Optional per-round observer ``(round_index, sample_dict) -> None``
-        #: called right after each round's series sample is recorded.  The
+        #: Optional per-round observer ``(round_index, sample_dict) -> None``,
+        #: the engine's one per-round hook, called at the end of every round
+        #: with the round's ``holes``, ``moves``, ``distance`` and ``spares``
+        #: (plus ``energy`` and ``depletions`` under an energy model).  The
         #: serve layer uses it to stream live per-round series; it must not
-        #: mutate state, and leaving it ``None`` (the default) keeps the hot
-        #: loop free of any callback overhead beyond one attribute check.
+        #: mutate state, and the sample is built only when one is attached.
         self.round_observer: Optional[Callable[[int, Dict[str, float]], None]] = None
         #: Joules debited per control-message transmission — the single
         #: source of truth for message energy, applied by the engine to every
@@ -181,21 +168,15 @@ class RoundBasedEngine:
         controller = self.controller
         channel = self.channel
         initial = snapshot_state(state)
-        self._emit(
-            EventKind.HOLE_DETECTED,
-            round_index=0,
-            holes=initial.holes,
-            spares=initial.spares,
-        )
-        series = RoundSeries()
+        energy_series: List[float] = []
         idle_rounds = 0
         stalled = False
         exhausted = False
         rounds_executed = 0
-        track_energy = self.energy_model is not None
+        energy_model = self.energy_model
         rng = self.rng
         failure_schedule = self.failure_schedule
-        log_events = self.event_log is not None
+        observer = self.round_observer
         # Read once, after the engine bound the channel: a wrapper installed
         # on the instance before the run (a tracer's, a benchmark's) fires.
         deliver = channel.deliver
@@ -205,10 +186,10 @@ class RoundBasedEngine:
         for round_index in range(self.max_rounds):
             # Start-of-round physics: scheduled failures, then the energy model.
             if round_index in failure_schedule:
-                self._inject_failures(round_index)
-            round_depletions = self._apply_energy(round_index) if track_energy else 0
-            sent_before = channel.sent_count
-            dropped_before = channel.dropped_count
+                failure_schedule[round_index].apply(state, rng)
+            depletions = (
+                len(energy_model.apply_round(state)) if energy_model is not None else 0
+            )
             # Control messages sent in earlier rounds arrive now, before any
             # head acts — the paper's one-round-latency assumption,
             # generalised to whatever the channel model dictates.
@@ -217,37 +198,26 @@ class RoundBasedEngine:
                 handle_messages(state, inbox, round_index)
             outcome = execute_round(state, rng, round_index)
             rounds_executed = round_index + 1
-            if log_events:
-                self._emit_outcome(outcome)
-            move_count = outcome.move_count
-            distance = outcome.total_distance if move_count else 0
-            # hole_count and spare_count are O(1) reads of the state's
-            # incremental indices, so per-round sampling stays cheap on
-            # arbitrarily large grids.  The energy total is an O(enabled)
-            # sweep, sampled only when an energy model is active.
-            series.record(
-                state.hole_count,
-                move_count,
-                distance,
-                state.spare_count,
-                remaining_energy(state)[0] if track_energy else None,
-                round_depletions if track_energy else None,
-                channel.sent_count - sent_before,
-                channel.dropped_count - dropped_before,
-            )
-            if self.round_observer is not None:
+            # The energy total is an O(enabled) sweep, sampled only when an
+            # energy model is active.
+            if energy_model is not None:
+                energy_series.append(remaining_energy(state)[0])
+            if observer is not None:
+                # hole_count and spare_count are O(1) reads of the state's
+                # incremental indices.
+                move_count = outcome.move_count
                 sample = {
-                    "holes": series.holes[-1],
+                    "holes": state.hole_count,
                     "moves": move_count,
-                    "distance": distance,
-                    "spares": series.spares[-1],
+                    "distance": outcome.total_distance if move_count else 0,
+                    "spares": state.spare_count,
                 }
-                if track_energy:
-                    sample["energy"] = series.energy[-1]
-                    sample["depletions"] = round_depletions
-                self.round_observer(round_index, sample)
+                if energy_model is not None:
+                    sample["energy"] = energy_series[-1]
+                    sample["depletions"] = depletions
+                observer(round_index, sample)
 
-            if outcome.made_progress or round_depletions:
+            if outcome.made_progress or depletions:
                 idle_rounds = 0
             else:
                 idle_rounds += 1
@@ -277,9 +247,8 @@ class RoundBasedEngine:
             # converge and must not look like a clean finish.
             stalled = True
 
-        final_round = rounds_executed
         # Let the controller settle its bookkeeping after the last round.
-        controller.finalize(state, final_round)
+        controller.finalize(state, rounds_executed)
         # The channel is the authority on traffic: every actual transmission
         # (requests, retries, acknowledgements) counts.
         metrics = collect_metrics(
@@ -290,28 +259,18 @@ class RoundBasedEngine:
             channel.sent_count,
             # The battery summary is an O(all nodes) sweep — worth it only
             # when the run actually had energy physics to report on.
-            energy=energy_summary(state) if track_energy else None,
+            energy=energy_summary(state) if energy_model is not None else None,
             messages_dropped=channel.dropped_count,
             mean_delivery_latency=channel.mean_delivery_latency,
             messages_delivered=channel.delivered_count,
             messages_in_flight=channel.pending_count,
-        )
-        self._emit(
-            EventKind.SIMULATION_FINISHED,
-            round_index=final_round,
-            holes=state.hole_count,
-            moves=metrics.total_moves,
-            distance=round(metrics.total_distance, 3),
         )
         return SimulationResult(
             metrics=metrics,
             rounds_executed=rounds_executed,
             stalled=stalled,
             exhausted=exhausted,
-            series=series,
-            event_log=self.event_log,
-            depleted_nodes=list(self.depleted_nodes),
-            channel_stats=channel.stats(),
+            energy_series=energy_series,
         )
 
     # --------------------------------------------------------------- internal
@@ -334,30 +293,6 @@ class RoundBasedEngine:
         """
         return self.channel.pending_count > 0 or self.controller.pending_acknowledgements > 0
 
-    def _apply_energy(self, round_index: int) -> int:
-        """Apply the energy model for one round; returns how many nodes depleted.
-
-        The events' payloads are built only when an event log is attached.
-        """
-        victims = self.energy_model.apply_round(self.state)
-        if not victims:
-            return 0
-        self.depleted_nodes.extend(victims)
-        if self.event_log is not None:
-            for node_id in victims:
-                self._emit(
-                    EventKind.NODE_DISABLED,
-                    round_index=round_index,
-                    node_id=node_id,
-                    cause="battery-depleted",
-                )
-            self._emit(
-                EventKind.HOLE_DETECTED,
-                round_index=round_index,
-                holes=self.state.hole_count,
-            )
-        return len(victims)
-
     def _drain_active(self) -> bool:
         """Whether run-to-exhaustion still has energy physics to play out."""
         return (
@@ -366,20 +301,6 @@ class RoundBasedEngine:
             and self.energy_model.idle_cost_per_round > 0
             and self.state.enabled_count > 0
         )
-
-    def _inject_failures(self, round_index: int) -> None:
-        model = self.failure_schedule[round_index]
-        if model is None:
-            return
-        victims = model.apply(self.state, self.rng)
-        for node_id in victims:
-            self._emit(EventKind.NODE_DISABLED, round_index=round_index, node_id=node_id)
-        if victims:
-            self._emit(
-                EventKind.HOLE_DETECTED,
-                round_index=round_index,
-                holes=self.state.hole_count,
-            )
 
     def _failures_pending(self, round_index: int) -> bool:
         return self._last_scheduled_round > round_index
@@ -395,45 +316,6 @@ class RoundBasedEngine:
             return False
         return self.controller.is_quiescent(self.state)
 
-    def _emit_outcome(self, outcome: RoundOutcome) -> None:
-        for process_id in outcome.processes_started:
-            self._emit(
-                EventKind.PROCESS_STARTED,
-                round_index=outcome.round_index,
-                process_id=process_id,
-            )
-        for move in outcome.moves:
-            self._emit(
-                EventKind.NODE_MOVED,
-                round_index=outcome.round_index,
-                node_id=move.node_id,
-                source=move.source_cell.as_tuple(),
-                target=move.target_cell.as_tuple(),
-                distance=round(move.distance, 3),
-                process_id=move.process_id,
-            )
-        for process_id in outcome.processes_converged:
-            self._emit(
-                EventKind.PROCESS_CONVERGED,
-                round_index=outcome.round_index,
-                process_id=process_id,
-            )
-        for process_id in outcome.processes_failed:
-            self._emit(
-                EventKind.PROCESS_FAILED,
-                round_index=outcome.round_index,
-                process_id=process_id,
-            )
-        self._emit(
-            EventKind.ROUND_COMPLETED,
-            round_index=outcome.round_index,
-            moves=outcome.move_count,
-        )
-
-    def _emit(self, kind: EventKind, round_index: int, **details: object) -> None:
-        if self.event_log is not None:
-            self.event_log.emit(kind, round_index, **details)
-
 
 def run_recovery(
     state: WsnState,
@@ -441,7 +323,6 @@ def run_recovery(
     rng: random.Random,
     max_rounds: Optional[int] = None,
     failure_schedule: Optional[Dict[int, FailureModel]] = None,
-    event_log: Optional[EventLog] = None,
     energy_model: Optional[EnergyModel] = None,
     run_to_exhaustion: bool = False,
     channel: ChannelModel = DEFAULT_CHANNEL,
@@ -454,7 +335,6 @@ def run_recovery(
         rng,
         max_rounds=max_rounds,
         failure_schedule=failure_schedule,
-        event_log=event_log,
         energy_model=energy_model,
         run_to_exhaustion=run_to_exhaustion,
         channel=channel,

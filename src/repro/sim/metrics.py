@@ -9,8 +9,8 @@ counts) that make results self-describing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.core.protocol import MobilityController
 from repro.grid.coverage import cell_coverage_fraction
@@ -186,69 +186,3 @@ def collect_metrics(
         messages_delivered=messages_delivered,
         messages_in_flight=messages_in_flight,
     )
-
-
-@dataclass
-class RoundSeries:
-    """Per-round time series collected by the engine (for plots and debugging).
-
-    The ``spares`` series is recorded when the caller supplies it; with the
-    incremental state indices both the hole count and the spare count are
-    O(1) queries, so the engine can afford to sample them every round even on
-    large grids.
-    """
-
-    holes: List[int] = field(default_factory=list)
-    moves: List[int] = field(default_factory=list)
-    distance: List[float] = field(default_factory=list)
-    spares: List[int] = field(default_factory=list)
-    #: Total remaining energy of the enabled nodes at the end of each round
-    #: (recorded only when the engine runs with an energy model).
-    energy: List[float] = field(default_factory=list)
-    #: Number of nodes the engine disabled as battery-depleted in each round.
-    depletions: List[int] = field(default_factory=list)
-    #: Control messages transmitted in each round (requests, retries, acks).
-    messages: List[int] = field(default_factory=list)
-    #: Control messages the channel lost in transit in each round.
-    drops: List[int] = field(default_factory=list)
-
-    def record(
-        self,
-        holes: int,
-        moves: int,
-        distance: float,
-        spares: Optional[int] = None,
-        energy: Optional[float] = None,
-        depletions: Optional[int] = None,
-        messages: Optional[int] = None,
-        drops: Optional[int] = None,
-    ) -> None:
-        """Append one round's samples to the series."""
-        self.holes.append(holes)
-        self.moves.append(moves)
-        self.distance.append(distance)
-        if spares is not None:
-            self.spares.append(spares)
-        if energy is not None:
-            self.energy.append(energy)
-        if depletions is not None:
-            self.depletions.append(depletions)
-        if messages is not None:
-            self.messages.append(messages)
-        if drops is not None:
-            self.drops.append(drops)
-
-    @property
-    def rounds(self) -> int:
-        """Number of rounds recorded so far."""
-        return len(self.holes)
-
-    @property
-    def cumulative_moves(self) -> List[int]:
-        """Running total of movements after each round."""
-        total = 0
-        series = []
-        for value in self.moves:
-            total += value
-            series.append(total)
-        return series

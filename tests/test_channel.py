@@ -153,7 +153,7 @@ class TestChannelRuntime:
         assert channel.deliver(3) == {}
         inbox = channel.deliver(4)
         assert len(inbox[GridCoord(0, 1)]) == 1
-        assert channel.stats().mean_delivery_latency == 1.0
+        assert channel.mean_delivery_latency == 1.0
 
     def test_jammed_window_and_region(self):
         model = ChannelModel.with_params(
@@ -309,7 +309,10 @@ class TestDegradedChannels:
             + result.metrics.messages_sent * MESSAGE_COST
         )
         assert summary.total_consumed == pytest.approx(expected, rel=1e-9, abs=1e-9)
-        assert result.metrics.messages_sent == result.channel_stats.sent
+        metrics = result.metrics
+        assert metrics.messages_sent == (
+            metrics.messages_delivered + metrics.messages_dropped + metrics.messages_in_flight
+        )
 
 
 # ------------------------------------------------------------ review fixes

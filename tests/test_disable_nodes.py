@@ -21,7 +21,6 @@ from repro.grid.geometry import Point
 from repro.grid.head_election import (
     highest_energy_policy,
     lowest_id_policy,
-    make_round_robin_policy,
     nearest_to_center_policy,
 )
 from repro.grid.virtual_grid import VirtualGrid
@@ -185,13 +184,13 @@ def test_enabled_reason_is_rejected():
 
 
 def test_stateful_policy_sees_one_election_per_hit_cell():
-    """Round-robin is consulted once per hit cell that keeps a member, in row-major order."""
+    """A policy that keeps state (here, its calls) is consulted once per hit cell
+    that keeps a member, in row-major order."""
     centers = []
-    rotate = make_round_robin_policy()
 
     def counted(candidates, cell_center: Point):
         centers.append(cell_center)
-        return rotate(candidates, cell_center)
+        return lowest_id_policy(candidates, cell_center)
 
     grid = VirtualGrid(4, 4, cell_size=1.0)
     state = WsnState(grid, deploy_uniform(grid, 80, random.Random(11)), head_policy=counted)

@@ -1,5 +1,6 @@
 """Unit tests for the round-based simulation engine."""
 
+import math
 import random
 
 import pytest
@@ -14,7 +15,6 @@ from repro.network.failures import (
     ThinningToEnabledCount,
 )
 from repro.sim.engine import RoundBasedEngine, run_recovery
-from repro.sim.events import EventKind, EventLog
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
 from helpers import make_hole
@@ -109,19 +109,15 @@ class TestFailureSchedule:
         # The engine must not stop before the last scheduled failure fires.
         assert result.rounds_executed > 4
 
-    def test_failure_events_logged(self, dense_state, rng):
-        log = EventLog()
+    def test_scheduled_failure_disables_its_cell_and_is_repaired(self, dense_state, rng):
+        enabled_before = dense_state.enabled_count
         schedule = {1: TargetedCellFailure(cells=[GridCoord(1, 1)])}
         engine = RoundBasedEngine(
-            dense_state,
-            sr_controller(dense_state),
-            rng,
-            failure_schedule=schedule,
-            event_log=log,
+            dense_state, sr_controller(dense_state), rng, failure_schedule=schedule
         )
-        engine.run()
-        assert log.count(EventKind.NODE_DISABLED) == 3
-        assert log.count(EventKind.NODE_MOVED) >= 1
+        result = engine.run()
+        assert dense_state.enabled_count == enabled_before - 3
+        assert result.metrics.total_moves >= 1
 
 
 class SampledRandomFailure(RandomFailure):
@@ -153,36 +149,61 @@ class TestFailureDraws:
             )
             state = build_scenario_state(config)
             rng = random.Random(77)
-            log = EventLog()
+            enabled_before = state.enabled_count
+            samples = []
             schedule = {
                 1: random_failure(count=30),  # 264 enabled: the pool branch
                 3: thinning(target_enabled=100),  # the pool branch
                 5: random_failure(count=3),  # the set branch
             }
             engine = RoundBasedEngine(
-                state, sr_controller(state), rng, failure_schedule=schedule, event_log=log
+                state, sr_controller(state), rng, failure_schedule=schedule
             )
+            engine.round_observer = lambda round_index, sample: samples.append(sample)
             engine.run()
-            return log.to_lines(), state.to_bytes(), [rng.random() for _ in range(5)]
+            disabled = enabled_before - state.enabled_count
+            return disabled, samples, state.to_bytes(), [rng.random() for _ in range(5)]
 
         bulk = run(RandomFailure, ThinningToEnabledCount)
-        assert sum("node_disabled" in line for line in bulk[0]) > 100
+        assert bulk[0] > 100
         assert bulk == run(SampledRandomFailure, SampledThinning)
 
 
-class TestResultContents:
-    def test_series_lengths_match_rounds(self, dense_state, rng):
-        make_hole(dense_state, GridCoord(1, 3))
-        result = run_recovery(dense_state, sr_controller(dense_state), rng)
-        assert result.series.rounds == result.rounds_executed
-        assert result.series.holes[-1] == 0
+def observed_run(state, rng):
+    """Run SR on ``state`` with an observer; the result and the ``(round, sample)`` pairs."""
+    observed = []
+    engine = RoundBasedEngine(state, sr_controller(state), rng)
+    engine.round_observer = lambda round_index, sample: observed.append((round_index, sample))
+    return engine.run(), observed
 
-    def test_cumulative_moves_series(self, dense_state, rng):
+
+class TestResultContents:
+    def test_observer_sees_every_round(self, dense_state, rng):
         make_hole(dense_state, GridCoord(1, 3))
-        result = run_recovery(dense_state, sr_controller(dense_state), rng)
-        cumulative = result.series.cumulative_moves
-        assert cumulative[-1] == result.metrics.total_moves
-        assert all(a <= b for a, b in zip(cumulative, cumulative[1:]))
+        result, observed = observed_run(dense_state, rng)
+        assert [round_index for round_index, _ in observed] == list(
+            range(result.rounds_executed)
+        )
+        last = observed[-1][1]
+        assert (last["holes"], last["spares"]) == (0, result.metrics.final_spares)
+        assert set(last) == {"holes", "moves", "distance", "spares"}
+        assert result.energy_series == []
+
+    def test_observed_moves_add_up_to_the_metrics(self, dense_state, rng):
+        make_hole(dense_state, GridCoord(1, 3))
+        result, observed = observed_run(dense_state, rng)
+        samples = [sample for _, sample in observed]
+        assert sum(sample["moves"] for sample in samples) == result.metrics.total_moves
+        assert math.isclose(
+            sum(sample["distance"] for sample in samples), result.metrics.total_distance
+        )
+
+    def test_observer_leaves_the_result_unchanged(self, dense_state):
+        make_hole(dense_state, GridCoord(1, 3))
+        twin = dense_state.clone()
+        watched, _ = observed_run(dense_state, random.Random(5))
+        assert watched == run_recovery(twin, sr_controller(twin), random.Random(5))
+        assert dense_state.to_bytes() == twin.to_bytes()
 
     def test_metrics_snapshot_fields(self, dense_state, rng):
         make_hole(dense_state, GridCoord(2, 0))
@@ -197,17 +218,11 @@ class TestResultContents:
         assert metrics.cell_coverage_after == 1.0
         assert metrics.scheme == "SR"
 
-    def test_event_log_records_full_trace(self, dense_state, rng):
-        log = EventLog()
+    def test_one_hole_runs_one_process_to_convergence(self, dense_state, rng):
         make_hole(dense_state, GridCoord(1, 1))
-        engine = RoundBasedEngine(
-            dense_state, sr_controller(dense_state), rng, event_log=log
-        )
-        engine.run()
-        assert log.count(EventKind.PROCESS_STARTED) == 1
-        assert log.count(EventKind.PROCESS_CONVERGED) == 1
-        assert log.count(EventKind.SIMULATION_FINISHED) == 1
-        assert log.count(EventKind.ROUND_COMPLETED) >= 1
+        metrics = run_recovery(dense_state, sr_controller(dense_state), rng).metrics
+        assert (metrics.processes_initiated, metrics.processes_converged) == (1, 1)
+        assert metrics.rounds >= 1
 
     def test_finalize_called_on_shutdown(self, sparse_state, rng):
         controller = sr_controller(sparse_state)

@@ -27,7 +27,7 @@ from repro.grid.geometry import Point
 from repro.grid.head_election import (
     highest_energy_policy,
     lowest_id_policy,
-    make_round_robin_policy,
+    nearest_to_center_policy,
 )
 from repro.grid.virtual_grid import GridCoord, VirtualGrid
 from repro.network.deployment import deploy_uniform
@@ -172,7 +172,7 @@ def _counted(policy):
 POLICIES = {
     "lowest_id": lambda: lowest_id_policy,
     "highest_energy": lambda: highest_energy_policy,
-    "round_robin": make_round_robin_policy,
+    "nearest_to_center": lambda: nearest_to_center_policy,
 }
 
 

@@ -1,13 +1,10 @@
 """Unit tests for the grid-head election policies."""
 
-import pytest
-
 from repro.grid.geometry import Point
 from repro.grid.head_election import (
     elect_head,
     highest_energy_policy,
     lowest_id_policy,
-    make_round_robin_policy,
     nearest_to_center_policy,
 )
 from repro.grid.virtual_grid import VirtualGrid
@@ -55,22 +52,6 @@ class TestPolicies:
     def test_nearest_to_center_tie_breaks_by_id(self):
         candidates = handles(node(7, 0.4, 0.5), node(3, 0.6, 0.5))
         assert nearest_to_center_policy(candidates, CENTER).node_id == 3
-
-    def test_round_robin_rotates(self):
-        policy = make_round_robin_policy(period=1)
-        candidates = handles(node(1), node(2), node(3))
-        elected = [policy(candidates, CENTER).node_id for _ in range(4)]
-        assert elected == [1, 2, 3, 1]
-
-    def test_round_robin_period(self):
-        policy = make_round_robin_policy(period=2)
-        candidates = handles(node(1), node(2))
-        elected = [policy(candidates, CENTER).node_id for _ in range(4)]
-        assert elected == [1, 1, 2, 2]
-
-    def test_round_robin_invalid_period(self):
-        with pytest.raises(ValueError):
-            make_round_robin_policy(period=0)
 
 
 class TestElectHead:

@@ -13,7 +13,6 @@ from repro.grid.geometry import Point
 from repro.grid.virtual_grid import GridCoord
 from repro.network.failures import RegionJammingFailure, TargetedCellFailure
 from repro.sim.engine import RoundBasedEngine, run_recovery
-from repro.sim.events import EventKind, EventLog
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
@@ -103,7 +102,7 @@ class TestAttackScenarios:
 
     def test_dynamic_holes_injected_mid_recovery(self):
         config, state = build(columns=8, rows=8, deployed=600, surplus=50, seed=6)
-        log = EventLog()
+        enabled_before = state.enabled_count
         schedule = {
             3: TargetedCellFailure(cells=[GridCoord(0, 0), GridCoord(7, 7)]),
             6: TargetedCellFailure(cells=[GridCoord(4, 4)]),
@@ -114,11 +113,10 @@ class TestAttackScenarios:
             controller,
             derive_rng(config.seed, "sr"),
             failure_schedule=schedule,
-            event_log=log,
         )
         result = engine.run()
         assert result.metrics.final_holes == 0
-        assert log.count(EventKind.NODE_DISABLED) > 0
+        assert state.enabled_count < enabled_before
         # Holes created later become fresh processes, all of which converge.
         assert result.metrics.success_rate == 1.0
 

@@ -31,7 +31,6 @@ from repro.grid.virtual_grid import GridCoord
 from repro.network.energy import EnergyModel, energy_summary
 from repro.network.node import MESSAGE_COST, MOVE_COST_PER_METER, NodeState
 from repro.sim.engine import RoundBasedEngine, run_recovery
-from repro.sim.events import EventKind, EventLog
 from repro.sim.rng import derive_rng
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
@@ -48,35 +47,34 @@ class TestEngineDepletion:
         # whole cell in the very first round, before the controller acts.
         for node_id in victims:
             dense_state.node(node_id).reset_energy(0.5)
-        log = EventLog()
         model = EnergyModel(idle_cost_per_round=1.0)
         engine = RoundBasedEngine(
-            dense_state, sr_controller(dense_state), rng, energy_model=model, event_log=log
+            dense_state, sr_controller(dense_state), rng, energy_model=model
         )
+        samples = []
+        engine.round_observer = lambda round_index, sample: samples.append(sample)
         result = engine.run()
 
         # The engine (not a failure schedule) disabled the drained nodes ...
-        assert sorted(result.depleted_nodes) == sorted(victims)
-        for node_id in victims:
-            assert dense_state.node(node_id).state is NodeState.DEPLETED
-        battery_events = [
-            e
-            for e in log.events(EventKind.NODE_DISABLED)
-            if e.details.get("cause") == "battery-depleted"
+        depleted = [
+            node.node_id
+            for node in dense_state.nodes()
+            if node.state is NodeState.DEPLETED
         ]
-        assert len(battery_events) == len(victims)
+        assert sorted(depleted) == sorted(victims)
 
         # ... and the resulting hole was repaired by the controller.
         assert result.converged
         assert not dense_state.is_vacant(GridCoord(2, 2))
         assert result.metrics.total_moves >= 1
 
-        # The per-round energy trajectory was recorded and drains monotonically.
-        series = result.series.energy
+        # The per-round energy trajectory was recorded and drains monotonically,
+        # and the observer saw it and every depletion.
+        series = result.energy_series
         assert len(series) == result.rounds_executed > 0
         assert all(b <= a for a, b in zip(series, series[1:]))
-        assert len(result.series.depletions) == result.rounds_executed
-        assert sum(result.series.depletions) == len(victims)
+        assert [sample["energy"] for sample in samples] == series
+        assert sum(sample["depletions"] for sample in samples) == len(victims)
 
         # The metrics snapshot carries the battery summary.
         summary = result.metrics.energy

@@ -1,4 +1,4 @@
-"""Unit tests for run metrics, the event log, and the seeded RNG helpers."""
+"""Unit tests for run metrics and the seeded RNG helpers."""
 
 import math
 import random
@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.protocol import MobilityController, RoundOutcome
 from repro.grid.virtual_grid import GridCoord
-from repro.sim.events import Event, EventKind, EventLog
-from repro.sim.metrics import RoundSeries, RunMetrics, collect_metrics, snapshot_state
+from repro.sim.metrics import RunMetrics, collect_metrics, snapshot_state
 from repro.sim.rng import derive_rng, draw_uniforms, sample_indices, spawn_seeds
 
 from helpers import make_hole
@@ -86,47 +85,6 @@ class TestSnapshotAndCollect:
         assert metrics.success_rate == 1.0
         assert metrics.messages_sent == 5
         assert metrics.rounds == 3
-
-
-class TestRoundSeries:
-    def test_recording(self):
-        series = RoundSeries()
-        series.record(holes=3, moves=2, distance=5.0)
-        series.record(holes=1, moves=4, distance=7.0)
-        assert series.rounds == 2
-        assert series.holes == [3, 1]
-        assert series.cumulative_moves == [2, 6]
-
-
-class TestEventLog:
-    def test_emit_and_filter(self):
-        log = EventLog()
-        log.emit(EventKind.HOLE_DETECTED, 0, holes=3)
-        log.emit(EventKind.NODE_MOVED, 1, node_id=5)
-        log.emit(EventKind.NODE_MOVED, 2, node_id=6)
-        assert len(log) == 3
-        assert log.count(EventKind.NODE_MOVED) == 2
-        assert [e.round_index for e in log.events(EventKind.NODE_MOVED)] == [1, 2]
-        assert log.rounds() == [0, 1, 2]
-
-    def test_to_lines_and_str(self):
-        log = EventLog()
-        log.emit(EventKind.PROCESS_STARTED, 4, process_id=7)
-        lines = log.to_lines()
-        assert len(lines) == 1
-        assert "process_started" in lines[0]
-        assert "process_id=7" in lines[0]
-
-    def test_clear(self):
-        log = EventLog()
-        log.emit(EventKind.ROUND_COMPLETED, 0)
-        log.clear()
-        assert len(log) == 0
-
-    def test_events_are_immutable_records(self):
-        event = Event(kind=EventKind.HOLE_DETECTED, round_index=1, details={"holes": 2})
-        with pytest.raises(AttributeError):
-            event.round_index = 5
 
 
 class TestRng:

@@ -166,6 +166,12 @@ ADMISSION_ROWS = [
     ("spec", "jam-off-grid",
      {"channel": {"kind": "jammed", "region": [10, 10, 12, 12],
                   "from_round": 0, "until_round": 5}}),
+    ("spec", "region-disc-off-area",
+     {"failures": [{"round": 0, "kind": "region_jamming",
+                    "params": {"center": [1000, 1000], "radius": 1}}]}),
+    ("spec", "region-box-off-area",
+     {"failures": [{"round": 0, "kind": "region_jamming",
+                    "params": {"box": [-50, -50, -1, -1]}}]}),
 ]
 
 
@@ -270,6 +276,14 @@ SPEC_REFUSALS = {
     "exhaustion-without-idle-cost": "positive idle_cost_per_round",
     "jam-from-max-rounds": "channel: blackout from round 20 never fires: max_rounds is 20",
     "jam-off-grid": "channel: region [10, 10, 12, 12] is outside the 4x4 grid",
+    "region-disc-off-area": (
+        "failures[0]: region_jamming disc at [1000.0, 1000.0] with radius 1.0 lies "
+        "wholly outside the surveillance area [0, 0, 17.8885, 17.8885]"
+    ),
+    "region-box-off-area": (
+        "failures[0]: region_jamming box [-50.0, -50.0, -1.0, -1.0] lies wholly "
+        "outside the surveillance area [0, 0, 17.8885, 17.8885]"
+    ),
 }
 SPEC_ROWS = [row for row in ADMISSION_ROWS if row[0] == "spec"]
 

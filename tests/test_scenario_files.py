@@ -151,6 +151,42 @@ class TestValidation:
             "outside the 4x4 grid",
         )
 
+    def test_region_jamming_outside_the_area(self):
+        # A 4x4 grid of 10 m range covers [0, 17.8885] on both axes.
+        for region, fragment in (
+            ({"center": [1000, 1000], "radius": 1}, "disc at [1000.0, 1000.0] with radius 1.0"),
+            ({"box": [500, 500, 600, 600]}, "box [500.0, 500.0, 600.0, 600.0]"),
+            ({"box": [-50, -50, -1, -1]}, "box [-50.0, -50.0, -1.0, -1.0]"),
+        ):
+            self.check(
+                {
+                    "name": "x",
+                    "scenario": {"columns": 4, "rows": 4, "deployed_count": 100},
+                    "failures": [
+                        {"round": 0, "kind": "targeted_cells", "cells": [[0, 0]]},
+                        {"round": 0, "kind": "region_jamming", **region},
+                    ],
+                },
+                f"at run: failures[1]: region_jamming {fragment} lies wholly outside "
+                "the surveillance area [0, 0, 17.8885, 17.8885]",
+            )
+
+    def test_region_jamming_on_the_area_edge_is_accepted(self):
+        for region in (
+            {"box": [-50, -50, 0, 0]},
+            {"box": [17.8, -5, 30, 1]},
+            {"center": [-1, 5], "radius": 1},
+            {"center": [20, 20], "radius": 3},
+        ):
+            scenario = scenario_from_dict(
+                {
+                    "name": "x",
+                    "scenario": {"columns": 4, "rows": 4, "deployed_count": 100},
+                    "failures": [{"round": 0, "kind": "region_jamming", **region}],
+                }
+            )
+            assert len(scenario.run_specs()[0].failures) == 1
+
     def test_failure_beyond_round_bound_never_fires(self):
         self.check(
             {

@@ -30,6 +30,7 @@ The contracts exercised here:
 """
 
 import json
+import math
 import os
 import socket
 import sqlite3
@@ -246,18 +247,19 @@ def test_streamed_run_is_cached_when_the_client_disconnects(reset, capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize(
-    "overrides",
-    [
-        {"scheme": "SR"},
-        {"scheme": "AR", "channel": "lossy:0.2"},
-        {
-            "scheme": "SR-energy",
-            "energy": {"idle_cost_per_round": 0.5},
-            "run_to_exhaustion": True,
-        },
-    ],
-)
+#: Streamed specs: SR, AR over a lossy channel, and SR-energy run to exhaustion.
+STREAMED_OVERRIDES = [
+    {"scheme": "SR"},
+    {"scheme": "AR", "channel": "lossy:0.2"},
+    {
+        "scheme": "SR-energy",
+        "energy": {"idle_cost_per_round": 0.5},
+        "run_to_exhaustion": True,
+    },
+]
+
+
+@pytest.mark.parametrize("overrides", STREAMED_OVERRIDES)
 def test_streamed_record_matches_local_execution(overrides):
     """A streamed run publishes the record a plain ``execute_run`` computes."""
     payload = spec_payload(seed=13, **overrides)
@@ -266,6 +268,31 @@ def test_streamed_record_matches_local_execution(overrides):
     assert events[-1]["event"] == "done"
     local = record_to_dict(execute_run(spec_from_request(payload)))
     assert events[-1]["record"] == local
+
+
+@pytest.mark.parametrize("overrides", STREAMED_OVERRIDES)
+def test_streamed_rounds_add_up_to_the_record(overrides):
+    """One ``round`` event per executed round, and the samples sum to the record."""
+    with running_server() as (server, client):
+        events = list(client.run_stream(spec_payload(seed=13, **overrides)))
+    record = events[-1]["record"]
+    metrics = record["metrics"]
+    rounds = [event for event in events if event["event"] == "round"]
+    assert [event["round"] for event in rounds] == list(range(record["rounds_executed"]))
+    assert sum(event["moves"] for event in rounds) == metrics["total_moves"]
+    assert math.isclose(
+        sum(event["distance"] for event in rounds), metrics["total_distance"]
+    )
+    last = rounds[-1]
+    assert (last["holes"], last["spares"]) == (metrics["final_holes"], metrics["final_spares"])
+    if metrics["energy"] is None:
+        assert "energy" not in last and "depletions" not in last
+    else:
+        assert [event["energy"] for event in rounds] == record["energy_series"]
+        assert (
+            sum(event["depletions"] for event in rounds)
+            == metrics["energy"]["depleted_nodes"]
+        )
 
 
 @pytest.fixture

@@ -318,7 +318,7 @@ class TestMoves:
         assert dense_state.node(spare.node_id).position == target_position
 
 
-class TestRolesAndRotation:
+class TestRoles:
     def test_roles_are_consistent(self, dense_state):
         for coord in dense_state.grid.all_coords():
             head = dense_state.head_of(coord)
@@ -327,13 +327,6 @@ class TestRolesAndRotation:
                     assert member.role is NodeRole.HEAD
                 else:
                     assert member.role is NodeRole.SPARE
-
-    def test_rotate_head(self, dense_state):
-        coord = GridCoord(3, 3)
-        dense_state.head_of(coord)
-        rotated = dense_state.rotate_head(coord)
-        assert rotated is not None
-        dense_state.check_invariants()
 
     def test_heads_mapping_copy(self, dense_state):
         heads = dense_state.heads()
