@@ -53,7 +53,9 @@ identity (unconditional) and speed (bulk at least
 (``sample_indices`` equal to ``random.Random.sample`` and at least
 ``SAMPLE_INDICES_SPEEDUP_FLOOR`` times faster), and the
 ``simulate_from`` section on a small tier, whose records must equal
-``execute_run(spec, state_cache=None)`` — and exits
+``execute_run(spec, state_cache=None)`` and whose median microseconds per
+node move over ``SIMULATE_PASSES`` passes stay within
+``SIMULATE_US_PER_MOVE_LIMITS`` for SR and for AR — and exits
 non-zero when any guard trips, so an accidental O(m*n) scan or a
 de-vectorized hot loop fails CI long before it would be felt on the 512x512
 workload.
@@ -151,6 +153,13 @@ SIMULATE_PASSES = 5
 #: The ``simulate_from`` smoke tier: small enough for CI, with holes to repair.
 SMOKE_SIMULATE_CONFIG = ScenarioConfig(columns=8, rows=8, deployed_count=400, seed=3)
 SMOKE_SIMULATE_SPARES = (5, 40)
+#: Smoke-mode guard on the replacement hop: ceiling on the smoke tier's
+#: ``simulate_from`` microseconds per node move, per scheme.  An absolute
+#: per-unit bound, like the channel's.  Set from ten readings (medians of
+#: ``SIMULATE_PASSES``) on a 2-core host under CPython 3.11, the worst
+#: doubled for the host's ~2x speed swings: SR 11.0-20.2 us and AR
+#: 15.5-27.1 us.
+SIMULATE_US_PER_MOVE_LIMITS = {"SR": 40.5, "AR": 54.2}
 
 
 def build_base_state(columns: int, rows: int, seed: int) -> WsnState:
@@ -607,23 +616,31 @@ def simulate_from_section(seed: int) -> dict:
 
 
 def smoke_simulate_from() -> list:
-    """Small-tier ``simulate_from`` section; returns its identity failures."""
+    """Small-tier ``simulate_from`` section; returns its identity and per-move failures."""
     failures = []
     for scheme in SIMULATE_SCHEMES:
         specs = build_comparison_specs(
             SMOKE_SIMULATE_CONFIG, SMOKE_SIMULATE_SPARES, schemes=(scheme,), trials=1
         )
-        entry, records = bench_simulate_from(specs, passes=1)
+        entry, records = bench_simulate_from(specs)
         reference = [record_to_dict(execute_run(spec, state_cache=None)) for spec in specs]
         identical = records == reference
+        limit = SIMULATE_US_PER_MOVE_LIMITS[scheme]
         print(
             f"simulate_from guard: {scheme} on "
             f"{SMOKE_SIMULATE_CONFIG.columns}x{SMOKE_SIMULATE_CONFIG.rows}, "
             f"{entry['specs']} specs, {entry['moves']} moves, "
-            f"{entry['us_per_move_p50']:.2f} us/move, records equal execute_run: {identical}"
+            f"{entry['us_per_move_p50']:.2f} us/move (limit {limit}), "
+            f"records equal execute_run: {identical}"
         )
         if not entry["moves"]:
             failures.append(f"the simulate_from smoke tier made no {scheme} moves")
+        elif entry["us_per_move_p50"] > limit:
+            failures.append(
+                f"{scheme} simulate_from costs {entry['us_per_move_p50']:.2f} us per "
+                f"node move on the smoke tier (limit {limit} us) — the replacement "
+                "hop grew a cost"
+            )
         if not identical:
             failures.append(
                 f"{scheme} records from prebuilt states through simulate_from differ "

@@ -70,7 +70,7 @@ class SmartScanController(MobilityController):
             # the destination is (or was) one of the tracked holes.
             process_id = self._hole_process.get(target)
             if process_id is not None and self._processes[process_id].is_active:
-                self._processes[process_id].record_move(record)
+                self._processes[process_id].moves.append(record)
 
         self._close_processes(state, round_index, outcome)
         return outcome

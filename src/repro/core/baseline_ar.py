@@ -42,6 +42,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.protocol import (
     MobilityController,
+    ProcessStatus,
     ReplacementProcess,
     RoundOutcome,
 )
@@ -140,8 +141,11 @@ class LocalizedReplacementController(MobilityController):
         self._announce_new_holes(state, vacant_snapshot, round_index, outcome)
 
         acted_heads: Set[int] = set()
+        active = ProcessStatus.ACTIVE
         self._active = [
-            (process, cascade) for process, cascade in self._active if process.is_active
+            (process, cascade)
+            for process, cascade in self._active
+            if process.status is active
         ]
         # Shuffling the pairs draws what shuffling their ids would: the
         # draws depend only on the length.
@@ -256,7 +260,7 @@ class LocalizedReplacementController(MobilityController):
         spare_id = state.select_spare_at(supplier, target, self.spare_selection)
         if spare_id is not None:
             record = state.relocate(spare_id, target, rng, round_index, process_id)
-            process.record_move(record)
+            process.moves.append(record)
             outcome.moves.append(record)
             self._cascade_vacancies.discard(target)
             process.mark_converged(round_index)
@@ -270,12 +274,13 @@ class LocalizedReplacementController(MobilityController):
         process.notifications_sent += 1
         outcome.messages_sent += 1
         record = state.relocate(head_id, target, rng, round_index, process_id)
-        process.record_move(record)
+        moves = process.moves
+        moves.append(record)
         outcome.moves.append(record)
         self._cascade_vacancies.discard(target)
         coords = self.grid.coord_list()
 
-        if process.move_count >= self.max_hops:
+        if len(moves) >= self.max_hops:
             cascade.target = supplier
             # The hop budget is blown: the head still announces the vacancy
             # it left behind, but the process is over, so the notification is

@@ -78,10 +78,6 @@ class ReplacementProcess:
         """Whether the process failed (its cascade dead-ended)."""
         return self.status is ProcessStatus.FAILED
 
-    def record_move(self, move: MoveRecord) -> None:
-        """Append one movement to the process's move list."""
-        self.moves.append(move)
-
     def mark_converged(self, round_index: int) -> None:
         """Mark the process successfully finished in ``round_index``."""
         self.status = ProcessStatus.CONVERGED
@@ -278,13 +274,14 @@ class MobilityController(abc.ABC):
         and delivery gates nothing.  The channel's debit hook charges the
         sender.
         """
-        payload = {"vacancy": vacancy.as_tuple()}
+        channel = self.channel
+        payload = {"vacancy": tuple(vacancy)}
         if not reliable:
             payload["ack"] = False
-        track = reliable and self.channel.requires_ack
+        track = reliable and not channel.reliable
         if track:
             payload["req"] = self._request_nonce
-        self.channel.send(
+        channel.send(
             MessageKind.REPLACEMENT_REQUEST,
             source_cell,
             target_cell,
@@ -294,7 +291,7 @@ class MobilityController(abc.ABC):
             payload,
         )
         if track:
-            key = (process_id, vacancy.as_tuple())
+            key = (process_id, payload["vacancy"])
             self._awaiting_ack[key] = _PendingRequest(
                 key=key,
                 target_cell=target_cell,

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro.core.hamilton import HamiltonCycle
 from repro.core.protocol import (
     MobilityController,
+    ProcessStatus,
     ReplacementProcess,
     RoundOutcome,
 )
@@ -126,6 +127,7 @@ class HamiltonReplacementController(MobilityController):
         vacancy_process = self._vacancy_process
         processes = self._processes
         undelivered = self._undelivered
+        active = ProcessStatus.ACTIVE
         acted_heads: Set[int] = set()
 
         for vacant in ordered:
@@ -140,7 +142,7 @@ class HamiltonReplacementController(MobilityController):
                 process = None
             else:
                 process = processes[process_id]
-                if not process.is_active:
+                if process.status is not active:
                     # Served by a process that already finished (e.g.
                     # failed): leave the vacancy alone; the scheme has no
                     # spare to offer.
@@ -211,7 +213,7 @@ class HamiltonReplacementController(MobilityController):
             record = state.relocate(
                 spare_id, vacant, rng, round_index, process.process_id
             )
-            process.record_move(record)
+            process.moves.append(record)
             outcome.moves.append(record)
             del self._vacancy_process[vacant]
             process.mark_converged(round_index)
@@ -237,7 +239,8 @@ class HamiltonReplacementController(MobilityController):
         # The hop that blows the budget ends the process, so its notification
         # is advisory: nobody will serve the abandoned vacancy, hence nothing
         # to acknowledge or retry.
-        final_hop = process.move_count + 1 >= self.max_hops
+        moves = process.moves
+        final_hop = len(moves) + 1 >= self.max_hops
         coords = grid.coord_list()
         self._post_replacement_request(
             state,
@@ -249,10 +252,10 @@ class HamiltonReplacementController(MobilityController):
             round_index=round_index,
             reliable=not final_hop,
         )
-        process.record_move(record)
+        moves.append(record)
         outcome.moves.append(record)
         del self._vacancy_process[vacant]
-        if process.move_count >= self.max_hops:
+        if final_hop:
             # The cascade visited every candidate supplier without finding a
             # spare: there is no spare left to find, so the process fails and
             # the remaining vacancy is left in place.

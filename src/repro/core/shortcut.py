@@ -123,7 +123,7 @@ class ShortcutReplacementController(HamiltonReplacementController):
             reliable=False,
         )
         record = state.relocate(spare_id, vacant, rng, round_index, process.process_id)
-        process.record_move(record)
+        process.moves.append(record)
         outcome.moves.append(record)
         self.shortcut_moves += 1
         del self._vacancy_process[vacant]

@@ -25,7 +25,7 @@ consumption must not vanish) are both handled correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -94,14 +94,14 @@ class EnergyModel:
             # The float, not the given value: ``1`` and ``1.0`` key one run.
             object.__setattr__(self, name, value)
 
-    def apply_round(self, state) -> List[int]:
+    def apply_round(self, state) -> int:
         """Drain the per-round idle cost and disable depleted nodes.
 
         Every enabled node pays :attr:`idle_cost_per_round`; any enabled node
         left at or below :attr:`depletion_threshold` afterwards (including
         nodes drained below it by earlier movement) is disabled with reason
-        :attr:`~repro.network.node.NodeState.DEPLETED`.  Returns the ids of
-        the disabled nodes, in ascending order, so callers can log them.
+        :attr:`~repro.network.node.NodeState.DEPLETED`.  Returns how many
+        nodes it disabled (0 when none depleted); the state says which.
 
         The drain gathers over the state's enabled-row index
         (:meth:`WsnState.enabled_rows
@@ -113,11 +113,10 @@ class EnergyModel:
         clamp (``max(0, e - cost)``) matches :meth:`WsnState.debit_energy
         <repro.network.state.WsnState.debit_energy>` bit-for-bit.
         """
-        arrays = state.arrays
         rows = state.enabled_rows()
         if not len(rows):
-            return []
-        energy = arrays.energy
+            return 0
+        energy = state.arrays.energy
         enabled_energy = energy[rows]
         if self.idle_cost_per_round:
             enabled_energy -= self.idle_cost_per_round
@@ -125,11 +124,11 @@ class EnergyModel:
             energy[rows] = enabled_energy
         threshold = self.depletion_threshold
         if enabled_energy.min() > threshold:
-            return []
+            return 0
         depleted = enabled_energy <= threshold
         victim_rows = rows[depleted]
         state.disable_rows(victim_rows, NodeState.DEPLETED, rows[~depleted])
-        return sorted(arrays.node_ids[victim_rows].tolist())
+        return len(victim_rows)
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,7 @@ from __future__ import annotations
 import math
 import random
 import struct
-from bisect import bisect_left, insort
+from bisect import insort
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
@@ -202,7 +202,7 @@ class WsnState:
         enabled_cells = arrays.cell[mask]
         enabled_ids = arrays.node_ids[mask]
         counts = np.bincount(enabled_cells, minlength=cell_count)
-        # Build the counters in one pass instead of via _index_add so the
+        # Build the counters in one pass instead of node by node so the
         # vacant set is allocated at its true size: a set pre-seeded with all
         # m*n cells and then discarded down never shrinks its hash table, and
         # every later iteration of it (vacant_cells is a per-round query)
@@ -224,36 +224,6 @@ class WsnState:
             cell_members = self._cell_members
             for flat, start, end in zip(group_cells, starts, ends):
                 cell_members[flat] = sorted_ids[start:end]
-
-    # ----------------------------------------------------- index maintenance
-    def _index_add(self, flat: int, node_id: int) -> None:
-        """Register an enabled node in cell ``flat``, updating every index."""
-        insort(self._cell_members[flat], node_id)
-        count = self._occupancy[flat] + 1
-        self._occupancy[flat] = count
-        self._enabled_total += 1
-        if count == 1:
-            self._vacant.discard(flat)
-        else:
-            self._spare_total += 1
-
-    def _index_remove(self, flat: int, node_id: int) -> None:
-        """Unregister an enabled node from cell ``flat``, updating every index."""
-        members = self._cell_members[flat]
-        position = bisect_left(members, node_id)
-        if position >= len(members) or members[position] != node_id:
-            raise KeyError(
-                f"node {node_id} is not indexed in cell "
-                f"{self.grid.coord_at(flat).as_tuple()}"
-            )
-        members.pop(position)
-        count = self._occupancy[flat] - 1
-        self._occupancy[flat] = count
-        self._enabled_total -= 1
-        if count == 0:
-            self._vacant.add(flat)
-        else:
-            self._spare_total -= 1
 
     # ------------------------------------------------------ cell conversion
     def _flat_of(self, coord: GridCoord) -> int:
@@ -639,7 +609,14 @@ class WsnState:
         arrays.role[row] = UNASSIGNED_CODE
         self._enabled_rows = None
         flat = int(arrays.cell[row])
-        self._index_add(flat, node_id)
+        insort(self._cell_members[flat], node_id)
+        count = self._occupancy[flat] + 1
+        self._occupancy[flat] = count
+        self._enabled_total += 1
+        if count == 1:
+            self._vacant.discard(flat)
+        else:
+            self._spare_total += 1
         self._elect_cell_head(flat)
 
     def move_node(
@@ -755,9 +732,10 @@ class WsnState:
         checks: ``row`` holds the enabled node ``node_id`` in flat cell
         ``source``, ``target`` is on the grid and holds ``target_position``,
         and ``energy`` is the node's (positive) battery.  It writes the
-        node's row, moves it between the two member lists, and repairs the
-        heads writing at most two role rows: the new head of ``source`` when
-        the mover headed it, and the mover itself (HEAD when it heads
+        node's row, and keeps the indices itself: it moves the node between
+        the two member lists and updates the counters.  It repairs the heads
+        writing at most two role rows: the new head of ``source`` when the
+        mover headed it, and the mover itself (HEAD when it heads
         ``target``, SPARE otherwise).  Every other member of both cells
         already holds the role the rule gives it, so rewriting them (as a
         full election pass would) changes nothing.
@@ -778,8 +756,24 @@ class WsnState:
             0.0, energy - distance * self.movement_model.move_cost_per_meter
         )
         arrays.cell[row] = target
-        self._index_remove(source, node_id)
-        self._index_add(target, node_id)
+        # The node leaves ``source`` and joins ``target``: the enabled total
+        # stays, a cell left empty turns vacant, and a cell that was already
+        # occupied gains a spare.
+        self._cell_members[source].remove(node_id)
+        insort(self._cell_members[target], node_id)
+        occupancy = self._occupancy
+        left = occupancy[source] - 1
+        occupancy[source] = left
+        joined = occupancy[target] + 1
+        occupancy[target] = joined
+        if left:
+            self._spare_total -= 1
+        else:
+            self._vacant.add(source)
+        if joined == 1:
+            self._vacant.discard(target)
+        else:
+            self._spare_total += 1
         heads = self._heads
         role = arrays.role
         if heads[source] == node_id:

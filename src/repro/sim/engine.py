@@ -16,6 +16,7 @@ transmission from its sender, and counts the run's traffic from it.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
@@ -138,20 +139,21 @@ class RoundBasedEngine:
         #: serve layer uses it to stream live per-round series; it must not
         #: mutate state, and the sample is built only when one is attached.
         self.round_observer: Optional[Callable[[int, Dict[str, float]], None]] = None
-        #: Joules debited per control-message transmission — the single
-        #: source of truth for message energy, applied by the engine to every
-        #: actual channel send.
-        self._message_cost = (
-            energy_model.message_cost if energy_model is not None else MESSAGE_COST
-        )
         self.channel = build_channel(
             channel, derive_rng(channel_seed, f"channel:{channel.kind}")
         )
         # Message energy is debited at the moment of transmission — the same
         # in-round visibility the movement debit has, so a head that empties
         # its battery by transmitting is seen as depleted for the rest of the
-        # round.
-        self.channel.debit_hook = self._charge_sender
+        # round.  The hook is the state's own debit bound to the message cost
+        # (the single source of truth for message energy): it holds no
+        # engine, so a finished run is freed by reference counting.
+        message_cost = (
+            energy_model.message_cost if energy_model is not None else MESSAGE_COST
+        )
+        self.channel.debit_hook = functools.partial(
+            state.debit_energy, joules=message_cost
+        )
         controller.bind_channel(self.channel)
         if energy_model is not None:
             # Route the model's move rate into the node-level debit path
@@ -188,7 +190,7 @@ class RoundBasedEngine:
             if round_index in failure_schedule:
                 failure_schedule[round_index].apply(state, rng)
             depletions = (
-                len(energy_model.apply_round(state)) if energy_model is not None else 0
+                energy_model.apply_round(state) if energy_model is not None else 0
             )
             # Control messages sent in earlier rounds arrive now, before any
             # head acts — the paper's one-round-latency assumption,
@@ -274,16 +276,6 @@ class RoundBasedEngine:
         )
 
     # --------------------------------------------------------------- internal
-    def _charge_sender(self, sender_id: int) -> None:
-        """Debit one transmission from its sender (the channel's debit hook).
-
-        This is the single message-energy accounting path: requests, retries,
-        and acknowledgements all debit :attr:`_message_cost` joules from the
-        node that fired the radio, whether or not the channel lost the
-        message in transit.
-        """
-        self.state.debit_energy(sender_id, self._message_cost)
-
     def _messaging_pending(self) -> bool:
         """Whether control traffic is still in flight or awaiting retries.
 

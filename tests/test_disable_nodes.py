@@ -69,7 +69,13 @@ def _reference_disable(state: WsnState, node_id: int, reason=NodeState.FAILED) -
     flat = int(arrays.cell[row])
     arrays.state[row] = STATE_CODES[reason]
     arrays.role[row] = UNASSIGNED_CODE
-    state._index_remove(flat, node_id)
+    state._cell_members[flat].remove(node_id)
+    state._occupancy[flat] -= 1
+    state._enabled_total -= 1
+    if state._occupancy[flat]:
+        state._spare_total -= 1
+    else:
+        state._vacant.add(flat)
     if state._heads[flat] == node_id:
         state._heads[flat] = None
         state._elect_cell_head(flat)

@@ -95,8 +95,10 @@ class TestEnergyModel:
         victim = next(iter(dense_state.enabled_nodes()))
         victim.reset_energy(0.5)
         before, count_before = remaining_energy(dense_state)
+        enabled_before = set(dense_state.enabled_node_ids())
         depleted = model.apply_round(dense_state)
-        assert depleted == [victim.node_id]
+        assert enabled_before - set(dense_state.enabled_node_ids()) == {victim.node_id}
+        assert depleted == 1
         assert dense_state.node(victim.node_id).state is NodeState.DEPLETED
         after, count_after = remaining_energy(dense_state)
         assert count_after == count_before - 1
@@ -107,11 +109,15 @@ class TestEnergyModel:
         model = EnergyModel(idle_cost_per_round=0.0, depletion_threshold=5.0)
         victim = next(iter(dense_state.enabled_nodes()))
         victim.reset_energy(4.0)
+        enabled_before = set(dense_state.enabled_node_ids())
         depleted = model.apply_round(dense_state)
-        assert depleted == [victim.node_id]
+        assert enabled_before - set(dense_state.enabled_node_ids()) == {victim.node_id}
+        assert depleted == 1
         assert dense_state.node(victim.node_id).energy == pytest.approx(4.0)
 
     def test_no_depletion_when_everyone_is_charged(self, dense_state):
         model = EnergyModel(idle_cost_per_round=0.1)
-        assert model.apply_round(dense_state) == []
+        enabled_before = dense_state.enabled_node_ids()
+        assert model.apply_round(dense_state) == 0
+        assert dense_state.enabled_node_ids() == enabled_before
 

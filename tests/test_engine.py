@@ -1,13 +1,16 @@
 """Unit tests for the round-based simulation engine."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
 from repro.core.hamilton import build_hamilton_cycle
 from repro.core.protocol import MobilityController, RoundOutcome
 from repro.core.replacement import HamiltonReplacementController
+from repro.experiments.orchestration import build_initial_state, simulate_from
 from repro.grid.virtual_grid import GridCoord
 from repro.network.failures import (
     RandomFailure,
@@ -17,6 +20,7 @@ from repro.network.failures import (
 from repro.sim.engine import RoundBasedEngine, run_recovery
 from repro.sim.scenario import ScenarioConfig, build_scenario_state
 
+from golden_specs import GOLDEN_SPECS
 from helpers import make_hole
 
 
@@ -230,3 +234,24 @@ class TestResultContents:
         engine = RoundBasedEngine(sparse_state, controller, rng, max_rounds=2)
         engine.run()
         assert not controller.active_processes()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+def test_a_finished_run_is_freed_by_reference_counting(name):
+    """No reference cycle keeps a run's engine, controller, channel or state alive.
+
+    With the cyclic collector off, the state must die the moment its last
+    reference goes: nothing the run built may still point at it.
+    """
+    spec = GOLDEN_SPECS[name]
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        state = build_initial_state(spec, state_cache=None)
+        alive = weakref.ref(state)
+        simulate_from(state, spec)
+        del state
+        assert alive() is None, f"the {name} run left its state in a reference cycle"
+    finally:
+        if collecting:
+            gc.enable()

@@ -79,7 +79,7 @@ def test_a_process_adds_its_move_distances_left_to_right():
     )
     assert process.total_distance == 0 and type(process.total_distance) is int
     for round_index in range(10):
-        process.record_move(
+        process.moves.append(
             MoveRecord(
                 7,
                 GridCoord(1, 0),

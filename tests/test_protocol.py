@@ -52,8 +52,8 @@ class TestReplacementProcess:
 
     def test_recording_moves(self):
         process = ReplacementProcess(0, GridCoord(0, 0), GridCoord(0, 1), 0)
-        process.record_move(make_move(2.0))
-        process.record_move(make_move(3.0))
+        process.moves.append(make_move(2.0))
+        process.moves.append(make_move(3.0))
         assert process.move_count == 2
         assert process.total_distance == pytest.approx(5.0)
 
@@ -95,7 +95,7 @@ class TestControllerBookkeeping:
         controller = DummyController()
         p0 = controller._start_process(GridCoord(0, 0), GridCoord(0, 1), 0)
         p1 = controller._start_process(GridCoord(1, 1), GridCoord(1, 0), 0)
-        p0.record_move(make_move(4.0))
+        p0.moves.append(make_move(4.0))
         p0.mark_converged(1)
         p1.mark_failed(2)
         assert controller.total_moves == 1

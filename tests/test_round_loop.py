@@ -6,8 +6,9 @@
   keep it, ``disable_nodes`` and ``enable_node`` drop it, a depleting energy
   round replaces it with the surviving rows, ``clone`` shares it;
 * ``EnergyModel.apply_round`` asks the state to disable nodes only in a
-  round where some depleted, and disables by row (handing over the
-  surviving rows) exactly what ``disable_nodes`` disables by id;
+  round where some depleted, disables by row (handing over the surviving
+  rows) exactly what ``disable_nodes`` disables by id, and returns how many
+  nodes it disabled;
 * ``select_spare_at``'s single pass picks what the closure-and-``tolist``
   implementation it replaced picks (kept here as the reference), over
   seeded states full of distance and energy ties, and refuses a selection
@@ -180,13 +181,21 @@ def test_apply_round_disables_only_in_a_round_where_a_node_depleted(dense_state)
 
     dense_state.disable_rows = counted
     model = EnergyModel(idle_cost_per_round=0.5)
-    assert model.apply_round(dense_state) == []
+
+    def disabled_by_round():
+        enabled_before = set(dense_state.enabled_node_ids())
+        count = model.apply_round(dense_state)
+        disabled = sorted(enabled_before - set(dense_state.enabled_node_ids()))
+        assert count == len(disabled)
+        return disabled
+
+    assert disabled_by_round() == []
     assert calls == []
     drained = dense_state.enabled_node_ids()[3]
     dense_state.debit_energy(drained, dense_state.energy_of(drained) - 0.25)
-    assert model.apply_round(dense_state) == [drained]
+    assert disabled_by_round() == [drained]
     assert calls == [[drained]]
-    assert model.apply_round(dense_state) == []
+    assert disabled_by_round() == []
     assert len(calls) == 1
     assert_enabled_rows_hold(dense_state)
 
@@ -234,7 +243,10 @@ def test_apply_round_disables_by_row_what_disable_nodes_disables_by_id(
     twin = state.clone()
     model = EnergyModel(idle_cost_per_round=idle_cost)
 
-    victims = model.apply_round(state)
+    enabled_before = set(state.enabled_node_ids())
+    count = model.apply_round(state)
+    victims = sorted(enabled_before - set(state.enabled_node_ids()))
+    assert count == len(victims)
 
     for node_id in twin.enabled_node_ids():
         twin.debit_energy(node_id, idle_cost)
